@@ -226,24 +226,23 @@ pub fn incremental_scaling(sizes: &[usize], iters: usize) -> String {
     out
 }
 
-/// E2c — the columnar graph core: CSR adjacency vs the hash-map
-/// `GraphIndex`, and snapshot recovery time (legacy `PGS1` eager decode
-/// vs the mmap'd zero-copy `PGS2` path).
+/// E2c — the columnar graph core: freeze and CSR adjacency cost, and
+/// snapshot recovery time (legacy `PGS1` eager decode vs the mmap'd
+/// zero-copy `PGS2` path).
 ///
-/// The adjacency workload is identical on both sides: for every live
-/// node and every edge label, the labelled out- and in-edge groups are
-/// fetched and their lengths summed. The recovery workload times
+/// The adjacency workload: for every live node and every edge label,
+/// the labelled out- and in-edge groups are fetched and their lengths
+/// summed. The recovery workload times
 /// `Store::open` on a one-session data directory whose snapshot holds
 /// the same graph in both formats; the `materialize` column is the
 /// deferred first-use cost of thawing the mapped columnar image.
 pub fn columnar_core(sizes: &[usize], iters: usize) -> String {
-    use pgraph::index::GraphIndex;
     use pgraph::ColumnarGraph;
 
     let schema = PgSchema::parse(pg_datagen::schemagen::social_schema()).unwrap();
     let mut out = String::from(
-        "| nodes | edges | index build | freeze | hash-map scan | CSR scan | scan speedup |\n\
-         |---|---|---|---|---|---|---|\n",
+        "| nodes | edges | freeze | CSR scan |\n\
+         |---|---|---|---|\n",
     );
     let mut recovery = String::from(
         "| elements | snapshot bytes | open (PGS1 eager) | open (PGS2 mmap) | speedup | materialize |\n\
@@ -262,29 +261,17 @@ pub fn columnar_core(sizes: &[usize], iters: usize) -> String {
         let n = graph.node_count();
         let e = graph.edge_count();
 
-        // --- adjacency: the same labelled-neighbourhood sweep, both ways.
+        // --- adjacency: the labelled-neighbourhood sweep.
         let mut edge_labels: Vec<String> = graph.edges().map(|e| e.label().to_owned()).collect();
         edge_labels.sort();
         edge_labels.dedup();
-        let t_build = time_median(iters, || GraphIndex::build(&graph));
         let t_freeze = time_median(iters, || ColumnarGraph::freeze(&graph));
-        let ix = GraphIndex::build(&graph);
         let cols = ColumnarGraph::freeze(&graph);
         let syms: Vec<pgraph::Sym> = edge_labels
             .iter()
             .filter_map(|l| cols.symbols().lookup(l))
             .collect();
         let nodes: Vec<pgraph::NodeId> = graph.node_ids().collect();
-        let t_hash = time_median(iters, || {
-            let mut total = 0usize;
-            for &v in &nodes {
-                for l in &edge_labels {
-                    total += ix.out_edges_labelled(v, l).len();
-                    total += ix.in_edges_labelled(v, l).len();
-                }
-            }
-            total
-        });
         let t_csr = time_median(iters, || {
             let mut total = 0usize;
             for &v in &nodes {
@@ -297,12 +284,9 @@ pub fn columnar_core(sizes: &[usize], iters: usize) -> String {
         });
         let _ = writeln!(
             out,
-            "| {n} | {e} | {} | {} | {} | {} | {:.1}× |",
-            fmt_duration(t_build),
+            "| {n} | {e} | {} | {} |",
             fmt_duration(t_freeze),
-            fmt_duration(t_hash),
             fmt_duration(t_csr),
-            t_hash.as_secs_f64() / t_csr.as_secs_f64(),
         );
 
         // --- recovery: the same session, PGS1-eager vs PGS2-mmap.
@@ -847,13 +831,13 @@ mod tests {
     #[test]
     fn columnar_core_smoke() {
         let t = columnar_core(&[30], 1);
-        assert!(t.contains("scan speedup"), "{t}");
+        assert!(t.contains("CSR scan"), "{t}");
         assert!(
             t.contains("| open (PGS1 eager) | open (PGS2 mmap) |"),
             "{t}"
         );
-        // One adjacency row + one recovery row for the single size.
-        assert!(t.matches('×').count() >= 2, "{t}");
+        // The recovery row carries the one speedup for the single size.
+        assert!(t.matches('×').count() >= 1, "{t}");
     }
 
     #[test]

@@ -117,28 +117,22 @@ fn resolve_lang(path: &str, flag: Option<&str>) -> Result<SchemaLanguage> {
     }
 }
 
-/// Loads a schema in either language. Alongside the classified schema
-/// it returns the canonical SDL text — pragma-prefixed when compiled
-/// from PG-Schema, so `pg_pgschema::apply_pragma` can recover a LOOSE
-/// graph type's open-world mode later.
-fn load_schema_as(path: &str, lang: SchemaLanguage) -> Result<(PgSchema, String)> {
+/// Reads `path` and loads it as `lang` through the loader the server
+/// shares: the classified schema (open-world for a `LOOSE` graph type)
+/// plus its canonical SDL text.
+fn load_schema_text(path: &str, lang: SchemaLanguage) -> Result<(PgSchema, String)> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    match lang {
-        SchemaLanguage::Sdl => {
-            let schema = PgSchema::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-            Ok((schema, text))
+    pg_pgschema::load_schema(&text, lang).map_err(|e| {
+        match e.downcast_ref::<pg_pgschema::ParseError>() {
+            Some(located) => format!("{path}:\n{}", located.render(&text)),
+            None => format!("{path}: {e}"),
         }
-        SchemaLanguage::PgSchema => {
-            let compiled =
-                pg_pgschema::compile(&text).map_err(|e| format!("{path}:\n{}", e.render(&text)))?;
-            Ok((compiled.schema, compiled.sdl))
-        }
-    }
+    })
 }
 
 fn load_schema(path: &str) -> Result<PgSchema> {
     let lang = SchemaLanguage::detect(std::path::Path::new(path));
-    Ok(load_schema_as(path, lang)?.0)
+    Ok(load_schema_text(path, lang)?.0)
 }
 
 fn cmd_validate(rest: &[String]) -> Result<()> {
@@ -152,7 +146,7 @@ fn cmd_validate(rest: &[String]) -> Result<()> {
     };
     let lang_flag = values.iter().find(|(k, _)| *k == "lang").map(|(_, v)| *v);
     let lang = resolve_lang(schema_path, lang_flag)?;
-    let (schema, schema_sdl) = load_schema_as(schema_path, lang)?;
+    let (schema, _) = load_schema_text(schema_path, lang)?;
     let graph_text =
         fs::read_to_string(graph_path).map_err(|e| format!("cannot read {graph_path}: {e}"))?;
     let graph = pgraph::json::from_json(&graph_text).map_err(|e| format!("{graph_path}: {e}"))?;
@@ -184,10 +178,7 @@ fn cmd_validate(rest: &[String]) -> Result<()> {
             _ => unreachable!(),
         }
     }
-    // A `LOOSE` PG-Schema graph type is open-world: its pragma switches
-    // the strong (closed-world) rule family off, exactly as the server
-    // does on session hydration.
-    let options = pg_pgschema::apply_pragma(&builder.build(), &schema_sdl);
+    let options = builder.build();
     if !delta_paths.is_empty() {
         return validate_deltas(
             &mut std::io::stdout().lock(),
@@ -486,7 +477,7 @@ fn cmd_check_sat(rest: &[String]) -> Result<()> {
     let as_dot = bools.contains(&"dot");
     let lang_flag = values.iter().find(|(k, _)| *k == "lang").map(|(_, v)| *v);
     let lang = resolve_lang(schema_path, lang_flag)?;
-    let (schema, schema_sdl) = load_schema_as(schema_path, lang)?;
+    let (schema, schema_sdl) = load_schema_text(schema_path, lang)?;
     let mut config = pg_reason::ReasonerConfig::default();
     let mut field: Option<&str> = None;
     for (k, v) in values {
@@ -913,7 +904,7 @@ fn store_replay(dir: &std::path::Path) -> Result<()> {
     );
     let mut failures = 0usize;
     for s in &recovered.sessions {
-        let schema = PgSchema::parse(&s.schema_sdl)
+        let schema = pg_pgschema::parse_persisted(&s.schema_sdl)
             .map_err(|e| format!("session {}: stored schema no longer parses: {e}", s.id))?;
         // A session untouched by WAL replay is still a zero-copy view
         // into the snapshot file; validating it needs the elements.

@@ -32,6 +32,14 @@ pub enum Compat {
 /// One observed change.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchemaChange {
+    /// The schema switched between closed- and open-world (PG-Schema
+    /// `STRICT` ↔ `LOOSE`), turning the whole strong rule family on or
+    /// off. Opening is compatible; closing is breaking: every undeclared
+    /// label, property and edge loses its justification (SS1–SS4).
+    WorldChanged {
+        /// True if the new schema is open-world.
+        open: bool,
+    },
     /// A new object type. Compatible: old instances have no such nodes.
     TypeAdded {
         /// The type's name.
@@ -144,6 +152,8 @@ impl SchemaChange {
                 }
             }
             SchemaChange::EdgePropChanged { compat, .. } => *compat,
+            SchemaChange::WorldChanged { open: true } => Compat::Compatible,
+            SchemaChange::WorldChanged { open: false } => Compat::Breaking,
         }
     }
 
@@ -151,6 +161,12 @@ impl SchemaChange {
     /// ([`Display`](fmt::Display) prepends it).
     pub fn describe(&self) -> String {
         match self {
+            SchemaChange::WorldChanged { open: true } => {
+                "schema opened (closed-world → open-world)".to_owned()
+            }
+            SchemaChange::WorldChanged { open: false } => {
+                "schema closed (open-world → closed-world)".to_owned()
+            }
             SchemaChange::TypeAdded { name } => format!("type {name} added"),
             SchemaChange::TypeRemoved { name } => format!("type {name} removed"),
             SchemaChange::FieldAdded { ty, field } => format!("field {ty}.{field} added"),
@@ -348,6 +364,11 @@ fn rel_flags(rel: &RelationshipDef) -> Vec<&'static str> {
 /// Computes the change set from `old` to `new`.
 pub fn diff(old: &PgSchema, new: &PgSchema) -> SchemaDiff {
     let mut changes = Vec::new();
+    if old.is_open_world() != new.is_open_world() {
+        changes.push(SchemaChange::WorldChanged {
+            open: new.is_open_world(),
+        });
+    }
     let old_types: Vec<TypeId> = old.schema().object_types().collect();
     let new_types: Vec<TypeId> = new.schema().object_types().collect();
     let old_names: BTreeSet<&str> = old_types

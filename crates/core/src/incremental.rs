@@ -856,10 +856,16 @@ mod tests {
     }
 
     /// After every delta, both sides of an open window must equal a
-    /// full validation under their respective schemas.
+    /// full validation under their respective schemas — and modes: an
+    /// open-world primary keeps its strong family off while the
+    /// closed-world candidate runs it.
     #[test]
     fn window_tracks_deltas_on_both_sides() {
-        let old = schema();
+        window_tracks_deltas(schema());
+        window_tracks_deltas(schema().into_open_world());
+    }
+
+    fn window_tracks_deltas(old: PgSchema) {
         let new = candidate();
         let g = conforming();
         let ids: Vec<NodeId> = g.node_ids().collect();
@@ -881,6 +887,8 @@ mod tests {
                 .add_edge(u3, u2, "follows"),
             GraphDelta::new().set_node_property(u1, "login", Value::Int(7)),
             GraphDelta::new().set_node_property(u1, "login", Value::from("alice")),
+            // undeclared: SS2 wherever the schema is closed-world
+            GraphDelta::new().set_node_property(u1, "nickname", Value::from("al")),
         ];
         for (i, d) in deltas.iter().enumerate() {
             engine.apply(d).unwrap();

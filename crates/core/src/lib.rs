@@ -169,7 +169,8 @@ pub struct ValidationOptions {
     pub weak: bool,
     /// Check directive satisfaction (DS1–DS7). Default true.
     pub directives: bool,
-    /// Check strong satisfaction (SS1–SS4). Default true.
+    /// Check strong satisfaction (SS1–SS4). Default true. An open-world
+    /// schema ([`PgSchema::is_open_world`]) skips the family regardless.
     pub strong: bool,
     /// Worker threads for [`Engine::Parallel`]; `0` (default) means one
     /// per available CPU. Serial engines ignore this.

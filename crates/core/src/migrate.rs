@@ -16,6 +16,9 @@
 //!   the target — and a DS4 violation sits at a target with *no*
 //!   incoming edge of the label, unreachable by edge traversal from the
 //!   source side;
+//! * a closed-/open-world flip switches the strong family on or off for
+//!   every element, so it affects every label; each side of the plan
+//!   (and of the window) then runs under its own schema's mode;
 //! * `@key` constraints group nodes across the whole site, so the
 //!   affected label set is closed under key sites: if any affected
 //!   label sits below a key's site, every label below that site joins
@@ -206,9 +209,11 @@ pub(crate) fn graph_labels(g: &PropertyGraph) -> BTreeSet<String> {
     g.nodes().map(|n| n.label().to_owned()).collect()
 }
 
-/// The named type a change hangs off.
-fn change_type(c: &SchemaChange) -> &str {
-    match c {
+/// The named type a change hangs off; `None` for a closed-/open-world
+/// flip, which hangs off every type at once.
+fn change_type(c: &SchemaChange) -> Option<&str> {
+    Some(match c {
+        SchemaChange::WorldChanged { .. } => return None,
         SchemaChange::TypeAdded { name } | SchemaChange::TypeRemoved { name } => name,
         SchemaChange::FieldAdded { ty, .. }
         | SchemaChange::FieldRemoved { ty, .. }
@@ -218,7 +223,7 @@ fn change_type(c: &SchemaChange) -> &str {
         | SchemaChange::KeyAdded { ty, .. }
         | SchemaChange::KeyRemoved { ty, .. }
         | SchemaChange::EdgePropChanged { ty, .. } => ty,
-    }
+    })
 }
 
 /// The field a change names, when it names one.
@@ -230,7 +235,8 @@ fn change_field(c: &SchemaChange) -> Option<&str> {
         | SchemaChange::ConstraintAdded { field, .. }
         | SchemaChange::ConstraintRemoved { field, .. }
         | SchemaChange::EdgePropChanged { field, .. } => Some(field),
-        SchemaChange::TypeAdded { .. }
+        SchemaChange::WorldChanged { .. }
+        | SchemaChange::TypeAdded { .. }
         | SchemaChange::TypeRemoved { .. }
         | SchemaChange::KeyAdded { .. }
         | SchemaChange::KeyRemoved { .. } => None,
@@ -257,23 +263,31 @@ pub(crate) fn impacts(
     let mut affected: BTreeSet<String> = BTreeSet::new();
     let mut changes = Vec::with_capacity(sdiff.changes.len());
     for change in &sdiff.changes {
-        let ty = change_type(change);
         let mut labels: BTreeSet<String> = BTreeSet::new();
-        for s in [old, new] {
-            labels.extend(labels_under(s, ty, all_labels).into_iter().cloned());
-        }
-        // A changed relationship field also reaches the *targets* of its
-        // edges (DS3/DS4 anchor there; DS4 at targets with no incoming
-        // edge at all, which edge traversal from the region would miss).
-        if let Some(field) = change_field(change) {
-            for s in [old, new] {
-                if let Some(rel) = s.relationship(ty, field) {
-                    labels.extend(
-                        all_labels
-                            .iter()
-                            .filter(|l| s.label_subtype(l, rel.target_base))
-                            .cloned(),
-                    );
+        match change_type(change) {
+            // The strong family judges every element, so switching it on
+            // or off makes the whole graph the region — which is what
+            // lets each side of a window run under its own schema's mode.
+            None => labels.clone_from(all_labels),
+            Some(ty) => {
+                for s in [old, new] {
+                    labels.extend(labels_under(s, ty, all_labels).into_iter().cloned());
+                }
+                // A changed relationship field also reaches the *targets*
+                // of its edges (DS3/DS4 anchor there; DS4 at targets with
+                // no incoming edge at all, which edge traversal from the
+                // region would miss).
+                if let Some(field) = change_field(change) {
+                    for s in [old, new] {
+                        if let Some(rel) = s.relationship(ty, field) {
+                            labels.extend(
+                                all_labels
+                                    .iter()
+                                    .filter(|l| s.label_subtype(l, rel.target_base))
+                                    .cloned(),
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -319,9 +333,11 @@ pub(crate) fn impacts(
 pub(crate) fn change_needs_edges(old: &PgSchema, new: &PgSchema, c: &SchemaChange) -> bool {
     match c {
         SchemaChange::KeyAdded { .. } | SchemaChange::KeyRemoved { .. } => false,
-        SchemaChange::TypeAdded { .. } | SchemaChange::TypeRemoved { .. } => true,
+        SchemaChange::WorldChanged { .. }
+        | SchemaChange::TypeAdded { .. }
+        | SchemaChange::TypeRemoved { .. } => true,
         _ => {
-            let ty = change_type(c);
+            let ty = change_type(c).expect("field-level change names a type");
             let field = change_field(c).expect("field-level change names a field");
             [old, new]
                 .iter()
@@ -711,6 +727,37 @@ mod tests {
             Violation::RequiredPropertyMissing { .. }
         ));
         assert_region_sound(&g, &old, &new);
+    }
+
+    /// Same declarations, opposite modes: the region is the whole graph
+    /// and the plan equals the full-old vs full-new diff, both ways.
+    #[test]
+    fn world_flip_plans_the_whole_graph() {
+        let strict = parse(OLD);
+        let loose = parse(OLD).into_open_world();
+        let mut g = sample();
+        let u1 = g.node_ids().next().unwrap();
+        g.set_node_property(u1, "nickname", Value::from("al"));
+        let ghost = g.add_node("Ghost");
+        g.add_edge(ghost, u1, "haunts").unwrap();
+        let options = ValidationOptions::default();
+        for (old, new) in [(&loose, &strict), (&strict, &loose)] {
+            let p = plan(&g, old, new, &options);
+            assert_eq!(p.changes.len(), 1, "{:?}", p.changes);
+            assert_eq!(p.dirty_nodes, g.node_count());
+            assert_eq!(p.dirty_edges, g.edge_count());
+            let full_old = validate(&g, old, &options);
+            let full_new = validate(&g, new, &options);
+            let (added, removed) = diff_violations(full_old.violations(), full_new.violations());
+            assert_eq!(p.added, added);
+            assert_eq!(p.removed, removed);
+            assert_region_sound(&g, old, new);
+        }
+        let closing = plan(&g, &loose, &strict, &options);
+        assert_eq!(closing.breaking_changes(), 1);
+        // SS2 (nickname), SS1 (Ghost), SS4 (haunts).
+        assert_eq!(closing.added.len(), 3, "{:?}", closing.added);
+        assert!(plan(&g, &strict, &loose, &options).compatible());
     }
 
     #[test]

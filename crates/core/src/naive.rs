@@ -42,7 +42,7 @@ pub(crate) fn run(
         });
         rec.scanned(3 * nv, ne);
     }
-    if options.strong && !r.at_limit() {
+    if options.strong && !s.is_open_world() && !r.at_limit() {
         rec.family(RuleFamily::Strong, &mut r, |r| ss(g, s, r));
         rec.scanned(nv, ne);
     }

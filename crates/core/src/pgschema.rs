@@ -151,6 +151,9 @@ pub struct PgSchema {
     constraint_sites: Vec<ConstraintSite>,
     /// All key constraints.
     keys: Vec<KeyConstraint>,
+    /// Open-world schemas (PG-Schema `LOOSE`) leave undeclared elements
+    /// alone: the strong rule family (SS1–SS4) never runs for them.
+    open_world: bool,
 }
 
 impl PgSchema {
@@ -248,7 +251,21 @@ impl PgSchema {
             relationships,
             constraint_sites,
             keys,
+            open_world: false,
         })
+    }
+
+    /// Makes the schema open-world (a PG-Schema `LOOSE` graph type).
+    /// Schemas are closed-world unless a frontend says otherwise.
+    pub fn into_open_world(mut self) -> Self {
+        self.open_world = true;
+        self
+    }
+
+    /// True for an open-world schema: whatever the options select, no
+    /// engine runs the strong (closed-world) rule family against it.
+    pub fn is_open_world(&self) -> bool {
+        self.open_world
     }
 
     /// The underlying formal schema.

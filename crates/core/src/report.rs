@@ -417,8 +417,8 @@ pub struct ValidationMetrics {
     pub nodes_scanned: u64,
     /// Live edges visited, summed over all rule blocks.
     pub edges_scanned: u64,
-    /// Nanoseconds building the [`pgraph::index::GraphIndex`] (0 for the
-    /// naive engine, which runs index-free).
+    /// Nanoseconds freezing the graph into its [`pgraph::ColumnarGraph`]
+    /// (0 for the naive engine, which runs index-free).
     pub index_build_nanos: u64,
     /// Per-rule timing, element and violation counters, in the order
     /// the kernels ran. Empty for the naive engine, which runs the

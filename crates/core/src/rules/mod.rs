@@ -870,7 +870,7 @@ pub(crate) fn run(
             Ds7Plan::Recheck(tables) => directives::ds7_recheck(scope, sink, tables),
         }
     }
-    if options.strong {
+    if options.strong && !scope.s.is_open_world() {
         strong::ss1(scope, sink);
         strong::ss2(scope, sink);
         strong::ss3(scope, sink);

@@ -161,7 +161,7 @@ impl<'g> EdgeRef<'g> {
 /// The structure is a plain adjacency-free element store: edges know their
 /// endpoints, but no adjacency lists are maintained inline. Validation-grade
 /// adjacency and label indexes are built on demand by
-/// [`crate::index::GraphIndex`], which keeps the mutation path cheap and the
+/// [`crate::ColumnarGraph::freeze`], which keeps the mutation path cheap and the
 /// read path explicit about what it costs — the naive validation engine of
 /// the paper deliberately runs *without* indexes.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -445,7 +445,7 @@ impl PropertyGraph {
             .map(|(ix, _)| EdgeId(ix as u32))
     }
 
-    /// Outgoing edges of `v` (linear scan; use [`crate::index::GraphIndex`]
+    /// Outgoing edges of `v` (linear scan; use [`crate::ColumnarGraph`]
     /// for repeated queries).
     pub fn out_edges(&self, v: NodeId) -> impl Iterator<Item = EdgeRef<'_>> {
         self.edges().filter(move |e| e.source() == v)

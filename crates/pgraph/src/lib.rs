@@ -22,8 +22,8 @@
 //! * mutation logs ([`delta::GraphDelta`]) that capture an evolution step
 //!   as a value and report exactly what they touched — the substrate for
 //!   incremental revalidation,
-//! * secondary indexes (label index, out/in adjacency grouped by edge label)
-//!   via [`index::GraphIndex`],
+//! * an immutable columnar view with a label index and out/in CSR
+//!   adjacency grouped by edge label ([`ColumnarGraph`]),
 //! * traversal helpers ([`traverse`]),
 //! * a stable JSON interchange format ([`json`]),
 //! * structural statistics ([`stats::GraphStats`]) used by the benchmark
@@ -55,7 +55,6 @@ pub mod columnar;
 pub mod csv;
 pub mod delta;
 pub mod dot;
-pub mod index;
 pub mod json;
 pub mod parse;
 pub mod shard;

@@ -2,11 +2,10 @@
 //!
 //! The satisfiability witness checker and the workload generator both need
 //! basic graph traversal; everything here works on the plain
-//! [`PropertyGraph`] or an existing [`GraphIndex`].
+//! [`PropertyGraph`].
 
 use std::collections::{HashSet, VecDeque};
 
-use crate::index::GraphIndex;
 use crate::{NodeId, PropertyGraph};
 
 /// Nodes reachable from `start` along outgoing edges (including `start`),
@@ -15,17 +14,9 @@ pub fn reachable_from(g: &PropertyGraph, start: NodeId) -> Vec<NodeId> {
     if !g.contains_node(start) {
         return Vec::new();
     }
-    let ix = GraphIndex::build(g);
-    reachable_from_indexed(g, &ix, start)
-}
-
-/// Like [`reachable_from`] but reuses a prebuilt index.
-pub fn reachable_from_indexed(g: &PropertyGraph, _ix: &GraphIndex, start: NodeId) -> Vec<NodeId> {
     let mut seen: HashSet<NodeId> = HashSet::new();
     let mut order = Vec::new();
     let mut queue = VecDeque::new();
-    // Build a quick successor map once; GraphIndex groups by (node,label)
-    // which would force label enumeration here.
     let mut succ: std::collections::HashMap<NodeId, Vec<NodeId>> = std::collections::HashMap::new();
     for e in g.edges() {
         succ.entry(e.source()).or_default().push(e.target());

@@ -2,7 +2,6 @@
 //! compaction invariants, index/scan agreement, and columnar/snapshot
 //! round-trips (tombstoned id space preserved bit for bit).
 
-use pgraph::index::GraphIndex;
 use pgraph::{json, snapshot, ColumnarGraph, NodeId, PropertyGraph, Value};
 use proptest::prelude::*;
 
@@ -102,11 +101,12 @@ proptest! {
     #[test]
     fn index_agrees_with_scans(spec in graph_spec()) {
         let g = build(&spec);
-        let ix = GraphIndex::build(&g);
+        let cols = ColumnarGraph::freeze(&g);
+        let sym = |s: &str| cols.symbols().lookup(s).unwrap();
         for v in g.node_ids() {
-            let label = g.node_label(v).unwrap();
-            prop_assert!(ix.nodes_with_label(label).contains(&v));
-            // Per-label out-edge groups must partition the out-edges.
+            let label = sym(g.node_label(v).unwrap());
+            prop_assert!(cols.nodes_with_label(label).contains(&(v.index() as u32)));
+            // Per-label CSR groups must partition the out-edges.
             let scan: usize = g.out_edges(v).count();
             let mut labels: Vec<String> =
                 g.out_edges(v).map(|e| e.label().to_owned()).collect();
@@ -114,7 +114,7 @@ proptest! {
             labels.dedup();
             let grouped: usize = labels
                 .iter()
-                .map(|l| ix.out_edges_labelled(v, l).len())
+                .map(|l| cols.out_edges_labelled(v, sym(l)).len())
                 .sum();
             prop_assert_eq!(scan, grouped);
         }

@@ -8,7 +8,16 @@
 //! compiler onto the existing [`pg_schema::PgSchema`] core (so all four
 //! engines, metrics, sessions, durability and replication just work),
 //! and a [`print`]er rendering SDL documents back as PG-Schema over the
-//! overlapping fragment.
+//! overlapping fragment. [`load_schema`] is the one "(text, language) →
+//! (schema, canonical text)" function the CLI and the server share.
+//!
+//! # Where the mode lives
+//!
+//! `STRICT`/`LOOSE` is a property of the schema, so it is a field of
+//! it: lowering a `LOOSE` graph type yields an open-world
+//! [`PgSchema`], and every engine skips the strong rule family for
+//! such a schema whatever its options say. Nothing downstream of the
+//! schema re-derives the mode.
 //!
 //! # The language pragma
 //!
@@ -21,10 +30,11 @@
 //! ```
 //!
 //! `#` comments are ignored tokens in SDL, so every existing store and
-//! wire path handles the tagged text unchanged, while [`pragma_of`]
-//! recovers the source language and type mode on rehydration — which is
-//! how a `LOOSE` (open-world) session keeps its strong rule family off
-//! across restarts, replicas and cross-language migration windows.
+//! wire path handles the tagged text unchanged. The pragma is only the
+//! *persisted encoding* of the mode: [`parse_persisted`] is the single
+//! reader that turns it back into an open-world schema — which is how a
+//! `LOOSE` session keeps its strong rule family off across restarts,
+//! replicas and cross-language migration windows.
 
 pub mod ast;
 pub mod error;
@@ -43,7 +53,7 @@ pub use lower::{compile, Compiled};
 pub use parser::parse;
 pub use print::{print_pgschema, PrintError};
 
-use pg_schema::ValidationOptions;
+use pg_schema::{PgSchema, ValidationOptions};
 
 /// Which schema language a text is written in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -122,11 +132,41 @@ pub fn pragma_of(sdl: &str) -> Option<(SchemaLanguage, TypeMode)> {
     words.next().is_none().then_some((lang, mode))
 }
 
-/// Adjusts validation options per the text's language pragma: a `LOOSE`
-/// graph type is open-world, so the strong (closed-world) rule family is
-/// switched off. Plain SDL and `STRICT` text return `options` unchanged.
-/// Server sessions apply this at every (re)hydration, which keeps the
-/// mode durable without a store-format change.
+/// Reads persisted schema text — SDL, pragma-tagged when it was lowered
+/// from PG-Schema — into the schema it denotes, mode included. The only
+/// place the pragma turns into behaviour: recovery, follower hydration
+/// and SDL input all come through here.
+pub fn parse_persisted(sdl: &str) -> Result<PgSchema, Box<dyn std::error::Error>> {
+    let schema = PgSchema::parse(sdl)?;
+    Ok(match pragma_of(sdl) {
+        Some((_, TypeMode::Loose)) => schema.into_open_world(),
+        _ => schema,
+    })
+}
+
+/// Loads schema text in either language: the classified schema plus the
+/// canonical SDL text that gets persisted. PG-Schema input lowers to SDL
+/// prefixed with the language pragma, so sessions, WAL records and
+/// replication carry the source language with no format change; SDL
+/// input is its own canonical text. A PG-Schema failure is a
+/// [`ParseError`] (downcast to render its caret snippet).
+pub fn load_schema(
+    source: &str,
+    lang: SchemaLanguage,
+) -> Result<(PgSchema, String), Box<dyn std::error::Error>> {
+    match lang {
+        SchemaLanguage::Sdl => Ok((parse_persisted(source)?, source.to_owned())),
+        SchemaLanguage::PgSchema => {
+            let compiled = compile(source)?;
+            Ok((compiled.schema, compiled.sdl))
+        }
+    }
+}
+
+/// The options an engine holding only the *text* would need to honour
+/// its pragma: `LOOSE` switches the strong family off. Redundant for
+/// callers holding the schema ([`parse_persisted`], [`compile`]) — an
+/// open-world schema skips that family by itself.
 pub fn apply_pragma(options: &ValidationOptions, sdl: &str) -> ValidationOptions {
     let mut out = *options;
     if let Some((_, TypeMode::Loose)) = pragma_of(sdl) {

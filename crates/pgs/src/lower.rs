@@ -1,10 +1,14 @@
 //! Lowering: PG-Schema AST → SDL document → [`PgSchema`].
 //!
-//! The compiler translates the PG-Schema subset into the paper's SDL
-//! dialect and hands the result to the *existing* schema core
-//! (`pg_schema::PgSchema`), so every engine, metric and durability path
-//! works for PG-Schema inputs with zero kernel changes. The lowering
-//! table (DESIGN §PG-Schema frontend):
+//! The compiler translates the PG-Schema subset into an SDL
+//! [`Document`] — the structure both languages share — and builds the
+//! *existing* schema core from it with [`PgSchema::from_document`], the
+//! same call the SDL frontend ends in, so every engine, metric and
+//! durability path works for PG-Schema inputs with zero kernel changes.
+//! A `LOOSE` graph type marks the schema open-world. The document is
+//! printed exactly once, as [`Compiled::sdl`], for persistence; nothing
+//! in this crate reads that text back. The lowering table (DESIGN
+//! §PG-Schema frontend):
 //!
 //! | PG-Schema                        | SDL                              |
 //! |----------------------------------|----------------------------------|
@@ -63,10 +67,11 @@ pub struct Compiled {
     /// The lowered SDL document.
     pub document: Document,
     /// Canonical lowered SDL text, first line the language pragma. This
-    /// is the form sessions persist (WAL, snapshots, replication), so a
-    /// PG-Schema session rehydrates with the same semantics anywhere.
+    /// is the form sessions persist (WAL, snapshots, replication);
+    /// [`crate::parse_persisted`] reads it back into an equal schema, so
+    /// a PG-Schema session rehydrates with the same semantics anywhere.
     pub sdl: String,
-    /// The graph type's mode; `Loose` disables the strong rule family.
+    /// The graph type's mode; `Loose` makes `schema` open-world.
     pub mode: TypeMode,
     /// The graph type's name (SDL has no equivalent; kept for tooling).
     pub name: String,
@@ -220,17 +225,20 @@ impl<'a> Lowerer<'a> {
             })));
         }
         let document = Document { definitions };
-        let sdl = format!(
-            "{}\n{}",
-            crate::pragma_line(self.gt.mode),
-            gql_sdl::print_document(&document)
-        );
-        let schema = PgSchema::parse(&sdl).map_err(|e| {
+        let mut schema = PgSchema::from_document(&document).map_err(|e| {
             invalid(
                 format!("lowered schema rejected by the SDL core: {e}"),
                 self.gt.span,
             )
         })?;
+        if self.gt.mode == TypeMode::Loose {
+            schema = schema.into_open_world();
+        }
+        let sdl = format!(
+            "{}\n{}",
+            crate::pragma_line(self.gt.mode),
+            gql_sdl::print_document(&document)
+        );
         Ok(Compiled {
             schema,
             document,
@@ -595,14 +603,13 @@ mod tests {
         let c = compile("CREATE GRAPH TYPE G LOOSE { (A { x STRING }) }").unwrap();
         assert!(c.sdl.starts_with(crate::PRAGMA_PREFIX), "{}", c.sdl);
         assert_eq!(c.mode, TypeMode::Loose);
-        // The pragma rides in the SDL as a comment, so the core parses
-        // the persisted text unchanged…
-        assert!(PgSchema::parse(&c.sdl).is_ok());
-        // …and the frontend recovers the mode from it.
-        assert_eq!(
-            crate::pragma_of(&c.sdl),
-            Some((crate::SchemaLanguage::PgSchema, TypeMode::Loose))
-        );
+        assert!(c.schema.is_open_world());
+        // The pragma rides in the SDL as a comment; the persisted-text
+        // reader recovers the mode from it.
+        assert!(crate::parse_persisted(&c.sdl).unwrap().is_open_world());
+        let strict = compile("CREATE GRAPH TYPE G { (A { x STRING }) }").unwrap();
+        assert!(!strict.schema.is_open_world());
+        assert!(!crate::parse_persisted(&strict.sdl).unwrap().is_open_world());
     }
 
     #[test]

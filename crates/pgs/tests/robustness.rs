@@ -2,18 +2,69 @@
 //! (truncations, token swaps, character noise) must never panic, and
 //! every rejection must carry a usable 1-based line/column position —
 //! the error contract DESIGN §PG-Schema frontend promises tooling.
+//!
+//! Lowering equivalence: every *acceptance* must be rehydratable. The
+//! compiler builds its schema straight from the lowered document and
+//! only prints the persisted text, so nothing at run time checks that
+//! the text reads back; these tests do, on the corpus in both modes
+//! and on every mutation that still compiles.
 
-use pg_pgschema::{compile, corpus::corpus_sdl, print_pgschema, ParseError, TypeMode};
+use pg_pgschema::{
+    compile, corpus::corpus_sdl, parse_persisted, print_pgschema, Compiled, ParseError, TypeMode,
+};
 use proptest::prelude::*;
 
 /// A valid PG-Schema text: the bilingual corpus schema for `seed`,
 /// rendered through the printer (the same path `pgschema translate`
-/// takes).
+/// takes). Odd seeds render `LOOSE`, so the mutation tests cover both
+/// modes.
 fn corpus_pgs(seed: u64) -> String {
+    let mode = if seed & 1 == 0 {
+        TypeMode::Strict
+    } else {
+        TypeMode::Loose
+    };
+    corpus_pgs_as(seed, mode)
+}
+
+fn corpus_pgs_as(seed: u64, mode: TypeMode) -> String {
     let sdl = corpus_sdl(seed);
     let doc = gql_sdl::parse(&sdl).expect("corpus SDL parses");
-    print_pgschema(&doc, "Corpus", TypeMode::Strict)
-        .expect("corpus stays inside the PG-Schema fragment")
+    print_pgschema(&doc, "Corpus", mode).expect("corpus stays inside the PG-Schema fragment")
+}
+
+/// What the deleted print-and-reparse used to enforce on every compile:
+/// (a) the persisted text reads back into a schema equal in
+/// classification and mode — an accepted session can always rehydrate;
+/// (b) rendering the lowered document as PG-Schema is a fixpoint.
+fn assert_rehydrates(compiled: &Compiled) {
+    let back = parse_persisted(&compiled.sdl)
+        .unwrap_or_else(|e| panic!("accepted schema does not rehydrate: {e}\n{}", compiled.sdl));
+    let (a, b) = (&compiled.schema, &back);
+    assert_eq!(a.is_open_world(), compiled.mode == TypeMode::Loose);
+    assert_eq!(a.is_open_world(), b.is_open_world());
+    assert_eq!(a.keys(), b.keys());
+    assert_eq!(a.constraint_sites(), b.constraint_sites());
+    let types = |s: &pg_schema::PgSchema| -> Vec<_> {
+        let s = s.schema();
+        (s.object_types().chain(s.interface_types()))
+            .map(|t| (t, s.type_name(t).to_owned()))
+            .collect()
+    };
+    assert_eq!(types(a), types(b));
+    for (t, _) in types(a) {
+        assert_eq!(a.attributes(t), b.attributes(t));
+        assert_eq!(a.relationships(t), b.relationships(t));
+    }
+
+    let printed = print_pgschema(&compiled.document, &compiled.name, compiled.mode)
+        .expect("a lowered document stays inside the fragment");
+    let again = compile(&printed).unwrap_or_else(|e| panic!("{}", e.render(&printed)));
+    assert_eq!(
+        print_pgschema(&again.document, &again.name, again.mode).unwrap(),
+        printed
+    );
+    assert_eq!(again.sdl, compiled.sdl);
 }
 
 /// Every error must point into (or just past) the source it was raised
@@ -44,10 +95,12 @@ fn assert_error_is_located(err: &ParseError, source: &str) {
 }
 
 /// Compile arbitrary (possibly mangled) text: no panic, and a located
-/// error on rejection. Acceptance is fine — some mutations stay valid.
+/// error on rejection. Acceptance is fine — some mutations stay valid —
+/// as long as what was accepted rehydrates.
 fn check(text: &str) {
-    if let Err(err) = compile(text) {
-        assert_error_is_located(&err, text);
+    match compile(text) {
+        Ok(compiled) => assert_rehydrates(&compiled),
+        Err(err) => assert_error_is_located(&err, text),
     }
 }
 
@@ -63,11 +116,15 @@ fn char_floor(text: &str, at: usize) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The unmutated corpus rendering always compiles.
+    /// The unmutated corpus rendering always compiles, in both modes,
+    /// to a schema its persisted text reproduces.
     #[test]
-    fn corpus_renderings_compile(seed in 0u64..64) {
-        let text = corpus_pgs(seed);
-        compile(&text).expect("valid rendering must compile");
+    fn corpus_renderings_compile_and_rehydrate(seed in 0u64..64, loose in any::<bool>()) {
+        let mode = if loose { TypeMode::Loose } else { TypeMode::Strict };
+        let text = corpus_pgs_as(seed, mode);
+        let compiled = compile(&text).expect("valid rendering must compile");
+        prop_assert_eq!(compiled.mode, mode);
+        assert_rehydrates(&compiled);
     }
 
     /// Truncation at any byte: never a panic, always a located error

@@ -84,22 +84,21 @@ impl Session {
             else {
                 unreachable!()
             };
-            let schema = PgSchema::parse(&self.schema_sdl)
+            // Persisted text carries a LOOSE graph type's mode as a
+            // pragma; read through the frontend, the schema hydrates
+            // open-world however it arrived here — recovery, replication,
+            // or an LRU round trip.
+            let schema = pg_pgschema::parse_persisted(&self.schema_sdl)
                 .map_err(|e| format!("recovered schema no longer parses: {e}"))?;
             let graph = graph
                 .into_graph()
                 .map_err(|e| format!("recovered graph failed to materialize: {e}"))?;
-            // Schema text compiled from the PG-Schema frontend carries a
-            // language pragma; a LOOSE graph type hydrates open-world
-            // (strong family off) however it arrived here — recovery,
-            // replication, or an LRU round trip.
-            let options = pg_pgschema::apply_pragma(&self.options, &self.schema_sdl);
-            let mut engine = IncrementalEngine::new(graph, Arc::new(schema), &options);
+            let mut engine = IncrementalEngine::new(graph, Arc::new(schema), &self.options);
             // A WAL-recovered (or follower-replicated) open migration
             // window re-opens with the engine: the candidate side picks
             // up exactly where the crash left it.
             if let Some(sdl) = &self.pending_migration {
-                let candidate = PgSchema::parse(sdl)
+                let candidate = pg_pgschema::parse_persisted(sdl)
                     .map_err(|e| format!("pending migration schema no longer parses: {e}"))?;
                 engine.begin_migration(candidate);
             }
@@ -146,32 +145,6 @@ impl Session {
     /// True once the engine has been seeded.
     pub fn is_hydrated(&self) -> bool {
         matches!(self.state, SessionState::Ready(_))
-    }
-
-    /// Realigns a live engine with `schema_sdl`'s language pragma after
-    /// a schema swap (migration commit). When the committed schema
-    /// implies a different rule-family set than the engine was seeded
-    /// with — a STRICT↔LOOSE cross-language migration — the session is
-    /// demoted to dormant, so the next touch re-seeds it under the right
-    /// options, exactly as a follower does on a replicated commit.
-    pub fn realign_options(&mut self) {
-        let SessionState::Ready(engine) = &self.state else {
-            return;
-        };
-        let wanted = pg_pgschema::apply_pragma(&self.options, &self.schema_sdl);
-        let have = engine.options();
-        if (wanted.weak, wanted.directives, wanted.strong)
-            == (have.weak, have.directives, have.strong)
-        {
-            return;
-        }
-        let state = std::mem::replace(&mut self.state, SessionState::Poisoned);
-        self.state = match state {
-            SessionState::Ready(engine) => SessionState::Dormant {
-                graph: engine.into_graph().into(),
-            },
-            other => other,
-        };
     }
 }
 
@@ -335,12 +308,7 @@ impl SessionRegistry {
         schema_sdl: &str,
         options: &ValidationOptions,
     ) -> io::Result<CreateOutcome> {
-        // `options` is the registry-wide base; the SDL's language pragma
-        // (if any) adjusts the rule families for this session's engine.
-        // The base is what the session remembers, so rehydration applies
-        // the pragma of whatever schema is current *then*.
-        let engine_options = pg_pgschema::apply_pragma(options, schema_sdl);
-        let engine = IncrementalEngine::new(graph, schema, &engine_options);
+        let engine = IncrementalEngine::new(graph, schema, options);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let slot = Arc::new(SessionSlot {
             session: Mutex::new(Session {

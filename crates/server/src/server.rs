@@ -759,9 +759,11 @@ fn handle_migrate(ctx: &Ctx, request: &Request, id: u64) -> Handled {
                     }
                 },
             };
-            let (candidate, sdl) = match compile_schema(source, lang) {
+            let (candidate, sdl) = match pg_pgschema::load_schema(source, lang) {
                 Ok(parts) => parts,
-                Err(message) => return Handled::plain(ROUTE, Response::error(400, &message)),
+                Err(e) => {
+                    return Handled::plain(ROUTE, Response::error(400, &format!("schema: {e}")))
+                }
             };
             if action == "begin" && session.pending_migration.is_some() {
                 return Handled::plain(
@@ -860,10 +862,6 @@ fn handle_migrate(ctx: &Ctx, request: &Request, id: u64) -> Handled {
             }
             session.schema_sdl = sdl;
             session.pending_migration = None;
-            // A commit that crossed languages can change the rule
-            // families (STRICT ↔ LOOSE): demote-and-reseed so the
-            // report below already reflects the new mode.
-            session.realign_options();
             let report = match session.engine() {
                 Ok(engine) => engine.report(),
                 Err(message) => return Handled::plain(ROUTE, Response::error(500, &message)),
@@ -1055,28 +1053,10 @@ fn lang_param(request: &Request) -> Result<SchemaLanguage, String> {
     }
 }
 
-/// Compiles `source` from `lang` into the classified schema plus the
-/// canonical SDL text that gets persisted: PG-Schema inputs lower to
-/// SDL prefixed with the language pragma, so sessions, WAL records and
-/// replication carry the source language with no format change.
-fn compile_schema(source: &str, lang: SchemaLanguage) -> Result<(PgSchema, String), String> {
-    match lang {
-        SchemaLanguage::Sdl => {
-            let schema = PgSchema::parse(source).map_err(|e| format!("schema: {e}"))?;
-            Ok((schema, source.to_owned()))
-        }
-        SchemaLanguage::PgSchema => {
-            let compiled =
-                pg_pgschema::compile(source).map_err(|e| format!("schema (pgschema): {e}"))?;
-            Ok((compiled.schema, compiled.sdl))
-        }
-    }
-}
-
 /// Decodes the `{"schema": <schema string>, "graph": <graph document>}`
 /// envelope shared by `POST /validate` and `POST /sessions`. The
-/// returned text is the canonical SDL (see [`compile_schema`]) because
-/// durable sessions persist it.
+/// returned text is the canonical SDL (see [`pg_pgschema::load_schema`])
+/// because durable sessions persist it.
 fn parse_envelope(
     body: &[u8],
     lang: SchemaLanguage,
@@ -1087,7 +1067,8 @@ fn parse_envelope(
         .get("schema")
         .and_then(Json::as_str)
         .ok_or_else(|| "missing string field \"schema\"".to_owned())?;
-    let (schema, sdl) = compile_schema(source, lang)?;
+    let (schema, sdl) =
+        pg_pgschema::load_schema(source, lang).map_err(|e| format!("schema: {e}"))?;
     let graph_value = doc
         .get("graph")
         .ok_or_else(|| "missing field \"graph\"".to_owned())?;
@@ -1109,7 +1090,7 @@ fn handle_validate(ctx: &Ctx, request: &Request) -> Handled {
         Ok(lang) => lang,
         Err(message) => return Handled::plain("/validate", Response::error(400, &message)),
     };
-    let (schema, graph, sdl) = match parse_envelope(&request.body, lang) {
+    let (schema, graph, _) = match parse_envelope(&request.body, lang) {
         Ok(parts) => parts,
         Err(message) => return Handled::plain("/validate", Response::error(400, &message)),
     };
@@ -1117,8 +1098,6 @@ fn handle_validate(ctx: &Ctx, request: &Request) -> Handled {
         .engine(engine)
         .collect_metrics(true)
         .build();
-    // A LOOSE PG-Schema graph type validates open-world.
-    let options = pg_pgschema::apply_pragma(&options, &sdl);
     let report = validate(&graph, &schema, &options);
     ctx.metrics.record_validation(engine, report.metrics());
     Handled {
@@ -1159,9 +1138,9 @@ fn handle_check_sat(request: &Request) -> Handled {
     let Some(type_name) = doc.get("type").and_then(Json::as_str) else {
         return Handled::plain(ROUTE, Response::error(400, "missing string field \"type\""));
     };
-    let (schema, sdl) = match compile_schema(source, lang) {
+    let (schema, sdl) = match pg_pgschema::load_schema(source, lang) {
         Ok(parts) => parts,
-        Err(message) => return Handled::plain(ROUTE, Response::error(400, &message)),
+        Err(e) => return Handled::plain(ROUTE, Response::error(400, &format!("schema: {e}"))),
     };
     let mut config = pg_reason::ReasonerConfig::default();
     if let Some(k) = doc.get("max_size") {

@@ -716,3 +716,73 @@ fn migration_windows_cross_languages() {
 
     daemon.stop();
 }
+
+/// The other direction: the candidate is judged under *its own* mode, so
+/// closing an open-world session surfaces the strong-family violations
+/// in the plan and the commit refuses them unless forced.
+#[test]
+fn migration_from_loose_to_strict_is_judged_closed_world() {
+    let daemon = Daemon::start(1, 8);
+    let mut client = Client::connect(daemon.addr);
+
+    let graph_json = r#"{"nodes":[{"id":0,"label":"User",
+        "properties":{"login":"alice","nickname":"al"}}],"edges":[]}"#;
+    let (status, created) = client.request_json(
+        "POST",
+        "/sessions?lang=pgschema",
+        &envelope_with(
+            "CREATE GRAPH TYPE G LOOSE { (User {login STRING}) }",
+            graph_json,
+        ),
+    );
+    assert_eq!(status, 201);
+    assert_eq!(
+        created.get("report").and_then(|r| r.get("conforms")),
+        Some(&Json::Bool(true)),
+        "open-world: the undeclared nickname is fine"
+    );
+    let id = created.get("session").and_then(Json::as_i64).unwrap();
+    let migrate = format!("/sessions/{id}/migrate");
+
+    const CANDIDATE: &str = "type User { login: String! @required age: Int }";
+    let (status, begun) = client.request_json(
+        "POST",
+        &migrate,
+        &migrate_body("begin", Some(CANDIDATE), false),
+    );
+    assert_eq!(status, 200, "{begun:?}");
+    let added = begun
+        .get("plan")
+        .and_then(|p| p.get("violations_added"))
+        .and_then(Json::as_array)
+        .expect("plan lists added violations");
+    assert_eq!(added.len(), 1, "{begun:?}");
+    assert_eq!(added[0].get("rule").and_then(Json::as_str), Some("SS2"));
+
+    let (status, refused) =
+        client.request_json("POST", &migrate, &migrate_body("commit", None, false));
+    assert_eq!(status, 409, "{refused:?}");
+    assert_eq!(refused.get("committed"), Some(&Json::Bool(false)));
+
+    let (status, committed) =
+        client.request_json("POST", &migrate, &migrate_body("commit", None, true));
+    assert_eq!(status, 200, "{committed:?}");
+    let schema = pg_schema::PgSchema::parse(CANDIDATE).unwrap();
+    let graph = json::from_json(graph_json).unwrap();
+    for engine in [
+        Engine::Naive,
+        Engine::Indexed,
+        Engine::Parallel,
+        Engine::Incremental,
+    ] {
+        let scratch = validate(&graph, &schema, &ValidationOptions::with_engine(engine));
+        let scratch_doc = Json::parse(&scratch.to_json()).unwrap();
+        assert_eq!(
+            committed.get("report").and_then(|r| r.get("violations")),
+            scratch_doc.get("violations"),
+            "engine {engine:?}"
+        );
+    }
+
+    daemon.stop();
+}

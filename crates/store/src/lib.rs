@@ -50,7 +50,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod crc32;
 mod files;
 mod lazy;
 mod mmap;

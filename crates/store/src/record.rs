@@ -17,12 +17,12 @@
 
 use pgraph::{binary, GraphDelta, PropertyGraph};
 
-use crate::crc32::crc32;
 pub(crate) use crate::wire::FRAME_HEADER_BYTES as FRAME_HEADER;
 use crate::wire::{
     KIND_CREATE, KIND_DELETE, KIND_DELTA, KIND_SCHEMA, MAX_PAYLOAD_BYTES as MAX_PAYLOAD,
     MIN_PAYLOAD_BYTES,
 };
+use pgraph::snapshot::crc32;
 
 /// The phase a [`StoreRecord::SchemaChange`] logs, encoded as one byte
 /// in the record body.

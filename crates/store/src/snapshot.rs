@@ -50,11 +50,11 @@
 use pgraph::snapshot::{GraphHeader, SnapshotError};
 use pgraph::{binary, snapshot as pgcs};
 
-use crate::crc32::crc32;
 use crate::lazy::{Backing, GraphPayload, LazyGraph};
 use crate::record::FRAME_HEADER;
 use crate::wire::{SNAPSHOT_GRAPH_ALIGN, SNAPSHOT_MAGIC, SNAPSHOT_MAGIC_V2};
 use crate::RecoveredSession;
+use pgraph::snapshot::crc32;
 
 /// Why a snapshot file could not be used.
 #[derive(Debug)]

@@ -313,26 +313,50 @@ proptest! {
     /// is the end-to-end translation-parity property — the PG-Schema
     /// compiler lowers onto the same `PgSchema` the SDL path builds, so
     /// no engine can tell which language a schema arrived in.
+    ///
+    /// The graph type's mode is drawn too: the oracle is the closed-world
+    /// SDL schema with the strong family switched off by *options* for
+    /// `LOOSE`, the subject is the compiled schema under default options
+    /// — so "LOOSE ⇒ no SS*" holds on every engine because the schema
+    /// says so, not because a caller remembered to.
     #[test]
-    fn languages_agree_across_engines(corpus_seed in 0u64..24, graph_seed in 0u64..8) {
+    fn languages_agree_across_engines(
+        corpus_seed in 0u64..24,
+        graph_seed in 0u64..8,
+        loose in any::<bool>(),
+    ) {
+        let mode = if loose { pg_pgschema::TypeMode::Loose } else { pg_pgschema::TypeMode::Strict };
         let sdl = pg_pgschema::corpus::corpus_sdl(corpus_seed);
         let via_sdl = PgSchema::parse(&sdl).expect("corpus SDL builds");
         let doc = gql_sdl::parse(&sdl).expect("corpus SDL parses");
-        let pgs = pg_pgschema::print_pgschema(&doc, "Corpus", pg_pgschema::TypeMode::Strict)
+        let pgs = pg_pgschema::print_pgschema(&doc, "Corpus", mode)
             .expect("corpus stays inside the PG-Schema fragment");
         let via_pgs = pg_pgschema::compile(&pgs).expect("rendering compiles back").schema;
-        let graph = GraphGen::new(&via_sdl, GraphGenParams {
+        let mut graph = GraphGen::new(&via_sdl, GraphGenParams {
             nodes_per_type: 6,
             seed: graph_seed,
             ..Default::default()
         }).generate();
+        // Undeclared label, property and edge: one SS1, SS2 and SS4 each
+        // under STRICT, nothing under LOOSE.
+        let ghost = graph.add_node("Ghost");
+        graph.set_node_property(ghost, "ectoplasm", pgraph::Value::Int(1));
+        let first = graph.node_ids().next().expect("ghost exists");
+        graph.set_node_property(first, "ectoplasm", pgraph::Value::Int(1));
+        graph.add_edge(first, ghost, "haunts").expect("both endpoints live");
         let render = |schema: &PgSchema, opts: &ValidationOptions| {
             let r = validate(&graph, schema, opts);
             let canonical = ValidationReport::new(r.violations().to_vec());
             (canonical.to_json(), canonical.to_string())
         };
-        let (oracle_json, oracle_text) =
-            render(&via_sdl, &ValidationOptions::with_engine(Engine::Naive));
+        let (oracle_json, oracle_text) = render(
+            &via_sdl,
+            &ValidationOptions::builder()
+                .engine(Engine::Naive)
+                .families(true, true, !loose)
+                .build(),
+        );
+        prop_assert_eq!(oracle_text.contains("[SS"), !loose);
         for (engine, threads) in
             std::iter::once((Engine::Naive, 1)).chain(KERNEL_CONFIGS)
         {
@@ -355,7 +379,7 @@ proptest! {
         let reprinted = pg_pgschema::print_pgschema(
             &pg_pgschema::compile(&pgs).unwrap().document,
             "Corpus",
-            pg_pgschema::TypeMode::Strict,
+            mode,
         )
         .unwrap();
         prop_assert_eq!(&reprinted, &pgs, "PG-Schema rendering is not a fixpoint");
