@@ -267,10 +267,9 @@ impl SchemaDiff {
                 Compat::Compatible => "compatible",
                 Compat::Breaking => "breaking",
             };
-            out.push_str(&format!(
-                "{{\"change\": \"{}\", \"compat\": \"{compat}\"}}",
-                crate::report::esc(&c.describe())
-            ));
+            out.push_str("{\"change\": \"");
+            crate::report::esc_into(&mut out, &c.describe());
+            out.push_str(&format!("\", \"compat\": \"{compat}\"}}"));
         }
         out.push_str("]}");
         out

@@ -28,8 +28,8 @@
 //! Violations anchored in `D ∪ L` (or at removed elements) are dropped,
 //! and the shared rule kernels (the crate-private `rules` module) are
 //! re-run over a dirty `Scope`: element scans walk `D` and `L`,
-//! group-keyed kernels run over an interned
-//! [`PartialCols`](crate::rules::partial::PartialCols) view of the
+//! group-keyed kernels run over an interned `PartialCols` view
+//! (crate-private, `rules::partial`) of the
 //! region whose scope owns exactly the nodes of `D` — the same
 //! ownership-predicate mechanism the sharded `parallel` engine uses,
 //! with "shard" = the dirty set (groups keyed by a node of `D` are

@@ -23,7 +23,7 @@
 //!   affected label set is closed under key sites: if any affected
 //!   label sits below a key's site, every label below that site joins
 //!   the region (to a fixpoint, since joining can reach further keys).
-//!   This is what makes running DS7 [`Ds7Plan::Inline`] over the dirty
+//!   This is what makes running DS7 `Ds7Plan::Inline` over the dirty
 //!   scope sound — every key group that intersects the region is
 //!   entirely inside it.
 //!
@@ -120,15 +120,18 @@ impl MigrationPlan {
                 Compat::Compatible => "compatible",
                 Compat::Breaking => "breaking",
             };
+            out.push_str("{\"change\": \"");
+            report::esc_into(&mut out, &c.change.describe());
             out.push_str(&format!(
-                "{{\"change\": \"{}\", \"compat\": \"{compat}\", \"affected_labels\": [",
-                report::esc(&c.change.describe())
+                "\", \"compat\": \"{compat}\", \"affected_labels\": ["
             ));
             for (j, l) in c.affected_labels.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!("\"{}\"", report::esc(l)));
+                out.push('"');
+                report::esc_into(&mut out, l);
+                out.push('"');
             }
             out.push_str("]}");
         }
@@ -137,14 +140,14 @@ impl MigrationPlan {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&report::violation_json(v));
+            report::write_violation_json(&mut out, v);
         }
         out.push_str("], \"violations_removed\": [");
         for (i, v) in self.removed.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&report::violation_json(v));
+            report::write_violation_json(&mut out, v);
         }
         out.push_str("]}");
         out

@@ -1,7 +1,7 @@
 //! Validation reports: which rule failed, where, and why.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use pgraph::{EdgeId, NodeId};
 
@@ -643,11 +643,17 @@ impl ValidationReport {
 
     /// Violation counts per rule (only rules that fired).
     pub fn counts(&self) -> BTreeMap<Rule, usize> {
-        let mut out = BTreeMap::new();
+        self.fired().collect()
+    }
+
+    /// The rules that fired with their violation counts, in definition
+    /// order, tallied on the stack.
+    fn fired(&self) -> impl Iterator<Item = (Rule, usize)> {
+        let mut tally = [0usize; Rule::ALL.len()];
         for v in &self.violations {
-            *out.entry(v.rule()).or_insert(0) += 1;
+            tally[v.rule() as usize] += 1;
         }
-        out
+        Rule::ALL.into_iter().zip(tally).filter(|(_, n)| *n > 0)
     }
 
     /// Sorts and deduplicates, so reports from different engines compare
@@ -676,72 +682,84 @@ impl ValidationReport {
     /// The full schema of this document is specified in the repository
     /// README ("JSON report schema").
     pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"conforms\": {}", self.conforms());
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends the document [`to_json`](Self::to_json) returns to `out`,
+    /// so a caller embedding the report in a larger body (the server's
+    /// session responses) renders it once, in place.
+    pub fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{{\"conforms\": {}", self.conforms());
         if let Some(engine) = self.engine {
-            out.push_str(&format!(", \"engine\": \"{engine}\""));
+            let _ = write!(out, ", \"engine\": \"{engine}\"");
         }
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             ", \"truncated\": {}, \"violations\": [",
             self.truncated
-        ));
+        );
         for (i, v) in self.violations.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&violation_json(v));
+            write_violation_json(out, v);
         }
-        out.push(']');
-        out.push_str(", \"rule_counts\": {");
-        for (i, (rule, count)) in self.counts().iter().enumerate() {
+        out.push_str("], \"rule_counts\": {");
+        for (i, (rule, count)) in self.fired().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{rule}\": {count}"));
+            let _ = write!(out, "\"{rule}\": {count}");
         }
         out.push('}');
         if let Some(m) = &self.metrics {
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 ", \"metrics\": {{\"engine\": \"{}\", \"threads\": {}, \
                  \"nodes_scanned\": {}, \"edges_scanned\": {}, \
                  \"index_build_nanos\": {}, \"rules\": [",
                 m.engine, m.threads, m.nodes_scanned, m.edges_scanned, m.index_build_nanos
-            ));
+            );
             for (i, rm) in m.rules.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     "{{\"rule\": \"{}\", \"nanos\": {}, \"elements_scanned\": {}, \
                      \"violations\": {}}}",
                     rm.rule, rm.nanos, rm.elements_scanned, rm.violations
-                ));
+                );
             }
             out.push_str("], \"families\": [");
             for (i, fam) in m.families.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     "{{\"family\": \"{}\", \"nanos\": {}, \"violations\": {}}}",
                     family_name(fam.family),
                     fam.nanos,
                     fam.violations
-                ));
+                );
             }
             out.push_str("], \"shard_elements\": [");
             for (i, n) in m.shard_elements.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&n.to_string());
+                let _ = write!(out, "{n}");
             }
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "], \"elements_rechecked\": {}, \"elements_total\": {}}}",
                 m.elements_rechecked, m.elements_total
-            ));
+            );
         }
         out.push('}');
-        out
     }
 
     /// Total number of violations.
@@ -756,9 +774,9 @@ impl ValidationReport {
 }
 
 /// JSON string escaping shared by every hand-rolled renderer in the
-/// crate (report, migration plan, schema diff).
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// crate (report, migration plan, schema diff): appends the escaped body
+/// of `s`, without the surrounding quotes.
+pub(crate) fn esc_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -766,11 +784,24 @@ pub(crate) fn esc(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
+}
+
+/// A formatter sink that JSON-escapes what is written through it, so a
+/// `Display` value lands in a JSON string without an intermediate
+/// `String`.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        esc_into(self.0, s);
+        Ok(())
+    }
 }
 
 /// The wire name of a rule family.
@@ -782,15 +813,17 @@ pub(crate) fn family_name(f: RuleFamily) -> &'static str {
     }
 }
 
-/// One violation as the `{"rule", "family", "message"}` JSON object used
-/// by every violation list the crate renders.
-pub(crate) fn violation_json(v: &Violation) -> String {
-    format!(
-        "{{\"rule\": \"{}\", \"family\": \"{}\", \"message\": \"{}\"}}",
+/// Appends one violation as the `{"rule", "family", "message"}` JSON
+/// object used by every violation list the crate renders.
+pub(crate) fn write_violation_json(out: &mut String, v: &Violation) {
+    let _ = write!(
+        out,
+        "{{\"rule\": \"{}\", \"family\": \"{}\", \"message\": \"",
         v.rule(),
-        family_name(v.rule().family()),
-        esc(&v.to_string())
-    )
+        family_name(v.rule().family())
+    );
+    let _ = write!(Escaped(out), "{v}");
+    out.push_str("\"}");
 }
 
 impl fmt::Display for ValidationReport {

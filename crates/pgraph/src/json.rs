@@ -19,7 +19,9 @@
 //!   `Int`/`Float` distinction survives a roundtrip.
 //!
 //! The reader/printer below is self-contained (no external JSON crate):
-//! a recursive-descent parser over bytes and a two-space pretty printer.
+//! a recursive-descent parser over bytes, bounded to [`MAX_DEPTH`] nested
+//! containers, and one streaming two-space pretty printer that both
+//! [`to_json`] (straight from the graph) and [`Json`]'s `Display` drive.
 //! The parsed tree type [`Json`] and the value-level codecs
 //! ([`graph_to_value`]/[`graph_from_value`],
 //! [`delta_to_value`]/[`delta_from_value`]) are public, so consumers that
@@ -34,7 +36,7 @@
 //! of a graph document written by [`to_json`].
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::delta::{DeltaOp, GraphDelta};
 use crate::{EdgeId, NodeId, PropertyGraph, Value};
@@ -159,7 +161,7 @@ impl fmt::Display for Json {
     /// the same layout [`to_json`] emits.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
-        print_json(&mut out, self, 0);
+        print_json(&mut JsonWriter::new(&mut out), self);
         f.write_str(&out)
     }
 }
@@ -168,9 +170,18 @@ impl fmt::Display for Json {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest container nesting [`Json::parse`] accepts. The parser (and
+/// everything that later walks or drops the tree) recurses once per
+/// level, so without a bound one request body of `[[[[…` overflows the
+/// stack of whichever thread parses it. A graph document nests five deep
+/// plus its list values; 128 leaves two orders of magnitude of headroom.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -178,6 +189,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -217,8 +229,8 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", Json::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Json::Bool(false)),
@@ -227,6 +239,21 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.err(format_args!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Runs a container parser one level down, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format_args!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
@@ -413,21 +440,32 @@ impl<'a> Parser<'a> {
 
 fn escape_into(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Every byte that needs an escape is ASCII, so the runs between them
+    // are whole UTF-8 sequences and copy over as slices.
+    let mut run = 0;
+    for (ix, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            _ => "",
+        };
+        out.push_str(&s[run..ix]);
+        run = ix + 1;
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -435,58 +473,177 @@ fn escape_into(out: &mut String, s: &str) {
 /// `Display`, plus a forced `.0` when that prints a bare integer.
 fn push_float(out: &mut String, f: f64) {
     debug_assert!(f.is_finite(), "non-finite floats have no JSON form");
-    let s = format!("{f}");
-    out.push_str(&s);
-    if !s.contains(['.', 'e', 'E']) {
+    let start = out.len();
+    let _ = write!(out, "{f}");
+    if !out[start..].contains(['.', 'e', 'E']) {
         out.push_str(".0");
     }
 }
 
-fn print_json(out: &mut String, v: &Json, indent: usize) {
-    const STEP: usize = 2;
+/// The module's canonical layout, in one place: a streaming pretty-printer
+/// over a caller's buffer. Two-space indentation, one member per line,
+/// `": "` after keys, `{}` / `[]` for empty containers. The writer owns
+/// the commas and the indentation; callers only say what comes next.
+/// Both [`to_json`] (straight from the graph) and [`Json`]'s `Display`
+/// (from a tree) drive it, so their bytes cannot drift apart.
+struct JsonWriter<'a> {
+    out: &'a mut String,
+    /// Open containers.
+    depth: usize,
+    /// The innermost open container has no member yet. One flag is enough
+    /// for any depth: a container is itself a member of its parent, so
+    /// closing it leaves the parent non-empty.
+    fresh: bool,
+    /// A key was just written; the next value belongs on the same line.
+    after_key: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    fn new(out: &'a mut String) -> Self {
+        JsonWriter {
+            out,
+            depth: 0,
+            fresh: false,
+            after_key: false,
+        }
+    }
+
+    /// Starts a new line indented to the current depth, after a comma if
+    /// `comma`. Separator, line break and indentation are one slice of a
+    /// static string, never built per line.
+    fn newline(&mut self, comma: bool) {
+        /// `,`, a newline, then 64 spaces.
+        const BREAK: &str = ",\n                                                                ";
+        let spaces = self.depth * 2;
+        self.out
+            .push_str(&BREAK[usize::from(!comma)..2 + spaces.min(64)]);
+        for _ in 64..spaces {
+            self.out.push(' ');
+        }
+    }
+
+    /// Starts the line of the innermost container's next member, after a
+    /// comma when it already holds one.
+    fn member(&mut self) {
+        self.newline(!self.fresh);
+        self.fresh = false;
+    }
+
+    /// Positions the output for a value: on the key's line inside an
+    /// object, on a line of its own inside an array, in place at the top.
+    fn value(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+        } else if self.depth > 0 {
+            self.member();
+        }
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.value();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.fresh = true;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.fresh {
+            self.newline(false);
+        }
+        self.fresh = false;
+        self.out.push(bracket);
+    }
+
+    fn begin_object(&mut self) {
+        self.open('{');
+    }
+
+    fn end_object(&mut self) {
+        self.close('}');
+    }
+
+    fn begin_array(&mut self) {
+        self.open('[');
+    }
+
+    fn end_array(&mut self) {
+        self.close(']');
+    }
+
+    fn key(&mut self, key: &str) {
+        self.member();
+        escape_into(self.out, key);
+        self.out.push_str(": ");
+        self.after_key = true;
+    }
+
+    fn null(&mut self) {
+        self.value();
+        self.out.push_str("null");
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.value();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    fn int(&mut self, i: i64) {
+        self.value();
+        // Ids make integers the most frequent scalar of a graph document;
+        // digits are peeled into a stack buffer instead of going through
+        // the `fmt` machinery.
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = i.unsigned_abs();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        if i < 0 {
+            at -= 1;
+            digits[at] = b'-';
+        }
+        self.out
+            .push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    }
+
+    fn float(&mut self, f: f64) {
+        self.value();
+        push_float(self.out, f);
+    }
+
+    fn string(&mut self, s: &str) {
+        self.value();
+        escape_into(self.out, s);
+    }
+}
+
+fn print_json(w: &mut JsonWriter<'_>, v: &Json) {
     match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Int(i) => out.push_str(&i.to_string()),
-        Json::Float(f) => push_float(out, *f),
-        Json::Str(s) => escape_into(out, s),
+        Json::Null => w.null(),
+        Json::Bool(b) => w.bool(*b),
+        Json::Int(i) => w.int(*i),
+        Json::Float(f) => w.float(*f),
+        Json::Str(s) => w.string(s),
         Json::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
+            w.begin_array();
+            for item in items {
+                print_json(w, item);
             }
-            out.push('[');
-            for (ix, item) in items.iter().enumerate() {
-                if ix > 0 {
-                    out.push(',');
-                }
-                out.push('\n');
-                out.push_str(&" ".repeat(indent + STEP));
-                print_json(out, item, indent + STEP);
-            }
-            out.push('\n');
-            out.push_str(&" ".repeat(indent));
-            out.push(']');
+            w.end_array();
         }
         Json::Object(members) => {
-            if members.is_empty() {
-                out.push_str("{}");
-                return;
+            w.begin_object();
+            for (k, val) in members {
+                w.key(k);
+                print_json(w, val);
             }
-            out.push('{');
-            for (ix, (k, val)) in members.iter().enumerate() {
-                if ix > 0 {
-                    out.push(',');
-                }
-                out.push('\n');
-                out.push_str(&" ".repeat(indent + STEP));
-                escape_into(out, k);
-                out.push_str(": ");
-                print_json(out, val, indent + STEP);
-            }
-            out.push('\n');
-            out.push_str(&" ".repeat(indent));
-            out.push('}');
+            w.end_object();
         }
     }
 }
@@ -608,12 +765,95 @@ fn as_array<'j>(v: &'j Json, ctx: &str) -> Result<&'j [Json], JsonError> {
     }
 }
 
+/// The `{"$id": …}` / `{"$enum": …}` wrapper.
+fn write_tagged(w: &mut JsonWriter<'_>, tag: &str, s: &str) {
+    w.begin_object();
+    w.key(tag);
+    w.string(s);
+    w.end_object();
+}
+
+/// [`value_to_json`], streamed.
+fn write_value(w: &mut JsonWriter<'_>, v: &Value) {
+    match v {
+        Value::Int(i) => w.int(*i),
+        Value::Float(f) if f.is_finite() => w.float(*f),
+        Value::Float(_) | Value::Null => w.null(),
+        Value::String(s) => w.string(s),
+        Value::Bool(b) => w.bool(*b),
+        Value::Id(s) => write_tagged(w, "$id", s),
+        Value::Enum(s) => write_tagged(w, "$enum", s),
+        Value::List(items) => {
+            w.begin_array();
+            for item in items {
+                write_value(w, item);
+            }
+            w.end_array();
+        }
+    }
+}
+
+/// One node (`ends` absent) or edge object. `props` arrive in name order
+/// — the graph keeps them sorted — and an element without any gets no
+/// `"properties"` member.
+fn write_element<'g>(
+    w: &mut JsonWriter<'_>,
+    id: usize,
+    label: &str,
+    ends: Option<(NodeId, NodeId)>,
+    props: impl Iterator<Item = (&'g str, &'g Value)>,
+) {
+    w.begin_object();
+    w.key("id");
+    w.int(id as i64);
+    w.key("label");
+    w.string(label);
+    if let Some((source, target)) = ends {
+        w.key("source");
+        w.int(source.index() as i64);
+        w.key("target");
+        w.int(target.index() as i64);
+    }
+    let mut props = props.peekable();
+    if props.peek().is_some() {
+        w.key("properties");
+        w.begin_object();
+        for (name, value) in props {
+            w.key(name);
+            write_value(w, value);
+        }
+        w.end_object();
+    }
+    w.end_object();
+}
+
 /// Serialises a graph to its canonical (pretty) JSON document.
 ///
 /// Properties are emitted in sorted key order so the output is
-/// deterministic regardless of insertion order.
+/// deterministic regardless of insertion order. The document is streamed
+/// from the graph into one buffer — no [`Json`] tree is built — and is
+/// byte-identical to `graph_to_value(g).to_string()`, the tree-based
+/// reference the tests compare it against.
 pub fn to_json(g: &PropertyGraph) -> String {
-    graph_to_value(g).to_string()
+    // A pretty-printed element with a property or two is ~130 bytes.
+    let mut out = String::with_capacity(64 + 128 * g.node_count() + 160 * g.edge_count());
+    let mut w = JsonWriter::new(&mut out);
+    w.begin_object();
+    w.key("nodes");
+    w.begin_array();
+    for n in g.nodes() {
+        write_element(&mut w, n.id.index(), n.label(), None, n.properties());
+    }
+    w.end_array();
+    w.key("edges");
+    w.begin_array();
+    for e in g.edges() {
+        let ends = Some((e.source(), e.target()));
+        write_element(&mut w, e.id.index(), e.label(), ends, e.properties());
+    }
+    w.end_array();
+    w.end_object();
+    out
 }
 
 /// Builds the [`Json`] tree of a graph document — [`to_json`] without the
@@ -985,6 +1225,61 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("invalid graph JSON"), "{msg}");
         assert!(msg.contains("byte"), "{msg}");
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_located_error() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"
+            )),
+            "{err}"
+        );
+        // Siblings do not count, only what is open around the cursor.
+        let wide = format!("[{}[]]", "[[]],".repeat(MAX_DEPTH));
+        assert!(Json::parse(&wide).is_ok());
+        // What used to overflow the stack: unclosed openers by the
+        // hundred thousand, arrays, objects, and through every decoder
+        // that starts from text.
+        let arrays = "[".repeat(400_000);
+        let objects = "{\"a\":".repeat(400_000);
+        assert!(Json::parse(&arrays).is_err());
+        assert!(Json::parse(&objects).is_err());
+        assert!(from_json(&arrays).is_err());
+        assert!(delta_from_json(&format!("{{\"ops\": {arrays}")).is_err());
+    }
+
+    #[test]
+    fn layout_is_two_space_pretty_with_compact_empties() {
+        let doc = Json::Object(vec![
+            ("a".to_owned(), Json::Array(Vec::new())),
+            ("b".to_owned(), Json::Object(Vec::new())),
+            (
+                "c".to_owned(),
+                Json::Array(vec![
+                    Json::Int(1),
+                    Json::Array(vec![Json::Null, Json::Object(Vec::new())]),
+                    Json::Object(vec![("d\n".to_owned(), Json::Float(2.0))]),
+                ]),
+            ),
+            ("e".to_owned(), Json::Bool(false)),
+        ]);
+        let expected = "{\n  \"a\": [],\n  \"b\": {},\n  \"c\": [\n    1,\n    [\n      null,\n      {}\n    ],\n    {\n      \"d\\n\": 2.0\n    }\n  ],\n  \"e\": false\n}";
+        assert_eq!(doc.to_string(), expected);
+        assert_eq!(Json::parse(expected).unwrap(), doc);
+        assert_eq!(Json::Array(Vec::new()).to_string(), "[]");
+        assert_eq!(Json::Str("x".to_owned()).to_string(), "\"x\"");
+        for i in [0, 7, -7, 10, -100, i64::MAX, i64::MIN] {
+            assert_eq!(Json::Int(i).to_string(), i.to_string());
+        }
+        // Deeper than the static pad is wide.
+        let deep = (0..40).fold(Json::Int(0), |inner, _| Json::Array(vec![inner]));
+        let text = deep.to_string();
+        assert!(text.contains(&format!("\n{}0\n", " ".repeat(80))), "{text}");
+        assert_eq!(Json::parse(&text).unwrap(), deep);
     }
 
     #[test]

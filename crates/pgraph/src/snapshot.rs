@@ -246,7 +246,7 @@ impl GraphHeader {
                 return Err(SnapshotError::Layout("section length"));
             }
         }
-        if s[3].len % 4 != 0 || s[10].len % 4 != 0 {
+        if !s[3].len.is_multiple_of(4) || !s[10].len.is_multiple_of(4) {
             return Err(SnapshotError::Layout("prop column alignment"));
         }
         Ok(())
@@ -565,7 +565,7 @@ pub fn encode(cg: &ColumnarGraph) -> Vec<u8> {
     out[28..32].copy_from_slice(&(cg.values.len() as u32).to_le_bytes());
     for (i, section) in sections.iter().enumerate() {
         // 8-byte alignment keeps numeric columns directly addressable.
-        while out.len() % 8 != 0 {
+        while !out.len().is_multiple_of(8) {
             out.push(0);
         }
         let offset = out.len() as u64;

@@ -1,11 +1,12 @@
 //! Property tests for the Property Graph substrate: JSON round-trips,
-//! compaction invariants, index/scan agreement, and columnar/snapshot
-//! round-trips (tombstoned id space preserved bit for bit).
+//! streamed-vs-tree JSON byte identity, compaction invariants, index/scan
+//! agreement, and columnar/snapshot round-trips (tombstoned id space
+//! preserved bit for bit).
 
 use pgraph::{json, snapshot, ColumnarGraph, NodeId, PropertyGraph, Value};
 use proptest::prelude::*;
 
-fn value() -> impl Strategy<Value = Value> {
+fn value() -> BoxedStrategy<Value> {
     let leaf = prop_oneof![
         any::<i64>().prop_map(Value::Int),
         any::<f64>().prop_map(Value::Float),
@@ -18,6 +19,38 @@ fn value() -> impl Strategy<Value = Value> {
     leaf.prop_recursive(2, 12, 4, |inner| {
         prop::collection::vec(inner, 0..4).prop_map(Value::List)
     })
+    .boxed()
+}
+
+/// Text that takes every branch of the JSON string escaper: all of
+/// ASCII — control characters, `"`, `\\`, DEL — plus two- to four-byte
+/// UTF-8, and the empty string.
+const HOSTILE: &str = "[\u{0}-\u{7f}\u{e9}\u{2764}\u{1f600}]{0,8}";
+
+/// Every `Value` kind the printer has a case for, including the floats
+/// JSON cannot hold (printed as `null`).
+fn hostile_value() -> BoxedStrategy<Value> {
+    let leaf = prop_oneof![
+        any::<i64>().prop_map(Value::Int),
+        any::<f64>().prop_map(Value::Float),
+        prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-0.0),
+            Just(1e300),
+        ]
+        .prop_map(Value::Float),
+        HOSTILE.prop_map(Value::String),
+        any::<bool>().prop_map(Value::Bool),
+        HOSTILE.prop_map(Value::Id),
+        HOSTILE.prop_map(Value::Enum),
+        Just(Value::Null),
+    ];
+    leaf.prop_recursive(3, 12, 4, |inner| {
+        prop::collection::vec(inner, 0..4).prop_map(Value::List)
+    })
+    .boxed()
 }
 
 #[derive(Debug, Clone)]
@@ -30,15 +63,27 @@ struct GraphSpec {
 }
 
 fn graph_spec() -> impl Strategy<Value = GraphSpec> {
-    (1usize..12).prop_flat_map(|n| {
+    graph_spec_over("[A-Z][a-z]{0,5}", "[a-z]{1,6}", "[a-z]{1,5}", value)
+}
+
+/// Graphs whose labels, property names and values are all hostile to a
+/// JSON printer.
+fn hostile_graph_spec() -> impl Strategy<Value = GraphSpec> {
+    graph_spec_over(HOSTILE, HOSTILE, HOSTILE, hostile_value)
+}
+
+fn graph_spec_over(
+    node_label: &'static str,
+    edge_label: &'static str,
+    prop_name: &'static str,
+    value: fn() -> BoxedStrategy<Value>,
+) -> impl Strategy<Value = GraphSpec> {
+    (1usize..12).prop_flat_map(move |n| {
         (
-            prop::collection::vec("[A-Z][a-z]{0,5}", n..=n),
-            prop::collection::vec((0..n, 0..n, "[a-z]{1,6}".prop_map(String::from)), 0..20),
-            prop::collection::vec((0..n, "[a-z]{1,5}".prop_map(String::from), value()), 0..10),
-            prop::collection::vec(
-                (0..20usize, "[a-z]{1,5}".prop_map(String::from), value()),
-                0..6,
-            ),
+            prop::collection::vec(node_label, n..=n),
+            prop::collection::vec((0..n, 0..n, edge_label), 0..20),
+            prop::collection::vec((0..n, prop_name, value()), 0..10),
+            prop::collection::vec((0..20usize, prop_name, value()), 0..6),
             prop::collection::vec(0..n, 0..3),
         )
             .prop_map(
@@ -83,6 +128,21 @@ proptest! {
         let text = json::to_json(&g);
         let back = json::from_json(&text).unwrap();
         prop_assert_eq!(g, back);
+    }
+
+    /// pgbench's graph oracle compares the daemon's bytes with
+    /// `to_json(mirror)` — the same function — so the streamed printer
+    /// is held to the tree printer here, on tombstoned id spaces and on
+    /// every value kind and escape.
+    #[test]
+    fn streamed_json_is_the_tree_printers_bytes(spec in hostile_graph_spec()) {
+        let g = build(&spec);
+        let text = json::to_json(&g);
+        prop_assert_eq!(&text, &json::graph_to_value(&g).to_string());
+        // Decoding renumbers the live elements densely, in id order — as
+        // compaction does — and loses nothing else the document holds.
+        let back = json::from_json(&text).unwrap();
+        prop_assert_eq!(json::to_json(&back), json::to_json(&g.compacted()));
     }
 
     #[test]
@@ -168,4 +228,13 @@ proptest! {
         prop_assert_eq!(s.nodes_per_label.values().sum::<usize>(), s.nodes);
         prop_assert_eq!(s.edges_per_label.values().sum::<usize>(), s.edges);
     }
+}
+
+#[test]
+fn the_empty_graph_streams_the_tree_printers_bytes() {
+    let g = PropertyGraph::new();
+    let text = json::to_json(&g);
+    assert_eq!(text, "{\n  \"nodes\": [],\n  \"edges\": []\n}");
+    assert_eq!(text, json::graph_to_value(&g).to_string());
+    assert_eq!(json::to_json(&json::from_json(&text).unwrap()), text);
 }

@@ -43,8 +43,8 @@ const SCALARS: &[&str] = &["String", "Int", "Float", "Boolean", "ID"];
 /// The output always parses, builds a consistent schema, and renders to
 /// PG-Schema without errors; it exercises all four property shapes, all
 /// four edge cardinalities, the five constraint directives, edge
-/// properties, interface inheritance with redeclared copies, keys, and
-/// a custom scalar.
+/// properties, interface inheritance with redeclared copies, keys (on
+/// any number of the types), and a custom scalar.
 pub fn corpus_sdl(seed: u64) -> String {
     let mut rng = Rng(seed.wrapping_mul(2).wrapping_add(1));
     let n_types = 3 + rng.below(3) as usize; // T0..T{n-1}
@@ -74,7 +74,9 @@ pub fn corpus_sdl(seed: u64) -> String {
 
     for t in 0..n_types {
         let implements = with_iface && t < 2 && rng.chance(70);
-        let keyed = t == 0 && rng.chance(50);
+        // Any type may be keyed, so renderings carry several consecutive
+        // `FOR … KEY` items.
+        let keyed = rng.chance(50);
         let head = if implements {
             format!("type T{t} implements I")
         } else {
@@ -173,8 +175,10 @@ mod tests {
 
     #[test]
     fn every_corpus_schema_is_bilingual() {
+        let mut most_keys = 0;
         for seed in 0..50 {
             let sdl = corpus_sdl(seed);
+            most_keys = most_keys.max(sdl.matches("@key").count());
             let doc = gql_sdl::parse(&sdl).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{sdl}"));
             let schema = pg_schema::PgSchema::from_document(&doc)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{sdl}"));
@@ -193,6 +197,7 @@ mod tests {
                 "seed {seed}:\n--- sdl\n{direct}\n--- via pgs\n{lowered}"
             );
         }
+        assert!(most_keys >= 3, "the corpus must cover consecutive keys");
     }
 
     /// Field order may differ (PG-Schema groups properties before

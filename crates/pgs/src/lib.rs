@@ -7,7 +7,7 @@
 //! [`lexer`]/[`parser`] for a practical PG-Schema subset, a [`lower`]ing
 //! compiler onto the existing [`pg_schema::PgSchema`] core (so all four
 //! engines, metrics, sessions, durability and replication just work),
-//! and a [`print`]er rendering SDL documents back as PG-Schema over the
+//! and a [`mod@print`]er rendering SDL documents back as PG-Schema over the
 //! overlapping fragment. [`load_schema`] is the one "(text, language) →
 //! (schema, canonical text)" function the CLI and the server share.
 //!

@@ -19,6 +19,9 @@
 //! keyRef     := Name '.' Name
 //! ```
 //!
+//! The comma is both the separator of elements and of a key's references;
+//! a comma followed by `FOR (` ends the key (two tokens of lookahead).
+//!
 //! Keywords are uppercase, as in the PG-Schema paper; identifiers follow
 //! the SDL name grammar so labels and property names translate 1:1.
 
@@ -338,7 +341,12 @@ impl Parser {
         self.expect(TokenKind::ParenR)?;
         self.keyword("KEY")?;
         let mut fields = vec![self.key_ref(&var)?];
-        while self.eat(TokenKind::Comma) {
+        // A comma continues this key — unless what follows is `FOR (`, the
+        // head of the next constraint, in which case the comma separates
+        // elements and belongs to the caller. (`FOR.x` after a comma is
+        // still a reference through a variable spelled `FOR`.)
+        while self.peek().kind == TokenKind::Comma && !self.next_constraint_follows() {
+            self.bump();
             fields.push(self.key_ref(&var)?);
         }
         Ok(KeyConstraint {
@@ -347,6 +355,13 @@ impl Parser {
             fields,
             span: Span::at(start),
         })
+    }
+
+    /// True if the tokens after the one under the cursor are `FOR (`.
+    fn next_constraint_follows(&self) -> bool {
+        let ahead = |n: usize| self.tokens.get(self.at + n).map(|t| &t.kind);
+        matches!(ahead(1), Some(TokenKind::Name(n)) if n == "FOR")
+            && ahead(2) == Some(&TokenKind::ParenL)
     }
 
     fn key_ref(&mut self, var: &str) -> Result<String, ParseError> {
@@ -443,6 +458,37 @@ mod tests {
         let err =
             parse("CREATE GRAPH TYPE G { (A { x STRING }), FOR (a : A) KEY b.x }").unwrap_err();
         assert!(matches!(err.kind, ParseErrorKind::Invalid(_)));
+    }
+
+    #[test]
+    fn a_comma_before_for_ends_the_key_not_extends_it() {
+        let gt = parse(
+            "CREATE GRAPH TYPE G {\n\
+               (A { x STRING, y STRING }), (B { z STRING }),\n\
+               FOR (x : A) KEY x.x, x.y,\n\
+               FOR (x : B) KEY x.z,\n\
+               FOR (FOR : A) KEY FOR.y, FOR.x\n\
+             }",
+        )
+        .unwrap();
+        let keys: Vec<(&str, Vec<&str>)> = gt
+            .keys
+            .iter()
+            .map(|k| {
+                (
+                    k.label.as_str(),
+                    k.fields.iter().map(String::as_str).collect(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                ("A", vec!["x", "y"]),
+                ("B", vec!["z"]),
+                ("A", vec!["y", "x"])
+            ]
+        );
     }
 
     #[test]

@@ -430,6 +430,33 @@ mod tests {
         assert_eq!(once, src);
     }
 
+    /// The printer separates elements with commas, and consecutive key
+    /// constraints are elements; the parser used to read that comma as
+    /// "another field of this key" and reject `FOR` as a key variable.
+    #[test]
+    fn several_keyed_types_print_to_a_fixpoint() {
+        for keyed in [2usize, 3] {
+            let sdl: String = (0..3)
+                .map(|t| {
+                    let key = if t < keyed {
+                        format!(" @key(fields: [\"a{t}\", \"b{t}\"])")
+                    } else {
+                        String::new()
+                    };
+                    format!("type T{t}{key} {{\n    a{t}: ID! @required\n    b{t}: Int! @required\n}}\n")
+                })
+                .collect();
+            let doc = gql_sdl::parse(&sdl).unwrap();
+            let printed = print_pgschema(&doc, "G", TypeMode::Strict).unwrap();
+            assert_eq!(printed.matches("FOR (x : ").count(), keyed, "{printed}");
+            let parsed =
+                crate::parser::parse(&printed).unwrap_or_else(|e| panic!("{}", e.render(&printed)));
+            assert_eq!(parsed.keys.len(), keyed);
+            assert!(parsed.keys.iter().all(|k| k.fields.len() == 2));
+            assert_eq!(roundtrip(&printed), printed);
+        }
+    }
+
     #[test]
     fn sdl_to_pgschema_to_sdl_preserves_the_schema() {
         let sdl = "interface Message {\n    body: String! @required\n}\n\n\

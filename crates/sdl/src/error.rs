@@ -25,6 +25,9 @@ pub enum ParseErrorKind {
     },
     /// Something valid only in executable documents (e.g. a fragment).
     UnsupportedConstruct(String),
+    /// A list type or constant value nested past the parser's limit
+    /// ([`crate::MAX_DEPTH`], carried here).
+    TooDeep(usize),
 }
 
 /// A lexing or parsing failure, with its position.
@@ -81,6 +84,9 @@ impl fmt::Display for ParseError {
             }
             ParseErrorKind::UnsupportedConstruct(what) => {
                 write!(f, "{what} is not supported in schema documents")
+            }
+            ParseErrorKind::TooDeep(limit) => {
+                write!(f, "nesting deeper than {limit} levels")
             }
         }
     }

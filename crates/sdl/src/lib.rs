@@ -12,9 +12,9 @@
 //!   `interface`, `union`, `enum`, `input`, and `directive` definitions,
 //!   descriptions, field arguments with default values, `implements`
 //!   clauses, and directive applications with constant arguments;
-//! * wrapping types `T!`, `[T]`, `[T!]`, `[T!]!` and arbitrary nesting
-//!   (the formal schema layer later enforces the paper's restriction to the
-//!   four wrappings of §4.1);
+//! * wrapping types `T!`, `[T]`, `[T!]`, `[T!]!` and nesting up to
+//!   [`MAX_DEPTH`] lists deep (the formal schema layer later enforces the
+//!   paper's restriction to the four wrappings of §4.1);
 //! * a canonical pretty-printer ([`print_document`]) such that
 //!   `parse(print(doc)) == doc` (round-tripping is property-tested).
 //!
@@ -44,6 +44,7 @@ mod token;
 
 pub use error::{ParseError, ParseErrorKind};
 pub use lexer::Lexer;
+pub use parser::MAX_DEPTH;
 pub use printer::print_document;
 pub use token::{Pos, Span, Token, TokenKind};
 

@@ -9,11 +9,20 @@ use crate::error::{ParseError, ParseErrorKind};
 use crate::lexer::Lexer;
 use crate::token::{Pos, Span, Token, TokenKind};
 
+/// Deepest nesting of list types (`[[…T…]]`) and of list/object constant
+/// values the parser accepts. Both productions recurse once per level, so
+/// without a bound one schema of `[[[[…` overflows the stack of whichever
+/// thread parses it; no real schema nests more than a handful deep.
+pub const MAX_DEPTH: usize = 64;
+
 /// The parser. Construct with [`Parser::new`], consume with
 /// [`Parser::parse_document`].
 pub struct Parser {
     tokens: Vec<Token>,
     ix: usize,
+    /// Open `[`/`{` levels around the cursor in the production being
+    /// parsed.
+    depth: usize,
 }
 
 impl Parser {
@@ -22,6 +31,7 @@ impl Parser {
         Ok(Parser {
             tokens: Lexer::new(source).tokenize()?,
             ix: 0,
+            depth: 0,
         })
     }
 
@@ -57,6 +67,24 @@ impl Parser {
             },
             self.pos(),
         )
+    }
+
+    /// Parses one bracketed level of a recursive production (the cursor
+    /// is on its opener), refusing to open more than [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError::new(
+                ParseErrorKind::TooDeep(MAX_DEPTH),
+                self.pos(),
+            ));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn eat_name(&mut self) -> Result<(String, Span), ParseError> {
@@ -498,10 +526,12 @@ impl Parser {
 
     fn parse_type(&mut self) -> Result<Type, ParseError> {
         let inner = if self.peek().kind == TokenKind::BracketL {
-            self.bump();
-            let t = self.parse_type()?;
-            self.expect(&TokenKind::BracketR)?;
-            Type::List(Box::new(t))
+            self.nested(|p| {
+                p.bump();
+                let t = p.parse_type()?;
+                p.expect(&TokenKind::BracketR)?;
+                Ok(Type::List(Box::new(t)))
+            })?
         } else {
             let (n, _) = self.eat_name()?;
             Type::Named(n)
@@ -537,27 +567,27 @@ impl Parser {
                     _ => Ok(ConstValue::Enum(n)),
                 }
             }
-            TokenKind::BracketL => {
-                self.bump();
+            TokenKind::BracketL => self.nested(|p| {
+                p.bump();
                 let mut items = Vec::new();
-                while self.peek().kind != TokenKind::BracketR {
-                    items.push(self.parse_const_value()?);
+                while p.peek().kind != TokenKind::BracketR {
+                    items.push(p.parse_const_value()?);
                 }
-                self.bump();
+                p.bump();
                 Ok(ConstValue::List(items))
-            }
-            TokenKind::BraceL => {
-                self.bump();
+            }),
+            TokenKind::BraceL => self.nested(|p| {
+                p.bump();
                 let mut fields = Vec::new();
-                while self.peek().kind != TokenKind::BraceR {
-                    let (k, _) = self.eat_name()?;
-                    self.expect(&TokenKind::Colon)?;
-                    let v = self.parse_const_value()?;
+                while p.peek().kind != TokenKind::BraceR {
+                    let (k, _) = p.eat_name()?;
+                    p.expect(&TokenKind::Colon)?;
+                    let v = p.parse_const_value()?;
                     fields.push((k, v));
                 }
-                self.bump();
+                p.bump();
                 Ok(ConstValue::Object(fields))
-            }
+            }),
             TokenKind::Dollar => Err(ParseError::new(
                 ParseErrorKind::UnsupportedConstruct("variable value".to_owned()),
                 self.pos(),
@@ -599,6 +629,43 @@ impl Parser {
 mod tests {
     use super::*;
     use crate::parse;
+
+    #[test]
+    fn nesting_is_bounded_with_a_located_error() {
+        let list = |n: usize| format!("type A {{ x: {}Int{} }}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&list(MAX_DEPTH)).is_ok());
+        let err = parse(&list(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooDeep(MAX_DEPTH));
+        // `type A { x: ` is 12 columns; the error names the 65th `[`.
+        assert_eq!((err.pos.line, err.pos.column), (1, 13 + MAX_DEPTH as u32));
+        assert!(err.to_string().contains("nesting deeper than 64 levels"));
+        let value = |n: usize| {
+            format!(
+                "type A @d(a: {}1{}) {{ x: Int }}",
+                "[".repeat(n),
+                "]".repeat(n)
+            )
+        };
+        assert!(parse(&value(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&value(MAX_DEPTH + 1)).unwrap_err().kind,
+            ParseErrorKind::TooDeep(MAX_DEPTH)
+        );
+        // What used to overflow the stack, in all three recursive shapes.
+        for hostile in [
+            list(300_000),
+            value(300_000),
+            format!("type A @d(a: {}", "{a:".repeat(300_000)),
+        ] {
+            assert_eq!(
+                parse(&hostile).unwrap_err().kind,
+                ParseErrorKind::TooDeep(MAX_DEPTH)
+            );
+        }
+        // The guard counts what is open, not what has been seen.
+        let wide = format!("type A {{ {} }}", "x: [[Int]] ".repeat(MAX_DEPTH));
+        assert!(parse(&wide).is_ok());
+    }
 
     #[test]
     fn parses_example_3_1() {

@@ -15,7 +15,11 @@ use std::net::TcpStream;
 
 /// Longest request head (request line + headers) the server accepts.
 const MAX_HEAD: usize = 16 * 1024;
-/// Largest request body the server accepts.
+/// Largest request body the server accepts. How deep a body may *nest*
+/// is bounded where it is parsed: [`pgraph::json::MAX_DEPTH`] containers
+/// of JSON, [`gql_sdl::MAX_DEPTH`] levels of list type or constant value
+/// in a schema — recursive-descent parsers behind a 64 MiB cap would
+/// otherwise let one request overflow a reactor core's stack.
 const MAX_BODY: usize = 64 * 1024 * 1024;
 
 /// One parsed HTTP request.

@@ -19,13 +19,15 @@
 //!   per-connection buffers and flushing responses with `writev` under
 //!   backpressure — tens of thousands of idle keep-alive connections
 //!   cost no threads;
-//! * **session-to-core affinity**: a connection whose request addresses
-//!   `/sessions/{id}` is handed to the session's home core
-//!   ([`registry::home_core`]), so one thread owns all of a session's
-//!   traffic and its engine state stays cache-hot;
+//! * **a request is served where it is read**: a connection stays on the
+//!   core that adopted it and that core runs the handler, whatever
+//!   session the request addresses — there is no cross-core hand-off;
 //! * a **session registry** ([`registry::SessionRegistry`]) holds one
 //!   [`pg_schema::IncrementalEngine`] per session behind a per-session
-//!   mutex — deltas to different sessions never contend;
+//!   mutex, which is what gives one session's deltas, WAL appends and
+//!   reads a total order — requests to different sessions never contend,
+//!   and two cores addressing the same session wait for at most one
+//!   handler;
 //! * **graceful shutdown**: SIGTERM / ctrl-c (see [`signal`]) leads to
 //!   [`ServerHandle::shutdown`]; the accept loop stops, each core
 //!   finishes its in-flight requests (flushing queued responses) and

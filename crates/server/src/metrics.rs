@@ -55,7 +55,7 @@ pub struct RenderGauges {
 }
 
 /// A schema-migration API action, counted per kind. The discriminant
-/// indexes [`MIGRATION_ACTIONS`].
+/// indexes the private `MIGRATION_ACTIONS` name table.
 #[derive(Debug, Clone, Copy)]
 pub enum MigrationAction {
     /// Impact analysis only (no window opened).
@@ -142,8 +142,6 @@ pub struct Metrics {
     /// one `+Inf` slot at the end; aggregated across cores.
     wakeup_event_buckets: [AtomicU64; WAKEUP_EVENT_BUCKETS.len() + 1],
     wakeup_event_sum: AtomicU64,
-    /// Connections handed from one core to a session's home core.
-    migrations: AtomicU64,
     /// Schema-migration API actions, indexed like [`MIGRATION_ACTIONS`].
     migration_actions: [AtomicU64; MIGRATION_ACTIONS.len()],
     /// Per-engine validation counters, indexed like [`ENGINES`].
@@ -176,7 +174,6 @@ impl Metrics {
             wakeups: (0..cores.max(1)).map(|_| AtomicU64::new(0)).collect(),
             wakeup_event_buckets: Default::default(),
             wakeup_event_sum: AtomicU64::new(0),
-            migrations: AtomicU64::new(0),
             migration_actions: Default::default(),
             engines: Default::default(),
             rule_violations: Default::default(),
@@ -247,11 +244,6 @@ impl Metrics {
             .unwrap_or(WAKEUP_EVENT_BUCKETS.len());
         self.wakeup_event_buckets[bucket].fetch_add(1, Ordering::Relaxed);
         self.wakeup_event_sum.fetch_add(events, Ordering::Relaxed);
-    }
-
-    /// Records one connection migrated to its session's home core.
-    pub fn record_migration(&self) {
-        self.migrations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one schema-migration API action on a session.
@@ -466,14 +458,6 @@ impl Metrics {
             self.wakeup_event_sum.load(Ordering::Relaxed)
         ));
         out.push_str(&format!("pgschemad_wakeup_events_count {cumulative}\n"));
-        out.push_str(
-            "# HELP pgschemad_session_migrations_total Connections handed to a session's home core.\n",
-        );
-        out.push_str("# TYPE pgschemad_session_migrations_total counter\n");
-        out.push_str(&format!(
-            "pgschemad_session_migrations_total {}\n",
-            self.migrations.load(Ordering::Relaxed)
-        ));
 
         out.push_str(
             "# HELP pgschemad_migration_actions_total Schema-migration actions taken, \
@@ -657,7 +641,6 @@ mod tests {
         m.record_accept();
         m.record_wakeup(0, 3);
         m.record_wakeup(1, 70);
-        m.record_migration();
         m.record_migration_action(MigrationAction::Plan);
         m.record_validation(Engine::Indexed, None);
         m.record_wal_append(7);
@@ -701,7 +684,6 @@ mod tests {
         assert!(text.contains("pgschemad_wakeup_events_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("pgschemad_wakeup_events_sum 73"));
         assert!(text.contains("pgschemad_wakeup_events_count 2"));
-        assert!(text.contains("pgschemad_session_migrations_total 1"));
         assert!(text.contains("pgschemad_migration_actions_total{action=\"plan\"} 1"));
         assert!(text.contains("pgschemad_migration_actions_total{action=\"commit\"} 0"));
         assert!(text.contains("pgschemad_migration_windows_open 2"));

@@ -1,12 +1,12 @@
 //! The per-core epoll event loops behind [`crate::server::Server`].
 //!
 //! Each core thread owns one [`Epoll`] instance, a set of nonblocking
-//! connections, and an inbox other threads feed through an eventfd wake:
-//! the accept thread drops fresh connections in round-robin, and sibling
-//! cores hand over connections whose requests address a session homed
-//! elsewhere ([`crate::registry::home_core`]). Nothing but the inbox is
-//! shared between cores — a connection is always driven by exactly one
-//! thread.
+//! connections, and an inbox the accept thread drops fresh connections
+//! into (round-robin, with an eventfd wake). A connection stays on the
+//! core that adopted it for its whole life and every request is served by
+//! the core that read it; requests from different cores that address the
+//! same session meet at that session's mutex
+//! ([`crate::registry::SessionSlot`]), nowhere else.
 //!
 //! A connection is a small state machine advanced by readiness events:
 //!
@@ -21,9 +21,8 @@
 //!            │  ▲                             │        Connection: close
 //!            │  └── out queue fully flushed ──┘        after flush)
 //!            │      (resume pipelined parse)
-//!            └─▶ migrate: parsed request is homed on
-//!                another core → epoll DEL, hand the whole
-//!                connection (+ request) to that core's inbox
+//!            └─▶ serve: route the parsed request on this core,
+//!                queue the response, writev
 //! ```
 //!
 //! Reading stops while responses are queued (`out` non-empty): that is
@@ -41,8 +40,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::http::{self, Request};
-use crate::registry::home_core;
+use crate::http;
 use crate::server::{self, Ctx};
 use crate::sys::{self, Epoll, EpollEvent, EventFd};
 
@@ -60,20 +58,12 @@ const READ_BUDGET: usize = 64 * 1024;
 /// stall shutdown forever).
 const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
 
-/// Work other threads hand to a core.
-pub(crate) enum Incoming {
-    /// A freshly accepted connection (still blocking; the core makes it
-    /// nonblocking before registering).
-    Fresh(TcpStream),
-    /// A connection migrating from a sibling core, with the already
-    /// parsed request that triggered the migration.
-    Migrated(Box<Conn>, Request),
-}
-
 /// A core's cross-thread face: the inbox plus the eventfd that wakes its
 /// `epoll_wait`.
 pub(crate) struct CoreShared {
-    inbox: Mutex<Vec<Incoming>>,
+    /// Freshly accepted connections (still blocking; the core makes them
+    /// nonblocking before registering).
+    inbox: Mutex<Vec<TcpStream>>,
     /// Signalled after every inbox push and on shutdown.
     pub(crate) wake: EventFd,
 }
@@ -86,15 +76,15 @@ impl CoreShared {
         })
     }
 
-    /// Enqueues `item` and wakes the owning core.
-    pub(crate) fn push(&self, item: Incoming) {
-        self.inbox.lock().unwrap().push(item);
+    /// Enqueues a fresh connection and wakes the owning core.
+    pub(crate) fn push(&self, stream: TcpStream) {
+        self.inbox.lock().unwrap().push(stream);
         self.wake.signal();
     }
 }
 
-/// One connection's state, owned by exactly one core at a time.
-pub(crate) struct Conn {
+/// One connection's state, owned by the core that adopted it.
+struct Conn {
     stream: TcpStream,
     /// Inbound accumulator [`http::parse_buffered`] consumes from.
     buf: Vec<u8>,
@@ -107,8 +97,9 @@ pub(crate) struct Conn {
     close_after_flush: bool,
     /// The peer sent EOF; serve what is buffered, then close.
     peer_eof: bool,
-    /// The readiness mask currently registered with epoll, so interest
-    /// flips cost a syscall only when they actually change.
+    /// The readiness mask currently registered with epoll (readability,
+    /// from adoption on), so interest flips cost a syscall only when they
+    /// actually change.
     interest: u32,
 }
 
@@ -121,7 +112,7 @@ impl Conn {
             out_skip: 0,
             close_after_flush: false,
             peer_eof: false,
-            interest: 0,
+            interest: sys::EPOLLIN | sys::EPOLLRDHUP,
         }
     }
 
@@ -138,14 +129,11 @@ enum After {
     Flushing,
     /// Connection is done (error, EOF, or close-after-flush completed).
     Close,
-    /// The parsed request is homed on another core.
-    Migrate(usize, Request),
 }
 
 /// The core event loop. Runs until shutdown has been requested *and*
 /// every owned connection has drained (or the drain deadline passes).
-pub(crate) fn run_core(index: usize, epoll: Epoll, ctx: Arc<Ctx>, peers: Vec<Arc<CoreShared>>) {
-    let own = Arc::clone(&peers[index]);
+pub(crate) fn run_core(index: usize, epoll: Epoll, ctx: Arc<Ctx>, own: Arc<CoreShared>) {
     if epoll.add(own.wake.raw(), sys::EPOLLIN, WAKE_TOKEN).is_err() {
         return;
     }
@@ -164,17 +152,9 @@ pub(crate) fn run_core(index: usize, epoll: Epoll, ctx: Arc<Ctx>, peers: Vec<Arc
                 own.wake.drain();
                 continue;
             }
-            handle_event(
-                &ctx,
-                index,
-                &epoll,
-                &peers,
-                &mut conns,
-                token as RawFd,
-                mask,
-            );
+            handle_event(&ctx, index, &epoll, &mut conns, token as RawFd, mask);
         }
-        drain_inbox(&ctx, index, &epoll, &peers, &mut conns, &own);
+        drain_inbox(&ctx, index, &epoll, &mut conns, &own);
         if ctx.shutdown.load(Ordering::Relaxed) {
             let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + DRAIN_DEADLINE);
             let expired = Instant::now() >= deadline;
@@ -204,13 +184,12 @@ fn handle_event(
     ctx: &Ctx,
     index: usize,
     epoll: &Epoll,
-    peers: &[Arc<CoreShared>],
     conns: &mut HashMap<RawFd, Conn>,
     fd: RawFd,
     mask: u32,
 ) {
-    // Stale event: the connection closed (or migrated) earlier this
-    // batch and the fd number may already belong to someone else.
+    // Stale event: the connection closed earlier this batch and the fd
+    // number may already belong to someone else.
     let Some(conn) = conns.get_mut(&fd) else {
         return;
     };
@@ -229,8 +208,8 @@ fn handle_event(
                 return;
             }
             // Fully flushed: pipelined requests may already be buffered.
-            let after = process_input(ctx, index, conn, None);
-            if !apply_after(ctx, index, epoll, peers, conns, fd, after) {
+            let after = process_input(ctx, conn);
+            if !apply_after(ctx, index, epoll, conns, fd, after) {
                 return;
             }
         }
@@ -248,8 +227,8 @@ fn handle_event(
             close_conn(ctx, index, epoll, conns, fd);
             return;
         }
-        let after = process_input(ctx, index, conn, None);
-        apply_after(ctx, index, epoll, peers, conns, fd, after);
+        let after = process_input(ctx, conn);
+        apply_after(ctx, index, epoll, conns, fd, after);
     }
 }
 
@@ -277,44 +256,28 @@ fn fill_buf(conn: &mut Conn) -> io::Result<()> {
     }
 }
 
-/// Parses and serves as many buffered requests as possible, starting
-/// with `pending` (a request carried over by a migration). Stops at the
-/// first request that must migrate, the first response that does not
-/// flush in full, or when the buffer holds no complete request.
-fn process_input(ctx: &Ctx, index: usize, conn: &mut Conn, pending: Option<Request>) -> After {
-    let mut pending = pending;
+/// Parses and serves as many buffered requests as possible. Stops at the
+/// first response that does not flush in full, or when the buffer holds
+/// no complete request.
+fn process_input(ctx: &Ctx, conn: &mut Conn) -> After {
     loop {
-        let request = match pending.take() {
-            Some(request) => request,
-            None => match http::parse_buffered(&mut conn.buf) {
-                Ok(Some(request)) => request,
-                Ok(None) => {
-                    return if conn.peer_eof {
-                        After::Close
-                    } else {
-                        After::KeepReading
-                    };
-                }
-                Err(e) => {
-                    // Malformed framing: answer 400, close once flushed.
-                    let response = server::bad_request(ctx, &e.to_string());
-                    conn.out.push_back(response.serialize(true));
-                    conn.close_after_flush = true;
-                    return flush_or_close(conn);
-                }
-            },
-        };
-        // Route session traffic to its home core so one thread owns all
-        // of a session's connections. Suppressed during drain — the
-        // target core may already have exited.
-        if ctx.cores > 1 && !ctx.shutdown.load(Ordering::Relaxed) {
-            if let Some(id) = server::session_id_of(&request.path) {
-                let home = home_core(id, ctx.cores);
-                if home != index {
-                    return After::Migrate(home, request);
-                }
+        let request = match http::parse_buffered(&mut conn.buf) {
+            Ok(Some(request)) => request,
+            Ok(None) => {
+                return if conn.peer_eof {
+                    After::Close
+                } else {
+                    After::KeepReading
+                };
             }
-        }
+            Err(e) => {
+                // Malformed framing: answer 400, close once flushed.
+                let response = server::bad_request(ctx, &e.to_string());
+                conn.out.push_back(response.serialize(true));
+                conn.close_after_flush = true;
+                return flush_or_close(conn);
+            }
+        };
         let (response, close) = server::process(ctx, &request);
         conn.out.push_back(response.serialize(close));
         if close {
@@ -376,12 +339,11 @@ fn flush(conn: &mut Conn) -> io::Result<()> {
 }
 
 /// Applies a [`After`] to the connection. Returns whether the connection
-/// is still owned by this core (`false` after close or migration).
+/// is still open.
 fn apply_after(
     ctx: &Ctx,
     index: usize,
     epoll: &Epoll,
-    peers: &[Arc<CoreShared>],
     conns: &mut HashMap<RawFd, Conn>,
     fd: RawFd,
     after: After,
@@ -397,16 +359,6 @@ fn apply_after(
         }
         After::Close => {
             close_conn(ctx, index, epoll, conns, fd);
-            false
-        }
-        After::Migrate(target, request) => {
-            let Some(conn) = conns.remove(&fd) else {
-                return false;
-            };
-            let _ = epoll.del(fd);
-            ctx.core_connections[index].fetch_sub(1, Ordering::Relaxed);
-            ctx.metrics.record_migration();
-            peers[target].push(Incoming::Migrated(Box::new(conn), request));
             false
         }
     }
@@ -429,62 +381,28 @@ fn close_conn(ctx: &Ctx, index: usize, epoll: &Epoll, conns: &mut HashMap<RawFd,
     }
 }
 
-/// Adopts everything other threads queued since the last wake: fresh
-/// connections from the accept thread and migrants from sibling cores.
+/// Adopts the connections the accept thread queued since the last wake:
+/// each is made nonblocking and registered for readability (epoll is
+/// level-triggered, so bytes the peer already sent are reported at once).
 fn drain_inbox(
     ctx: &Ctx,
     index: usize,
     epoll: &Epoll,
-    peers: &[Arc<CoreShared>],
     conns: &mut HashMap<RawFd, Conn>,
     own: &CoreShared,
 ) {
-    loop {
-        let items = std::mem::take(&mut *own.inbox.lock().unwrap());
-        if items.is_empty() {
-            return;
+    let fresh = std::mem::take(&mut *own.inbox.lock().unwrap());
+    for stream in fresh {
+        let conn = Conn::new(stream);
+        let fd = conn.fd();
+        if conn.stream.set_nonblocking(true).is_err()
+            || conn.stream.set_nodelay(true).is_err()
+            || epoll.add(fd, conn.interest, fd as u64).is_err()
+        {
+            ctx.open_connections.fetch_sub(1, Ordering::Relaxed);
+            continue;
         }
-        for item in items {
-            match item {
-                Incoming::Fresh(stream) => {
-                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                        ctx.open_connections.fetch_sub(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    adopt(ctx, index, epoll, peers, conns, Conn::new(stream), None);
-                }
-                Incoming::Migrated(conn, request) => {
-                    adopt(ctx, index, epoll, peers, conns, *conn, Some(request));
-                }
-            }
-        }
+        ctx.core_connections[index].fetch_add(1, Ordering::Relaxed);
+        conns.insert(fd, conn);
     }
-}
-
-/// Registers a connection with this core's epoll and immediately drives
-/// whatever is already pending (a migrated request, buffered bytes).
-fn adopt(
-    ctx: &Ctx,
-    index: usize,
-    epoll: &Epoll,
-    peers: &[Arc<CoreShared>],
-    conns: &mut HashMap<RawFd, Conn>,
-    mut conn: Conn,
-    pending: Option<Request>,
-) {
-    let fd = conn.fd();
-    conn.interest = sys::EPOLLIN | sys::EPOLLRDHUP;
-    if epoll.add(fd, conn.interest, fd as u64).is_err() {
-        ctx.open_connections.fetch_sub(1, Ordering::Relaxed);
-        return;
-    }
-    ctx.core_connections[index].fetch_add(1, Ordering::Relaxed);
-    conns.insert(fd, conn);
-    let after = match conns.get_mut(&fd) {
-        Some(conn) if pending.is_some() || !conn.buf.is_empty() || !conn.out.is_empty() => {
-            process_input(ctx, index, conn, pending)
-        }
-        _ => return, // nothing pending: wait for EPOLLIN
-    };
-    apply_after(ctx, index, epoll, peers, conns, fd, after);
 }

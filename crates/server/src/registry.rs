@@ -7,7 +7,8 @@
 //! slot map (held for a hash lookup), while each slot has its own
 //! `Mutex` serialising deltas and report reads *of that session*.
 //! Traffic to different sessions therefore runs fully in parallel
-//! across the worker pool; interleaved deltas to one session are
+//! across the reactor cores; interleaved deltas to one session — which
+//! any core may carry, there is no session-to-core pinning — are
 //! serialised, which is exactly the consistency the incremental engine
 //! needs — and, when a [`Store`] is attached, exactly the consistency
 //! the WAL needs: appends happen inside the session's critical section,
@@ -17,7 +18,7 @@
 //! session creation, every delta (including ones that fail mid-way —
 //! their partial effects are deterministic) and deletion are logged
 //! before the response is acknowledged, and [`SessionRegistry::with_store`]
-//! (Self::with_store) rebuilds every session on startup. Recovered
+//! rebuilds every session on startup. Recovered
 //! sessions start *dormant* — graph and SDL in memory, no engine — and
 //! are revalidated lazily by the first request that touches them
 //! ([`Session::engine`]).
@@ -191,7 +192,7 @@ pub enum RemoveOutcome {
     Missing,
 }
 
-/// Registry of live sessions, shared by all workers.
+/// Registry of live sessions, shared by all reactor cores.
 pub struct SessionRegistry {
     sessions: RwLock<HashMap<u64, Arc<SessionSlot>>>,
     evicted: Mutex<HashSet<u64>>,
@@ -373,7 +374,7 @@ impl SessionRegistry {
 
     /// Durably logs a migration phase transition for this session, as
     /// [`log_delta`](Self::log_delta) does for deltas. `schema_sdl` is
-    /// the candidate SDL on [`MigrationPhase::Begin`] and empty
+    /// the candidate SDL on [`pg_store::MigrationPhase::Begin`] and empty
     /// otherwise.
     pub fn log_schema_change(
         &self,
@@ -671,24 +672,6 @@ impl Default for SessionRegistry {
     }
 }
 
-/// The reactor core that owns session `id`'s connections.
-///
-/// Session ids are sequential, so the raw modulo would stripe neighbours
-/// across cores but correlate with any id-based client sharding; a
-/// Fibonacci-hash mix scatters them while staying deterministic, which is
-/// what lets every core compute the same answer with no coordination.
-/// The registry (and behind it the WAL) stays shared — this is cache and
-/// lock *affinity*, not data partitioning: all traffic for one session
-/// lands on one core, so its engine state stays hot in that core's cache
-/// and its session mutex is rarely contended.
-pub fn home_core(id: u64, cores: usize) -> usize {
-    if cores <= 1 {
-        return 0;
-    }
-    let mixed = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((mixed >> 32) as usize) % cores
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -835,24 +818,5 @@ mod tests {
         assert!(matches!(reg.get(7), Lookup::Missing));
         // Replicated ids advance the allocator past the leader's.
         assert_eq!(create(&reg), 8);
-    }
-
-    #[test]
-    fn home_core_is_deterministic_and_spreads_sequential_ids() {
-        assert_eq!(home_core(42, 1), 0);
-        for cores in [2usize, 3, 4, 7] {
-            let mut per_core = vec![0usize; cores];
-            for id in 1..=1000u64 {
-                let home = home_core(id, cores);
-                assert!(home < cores);
-                assert_eq!(home, home_core(id, cores)); // stable
-                per_core[home] += 1;
-            }
-            // Sequential ids should not pile onto one core: every core
-            // gets a reasonable share of 1000 sessions.
-            for &n in &per_core {
-                assert!(n > 1000 / cores / 2, "skewed spread: {per_core:?}");
-            }
-        }
     }
 }

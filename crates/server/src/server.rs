@@ -17,7 +17,7 @@ use pgraph::json::{self, Json};
 
 use crate::http::{push_json_string, Request, Response};
 use crate::metrics::{Metrics, MigrationAction, RenderGauges};
-use crate::reactor::{self, CoreShared, Incoming};
+use crate::reactor::{self, CoreShared};
 use crate::registry::{Lookup, RemoveOutcome, SessionRegistry};
 
 /// How the accept thread sleeps between polls when no connection is
@@ -371,14 +371,14 @@ impl Server {
             peers.push(Arc::new(CoreShared::new()?));
         }
         let mut threads = Vec::with_capacity(self.ctx.cores + 1);
-        for index in 0..self.ctx.cores {
+        for (index, own) in peers.iter().enumerate() {
             let epoll = crate::sys::Epoll::new()?;
             let ctx = Arc::clone(&self.ctx);
-            let peers = peers.clone();
+            let own = Arc::clone(own);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("pgschemad-core-{index}"))
-                    .spawn(move || reactor::run_core(index, epoll, ctx, peers))?,
+                    .spawn(move || reactor::run_core(index, epoll, ctx, own))?,
             );
         }
         let ctx = Arc::clone(&self.ctx);
@@ -450,7 +450,7 @@ impl ServerHandle {
 }
 
 /// The accept thread: hands fresh connections round-robin to the cores
-/// (their first session request migrates them home), shedding with `503`
+/// (a connection stays on the core it lands on), shedding with `503`
 /// above the connection cap.
 ///
 /// The listener sits behind its own tiny epoll so a connect storm is
@@ -476,7 +476,7 @@ fn accept_loop(ctx: Arc<Ctx>, listener: TcpListener, peers: Vec<Arc<CoreShared>>
                         continue;
                     }
                     ctx.open_connections.fetch_add(1, Ordering::Relaxed);
-                    peers[next % peers.len()].push(Incoming::Fresh(stream));
+                    peers[next % peers.len()].push(stream);
                     next += 1;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -533,12 +533,6 @@ pub(crate) fn bad_request(ctx: &Ctx, message: &str) -> Response {
     ctx.metrics.record_request("(bad-request)", 400, 0);
     log_request(ctx.log_format, "-", "(bad-request)", 400, 0, None);
     Response::error(400, message)
-}
-
-/// The session a request path addresses, if any — what the reactor uses
-/// to decide the connection's home core.
-pub(crate) fn session_id_of(path: &str) -> Option<u64> {
-    parse_session_path(path).map(|(id, _)| id)
 }
 
 /// A routed response plus its labels for metrics and the request log.
@@ -867,10 +861,10 @@ fn handle_migrate(ctx: &Ctx, request: &Request, id: u64) -> Handled {
                 Err(message) => return Handled::plain(ROUTE, Response::error(500, &message)),
             };
             ctx.metrics.record_migration_action(MigrationAction::Commit);
-            Response::json(
-                200,
-                format!("{{\"committed\":true,\"report\":{}}}", report.to_json()),
-            )
+            let mut body = "{\"committed\":true,\"report\":".to_owned();
+            report.write_json(&mut body);
+            body.push('}');
+            Response::json(200, body)
         }
         _ => {
             if session.pending_migration.is_none() {
@@ -1232,12 +1226,13 @@ fn handle_create_session(ctx: &Ctx, request: &Request) -> Handled {
         .report();
     ctx.metrics
         .record_validation(Engine::Incremental, report.metrics());
-    let body = format!(
-        "{{\"session\":{},\"lang\":\"{}\",\"report\":{}}}",
+    let mut body = format!(
+        "{{\"session\":{},\"lang\":\"{}\",\"report\":",
         created.id,
-        lang.name(),
-        report.to_json()
+        lang.name()
     );
+    report.write_json(&mut body);
+    body.push('}');
     Handled {
         route: "/sessions",
         response: Response::json(201, body),
@@ -1285,17 +1280,18 @@ fn handle_delta(ctx: &Ctx, request: &Request, id: u64) -> Handled {
             drop(session);
             ctx.metrics
                 .record_validation(Engine::Incremental, report.metrics());
-            let body = format!(
+            let mut body = format!(
                 "{{\"outcome\":{{\"elements_rechecked\":{},\"elements_total\":{},\
                  \"violations_added\":{},\"violations_removed\":{}}},\
-                 \"deltas_applied\":{},\"report\":{}}}",
+                 \"deltas_applied\":{},\"report\":",
                 outcome.elements_rechecked,
                 outcome.elements_total,
                 outcome.violations_added,
                 outcome.violations_removed,
-                deltas_applied,
-                report.to_json()
+                deltas_applied
             );
+            report.write_json(&mut body);
+            body.push('}');
             Handled {
                 route: ROUTE,
                 response: Response::json(200, body),
@@ -1399,8 +1395,6 @@ mod tests {
         assert_eq!(parse_session_path("/sessions/12"), Some((12, "")));
         assert_eq!(parse_session_path("/sessions/x/report"), None);
         assert_eq!(parse_session_path("/metrics"), None);
-        assert_eq!(session_id_of("/sessions/7/deltas"), Some(7));
-        assert_eq!(session_id_of("/validate"), None);
     }
 
     #[test]

@@ -346,6 +346,213 @@ fn hammered_session_report_equals_from_scratch_validation() {
     daemon.stop();
 }
 
+/// The value of the `/metrics` sample line that starts with `sample`
+/// (its name and labels).
+fn metric(text: &str, sample: &str) -> u64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(sample)?.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no sample {sample:?} in /metrics"))
+}
+
+/// A request is served by the core that read it: two keep-alive
+/// connections, one per core, each walk *all* of eight sessions (in
+/// opposite orders, so the cores keep meeting at the same session's
+/// mutex) with deltas, report reads and graph reads interleaved. Every
+/// session must end exactly where a client-side mirror says, and neither
+/// connection may have changed cores on the way.
+#[test]
+fn two_cores_serve_every_session_without_handing_connections_over() {
+    let daemon = Daemon::start(2, 16);
+    let mut a = Client::connect(daemon.addr);
+    let mut b = Client::connect(daemon.addr);
+    // A round trip each, so both are adopted before the gauges are read.
+    assert_eq!(a.request("GET", "/healthz", b"").0, 200);
+    assert_eq!(b.request("GET", "/healthz", b"").0, 200);
+
+    let mut sessions: Vec<(i64, pgraph::PropertyGraph)> = (0..8)
+        .map(|i| {
+            let users = 2 + i % 3;
+            let (status, created) = a.request_json("POST", "/sessions", &envelope(users));
+            assert_eq!(status, 201);
+            let id = created.get("session").and_then(Json::as_i64).unwrap();
+            (id, sample_graph(users))
+        })
+        .collect();
+
+    let core_gauges = |client: &mut Client| {
+        let (status, body) = client.request("GET", "/metrics", b"");
+        assert_eq!(status, 200);
+        let text = String::from_utf8(body).unwrap();
+        assert!(
+            !text.contains("session_migrations"),
+            "the hand-off counter is gone with the hand-off"
+        );
+        [0, 1].map(|core| {
+            metric(
+                &text,
+                &format!("pgschemad_core_connections{{core=\"{core}\"}}"),
+            )
+        })
+    };
+    let before = core_gauges(&mut a);
+    assert_eq!(
+        before,
+        [1, 1],
+        "round-robin accept: one connection per core"
+    );
+
+    // Connection `a` toggles user 0 of every session five times (ending
+    // broken) and, on its first visit, leaves a tombstoned node slot
+    // behind; `b` walks the sessions in the opposite order and toggles
+    // user 1 four times (ending repaired). The two write disjoint
+    // elements, so any interleaving ends in one state.
+    type Plan = Vec<(i64, pgraph::GraphDelta)>;
+    let plan = |user_ix: usize, rounds: u64, tombstone: bool, reversed: bool| -> Plan {
+        let mut plan = Plan::new();
+        for i in 0..rounds {
+            let mut round: Plan = sessions
+                .iter()
+                .map(|(id, graph)| {
+                    let mut delta = toggle_delta(user_ids(graph)[user_ix], i);
+                    if tombstone && i == 0 {
+                        let fresh = pgraph::NodeId::from_index(graph.node_index_bound());
+                        delta = delta.add_node("User").remove_node(fresh);
+                    }
+                    (*id, delta)
+                })
+                .collect();
+            if reversed {
+                round.reverse();
+            }
+            plan.append(&mut round);
+        }
+        plan
+    };
+    let (a_plan, b_plan) = (plan(0, 5, true, false), plan(1, 4, false, true));
+    let walk = |client: &mut Client, plan: &Plan| {
+        for (id, delta) in plan {
+            let delta = json::delta_to_json(delta);
+            let (status, _) =
+                client.request("POST", &format!("/sessions/{id}/deltas"), delta.as_bytes());
+            assert_eq!(status, 200, "session {id}");
+            let (status, report) =
+                client.request_json("GET", &format!("/sessions/{id}/report"), b"");
+            assert_eq!(status, 200);
+            let conforms = report.get("conforms") == Some(&Json::Bool(true));
+            let empty = report
+                .get("violations")
+                .and_then(Json::as_array)
+                .is_some_and(|v| v.is_empty());
+            assert_eq!(conforms, empty);
+            let (status, graph) = client.request_json("GET", &format!("/sessions/{id}/graph"), b"");
+            assert_eq!(status, 200);
+            json::graph_from_value(&graph).expect("a whole graph document");
+        }
+    };
+    std::thread::scope(|scope| {
+        scope.spawn(|| walk(&mut a, &a_plan));
+        scope.spawn(|| walk(&mut b, &b_plan));
+    });
+    for (id, delta) in a_plan.iter().chain(&b_plan) {
+        let (_, mirror) = sessions.iter_mut().find(|(s, _)| s == id).unwrap();
+        delta
+            .apply_to(mirror)
+            .expect("the mirror applies what the daemon applied");
+    }
+
+    let schema = pg_schema::PgSchema::parse(SCHEMA_SDL).unwrap();
+    for (id, mirror) in &sessions {
+        let (status, served) = b.request("GET", &format!("/sessions/{id}/graph"), b"");
+        assert_eq!(status, 200);
+        assert_eq!(
+            String::from_utf8(served).unwrap(),
+            json::to_json(mirror),
+            "session {id} graph"
+        );
+        let (status, report) = b.request_json("GET", &format!("/sessions/{id}/report"), b"");
+        assert_eq!(status, 200);
+        assert_eq!(report.get("conforms"), Some(&Json::Bool(false)));
+        for engine in [
+            Engine::Naive,
+            Engine::Indexed,
+            Engine::Parallel,
+            Engine::Incremental,
+        ] {
+            let scratch = validate(mirror, &schema, &ValidationOptions::with_engine(engine));
+            let scratch = Json::parse(&scratch.to_json()).unwrap();
+            for field in ["conforms", "violations", "rule_counts"] {
+                assert_eq!(
+                    report.get(field),
+                    scratch.get(field),
+                    "session {id}: {} disagrees on {field}",
+                    engine.name()
+                );
+            }
+        }
+    }
+
+    assert_eq!(core_gauges(&mut a), before, "no connection changed cores");
+    daemon.stop();
+}
+
+/// One request must not be able to kill the node: a body or a schema
+/// nested hundreds of thousands deep used to overflow the stack of the
+/// reactor core that parsed it and abort the process, sessions and all.
+#[test]
+fn hostile_nesting_is_a_400_and_the_daemon_keeps_serving() {
+    let daemon = Daemon::start(1, 16);
+    let mut client = Client::connect(daemon.addr);
+    let (status, created) = client.request_json("POST", "/sessions", &envelope(2));
+    assert_eq!(status, 201);
+    let id = created.get("session").and_then(Json::as_i64).unwrap();
+
+    let brackets = "[".repeat(400_000).into_bytes();
+    for target in [
+        "/validate".to_owned(),
+        "/sessions".to_owned(),
+        "/check-sat".to_owned(),
+        format!("/sessions/{id}/deltas"),
+        format!("/sessions/{id}/migrate"),
+    ] {
+        let (status, error) = client.request_json("POST", &target, &brackets);
+        assert_eq!(status, 400, "{target}");
+        let message = error.get("error").and_then(Json::as_str).unwrap();
+        assert!(
+            message.contains(&format!(
+                "nesting deeper than {} levels at byte {}",
+                json::MAX_DEPTH,
+                json::MAX_DEPTH
+            )),
+            "{target}: {message}"
+        );
+    }
+
+    let deep_schema = format!(
+        "type A {{ x: {}Int{} }}",
+        "[".repeat(300_000),
+        "]".repeat(300_000)
+    );
+    let body = envelope_with(&deep_schema, &json::to_json(&sample_graph(1)));
+    let (status, error) = client.request_json("POST", "/validate", &body);
+    assert_eq!(status, 400);
+    let message = error.get("error").and_then(Json::as_str).unwrap();
+    assert!(
+        message.contains(&format!(
+            "nesting deeper than {} levels",
+            gql_sdl::MAX_DEPTH
+        )) && message.contains(&format!("1:{}", 13 + gql_sdl::MAX_DEPTH)),
+        "{message}"
+    );
+
+    // Same daemon, same connection, sessions intact.
+    let (status, report) = client.request_json("POST", "/validate", &envelope(3));
+    assert_eq!(status, 200);
+    assert_eq!(report.get("conforms"), Some(&Json::Bool(true)));
+    let (status, _) = client.request_json("GET", &format!("/sessions/{id}/report"), b"");
+    assert_eq!(status, 200);
+    daemon.stop();
+}
+
 /// [`SCHEMA_SDL`] with `UserSession.endTime` made `@required` — every
 /// sample session lacks it, so the change is breaking on sample graphs.
 const BREAKING_SDL: &str = r#"

@@ -40,7 +40,7 @@ impl Backing {
 /// A recovered session graph that may not have been deserialized yet.
 ///
 /// `Loaded` holds a materialized [`PropertyGraph`]; `Mapped` holds a
-/// validated `PGCS` byte range inside a snapshot [`Backing`]. The graph
+/// validated `PGCS` byte range inside a snapshot `Backing`. The graph
 /// header and CRC were checked at decode time, so [`LazyGraph::load`]
 /// failures indicate actual corruption races, not routine conditions.
 #[derive(Clone, Debug)]

@@ -388,8 +388,8 @@ impl Store {
 
     /// The replication cursor: one past the last record physically in
     /// the WAL. This is the `from` a follower of *this* store's leader
-    /// passes to the next `read_tail` request. It equals [`next_seq`]
-    /// (Self::next_seq) except on a freshly snapshot-bootstrapped
+    /// passes to the next `read_tail` request. It equals
+    /// [`next_seq`](Self::next_seq) except on a freshly snapshot-bootstrapped
     /// follower, where sessions captured after the snapshot's `base_seq`
     /// push `next_seq` ahead of the frames actually on disk.
     pub fn tail_cursor(&self) -> u64 {
@@ -486,8 +486,8 @@ impl Store {
     /// Every frame is re-verified (length, CRC, structural decode)
     /// before anything is written; a bad frame ends the batch without
     /// erroring (`torn` says why) and the follower re-requests from its
-    /// unchanged cursor. Frames below the local [`tail_cursor`]
-    /// (Self::tail_cursor) are counted as duplicates and skipped —
+    /// unchanged cursor. Frames below the local
+    /// [`tail_cursor`](Self::tail_cursor) are counted as duplicates and skipped —
     /// redelivery after a reconnect is idempotent — and the first
     /// non-duplicate frame must carry exactly the cursor's sequence
     /// number: a gap means the leader no longer retains records this

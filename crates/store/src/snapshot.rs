@@ -126,7 +126,7 @@ fn pad_to_align(pos: usize) -> usize {
 
 // File-relative and payload-relative alignment coincide only because the
 // frame header is itself a multiple of the graph alignment.
-const _: () = assert!(FRAME_HEADER % SNAPSHOT_GRAPH_ALIGN == 0);
+const _: () = assert!(FRAME_HEADER.is_multiple_of(SNAPSHOT_GRAPH_ALIGN));
 
 /// Assembles the full framed snapshot file contents.
 pub(crate) fn assemble(base_seq: u64, next_session_id: u64, sessions: &[SessionEntry]) -> Vec<u8> {
