@@ -227,15 +227,16 @@ pub fn incremental_scaling(sizes: &[usize], iters: usize) -> String {
 }
 
 /// E2c — the columnar graph core: freeze and CSR adjacency cost, and
-/// snapshot recovery time (legacy `PGS1` eager decode vs the mmap'd
-/// zero-copy `PGS2` path).
+/// snapshot recovery time through the mmap'd zero-copy `PGS2` path.
 ///
 /// The adjacency workload: for every live node and every edge label,
 /// the labelled out- and in-edge groups are fetched and their lengths
 /// summed. The recovery workload times
 /// `Store::open` on a one-session data directory whose snapshot holds
-/// the same graph in both formats; the `materialize` column is the
-/// deferred first-use cost of thawing the mapped columnar image.
+/// the same graph; the `materialize` column is the deferred first-use
+/// cost of thawing the mapped columnar image. (The retired eager `PGS1`
+/// decoder this was first measured against is gone; EXPERIMENTS §E2c
+/// keeps that row.)
 pub fn columnar_core(sizes: &[usize], iters: usize) -> String {
     use pgraph::ColumnarGraph;
 
@@ -245,8 +246,8 @@ pub fn columnar_core(sizes: &[usize], iters: usize) -> String {
          |---|---|---|---|\n",
     );
     let mut recovery = String::from(
-        "| elements | snapshot bytes | open (PGS1 eager) | open (PGS2 mmap) | speedup | materialize |\n\
-         |---|---|---|---|---|---|\n",
+        "| elements | snapshot bytes | open (PGS2 mmap) | materialize |\n\
+         |---|---|---|---|\n",
     );
     for &npt in sizes {
         let graph = GraphGen::new(
@@ -289,22 +290,18 @@ pub fn columnar_core(sizes: &[usize], iters: usize) -> String {
             fmt_duration(t_csr),
         );
 
-        // --- recovery: the same session, PGS1-eager vs PGS2-mmap.
+        // --- recovery: one compacted session, opened through the map.
         let sdl = pg_datagen::schemagen::social_schema();
-        let tag = std::process::id();
-        let legacy_dir = std::env::temp_dir().join(format!("pgbench-e2c-v1-{tag}-{npt}"));
-        let mapped_dir = std::env::temp_dir().join(format!("pgbench-e2c-v2-{tag}-{npt}"));
-        for d in [&legacy_dir, &mapped_dir] {
-            let _ = std::fs::remove_dir_all(d);
-            std::fs::create_dir_all(d).unwrap();
-        }
-        write_legacy_snapshot(&legacy_dir, 1, sdl, &graph);
+        let mapped_dir =
+            std::env::temp_dir().join(format!("pgbench-e2c-v2-{}-{npt}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&mapped_dir);
         {
             let (store, _) = pg_store::Store::open(&mapped_dir, pg_store::FsyncPolicy::Never)
                 .expect("store opens");
             store.append_create(1, sdl, &graph).unwrap();
             let mut compaction = store.try_begin_compaction().unwrap().unwrap();
-            compaction.add_session(1, 1, 0, sdl, &graph, None);
+            let meta = pg_store::SessionMeta::created(sdl.to_owned(), 1);
+            compaction.capture().add_session(1, &meta, &graph);
             compaction.finish(2).unwrap();
         }
         let snap_bytes = std::fs::read_dir(&mapped_dir)
@@ -314,9 +311,6 @@ pub fn columnar_core(sizes: &[usize], iters: usize) -> String {
             .map(|e| e.metadata().unwrap().len())
             .max()
             .unwrap();
-        let t_eager = time_median(iters, || {
-            pg_store::Store::open(&legacy_dir, pg_store::FsyncPolicy::Never).expect("legacy opens")
-        });
         let t_mmap = time_median(iters, || {
             pg_store::Store::open(&mapped_dir, pg_store::FsyncPolicy::Never).expect("reopens")
         });
@@ -331,44 +325,16 @@ pub fn columnar_core(sizes: &[usize], iters: usize) -> String {
         });
         let _ = writeln!(
             recovery,
-            "| {} | {snap_bytes} | {} | {} | {:.0}× | {} |",
+            "| {} | {snap_bytes} | {} | {} |",
             n + e,
-            fmt_duration(t_eager),
             fmt_duration(t_mmap),
-            t_eager.as_secs_f64() / t_mmap.as_secs_f64(),
             fmt_duration(t_thaw),
         );
-        for d in [&legacy_dir, &mapped_dir] {
-            let _ = std::fs::remove_dir_all(d);
-        }
+        let _ = std::fs::remove_dir_all(&mapped_dir);
     }
     let _ = writeln!(out, "\nrecovery (one session, WAL fully compacted):\n");
     out.push_str(&recovery);
     out
-}
-
-/// Writes a snapshot file exactly as the pre-columnar build's `PGS1`
-/// encoder did, so the eager decode path is measurable from this build.
-fn write_legacy_snapshot(dir: &std::path::Path, id: u64, sdl: &str, graph: &pgraph::PropertyGraph) {
-    let graph_bytes = pgraph::binary::graph_to_bytes(graph);
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&pg_store::wire::SNAPSHOT_MAGIC);
-    payload.extend_from_slice(&1u64.to_le_bytes()); // base_seq
-    payload.extend_from_slice(&(id + 1).to_le_bytes()); // next_session_id
-    payload.extend_from_slice(&1u32.to_le_bytes()); // count
-    payload.extend_from_slice(&id.to_le_bytes());
-    payload.extend_from_slice(&1u64.to_le_bytes()); // last_seq
-    payload.extend_from_slice(&0u64.to_le_bytes()); // deltas_applied
-    payload.extend_from_slice(&(sdl.len() as u32).to_le_bytes());
-    payload.extend_from_slice(sdl.as_bytes());
-    payload.extend_from_slice(&(graph_bytes.len() as u32).to_le_bytes());
-    payload.extend_from_slice(&graph_bytes);
-    payload.push(0); // no pending migration
-    let mut file = Vec::new();
-    file.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    file.extend_from_slice(&pgraph::snapshot::crc32(&payload).to_le_bytes());
-    file.extend_from_slice(&payload);
-    std::fs::write(dir.join("snapshot-000001.snap"), file).unwrap();
 }
 
 /// E4m — migration planning: dirty-region impact preview vs a full
@@ -832,12 +798,10 @@ mod tests {
     fn columnar_core_smoke() {
         let t = columnar_core(&[30], 1);
         assert!(t.contains("CSR scan"), "{t}");
-        assert!(
-            t.contains("| open (PGS1 eager) | open (PGS2 mmap) |"),
-            "{t}"
-        );
-        // The recovery row carries the one speedup for the single size.
-        assert!(t.matches('×').count() >= 1, "{t}");
+        assert!(t.contains("| open (PGS2 mmap) | materialize |"), "{t}");
+        // Header, separator and one recovery row for the single size.
+        let recovery = t.split("recovery (one session").nth(1).unwrap();
+        assert_eq!(recovery.matches("\n|").count(), 3, "{t}");
     }
 
     #[test]

@@ -854,14 +854,7 @@ fn store_compact(dir: &std::path::Path) -> Result<()> {
         .map_err(|e| format!("cannot start compaction: {e}"))?
         .ok_or("compaction already in progress")?;
     for s in &recovered.sessions {
-        compaction.add_session(
-            s.id,
-            s.last_seq,
-            s.deltas_applied,
-            &s.schema_sdl,
-            &s.graph,
-            s.pending_migration.as_deref(),
-        );
+        compaction.capture().add_session(s.id, &s.meta, &s.graph);
     }
     let outcome = compaction
         .finish(recovered.next_session_id)
@@ -904,7 +897,7 @@ fn store_replay(dir: &std::path::Path) -> Result<()> {
     );
     let mut failures = 0usize;
     for s in &recovered.sessions {
-        let schema = pg_pgschema::parse_persisted(&s.schema_sdl)
+        let schema = pg_pgschema::parse_persisted(&s.meta.schema_sdl)
             .map_err(|e| format!("session {}: stored schema no longer parses: {e}", s.id))?;
         // A session untouched by WAL replay is still a zero-copy view
         // into the snapshot file; validating it needs the elements.
@@ -933,8 +926,8 @@ fn store_replay(dir: &std::path::Path) -> Result<()> {
             s.id,
             graph.node_count(),
             graph.edge_count(),
-            s.deltas_applied,
-            s.last_seq,
+            s.meta.deltas_applied,
+            s.meta.last_seq,
             reports[0].conforms(),
             reports[0].len()
         );

@@ -3,8 +3,8 @@
 //!
 //! Freezes the graph into a [`ColumnarGraph`] once, serially, compiles
 //! the schema onto its symbol space, then partitions the node and edge
-//! slot spaces into one contiguous shard per worker
-//! ([`pgraph::shard::GraphShards`] supplies the ranges) and runs the
+//! slot spaces into one contiguous shard per worker ([`even_ranges`])
+//! and runs the
 //! shared rule kernels ([`crate::rules`]) shard-locally on scoped
 //! threads ([`std::thread::scope`] — no dependencies beyond std). Each
 //! worker evaluates every kernel over a shard [`Scope`] — a contiguous
@@ -34,10 +34,10 @@
 //! reduce.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::thread;
 use std::time::Instant;
 
-use pgraph::shard::GraphShards;
 use pgraph::{ColumnarGraph, NodeId, PropertyGraph};
 
 use crate::metrics::MetricsRecorder;
@@ -92,13 +92,17 @@ pub(crate) fn run(
     let ss = SymSchema::build(s, cols.symbols_mut());
     rec.index_build(start.elapsed().as_nanos() as u64);
 
-    let shards = GraphShards::new(g, threads);
+    // Contiguous slot ranges (rather than `id % k` striping) keep each
+    // worker's accesses sequential over the columns.
+    let node_ranges = even_ranges(cols.node_slots(), threads);
+    let edge_ranges = even_ranges(cols.edge_slots(), threads);
     let outputs: Vec<WorkerOutput> = thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| {
+        let handles: Vec<_> = node_ranges
+            .into_iter()
+            .zip(edge_ranges)
+            .map(|(nodes, edges)| {
                 let (cols, ss) = (&cols, &ss);
-                scope.spawn(move || worker(g, s, cols, ss, options, shard))
+                scope.spawn(move || worker(g, s, cols, ss, options, nodes, edges))
             })
             .collect();
         handles
@@ -110,18 +114,45 @@ pub(crate) fn run(
     merge(&ss, options, outputs, rec)
 }
 
+/// Splits `0..bound` into `k` near-equal contiguous ranges (the first
+/// `bound % k` ranges are one longer). Always returns exactly `k` ranges;
+/// trailing ones are empty when `bound < k`.
+fn even_ranges(bound: usize, k: usize) -> Vec<Range<usize>> {
+    assert!(k > 0, "shard count must be positive");
+    let (base, extra) = (bound / k, bound % k);
+    let mut start = 0;
+    (0..k)
+        .map(|i| {
+            let len = base + usize::from(i < extra);
+            start += len;
+            start - len..start
+        })
+        .collect()
+}
+
+/// Validates one shard: the node and edge slots in `nodes` and `edges`
+/// (tombstones included — with them present the live populations of
+/// equal-width ranges differ, which `shard_elements` reports).
 fn worker(
     g: &PropertyGraph,
     s: &PgSchema,
     cols: &ColumnarGraph,
     ss: &SymSchema,
     options: &ValidationOptions,
-    shard: pgraph::shard::GraphShard<'_>,
+    nodes: Range<usize>,
+    edges: Range<usize>,
 ) -> WorkerOutput {
     let mut r = ValidationReport::with_limit(options.max_violations);
     let mut key_tables = Vec::new();
+    let elements = if options.collect_metrics {
+        let live_nodes = nodes.clone().filter(|&ix| cols.node_is_live(ix)).count();
+        let live_edges = edges.clone().filter(|&ix| cols.edge_is_live(ix)).count();
+        (live_nodes + live_edges) as u64
+    } else {
+        0
+    };
 
-    let scope = Scope::shard(g, s, ss, cols, shard.node_range(), shard.edge_range());
+    let scope = Scope::shard(g, s, ss, cols, nodes, edges);
     let mut sink = Sink::new(&mut r, options.collect_metrics);
     rules::run(&scope, options, &mut sink, Ds7Plan::Map(&mut key_tables));
     let out = sink.finish();
@@ -129,11 +160,6 @@ fn worker(
     let (rules, nodes_scanned, edges_scanned) = match out {
         Some(o) => (o.rules, o.nodes_scanned, o.edges_scanned),
         None => (Vec::new(), 0, 0),
-    };
-    let elements = if options.collect_metrics {
-        (shard.node_count() + shard.edge_count()) as u64
-    } else {
-        0
     };
     WorkerOutput {
         report: r,
@@ -295,6 +321,57 @@ mod tests {
             }
         }
         b.build().unwrap()
+    }
+
+    #[test]
+    fn even_ranges_cover_and_balance() {
+        for (bound, k) in [(10, 3), (0, 4), (7, 7), (3, 8), (100, 1)] {
+            let ranges = super::even_ranges(bound, k);
+            assert_eq!(ranges.len(), k);
+            assert_eq!(ranges.iter().map(|r| r.len()).sum::<usize>(), bound);
+            // Contiguous and ordered.
+            let mut pos = 0;
+            for r in &ranges {
+                assert_eq!(r.start, pos);
+                pos = r.end;
+            }
+            // Balanced within one element.
+            let lens: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
+            let (lo, hi) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+            assert!(hi - lo <= 1, "{lens:?}");
+        }
+    }
+
+    /// Shards are cut over slots, tombstones included; what a worker
+    /// counts (and validates) is the live part of its slice.
+    #[test]
+    fn shards_skip_tombstones() {
+        let s = schema();
+        let mut g = defective_graph(10);
+        let victim = g.node_ids().nth(4).unwrap();
+        g.remove_node(victim).unwrap();
+        let cols = pgraph::ColumnarGraph::freeze(&g);
+        assert_eq!(cols.node_slots(), 10, "the tombstone keeps its slot");
+        assert!(!cols.node_is_live(victim.index()));
+        let opts = ValidationOptions::builder()
+            .engine(Engine::Parallel)
+            .threads(3)
+            .collect_metrics(true)
+            .build();
+        let report = validate(&g, &s, &opts);
+        let shard_elements = &report.metrics().unwrap().shard_elements;
+        assert_eq!(
+            shard_elements.iter().sum::<u64>(),
+            (g.node_count() + g.edge_count()) as u64
+        );
+        // Ten node slots over three shards; the one owning the victim's
+        // slot is a live node short of its width.
+        for nodes in super::even_ranges(cols.node_slots(), 3) {
+            let live = nodes.clone().filter(|&ix| cols.node_is_live(ix)).count();
+            let dead = usize::from(nodes.contains(&victim.index()));
+            assert_eq!(live, nodes.len() - dead, "{nodes:?}");
+        }
+        assert_eq!(report, validate(&g, &s, &ValidationOptions::default()));
     }
 
     #[test]

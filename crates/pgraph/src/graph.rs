@@ -201,8 +201,9 @@ impl PropertyGraph {
     /// Upper bound (exclusive) on raw node indexes: every live node id
     /// satisfies `id.index() < node_index_bound()`. Includes tombstones,
     /// so it can exceed [`node_count`](Self::node_count); use
-    /// [`node`](Self::node) to skip them. This is the basis for
-    /// partitioning the id space into [`shard`](crate::shard) ranges.
+    /// [`node`](Self::node) to skip them. It equals the frozen columns'
+    /// [`node_slots`](crate::ColumnarGraph::node_slots), which the
+    /// parallel engine cuts into per-worker ranges.
     pub fn node_index_bound(&self) -> usize {
         self.nodes.len()
     }

@@ -57,7 +57,6 @@ pub mod delta;
 pub mod dot;
 pub mod json;
 pub mod parse;
-pub mod shard;
 pub mod snapshot;
 pub mod stats;
 pub mod symbols;

@@ -260,24 +260,31 @@ impl<'a> Printer<'a> {
                 other => return bail(format!("{at}: directive `@{other}`")),
             }
         }
-        let (target, outgoing) = match (&f.ty, required) {
-            (Type::Named(n), false) => (n, Some("0..1")),
-            (Type::NonNull(inner), true) => match &**inner {
-                Type::Named(n) => (n, Some("1..1")),
-                _ => return bail(format!("{at}: type `{}`", f.ty)),
-            },
-            (Type::List(item), req) => match &**item {
-                Type::Named(n) => (n, req.then_some("1..*")),
-                _ => return bail(format!("{at}: type `{}`", f.ty)),
-            },
-            _ => {
+        // A relationship's outgoing cardinality is list-ness (WS4) ×
+        // `@required` (DS6), and `1..1` reads back as `T! @required`,
+        // `0..1` as `T`. So `T @required` and `T!` print too — unless the
+        // field constrains its targets: DS3/DS4 match a target's label
+        // against the *wrapped* type, no label is below a non-null type,
+        // and moving the `!` would switch those two rules on or off.
+        let (nullable, non_null) = match &f.ty {
+            Type::NonNull(inner) => (&**inner, true),
+            ty => (ty, false),
+        };
+        let (target, outgoing) = match nullable {
+            Type::Named(_) if non_null != required && (unique || required_for_target) => {
                 return bail(format!(
-                    "{at}: type `{}` with{} @required (edges must be `T`, `T! @required`, \
-                     `[T]`, or `[T] @required`)",
+                    "{at}: type `{}` with{} @required beside a target-side directive (only \
+                     `T` and `T! @required` keep @uniqueForTarget / @requiredForTarget as they are)",
                     f.ty,
                     if required { "" } else { "out" },
                 ))
             }
+            Type::Named(n) => (n, Some(if required { "1..1" } else { "0..1" })),
+            Type::List(item) if !non_null => match &**item {
+                Type::Named(n) => (n, required.then_some("1..*")),
+                _ => return bail(format!("{at}: type `{}`", f.ty)),
+            },
+            _ => return bail(format!("{at}: type `{}`", f.ty)),
         };
         let mut props = Vec::new();
         for a in &f.args {
@@ -470,6 +477,38 @@ mod tests {
         let c = compile(&pgs).unwrap();
         let lowered = gql_sdl::print_document(&c.document);
         assert_eq!(lowered, gql_sdl::print_document(&doc), "via:\n{pgs}");
+    }
+
+    /// Outgoing cardinality is list-ness × `@required`; the `!` matters
+    /// only to the target-side rules, where moving it is refused.
+    #[test]
+    fn to_one_relationships_print_with_or_without_the_bang() {
+        let edge = |field: &str| {
+            let sdl =
+                format!("type A {{\n    r: {field}\n}}\ntype B {{\n    x: Int! @required\n}}");
+            print_pgschema(&gql_sdl::parse(&sdl).unwrap(), "G", TypeMode::Strict)
+        };
+        for (field, printed) in [
+            ("B", "->(:B) OUTGOING 0..1"),
+            ("B!", "->(:B) OUTGOING 0..1"),
+            ("B @required", "->(:B) OUTGOING 1..1"),
+            ("B! @required", "->(:B) OUTGOING 1..1"),
+            (
+                "B! @required @uniqueForTarget",
+                "OUTGOING 1..1 INCOMING 0..1",
+            ),
+        ] {
+            let pgs = edge(field).unwrap_or_else(|e| panic!("`{field}`: {e}"));
+            assert!(pgs.contains(printed), "`{field}` printed as:\n{pgs}");
+        }
+        for field in [
+            "B @required @uniqueForTarget",
+            "B! @requiredForTarget",
+            "[B]!",
+        ] {
+            let e = edge(field).expect_err(field);
+            assert!(e.message.contains("`A.r`"), "{e}");
+        }
     }
 
     #[test]

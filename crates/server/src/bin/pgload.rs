@@ -33,58 +33,17 @@
 //! two followers, kills the leader under acknowledged traffic, promotes
 //! a follower and requires zero acked-write loss.
 
-use std::io::{self, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
+use std::path::Path;
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use pg_server::http::read_response;
 use pg_server::ring::Ring;
-use pg_server::workload::{sample_graph, toggle_delta, user_ids, SCHEMA_SDL};
+use pg_server::workload::{
+    self, canonical_report, migrate_body, sample_graph, toggle_delta, user_ids, Client, SCHEMA_SDL,
+};
 use pgraph::json::{self, Json};
-
-/// Status, response headers (lowercased names), body.
-type FullResponse = (u16, Vec<(String, String)>, Vec<u8>);
-
-/// One keep-alive client connection.
-struct Client {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl Client {
-    fn connect(addr: &str) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-        Ok(Client {
-            stream,
-            buf: Vec::new(),
-        })
-    }
-
-    fn request(&mut self, method: &str, target: &str, body: &[u8]) -> io::Result<(u16, Vec<u8>)> {
-        let (status, _headers, body) = self.request_full(method, target, body)?;
-        Ok((status, body))
-    }
-
-    fn request_full(
-        &mut self,
-        method: &str,
-        target: &str,
-        body: &[u8],
-    ) -> io::Result<FullResponse> {
-        let head = format!(
-            "{method} {target} HTTP/1.1\r\nhost: pgload\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        );
-        let mut out = Vec::with_capacity(head.len() + body.len());
-        out.extend_from_slice(head.as_bytes());
-        out.extend_from_slice(body);
-        self.stream.write_all(&out)?;
-        read_response(&mut self.stream, &mut self.buf)
-    }
-}
 
 /// Set once from `--lang pgschema`: the workload then posts the
 /// PG-Schema rendering of the worked-example schema, and schema-carrying
@@ -125,15 +84,15 @@ fn validate_target(engine: &str) -> String {
 
 /// The `{"schema": …, "graph": …}` envelope for the worked-example
 /// workload.
-fn envelope(users: usize) -> String {
-    let graph = sample_graph(users);
-    let mut out = String::new();
-    out.push_str("{\"schema\":");
-    pg_server::http::push_json_string(&mut out, &workload_schema());
-    out.push_str(",\"graph\":");
-    out.push_str(&json::to_json(&graph));
-    out.push('}');
-    out
+fn envelope(users: usize) -> Vec<u8> {
+    workload::envelope(&workload_schema(), &sample_graph(users))
+}
+
+/// The `i`-th toggle of the first user of `sample_graph(users)`, as a
+/// delta body.
+fn toggle_body(users: usize, i: u64) -> String {
+    let user = user_ids(&sample_graph(users))[0];
+    json::delta_to_json(&toggle_delta(user, i))
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -201,20 +160,14 @@ fn run_worker(
         let session_id = if oneshot {
             None
         } else {
-            match client.request("POST", sessions_target(), body.as_bytes()) {
-                Ok((201, response)) => {
-                    let text = String::from_utf8_lossy(&response).into_owned();
-                    match Json::parse(&text)
-                        .ok()
-                        .and_then(|d| d.get("session")?.as_i64())
-                    {
-                        Some(id) => Some(id as u64),
-                        None => {
-                            stats.errors += 1;
-                            continue 'reconnect;
-                        }
+            match client.request("POST", sessions_target(), &body) {
+                Ok((201, response)) => match workload::session_id(&response) {
+                    Some(id) => Some(id),
+                    None => {
+                        stats.errors += 1;
+                        continue 'reconnect;
                     }
-                }
+                },
                 Ok((503, _)) => {
                     stats.shed += 1;
                     std::thread::sleep(Duration::from_millis(20));
@@ -254,7 +207,7 @@ fn run_worker(
                 return stats;
             }
             let result = if oneshot {
-                client.request("POST", &target, body.as_bytes())
+                client.request("POST", &target, &body)
             } else if i % 16 == 15 {
                 client.request("GET", report_target.as_deref().unwrap(), b"")
             } else {
@@ -386,43 +339,34 @@ fn run_hold(addr: &str, count: usize, seconds: u64) -> Result<(), String> {
     for n in 0..count {
         let mut client =
             Client::connect(addr).map_err(|e| format!("connect #{n} of {count}: {e}"))?;
-        match client.request("GET", "/healthz", b"") {
-            Ok((200, _)) => clients.push(client),
-            Ok((503, _)) => return Err(format!("connection #{n} shed with 503")),
-            Ok((status, _)) => return Err(format!("connection #{n}: healthz status {status}")),
-            Err(e) => return Err(format!("connection #{n}: healthz: {e}")),
-        }
+        client.expect(
+            &format!("connection #{n}: healthz"),
+            200,
+            "GET",
+            "/healthz",
+            b"",
+        )?;
+        clients.push(client);
     }
     let ramp_s = started.elapsed().as_secs_f64();
     println!("hold: {count} connections open after {ramp_s:.1}s, holding {seconds}s");
     std::thread::sleep(Duration::from_secs(seconds));
 
     // Every sampled connection must still be alive after idling.
-    let sample = [0, count / 2, count.saturating_sub(1)];
-    for &n in &sample {
-        let Some(client) = clients.get_mut(n) else {
-            continue;
-        };
-        match client.request("GET", "/healthz", b"") {
-            Ok((200, _)) => {}
-            Ok((status, _)) => return Err(format!("held connection #{n}: status {status}")),
-            Err(e) => return Err(format!("held connection #{n} died while idle: {e}")),
+    for n in [0, count / 2, count.saturating_sub(1)] {
+        if let Some(client) = clients.get_mut(n) {
+            client.expect(
+                &format!("held connection #{n}"),
+                200,
+                "GET",
+                "/healthz",
+                b"",
+            )?;
         }
     }
     // The server must agree it is holding them all (+1 for this probe).
     let mut probe = Client::connect(addr).map_err(|e| format!("metrics probe: {e}"))?;
-    let (status, body) = probe
-        .request("GET", "/metrics", b"")
-        .map_err(|e| format!("metrics probe: {e}"))?;
-    if status != 200 {
-        return Err(format!("metrics probe: status {status}"));
-    }
-    let text = String::from_utf8_lossy(&body);
-    let open = text
-        .lines()
-        .find_map(|l| l.strip_prefix("pgschemad_connections_open "))
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .ok_or("metrics probe: no pgschemad_connections_open gauge")?;
+    let open = probe.metric("pgschemad_connections_open")? as usize;
     if open < count {
         return Err(format!(
             "server reports {open} open connections, expected at least {count}"
@@ -432,145 +376,247 @@ fn run_hold(addr: &str, count: usize, seconds: u64) -> Result<(), String> {
     Ok(())
 }
 
+/// Whether a report document (or the `report` member of a delta or
+/// commit answer) says the graph conforms.
+fn conforms(report: &Json) -> Option<bool> {
+    match report.get("report").unwrap_or(report).get("conforms") {
+        Some(Json::Bool(conforms)) => Some(*conforms),
+        _ => None,
+    }
+}
+
 /// One deterministic pass over the HTTP surface; any unexpected response
 /// is a process-exit failure. CI runs this between daemon start and
 /// SIGTERM.
 fn run_smoke(addr: &str) -> Result<(), String> {
     let mut client = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
 
-    let (status, body) = client
-        .request("GET", "/healthz", b"")
-        .map_err(|e| format!("healthz: {e}"))?;
-    if status != 200 {
-        return Err(format!("healthz: status {status}"));
-    }
-    if body != b"ok\n" {
+    if client.expect("healthz", 200, "GET", "/healthz", b"")? != b"ok\n" {
         return Err("healthz: unexpected body".into());
     }
 
     // Stateless validation on every engine agrees the sample conforms.
     let envelope = envelope(4);
     for engine in ["naive", "indexed", "parallel", "incremental"] {
-        let (status, body) = client
-            .request("POST", &validate_target(engine), envelope.as_bytes())
-            .map_err(|e| format!("validate({engine}): {e}"))?;
-        if status != 200 {
-            return Err(format!("validate({engine}): status {status}"));
-        }
-        let report = Json::parse(&String::from_utf8_lossy(&body))
-            .map_err(|e| format!("validate({engine}): bad report JSON: {e}"))?;
-        if report.get("conforms") != Some(&Json::Bool(true)) {
-            return Err(format!("validate({engine}): sample should conform"));
+        let what = format!("validate({engine})");
+        let report = client.expect_json(&what, 200, "POST", &validate_target(engine), &envelope)?;
+        if conforms(&report) != Some(true) {
+            return Err(format!("{what}: sample should conform"));
         }
     }
 
     // Session round trip: create, break, observe, repair, verify.
-    let (status, body) = client
-        .request("POST", sessions_target(), envelope.as_bytes())
-        .map_err(|e| format!("create session: {e}"))?;
-    if status != 201 {
-        return Err(format!("create session: status {status}"));
-    }
-    let created = Json::parse(&String::from_utf8_lossy(&body))
-        .map_err(|e| format!("create session: bad JSON: {e}"))?;
-    let id = created
-        .get("session")
-        .and_then(Json::as_i64)
-        .ok_or("create session: no id")?;
-    let graph = sample_graph(4);
-    let user = user_ids(&graph)[0];
-
-    let break_delta = json::delta_to_json(&toggle_delta(user, 0));
-    let (status, body) = client
-        .request(
-            "POST",
-            &format!("/sessions/{id}/deltas"),
-            break_delta.as_bytes(),
-        )
-        .map_err(|e| format!("breaking delta: {e}"))?;
-    if status != 200 {
-        return Err(format!("breaking delta: status {status}"));
-    }
-    let patched = Json::parse(&String::from_utf8_lossy(&body))
-        .map_err(|e| format!("breaking delta: bad JSON: {e}"))?;
-    if patched.get("report").and_then(|r| r.get("conforms")) != Some(&Json::Bool(false)) {
+    let id = client.create_session(sessions_target(), &envelope)?;
+    let deltas = format!("/sessions/{id}/deltas");
+    let patched = client.expect_json(
+        "breaking delta",
+        200,
+        "POST",
+        &deltas,
+        toggle_body(4, 0).as_bytes(),
+    )?;
+    if conforms(&patched) != Some(false) {
         return Err("breaking delta: report should not conform".into());
     }
-
-    let repair_delta = json::delta_to_json(&toggle_delta(user, 1));
-    let (status, _) = client
-        .request(
-            "POST",
-            &format!("/sessions/{id}/deltas"),
-            repair_delta.as_bytes(),
-        )
-        .map_err(|e| format!("repair delta: {e}"))?;
-    if status != 200 {
-        return Err(format!("repair delta: status {status}"));
-    }
-
-    let (status, body) = client
-        .request("GET", &format!("/sessions/{id}/report"), b"")
-        .map_err(|e| format!("report: {e}"))?;
-    if status != 200 {
-        return Err(format!("report: status {status}"));
-    }
-    let report = Json::parse(&String::from_utf8_lossy(&body))
-        .map_err(|e| format!("report: bad JSON: {e}"))?;
-    if report.get("conforms") != Some(&Json::Bool(true)) {
+    client.expect(
+        "repair delta",
+        200,
+        "POST",
+        &deltas,
+        toggle_body(4, 1).as_bytes(),
+    )?;
+    let report =
+        client.expect_json("report", 200, "GET", &format!("/sessions/{id}/report"), b"")?;
+    if conforms(&report) != Some(true) {
         return Err("report: repaired session should conform".into());
     }
     if report.get("rule_counts").is_none() {
         return Err("report: missing per-rule counts".into());
     }
 
-    let (status, body) = client
-        .request("GET", "/metrics", b"")
-        .map_err(|e| format!("metrics: {e}"))?;
-    let text = String::from_utf8_lossy(&body).into_owned();
-    if status != 200 || !text.contains("pgschemad_validations_total") {
+    let body = client.expect("metrics", 200, "GET", "/metrics", b"")?;
+    let text = String::from_utf8_lossy(&body);
+    let has = |sample: &str| text.contains(sample);
+    if !has("pgschemad_validations_total") {
         return Err("metrics: missing pgschemad_validations_total".into());
     }
-    if !text.contains("pgschemad_sessions_live 1") {
+    if !has("pgschemad_sessions_live 1") {
         return Err("metrics: expected one live session".into());
     }
-    if !text.contains("pgschemad_rule_violations_total{rule=\"WS1\"}")
-        || !text.contains("pgschemad_rule_nanos_total{rule=\"DS7\"}")
+    if !has("pgschemad_rule_violations_total{rule=\"WS1\"}")
+        || !has("pgschemad_rule_nanos_total{rule=\"DS7\"}")
     {
         return Err("metrics: missing per-rule counter families".into());
     }
-    if !text.contains("pgschemad_wakeups_total{core=\"0\"}")
-        || !text.contains("pgschemad_connections_open")
-        || !text.contains("pgschemad_core_connections{core=\"0\"}")
+    if !has("pgschemad_wakeups_total{core=\"0\"}")
+        || !has("pgschemad_connections_open")
+        || !has("pgschemad_core_connections{core=\"0\"}")
     {
         return Err("metrics: missing reactor counter families".into());
     }
 
-    let (status, _) = client
-        .request("DELETE", &format!("/sessions/{id}"), b"")
-        .map_err(|e| format!("delete session: {e}"))?;
-    if status != 200 {
-        return Err(format!("delete session: status {status}"));
-    }
-
+    client.expect(
+        "delete session",
+        200,
+        "DELETE",
+        &format!("/sessions/{id}"),
+        b"",
+    )?;
     println!("smoke: ok");
     Ok(())
 }
 
-/// Strips the volatile `metrics` member (wall times differ run to run)
-/// so two reports over the same state compare byte-for-byte.
-fn canonical_report(body: &[u8]) -> Result<String, String> {
-    let doc = Json::parse(&String::from_utf8_lossy(body)).map_err(|e| format!("bad JSON: {e}"))?;
-    let canonical = match doc {
-        Json::Object(members) => Json::Object(
-            members
-                .into_iter()
-                .filter(|(name, _)| name != "metrics")
-                .collect(),
-        ),
-        other => other,
-    };
-    Ok(canonical.to_string())
+/// A `pgschema serve` child process, SIGKILLed when dropped.
+struct Daemon {
+    child: Child,
+}
+
+impl Daemon {
+    /// Spawns the daemon on `addr` over `data_dir` (two cores, `--fsync
+    /// always`, optionally `--follow`ing a leader) and waits until it
+    /// answers `/healthz`.
+    fn spawn(
+        server_bin: &str,
+        addr: &str,
+        data_dir: &Path,
+        follow: Option<&str>,
+    ) -> Result<(Daemon, Client), String> {
+        let mut command = Command::new(server_bin);
+        command
+            .args([
+                "serve",
+                "--addr",
+                addr,
+                "--cores",
+                "2",
+                "--log-format",
+                "off",
+            ])
+            .args(["--fsync", "always", "--data-dir"])
+            .arg(data_dir);
+        if let Some(leader) = follow {
+            command.args(["--follow", leader]);
+        }
+        let child = command
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .map_err(|e| format!("cannot spawn {server_bin}: {e}"))?;
+        let daemon = Daemon { child };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            if let Ok(mut client) = Client::connect(addr) {
+                if let Ok((200, _)) = client.request("GET", "/healthz", b"") {
+                    return Ok((daemon, client));
+                }
+            }
+            if Instant::now() >= deadline {
+                return Err(format!("daemon on {addr} not ready within 10s"));
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
+}
+
+impl Drop for Daemon {
+    /// SIGKILL: no drain, no flush beyond what `--fsync always` already
+    /// guaranteed per acknowledged append.
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// A scratch directory for one check, removed when dropped.
+struct Scratch(std::path::PathBuf);
+
+impl Scratch {
+    fn new(check: &str) -> Result<Scratch, String> {
+        let dir = std::env::temp_dir().join(format!("pgload-{check}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
+        Ok(Scratch(dir))
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Reserves a loopback port by binding to 0 and releasing it; the daemon
+/// binds it back a moment later.
+fn pick_addr() -> Result<String, String> {
+    let listener = TcpListener::bind("127.0.0.1:0");
+    let addr = listener.and_then(|l| l.local_addr());
+    addr.map(|a| a.to_string())
+        .map_err(|e| format!("cannot pick a port: {e}"))
+}
+
+/// A session's report (volatile timing metrics stripped) and graph
+/// bytes, as `who` serves them.
+fn served_state(client: &mut Client, who: &str, id: u64) -> Result<(String, Vec<u8>), String> {
+    let report = client.expect(
+        &format!("{who} report"),
+        200,
+        "GET",
+        &format!("/sessions/{id}/report"),
+        b"",
+    )?;
+    let graph = client.expect(
+        &format!("{who} graph"),
+        200,
+        "GET",
+        &format!("/sessions/{id}/graph"),
+        b"",
+    )?;
+    Ok((canonical_report(&report, &["metrics"])?, graph))
+}
+
+/// Requires `got` to be the state `want`, saying which half differs.
+fn require_same(
+    what: &str,
+    id: u64,
+    got: &(String, Vec<u8>),
+    want: &(String, Vec<u8>),
+) -> Result<(), String> {
+    if got.0 != want.0 {
+        return Err(format!("session {id}: report {what}"));
+    }
+    if got.1 != want.1 {
+        return Err(format!("session {id}: graph {what}"));
+    }
+    Ok(())
+}
+
+/// Sessions of 2, 4 and 6 users with distinct histories: the first left
+/// broken, the second broken then repaired, the third untouched.
+fn write_histories(client: &mut Client, ids: &[(u64, usize)]) -> Result<(), String> {
+    for (&(id, users), deltas) in ids.iter().zip([1u64, 2, 0]) {
+        for d in 0..deltas {
+            client.expect(
+                "delta",
+                200,
+                "POST",
+                &format!("/sessions/{id}/deltas"),
+                toggle_body(users, d).as_bytes(),
+            )?;
+        }
+    }
+    Ok(())
+}
+
+fn create_sessions(client: &mut Client) -> Result<Vec<(u64, usize)>, String> {
+    [2usize, 4, 6]
+        .into_iter()
+        .map(|users| {
+            Ok((
+                client.create_session(sessions_target(), &envelope(users))?,
+                users,
+            ))
+        })
+        .collect()
 }
 
 /// The restart check (`--restart-check <pgschema-binary>`): load durable
@@ -581,211 +627,90 @@ fn canonical_report(body: &[u8]) -> Result<String, String> {
 /// stays deleted and that new sequence numbers keep flowing after
 /// recovery.
 fn run_restart_check(server_bin: &str) -> Result<(), String> {
-    let data_dir = std::env::temp_dir().join(format!("pgload-restart-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&data_dir);
+    let scratch = Scratch::new("restart")?;
+    let addr = pick_addr()?;
+    let (daemon, mut client) = Daemon::spawn(server_bin, &addr, &scratch.0, None)?;
 
-    // Reserve a port by binding to 0 and releasing it; the daemon binds
-    // it back a moment later.
-    let port = TcpListener::bind("127.0.0.1:0")
-        .and_then(|l| l.local_addr())
-        .map_err(|e| format!("cannot pick a port: {e}"))?
-        .port();
-    let addr = format!("127.0.0.1:{port}");
-    let spawn = || -> Result<std::process::Child, String> {
-        std::process::Command::new(server_bin)
-            .args([
-                "serve",
-                "--addr",
-                &addr,
-                "--cores",
-                "2",
-                "--log-format",
-                "off",
-                "--fsync",
-                "always",
-                "--data-dir",
-            ])
-            .arg(&data_dir)
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .spawn()
-            .map_err(|e| format!("cannot spawn {server_bin}: {e}"))
-    };
-    let wait_ready = || -> Result<Client, String> {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            if let Ok(mut client) = Client::connect(&addr) {
-                if let Ok((200, _)) = client.request("GET", "/healthz", b"") {
-                    return Ok(client);
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(format!("daemon on {addr} not ready within 10s"));
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    };
+    // Three sessions with different histories, plus one conflicting
+    // delta that returns 409 — its deterministic partial effects must
+    // survive the restart too.
+    let ids = create_sessions(&mut client)?;
+    write_histories(&mut client, &ids)?;
+    let conflict = br#"{"ops":[{"op":"remove-node","node":99999}]}"#;
+    let first = format!("/sessions/{}/deltas", ids[0].0);
+    client.expect("conflicting delta", 409, "POST", &first, conflict)?;
 
-    let mut child = spawn()?;
-    let result = (|| -> Result<(), String> {
-        let mut client = wait_ready()?;
+    // A deleted session must stay deleted across the restart.
+    let doomed = client.create_session(sessions_target(), &envelope(3))?;
+    client.expect(
+        "delete doomed",
+        200,
+        "DELETE",
+        &format!("/sessions/{doomed}"),
+        b"",
+    )?;
 
-        // Three sessions with different histories: left broken, broken
-        // then repaired, and untouched. Plus one conflicting delta that
-        // returns 409 — its deterministic partial effects must survive
-        // the restart too.
-        let mut ids = Vec::new();
-        for users in [2usize, 4, 6] {
-            let (status, body) = client
-                .request("POST", sessions_target(), envelope(users).as_bytes())
-                .map_err(|e| format!("create: {e}"))?;
-            if status != 201 {
-                return Err(format!("create: status {status}"));
-            }
-            let id = Json::parse(&String::from_utf8_lossy(&body))
-                .ok()
-                .and_then(|d| d.get("session")?.as_i64())
-                .ok_or("create: no session id")?;
-            ids.push((id, users));
-        }
-        for (i, &(id, users)) in ids.iter().enumerate() {
-            let graph = sample_graph(users);
-            let user = user_ids(&graph)[0];
-            let deltas: u64 = match i {
-                0 => 1, // ends broken
-                1 => 2, // broken, then repaired
-                _ => 0, // untouched
-            };
-            for d in 0..deltas {
-                let delta = json::delta_to_json(&toggle_delta(user, d));
-                let (status, _) = client
-                    .request("POST", &format!("/sessions/{id}/deltas"), delta.as_bytes())
-                    .map_err(|e| format!("delta: {e}"))?;
-                if status != 200 {
-                    return Err(format!("delta: status {status}"));
-                }
-            }
-        }
-        let conflict = r#"{"ops":[{"op":"remove-node","node":99999}]}"#;
-        let (status, _) = client
-            .request(
-                "POST",
-                &format!("/sessions/{}/deltas", ids[0].0),
-                conflict.as_bytes(),
-            )
-            .map_err(|e| format!("conflicting delta: {e}"))?;
-        if status != 409 {
-            return Err(format!("conflicting delta: expected 409, got {status}"));
-        }
+    let mut before = Vec::new();
+    for &(id, _) in &ids {
+        before.push((id, served_state(&mut client, "pre-kill", id)?));
+    }
 
-        // A deleted session must stay deleted across the restart.
-        let (status, body) = client
-            .request("POST", sessions_target(), envelope(3).as_bytes())
-            .map_err(|e| format!("create doomed: {e}"))?;
-        if status != 201 {
-            return Err(format!("create doomed: status {status}"));
-        }
-        let doomed = Json::parse(&String::from_utf8_lossy(&body))
-            .ok()
-            .and_then(|d| d.get("session")?.as_i64())
-            .ok_or("create doomed: no session id")?;
-        let (status, _) = client
-            .request("DELETE", &format!("/sessions/{doomed}"), b"")
-            .map_err(|e| format!("delete doomed: {e}"))?;
-        if status != 200 {
-            return Err(format!("delete doomed: status {status}"));
-        }
+    drop(daemon);
+    let (_daemon, mut client) = Daemon::spawn(server_bin, &addr, &scratch.0, None)?;
 
-        let mut before = Vec::new();
-        for &(id, _) in &ids {
-            let (status, report) = client
-                .request("GET", &format!("/sessions/{id}/report"), b"")
-                .map_err(|e| format!("report: {e}"))?;
-            if status != 200 {
-                return Err(format!("report: status {status}"));
-            }
-            let (status, graph) = client
-                .request("GET", &format!("/sessions/{id}/graph"), b"")
-                .map_err(|e| format!("graph: {e}"))?;
-            if status != 200 {
-                return Err(format!("graph: status {status}"));
-            }
-            before.push((id, canonical_report(&report)?, graph));
-        }
-
-        // SIGKILL: no drain, no flush beyond what `--fsync always`
-        // already guaranteed per acknowledged append.
-        child.kill().map_err(|e| format!("kill: {e}"))?;
-        let _ = child.wait();
-        child = spawn()?;
-        let mut client = wait_ready()?;
-
-        for (id, report_before, graph_before) in &before {
-            let (status, report) = client
-                .request("GET", &format!("/sessions/{id}/report"), b"")
-                .map_err(|e| format!("report after restart: {e}"))?;
-            if status != 200 {
-                return Err(format!("report after restart: status {status}"));
-            }
-            if &canonical_report(&report)? != report_before {
-                return Err(format!("session {id}: report changed across restart"));
-            }
-            let (status, graph) = client
-                .request("GET", &format!("/sessions/{id}/graph"), b"")
-                .map_err(|e| format!("graph after restart: {e}"))?;
-            if status != 200 {
-                return Err(format!("graph after restart: status {status}"));
-            }
-            if &graph != graph_before {
-                return Err(format!("session {id}: graph changed across restart"));
-            }
-        }
-        let (status, _) = client
-            .request("GET", &format!("/sessions/{doomed}/report"), b"")
-            .map_err(|e| format!("doomed after restart: {e}"))?;
-        if status != 404 {
-            return Err(format!("doomed session should stay deleted, got {status}"));
-        }
-        // Recovery must keep handing out fresh ids.
-        let (status, body) = client
-            .request("POST", sessions_target(), envelope(2).as_bytes())
-            .map_err(|e| format!("post-restart create: {e}"))?;
-        if status != 201 {
-            return Err(format!("post-restart create: status {status}"));
-        }
-        let new_id = Json::parse(&String::from_utf8_lossy(&body))
-            .ok()
-            .and_then(|d| d.get("session")?.as_i64())
-            .ok_or("post-restart create: no session id")?;
-        if new_id <= doomed {
-            return Err(format!(
-                "session ids must not be reused: {new_id} after {doomed}"
-            ));
-        }
-        Ok(())
-    })();
-
-    let _ = child.kill();
-    let _ = child.wait();
-    let _ = std::fs::remove_dir_all(&data_dir);
-    result?;
+    for (id, state_before) in &before {
+        let state = served_state(&mut client, "post-restart", *id)?;
+        require_same("changed across restart", *id, &state, state_before)?;
+    }
+    client
+        .expect(
+            "doomed after restart",
+            404,
+            "GET",
+            &format!("/sessions/{doomed}/report"),
+            b"",
+        )
+        .map_err(|e| format!("doomed session should stay deleted: {e}"))?;
+    // Recovery must keep handing out fresh ids.
+    let new_id = client.create_session(sessions_target(), &envelope(2))?;
+    if new_id <= doomed {
+        return Err(format!(
+            "session ids must not be reused: {new_id} after {doomed}"
+        ));
+    }
     println!("restart-check: ok");
     Ok(())
 }
 
-/// Reads one Prometheus gauge/counter value from `/metrics`.
-fn metric_value(client: &mut Client, name: &str) -> Result<u64, String> {
-    let (status, body) = client
-        .request("GET", "/metrics", b"")
-        .map_err(|e| format!("metrics: {e}"))?;
+/// Blocks until `follower` has applied the leader's newest record. A
+/// follower's lag gauges freeze between polls, so "lag 0" alone can be a
+/// stale pre-write reading; the authoritative bar is the leader's own
+/// end sequence, taken from its tail endpoint (`x-wal-end-seq` is the
+/// leader's `next_seq`, one past its newest record).
+fn wait_caught_up(leader: &mut Client, follower: &mut Client, name: &str) -> Result<(), String> {
+    let (status, headers, _) = leader
+        .request_full("GET", "/wal/tail?from=1", b"")
+        .map_err(|e| format!("leader tail: {e}"))?;
     if status != 200 {
-        return Err(format!("metrics: status {status}"));
+        return Err(format!("leader tail: status {status}"));
     }
-    let text = String::from_utf8_lossy(&body);
-    text.lines()
-        .find_map(|l| l.strip_prefix(name).and_then(|rest| rest.strip_prefix(' ')))
-        .and_then(|v| v.trim().parse().ok())
-        .ok_or_else(|| format!("metrics: no `{name}` sample"))
+    let leader_last = headers
+        .iter()
+        .find(|(k, _)| k == "x-wal-end-seq")
+        .and_then(|(_, v)| v.parse::<u64>().ok())
+        .ok_or("leader tail: no x-wal-end-seq header")?
+        .saturating_sub(1);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let applied = "pgschemad_replication_last_applied_seq";
+    while !follower.metric(applied).is_ok_and(|seq| seq >= leader_last) {
+        if Instant::now() >= deadline {
+            return Err(format!(
+                "{name} did not reach leader seq {leader_last} within 10s"
+            ));
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    Ok(())
 }
 
 /// The failover check (`--failover-check <pgschema-binary>`): spawn a
@@ -798,336 +723,110 @@ fn metric_value(client: &mut Client, name: &str) -> Result<u64, String> {
 /// the zero-acked-write-loss guarantee of docs/replication.md exercised
 /// across real processes.
 fn run_failover_check(server_bin: &str) -> Result<(), String> {
-    let scratch = std::env::temp_dir().join(format!("pgload-failover-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    std::fs::create_dir_all(&scratch).map_err(|e| format!("cannot create {scratch:?}: {e}"))?;
-
-    let pick_port = || -> Result<u16, String> {
-        TcpListener::bind("127.0.0.1:0")
-            .and_then(|l| l.local_addr())
-            .map(|a| a.port())
-            .map_err(|e| format!("cannot pick a port: {e}"))
+    let scratch = Scratch::new("failover")?;
+    let (leader_addr, f1_addr, f2_addr) = (pick_addr()?, pick_addr()?, pick_addr()?);
+    let spawn = |addr: &str, dir: &str, follow: Option<&str>| {
+        Daemon::spawn(server_bin, addr, &scratch.0.join(dir), follow)
     };
-    let leader_addr = format!("127.0.0.1:{}", pick_port()?);
-    let f1_addr = format!("127.0.0.1:{}", pick_port()?);
-    let f2_addr = format!("127.0.0.1:{}", pick_port()?);
+    let (leader_daemon, mut leader) = spawn(&leader_addr, "leader", None)?;
 
-    let spawn =
-        |addr: &str, dir: &str, follow: Option<&str>| -> Result<std::process::Child, String> {
-            let mut cmd = std::process::Command::new(server_bin);
-            cmd.args([
-                "serve",
-                "--addr",
-                addr,
-                "--cores",
-                "2",
-                "--log-format",
-                "off",
-                "--fsync",
-                "always",
-                "--data-dir",
-            ])
-            .arg(scratch.join(dir));
-            if let Some(leader) = follow {
-                cmd.args(["--follow", leader]);
-            }
-            cmd.stdout(std::process::Stdio::null())
-                .stderr(std::process::Stdio::null())
-                .spawn()
-                .map_err(|e| format!("cannot spawn {server_bin}: {e}"))
-        };
-    let wait_ready = |addr: &str| -> Result<Client, String> {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            if let Ok(mut client) = Client::connect(addr) {
-                if let Ok((200, _)) = client.request("GET", "/healthz", b"") {
-                    return Ok(client);
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(format!("daemon on {addr} not ready within 10s"));
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    };
+    // Seed the leader before the followers exist, so they must
+    // bootstrap from `GET /wal/snapshot` rather than tailing from
+    // sequence 1.
+    let ids = create_sessions(&mut leader)?;
+    let (_f1_daemon, mut f1) = spawn(&f1_addr, "follower-1", Some(&leader_addr))?;
+    let (_f2_daemon, mut f2) = spawn(&f2_addr, "follower-2", Some(&leader_addr))?;
 
-    let mut children = Vec::new();
-    let result = (|| -> Result<(), String> {
-        children.push(spawn(&leader_addr, "leader", None)?);
-        let mut leader = wait_ready(&leader_addr)?;
+    // More history after the followers attached, so live tailing is
+    // exercised too.
+    write_histories(&mut leader, &ids)?;
 
-        // Seed the leader before the followers exist, so they must
-        // bootstrap from `GET /wal/snapshot` rather than tailing from
-        // sequence 1.
-        let mut ids = Vec::new();
-        for users in [2usize, 4, 6] {
-            let (status, body) = leader
-                .request("POST", sessions_target(), envelope(users).as_bytes())
-                .map_err(|e| format!("create: {e}"))?;
-            if status != 201 {
-                return Err(format!("create: status {status}"));
-            }
-            let id = Json::parse(&String::from_utf8_lossy(&body))
-                .ok()
-                .and_then(|d| d.get("session")?.as_i64())
-                .ok_or("create: no session id")?;
-            ids.push((id, users));
-        }
-
-        children.push(spawn(&f1_addr, "follower-1", Some(&leader_addr))?);
-        children.push(spawn(&f2_addr, "follower-2", Some(&leader_addr))?);
-        let mut f1 = wait_ready(&f1_addr)?;
-        let mut f2 = wait_ready(&f2_addr)?;
-
-        // More history after the followers attached, so live tailing is
-        // exercised too: one session left broken, one broken-then-
-        // repaired, one untouched.
-        for (i, &(id, users)) in ids.iter().enumerate() {
-            let graph = sample_graph(users);
-            let user = user_ids(&graph)[0];
-            let deltas: u64 = match i {
-                0 => 1,
-                1 => 2,
-                _ => 0,
-            };
-            for d in 0..deltas {
-                let delta = json::delta_to_json(&toggle_delta(user, d));
-                let (status, _) = leader
-                    .request("POST", &format!("/sessions/{id}/deltas"), delta.as_bytes())
-                    .map_err(|e| format!("delta: {e}"))?;
-                if status != 200 {
-                    return Err(format!("delta: status {status}"));
-                }
-            }
-        }
-
-        // Every write above was acknowledged; the oracle is the leader's
-        // own view of them.
-        let mut oracle = Vec::new();
-        for &(id, _) in &ids {
-            let (status, report) = leader
-                .request("GET", &format!("/sessions/{id}/report"), b"")
-                .map_err(|e| format!("oracle report: {e}"))?;
-            if status != 200 {
-                return Err(format!("oracle report: status {status}"));
-            }
-            let (status, graph) = leader
-                .request("GET", &format!("/sessions/{id}/graph"), b"")
-                .map_err(|e| format!("oracle graph: {e}"))?;
-            if status != 200 {
-                return Err(format!("oracle graph: status {status}"));
-            }
-            oracle.push((id, canonical_report(&report)?, graph));
-        }
-
-        // Both followers must drain their lag before the leader dies —
-        // promotion only preserves what replication delivered. A
-        // follower's lag gauges freeze between polls, so "lag 0" alone
-        // can be a stale pre-write reading; the authoritative bar is the
-        // leader's own end sequence, taken from its tail endpoint.
-        let (status, headers, _) = leader
-            .request_full("GET", "/wal/tail?from=1", b"")
-            .map_err(|e| format!("leader tail: {e}"))?;
-        if status != 200 {
-            return Err(format!("leader tail: status {status}"));
-        }
-        // `x-wal-end-seq` is the leader's `next_seq` — one past its
-        // newest record, so that is the sequence a caught-up follower
-        // must have applied.
-        let leader_last = headers
-            .iter()
-            .find(|(k, _)| k == "x-wal-end-seq")
-            .and_then(|(_, v)| v.parse::<u64>().ok())
-            .ok_or("leader tail: no x-wal-end-seq header")?
-            .saturating_sub(1);
-        for (name, follower) in [("follower-1", &mut f1), ("follower-2", &mut f2)] {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                let caught_up = metric_value(follower, "pgschemad_replication_last_applied_seq")
-                    .map(|seq| seq >= leader_last)
-                    .unwrap_or(false);
-                if caught_up {
-                    break;
-                }
-                if Instant::now() >= deadline {
-                    return Err(format!(
-                        "{name} did not reach leader seq {leader_last} within 10s"
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            if metric_value(follower, "pgschemad_replication_state") != Ok(2) {
-                return Err(format!("{name} is not in the tailing state"));
-            }
-            if metric_value(follower, "pgschemad_replication_follower") != Ok(1) {
-                return Err(format!("{name} does not report itself as a follower"));
-            }
-        }
-
-        // Follower reads serve the leader's state byte-for-byte.
-        for (name, follower) in [("follower-1", &mut f1), ("follower-2", &mut f2)] {
-            for (id, report_oracle, graph_oracle) in &oracle {
-                let (status, report) = follower
-                    .request("GET", &format!("/sessions/{id}/report"), b"")
-                    .map_err(|e| format!("{name} report: {e}"))?;
-                if status != 200 {
-                    return Err(format!("{name} report: status {status}"));
-                }
-                if &canonical_report(&report)? != report_oracle {
-                    return Err(format!("{name}: session {id} report diverges from leader"));
-                }
-                let (status, graph) = follower
-                    .request("GET", &format!("/sessions/{id}/graph"), b"")
-                    .map_err(|e| format!("{name} graph: {e}"))?;
-                if status != 200 {
-                    return Err(format!("{name} graph: status {status}"));
-                }
-                if &graph != graph_oracle {
-                    return Err(format!("{name}: session {id} graph diverges from leader"));
-                }
-            }
-        }
-
-        // Follower writes are misdirected to the leader, not applied.
-        let (status, headers, _) = f1
-            .request_full("POST", sessions_target(), envelope(2).as_bytes())
-            .map_err(|e| format!("follower write: {e}"))?;
-        if status != 421 {
-            return Err(format!("follower write: expected 421, got {status}"));
-        }
-        let named_leader = headers
-            .iter()
-            .find(|(k, _)| k == "x-pgschema-leader")
-            .map(|(_, v)| v.as_str());
-        if named_leader != Some(leader_addr.as_str()) {
-            return Err(format!(
-                "follower 421 names leader {named_leader:?}, expected {leader_addr}"
-            ));
-        }
-
-        // Leader loss: SIGKILL, then promote follower-1.
-        children[0]
-            .kill()
-            .map_err(|e| format!("kill leader: {e}"))?;
-        let _ = children[0].wait();
-        let promote_started = Instant::now();
-        let (status, body) = f1
-            .request("POST", "/promote", b"")
-            .map_err(|e| format!("promote: {e}"))?;
-        if status != 200 {
-            return Err(format!("promote: status {status}"));
-        }
-        let promoted = Json::parse(&String::from_utf8_lossy(&body))
-            .map_err(|e| format!("promote: bad JSON: {e}"))?;
-        if promoted.get("role") != Some(&Json::Str("leader".into())) {
-            return Err("promote: node did not report itself leader".into());
-        }
-        // Time-to-first-byte after promotion: the first read the new
-        // leader serves in its new role.
-        let (status, _) = f1
-            .request("GET", &format!("/sessions/{}/report", oracle[0].0), b"")
-            .map_err(|e| format!("post-promote read: {e}"))?;
-        if status != 200 {
-            return Err(format!("post-promote read: status {status}"));
-        }
-        let failover_ms = promote_started.elapsed().as_millis();
-        if metric_value(&mut f1, "pgschemad_replication_follower") != Ok(0) {
-            return Err("promoted node still reports itself as a follower".into());
-        }
-
-        // Zero acked-write loss: every oracle session is intact on the
-        // promoted node.
-        for (id, report_oracle, graph_oracle) in &oracle {
-            let (status, report) = f1
-                .request("GET", &format!("/sessions/{id}/report"), b"")
-                .map_err(|e| format!("promoted report: {e}"))?;
-            if status != 200 {
-                return Err(format!("promoted report: status {status}"));
-            }
-            if &canonical_report(&report)? != report_oracle {
-                return Err(format!("promoted node: session {id} lost acked writes"));
-            }
-            let (status, graph) = f1
-                .request("GET", &format!("/sessions/{id}/graph"), b"")
-                .map_err(|e| format!("promoted graph: {e}"))?;
-            if status != 200 || &graph != graph_oracle {
-                return Err(format!("promoted node: session {id} graph diverges"));
-            }
-        }
-
-        // And it takes writes now: a delta on an old session and a
-        // fresh session with an id the old leader never handed out.
-        let graph = sample_graph(ids[1].1);
-        let user = user_ids(&graph)[0];
-        let delta = json::delta_to_json(&toggle_delta(user, 2));
-        let (status, _) = f1
-            .request(
-                "POST",
-                &format!("/sessions/{}/deltas", ids[1].0),
-                delta.as_bytes(),
-            )
-            .map_err(|e| format!("post-promote delta: {e}"))?;
-        if status != 200 {
-            return Err(format!("post-promote delta: status {status}"));
-        }
-        let (status, body) = f1
-            .request("POST", sessions_target(), envelope(3).as_bytes())
-            .map_err(|e| format!("post-promote create: {e}"))?;
-        if status != 201 {
-            return Err(format!("post-promote create: status {status}"));
-        }
-        let new_id = Json::parse(&String::from_utf8_lossy(&body))
-            .ok()
-            .and_then(|d| d.get("session")?.as_i64())
-            .ok_or("post-promote create: no session id")?;
-        if ids.iter().any(|&(id, _)| new_id <= id) {
-            return Err(format!("session ids must not be reused: got {new_id}"));
-        }
-
-        println!("failover-check: ok (promote-to-first-read {failover_ms}ms)");
-        Ok(())
-    })();
-
-    for child in &mut children {
-        let _ = child.kill();
-        let _ = child.wait();
+    // Every write above was acknowledged; the oracle is the leader's
+    // own view of them.
+    let mut oracle = Vec::new();
+    for &(id, _) in &ids {
+        oracle.push((id, served_state(&mut leader, "oracle", id)?));
     }
-    let _ = std::fs::remove_dir_all(&scratch);
-    result
-}
 
-/// Builds the `POST /sessions/{id}/migrate` JSON body.
-fn migrate_request(action: &str, schema: Option<&str>, force: bool) -> Vec<u8> {
-    let mut out = String::new();
-    out.push_str("{\"action\":\"");
-    out.push_str(action);
-    out.push('"');
-    if let Some(sdl) = schema {
-        out.push_str(",\"schema\":");
-        pg_server::http::push_json_string(&mut out, sdl);
+    // Both followers must drain their lag before the leader dies —
+    // promotion only preserves what replication delivered — and then
+    // serve the leader's state byte-for-byte.
+    for (name, follower) in [("follower-1", &mut f1), ("follower-2", &mut f2)] {
+        wait_caught_up(&mut leader, follower, name)?;
+        if follower.metric("pgschemad_replication_state") != Ok(2) {
+            return Err(format!("{name} is not in the tailing state"));
+        }
+        if follower.metric("pgschemad_replication_follower") != Ok(1) {
+            return Err(format!("{name} does not report itself as a follower"));
+        }
+        for (id, state) in &oracle {
+            let what = format!("on {name} diverges from the leader");
+            require_same(&what, *id, &served_state(follower, name, *id)?, state)?;
+        }
     }
-    if force {
-        out.push_str(",\"force\":true");
-    }
-    out.push('}');
-    out.into_bytes()
-}
 
-/// Like [`canonical_report`], but also strips the `engine` member, so a
-/// session report (always `incremental`) compares against the one-shot
-/// `/validate` oracles of the other engines.
-fn canonical_engineless(body: &[u8]) -> Result<String, String> {
-    let doc = Json::parse(&String::from_utf8_lossy(body)).map_err(|e| format!("bad JSON: {e}"))?;
-    let canonical = match doc {
-        Json::Object(members) => Json::Object(
-            members
-                .into_iter()
-                .filter(|(name, _)| name != "metrics" && name != "engine")
-                .collect(),
-        ),
-        other => other,
-    };
-    Ok(canonical.to_string())
+    // Follower writes are misdirected to the leader, not applied.
+    let (status, headers, _) = f1
+        .request_full("POST", sessions_target(), &envelope(2))
+        .map_err(|e| format!("follower write: {e}"))?;
+    if status != 421 {
+        return Err(format!("follower write: expected 421, got {status}"));
+    }
+    let named_leader = headers
+        .iter()
+        .find(|(k, _)| k == "x-pgschema-leader")
+        .map(|(_, v)| v.as_str());
+    if named_leader != Some(leader_addr.as_str()) {
+        return Err(format!(
+            "follower 421 names leader {named_leader:?}, expected {leader_addr}"
+        ));
+    }
+
+    // Leader loss: SIGKILL, then promote follower-1.
+    drop(leader_daemon);
+    let promote_started = Instant::now();
+    let promoted = f1.expect_json("promote", 200, "POST", "/promote", b"")?;
+    if promoted.get("role") != Some(&Json::Str("leader".into())) {
+        return Err("promote: node did not report itself leader".into());
+    }
+    // Time-to-first-byte after promotion: the first read the new
+    // leader serves in its new role.
+    let first = format!("/sessions/{}/report", oracle[0].0);
+    f1.expect("post-promote read", 200, "GET", &first, b"")?;
+    let failover_ms = promote_started.elapsed().as_millis();
+    if f1.metric("pgschemad_replication_follower") != Ok(0) {
+        return Err("promoted node still reports itself as a follower".into());
+    }
+
+    // Zero acked-write loss: every oracle session is intact on the
+    // promoted node.
+    for (id, state) in &oracle {
+        let served = served_state(&mut f1, "promoted", *id)?;
+        require_same(
+            "on the promoted node lost acked writes",
+            *id,
+            &served,
+            state,
+        )?;
+    }
+
+    // And it takes writes now: a delta on an old session and a fresh
+    // session with an id the old leader never handed out.
+    let (id, users) = ids[1];
+    f1.expect(
+        "post-promote delta",
+        200,
+        "POST",
+        &format!("/sessions/{id}/deltas"),
+        toggle_body(users, 2).as_bytes(),
+    )?;
+    let new_id = f1.create_session(sessions_target(), &envelope(3))?;
+    if ids.iter().any(|&(id, _)| new_id <= id) {
+        return Err(format!("session ids must not be reused: got {new_id}"));
+    }
+
+    println!("failover-check: ok (promote-to-first-read {failover_ms}ms)");
+    Ok(())
 }
 
 /// The migration check (`--migrate-check <pgschema-binary>`): a live
@@ -1145,360 +844,145 @@ fn run_migrate_check(server_bin: &str) -> Result<(), String> {
         "nicknames: [String!]!",
         "nicknames: [String!]!\n    note: String",
     );
+    let begin_breaking = migrate_body("begin", Some(&breaking_sdl), false);
+    let begin_compatible = migrate_body("begin", Some(&compatible_sdl), false);
+    let commit = migrate_body("commit", None, false);
 
-    let scratch = std::env::temp_dir().join(format!("pgload-migrate-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    std::fs::create_dir_all(&scratch).map_err(|e| format!("cannot create {scratch:?}: {e}"))?;
+    let scratch = Scratch::new("migrate")?;
+    let (leader_addr, follower_addr) = (pick_addr()?, pick_addr()?);
+    let leader_dir = scratch.0.join("leader");
+    let (leader_daemon, mut leader) = Daemon::spawn(server_bin, &leader_addr, &leader_dir, None)?;
+    let id = leader.create_session(sessions_target(), &envelope(4))?;
+    let migrate = format!("/sessions/{id}/migrate");
+    let report = format!("/sessions/{id}/report");
+    let (_follower_daemon, mut follower) = Daemon::spawn(
+        server_bin,
+        &follower_addr,
+        &scratch.0.join("follower"),
+        Some(&leader_addr),
+    )?;
+    let windows_open = |leader: &mut Client| leader.metric("pgschemad_migration_windows_open");
 
-    let pick_port = || -> Result<u16, String> {
-        TcpListener::bind("127.0.0.1:0")
-            .and_then(|l| l.local_addr())
-            .map(|a| a.port())
-            .map_err(|e| format!("cannot pick a port: {e}"))
-    };
-    let leader_addr = format!("127.0.0.1:{}", pick_port()?);
-    let follower_addr = format!("127.0.0.1:{}", pick_port()?);
-
-    let spawn =
-        |addr: &str, dir: &str, follow: Option<&str>| -> Result<std::process::Child, String> {
-            let mut cmd = std::process::Command::new(server_bin);
-            cmd.args([
-                "serve",
-                "--addr",
-                addr,
-                "--cores",
-                "2",
-                "--log-format",
-                "off",
-                "--fsync",
-                "always",
-                "--data-dir",
-            ])
-            .arg(scratch.join(dir));
-            if let Some(leader) = follow {
-                cmd.args(["--follow", leader]);
-            }
-            cmd.stdout(std::process::Stdio::null())
-                .stderr(std::process::Stdio::null())
-                .spawn()
-                .map_err(|e| format!("cannot spawn {server_bin}: {e}"))
-        };
-    let wait_ready = |addr: &str| -> Result<Client, String> {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            if let Ok(mut client) = Client::connect(addr) {
-                if let Ok((200, _)) = client.request("GET", "/healthz", b"") {
-                    return Ok(client);
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(format!("daemon on {addr} not ready within 10s"));
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    };
-
-    let mut leader_child: Option<std::process::Child> = None;
-    let mut follower_child: Option<std::process::Child> = None;
-    let result = (|| -> Result<(), String> {
-        leader_child = Some(spawn(&leader_addr, "leader", None)?);
-        let mut leader = wait_ready(&leader_addr)?;
-
-        let (status, body) = leader
-            .request("POST", sessions_target(), envelope(4).as_bytes())
-            .map_err(|e| format!("create: {e}"))?;
-        if status != 201 {
-            return Err(format!("create: status {status}"));
-        }
-        let id = Json::parse(&String::from_utf8_lossy(&body))
-            .ok()
-            .and_then(|d| d.get("session")?.as_i64())
-            .ok_or("create: no session id")?;
-        let migrate = format!("/sessions/{id}/migrate");
-
-        follower_child = Some(spawn(&follower_addr, "follower", Some(&leader_addr))?);
-        let mut follower = wait_ready(&follower_addr)?;
-
-        // A caught-up barrier against the leader's own end sequence (the
-        // follower's lag gauges freeze between polls).
-        let wait_caught_up = |leader: &mut Client, follower: &mut Client| -> Result<(), String> {
-            let (status, headers, _) = leader
-                .request_full("GET", "/wal/tail?from=1", b"")
-                .map_err(|e| format!("leader tail: {e}"))?;
-            if status != 200 {
-                return Err(format!("leader tail: status {status}"));
-            }
-            let leader_last = headers
-                .iter()
-                .find(|(k, _)| k == "x-wal-end-seq")
-                .and_then(|(_, v)| v.parse::<u64>().ok())
-                .ok_or("leader tail: no x-wal-end-seq header")?
-                .saturating_sub(1);
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                let caught_up = metric_value(follower, "pgschemad_replication_last_applied_seq")
-                    .map(|seq| seq >= leader_last)
-                    .unwrap_or(false);
-                if caught_up {
-                    return Ok(());
-                }
-                if Instant::now() >= deadline {
-                    return Err(format!(
-                        "follower did not reach leader seq {leader_last} within 10s"
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        };
-
-        // Plans — read-only previews, no window opened.
-        let (status, body) = leader
-            .request(
-                "POST",
-                &migrate,
-                &migrate_request("plan", Some(&breaking_sdl), false),
-            )
-            .map_err(|e| format!("plan breaking: {e}"))?;
-        if status != 200 {
-            return Err(format!("plan breaking: status {status}"));
-        }
-        let plan = Json::parse(&String::from_utf8_lossy(&body))
-            .ok()
-            .and_then(|d| d.get("plan").cloned())
-            .ok_or("plan breaking: no plan member")?;
-        if plan.get("compatible") != Some(&Json::Bool(false)) {
-            return Err("plan breaking: `endTime @required` must preview as breaking".into());
-        }
-        if plan
-            .get("violations_added")
-            .and_then(Json::as_array)
-            .is_none_or(|v| v.is_empty())
-        {
-            return Err("plan breaking: expected a non-empty violation preview".into());
-        }
-        let (status, body) = leader
-            .request(
-                "POST",
-                &migrate,
-                &migrate_request("plan", Some(&compatible_sdl), false),
-            )
-            .map_err(|e| format!("plan compatible: {e}"))?;
-        let compatible_plan = Json::parse(&String::from_utf8_lossy(&body))
-            .ok()
-            .and_then(|d| d.get("plan")?.get("compatible").cloned());
-        if status != 200 || compatible_plan != Some(Json::Bool(true)) {
-            return Err("plan compatible: optional `note` must preview as compatible".into());
-        }
-        if metric_value(&mut leader, "pgschemad_migration_windows_open") != Ok(0) {
-            return Err("plans must not open migration windows".into());
-        }
-
-        // Open a breaking window and run delta traffic through it.
-        let (status, _) = leader
-            .request(
-                "POST",
-                &migrate,
-                &migrate_request("begin", Some(&breaking_sdl), false),
-            )
-            .map_err(|e| format!("begin: {e}"))?;
-        if status != 200 {
-            return Err(format!("begin: status {status}"));
-        }
-        if metric_value(&mut leader, "pgschemad_migration_windows_open") != Ok(1) {
-            return Err("begin: expected one open migration window".into());
-        }
-        let graph = sample_graph(4);
-        let user = user_ids(&graph)[0];
-        for d in 0..2u64 {
-            let delta = json::delta_to_json(&toggle_delta(user, d));
-            let (status, _) = leader
-                .request("POST", &format!("/sessions/{id}/deltas"), delta.as_bytes())
-                .map_err(|e| format!("mid-window delta: {e}"))?;
-            if status != 200 {
-                return Err(format!("mid-window delta: status {status}"));
-            }
-        }
-        // Mid-window, reads still serve the old schema: the follower's
-        // replicated report must conform.
-        wait_caught_up(&mut leader, &mut follower)?;
-        let (status, body) = follower
-            .request("GET", &format!("/sessions/{id}/report"), b"")
-            .map_err(|e| format!("mid-window follower report: {e}"))?;
-        if status != 200 {
-            return Err(format!("mid-window follower report: status {status}"));
-        }
-        let doc = Json::parse(&String::from_utf8_lossy(&body))
-            .map_err(|e| format!("mid-window follower report: bad JSON: {e}"))?;
-        if doc.get("conforms") != Some(&Json::Bool(true)) {
-            return Err("mid-window follower report must still use the old schema".into());
-        }
-
-        // The breaking window has regressions (sessions miss `endTime`),
-        // so a plain commit is refused.
-        let (status, _) = leader
-            .request("POST", &migrate, &migrate_request("commit", None, false))
-            .map_err(|e| format!("commit: {e}"))?;
-        if status != 409 {
-            return Err(format!(
-                "commit with regressions: expected 409, got {status}"
-            ));
-        }
-
-        // SIGKILL mid-window; the WAL-logged Begin must re-open it.
-        let child = leader_child.as_mut().expect("leader spawned");
-        child.kill().map_err(|e| format!("kill leader: {e}"))?;
-        let _ = child.wait();
-        leader_child = Some(spawn(&leader_addr, "leader", None)?);
-        let mut leader = wait_ready(&leader_addr)?;
-        if metric_value(&mut leader, "pgschemad_migration_windows_open") != Ok(1) {
-            return Err("recovery must re-open the migration window".into());
-        }
-        let (status, _) = leader
-            .request("POST", &migrate, &migrate_request("commit", None, false))
-            .map_err(|e| format!("post-recovery commit: {e}"))?;
-        if status != 409 {
-            return Err(format!(
-                "post-recovery commit: regressions survive recovery, expected 409, got {status}"
-            ));
-        }
-
-        // Force the swap and check the session's report against the
-        // four one-shot engine oracles on the session's own graph.
-        let (status, _) = leader
-            .request("POST", &migrate, &migrate_request("commit", None, true))
-            .map_err(|e| format!("force commit: {e}"))?;
-        if status != 200 {
-            return Err(format!("force commit: status {status}"));
-        }
-        let (status, session_report) = leader
-            .request("GET", &format!("/sessions/{id}/report"), b"")
-            .map_err(|e| format!("post-commit report: {e}"))?;
-        if status != 200 {
-            return Err(format!("post-commit report: status {status}"));
-        }
-        let doc = Json::parse(&String::from_utf8_lossy(&session_report))
-            .map_err(|e| format!("post-commit report: bad JSON: {e}"))?;
-        if doc.get("conforms") != Some(&Json::Bool(false)) {
-            return Err("post-commit report must be non-conforming under the new schema".into());
-        }
-        let (status, graph_json) = leader
-            .request("GET", &format!("/sessions/{id}/graph"), b"")
-            .map_err(|e| format!("post-commit graph: {e}"))?;
-        if status != 200 {
-            return Err(format!("post-commit graph: status {status}"));
-        }
-        let mut oneshot = String::new();
-        oneshot.push_str("{\"schema\":");
-        pg_server::http::push_json_string(&mut oneshot, &breaking_sdl);
-        oneshot.push_str(",\"graph\":");
-        oneshot.push_str(&String::from_utf8_lossy(&graph_json));
-        oneshot.push('}');
-        let session_canonical = canonical_engineless(&session_report)?;
-        for engine in ["naive", "indexed", "parallel", "incremental"] {
-            let (status, body) = leader
-                .request(
-                    "POST",
-                    &format!("/validate?engine={engine}"),
-                    oneshot.as_bytes(),
-                )
-                .map_err(|e| format!("oracle({engine}): {e}"))?;
-            if status != 200 {
-                return Err(format!("oracle({engine}): status {status}"));
-            }
-            if canonical_engineless(&body)? != session_canonical {
-                return Err(format!(
-                    "oracle({engine}): post-commit session report diverges from \
-                     a from-scratch validation under the new schema"
-                ));
-            }
-        }
-
-        // A compatible window commits cleanly, and abort closes without
-        // swapping.
-        let (status, _) = leader
-            .request(
-                "POST",
-                &migrate,
-                &migrate_request("begin", Some(&compatible_sdl), false),
-            )
-            .map_err(|e| format!("compatible begin: {e}"))?;
-        if status != 200 {
-            return Err(format!("compatible begin: status {status}"));
-        }
-        let (status, body) = leader
-            .request("POST", &migrate, &migrate_request("commit", None, false))
-            .map_err(|e| format!("compatible commit: {e}"))?;
-        if status != 200 {
-            return Err(format!("compatible commit: status {status}"));
-        }
-        let doc = Json::parse(&String::from_utf8_lossy(&body))
-            .map_err(|e| format!("compatible commit: bad JSON: {e}"))?;
-        if doc.get("committed") != Some(&Json::Bool(true)) {
-            return Err("compatible commit: expected committed:true".into());
-        }
-        let (status, _) = leader
-            .request(
-                "POST",
-                &migrate,
-                &migrate_request("begin", Some(&breaking_sdl), false),
-            )
-            .map_err(|e| format!("abort begin: {e}"))?;
-        if status != 200 {
-            return Err(format!("abort begin: status {status}"));
-        }
-        let (status, _) = leader
-            .request("POST", &migrate, &migrate_request("abort", None, false))
-            .map_err(|e| format!("abort: {e}"))?;
-        if status != 200 {
-            return Err(format!("abort: status {status}"));
-        }
-        if metric_value(&mut leader, "pgschemad_migration_windows_open") != Ok(0) {
-            return Err("abort must close the migration window".into());
-        }
-
-        // The follower replays the whole history — kills, commits,
-        // aborts — and must finish byte-identical, while refusing
-        // migrate writes itself.
-        wait_caught_up(&mut leader, &mut follower)?;
-        let (status, leader_report) = leader
-            .request("GET", &format!("/sessions/{id}/report"), b"")
-            .map_err(|e| format!("final leader report: {e}"))?;
-        if status != 200 {
-            return Err(format!("final leader report: status {status}"));
-        }
-        let (status, follower_report) = follower
-            .request("GET", &format!("/sessions/{id}/report"), b"")
-            .map_err(|e| format!("final follower report: {e}"))?;
-        if status != 200 {
-            return Err(format!("final follower report: status {status}"));
-        }
-        if canonical_report(&leader_report)? != canonical_report(&follower_report)? {
-            return Err("follower report diverges from the leader after the migration".into());
-        }
-        let (status, _) = follower
-            .request(
-                "POST",
-                &migrate,
-                &migrate_request("begin", Some(&compatible_sdl), false),
-            )
-            .map_err(|e| format!("follower migrate: {e}"))?;
-        if status != 421 {
-            return Err(format!("follower migrate: expected 421, got {status}"));
-        }
-
-        println!("migrate-check: ok");
-        Ok(())
-    })();
-
-    for child in [&mut leader_child, &mut follower_child]
-        .into_iter()
-        .flatten()
-    {
-        let _ = child.kill();
-        let _ = child.wait();
+    // Plans — read-only previews, no window opened.
+    let body = migrate_body("plan", Some(&breaking_sdl), false);
+    let doc = leader.expect_json("plan breaking", 200, "POST", &migrate, &body)?;
+    let plan = doc.get("plan").ok_or("plan breaking: no plan member")?;
+    if plan.get("compatible") != Some(&Json::Bool(false)) {
+        return Err("plan breaking: `endTime @required` must preview as breaking".into());
     }
-    let _ = std::fs::remove_dir_all(&scratch);
-    result
+    let preview = plan.get("violations_added").and_then(Json::as_array);
+    if preview.is_none_or(|v| v.is_empty()) {
+        return Err("plan breaking: expected a non-empty violation preview".into());
+    }
+    let body = migrate_body("plan", Some(&compatible_sdl), false);
+    let doc = leader.expect_json("plan compatible", 200, "POST", &migrate, &body)?;
+    if doc.get("plan").and_then(|p| p.get("compatible")) != Some(&Json::Bool(true)) {
+        return Err("plan compatible: optional `note` must preview as compatible".into());
+    }
+    if windows_open(&mut leader) != Ok(0) {
+        return Err("plans must not open migration windows".into());
+    }
+
+    // Open a breaking window and run delta traffic through it.
+    leader.expect("begin", 200, "POST", &migrate, &begin_breaking)?;
+    if windows_open(&mut leader) != Ok(1) {
+        return Err("begin: expected one open migration window".into());
+    }
+    for d in 0..2u64 {
+        leader.expect(
+            "mid-window delta",
+            200,
+            "POST",
+            &format!("/sessions/{id}/deltas"),
+            toggle_body(4, d).as_bytes(),
+        )?;
+    }
+    // Mid-window, reads still serve the old schema: the follower's
+    // replicated report must conform.
+    wait_caught_up(&mut leader, &mut follower, "follower")?;
+    let doc = follower.expect_json("mid-window follower report", 200, "GET", &report, b"")?;
+    if conforms(&doc) != Some(true) {
+        return Err("mid-window follower report must still use the old schema".into());
+    }
+
+    // The breaking window has regressions (sessions miss `endTime`),
+    // so a plain commit is refused.
+    leader.expect("commit with regressions", 409, "POST", &migrate, &commit)?;
+
+    // SIGKILL mid-window; the WAL-logged Begin must re-open it.
+    drop(leader_daemon);
+    let (_leader_daemon, mut leader) = Daemon::spawn(server_bin, &leader_addr, &leader_dir, None)?;
+    if windows_open(&mut leader) != Ok(1) {
+        return Err("recovery must re-open the migration window".into());
+    }
+    leader
+        .expect("post-recovery commit", 409, "POST", &migrate, &commit)
+        .map_err(|e| format!("regressions must survive recovery: {e}"))?;
+
+    // Force the swap and check the session's report against the four
+    // one-shot engine oracles on the session's own graph.
+    let force = migrate_body("commit", None, true);
+    leader.expect("force commit", 200, "POST", &migrate, &force)?;
+    let session_report = leader.expect("post-commit report", 200, "GET", &report, b"")?;
+    let doc = Json::parse(&String::from_utf8_lossy(&session_report))
+        .map_err(|e| format!("post-commit report: bad JSON: {e}"))?;
+    if conforms(&doc) != Some(false) {
+        return Err("post-commit report must be non-conforming under the new schema".into());
+    }
+    let session_canonical = canonical_report(&session_report, &["metrics", "engine"])?;
+    let graph_json = leader.expect(
+        "post-commit graph",
+        200,
+        "GET",
+        &format!("/sessions/{id}/graph"),
+        b"",
+    )?;
+    let mut oneshot = String::from("{\"schema\":");
+    pg_server::http::push_json_string(&mut oneshot, &breaking_sdl);
+    oneshot.push_str(",\"graph\":");
+    oneshot.push_str(&String::from_utf8_lossy(&graph_json));
+    oneshot.push('}');
+    for engine in ["naive", "indexed", "parallel", "incremental"] {
+        let what = format!("oracle({engine})");
+        let target = format!("/validate?engine={engine}");
+        let body = leader.expect(&what, 200, "POST", &target, oneshot.as_bytes())?;
+        if canonical_report(&body, &["metrics", "engine"])? != session_canonical {
+            return Err(format!(
+                "{what}: post-commit session report diverges from \
+                 a from-scratch validation under the new schema"
+            ));
+        }
+    }
+
+    // A compatible window commits cleanly, and abort closes without
+    // swapping.
+    leader.expect("compatible begin", 200, "POST", &migrate, &begin_compatible)?;
+    let doc = leader.expect_json("compatible commit", 200, "POST", &migrate, &commit)?;
+    if doc.get("committed") != Some(&Json::Bool(true)) {
+        return Err("compatible commit: expected committed:true".into());
+    }
+    leader.expect("abort begin", 200, "POST", &migrate, &begin_breaking)?;
+    let abort = migrate_body("abort", None, false);
+    leader.expect("abort", 200, "POST", &migrate, &abort)?;
+    if windows_open(&mut leader) != Ok(0) {
+        return Err("abort must close the migration window".into());
+    }
+
+    // The follower replays the whole history — kills, commits, aborts —
+    // and must finish byte-identical, while refusing migrate writes
+    // itself.
+    wait_caught_up(&mut leader, &mut follower, "follower")?;
+    let leader_report = leader.expect("final leader report", 200, "GET", &report, b"")?;
+    let follower_report = follower.expect("final follower report", 200, "GET", &report, b"")?;
+    if canonical_report(&leader_report, &["metrics"])?
+        != canonical_report(&follower_report, &["metrics"])?
+    {
+        return Err("follower report diverges from the leader after the migration".into());
+    }
+    follower.expect("follower migrate", 421, "POST", &migrate, &begin_compatible)?;
+
+    println!("migrate-check: ok");
+    Ok(())
 }
 
 fn usage() -> ! {

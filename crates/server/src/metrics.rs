@@ -122,26 +122,96 @@ struct EngineCounters {
     elements_total: AtomicU64,
 }
 
+/// A fixed-bucket histogram over `N` upper bounds plus the implicit
+/// `+Inf` bucket, and the sum of everything recorded — relaxed atomics
+/// in fixed arrays, two adds per sample. The bounds are one of the
+/// `*_BUCKETS*` constants, named by the caller rather than stored beside
+/// the counters the cores write; the sample count is not stored either:
+/// it is what the buckets add up to.
+struct Histogram<const N: usize> {
+    /// Samples at or below each bound (and above the previous one).
+    buckets: [AtomicU64; N],
+    /// Samples above the last bound.
+    overflow: AtomicU64,
+    sum: AtomicU64,
+}
+
+impl<const N: usize> Histogram<N> {
+    fn new() -> Self {
+        Histogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            overflow: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+        }
+    }
+
+    fn record(&self, bounds: &[u64; N], value: u64) {
+        let bucket = match bounds.iter().position(|&bound| value <= bound) {
+            Some(i) => &self.buckets[i],
+            None => &self.overflow,
+        };
+        bucket.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+    }
+
+    /// Writes the family: cumulative `_bucket` samples, `_sum`, `_count`.
+    fn render(&self, out: &mut String, bounds: &[u64; N], name: &str, help: &str) {
+        family(out, name, help, "histogram", &[]);
+        let mut cumulative = 0u64;
+        for (bound, bucket) in bounds.iter().zip(&self.buckets) {
+            cumulative += bucket.load(Ordering::Relaxed);
+            out.push_str(&format!("{name}_bucket{{le=\"{bound}\"}} {cumulative}\n"));
+        }
+        cumulative += self.overflow.load(Ordering::Relaxed);
+        out.push_str(&format!(
+            "{name}_bucket{{le=\"+Inf\"}} {cumulative}\n{name}_sum {}\n{name}_count {cumulative}\n",
+            self.sum.load(Ordering::Relaxed)
+        ));
+    }
+}
+
+/// Writes one metric family: its `# HELP` and `# TYPE` lines, then one
+/// line per `(label set, value)` sample — the label set rendered as
+/// `{name="value"}`, or empty for an unlabelled metric.
+fn family(out: &mut String, name: &str, help: &str, kind: &str, samples: &[(String, u64)]) {
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+    for (labels, value) in samples {
+        out.push_str(&format!("{name}{labels} {value}\n"));
+    }
+}
+
+/// The single sample of an unlabelled metric.
+fn one(value: u64) -> [(String, u64); 1] {
+    [(String::new(), value)]
+}
+
+/// One sample per item, labelled `{label="<item>"}`.
+fn labelled<T: std::fmt::Display>(
+    label: &str,
+    samples: impl IntoIterator<Item = (T, u64)>,
+) -> Vec<(String, u64)> {
+    let samples = samples.into_iter();
+    samples
+        .map(|(item, value)| (format!("{{{label}=\"{item}\"}}"), value))
+        .collect()
+}
+
 /// All counters the daemon exports. One instance lives for the server's
 /// lifetime, shared by every worker via `Arc`.
 pub struct Metrics {
     /// `(route template, status)` → request count.
     requests: Mutex<BTreeMap<(&'static str, u16), u64>>,
-    /// Cumulative histogram counts per bucket of
-    /// [`LATENCY_BUCKETS_MICROS`], plus one `+Inf` slot at the end.
-    latency_buckets: [AtomicU64; LATENCY_BUCKETS_MICROS.len() + 1],
-    latency_sum_micros: AtomicU64,
-    latency_count: AtomicU64,
+    /// Request latency over [`LATENCY_BUCKETS_MICROS`].
+    latency: Histogram<{ LATENCY_BUCKETS_MICROS.len() }>,
     /// Connections shed with `503` because the connection cap was hit.
     shed: AtomicU64,
     /// Connections accepted since startup (shed ones included).
     accepted: AtomicU64,
     /// `epoll_wait` returns that delivered at least one event, per core.
     wakeups: Vec<AtomicU64>,
-    /// Events-per-wakeup histogram over [`WAKEUP_EVENT_BUCKETS`], plus
-    /// one `+Inf` slot at the end; aggregated across cores.
-    wakeup_event_buckets: [AtomicU64; WAKEUP_EVENT_BUCKETS.len() + 1],
-    wakeup_event_sum: AtomicU64,
+    /// Events per wakeup over [`WAKEUP_EVENT_BUCKETS`], aggregated
+    /// across cores.
+    wakeup_events: Histogram<{ WAKEUP_EVENT_BUCKETS.len() }>,
     /// Schema-migration API actions, indexed like [`MIGRATION_ACTIONS`].
     migration_actions: [AtomicU64; MIGRATION_ACTIONS.len()],
     /// Per-engine validation counters, indexed like [`ENGINES`].
@@ -152,11 +222,9 @@ pub struct Metrics {
     /// Wall time spent per rule kernel across all runs (nanoseconds),
     /// indexed like [`Rule::ALL`].
     rule_nanos: [AtomicU64; Rule::ALL.len()],
-    /// WAL append-latency histogram (includes the fsync when the policy
-    /// syncs on the append path), plus one `+Inf` slot at the end.
-    wal_append_buckets: [AtomicU64; WAL_LATENCY_BUCKETS_MICROS.len() + 1],
-    wal_append_sum_micros: AtomicU64,
-    wal_append_count: AtomicU64,
+    /// WAL append latency (includes the fsync when the policy syncs on
+    /// the append path) over [`WAL_LATENCY_BUCKETS_MICROS`].
+    wal_append: Histogram<{ WAL_LATENCY_BUCKETS_MICROS.len() }>,
     /// Follower-side replication counters (all zero on a leader).
     pub replication: ReplicationMetrics,
 }
@@ -166,21 +234,16 @@ impl Metrics {
     pub fn new(cores: usize) -> Self {
         Metrics {
             requests: Mutex::new(BTreeMap::new()),
-            latency_buckets: Default::default(),
-            latency_sum_micros: AtomicU64::new(0),
-            latency_count: AtomicU64::new(0),
+            latency: Histogram::new(),
             shed: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
             wakeups: (0..cores.max(1)).map(|_| AtomicU64::new(0)).collect(),
-            wakeup_event_buckets: Default::default(),
-            wakeup_event_sum: AtomicU64::new(0),
+            wakeup_events: Histogram::new(),
             migration_actions: Default::default(),
             engines: Default::default(),
             rule_violations: Default::default(),
             rule_nanos: Default::default(),
-            wal_append_buckets: Default::default(),
-            wal_append_sum_micros: AtomicU64::new(0),
-            wal_append_count: AtomicU64::new(0),
+            wal_append: Histogram::new(),
             replication: ReplicationMetrics::default(),
         }
     }
@@ -188,14 +251,7 @@ impl Metrics {
     /// Records the latency of one durable WAL append (write plus
     /// whatever syncing the fsync policy performed inline).
     pub fn record_wal_append(&self, micros: u64) {
-        let bucket = WAL_LATENCY_BUCKETS_MICROS
-            .iter()
-            .position(|&b| micros <= b)
-            .unwrap_or(WAL_LATENCY_BUCKETS_MICROS.len());
-        self.wal_append_buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.wal_append_sum_micros
-            .fetch_add(micros, Ordering::Relaxed);
-        self.wal_append_count.fetch_add(1, Ordering::Relaxed);
+        self.wal_append.record(&WAL_LATENCY_BUCKETS_MICROS, micros);
     }
 
     /// Records one served request: its route template (e.g.
@@ -207,13 +263,7 @@ impl Metrics {
             .unwrap()
             .entry((route, status))
             .or_insert(0) += 1;
-        let bucket = LATENCY_BUCKETS_MICROS
-            .iter()
-            .position(|&b| micros <= b)
-            .unwrap_or(LATENCY_BUCKETS_MICROS.len());
-        self.latency_buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.latency_sum_micros.fetch_add(micros, Ordering::Relaxed);
-        self.latency_count.fetch_add(1, Ordering::Relaxed);
+        self.latency.record(&LATENCY_BUCKETS_MICROS, micros);
     }
 
     /// Records one connection shed with `503` by the accept thread.
@@ -237,13 +287,8 @@ impl Metrics {
         if let Some(w) = self.wakeups.get(core) {
             w.fetch_add(1, Ordering::Relaxed);
         }
-        let events = events as u64;
-        let bucket = WAKEUP_EVENT_BUCKETS
-            .iter()
-            .position(|&b| events <= b)
-            .unwrap_or(WAKEUP_EVENT_BUCKETS.len());
-        self.wakeup_event_buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.wakeup_event_sum.fetch_add(events, Ordering::Relaxed);
+        self.wakeup_events
+            .record(&WAKEUP_EVENT_BUCKETS, events as u64);
     }
 
     /// Records one schema-migration API action on a session.
@@ -278,329 +323,258 @@ impl Metrics {
     /// store's counters — are sampled by the caller into a
     /// [`RenderGauges`] at render time.
     pub fn render(&self, g: &RenderGauges) -> String {
-        let mut out = String::with_capacity(4096);
+        let mut text = String::with_capacity(4096);
+        let out = &mut text;
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
 
-        out.push_str(
-            "# HELP pgschemad_http_requests_total Requests served, by route and status.\n",
+        let requests: Vec<(String, u64)> = {
+            let requests = self.requests.lock().unwrap();
+            let sample = |((route, status), count): (&(&str, u16), &u64)| {
+                (format!("{{route=\"{route}\",status=\"{status}\"}}"), *count)
+            };
+            requests.iter().map(sample).collect()
+        };
+        family(
+            out,
+            "pgschemad_http_requests_total",
+            "Requests served, by route and status.",
+            "counter",
+            &requests,
         );
-        out.push_str("# TYPE pgschemad_http_requests_total counter\n");
-        for ((route, status), count) in self.requests.lock().unwrap().iter() {
-            out.push_str(&format!(
-                "pgschemad_http_requests_total{{route=\"{route}\",status=\"{status}\"}} {count}\n"
-            ));
-        }
-
-        out.push_str(
-            "# HELP pgschemad_request_duration_micros Request latency histogram (microseconds).\n",
+        self.latency.render(
+            out,
+            &LATENCY_BUCKETS_MICROS,
+            "pgschemad_request_duration_micros",
+            "Request latency histogram (microseconds).",
         );
-        out.push_str("# TYPE pgschemad_request_duration_micros histogram\n");
-        let mut cumulative = 0u64;
-        for (i, &bound) in LATENCY_BUCKETS_MICROS.iter().enumerate() {
-            cumulative += self.latency_buckets[i].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "pgschemad_request_duration_micros_bucket{{le=\"{bound}\"}} {cumulative}\n"
-            ));
-        }
-        cumulative += self.latency_buckets[LATENCY_BUCKETS_MICROS.len()].load(Ordering::Relaxed);
-        out.push_str(&format!(
-            "pgschemad_request_duration_micros_bucket{{le=\"+Inf\"}} {cumulative}\n"
-        ));
-        out.push_str(&format!(
-            "pgschemad_request_duration_micros_sum {}\n",
-            self.latency_sum_micros.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "pgschemad_request_duration_micros_count {}\n",
-            self.latency_count.load(Ordering::Relaxed)
-        ));
 
-        out.push_str("# HELP pgschemad_validations_total Validation runs, by engine.\n");
-        out.push_str("# TYPE pgschemad_validations_total counter\n");
-        for engine in ENGINES {
-            let c = &self.engines[engine_index(engine)];
-            out.push_str(&format!(
-                "pgschemad_validations_total{{engine=\"{}\"}} {}\n",
-                engine.name(),
-                c.validations.load(Ordering::Relaxed)
-            ));
-        }
-        type Getter = fn(&EngineCounters) -> u64;
-        let families: [(&str, &str, Getter); 4] = [
+        type Getter = fn(&EngineCounters) -> &AtomicU64;
+        let by_engine: [(&str, &str, Getter); 5] = [
+            (
+                "pgschemad_validations_total",
+                "Validation runs, by engine.",
+                |c| &c.validations,
+            ),
             (
                 "pgschemad_nodes_scanned_total",
                 "Nodes scanned by validation runs, by engine.",
-                |c| c.nodes_scanned.load(Ordering::Relaxed),
+                |c| &c.nodes_scanned,
             ),
             (
                 "pgschemad_edges_scanned_total",
                 "Edges scanned by validation runs, by engine.",
-                |c| c.edges_scanned.load(Ordering::Relaxed),
+                |c| &c.edges_scanned,
             ),
             (
                 "pgschemad_elements_rechecked_total",
                 "Elements re-checked (dirty region for incremental runs), by engine.",
-                |c| c.elements_rechecked.load(Ordering::Relaxed),
+                |c| &c.elements_rechecked,
             ),
             (
                 "pgschemad_elements_total",
                 "Live elements of the validated graphs, by engine.",
-                |c| c.elements_total.load(Ordering::Relaxed),
+                |c| &c.elements_total,
             ),
         ];
-        for (metric, help, get) in families {
-            out.push_str(&format!(
-                "# HELP {metric} {help}\n# TYPE {metric} counter\n"
-            ));
-            for engine in ENGINES {
-                out.push_str(&format!(
-                    "{metric}{{engine=\"{}\"}} {}\n",
-                    engine.name(),
-                    get(&self.engines[engine_index(engine)])
-                ));
-            }
+        for (name, help, get) in by_engine {
+            let samples = ENGINES
+                .iter()
+                .zip(&self.engines)
+                .map(|(engine, counters)| (engine.name(), load(get(counters))));
+            family(out, name, help, "counter", &labelled("engine", samples));
         }
+        let by_rule = |counters: &[AtomicU64]| {
+            labelled("rule", Rule::ALL.iter().zip(counters.iter().map(load)))
+        };
+        family(
+            out,
+            "pgschemad_rule_violations_total",
+            "Violations found by validation runs, by rule.",
+            "counter",
+            &by_rule(&self.rule_violations),
+        );
+        family(
+            out,
+            "pgschemad_rule_nanos_total",
+            "Wall time spent per rule kernel (nanoseconds).",
+            "counter",
+            &by_rule(&self.rule_nanos),
+        );
 
-        out.push_str(
-            "# HELP pgschemad_rule_violations_total Violations found by validation runs, by rule.\n",
+        family(
+            out,
+            "pgschemad_sessions_live",
+            "Incremental sessions currently held.",
+            "gauge",
+            &one(g.sessions_live as u64),
         );
-        out.push_str("# TYPE pgschemad_rule_violations_total counter\n");
-        for (i, rule) in Rule::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "pgschemad_rule_violations_total{{rule=\"{rule}\"}} {}\n",
-                self.rule_violations[i].load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str(
-            "# HELP pgschemad_rule_nanos_total Wall time spent per rule kernel (nanoseconds).\n",
+        family(
+            out,
+            "pgschemad_sessions_recovered_total",
+            "Sessions rebuilt from the store at startup.",
+            "counter",
+            &one(g.sessions_recovered),
         );
-        out.push_str("# TYPE pgschemad_rule_nanos_total counter\n");
-        for (i, rule) in Rule::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "pgschemad_rule_nanos_total{{rule=\"{rule}\"}} {}\n",
-                self.rule_nanos[i].load(Ordering::Relaxed)
-            ));
-        }
+        family(
+            out,
+            "pgschemad_sessions_evicted_total",
+            "Sessions evicted by --max-sessions.",
+            "counter",
+            &one(g.sessions_evicted),
+        );
+        family(
+            out,
+            "pgschemad_connections_open",
+            "Connections currently open.",
+            "gauge",
+            &one(g.connections_open as u64),
+        );
+        let per_core = g.core_connections.iter().map(|&count| count as u64);
+        family(
+            out,
+            "pgschemad_core_connections",
+            "Connections currently owned by each reactor core.",
+            "gauge",
+            &labelled("core", per_core.enumerate()),
+        );
+        family(
+            out,
+            "pgschemad_connections_accepted_total",
+            "Connections accepted since startup.",
+            "counter",
+            &one(load(&self.accepted)),
+        );
+        family(
+            out,
+            "pgschemad_shed_total",
+            "Connections shed with 503 (at the connection cap).",
+            "counter",
+            &one(self.shed_count()),
+        );
+        family(
+            out,
+            "pgschemad_wakeups_total",
+            "Productive epoll_wait returns, by reactor core.",
+            "counter",
+            &labelled("core", self.wakeups.iter().map(load).enumerate()),
+        );
+        self.wakeup_events.render(
+            out,
+            &WAKEUP_EVENT_BUCKETS,
+            "pgschemad_wakeup_events",
+            "Events delivered per productive epoll_wait return.",
+        );
 
-        out.push_str("# HELP pgschemad_sessions_live Incremental sessions currently held.\n");
-        out.push_str("# TYPE pgschemad_sessions_live gauge\n");
-        out.push_str(&format!("pgschemad_sessions_live {}\n", g.sessions_live));
-        out.push_str(
-            "# HELP pgschemad_sessions_recovered_total Sessions rebuilt from the store at startup.\n",
+        let actions = MIGRATION_ACTIONS
+            .iter()
+            .zip(self.migration_actions.iter().map(load));
+        family(
+            out,
+            "pgschemad_migration_actions_total",
+            "Schema-migration actions taken, by action.",
+            "counter",
+            &labelled("action", actions),
         );
-        out.push_str("# TYPE pgschemad_sessions_recovered_total counter\n");
-        out.push_str(&format!(
-            "pgschemad_sessions_recovered_total {}\n",
-            g.sessions_recovered
-        ));
-        out.push_str(
-            "# HELP pgschemad_sessions_evicted_total Sessions evicted by --max-sessions.\n",
+        family(
+            out,
+            "pgschemad_migration_windows_open",
+            "Sessions currently inside an open dual-schema migration window.",
+            "gauge",
+            &one(g.migration_windows_open as u64),
         );
-        out.push_str("# TYPE pgschemad_sessions_evicted_total counter\n");
-        out.push_str(&format!(
-            "pgschemad_sessions_evicted_total {}\n",
-            g.sessions_evicted
-        ));
-        out.push_str("# HELP pgschemad_connections_open Connections currently open.\n");
-        out.push_str("# TYPE pgschemad_connections_open gauge\n");
-        out.push_str(&format!(
-            "pgschemad_connections_open {}\n",
-            g.connections_open
-        ));
-        out.push_str(
-            "# HELP pgschemad_core_connections Connections currently owned by each reactor core.\n",
+        self.wal_append.render(
+            out,
+            &WAL_LATENCY_BUCKETS_MICROS,
+            "pgschemad_wal_append_duration_micros",
+            "WAL append latency histogram (microseconds; includes inline fsync).",
         );
-        out.push_str("# TYPE pgschemad_core_connections gauge\n");
-        for (core, count) in g.core_connections.iter().enumerate() {
-            out.push_str(&format!(
-                "pgschemad_core_connections{{core=\"{core}\"}} {count}\n"
-            ));
-        }
-        out.push_str(
-            "# HELP pgschemad_connections_accepted_total Connections accepted since startup.\n",
-        );
-        out.push_str("# TYPE pgschemad_connections_accepted_total counter\n");
-        out.push_str(&format!(
-            "pgschemad_connections_accepted_total {}\n",
-            self.accepted.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP pgschemad_shed_total Connections shed with 503 (at the connection cap).\n",
-        );
-        out.push_str("# TYPE pgschemad_shed_total counter\n");
-        out.push_str(&format!("pgschemad_shed_total {}\n", self.shed_count()));
-        out.push_str(
-            "# HELP pgschemad_wakeups_total Productive epoll_wait returns, by reactor core.\n",
-        );
-        out.push_str("# TYPE pgschemad_wakeups_total counter\n");
-        for (core, w) in self.wakeups.iter().enumerate() {
-            out.push_str(&format!(
-                "pgschemad_wakeups_total{{core=\"{core}\"}} {}\n",
-                w.load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str(
-            "# HELP pgschemad_wakeup_events Events delivered per productive epoll_wait return.\n",
-        );
-        out.push_str("# TYPE pgschemad_wakeup_events histogram\n");
-        let mut cumulative = 0u64;
-        for (i, &bound) in WAKEUP_EVENT_BUCKETS.iter().enumerate() {
-            cumulative += self.wakeup_event_buckets[i].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "pgschemad_wakeup_events_bucket{{le=\"{bound}\"}} {cumulative}\n"
-            ));
-        }
-        cumulative += self.wakeup_event_buckets[WAKEUP_EVENT_BUCKETS.len()].load(Ordering::Relaxed);
-        out.push_str(&format!(
-            "pgschemad_wakeup_events_bucket{{le=\"+Inf\"}} {cumulative}\n"
-        ));
-        out.push_str(&format!(
-            "pgschemad_wakeup_events_sum {}\n",
-            self.wakeup_event_sum.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!("pgschemad_wakeup_events_count {cumulative}\n"));
-
-        out.push_str(
-            "# HELP pgschemad_migration_actions_total Schema-migration actions taken, \
-             by action.\n",
-        );
-        out.push_str("# TYPE pgschemad_migration_actions_total counter\n");
-        for (i, name) in MIGRATION_ACTIONS.iter().enumerate() {
-            out.push_str(&format!(
-                "pgschemad_migration_actions_total{{action=\"{name}\"}} {}\n",
-                self.migration_actions[i].load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str(
-            "# HELP pgschemad_migration_windows_open Sessions currently inside an open \
-             dual-schema migration window.\n",
-        );
-        out.push_str("# TYPE pgschemad_migration_windows_open gauge\n");
-        out.push_str(&format!(
-            "pgschemad_migration_windows_open {}\n",
-            g.migration_windows_open
-        ));
-
-        out.push_str(
-            "# HELP pgschemad_wal_append_duration_micros WAL append latency histogram \
-             (microseconds; includes inline fsync).\n",
-        );
-        out.push_str("# TYPE pgschemad_wal_append_duration_micros histogram\n");
-        let mut cumulative = 0u64;
-        for (i, &bound) in WAL_LATENCY_BUCKETS_MICROS.iter().enumerate() {
-            cumulative += self.wal_append_buckets[i].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "pgschemad_wal_append_duration_micros_bucket{{le=\"{bound}\"}} {cumulative}\n"
-            ));
-        }
-        cumulative +=
-            self.wal_append_buckets[WAL_LATENCY_BUCKETS_MICROS.len()].load(Ordering::Relaxed);
-        out.push_str(&format!(
-            "pgschemad_wal_append_duration_micros_bucket{{le=\"+Inf\"}} {cumulative}\n"
-        ));
-        out.push_str(&format!(
-            "pgschemad_wal_append_duration_micros_sum {}\n",
-            self.wal_append_sum_micros.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "pgschemad_wal_append_duration_micros_count {}\n",
-            self.wal_append_count.load(Ordering::Relaxed)
-        ));
 
         if let Some(follower) = g.role_follower {
-            out.push_str(
-                "# HELP pgschemad_replication_follower 1 while this process is a follower, \
-                 0 once it is (or becomes) the leader.\n",
+            family(
+                out,
+                "pgschemad_replication_follower",
+                "1 while this process is a follower, 0 once it is (or becomes) the leader.",
+                "gauge",
+                &one(u64::from(follower)),
             );
-            out.push_str("# TYPE pgschemad_replication_follower gauge\n");
-            out.push_str(&format!(
-                "pgschemad_replication_follower {}\n",
-                u8::from(follower)
-            ));
         }
         let r = &self.replication;
-        let repl_gauges: [(&str, &str, u64); 4] = [
+        let mut unlabelled: Vec<(&str, &str, &str, u64)> = vec![
             (
                 "pgschemad_replication_state",
                 "Follower state: 0 none, 1 connecting, 2 tailing, 3 stalled.",
-                r.state.load(Ordering::Relaxed),
+                "gauge",
+                load(&r.state),
             ),
             (
                 "pgschemad_replication_lag_records",
                 "Leader records not yet applied by this follower.",
-                r.lag_records.load(Ordering::Relaxed),
+                "gauge",
+                load(&r.lag_records),
             ),
             (
                 "pgschemad_replication_lag_bytes",
                 "Leader WAL bytes not yet received by this follower.",
-                r.lag_bytes.load(Ordering::Relaxed),
+                "gauge",
+                load(&r.lag_bytes),
             ),
             (
                 "pgschemad_replication_last_applied_seq",
                 "Newest leader sequence number applied by this follower.",
-                r.last_applied_seq.load(Ordering::Relaxed),
+                "gauge",
+                load(&r.last_applied_seq),
             ),
-        ];
-        for (metric, help, value) in repl_gauges {
-            out.push_str(&format!(
-                "# HELP {metric} {help}\n# TYPE {metric} gauge\n{metric} {value}\n"
-            ));
-        }
-        let repl_counters: [(&str, &str, u64); 2] = [
             (
                 "pgschemad_replication_reconnects_total",
                 "Connection attempts to the leader since startup.",
-                r.reconnects_total.load(Ordering::Relaxed),
+                "counter",
+                load(&r.reconnects_total),
             ),
             (
                 "pgschemad_replication_records_applied_total",
                 "WAL records applied from the leader since startup.",
-                r.records_applied_total.load(Ordering::Relaxed),
+                "counter",
+                load(&r.records_applied_total),
             ),
         ];
-        for (metric, help, value) in repl_counters {
-            out.push_str(&format!(
-                "# HELP {metric} {help}\n# TYPE {metric} counter\n{metric} {value}\n"
-            ));
-        }
-
         if let Some(stats) = &g.store {
-            let counters: [(&str, &str, u64); 4] = [
+            unlabelled.extend([
                 (
                     "pgschemad_wal_appends_total",
                     "Records appended to the WAL since startup.",
+                    "counter",
                     stats.appends,
                 ),
                 (
                     "pgschemad_wal_fsyncs_total",
                     "Explicit fsyncs issued by the store since startup.",
+                    "counter",
                     stats.fsyncs,
                 ),
                 (
                     "pgschemad_wal_appended_bytes_total",
                     "Bytes appended to the WAL since startup.",
+                    "counter",
                     stats.appended_bytes,
                 ),
                 (
                     "pgschemad_store_snapshots_total",
                     "Snapshots written by compaction since startup.",
+                    "counter",
                     stats.snapshots,
                 ),
-            ];
-            for (metric, help, value) in counters {
-                out.push_str(&format!(
-                    "# HELP {metric} {help}\n# TYPE {metric} counter\n{metric} {value}\n"
-                ));
-            }
-            out.push_str(
-                "# HELP pgschemad_wal_size_bytes Live WAL bytes not yet superseded by a snapshot.\n",
-            );
-            out.push_str("# TYPE pgschemad_wal_size_bytes gauge\n");
-            out.push_str(&format!(
-                "pgschemad_wal_size_bytes {}\n",
-                stats.wal_size_bytes
-            ));
+                (
+                    "pgschemad_wal_size_bytes",
+                    "Live WAL bytes not yet superseded by a snapshot.",
+                    "gauge",
+                    stats.wal_size_bytes,
+                ),
+            ]);
         }
-        out
+        for (name, help, kind, value) in unlabelled {
+            family(out, name, help, kind, &one(value));
+        }
+        text
     }
 }
 

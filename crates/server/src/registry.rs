@@ -23,9 +23,18 @@
 //! are revalidated lazily by the first request that touches them
 //! ([`Session::engine`]).
 //!
+//! What a WAL record does to a session is defined once, by
+//! [`pg_store::SessionMeta`], which every [`Session`] embeds: a follower
+//! feeds shipped records through it ([`SessionRegistry::apply_replicated`]),
+//! exactly as crash recovery does, and a leader's handlers call its
+//! ungated halves. [`Session::settle`] then keeps the invariant the
+//! handlers rely on: `meta.pending_migration` is set **iff** a ready
+//! engine has a migration window open (a dormant session opens it when
+//! it hydrates).
+//!
 //! With `--max-sessions` the registry is bounded: creating past the cap
 //! evicts the least-recently-used session. Evicted ids keep answering
-//! [`Lookup::Evicted`] (HTTP `410 Gone`) for the life of the process;
+//! [`Absent::Evicted`] (HTTP `410 Gone`) for the life of the process;
 //! durably they are deleted, so after a restart they are
 //! indistinguishable from removed sessions (`404`).
 
@@ -36,8 +45,11 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use pg_schema::{IncrementalEngine, PgSchema, ValidationOptions};
-use pg_store::{GraphPayload, LazyGraph, Recovered, Store, StoreRecord};
-use pgraph::{GraphDelta, PropertyGraph};
+use pg_store::{
+    Effect, GraphPayload, LazyGraph, Recovered, SessionChange, SessionMeta, SnapshotCapture, Store,
+    StoreRecord,
+};
+use pgraph::PropertyGraph;
 
 /// A session's engine, materialised lazily after recovery.
 enum SessionState {
@@ -57,28 +69,36 @@ enum SessionState {
     Poisoned,
 }
 
+/// Why a session has no engine to offer (HTTP `500`).
+#[derive(Debug)]
+pub struct HydrationError(String);
+
+impl HydrationError {
+    fn graph(e: io::Error) -> HydrationError {
+        HydrationError(format!("recovered graph failed to materialize: {e}"))
+    }
+}
+
+impl std::fmt::Display for HydrationError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
 /// One validation session.
 pub struct Session {
     state: SessionState,
-    /// The schema's SDL source, kept verbatim for WAL records and
-    /// snapshot capture.
-    pub schema_sdl: String,
     options: ValidationOptions,
-    /// Deltas successfully applied since the session was created.
-    pub deltas_applied: u64,
-    /// Sequence number of this session's last WAL record (0 without a
-    /// store).
-    pub last_seq: u64,
-    /// Candidate schema SDL of an open migration window, kept verbatim
-    /// for snapshot capture (an open window must survive compaction) and
-    /// for rehydrating the window after recovery.
-    pub pending_migration: Option<String>,
+    /// Schema SDL, delta count, last WAL sequence number and any open
+    /// migration window — kept verbatim for WAL records and snapshot
+    /// capture, and moved only through [`SessionMeta`]'s own methods.
+    pub meta: SessionMeta,
 }
 
 impl Session {
     /// The engine, hydrating a dormant session first (one full
     /// validation pass through the incremental engine's seeding path).
-    pub fn engine(&mut self) -> Result<&mut IncrementalEngine<Arc<PgSchema>>, String> {
+    pub fn engine(&mut self) -> Result<&mut IncrementalEngine<Arc<PgSchema>>, HydrationError> {
         if matches!(self.state, SessionState::Dormant { .. }) {
             let SessionState::Dormant { graph } =
                 std::mem::replace(&mut self.state, SessionState::Poisoned)
@@ -89,25 +109,24 @@ impl Session {
             // pragma; read through the frontend, the schema hydrates
             // open-world however it arrived here — recovery, replication,
             // or an LRU round trip.
-            let schema = pg_pgschema::parse_persisted(&self.schema_sdl)
-                .map_err(|e| format!("recovered schema no longer parses: {e}"))?;
-            let graph = graph
-                .into_graph()
-                .map_err(|e| format!("recovered graph failed to materialize: {e}"))?;
+            let parse = |sdl: &str, what: &str| {
+                pg_pgschema::parse_persisted(sdl)
+                    .map_err(|e| HydrationError(format!("{what} no longer parses: {e}")))
+            };
+            let schema = parse(&self.meta.schema_sdl, "recovered schema")?;
+            let graph = graph.into_graph().map_err(HydrationError::graph)?;
             let mut engine = IncrementalEngine::new(graph, Arc::new(schema), &self.options);
             // A WAL-recovered (or follower-replicated) open migration
             // window re-opens with the engine: the candidate side picks
             // up exactly where the crash left it.
-            if let Some(sdl) = &self.pending_migration {
-                let candidate = pg_pgschema::parse_persisted(sdl)
-                    .map_err(|e| format!("pending migration schema no longer parses: {e}"))?;
-                engine.begin_migration(candidate);
+            if let Some(sdl) = &self.meta.pending_migration {
+                engine.begin_migration(parse(sdl, "pending migration schema")?);
             }
             self.state = SessionState::Ready(Box::new(engine));
         }
         match &mut self.state {
             SessionState::Ready(engine) => Ok(engine),
-            _ => Err("session failed hydration".to_owned()),
+            _ => Err(HydrationError("session failed hydration".to_owned())),
         }
     }
 
@@ -119,27 +138,21 @@ impl Session {
         match &self.state {
             SessionState::Ready(engine) => GraphPayload::Graph(engine.graph()),
             SessionState::Dormant { graph } => GraphPayload::from(graph),
-            SessionState::Poisoned => {
-                static EMPTY: std::sync::OnceLock<PropertyGraph> = std::sync::OnceLock::new();
-                GraphPayload::Graph(EMPTY.get_or_init(PropertyGraph::new))
-            }
+            SessionState::Poisoned => GraphPayload::Graph(empty_graph()),
         }
     }
 
     /// The session's materialized graph, loading a mapped dormant graph
     /// in place but *not* seeding the engine (serving `GET …/graph` must
     /// not trigger a full revalidation).
-    pub fn graph(&mut self) -> Result<&PropertyGraph, String> {
+    pub fn graph(&mut self) -> Result<&PropertyGraph, HydrationError> {
         match &mut self.state {
             SessionState::Ready(engine) => Ok(engine.graph()),
-            SessionState::Dormant { graph } => graph
-                .load()
-                .map(|g| &*g)
-                .map_err(|e| format!("recovered graph failed to materialize: {e}")),
-            SessionState::Poisoned => {
-                static EMPTY: std::sync::OnceLock<PropertyGraph> = std::sync::OnceLock::new();
-                Ok(EMPTY.get_or_init(PropertyGraph::new))
-            }
+            SessionState::Dormant { graph } => match graph.load() {
+                Ok(graph) => Ok(graph),
+                Err(e) => Err(HydrationError::graph(e)),
+            },
+            SessionState::Poisoned => Ok(empty_graph()),
         }
     }
 
@@ -147,6 +160,67 @@ impl Session {
     pub fn is_hydrated(&self) -> bool {
         matches!(self.state, SessionState::Ready(_))
     }
+
+    /// Applies one record shipped by the leader, seq-gated like recovery
+    /// replay. A ready session absorbs a delta through its engine (the
+    /// report stays current), a dormant one on its graph; failing to
+    /// reach the graph is an error and leaves the session untouched.
+    fn replay(&mut self, seq: u64, change: SessionChange) -> io::Result<()> {
+        let Session { state, meta, .. } = self;
+        let effect = meta.replay(seq, change, |delta| match state {
+            SessionState::Ready(engine) => Ok(engine.apply(delta).is_ok()),
+            SessionState::Dormant { graph } => {
+                io::Result::Ok(delta.apply_to(graph.load()?).is_ok())
+            }
+            SessionState::Poisoned => Ok(false),
+        })?;
+        self.settle(effect);
+        Ok(())
+    }
+
+    /// Brings a ready engine in line with what a record just did to
+    /// `meta`, so that a window is open on it exactly while
+    /// `meta.pending_migration` is set. A dormant session needs nothing:
+    /// hydration opens the window from `meta`.
+    pub fn settle(&mut self, effect: Effect) {
+        let SessionState::Ready(engine) = &mut self.state else {
+            return;
+        };
+        let candidate = self.meta.pending_migration.as_deref();
+        let keep_engine = match effect {
+            Effect::Opened => match candidate.map(pg_pgschema::parse_persisted) {
+                Some(Ok(candidate)) => {
+                    engine.begin_migration(candidate);
+                    true
+                }
+                // Hydration will report the SDL that does not parse.
+                _ => false,
+            },
+            Effect::Aborted => {
+                engine.abort_migration();
+                true
+            }
+            // The next read re-seeds the engine under the committed
+            // schema.
+            Effect::Committed => false,
+            Effect::Duplicate | Effect::Applied | Effect::NoWindow => true,
+        };
+        if !keep_engine {
+            if let SessionState::Ready(engine) =
+                std::mem::replace(&mut self.state, SessionState::Poisoned)
+            {
+                self.state = SessionState::Dormant {
+                    graph: engine.into_graph().into(),
+                };
+            }
+        }
+    }
+}
+
+/// What a poisoned session's graph reads as.
+fn empty_graph() -> &'static PropertyGraph {
+    static EMPTY: std::sync::OnceLock<PropertyGraph> = std::sync::OnceLock::new();
+    EMPTY.get_or_init(PropertyGraph::new)
 }
 
 /// A session plus its LRU stamp. The stamp lives outside the session
@@ -158,10 +232,9 @@ pub struct SessionSlot {
     last_used: AtomicU64,
 }
 
-/// Result of a registry lookup.
-pub enum Lookup {
-    /// The session is live.
-    Found(Arc<SessionSlot>),
+/// Why a lookup found no session.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Absent {
     /// The id existed but was evicted by `--max-sessions` (HTTP 410).
     Evicted,
     /// The id never existed or was deleted (HTTP 404).
@@ -180,16 +253,6 @@ pub struct CreateOutcome {
     /// Microseconds spent appending (and fsyncing) the WAL record, when
     /// a store is attached.
     pub wal_micros: Option<u64>,
-}
-
-/// What [`SessionRegistry::remove`] found.
-pub enum RemoveOutcome {
-    /// Removed; carries the WAL append latency when a store is attached.
-    Removed(Option<u64>),
-    /// The id had already been evicted (HTTP 410).
-    Evicted,
-    /// No such session (HTTP 404).
-    Missing,
 }
 
 /// Registry of live sessions, shared by all reactor cores.
@@ -240,47 +303,49 @@ impl SessionRegistry {
         options: &ValidationOptions,
         max_sessions: Option<usize>,
     ) -> io::Result<Self> {
-        let mut map = HashMap::with_capacity(recovered.sessions.len());
-        let mut clock = 0u64;
-        let recovered_total = recovered.sessions.len() as u64;
-        let mut over_cap = Vec::new();
+        let registry = SessionRegistry {
+            next_id: AtomicU64::new(recovered.next_session_id),
+            store: Some(store),
+            options: *options,
+            recovered_total: recovered.sessions.len() as u64,
+            ..SessionRegistry::in_memory(max_sessions)
+        };
         let keep_from = max_sessions
             .map(|cap| recovered.sessions.len().saturating_sub(cap))
             .unwrap_or(0);
-        for (ix, s) in recovered.sessions.into_iter().enumerate() {
-            if ix < keep_from {
-                over_cap.push(s.id);
-                continue;
+        let mut over_cap = Vec::new();
+        {
+            let mut map = registry.sessions.write().unwrap();
+            for (ix, s) in recovered.sessions.into_iter().enumerate() {
+                if ix < keep_from {
+                    over_cap.push(s.id);
+                } else {
+                    let state = SessionState::Dormant { graph: s.graph };
+                    map.insert(s.id, registry.slot(state, s.meta, options));
+                }
             }
-            let slot = Arc::new(SessionSlot {
-                session: Mutex::new(Session {
-                    state: SessionState::Dormant { graph: s.graph },
-                    schema_sdl: s.schema_sdl,
-                    options: *options,
-                    deltas_applied: s.deltas_applied,
-                    last_seq: s.last_seq,
-                    pending_migration: s.pending_migration,
-                }),
-                last_used: AtomicU64::new(clock),
-            });
-            clock += 1;
-            map.insert(s.id, slot);
         }
-        let registry = SessionRegistry {
-            sessions: RwLock::new(map),
-            evicted: Mutex::new(HashSet::new()),
-            next_id: AtomicU64::new(recovered.next_session_id),
-            clock: AtomicU64::new(clock),
-            store: Some(store),
-            options: *options,
-            max_sessions,
-            evicted_total: AtomicU64::new(0),
-            recovered_total,
-        };
         for id in over_cap {
             registry.mark_evicted(id)?;
         }
         Ok(registry)
+    }
+
+    /// A freshly stamped slot around a session in `state`.
+    fn slot(
+        &self,
+        state: SessionState,
+        meta: SessionMeta,
+        options: &ValidationOptions,
+    ) -> Arc<SessionSlot> {
+        Arc::new(SessionSlot {
+            session: Mutex::new(Session {
+                state,
+                options: *options,
+                meta,
+            }),
+            last_used: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
+        })
     }
 
     /// The attached store, if the registry is durable.
@@ -311,39 +376,30 @@ impl SessionRegistry {
     ) -> io::Result<CreateOutcome> {
         let engine = IncrementalEngine::new(graph, schema, options);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let slot = Arc::new(SessionSlot {
-            session: Mutex::new(Session {
-                state: SessionState::Ready(Box::new(engine)),
-                schema_sdl: schema_sdl.to_owned(),
-                options: *options,
-                deltas_applied: 0,
-                last_seq: 0,
-                pending_migration: None,
-            }),
-            last_used: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
-        });
+        let slot = self.slot(
+            SessionState::Ready(Box::new(engine)),
+            SessionMeta::created(schema_sdl.to_owned(), 0),
+            options,
+        );
         // Hold the new session's lock across publication and the WAL
         // append: a delta racing in through the map sees the session but
         // blocks until the Create record is on disk, keeping per-session
-        // WAL order equal to apply order.
+        // WAL order equal to apply order — and a compaction that rotates
+        // the WAL after the append finds the session in the map, so the
+        // snapshot that supersedes the Create record contains it.
         let mut session = slot.session.lock().unwrap();
         let evicted = self.evict_if_full()?;
         self.sessions.write().unwrap().insert(id, Arc::clone(&slot));
-        let mut wal_micros = None;
-        if let Some(store) = &self.store {
-            let started = Instant::now();
-            let graph = session.graph().expect("fresh session has a live engine");
-            match store.append_create(id, schema_sdl, graph) {
-                Ok(seq) => {
-                    session.last_seq = seq;
-                    wal_micros = Some(started.elapsed().as_micros() as u64);
-                }
-                Err(e) => {
-                    self.sessions.write().unwrap().remove(&id);
-                    return Err(e);
-                }
-            }
-        }
+        let graph = session.graph().expect("fresh session has a live engine");
+        let logged = self
+            .append(|store| store.append_create(id, schema_sdl, graph))
+            .inspect_err(|_| {
+                self.sessions.write().unwrap().remove(&id);
+            })?;
+        let wal_micros = logged.map(|(seq, micros)| {
+            session.meta.last_seq = seq;
+            micros
+        });
         drop(session);
         Ok(CreateOutcome {
             id,
@@ -353,79 +409,71 @@ impl SessionRegistry {
         })
     }
 
-    /// Logs a delta against a session the caller has locked (the lock
-    /// proves apply order). Call after `engine.apply`, whether or not it
-    /// succeeded — a failed apply still leaves its deterministic partial
-    /// effects, which replay reproduces.
-    pub fn log_delta(
+    /// Appends one record through the store, if one is attached; returns
+    /// its sequence number and how long the append (inline fsync
+    /// included) took, in microseconds — the one place WAL latency is
+    /// measured.
+    fn append(
         &self,
-        id: u64,
-        session: &mut Session,
-        delta: &GraphDelta,
-    ) -> io::Result<Option<u64>> {
+        write: impl FnOnce(&Store) -> io::Result<u64>,
+    ) -> io::Result<Option<(u64, u64)>> {
         let Some(store) = &self.store else {
             return Ok(None);
         };
         let started = Instant::now();
-        let seq = store.append_delta(id, delta)?;
-        session.last_seq = seq;
-        Ok(Some(started.elapsed().as_micros() as u64))
+        let seq = write(store)?;
+        Ok(Some((seq, started.elapsed().as_micros() as u64)))
     }
 
-    /// Durably logs a migration phase transition for this session, as
-    /// [`log_delta`](Self::log_delta) does for deltas. `schema_sdl` is
-    /// the candidate SDL on [`pg_store::MigrationPhase::Begin`] and empty
-    /// otherwise.
-    pub fn log_schema_change(
+    /// Durably logs a record about a session the caller has locked (the
+    /// lock proves apply order) and stamps the session with the record's
+    /// sequence number; returns the append latency. A delta is logged
+    /// after `engine.apply`, whether or not it succeeded — a failed
+    /// apply still leaves its deterministic partial effects, which
+    /// replay reproduces.
+    pub fn log(
         &self,
-        id: u64,
         session: &mut Session,
-        phase: pg_store::MigrationPhase,
-        schema_sdl: &str,
+        write: impl FnOnce(&Store) -> io::Result<u64>,
     ) -> io::Result<Option<u64>> {
-        let Some(store) = &self.store else {
-            return Ok(None);
-        };
-        let started = Instant::now();
-        let seq = store.append_schema_change(id, phase, schema_sdl)?;
-        session.last_seq = seq;
-        Ok(Some(started.elapsed().as_micros() as u64))
+        Ok(self.append(write)?.map(|(seq, micros)| {
+            session.meta.last_seq = seq;
+            micros
+        }))
     }
 
     /// The session with this id. The returned slot is cloned out of the
     /// map, so the registry lock is released before the caller locks the
     /// session; the lookup also stamps the slot for LRU.
-    pub fn get(&self, id: u64) -> Lookup {
+    pub fn get(&self, id: u64) -> Result<Arc<SessionSlot>, Absent> {
         if let Some(slot) = self.sessions.read().unwrap().get(&id) {
             slot.last_used.store(
                 self.clock.fetch_add(1, Ordering::Relaxed),
                 Ordering::Relaxed,
             );
-            return Lookup::Found(Arc::clone(slot));
+            return Ok(Arc::clone(slot));
         }
+        Err(self.absent(id))
+    }
+
+    fn absent(&self, id: u64) -> Absent {
         if self.evicted.lock().unwrap().contains(&id) {
-            Lookup::Evicted
+            Absent::Evicted
         } else {
-            Lookup::Missing
+            Absent::Missing
         }
     }
 
     /// Deletes the session with this id, durably when a store is
-    /// attached.
-    pub fn remove(&self, id: u64) -> io::Result<RemoveOutcome> {
+    /// attached; the inner result is the WAL append's latency or
+    /// failure.
+    pub fn remove(&self, id: u64) -> Result<io::Result<Option<u64>>, Absent> {
         let removed = self.sessions.write().unwrap().remove(&id);
         match removed {
-            Some(_) => {
-                let mut wal_micros = None;
-                if let Some(store) = &self.store {
-                    let started = Instant::now();
-                    store.append_delete(id)?;
-                    wal_micros = Some(started.elapsed().as_micros() as u64);
-                }
-                Ok(RemoveOutcome::Removed(wal_micros))
-            }
-            None if self.evicted.lock().unwrap().contains(&id) => Ok(RemoveOutcome::Evicted),
-            None => Ok(RemoveOutcome::Missing),
+            Some(_) => Ok(self
+                .append(|store| store.append_delete(id))
+                .map(|logged| logged.map(|(_, micros)| micros))),
+            None => Err(self.absent(id)),
         }
     }
 
@@ -439,21 +487,43 @@ impl SessionRegistry {
         self.len() == 0
     }
 
+    /// Every live session, cloned out of the map so none of them is
+    /// locked under the registry lock.
+    fn slots(&self) -> Vec<(u64, Arc<SessionSlot>)> {
+        let sessions = self.sessions.read().unwrap();
+        sessions
+            .iter()
+            .map(|(id, slot)| (*id, Arc::clone(slot)))
+            .collect()
+    }
+
     /// Number of sessions with an open migration window (the
     /// `pgschemad_migration_windows_open` gauge). Takes each session's
     /// lock briefly; called only from `/metrics` rendering.
     pub fn open_migrations(&self) -> usize {
-        let slots: Vec<_> = self.sessions.read().unwrap().values().cloned().collect();
-        slots
+        self.slots()
             .iter()
-            .filter(|slot| slot.session.lock().unwrap().pending_migration.is_some())
+            .filter(|(_, slot)| {
+                let session = slot.session.lock().unwrap();
+                session.meta.pending_migration.is_some()
+            })
             .count()
     }
 
+    /// Captures every live session, each under its own lock, into a
+    /// snapshot being assembled — the one capture loop behind both
+    /// compaction and follower bootstrap.
+    fn capture(&self, into: &mut SnapshotCapture) {
+        for (id, slot) in self.slots() {
+            let session = slot.session.lock().unwrap();
+            into.add_session(id, &session.meta, session.payload());
+        }
+    }
+
     /// Runs one compaction cycle: rotate the WAL, capture every live
-    /// session under its own lock, write the snapshot, drop superseded
-    /// segments. Returns `Ok(None)` when another compaction is in
-    /// flight or no store is attached.
+    /// session, write the snapshot, drop superseded segments. Returns
+    /// `Ok(None)` when another compaction is in flight or no store is
+    /// attached.
     pub fn compact(&self) -> io::Result<Option<pg_store::CompactionOutcome>> {
         let Some(store) = &self.store else {
             return Ok(None);
@@ -461,24 +531,7 @@ impl SessionRegistry {
         let Some(mut compaction) = store.try_begin_compaction()? else {
             return Ok(None);
         };
-        let slots: Vec<(u64, Arc<SessionSlot>)> = self
-            .sessions
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(id, slot)| (*id, Arc::clone(slot)))
-            .collect();
-        for (id, slot) in slots {
-            let session = slot.session.lock().unwrap();
-            compaction.add_session(
-                id,
-                session.last_seq,
-                session.deltas_applied,
-                &session.schema_sdl,
-                session.payload(),
-                session.pending_migration.as_deref(),
-            );
-        }
+        self.capture(compaction.capture());
         let outcome = compaction.finish(self.next_id.load(Ordering::Relaxed))?;
         Ok(Some(outcome))
     }
@@ -489,104 +542,49 @@ impl SessionRegistry {
     /// memory only — no appends, no eviction (the leader logs `Delete`
     /// records for its own evictions, and this follower replays those).
     ///
-    /// Application is seq-gated exactly like recovery replay: a record
-    /// whose `seq` does not exceed the session's `last_seq` is a
-    /// duplicate (snapshot-bootstrapped state, or redelivery after a
-    /// reconnect) and is skipped.
-    pub fn apply_replicated(&self, seq: u64, record: StoreRecord) {
-        match record {
+    /// `Create` and `Delete` act on the map, behind the same seq gate as
+    /// everything else ([`SessionMeta::reflects`]: snapshot-bootstrapped
+    /// state, or redelivery after a reconnect); what a record does to a
+    /// session is [`SessionMeta::replay`]'s to say, exactly as in crash
+    /// recovery.
+    pub fn apply_replicated(&self, seq: u64, record: StoreRecord) -> io::Result<()> {
+        let reflected = |id: u64| {
+            self.get(id)
+                .map(|slot| slot.session.lock().unwrap().meta.reflects(seq))
+        };
+        let (session, change) = match record {
             StoreRecord::Create {
                 session,
                 schema_sdl,
                 graph,
             } => {
                 self.next_id.fetch_max(session + 1, Ordering::Relaxed);
-                if let Lookup::Found(slot) = self.get(session) {
-                    if slot.session.lock().unwrap().last_seq >= seq {
-                        return;
-                    }
+                if reflected(session) != Ok(true) {
+                    let state = SessionState::Dormant {
+                        graph: graph.into(),
+                    };
+                    let meta = SessionMeta::created(schema_sdl, seq);
+                    let slot = self.slot(state, meta, &self.options);
+                    self.sessions.write().unwrap().insert(session, slot);
                 }
-                let slot = Arc::new(SessionSlot {
-                    session: Mutex::new(Session {
-                        state: SessionState::Dormant {
-                            graph: graph.into(),
-                        },
-                        schema_sdl,
-                        options: self.options,
-                        deltas_applied: 0,
-                        last_seq: seq,
-                        pending_migration: None,
-                    }),
-                    last_used: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
-                });
-                self.sessions.write().unwrap().insert(session, slot);
-            }
-            StoreRecord::Delta { session, delta } => {
-                let Lookup::Found(slot) = self.get(session) else {
-                    return;
-                };
-                let mut s = slot.session.lock().unwrap();
-                if seq <= s.last_seq {
-                    return;
-                }
-                // Mirror recovery's rule 4: a delta that fails part-way
-                // keeps its deterministic partial effects, and only a
-                // full application counts towards `deltas_applied`.
-                let applied = match &mut s.state {
-                    SessionState::Ready(engine) => engine.apply(&delta).is_ok(),
-                    SessionState::Dormant { graph } => match graph.load() {
-                        Ok(g) => delta.apply_to(g).is_ok(),
-                        Err(_) => false,
-                    },
-                    SessionState::Poisoned => false,
-                };
-                if applied {
-                    s.deltas_applied += 1;
-                }
-                s.last_seq = seq;
+                return Ok(());
             }
             StoreRecord::Delete { session } => {
-                let Lookup::Found(slot) = self.get(session) else {
-                    return;
-                };
-                if slot.session.lock().unwrap().last_seq >= seq {
-                    return;
+                if reflected(session) == Ok(false) {
+                    self.sessions.write().unwrap().remove(&session);
                 }
-                self.sessions.write().unwrap().remove(&session);
+                return Ok(());
             }
+            StoreRecord::Delta { session, delta } => (session, SessionChange::Delta(delta)),
             StoreRecord::SchemaChange {
                 session,
                 phase,
                 schema_sdl,
-            } => {
-                let Lookup::Found(slot) = self.get(session) else {
-                    return;
-                };
-                let mut s = slot.session.lock().unwrap();
-                if seq <= s.last_seq {
-                    return;
-                }
-                match phase {
-                    pg_store::MigrationPhase::Begin => s.pending_migration = Some(schema_sdl),
-                    pg_store::MigrationPhase::Commit => {
-                        if let Some(sdl) = s.pending_migration.take() {
-                            s.schema_sdl = sdl;
-                            // Demote to dormant so the next read re-seeds
-                            // the engine under the committed schema — the
-                            // follower then serves the new schema's report.
-                            let state = std::mem::replace(&mut s.state, SessionState::Poisoned);
-                            s.state = match state {
-                                SessionState::Ready(engine) => SessionState::Dormant {
-                                    graph: engine.into_graph().into(),
-                                },
-                                other => other,
-                            };
-                        }
-                    }
-                    pg_store::MigrationPhase::Abort => s.pending_migration = None,
-                }
-                s.last_seq = seq;
-            }
+            } => (session, SessionChange::Schema(phase, schema_sdl)),
+        };
+        match self.get(session) {
+            Ok(slot) => slot.session.lock().unwrap().replay(seq, change),
+            Err(_) => Ok(()),
         }
     }
 
@@ -599,26 +597,8 @@ impl SessionRegistry {
     /// per-session seq gating skips what the snapshot already contains.
     /// `None` without a store.
     pub fn handoff_snapshot(&self) -> Option<Vec<u8>> {
-        let store = self.store.as_ref()?;
-        let mut handoff = store.begin_handoff();
-        let slots: Vec<(u64, Arc<SessionSlot>)> = self
-            .sessions
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(id, slot)| (*id, Arc::clone(slot)))
-            .collect();
-        for (id, slot) in slots {
-            let session = slot.session.lock().unwrap();
-            handoff.add_session(
-                id,
-                session.last_seq,
-                session.deltas_applied,
-                &session.schema_sdl,
-                session.payload(),
-                session.pending_migration.as_deref(),
-            );
-        }
+        let mut handoff = self.store.as_ref()?.begin_handoff();
+        self.capture(&mut handoff);
         Some(handoff.finish(self.next_id.load(Ordering::Relaxed)))
     }
 
@@ -701,9 +681,7 @@ mod tests {
         let reg = SessionRegistry::new();
         let id = create(&reg);
         assert_eq!(reg.len(), 1);
-        let Lookup::Found(slot) = reg.get(id) else {
-            panic!("session exists");
-        };
+        let slot = reg.get(id).expect("session exists");
         assert!(slot
             .session
             .lock()
@@ -712,12 +690,9 @@ mod tests {
             .unwrap()
             .report()
             .conforms());
-        assert!(matches!(reg.get(id + 1), Lookup::Missing));
-        assert!(matches!(
-            reg.remove(id).unwrap(),
-            RemoveOutcome::Removed(None)
-        ));
-        assert!(matches!(reg.remove(id).unwrap(), RemoveOutcome::Missing));
+        assert_eq!(reg.get(id + 1).err(), Some(Absent::Missing));
+        assert!(matches!(reg.remove(id), Ok(Ok(None))));
+        assert!(matches!(reg.remove(id), Err(Absent::Missing)));
         assert!(reg.is_empty());
     }
 
@@ -730,9 +705,7 @@ mod tests {
             .create(graph, schema, SDL, &ValidationOptions::default())
             .unwrap()
             .id;
-        let Lookup::Found(slot) = reg.get(id) else {
-            panic!("session exists");
-        };
+        let slot = reg.get(id).expect("session exists");
         let mut s = slot.session.lock().unwrap();
         let outcome = s
             .engine()
@@ -749,15 +722,15 @@ mod tests {
         let a = create(&reg);
         let b = create(&reg);
         // Touch `a` so `b` is the least recently used.
-        assert!(matches!(reg.get(a), Lookup::Found(_)));
+        assert!(reg.get(a).is_ok());
         let c = create(&reg);
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.evicted_total(), 1);
-        assert!(matches!(reg.get(b), Lookup::Evicted));
-        assert!(matches!(reg.get(a), Lookup::Found(_)));
-        assert!(matches!(reg.get(c), Lookup::Found(_)));
+        assert_eq!(reg.get(b).err(), Some(Absent::Evicted));
+        assert!(reg.get(a).is_ok());
+        assert!(reg.get(c).is_ok());
         // Deleting an evicted id reports Evicted, not Missing.
-        assert!(matches!(reg.remove(b).unwrap(), RemoveOutcome::Evicted));
+        assert!(matches!(reg.remove(b), Err(Absent::Evicted)));
     }
 
     #[test]
@@ -765,9 +738,17 @@ mod tests {
         let reg = SessionRegistry::in_memory(Some(1));
         let a = create(&reg);
         let b = create(&reg);
-        assert!(matches!(reg.get(a), Lookup::Evicted));
-        assert!(matches!(reg.get(b), Lookup::Found(_)));
+        assert_eq!(reg.get(a).err(), Some(Absent::Evicted));
+        assert!(reg.get(b).is_ok());
         assert_eq!(reg.len(), 1);
+    }
+
+    fn create_record(session: u64, graph: PropertyGraph) -> StoreRecord {
+        StoreRecord::Create {
+            session,
+            schema_sdl: SDL.to_owned(),
+            graph,
+        }
     }
 
     #[test]
@@ -775,48 +756,114 @@ mod tests {
         let reg = SessionRegistry::new();
         let (graph, _) = session_parts();
         let u = graph.node_ids().next().unwrap();
-        reg.apply_replicated(
-            1,
-            StoreRecord::Create {
-                session: 7,
-                schema_sdl: SDL.to_owned(),
-                graph,
-            },
-        );
-        assert!(matches!(reg.get(7), Lookup::Found(_)));
+        let apply = |seq, record| reg.apply_replicated(seq, record).unwrap();
+        apply(1, create_record(7, graph));
+        assert!(reg.get(7).is_ok());
         // A redelivered create must not reset the session.
         let delta = GraphDelta::new().set_node_property(u, "login", Value::Int(3));
-        reg.apply_replicated(
-            2,
-            StoreRecord::Delta {
-                session: 7,
-                delta: delta.clone(),
-            },
-        );
-        reg.apply_replicated(2, StoreRecord::Delta { session: 7, delta });
-        reg.apply_replicated(
-            1,
-            StoreRecord::Create {
-                session: 7,
-                schema_sdl: SDL.to_owned(),
-                graph: PropertyGraph::new(),
-            },
-        );
-        let Lookup::Found(slot) = reg.get(7) else {
-            panic!("session exists");
-        };
+        let record = StoreRecord::Delta { session: 7, delta };
+        apply(2, record.clone());
+        apply(2, record);
+        apply(1, create_record(7, PropertyGraph::new()));
+        let slot = reg.get(7).expect("session exists");
         {
             let s = slot.session.lock().unwrap();
-            assert_eq!(s.deltas_applied, 1, "duplicate delta must be skipped");
-            assert_eq!(s.last_seq, 2);
+            assert_eq!(s.meta.deltas_applied, 1, "duplicate delta must be skipped");
+            assert_eq!(s.meta.last_seq, 2);
             assert!(!s.is_hydrated(), "replication must not seed engines");
         }
         // A delete older than the session's state is a duplicate too.
-        reg.apply_replicated(2, StoreRecord::Delete { session: 7 });
-        assert!(matches!(reg.get(7), Lookup::Found(_)));
-        reg.apply_replicated(3, StoreRecord::Delete { session: 7 });
-        assert!(matches!(reg.get(7), Lookup::Missing));
+        apply(2, StoreRecord::Delete { session: 7 });
+        assert!(reg.get(7).is_ok());
+        apply(3, StoreRecord::Delete { session: 7 });
+        assert_eq!(reg.get(7).err(), Some(Absent::Missing));
         // Replicated ids advance the allocator past the leader's.
         assert_eq!(create(&reg), 8);
+    }
+
+    /// The window invariant on a follower: a `Begin` that arrives while
+    /// the session is ready opens the window on its engine (a promoted
+    /// node's `commit` needs it there), and an `Abort` closes it.
+    #[test]
+    fn replicated_begin_and_abort_reach_a_ready_engine() {
+        let reg = SessionRegistry::new();
+        let apply = |seq, record| reg.apply_replicated(seq, record).unwrap();
+        apply(1, create_record(7, session_parts().0));
+        let slot = reg.get(7).expect("session exists");
+        let window_open = || {
+            let mut s = slot.session.lock().unwrap();
+            assert!(s.is_hydrated(), "the engine stays resident");
+            let open = s.engine().unwrap().migration_active();
+            assert_eq!(open, s.meta.pending_migration.is_some());
+            open
+        };
+        slot.session.lock().unwrap().engine().unwrap();
+        assert!(!window_open());
+        let phase = |phase, sdl: &str| StoreRecord::SchemaChange {
+            session: 7,
+            phase,
+            schema_sdl: sdl.to_owned(),
+        };
+        let candidate = "type User { login: String! @required nick: String! @required }";
+        apply(2, phase(pg_store::MigrationPhase::Begin, candidate));
+        assert!(window_open());
+        apply(3, phase(pg_store::MigrationPhase::Abort, ""));
+        assert!(!window_open());
+        // A commit re-seeds under the new schema on the next read.
+        apply(4, phase(pg_store::MigrationPhase::Begin, candidate));
+        apply(5, phase(pg_store::MigrationPhase::Commit, ""));
+        let mut s = slot.session.lock().unwrap();
+        assert!(!s.is_hydrated());
+        assert_eq!(s.meta.schema_sdl, candidate);
+        assert!(
+            !s.engine().unwrap().report().conforms(),
+            "`nick` is missing"
+        );
+        assert!(!s.engine().unwrap().migration_active());
+    }
+
+    /// A replicated delta that cannot reach its session's graph is an
+    /// error that leaves the session where it was — not a record
+    /// silently counted as seen.
+    #[test]
+    fn a_replicated_delta_that_cannot_load_the_graph_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("pg-registry-badmap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (graph, _) = session_parts();
+        let u = graph.node_ids().next().unwrap();
+        // A snapshot whose container is intact but whose embedded graph
+        // image is damaged: it opens (images are checked when they
+        // materialize) and then fails to load.
+        let (leader, _) = Store::open(dir.join("leader"), pg_store::FsyncPolicy::Never).unwrap();
+        let mut handoff = leader.begin_handoff();
+        handoff.add_session(7, &SessionMeta::created(SDL.to_owned(), 1), &graph);
+        let mut blob = handoff.finish(8);
+        let image = blob.windows(4).position(|w| w == b"PGCS").unwrap();
+        let last = blob.len() - 1;
+        assert!(last > image + 288, "the flipped byte is section data");
+        blob[last] ^= 0xff;
+        let crc = pgraph::snapshot::crc32(&blob[8..]);
+        blob[4..8].copy_from_slice(&crc.to_le_bytes());
+        pg_store::install_snapshot(dir.join("follower"), &blob).unwrap();
+        let (store, recovered) =
+            Store::open(dir.join("follower"), pg_store::FsyncPolicy::Never).unwrap();
+        let reg = SessionRegistry::with_store(
+            Arc::new(store),
+            recovered,
+            &ValidationOptions::default(),
+            None,
+        )
+        .unwrap();
+
+        let delta = GraphDelta::new().set_node_property(u, "login", Value::Int(3));
+        let err = reg
+            .apply_replicated(2, StoreRecord::Delta { session: 7, delta })
+            .expect_err("the graph does not materialize");
+        assert!(err.to_string().contains("thaw failed"), "{err}");
+        let slot = reg.get(7).expect("session exists");
+        let s = slot.session.lock().unwrap();
+        assert_eq!((s.meta.last_seq, s.meta.deltas_applied), (1, 0));
+        drop(s);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -225,7 +225,14 @@ pub(crate) fn run_follower(ctx: Arc<Ctx>) {
                 log(&ctx, &format!("partial batch from leader: {reason}"));
             }
             for (seq, record) in batch.records {
-                ctx.registry.apply_replicated(seq, record);
+                // The frame is in the local WAL either way. A record that
+                // cannot reach its session's graph leaves that session
+                // where it was (reads of it answer 500) and the next
+                // restart refuses the directory, as recovery would have.
+                if let Err(e) = ctx.registry.apply_replicated(seq, record) {
+                    log(&ctx, &format!("cannot apply seq {seq}: {e}"));
+                    continue;
+                }
                 repl.records_applied_total.fetch_add(1, Ordering::Relaxed);
                 repl.last_applied_seq.store(seq, Ordering::Relaxed);
             }

@@ -12,13 +12,13 @@ use std::time::{Duration, Instant};
 
 use pg_pgschema::SchemaLanguage;
 use pg_schema::{validate, Engine, PgSchema, ValidationOptions};
-use pg_store::{FsyncPolicy, Store};
+use pg_store::{FsyncPolicy, MigrationPhase, Store};
 use pgraph::json::{self, Json};
 
 use crate::http::{push_json_string, Request, Response};
 use crate::metrics::{Metrics, MigrationAction, RenderGauges};
 use crate::reactor::{self, CoreShared};
-use crate::registry::{Lookup, RemoveOutcome, SessionRegistry};
+use crate::registry::{Absent, HydrationError, Session, SessionRegistry};
 
 /// How the accept thread sleeps between polls when no connection is
 /// pending (it also re-checks the shutdown flag at this cadence).
@@ -510,21 +510,23 @@ fn shed(ctx: &Ctx, mut stream: TcpStream) {
 /// response plus whether the connection must close after it.
 pub(crate) fn process(ctx: &Ctx, request: &Request) -> (Response, bool) {
     let started = Instant::now();
-    let handled = route(ctx, request);
+    let (route, engine, result) = route(ctx, request);
+    let response = result.unwrap_or_else(Response::from);
     let close = request.wants_close() || ctx.shutdown.load(Ordering::Relaxed);
     let micros = started.elapsed().as_micros() as u64;
-    ctx.metrics
-        .record_request(handled.route, handled.response.status, micros);
+    ctx.metrics.record_request(route, response.status, micros);
     log_request(
         ctx.log_format,
         &request.method,
         &request.path,
-        handled.response.status,
+        response.status,
         micros,
-        handled.engine,
+        // The label names the engine that produced an answer, not the
+        // one a refused request was aimed at.
+        engine.filter(|_| response.status < 400),
     );
     maybe_compact(ctx);
-    (handled.response, close)
+    (response, close)
 }
 
 /// The `400` a connection gets for bytes that would not parse as a
@@ -535,84 +537,220 @@ pub(crate) fn bad_request(ctx: &Ctx, message: &str) -> Response {
     Response::error(400, message)
 }
 
-/// A routed response plus its labels for metrics and the request log.
-struct Handled {
-    route: &'static str,
-    response: Response,
-    engine: Option<&'static str>,
+/// Why a handler could not answer: a status, the message of the
+/// `{"error": …}` body and any extra headers. Handlers return
+/// `Result<Response, HttpError>` and use `?`; the failures they meet
+/// over and over convert by themselves:
+///
+/// | source | status | message |
+/// |---|---|---|
+/// | body is not UTF-8 ([`Utf8Error`](std::str::Utf8Error)) | 400 | `body is not UTF-8` |
+/// | body is not JSON / not a delta ([`json::JsonError`]) | 400 | the located parse error |
+/// | schema does not load ([`pg_pgschema::load_schema`]) | 400 | `schema: …` |
+/// | unknown `?engine=` / `?lang=` ([`pgraph::ParseEnumError`]) | 400 | the accepted spellings |
+/// | session deleted or never created ([`Absent::Missing`]) | 404 | `no such session` |
+/// | session evicted ([`Absent::Evicted`]) | 410 | `session evicted` |
+/// | stored state no longer hydrates ([`HydrationError`]) | 500 | what failed |
+/// | WAL append failed ([`io::Error`]) | 500 | `wal append failed: …` |
+///
+/// Everything else (`405`, `409`, `421`, `503`, route-specific `400`s)
+/// is spelled out where it is decided.
+pub(crate) struct HttpError {
+    status: u16,
+    message: String,
+    headers: Vec<(&'static str, String)>,
 }
 
-impl Handled {
-    fn plain(route: &'static str, response: Response) -> Handled {
-        Handled {
-            route,
-            response,
-            engine: None,
+impl HttpError {
+    fn new(status: u16, message: impl Into<String>) -> HttpError {
+        HttpError {
+            status,
+            message: message.into(),
+            headers: Vec::new(),
+        }
+    }
+
+    fn with_header(mut self, name: &'static str, value: impl Into<String>) -> HttpError {
+        self.headers.push((name, value.into()));
+        self
+    }
+}
+
+impl From<HttpError> for Response {
+    fn from(e: HttpError) -> Response {
+        let response = Response::error(e.status, &e.message);
+        e.headers
+            .iter()
+            .fold(response, |r, (name, value)| r.with_header(name, value))
+    }
+}
+
+impl From<std::str::Utf8Error> for HttpError {
+    fn from(_: std::str::Utf8Error) -> HttpError {
+        HttpError::new(400, "body is not UTF-8")
+    }
+}
+
+impl From<json::JsonError> for HttpError {
+    fn from(e: json::JsonError) -> HttpError {
+        HttpError::new(400, e.to_string())
+    }
+}
+
+impl From<Box<dyn std::error::Error>> for HttpError {
+    fn from(e: Box<dyn std::error::Error>) -> HttpError {
+        HttpError::new(400, format!("schema: {e}"))
+    }
+}
+
+impl From<pgraph::ParseEnumError> for HttpError {
+    fn from(e: pgraph::ParseEnumError) -> HttpError {
+        HttpError::new(400, e.to_string())
+    }
+}
+
+impl From<Absent> for HttpError {
+    fn from(absent: Absent) -> HttpError {
+        match absent {
+            Absent::Missing => HttpError::new(404, "no such session"),
+            Absent::Evicted => HttpError::new(410, "session evicted"),
         }
     }
 }
 
-fn route(ctx: &Ctx, request: &Request) -> Handled {
-    let method = request.method.as_str();
-    let path = request.path.as_str();
-    match (method, path) {
-        ("GET", "/healthz") => Handled::plain("/healthz", Response::text(200, "ok\n")),
-        ("GET", "/metrics") => Handled::plain(
-            "/metrics",
-            Response::text(
-                200,
-                ctx.metrics.render(&RenderGauges {
-                    core_connections: ctx
-                        .core_connections
-                        .iter()
-                        .map(|c| c.load(Ordering::Relaxed))
-                        .collect(),
-                    role_follower: Some(ctx.is_follower()),
-                    connections_open: ctx.open_connections.load(Ordering::Relaxed),
-                    sessions_live: ctx.registry.len(),
-                    sessions_recovered: ctx.registry.recovered_total(),
-                    sessions_evicted: ctx.registry.evicted_total(),
-                    migration_windows_open: ctx.registry.open_migrations(),
-                    store: ctx.registry.store().map(|s| s.stats()),
-                }),
-            ),
-        ),
-        ("POST", "/validate") => handle_validate(ctx, request),
-        // Satisfiability is a pure read over the posted schema, so a
-        // follower answers it locally like /validate.
-        ("POST", "/check-sat") => handle_check_sat(request),
-        ("POST", "/sessions") if ctx.is_follower() => misdirected(ctx, "/sessions"),
-        ("POST", "/sessions") => handle_create_session(ctx, request),
-        ("GET", "/wal/tail") => handle_wal_tail(ctx, request),
-        ("GET", "/wal/snapshot") => handle_wal_snapshot(ctx),
-        ("POST", "/promote") => handle_promote(ctx),
-        (
-            _,
-            "/healthz" | "/metrics" | "/validate" | "/check-sat" | "/sessions" | "/wal/tail"
-            | "/wal/snapshot" | "/promote",
-        ) => Handled::plain(
-            path_template(path),
-            Response::error(405, "method not allowed"),
-        ),
-        _ => match parse_session_path(path) {
-            Some((id, tail)) => route_session(ctx, request, id, tail),
-            None => Handled::plain("(unknown)", Response::error(404, "no such route")),
-        },
+impl From<HydrationError> for HttpError {
+    fn from(e: HydrationError) -> HttpError {
+        HttpError::new(500, e.to_string())
     }
 }
 
-fn path_template(path: &str) -> &'static str {
-    match path {
-        "/healthz" => "/healthz",
-        "/metrics" => "/metrics",
-        "/validate" => "/validate",
-        "/check-sat" => "/check-sat",
-        "/sessions" => "/sessions",
-        "/wal/tail" => "/wal/tail",
-        "/wal/snapshot" => "/wal/snapshot",
-        "/promote" => "/promote",
-        _ => "(unknown)",
+impl From<io::Error> for HttpError {
+    fn from(e: io::Error) -> HttpError {
+        HttpError::new(500, format!("wal append failed: {e}"))
     }
+}
+
+impl Ctx {
+    /// Refuses a write on a follower with `421 Misdirected Request`; the
+    /// `x-pgschema-leader` header carries the address clients should
+    /// retry against. A follower's sessions mutate only through
+    /// replication (reads stay local).
+    fn require_leader(&self) -> Result<(), HttpError> {
+        if !self.is_follower() {
+            return Ok(());
+        }
+        let leader = self.follow.as_deref().unwrap_or("");
+        Err(HttpError::new(
+            421,
+            format!("this node is a read-only follower; write to the leader at {leader}"),
+        )
+        .with_header("x-pgschema-leader", leader))
+    }
+
+    /// The store, or the `409` a memory-only daemon answers on every
+    /// route that needs one.
+    fn store(&self) -> Result<&Arc<Store>, HttpError> {
+        self.registry.store().ok_or_else(no_store)
+    }
+
+    /// Feeds one WAL append's latency (none without a store) into the
+    /// append histogram.
+    fn record_wal(&self, micros: Option<u64>) {
+        if let Some(micros) = micros {
+            self.metrics.record_wal_append(micros);
+        }
+    }
+
+    /// Logs a record about a locked session ([`SessionRegistry::log`]).
+    fn log(
+        &self,
+        session: &mut Session,
+        write: impl FnOnce(&Store) -> io::Result<u64>,
+    ) -> Result<(), HttpError> {
+        self.record_wal(self.registry.log(session, write)?);
+        Ok(())
+    }
+}
+
+fn no_store() -> HttpError {
+    HttpError::new(409, "server is running without --data-dir")
+}
+
+/// Runs `f` on the locked session `id`, or answers `404` / `410`.
+fn with_session<T>(
+    ctx: &Ctx,
+    id: u64,
+    f: impl FnOnce(&mut Session) -> Result<T, HttpError>,
+) -> Result<T, HttpError> {
+    let slot = ctx.registry.get(id)?;
+    let mut session = slot.session.lock().unwrap();
+    f(&mut session)
+}
+
+/// The request body as text.
+fn body_text(request: &Request) -> Result<&str, HttpError> {
+    Ok(std::str::from_utf8(&request.body)?)
+}
+
+/// A required string member of a JSON body.
+fn str_field<'a>(doc: &'a Json, name: &str) -> Result<&'a str, HttpError> {
+    doc.get(name)
+        .and_then(Json::as_str)
+        .ok_or_else(|| HttpError::new(400, format!("missing string field \"{name}\"")))
+}
+
+/// The top-level routes. Each is its own template: the `route` label of
+/// `pgschemad_http_requests_total`.
+const TOP_LEVEL: [&str; 8] = [
+    "/healthz",
+    "/metrics",
+    "/validate",
+    "/check-sat",
+    "/sessions",
+    "/wal/tail",
+    "/wal/snapshot",
+    "/promote",
+];
+
+/// The engine label of the routes served by a resident session.
+const INCREMENTAL: Option<&str> = Some("incremental");
+
+/// A routed request: the route template (metrics label), the engine that
+/// answers on that route (request-log label) and the handler's answer.
+type Routed = (
+    &'static str,
+    Option<&'static str>,
+    Result<Response, HttpError>,
+);
+
+fn route(ctx: &Ctx, request: &Request) -> Routed {
+    let path = request.path.as_str();
+    let Some(&route) = TOP_LEVEL.iter().find(|route| **route == path) else {
+        return match parse_session_path(path) {
+            Some((id, tail)) => route_session(ctx, request, id, tail),
+            None => unrouted(404, "no such route"),
+        };
+    };
+    let (engine, result) = match (request.method.as_str(), route) {
+        ("GET", "/healthz") => (None, Ok(Response::text(200, "ok\n"))),
+        ("GET", "/metrics") => (None, Ok(handle_metrics(ctx))),
+        ("POST", "/validate") => {
+            let engine = enum_param(request, "engine", Engine::Indexed);
+            (
+                engine.as_ref().ok().map(|engine| engine.name()),
+                engine.and_then(|engine| handle_validate(ctx, request, engine)),
+            )
+        }
+        // Satisfiability is a pure read over the posted schema, so a
+        // follower answers it locally like /validate.
+        ("POST", "/check-sat") => (None, handle_check_sat(request)),
+        ("POST", "/sessions") => (INCREMENTAL, handle_create_session(ctx, request)),
+        ("GET", "/wal/tail") => (None, handle_wal_tail(ctx, request)),
+        ("GET", "/wal/snapshot") => (None, handle_wal_snapshot(ctx)),
+        ("POST", "/promote") => (None, handle_promote(ctx)),
+        _ => (None, Err(HttpError::new(405, "method not allowed"))),
+    };
+    (route, engine, result)
 }
 
 /// Splits `/sessions/{id}` or `/sessions/{id}/{tail}`.
@@ -625,71 +763,80 @@ fn parse_session_path(path: &str) -> Option<(u64, &str)> {
     Some((id.parse().ok()?, tail))
 }
 
-fn route_session(ctx: &Ctx, request: &Request, id: u64, tail: &str) -> Handled {
+fn route_session(ctx: &Ctx, request: &Request, id: u64, tail: &str) -> Routed {
     match (request.method.as_str(), tail) {
-        // A follower's sessions mutate only through replication: every
-        // write is misdirected back to the leader (reads stay local).
-        ("POST", "deltas") if ctx.is_follower() => misdirected(ctx, "/sessions/{id}/deltas"),
-        ("POST", "compact") if ctx.is_follower() => misdirected(ctx, "/sessions/{id}/compact"),
-        ("POST", "migrate") if ctx.is_follower() => misdirected(ctx, "/sessions/{id}/migrate"),
-        ("DELETE", "") if ctx.is_follower() => misdirected(ctx, "/sessions/{id}"),
-        ("POST", "deltas") => handle_delta(ctx, request, id),
-        ("GET", "report") => handle_report(ctx, id),
-        ("GET", "graph") => handle_graph(ctx, id),
-        ("POST", "compact") => handle_compact(ctx, id),
-        ("POST", "migrate") => handle_migrate(ctx, request, id),
-        ("DELETE", "") => handle_delete(ctx, id),
+        ("POST", "deltas") => (
+            "/sessions/{id}/deltas",
+            INCREMENTAL,
+            handle_delta(ctx, request, id),
+        ),
+        ("GET", "report") => ("/sessions/{id}/report", INCREMENTAL, handle_report(ctx, id)),
+        ("GET", "graph") => ("/sessions/{id}/graph", None, handle_graph(ctx, id)),
+        ("POST", "compact") => ("/sessions/{id}/compact", None, handle_compact(ctx, id)),
+        ("POST", "migrate") => (
+            "/sessions/{id}/migrate",
+            INCREMENTAL,
+            handle_migrate(ctx, request, id),
+        ),
+        ("DELETE", "") => ("/sessions/{id}", None, handle_delete(ctx, id)),
         ("POST" | "GET" | "DELETE", "deltas" | "report" | "graph" | "compact" | "migrate" | "") => {
-            Handled::plain("(unknown)", Response::error(405, "method not allowed"))
+            unrouted(405, "method not allowed")
         }
-        _ => Handled::plain("(unknown)", Response::error(404, "no such route")),
+        _ => unrouted(404, "no such route"),
     }
 }
 
-fn handle_delete(ctx: &Ctx, id: u64) -> Handled {
-    const ROUTE: &str = "/sessions/{id}";
-    let response = match ctx.registry.remove(id) {
-        Ok(RemoveOutcome::Removed(wal_micros)) => {
-            if let Some(micros) = wal_micros {
-                ctx.metrics.record_wal_append(micros);
-            }
-            Response::json(200, "{\"deleted\":true}")
-        }
-        Ok(RemoveOutcome::Evicted) => Response::error(410, "session evicted"),
-        Ok(RemoveOutcome::Missing) => Response::error(404, "no such session"),
-        Err(e) => Response::error(500, &format!("wal append failed: {e}")),
+/// A request no route template claims.
+fn unrouted(status: u16, message: &str) -> Routed {
+    ("(unknown)", None, Err(HttpError::new(status, message)))
+}
+
+fn handle_metrics(ctx: &Ctx) -> Response {
+    let gauges = RenderGauges {
+        core_connections: ctx
+            .core_connections
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect(),
+        role_follower: Some(ctx.is_follower()),
+        connections_open: ctx.open_connections.load(Ordering::Relaxed),
+        sessions_live: ctx.registry.len(),
+        sessions_recovered: ctx.registry.recovered_total(),
+        sessions_evicted: ctx.registry.evicted_total(),
+        migration_windows_open: ctx.registry.open_migrations(),
+        store: ctx.registry.store().map(|s| s.stats()),
     };
-    Handled::plain(ROUTE, response)
+    Response::text(200, ctx.metrics.render(&gauges))
+}
+
+fn handle_delete(ctx: &Ctx, id: u64) -> Result<Response, HttpError> {
+    ctx.require_leader()?;
+    ctx.record_wal(ctx.registry.remove(id)??);
+    Ok(Response::json(200, "{\"deleted\":true}"))
 }
 
 /// Compacts the store (snapshot + drop superseded WAL segments). The
 /// route is addressed to a session for symmetry with the rest of the
 /// session API, but compaction covers the whole store.
-fn handle_compact(ctx: &Ctx, id: u64) -> Handled {
-    const ROUTE: &str = "/sessions/{id}/compact";
-    let response = match ctx.registry.get(id) {
-        Lookup::Missing => Response::error(404, "no such session"),
-        Lookup::Evicted => Response::error(410, "session evicted"),
-        Lookup::Found(_) if ctx.registry.store().is_none() => {
-            Response::error(409, "server is running without --data-dir")
-        }
-        Lookup::Found(_) => match ctx.registry.compact() {
-            Ok(Some(outcome)) => Response::json(
-                200,
-                format!(
-                    "{{\"compacted\":true,\"generation\":{},\"sessions\":{},\
-                     \"segments_removed\":{},\"snapshot_bytes\":{}}}",
-                    outcome.generation,
-                    outcome.sessions,
-                    outcome.segments_removed,
-                    outcome.snapshot_bytes
-                ),
+fn handle_compact(ctx: &Ctx, id: u64) -> Result<Response, HttpError> {
+    ctx.require_leader()?;
+    ctx.registry.get(id)?;
+    ctx.store()?;
+    match ctx.registry.compact() {
+        Ok(Some(outcome)) => Ok(Response::json(
+            200,
+            format!(
+                "{{\"compacted\":true,\"generation\":{},\"sessions\":{},\
+                 \"segments_removed\":{},\"snapshot_bytes\":{}}}",
+                outcome.generation,
+                outcome.sessions,
+                outcome.segments_removed,
+                outcome.snapshot_bytes
             ),
-            Ok(None) => Response::error(409, "compaction already in progress"),
-            Err(e) => Response::error(500, &format!("compaction failed: {e}")),
-        },
-    };
-    Handled::plain(ROUTE, response)
+        )),
+        Ok(None) => Err(HttpError::new(409, "compaction already in progress")),
+        Err(e) => Err(HttpError::new(500, format!("compaction failed: {e}"))),
+    }
 }
 
 /// Live schema migration on a session: `{"action": "plan"}` previews a
@@ -698,225 +845,160 @@ fn handle_compact(ctx: &Ctx, id: u64) -> Handled {
 /// with `409` while the window has regressions, unless
 /// `"force": true`), `abort` closes the window. `begin`, `commit` and
 /// `abort` are WAL-logged as `SchemaChange` records, so open windows
-/// survive crashes and replicate to followers.
-fn handle_migrate(ctx: &Ctx, request: &Request, id: u64) -> Handled {
-    const ROUTE: &str = "/sessions/{id}/migrate";
-    let doc = match std::str::from_utf8(&request.body)
-        .map_err(|_| "body is not UTF-8".to_owned())
-        .and_then(|text| Json::parse(text).map_err(|e| e.to_string()))
-    {
-        Ok(doc) => doc,
-        Err(message) => return Handled::plain(ROUTE, Response::error(400, &message)),
-    };
+/// survive crashes and replicate to followers; each moves
+/// `session.meta` through [`pg_store::SessionMeta::schema_change`], the
+/// same bookkeeping recovery and followers run on those records.
+fn handle_migrate(ctx: &Ctx, request: &Request, id: u64) -> Result<Response, HttpError> {
+    ctx.require_leader()?;
+    let doc = Json::parse(body_text(request)?)?;
     let action = match doc.get("action").and_then(Json::as_str) {
-        Some(a @ ("plan" | "begin" | "commit" | "abort")) => a.to_owned(),
-        Some(other) => {
-            return Handled::plain(
-                ROUTE,
-                Response::error(400, &format!("unknown action {other:?}")),
-            )
-        }
-        None => {
-            return Handled::plain(
-                ROUTE,
-                Response::error(400, "missing string field \"action\""),
-            )
-        }
+        Some(action @ ("plan" | "begin" | "commit" | "abort")) => action,
+        Some(other) => return Err(HttpError::new(400, format!("unknown action {other:?}"))),
+        None => return Err(HttpError::new(400, "missing string field \"action\"")),
     };
-    let slot = match ctx.registry.get(id) {
-        Lookup::Found(slot) => slot,
-        Lookup::Evicted => return Handled::plain(ROUTE, Response::error(410, "session evicted")),
-        Lookup::Missing => return Handled::plain(ROUTE, Response::error(404, "no such session")),
-    };
-    let mut session = slot.session.lock().unwrap();
-    let response = match action.as_str() {
-        "plan" | "begin" => {
-            let source = match doc.get("schema").and_then(Json::as_str) {
-                Some(sdl) => sdl,
-                None => {
-                    return Handled::plain(
-                        ROUTE,
-                        Response::error(400, "missing string field \"schema\""),
-                    )
-                }
-            };
-            // An optional "lang" field lets migration windows cross
-            // languages: a pgschema candidate is compiled and stored as
-            // its pragma-tagged lowered SDL, so the SchemaChange WAL
-            // record (and every follower) carries the language too.
-            let lang: SchemaLanguage = match doc.get("lang").and_then(Json::as_str) {
-                None => SchemaLanguage::Sdl,
-                Some(name) => match name.parse() {
-                    Ok(lang) => lang,
-                    Err(e) => {
-                        return Handled::plain(ROUTE, Response::error(400, &format!("lang: {e}")))
-                    }
-                },
-            };
-            let (candidate, sdl) = match pg_pgschema::load_schema(source, lang) {
-                Ok(parts) => parts,
-                Err(e) => {
-                    return Handled::plain(ROUTE, Response::error(400, &format!("schema: {e}")))
-                }
-            };
-            if action == "begin" && session.pending_migration.is_some() {
-                return Handled::plain(
-                    ROUTE,
-                    Response::error(409, "a migration window is already open"),
-                );
-            }
-            if action == "begin" {
-                match ctx.registry.log_schema_change(
-                    id,
-                    &mut session,
-                    pg_store::MigrationPhase::Begin,
-                    &sdl,
-                ) {
-                    Ok(Some(micros)) => ctx.metrics.record_wal_append(micros),
-                    Ok(None) => {}
-                    Err(e) => {
-                        return Handled::plain(
-                            ROUTE,
-                            Response::error(500, &format!("wal append failed: {e}")),
-                        )
-                    }
-                }
-            }
-            let plan = match session.engine() {
-                Ok(engine) => {
-                    if action == "begin" {
-                        engine.begin_migration(candidate)
-                    } else {
-                        pg_schema::migrate::plan(
-                            engine.graph(),
-                            engine.schema(),
-                            &candidate,
-                            engine.options(),
-                        )
-                    }
-                }
-                Err(message) => return Handled::plain(ROUTE, Response::error(500, &message)),
-            };
-            if action == "begin" {
-                session.pending_migration = Some(sdl);
-                ctx.metrics.record_migration_action(MigrationAction::Begin);
-            } else {
-                ctx.metrics.record_migration_action(MigrationAction::Plan);
-            }
-            Response::json(
-                200,
-                format!(
-                    "{{\"session\":{id},\"action\":\"{action}\",\"plan\":{}}}",
-                    plan.to_json()
-                ),
-            )
-        }
-        "commit" => {
-            let force = matches!(doc.get("force"), Some(Json::Bool(true)));
-            let Some(sdl) = session.pending_migration.clone() else {
-                return Handled::plain(ROUTE, Response::error(409, "no open migration window"));
-            };
-            let regressions = match session.engine() {
-                Ok(engine) => engine
-                    .migration_regressions()
-                    .expect("pending_migration implies an open window"),
-                Err(message) => return Handled::plain(ROUTE, Response::error(500, &message)),
-            };
-            if !regressions.is_empty() && !force {
-                return Handled::plain(
-                    ROUTE,
-                    Response::json(
-                        409,
-                        format!(
-                            "{{\"committed\":false,\"regressions\":{},\
-                             \"error\":\"window has regressions; pass force to commit anyway\"}}",
-                            regressions.len()
-                        ),
-                    ),
-                );
-            }
-            match ctx.registry.log_schema_change(
-                id,
-                &mut session,
-                pg_store::MigrationPhase::Commit,
-                "",
-            ) {
-                Ok(Some(micros)) => ctx.metrics.record_wal_append(micros),
-                Ok(None) => {}
-                Err(e) => {
-                    return Handled::plain(
-                        ROUTE,
-                        Response::error(500, &format!("wal append failed: {e}")),
-                    )
-                }
-            }
-            match session.engine() {
-                Ok(engine) => assert!(engine.commit_migration()),
-                Err(message) => return Handled::plain(ROUTE, Response::error(500, &message)),
-            }
-            session.schema_sdl = sdl;
-            session.pending_migration = None;
-            let report = match session.engine() {
-                Ok(engine) => engine.report(),
-                Err(message) => return Handled::plain(ROUTE, Response::error(500, &message)),
-            };
-            ctx.metrics.record_migration_action(MigrationAction::Commit);
-            let mut body = "{\"committed\":true,\"report\":".to_owned();
-            report.write_json(&mut body);
-            body.push('}');
-            Response::json(200, body)
-        }
-        _ => {
-            if session.pending_migration.is_none() {
-                return Handled::plain(ROUTE, Response::error(409, "no open migration window"));
-            }
-            match ctx.registry.log_schema_change(
-                id,
-                &mut session,
-                pg_store::MigrationPhase::Abort,
-                "",
-            ) {
-                Ok(Some(micros)) => ctx.metrics.record_wal_append(micros),
-                Ok(None) => {}
-                Err(e) => {
-                    return Handled::plain(
-                        ROUTE,
-                        Response::error(500, &format!("wal append failed: {e}")),
-                    )
-                }
-            }
-            // A dormant session's window exists only as the pending SDL;
-            // clearing it is the whole abort — no need to hydrate.
-            if session.is_hydrated() {
-                if let Ok(engine) = session.engine() {
-                    engine.abort_migration();
-                }
-            }
-            session.pending_migration = None;
-            ctx.metrics.record_migration_action(MigrationAction::Abort);
-            Response::json(200, "{\"aborted\":true}".to_owned())
-        }
-    };
-    Handled {
-        route: ROUTE,
-        response,
-        engine: Some("incremental"),
-    }
+    with_session(ctx, id, |session| match action {
+        "plan" => migrate_plan(ctx, &doc, session, id),
+        "begin" => migrate_begin(ctx, &doc, session, id),
+        "commit" => migrate_commit(ctx, &doc, session, id),
+        _ => migrate_abort(ctx, session, id),
+    })
 }
 
-/// The `421 Misdirected Request` a follower answers to writes; the
-/// `x-pgschema-leader` header carries the address clients should retry
-/// against.
-fn misdirected(ctx: &Ctx, route: &'static str) -> Handled {
-    let leader = ctx.follow.as_deref().unwrap_or("");
-    Handled::plain(
-        route,
-        Response::error(
-            421,
-            &format!("this node is a read-only follower; write to the leader at {leader}"),
-        )
-        .with_header("x-pgschema-leader", leader),
+/// The candidate schema of a `plan` / `begin` body and its canonical
+/// SDL. An optional `"lang"` field lets migration windows cross
+/// languages: a pgschema candidate is compiled and stored as its
+/// pragma-tagged lowered SDL, so the SchemaChange WAL record (and every
+/// follower) carries the language too.
+fn migration_candidate(doc: &Json) -> Result<(PgSchema, String), HttpError> {
+    let source = str_field(doc, "schema")?;
+    let lang = match doc.get("lang").and_then(Json::as_str) {
+        None => SchemaLanguage::Sdl,
+        Some(name) => name
+            .parse()
+            .map_err(|e: pgraph::ParseEnumError| HttpError::new(400, format!("lang: {e}")))?,
+    };
+    Ok(pg_pgschema::load_schema(source, lang)?)
+}
+
+fn plan_response(id: u64, action: &str, plan: &pg_schema::migrate::MigrationPlan) -> Response {
+    Response::json(
+        200,
+        format!(
+            "{{\"session\":{id},\"action\":\"{action}\",\"plan\":{}}}",
+            plan.to_json()
+        ),
     )
+}
+
+fn migrate_plan(
+    ctx: &Ctx,
+    doc: &Json,
+    session: &mut Session,
+    id: u64,
+) -> Result<Response, HttpError> {
+    let (candidate, _) = migration_candidate(doc)?;
+    let engine = session.engine()?;
+    let plan = pg_schema::migrate::plan(
+        engine.graph(),
+        engine.schema(),
+        &candidate,
+        engine.options(),
+    );
+    ctx.metrics.record_migration_action(MigrationAction::Plan);
+    Ok(plan_response(id, "plan", &plan))
+}
+
+fn migrate_begin(
+    ctx: &Ctx,
+    doc: &Json,
+    session: &mut Session,
+    id: u64,
+) -> Result<Response, HttpError> {
+    let (candidate, sdl) = migration_candidate(doc)?;
+    if session.meta.pending_migration.is_some() {
+        return Err(HttpError::new(409, "a migration window is already open"));
+    }
+    ctx.log(session, |store| {
+        store.append_schema_change(id, MigrationPhase::Begin, &sdl)
+    })?;
+    let plan = session.engine()?.begin_migration(candidate);
+    session.meta.schema_change(MigrationPhase::Begin, sdl);
+    ctx.metrics.record_migration_action(MigrationAction::Begin);
+    Ok(plan_response(id, "begin", &plan))
+}
+
+/// The `409` of a `commit` / `abort` with nothing to close.
+fn no_window() -> HttpError {
+    HttpError::new(409, "no open migration window")
+}
+
+/// `meta.pending_migration` is set but the engine has no window: the
+/// invariant [`Session::settle`] and hydration keep is broken. Answer,
+/// do not panic — the reactor core serves every other connection too.
+fn lost_window() -> HttpError {
+    HttpError::new(
+        500,
+        "session records a pending migration its engine has no window for",
+    )
+}
+
+fn migrate_commit(
+    ctx: &Ctx,
+    doc: &Json,
+    session: &mut Session,
+    id: u64,
+) -> Result<Response, HttpError> {
+    let force = matches!(doc.get("force"), Some(Json::Bool(true)));
+    if session.meta.pending_migration.is_none() {
+        return Err(no_window());
+    }
+    let regressions = session
+        .engine()?
+        .migration_regressions()
+        .ok_or_else(lost_window)?;
+    if !regressions.is_empty() && !force {
+        return Ok(Response::json(
+            409,
+            format!(
+                "{{\"committed\":false,\"regressions\":{},\
+                 \"error\":\"window has regressions; pass force to commit anyway\"}}",
+                regressions.len()
+            ),
+        ));
+    }
+    ctx.log(session, |store| {
+        store.append_schema_change(id, MigrationPhase::Commit, "")
+    })?;
+    let engine = session.engine()?;
+    if !engine.commit_migration() {
+        return Err(lost_window());
+    }
+    let report = engine.report();
+    session
+        .meta
+        .schema_change(MigrationPhase::Commit, String::new());
+    ctx.metrics.record_migration_action(MigrationAction::Commit);
+    let mut body = "{\"committed\":true,\"report\":".to_owned();
+    report.write_json(&mut body);
+    body.push('}');
+    Ok(Response::json(200, body))
+}
+
+fn migrate_abort(ctx: &Ctx, session: &mut Session, id: u64) -> Result<Response, HttpError> {
+    if session.meta.pending_migration.is_none() {
+        return Err(no_window());
+    }
+    ctx.log(session, |store| {
+        store.append_schema_change(id, MigrationPhase::Abort, "")
+    })?;
+    // A dormant session's window exists only as the pending SDL;
+    // clearing it is the whole abort — no need to hydrate.
+    let effect = session
+        .meta
+        .schema_change(MigrationPhase::Abort, String::new());
+    session.settle(effect);
+    ctx.metrics.record_migration_action(MigrationAction::Abort);
+    Ok(Response::json(200, "{\"aborted\":true}"))
 }
 
 /// `GET /wal/tail?from=<seq>`: a bounded batch of raw WAL frames with
@@ -925,89 +1007,69 @@ fn misdirected(ctx: &Ctx, route: &'static str) -> Handled {
 /// the log end at read time (`x-wal-end-seq`) and the bytes still
 /// unshipped (`x-wal-remaining-bytes`). `410` when `from` precedes what
 /// compaction retained — the caller must bootstrap from `/wal/snapshot`.
-fn handle_wal_tail(ctx: &Ctx, request: &Request) -> Handled {
-    const ROUTE: &str = "/wal/tail";
-    let Some(store) = ctx.registry.store() else {
-        return Handled::plain(
-            ROUTE,
-            Response::error(409, "server is running without --data-dir"),
-        );
-    };
+fn handle_wal_tail(ctx: &Ctx, request: &Request) -> Result<Response, HttpError> {
+    let store = ctx.store()?;
     let from = match request.query_param("from").map(str::parse::<u64>) {
         Some(Ok(from)) if from >= 1 => from,
         Some(_) => {
-            return Handled::plain(
-                ROUTE,
-                Response::error(400, "query parameter `from` must be a sequence number >= 1"),
-            )
+            return Err(HttpError::new(
+                400,
+                "query parameter `from` must be a sequence number >= 1",
+            ))
         }
-        None => {
-            return Handled::plain(
-                ROUTE,
-                Response::error(400, "missing query parameter `from`"),
-            )
-        }
+        None => return Err(HttpError::new(400, "missing query parameter `from`")),
     };
-    let response = match store.read_tail(from, TAIL_BATCH_BYTES) {
+    match store.read_tail(from, TAIL_BATCH_BYTES) {
         Ok(pg_store::Tail::Batch(batch)) => {
             let next_from = batch.next_from.to_string();
             let end_seq = batch.end_seq.to_string();
             let remaining = batch.remaining_bytes.to_string();
-            Response::chunked(200, batch.frames)
+            Ok(Response::chunked(200, batch.frames)
                 .with_header("x-wal-next-from", &next_from)
                 .with_header("x-wal-end-seq", &end_seq)
-                .with_header("x-wal-remaining-bytes", &remaining)
+                .with_header("x-wal-remaining-bytes", &remaining))
         }
-        Ok(pg_store::Tail::SnapshotRequired { oldest_retained }) => Response::error(
+        Ok(pg_store::Tail::SnapshotRequired { oldest_retained }) => Err(HttpError::new(
             410,
-            &format!(
+            format!(
                 "sequence {from} was compacted away (oldest retained: {oldest_retained}); \
                  bootstrap from GET /wal/snapshot"
             ),
         )
-        .with_header("x-wal-oldest-retained", &oldest_retained.to_string()),
-        Err(e) => Response::error(500, &format!("wal read failed: {e}")),
-    };
-    Handled::plain(ROUTE, response)
+        .with_header("x-wal-oldest-retained", oldest_retained.to_string())),
+        Err(e) => Err(HttpError::new(500, format!("wal read failed: {e}"))),
+    }
 }
 
 /// `GET /wal/snapshot`: a consistent point-in-time snapshot blob for
 /// bootstrapping a follower (see [`SessionRegistry::handoff_snapshot`]).
-fn handle_wal_snapshot(ctx: &Ctx) -> Handled {
-    const ROUTE: &str = "/wal/snapshot";
-    let response = match ctx.registry.handoff_snapshot() {
-        Some(blob) => Response::octets(200, blob),
-        None => Response::error(409, "server is running without --data-dir"),
-    };
-    Handled::plain(ROUTE, response)
+fn handle_wal_snapshot(ctx: &Ctx) -> Result<Response, HttpError> {
+    let blob = ctx.registry.handoff_snapshot().ok_or_else(no_store)?;
+    Ok(Response::octets(200, blob))
 }
 
 /// `POST /promote`: asks a follower to become the leader. Sets the
 /// promotion flag and waits (bounded) for the follower loop to observe
 /// it, sync the store and flip the role. Idempotent on a leader.
-fn handle_promote(ctx: &Ctx) -> Handled {
-    const ROUTE: &str = "/promote";
-    if !ctx.is_follower() {
-        return Handled::plain(
-            ROUTE,
-            Response::json(200, "{\"role\":\"leader\",\"promoted\":false}"),
-        );
-    }
-    ctx.promote.store(true, Ordering::Relaxed);
-    let deadline = Instant::now() + PROMOTE_TIMEOUT;
-    while ctx.is_follower() {
-        if Instant::now() >= deadline {
-            return Handled::plain(
-                ROUTE,
-                Response::error(503, "promotion did not complete in time; retry"),
-            );
+fn handle_promote(ctx: &Ctx) -> Result<Response, HttpError> {
+    let promoted = ctx.is_follower();
+    if promoted {
+        ctx.promote.store(true, Ordering::Relaxed);
+        let deadline = Instant::now() + PROMOTE_TIMEOUT;
+        while ctx.is_follower() {
+            if Instant::now() >= deadline {
+                return Err(HttpError::new(
+                    503,
+                    "promotion did not complete in time; retry",
+                ));
+            }
+            std::thread::sleep(Duration::from_millis(10));
         }
-        std::thread::sleep(Duration::from_millis(10));
     }
-    Handled::plain(
-        ROUTE,
-        Response::json(200, "{\"role\":\"leader\",\"promoted\":true}"),
-    )
+    Ok(Response::json(
+        200,
+        format!("{{\"role\":\"leader\",\"promoted\":{promoted}}}"),
+    ))
 }
 
 /// Compacts in the background of the request that tipped the WAL over
@@ -1019,31 +1081,28 @@ fn maybe_compact(ctx: &Ctx) {
     if ctx.compact_after_bytes == 0 || store.wal_size_bytes() < ctx.compact_after_bytes {
         return;
     }
-    match ctx.registry.compact() {
-        Ok(Some(outcome)) => {
-            if ctx.log_format != LogFormat::Off {
-                eprintln!(
-                    "store: auto-compacted to generation {} ({} session(s), {} segment(s) removed)",
-                    outcome.generation, outcome.sessions, outcome.segments_removed
-                );
-            }
-        }
-        Ok(None) => {} // another core is already compacting
-        Err(e) => {
-            if ctx.log_format != LogFormat::Off {
-                eprintln!("store: auto-compaction failed: {e}");
-            }
-        }
+    let line = match ctx.registry.compact() {
+        Ok(Some(outcome)) => format!(
+            "store: auto-compacted to generation {} ({} session(s), {} segment(s) removed)",
+            outcome.generation, outcome.sessions, outcome.segments_removed
+        ),
+        Ok(None) => return, // another core is already compacting
+        Err(e) => format!("store: auto-compaction failed: {e}"),
+    };
+    if ctx.log_format != LogFormat::Off {
+        eprintln!("{line}");
     }
 }
 
-/// Resolves the `?lang=` query parameter (default SDL).
-fn lang_param(request: &Request) -> Result<SchemaLanguage, String> {
-    match request.query_param("lang") {
-        None => Ok(SchemaLanguage::Sdl),
-        Some(name) => name
-            .parse()
-            .map_err(|e: pgraph::ParseEnumError| e.to_string()),
+/// A query parameter naming one spelling of an enum (`?engine=`,
+/// `?lang=`); `default` when absent.
+fn enum_param<T>(request: &Request, name: &str, default: T) -> Result<T, HttpError>
+where
+    T: std::str::FromStr<Err = pgraph::ParseEnumError>,
+{
+    match request.query_param(name) {
+        None => Ok(default),
+        Some(value) => Ok(value.parse()?),
     }
 }
 
@@ -1052,53 +1111,29 @@ fn lang_param(request: &Request) -> Result<SchemaLanguage, String> {
 /// returned text is the canonical SDL (see [`pg_pgschema::load_schema`])
 /// because durable sessions persist it.
 fn parse_envelope(
-    body: &[u8],
+    request: &Request,
     lang: SchemaLanguage,
-) -> Result<(PgSchema, pgraph::PropertyGraph, String), String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let doc = Json::parse(text).map_err(|e| e.to_string())?;
-    let source = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "missing string field \"schema\"".to_owned())?;
-    let (schema, sdl) =
-        pg_pgschema::load_schema(source, lang).map_err(|e| format!("schema: {e}"))?;
+) -> Result<(PgSchema, pgraph::PropertyGraph, String), HttpError> {
+    let doc = Json::parse(body_text(request)?)?;
+    let (schema, sdl) = pg_pgschema::load_schema(str_field(&doc, "schema")?, lang)?;
     let graph_value = doc
         .get("graph")
-        .ok_or_else(|| "missing field \"graph\"".to_owned())?;
-    let graph = json::graph_from_value(graph_value).map_err(|e| format!("graph: {e}"))?;
+        .ok_or_else(|| HttpError::new(400, "missing field \"graph\""))?;
+    let graph = json::graph_from_value(graph_value)
+        .map_err(|e| HttpError::new(400, format!("graph: {e}")))?;
     Ok((schema, graph, sdl))
 }
 
-fn handle_validate(ctx: &Ctx, request: &Request) -> Handled {
-    let engine = match request.query_param("engine") {
-        None => Engine::Indexed,
-        Some(name) => match name.parse::<Engine>() {
-            Ok(engine) => engine,
-            Err(e) => {
-                return Handled::plain("/validate", Response::error(400, &e.to_string()));
-            }
-        },
-    };
-    let lang = match lang_param(request) {
-        Ok(lang) => lang,
-        Err(message) => return Handled::plain("/validate", Response::error(400, &message)),
-    };
-    let (schema, graph, _) = match parse_envelope(&request.body, lang) {
-        Ok(parts) => parts,
-        Err(message) => return Handled::plain("/validate", Response::error(400, &message)),
-    };
+fn handle_validate(ctx: &Ctx, request: &Request, engine: Engine) -> Result<Response, HttpError> {
+    let lang = enum_param(request, "lang", SchemaLanguage::Sdl)?;
+    let (schema, graph, _) = parse_envelope(request, lang)?;
     let options = ValidationOptions::builder()
         .engine(engine)
         .collect_metrics(true)
         .build();
     let report = validate(&graph, &schema, &options);
     ctx.metrics.record_validation(engine, report.metrics());
-    Handled {
-        route: "/validate",
-        response: Response::json(200, report.to_json()),
-        engine: Some(engine.name()),
-    }
+    Ok(Response::json(200, report.to_json()))
 }
 
 /// `POST /check-sat`: finite-model satisfiability of one type (or one
@@ -1110,41 +1145,21 @@ fn handle_validate(ctx: &Ctx, request: &Request) -> Handled {
 /// `{"result": "unsatisfiable"}`, or `{"result": "no_finite_model",
 /// "bound": K, "tableau_satisfiable": bool|null}` — all with status 200;
 /// the check itself succeeded either way.
-fn handle_check_sat(request: &Request) -> Handled {
-    const ROUTE: &str = "/check-sat";
-    let lang = match lang_param(request) {
-        Ok(lang) => lang,
-        Err(message) => return Handled::plain(ROUTE, Response::error(400, &message)),
-    };
-    let doc = match std::str::from_utf8(&request.body)
-        .map_err(|_| "body is not UTF-8".to_owned())
-        .and_then(|text| Json::parse(text).map_err(|e| e.to_string()))
-    {
-        Ok(doc) => doc,
-        Err(message) => return Handled::plain(ROUTE, Response::error(400, &message)),
-    };
-    let Some(source) = doc.get("schema").and_then(Json::as_str) else {
-        return Handled::plain(
-            ROUTE,
-            Response::error(400, "missing string field \"schema\""),
-        );
-    };
-    let Some(type_name) = doc.get("type").and_then(Json::as_str) else {
-        return Handled::plain(ROUTE, Response::error(400, "missing string field \"type\""));
-    };
-    let (schema, sdl) = match pg_pgschema::load_schema(source, lang) {
-        Ok(parts) => parts,
-        Err(e) => return Handled::plain(ROUTE, Response::error(400, &format!("schema: {e}"))),
-    };
+fn handle_check_sat(request: &Request) -> Result<Response, HttpError> {
+    let lang = enum_param(request, "lang", SchemaLanguage::Sdl)?;
+    let doc = Json::parse(body_text(request)?)?;
+    let source = str_field(&doc, "schema")?;
+    let type_name = str_field(&doc, "type")?;
+    let (schema, sdl) = pg_pgschema::load_schema(source, lang)?;
     let mut config = pg_reason::ReasonerConfig::default();
     if let Some(k) = doc.get("max_size") {
         match k.as_i64() {
             Some(k) if k >= 1 => config.max_graph_size = k as usize,
             _ => {
-                return Handled::plain(
-                    ROUTE,
-                    Response::error(400, "\"max_size\" must be a positive integer"),
-                )
+                return Err(HttpError::new(
+                    400,
+                    "\"max_size\" must be a positive integer",
+                ))
             }
         }
     }
@@ -1153,16 +1168,10 @@ fn handle_check_sat(request: &Request) -> Handled {
             // Field-mode reasoning works over the document; `sdl` is the
             // lowered text for PG-Schema inputs, so both languages share
             // the same path.
-            let parsed = match gql_sdl::parse(&sdl) {
-                Ok(parsed) => parsed,
-                Err(e) => {
-                    return Handled::plain(ROUTE, Response::error(400, &format!("schema: {e}")))
-                }
-            };
-            match pg_reason::check_field_satisfiable(&parsed, type_name, field, &config) {
-                Ok(result) => result,
-                Err(message) => return Handled::plain(ROUTE, Response::error(400, &message)),
-            }
+            let parsed =
+                gql_sdl::parse(&sdl).map_err(|e| HttpError::new(400, format!("schema: {e}")))?;
+            pg_reason::check_field_satisfiable(&parsed, type_name, field, &config)
+                .map_err(|message| HttpError::new(400, message))?
         }
         None => pg_reason::check_type_satisfiable(&schema, type_name, &config),
     };
@@ -1191,39 +1200,20 @@ fn handle_check_sat(request: &Request) -> Handled {
             ));
         }
     }
-    Handled::plain(ROUTE, Response::json(200, body))
+    Ok(Response::json(200, body))
 }
 
-fn handle_create_session(ctx: &Ctx, request: &Request) -> Handled {
-    let lang = match lang_param(request) {
-        Ok(lang) => lang,
-        Err(message) => return Handled::plain("/sessions", Response::error(400, &message)),
-    };
-    let (schema, graph, sdl) = match parse_envelope(&request.body, lang) {
-        Ok(parts) => parts,
-        Err(message) => return Handled::plain("/sessions", Response::error(400, &message)),
-    };
+fn handle_create_session(ctx: &Ctx, request: &Request) -> Result<Response, HttpError> {
+    ctx.require_leader()?;
+    let lang = enum_param(request, "lang", SchemaLanguage::Sdl)?;
+    let (schema, graph, sdl) = parse_envelope(request, lang)?;
     let options = ValidationOptions::builder().collect_metrics(true).build();
-    let created = match ctx.registry.create(graph, Arc::new(schema), &sdl, &options) {
-        Ok(created) => created,
-        Err(e) => {
-            return Handled::plain(
-                "/sessions",
-                Response::error(500, &format!("failed to persist session: {e}")),
-            )
-        }
-    };
-    if let Some(micros) = created.wal_micros {
-        ctx.metrics.record_wal_append(micros);
-    }
-    let report = created
-        .slot
-        .session
-        .lock()
-        .unwrap()
-        .engine()
-        .expect("a freshly created session is hydrated")
-        .report();
+    let created = ctx
+        .registry
+        .create(graph, Arc::new(schema), &sdl, &options)
+        .map_err(|e| HttpError::new(500, format!("failed to persist session: {e}")))?;
+    ctx.record_wal(created.wal_micros);
+    let report = created.slot.session.lock().unwrap().engine()?.report();
     ctx.metrics
         .record_validation(Engine::Incremental, report.metrics());
     let mut body = format!(
@@ -1233,116 +1223,57 @@ fn handle_create_session(ctx: &Ctx, request: &Request) -> Handled {
     );
     report.write_json(&mut body);
     body.push('}');
-    Handled {
-        route: "/sessions",
-        response: Response::json(201, body),
-        engine: Some("incremental"),
-    }
+    Ok(Response::json(201, body))
 }
 
-fn handle_delta(ctx: &Ctx, request: &Request, id: u64) -> Handled {
-    const ROUTE: &str = "/sessions/{id}/deltas";
-    let delta = match std::str::from_utf8(&request.body)
-        .map_err(|_| "body is not UTF-8".to_owned())
-        .and_then(|text| json::delta_from_json(text).map_err(|e| e.to_string()))
-    {
-        Ok(delta) => delta,
-        Err(message) => return Handled::plain(ROUTE, Response::error(400, &message)),
-    };
-    let slot = match ctx.registry.get(id) {
-        Lookup::Found(slot) => slot,
-        Lookup::Evicted => return Handled::plain(ROUTE, Response::error(410, "session evicted")),
-        Lookup::Missing => return Handled::plain(ROUTE, Response::error(404, "no such session")),
-    };
-    let mut session = slot.session.lock().unwrap();
-    let applied = match session.engine() {
-        Ok(engine) => engine.apply(&delta),
-        Err(message) => return Handled::plain(ROUTE, Response::error(500, &message)),
-    };
-    // Log the delta whether or not it applied cleanly: a failed apply
-    // still leaves its deterministic partial effects on the graph (the
-    // engine reseeds around them), and replay reproduces exactly those.
-    match ctx.registry.log_delta(id, &mut session, &delta) {
-        Ok(Some(micros)) => ctx.metrics.record_wal_append(micros),
-        Ok(None) => {}
-        Err(e) => {
-            return Handled::plain(
-                ROUTE,
-                Response::error(500, &format!("wal append failed: {e}")),
-            )
-        }
-    }
-    match applied {
-        Ok(outcome) => {
-            session.deltas_applied += 1;
-            let report = session.engine().expect("session is hydrated").report();
-            let deltas_applied = session.deltas_applied;
-            drop(session);
-            ctx.metrics
-                .record_validation(Engine::Incremental, report.metrics());
-            let mut body = format!(
-                "{{\"outcome\":{{\"elements_rechecked\":{},\"elements_total\":{},\
-                 \"violations_added\":{},\"violations_removed\":{}}},\
-                 \"deltas_applied\":{},\"report\":",
-                outcome.elements_rechecked,
-                outcome.elements_total,
-                outcome.violations_added,
-                outcome.violations_removed,
-                deltas_applied
-            );
-            report.write_json(&mut body);
-            body.push('}');
-            Handled {
-                route: ROUTE,
-                response: Response::json(200, body),
-                engine: Some("incremental"),
-            }
-        }
+fn handle_delta(ctx: &Ctx, request: &Request, id: u64) -> Result<Response, HttpError> {
+    ctx.require_leader()?;
+    let delta = json::delta_from_json(body_text(request)?)?;
+    let (outcome, deltas_applied, report) = with_session(ctx, id, |session| {
+        let applied = session.engine()?.apply(&delta);
+        // Log the delta whether or not it applied cleanly: a failed apply
+        // still leaves its deterministic partial effects on the graph
+        // (the engine reseeds around them), and replay reproduces exactly
+        // those.
+        ctx.log(session, |store| store.append_delta(id, &delta))?;
+        session.meta.delta_ran(applied.is_ok());
         // The delta named elements the session's graph does not have:
-        // the state is untouched (the engine reseeds), report the
-        // conflict to the client.
-        Err(e) => Handled::plain(ROUTE, Response::error(409, &e.to_string())),
-    }
+        // report the conflict to the client.
+        let outcome = applied.map_err(|e| HttpError::new(409, e.to_string()))?;
+        let report = session.engine()?.report();
+        Ok((outcome, session.meta.deltas_applied, report))
+    })?;
+    ctx.metrics
+        .record_validation(Engine::Incremental, report.metrics());
+    let mut body = format!(
+        "{{\"outcome\":{{\"elements_rechecked\":{},\"elements_total\":{},\
+         \"violations_added\":{},\"violations_removed\":{}}},\
+         \"deltas_applied\":{},\"report\":",
+        outcome.elements_rechecked,
+        outcome.elements_total,
+        outcome.violations_added,
+        outcome.violations_removed,
+        deltas_applied
+    );
+    report.write_json(&mut body);
+    body.push('}');
+    Ok(Response::json(200, body))
 }
 
-fn handle_report(ctx: &Ctx, id: u64) -> Handled {
-    const ROUTE: &str = "/sessions/{id}/report";
-    match ctx.registry.get(id) {
-        Lookup::Found(slot) => {
-            // Recovered sessions hydrate here: their first report is a
-            // full revalidation through the incremental engine's seeding
-            // pass.
-            let report = match slot.session.lock().unwrap().engine() {
-                Ok(engine) => engine.report(),
-                Err(message) => return Handled::plain(ROUTE, Response::error(500, &message)),
-            };
-            Handled {
-                route: ROUTE,
-                response: Response::json(200, report.to_json()),
-                engine: Some("incremental"),
-            }
-        }
-        Lookup::Evicted => Handled::plain(ROUTE, Response::error(410, "session evicted")),
-        Lookup::Missing => Handled::plain(ROUTE, Response::error(404, "no such session")),
-    }
+/// Recovered sessions hydrate here: their first report is a full
+/// revalidation through the incremental engine's seeding pass.
+fn handle_report(ctx: &Ctx, id: u64) -> Result<Response, HttpError> {
+    let report = with_session(ctx, id, |session| Ok(session.engine()?.report()))?;
+    Ok(Response::json(200, report.to_json()))
 }
 
-fn handle_graph(ctx: &Ctx, id: u64) -> Handled {
-    const ROUTE: &str = "/sessions/{id}/graph";
-    match ctx.registry.get(id) {
-        // The graph is served without hydrating — dormant sessions keep
-        // their recovery cheap until something asks for a report (a
-        // mapped graph does materialize here: JSON needs the elements).
-        Lookup::Found(slot) => match slot.session.lock().unwrap().graph() {
-            Ok(graph) => {
-                let body = json::to_json(graph);
-                Handled::plain(ROUTE, Response::json(200, body))
-            }
-            Err(message) => Handled::plain(ROUTE, Response::error(500, &message)),
-        },
-        Lookup::Evicted => Handled::plain(ROUTE, Response::error(410, "session evicted")),
-        Lookup::Missing => Handled::plain(ROUTE, Response::error(404, "no such session")),
-    }
+/// The graph is served without hydrating — dormant sessions keep their
+/// recovery cheap until something asks for a report (a mapped graph does
+/// materialize here: JSON needs the elements).
+fn handle_graph(ctx: &Ctx, id: u64) -> Result<Response, HttpError> {
+    with_session(ctx, id, |session| {
+        Ok(Response::json(200, json::to_json(session.graph()?)))
+    })
 }
 
 /// Writes the one-line request log to stderr.

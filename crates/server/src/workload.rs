@@ -1,9 +1,177 @@
 //! The shared worked-example workload: the paper's Examples 3.1–3.5
 //! schema and a small conforming instance, used by the `pgload` load
 //! generator, the CI smoke run and the integration tests so that all
-//! three drive the daemon with the same traffic.
+//! three drive the daemon with the same traffic — through the same
+//! blocking [`Client`].
 
+use std::io::{self, Write};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
+
+use pgraph::json::{self, Json};
 use pgraph::{GraphBuilder, GraphDelta, NodeId, PropertyGraph, Value};
+
+use crate::http::{push_json_string, read_response, ResponseParts};
+
+/// One blocking keep-alive client connection to a daemon.
+pub struct Client {
+    stream: TcpStream,
+    buf: Vec<u8>,
+}
+
+impl Client {
+    /// Connects with `TCP_NODELAY` and a ten-second read timeout.
+    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+        Ok(Client {
+            stream,
+            buf: Vec::new(),
+        })
+    }
+
+    /// Sends one request and reads its response: status, headers
+    /// (lower-cased names) and body.
+    pub fn request_full(
+        &mut self,
+        method: &str,
+        target: &str,
+        body: &[u8],
+    ) -> io::Result<ResponseParts> {
+        let mut out = format!(
+            "{method} {target} HTTP/1.1\r\nhost: pgload\r\ncontent-length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        out.extend_from_slice(body);
+        self.stream.write_all(&out)?;
+        read_response(&mut self.stream, &mut self.buf)
+    }
+
+    /// [`request_full`](Self::request_full) without the headers.
+    pub fn request(
+        &mut self,
+        method: &str,
+        target: &str,
+        body: &[u8],
+    ) -> io::Result<(u16, Vec<u8>)> {
+        let (status, _headers, body) = self.request_full(method, target, body)?;
+        Ok((status, body))
+    }
+
+    /// [`request`](Self::request) for a JSON response body.
+    pub fn request_json(
+        &mut self,
+        method: &str,
+        target: &str,
+        body: &[u8],
+    ) -> io::Result<(u16, Json)> {
+        let (status, body) = self.request(method, target, body)?;
+        let doc = Json::parse(&String::from_utf8_lossy(&body))
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad JSON: {e}")))?;
+        Ok((status, doc))
+    }
+
+    /// A request that must answer `status`; returns the body. `what`
+    /// names the step in the failure message.
+    pub fn expect(
+        &mut self,
+        what: &str,
+        status: u16,
+        method: &str,
+        target: &str,
+        body: &[u8],
+    ) -> Result<Vec<u8>, String> {
+        match self.request(method, target, body) {
+            Ok((got, body)) if got == status => Ok(body),
+            Ok((got, body)) => Err(format!(
+                "{what}: expected {status}, got {got}: {}",
+                String::from_utf8_lossy(&body)
+            )),
+            Err(e) => Err(format!("{what}: {e}")),
+        }
+    }
+
+    /// [`expect`](Self::expect) for a JSON body.
+    pub fn expect_json(
+        &mut self,
+        what: &str,
+        status: u16,
+        method: &str,
+        target: &str,
+        body: &[u8],
+    ) -> Result<Json, String> {
+        let body = self.expect(what, status, method, target, body)?;
+        Json::parse(&String::from_utf8_lossy(&body)).map_err(|e| format!("{what}: bad JSON: {e}"))
+    }
+
+    /// `POST`s an envelope to `target` (`/sessions`, with or without a
+    /// `?lang=`) and returns the id of the session it created.
+    pub fn create_session(&mut self, target: &str, envelope: &[u8]) -> Result<u64, String> {
+        let created = self.expect("create session", 201, "POST", target, envelope)?;
+        session_id(&created).ok_or_else(|| "create session: no session id".to_owned())
+    }
+
+    /// One un-labelled gauge or counter sample from `GET /metrics`.
+    pub fn metric(&mut self, name: &str) -> Result<u64, String> {
+        let body = self.expect("metrics", 200, "GET", "/metrics", b"")?;
+        String::from_utf8_lossy(&body)
+            .lines()
+            .find_map(|l| l.strip_prefix(name).and_then(|rest| rest.strip_prefix(' ')))
+            .and_then(|v| v.trim().parse().ok())
+            .ok_or_else(|| format!("metrics: no `{name}` sample"))
+    }
+}
+
+/// The `session` member of a `201` body of `POST /sessions`.
+pub fn session_id(created: &[u8]) -> Option<u64> {
+    let doc = Json::parse(&String::from_utf8_lossy(created)).ok()?;
+    doc.get("session")?.as_i64().map(|id| id as u64)
+}
+
+/// The `{"schema": …, "graph": …}` envelope of `POST /validate` and
+/// `POST /sessions`.
+pub fn envelope(schema: &str, graph: &PropertyGraph) -> Vec<u8> {
+    let mut out = String::from("{\"schema\":");
+    push_json_string(&mut out, schema);
+    out.push_str(",\"graph\":");
+    out.push_str(&json::to_json(graph));
+    out.push('}');
+    out.into_bytes()
+}
+
+/// The `POST /sessions/{id}/migrate` body.
+pub fn migrate_body(action: &str, schema: Option<&str>, force: bool) -> Vec<u8> {
+    let mut out = format!("{{\"action\":\"{action}\"");
+    if let Some(sdl) = schema {
+        out.push_str(",\"schema\":");
+        push_json_string(&mut out, sdl);
+    }
+    if force {
+        out.push_str(",\"force\":true");
+    }
+    out.push('}');
+    out.into_bytes()
+}
+
+/// A report body without the members in `volatile` — `metrics` (wall
+/// times differ run to run), and `engine` when a session report is
+/// compared with one-shot runs of the other engines — so that reports
+/// over the same state compare byte for byte.
+pub fn canonical_report(body: &[u8], volatile: &[&str]) -> Result<String, String> {
+    let doc = Json::parse(&String::from_utf8_lossy(body)).map_err(|e| format!("bad JSON: {e}"))?;
+    Ok(match doc {
+        Json::Object(members) => Json::Object(
+            members
+                .into_iter()
+                .filter(|(name, _)| !volatile.contains(&name.as_str()))
+                .collect(),
+        ),
+        other => other,
+    }
+    .to_string())
+}
 
 /// The SDL of the paper's worked example (Example 3.1 with the edge
 /// properties of 3.12 and the key of 3.4).

@@ -2,13 +2,14 @@
 //! process on port 0, driven by hand-rolled HTTP clients, and shut down
 //! through [`ServerHandle`] — the same drain SIGTERM triggers.
 
-use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use pg_schema::{validate, Engine, ValidationOptions};
 use pg_server::http::read_response;
-use pg_server::workload::{sample_graph, toggle_delta, user_ids, SCHEMA_SDL};
+use pg_server::workload::{
+    self, migrate_body, sample_graph, toggle_delta, user_ids, Client, SCHEMA_SDL,
+};
 use pg_server::{LogFormat, Server, ServerConfig, ServerHandle};
 use pgraph::json::{self, Json};
 
@@ -38,65 +39,22 @@ impl Daemon {
     }
 }
 
-struct Client {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        Client {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    fn request(&mut self, method: &str, target: &str, body: &[u8]) -> (u16, Vec<u8>) {
-        let head = format!(
-            "{method} {target} HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        );
-        self.stream.write_all(head.as_bytes()).unwrap();
-        self.stream.write_all(body).unwrap();
-        let (status, _headers, body) =
-            read_response(&mut self.stream, &mut self.buf).expect("response");
-        (status, body)
-    }
-
-    fn request_json(&mut self, method: &str, target: &str, body: &[u8]) -> (u16, Json) {
-        let (status, body) = self.request(method, target, body);
-        let text = String::from_utf8(body).expect("UTF-8 body");
-        (status, Json::parse(&text).expect("JSON body"))
-    }
-}
-
 fn envelope(users: usize) -> Vec<u8> {
-    let graph = sample_graph(users);
-    let mut out = String::new();
-    out.push_str("{\"schema\":");
-    pg_server::http::push_json_string(&mut out, SCHEMA_SDL);
-    out.push_str(",\"graph\":");
-    out.push_str(&json::to_json(&graph));
-    out.push('}');
-    out.into_bytes()
+    workload::envelope(SCHEMA_SDL, &sample_graph(users))
 }
 
 #[test]
 fn stateless_validate_on_every_engine() {
     let daemon = Daemon::start(2, 16);
-    let mut client = Client::connect(daemon.addr);
+    let mut client = Client::connect(daemon.addr).unwrap();
 
-    let (status, body) = client.request("GET", "/healthz", b"");
+    let (status, body) = client.request("GET", "/healthz", b"").unwrap();
     assert_eq!((status, body.as_slice()), (200, b"ok\n".as_slice()));
 
     for engine in ["naive", "indexed", "parallel", "incremental"] {
-        let (status, report) =
-            client.request_json("POST", &format!("/validate?engine={engine}"), &envelope(3));
+        let (status, report) = client
+            .request_json("POST", &format!("/validate?engine={engine}"), &envelope(3))
+            .unwrap();
         assert_eq!(status, 200, "engine {engine}");
         assert_eq!(report.get("conforms"), Some(&Json::Bool(true)));
         assert_eq!(
@@ -106,13 +64,17 @@ fn stateless_validate_on_every_engine() {
         );
     }
 
-    let (status, _) = client.request_json("POST", "/validate?engine=quantum", &envelope(1));
+    let (status, _) = client
+        .request_json("POST", "/validate?engine=quantum", &envelope(1))
+        .unwrap();
     assert_eq!(status, 400);
-    let (status, _) = client.request_json("POST", "/validate", b"{\"schema\": 7}");
+    let (status, _) = client
+        .request_json("POST", "/validate", b"{\"schema\": 7}")
+        .unwrap();
     assert_eq!(status, 400);
-    let (status, _) = client.request_json("GET", "/nope", b"");
+    let (status, _) = client.request_json("GET", "/nope", b"").unwrap();
     assert_eq!(status, 404);
-    let (status, _) = client.request_json("DELETE", "/validate", b"");
+    let (status, _) = client.request_json("DELETE", "/validate", b"").unwrap();
     assert_eq!(status, 405);
 
     daemon.stop();
@@ -121,9 +83,11 @@ fn stateless_validate_on_every_engine() {
 #[test]
 fn session_delta_round_trip() {
     let daemon = Daemon::start(2, 16);
-    let mut client = Client::connect(daemon.addr);
+    let mut client = Client::connect(daemon.addr).unwrap();
 
-    let (status, created) = client.request_json("POST", "/sessions", &envelope(4));
+    let (status, created) = client
+        .request_json("POST", "/sessions", &envelope(4))
+        .unwrap();
     assert_eq!(status, 201);
     let id = created.get("session").and_then(Json::as_i64).unwrap();
     assert_eq!(
@@ -136,8 +100,9 @@ fn session_delta_round_trip() {
 
     // Break, then verify the patched report arrives with the response.
     let delta = json::delta_to_json(&toggle_delta(user, 0));
-    let (status, patched) =
-        client.request_json("POST", &format!("/sessions/{id}/deltas"), delta.as_bytes());
+    let (status, patched) = client
+        .request_json("POST", &format!("/sessions/{id}/deltas"), delta.as_bytes())
+        .unwrap();
     assert_eq!(status, 200);
     assert_eq!(
         patched.get("report").and_then(|r| r.get("conforms")),
@@ -150,10 +115,14 @@ fn session_delta_round_trip() {
     );
 
     // The stored report and graph agree.
-    let (status, report) = client.request_json("GET", &format!("/sessions/{id}/report"), b"");
+    let (status, report) = client
+        .request_json("GET", &format!("/sessions/{id}/report"), b"")
+        .unwrap();
     assert_eq!(status, 200);
     assert_eq!(report.get("conforms"), Some(&Json::Bool(false)));
-    let (status, graph_doc) = client.request_json("GET", &format!("/sessions/{id}/graph"), b"");
+    let (status, graph_doc) = client
+        .request_json("GET", &format!("/sessions/{id}/graph"), b"")
+        .unwrap();
     assert_eq!(status, 200);
     let served = json::graph_from_value(&graph_doc).unwrap();
     let schema = pg_schema::PgSchema::parse(SCHEMA_SDL).unwrap();
@@ -161,17 +130,24 @@ fn session_delta_round_trip() {
 
     // A delta naming a missing node conflicts without corrupting state.
     let bogus = r#"{"ops":[{"op":"remove-node","node":999}]}"#;
-    let (status, _) =
-        client.request_json("POST", &format!("/sessions/{id}/deltas"), bogus.as_bytes());
+    let (status, _) = client
+        .request_json("POST", &format!("/sessions/{id}/deltas"), bogus.as_bytes())
+        .unwrap();
     assert_eq!(status, 409);
-    let (status, report) = client.request_json("GET", &format!("/sessions/{id}/report"), b"");
+    let (status, report) = client
+        .request_json("GET", &format!("/sessions/{id}/report"), b"")
+        .unwrap();
     assert_eq!(status, 200);
     assert_eq!(report.get("conforms"), Some(&Json::Bool(false)));
 
     // Delete, then the id is gone.
-    let (status, _) = client.request_json("DELETE", &format!("/sessions/{id}"), b"");
+    let (status, _) = client
+        .request_json("DELETE", &format!("/sessions/{id}"), b"")
+        .unwrap();
     assert_eq!(status, 200);
-    let (status, _) = client.request_json("GET", &format!("/sessions/{id}/report"), b"");
+    let (status, _) = client
+        .request_json("GET", &format!("/sessions/{id}/report"), b"")
+        .unwrap();
     assert_eq!(status, 404);
 
     daemon.stop();
@@ -180,14 +156,18 @@ fn session_delta_round_trip() {
 #[test]
 fn metrics_count_requests_and_sessions() {
     let daemon = Daemon::start(2, 16);
-    let mut client = Client::connect(daemon.addr);
+    let mut client = Client::connect(daemon.addr).unwrap();
 
-    client.request("POST", "/validate?engine=parallel", &envelope(2));
-    let (status, created) = client.request_json("POST", "/sessions", &envelope(2));
+    client
+        .request("POST", "/validate?engine=parallel", &envelope(2))
+        .unwrap();
+    let (status, created) = client
+        .request_json("POST", "/sessions", &envelope(2))
+        .unwrap();
     assert_eq!(status, 201);
     assert!(created.get("session").is_some());
 
-    let (status, body) = client.request("GET", "/metrics", b"");
+    let (status, body) = client.request("GET", "/metrics", b"").unwrap();
     assert_eq!(status, 200);
     let text = String::from_utf8(body).unwrap();
     assert!(text.contains("pgschemad_validations_total{engine=\"parallel\"} 1"));
@@ -242,8 +222,8 @@ fn saturated_server_sheds_with_503_and_retry_after() {
 #[test]
 fn graceful_shutdown_completes_in_flight_work() {
     let daemon = Daemon::start(2, 16);
-    let mut client = Client::connect(daemon.addr);
-    let (status, _) = client.request("GET", "/healthz", b"");
+    let mut client = Client::connect(daemon.addr).unwrap();
+    let (status, _) = client.request("GET", "/healthz", b"").unwrap();
     assert_eq!(status, 200);
 
     // Begin the drain (what SIGTERM triggers) and require a clean exit
@@ -260,10 +240,12 @@ fn graceful_shutdown_completes_in_flight_work() {
 #[test]
 fn hammered_session_report_equals_from_scratch_validation() {
     let daemon = Daemon::start(4, 32);
-    let mut client = Client::connect(daemon.addr);
+    let mut client = Client::connect(daemon.addr).unwrap();
 
     let users = 8;
-    let (status, created) = client.request_json("POST", "/sessions", &envelope(users));
+    let (status, created) = client
+        .request_json("POST", "/sessions", &envelope(users))
+        .unwrap();
     assert_eq!(status, 201);
     let id = created.get("session").and_then(Json::as_i64).unwrap();
 
@@ -279,12 +261,13 @@ fn hammered_session_report_equals_from_scratch_validation() {
         for (t, &user) in user_nodes.iter().enumerate().take(writers) {
             let addr = daemon.addr;
             scope.spawn(move || {
-                let mut client = Client::connect(addr);
+                let mut client = Client::connect(addr).unwrap();
                 let deltas = if t % 2 == 0 { 9 } else { 10 };
                 for i in 0..deltas {
                     let delta = json::delta_to_json(&toggle_delta(user, i));
-                    let (status, _) =
-                        client.request("POST", &format!("/sessions/{id}/deltas"), delta.as_bytes());
+                    let (status, _) = client
+                        .request("POST", &format!("/sessions/{id}/deltas"), delta.as_bytes())
+                        .unwrap();
                     assert_eq!(status, 200, "writer {t} delta {i}");
                 }
             });
@@ -292,10 +275,11 @@ fn hammered_session_report_equals_from_scratch_validation() {
         for _ in 0..2 {
             let addr = daemon.addr;
             scope.spawn(move || {
-                let mut client = Client::connect(addr);
+                let mut client = Client::connect(addr).unwrap();
                 for _ in 0..20 {
-                    let (status, report) =
-                        client.request_json("GET", &format!("/sessions/{id}/report"), b"");
+                    let (status, report) = client
+                        .request_json("GET", &format!("/sessions/{id}/report"), b"")
+                        .unwrap();
                     assert_eq!(status, 200);
                     // Any intermediate report is internally consistent:
                     // conforms iff no violations.
@@ -312,9 +296,13 @@ fn hammered_session_report_equals_from_scratch_validation() {
 
     // Oracle: fetch the final graph, revalidate from scratch with all
     // four engines, and require each to agree with the session's report.
-    let (status, final_report) = client.request_json("GET", &format!("/sessions/{id}/report"), b"");
+    let (status, final_report) = client
+        .request_json("GET", &format!("/sessions/{id}/report"), b"")
+        .unwrap();
     assert_eq!(status, 200);
-    let (status, graph_doc) = client.request_json("GET", &format!("/sessions/{id}/graph"), b"");
+    let (status, graph_doc) = client
+        .request_json("GET", &format!("/sessions/{id}/graph"), b"")
+        .unwrap();
     assert_eq!(status, 200);
     let served = json::graph_from_value(&graph_doc).unwrap();
     let schema = pg_schema::PgSchema::parse(SCHEMA_SDL).unwrap();
@@ -363,16 +351,18 @@ fn metric(text: &str, sample: &str) -> u64 {
 #[test]
 fn two_cores_serve_every_session_without_handing_connections_over() {
     let daemon = Daemon::start(2, 16);
-    let mut a = Client::connect(daemon.addr);
-    let mut b = Client::connect(daemon.addr);
+    let mut a = Client::connect(daemon.addr).unwrap();
+    let mut b = Client::connect(daemon.addr).unwrap();
     // A round trip each, so both are adopted before the gauges are read.
-    assert_eq!(a.request("GET", "/healthz", b"").0, 200);
-    assert_eq!(b.request("GET", "/healthz", b"").0, 200);
+    assert_eq!(a.request("GET", "/healthz", b"").unwrap().0, 200);
+    assert_eq!(b.request("GET", "/healthz", b"").unwrap().0, 200);
 
     let mut sessions: Vec<(i64, pgraph::PropertyGraph)> = (0..8)
         .map(|i| {
             let users = 2 + i % 3;
-            let (status, created) = a.request_json("POST", "/sessions", &envelope(users));
+            let (status, created) = a
+                .request_json("POST", "/sessions", &envelope(users))
+                .unwrap();
             assert_eq!(status, 201);
             let id = created.get("session").and_then(Json::as_i64).unwrap();
             (id, sample_graph(users))
@@ -380,7 +370,7 @@ fn two_cores_serve_every_session_without_handing_connections_over() {
         .collect();
 
     let core_gauges = |client: &mut Client| {
-        let (status, body) = client.request("GET", "/metrics", b"");
+        let (status, body) = client.request("GET", "/metrics", b"").unwrap();
         assert_eq!(status, 200);
         let text = String::from_utf8(body).unwrap();
         assert!(
@@ -432,11 +422,13 @@ fn two_cores_serve_every_session_without_handing_connections_over() {
     let walk = |client: &mut Client, plan: &Plan| {
         for (id, delta) in plan {
             let delta = json::delta_to_json(delta);
-            let (status, _) =
-                client.request("POST", &format!("/sessions/{id}/deltas"), delta.as_bytes());
+            let (status, _) = client
+                .request("POST", &format!("/sessions/{id}/deltas"), delta.as_bytes())
+                .unwrap();
             assert_eq!(status, 200, "session {id}");
-            let (status, report) =
-                client.request_json("GET", &format!("/sessions/{id}/report"), b"");
+            let (status, report) = client
+                .request_json("GET", &format!("/sessions/{id}/report"), b"")
+                .unwrap();
             assert_eq!(status, 200);
             let conforms = report.get("conforms") == Some(&Json::Bool(true));
             let empty = report
@@ -444,7 +436,9 @@ fn two_cores_serve_every_session_without_handing_connections_over() {
                 .and_then(Json::as_array)
                 .is_some_and(|v| v.is_empty());
             assert_eq!(conforms, empty);
-            let (status, graph) = client.request_json("GET", &format!("/sessions/{id}/graph"), b"");
+            let (status, graph) = client
+                .request_json("GET", &format!("/sessions/{id}/graph"), b"")
+                .unwrap();
             assert_eq!(status, 200);
             json::graph_from_value(&graph).expect("a whole graph document");
         }
@@ -462,14 +456,18 @@ fn two_cores_serve_every_session_without_handing_connections_over() {
 
     let schema = pg_schema::PgSchema::parse(SCHEMA_SDL).unwrap();
     for (id, mirror) in &sessions {
-        let (status, served) = b.request("GET", &format!("/sessions/{id}/graph"), b"");
+        let (status, served) = b
+            .request("GET", &format!("/sessions/{id}/graph"), b"")
+            .unwrap();
         assert_eq!(status, 200);
         assert_eq!(
             String::from_utf8(served).unwrap(),
             json::to_json(mirror),
             "session {id} graph"
         );
-        let (status, report) = b.request_json("GET", &format!("/sessions/{id}/report"), b"");
+        let (status, report) = b
+            .request_json("GET", &format!("/sessions/{id}/report"), b"")
+            .unwrap();
         assert_eq!(status, 200);
         assert_eq!(report.get("conforms"), Some(&Json::Bool(false)));
         for engine in [
@@ -501,8 +499,10 @@ fn two_cores_serve_every_session_without_handing_connections_over() {
 #[test]
 fn hostile_nesting_is_a_400_and_the_daemon_keeps_serving() {
     let daemon = Daemon::start(1, 16);
-    let mut client = Client::connect(daemon.addr);
-    let (status, created) = client.request_json("POST", "/sessions", &envelope(2));
+    let mut client = Client::connect(daemon.addr).unwrap();
+    let (status, created) = client
+        .request_json("POST", "/sessions", &envelope(2))
+        .unwrap();
     assert_eq!(status, 201);
     let id = created.get("session").and_then(Json::as_i64).unwrap();
 
@@ -514,7 +514,7 @@ fn hostile_nesting_is_a_400_and_the_daemon_keeps_serving() {
         format!("/sessions/{id}/deltas"),
         format!("/sessions/{id}/migrate"),
     ] {
-        let (status, error) = client.request_json("POST", &target, &brackets);
+        let (status, error) = client.request_json("POST", &target, &brackets).unwrap();
         assert_eq!(status, 400, "{target}");
         let message = error.get("error").and_then(Json::as_str).unwrap();
         assert!(
@@ -533,7 +533,7 @@ fn hostile_nesting_is_a_400_and_the_daemon_keeps_serving() {
         "]".repeat(300_000)
     );
     let body = envelope_with(&deep_schema, &json::to_json(&sample_graph(1)));
-    let (status, error) = client.request_json("POST", "/validate", &body);
+    let (status, error) = client.request_json("POST", "/validate", &body).unwrap();
     assert_eq!(status, 400);
     let message = error.get("error").and_then(Json::as_str).unwrap();
     assert!(
@@ -545,10 +545,14 @@ fn hostile_nesting_is_a_400_and_the_daemon_keeps_serving() {
     );
 
     // Same daemon, same connection, sessions intact.
-    let (status, report) = client.request_json("POST", "/validate", &envelope(3));
+    let (status, report) = client
+        .request_json("POST", "/validate", &envelope(3))
+        .unwrap();
     assert_eq!(status, 200);
     assert_eq!(report.get("conforms"), Some(&Json::Bool(true)));
-    let (status, _) = client.request_json("GET", &format!("/sessions/{id}/report"), b"");
+    let (status, _) = client
+        .request_json("GET", &format!("/sessions/{id}/report"), b"")
+        .unwrap();
     assert_eq!(status, 200);
     daemon.stop();
 }
@@ -588,38 +592,26 @@ type User @key(fields: ["id"]) {
 scalar Time
 "#;
 
-fn migrate_body(action: &str, schema: Option<&str>, force: bool) -> Vec<u8> {
-    let mut out = String::new();
-    out.push_str("{\"action\":\"");
-    out.push_str(action);
-    out.push('"');
-    if let Some(sdl) = schema {
-        out.push_str(",\"schema\":");
-        pg_server::http::push_json_string(&mut out, sdl);
-    }
-    if force {
-        out.push_str(",\"force\":true");
-    }
-    out.push('}');
-    out.into_bytes()
-}
-
 #[test]
 fn migration_window_lifecycle() {
     let daemon = Daemon::start(2, 16);
-    let mut client = Client::connect(daemon.addr);
+    let mut client = Client::connect(daemon.addr).unwrap();
 
-    let (status, created) = client.request_json("POST", "/sessions", &envelope(3));
+    let (status, created) = client
+        .request_json("POST", "/sessions", &envelope(3))
+        .unwrap();
     assert_eq!(status, 201);
     let id = created.get("session").and_then(Json::as_i64).unwrap();
     let migrate = format!("/sessions/{id}/migrate");
 
     // A plan is a preview: it opens nothing.
-    let (status, planned) = client.request_json(
-        "POST",
-        &migrate,
-        &migrate_body("plan", Some(BREAKING_SDL), false),
-    );
+    let (status, planned) = client
+        .request_json(
+            "POST",
+            &migrate,
+            &migrate_body("plan", Some(BREAKING_SDL), false),
+        )
+        .unwrap();
     assert_eq!(status, 200);
     let plan = planned.get("plan").unwrap();
     assert_eq!(plan.get("compatible"), Some(&Json::Bool(false)));
@@ -627,27 +619,33 @@ fn migration_window_lifecycle() {
         .get("violations_added")
         .and_then(Json::as_array)
         .is_some_and(|v| !v.is_empty()));
-    let (status, _) = client.request_json("POST", &migrate, &migrate_body("commit", None, false));
+    let (status, _) = client
+        .request_json("POST", &migrate, &migrate_body("commit", None, false))
+        .unwrap();
     assert_eq!(status, 409, "plan must not have opened a window");
 
     // Begin a compatible window; a second begin is refused.
-    let (status, begun) = client.request_json(
-        "POST",
-        &migrate,
-        &migrate_body("begin", Some(COMPATIBLE_SDL), false),
-    );
+    let (status, begun) = client
+        .request_json(
+            "POST",
+            &migrate,
+            &migrate_body("begin", Some(COMPATIBLE_SDL), false),
+        )
+        .unwrap();
     assert_eq!(status, 200);
     assert_eq!(
         begun.get("plan").and_then(|p| p.get("compatible")),
         Some(&Json::Bool(true))
     );
-    let (status, _) = client.request_json(
-        "POST",
-        &migrate,
-        &migrate_body("begin", Some(COMPATIBLE_SDL), false),
-    );
+    let (status, _) = client
+        .request_json(
+            "POST",
+            &migrate,
+            &migrate_body("begin", Some(COMPATIBLE_SDL), false),
+        )
+        .unwrap();
     assert_eq!(status, 409);
-    let (status, metrics) = client.request("GET", "/metrics", b"");
+    let (status, metrics) = client.request("GET", "/metrics", b"").unwrap();
     assert_eq!(status, 200);
     let metrics = String::from_utf8(metrics).unwrap();
     assert!(metrics.contains("pgschemad_migration_windows_open 1"));
@@ -656,40 +654,49 @@ fn migration_window_lifecycle() {
     // Deltas keep flowing during the window; commit swaps cleanly.
     let users = user_ids(&sample_graph(3));
     let delta = toggle_delta(users[0], 1);
-    let (status, _) = client.request_json(
-        "POST",
-        &format!("/sessions/{id}/deltas"),
-        json::delta_to_json(&delta).as_bytes(),
-    );
+    let (status, _) = client
+        .request_json(
+            "POST",
+            &format!("/sessions/{id}/deltas"),
+            json::delta_to_json(&delta).as_bytes(),
+        )
+        .unwrap();
     assert_eq!(status, 200);
-    let (status, committed) =
-        client.request_json("POST", &migrate, &migrate_body("commit", None, false));
+    let (status, committed) = client
+        .request_json("POST", &migrate, &migrate_body("commit", None, false))
+        .unwrap();
     assert_eq!(status, 200);
     assert_eq!(committed.get("committed"), Some(&Json::Bool(true)));
     assert_eq!(
         committed.get("report").and_then(|r| r.get("conforms")),
         Some(&Json::Bool(true))
     );
-    let (status, _) = client.request_json("POST", &migrate, &migrate_body("abort", None, false));
+    let (status, _) = client
+        .request_json("POST", &migrate, &migrate_body("abort", None, false))
+        .unwrap();
     assert_eq!(status, 409, "commit closed the window");
 
     // A breaking window: commit refused until forced.
-    let (status, begun) = client.request_json(
-        "POST",
-        &migrate,
-        &migrate_body("begin", Some(BREAKING_SDL), false),
-    );
+    let (status, begun) = client
+        .request_json(
+            "POST",
+            &migrate,
+            &migrate_body("begin", Some(BREAKING_SDL), false),
+        )
+        .unwrap();
     assert_eq!(status, 200);
     assert_eq!(
         begun.get("plan").and_then(|p| p.get("compatible")),
         Some(&Json::Bool(false))
     );
-    let (status, refused) =
-        client.request_json("POST", &migrate, &migrate_body("commit", None, false));
+    let (status, refused) = client
+        .request_json("POST", &migrate, &migrate_body("commit", None, false))
+        .unwrap();
     assert_eq!(status, 409);
     assert_eq!(refused.get("committed"), Some(&Json::Bool(false)));
-    let (status, committed) =
-        client.request_json("POST", &migrate, &migrate_body("commit", None, true));
+    let (status, committed) = client
+        .request_json("POST", &migrate, &migrate_body("commit", None, true))
+        .unwrap();
     assert_eq!(status, 200);
     assert_eq!(
         committed.get("report").and_then(|r| r.get("conforms")),
@@ -698,25 +705,34 @@ fn migration_window_lifecycle() {
     );
 
     // Abort path and malformed requests.
-    let (status, _) = client.request_json(
-        "POST",
-        &migrate,
-        &migrate_body("begin", Some(COMPATIBLE_SDL), false),
-    );
+    let (status, _) = client
+        .request_json(
+            "POST",
+            &migrate,
+            &migrate_body("begin", Some(COMPATIBLE_SDL), false),
+        )
+        .unwrap();
     assert_eq!(status, 200);
-    let (status, aborted) =
-        client.request_json("POST", &migrate, &migrate_body("abort", None, false));
+    let (status, aborted) = client
+        .request_json("POST", &migrate, &migrate_body("abort", None, false))
+        .unwrap();
     assert_eq!(status, 200);
     assert_eq!(aborted.get("aborted"), Some(&Json::Bool(true)));
-    let (status, _) = client.request_json("POST", &migrate, &migrate_body("tango", None, false));
+    let (status, _) = client
+        .request_json("POST", &migrate, &migrate_body("tango", None, false))
+        .unwrap();
     assert_eq!(status, 400);
-    let (status, _) = client.request_json("POST", &migrate, &migrate_body("plan", None, false));
+    let (status, _) = client
+        .request_json("POST", &migrate, &migrate_body("plan", None, false))
+        .unwrap();
     assert_eq!(status, 400);
-    let (status, _) = client.request_json(
-        "POST",
-        "/sessions/999/migrate",
-        &migrate_body("abort", None, false),
-    );
+    let (status, _) = client
+        .request_json(
+            "POST",
+            "/sessions/999/migrate",
+            &migrate_body("abort", None, false),
+        )
+        .unwrap();
     assert_eq!(status, 404);
 
     daemon.stop();
@@ -751,7 +767,7 @@ fn check_sat_body(schema: &str, type_name: &str, max_size: Option<u64>) -> Vec<u
 #[test]
 fn pgschema_language_is_served_end_to_end() {
     let daemon = Daemon::start(2, 16);
-    let mut client = Client::connect(daemon.addr);
+    let mut client = Client::connect(daemon.addr).unwrap();
 
     // Render the workload schema into PG-Schema; both texts must yield
     // the same served report.
@@ -760,14 +776,17 @@ fn pgschema_language_is_served_end_to_end() {
         .expect("workload schema is inside the PG-Schema fragment");
     let graph_json = json::to_json(&sample_graph(3));
 
-    let (status, sdl_report) =
-        client.request_json("POST", "/validate", &envelope_with(SCHEMA_SDL, &graph_json));
+    let (status, sdl_report) = client
+        .request_json("POST", "/validate", &envelope_with(SCHEMA_SDL, &graph_json))
+        .unwrap();
     assert_eq!(status, 200);
-    let (status, pgs_report) = client.request_json(
-        "POST",
-        "/validate?lang=pgschema",
-        &envelope_with(&pgs, &graph_json),
-    );
+    let (status, pgs_report) = client
+        .request_json(
+            "POST",
+            "/validate?lang=pgschema",
+            &envelope_with(&pgs, &graph_json),
+        )
+        .unwrap();
     assert_eq!(status, 200);
     assert_eq!(sdl_report.get("conforms"), pgs_report.get("conforms"));
     assert_eq!(
@@ -777,33 +796,41 @@ fn pgschema_language_is_served_end_to_end() {
     );
 
     // Unknown languages fail through the shared enum error.
-    let (status, body) = client.request(
-        "POST",
-        "/validate?lang=cypher",
-        &envelope_with(SCHEMA_SDL, &graph_json),
-    );
+    let (status, body) = client
+        .request(
+            "POST",
+            "/validate?lang=cypher",
+            &envelope_with(SCHEMA_SDL, &graph_json),
+        )
+        .unwrap();
     assert_eq!(status, 400);
     let text = String::from_utf8_lossy(&body);
     assert!(text.contains("schema language"), "{text}");
 
     // SDL text posted as pgschema is a clean 400, not a panic.
-    let (status, _) = client.request(
-        "POST",
-        "/validate?lang=pgschema",
-        &envelope_with(SCHEMA_SDL, &graph_json),
-    );
+    let (status, _) = client
+        .request(
+            "POST",
+            "/validate?lang=pgschema",
+            &envelope_with(SCHEMA_SDL, &graph_json),
+        )
+        .unwrap();
     assert_eq!(status, 400);
 
     // Sessions record the language and serve reports identically.
-    let (status, created) = client.request_json(
-        "POST",
-        "/sessions?lang=pgschema",
-        &envelope_with(&pgs, &graph_json),
-    );
+    let (status, created) = client
+        .request_json(
+            "POST",
+            "/sessions?lang=pgschema",
+            &envelope_with(&pgs, &graph_json),
+        )
+        .unwrap();
     assert_eq!(status, 201);
     assert_eq!(created.get("lang").and_then(Json::as_str), Some("pgschema"));
     let id = created.get("session").and_then(Json::as_i64).unwrap();
-    let (status, report) = client.request_json("GET", &format!("/sessions/{id}/report"), b"");
+    let (status, report) = client
+        .request_json("GET", &format!("/sessions/{id}/report"), b"")
+        .unwrap();
     assert_eq!(status, 200);
     assert_eq!(report.get("conforms"), sdl_report.get("conforms"));
 
@@ -813,16 +840,18 @@ fn pgschema_language_is_served_end_to_end() {
 #[test]
 fn check_sat_answers_sat_with_witness_and_unsat() {
     let daemon = Daemon::start(1, 8);
-    let mut client = Client::connect(daemon.addr);
+    let mut client = Client::connect(daemon.addr).unwrap();
 
     // Satisfiable: a keyed node type has a finite witness.
     let sat_pgs =
         "CREATE GRAPH TYPE Accounts STRICT { (User {id STRING}), FOR (x : User) KEY x.id }";
-    let (status, doc) = client.request_json(
-        "POST",
-        "/check-sat?lang=pgschema",
-        &check_sat_body(sat_pgs, "User", None),
-    );
+    let (status, doc) = client
+        .request_json(
+            "POST",
+            "/check-sat?lang=pgschema",
+            &check_sat_body(sat_pgs, "User", None),
+        )
+        .unwrap();
     assert_eq!(status, 200);
     assert_eq!(
         doc.get("result").and_then(Json::as_str),
@@ -842,11 +871,13 @@ fn check_sat_answers_sat_with_witness_and_unsat() {
         (:OT2)-[:f]->(:OT1) INCOMING 1..*,
         (:OT3)-[:f]->(:OT1) INCOMING 1..*
     }";
-    let (status, doc) = client.request_json(
-        "POST",
-        "/check-sat?lang=pgschema",
-        &check_sat_body(unsat_pgs, "OT1", Some(4)),
-    );
+    let (status, doc) = client
+        .request_json(
+            "POST",
+            "/check-sat?lang=pgschema",
+            &check_sat_body(unsat_pgs, "OT1", Some(4)),
+        )
+        .unwrap();
     assert_eq!(status, 200);
     assert_eq!(
         doc.get("result").and_then(Json::as_str),
@@ -855,11 +886,13 @@ fn check_sat_answers_sat_with_witness_and_unsat() {
     );
 
     // The same route takes plain SDL (the default language).
-    let (status, doc) = client.request_json(
-        "POST",
-        "/check-sat",
-        &check_sat_body("type A { b: B @required } type B { x: Int }", "A", None),
-    );
+    let (status, doc) = client
+        .request_json(
+            "POST",
+            "/check-sat",
+            &check_sat_body("type A { b: B @required } type B { x: Int }", "A", None),
+        )
+        .unwrap();
     assert_eq!(status, 200);
     assert_eq!(
         doc.get("result").and_then(Json::as_str),
@@ -867,11 +900,13 @@ fn check_sat_answers_sat_with_witness_and_unsat() {
     );
 
     // Malformed requests are clean 400s; wrong methods are 405s.
-    let (status, _) = client.request("POST", "/check-sat", b"{\"schema\": \"type A { x: Int }\"}");
+    let (status, _) = client
+        .request("POST", "/check-sat", b"{\"schema\": \"type A { x: Int }\"}")
+        .unwrap();
     assert_eq!(status, 400);
-    let (status, _) = client.request("POST", "/check-sat", b"not json");
+    let (status, _) = client.request("POST", "/check-sat", b"not json").unwrap();
     assert_eq!(status, 400);
-    let (status, _) = client.request("GET", "/check-sat", b"");
+    let (status, _) = client.request("GET", "/check-sat", b"").unwrap();
     assert_eq!(status, 405);
 
     daemon.stop();
@@ -880,17 +915,19 @@ fn check_sat_answers_sat_with_witness_and_unsat() {
 #[test]
 fn migration_windows_cross_languages() {
     let daemon = Daemon::start(1, 8);
-    let mut client = Client::connect(daemon.addr);
+    let mut client = Client::connect(daemon.addr).unwrap();
 
     // `nickname` is not declared: the closed-world SDL schema rejects
     // it through the strong family.
     let graph_json = r#"{"nodes":[{"id":0,"label":"User",
         "properties":{"login":"alice","nickname":"al"}}],"edges":[]}"#;
-    let (status, created) = client.request_json(
-        "POST",
-        "/sessions",
-        &envelope_with("type User { login: String! @required }", graph_json),
-    );
+    let (status, created) = client
+        .request_json(
+            "POST",
+            "/sessions",
+            &envelope_with("type User { login: String! @required }", graph_json),
+        )
+        .unwrap();
     assert_eq!(status, 201);
     assert_eq!(
         created.get("report").and_then(|r| r.get("conforms")),
@@ -907,10 +944,14 @@ fn migration_windows_cross_languages() {
         "CREATE GRAPH TYPE G LOOSE { (User {login STRING}) }",
     );
     begin.push('}');
-    let (status, planned) = client.request_json("POST", &migrate, begin.as_bytes());
+    let (status, planned) = client
+        .request_json("POST", &migrate, begin.as_bytes())
+        .unwrap();
     assert_eq!(status, 200, "{planned:?}");
 
-    let (status, committed) = client.request_json("POST", &migrate, b"{\"action\":\"commit\"}");
+    let (status, committed) = client
+        .request_json("POST", &migrate, b"{\"action\":\"commit\"}")
+        .unwrap();
     assert_eq!(status, 200, "{committed:?}");
     assert_eq!(committed.get("committed"), Some(&Json::Bool(true)));
     // The committed LOOSE schema validates open-world: the undeclared
@@ -930,18 +971,20 @@ fn migration_windows_cross_languages() {
 #[test]
 fn migration_from_loose_to_strict_is_judged_closed_world() {
     let daemon = Daemon::start(1, 8);
-    let mut client = Client::connect(daemon.addr);
+    let mut client = Client::connect(daemon.addr).unwrap();
 
     let graph_json = r#"{"nodes":[{"id":0,"label":"User",
         "properties":{"login":"alice","nickname":"al"}}],"edges":[]}"#;
-    let (status, created) = client.request_json(
-        "POST",
-        "/sessions?lang=pgschema",
-        &envelope_with(
-            "CREATE GRAPH TYPE G LOOSE { (User {login STRING}) }",
-            graph_json,
-        ),
-    );
+    let (status, created) = client
+        .request_json(
+            "POST",
+            "/sessions?lang=pgschema",
+            &envelope_with(
+                "CREATE GRAPH TYPE G LOOSE { (User {login STRING}) }",
+                graph_json,
+            ),
+        )
+        .unwrap();
     assert_eq!(status, 201);
     assert_eq!(
         created.get("report").and_then(|r| r.get("conforms")),
@@ -952,11 +995,13 @@ fn migration_from_loose_to_strict_is_judged_closed_world() {
     let migrate = format!("/sessions/{id}/migrate");
 
     const CANDIDATE: &str = "type User { login: String! @required age: Int }";
-    let (status, begun) = client.request_json(
-        "POST",
-        &migrate,
-        &migrate_body("begin", Some(CANDIDATE), false),
-    );
+    let (status, begun) = client
+        .request_json(
+            "POST",
+            &migrate,
+            &migrate_body("begin", Some(CANDIDATE), false),
+        )
+        .unwrap();
     assert_eq!(status, 200, "{begun:?}");
     let added = begun
         .get("plan")
@@ -966,13 +1011,15 @@ fn migration_from_loose_to_strict_is_judged_closed_world() {
     assert_eq!(added.len(), 1, "{begun:?}");
     assert_eq!(added[0].get("rule").and_then(Json::as_str), Some("SS2"));
 
-    let (status, refused) =
-        client.request_json("POST", &migrate, &migrate_body("commit", None, false));
+    let (status, refused) = client
+        .request_json("POST", &migrate, &migrate_body("commit", None, false))
+        .unwrap();
     assert_eq!(status, 409, "{refused:?}");
     assert_eq!(refused.get("committed"), Some(&Json::Bool(false)));
 
-    let (status, committed) =
-        client.request_json("POST", &migrate, &migrate_body("commit", None, true));
+    let (status, committed) = client
+        .request_json("POST", &migrate, &migrate_body("commit", None, true))
+        .unwrap();
     assert_eq!(status, 200, "{committed:?}");
     let schema = pg_schema::PgSchema::parse(CANDIDATE).unwrap();
     let graph = json::from_json(graph_json).unwrap();

@@ -9,7 +9,8 @@
 //!   files that an interrupted compaction may leave behind; they are
 //!   never read and are cleaned up on open).
 
-use std::io;
+use std::fs::OpenOptions;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 pub(crate) fn segment_path(dir: &Path, first_seq: u64) -> PathBuf {
@@ -20,8 +21,19 @@ pub(crate) fn snapshot_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("snapshot-{generation:06}.snap"))
 }
 
-pub(crate) fn snapshot_tmp_path(dir: &Path, generation: u64) -> PathBuf {
-    dir.join(format!("snapshot-{generation:06}.tmp"))
+/// Writes one snapshot generation so that a crash leaves either nothing
+/// or a valid file under the final name: temp file, fsync, atomic
+/// rename, directory sync.
+pub(crate) fn write_snapshot(dir: &Path, generation: u64, bytes: &[u8]) -> io::Result<()> {
+    let tmp = dir.join(format!("snapshot-{generation:06}.tmp"));
+    {
+        let mut file = OpenOptions::new().create_new(true).write(true).open(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+    }
+    std::fs::rename(&tmp, snapshot_path(dir, generation))?;
+    sync_dir(dir);
+    Ok(())
 }
 
 pub(crate) fn parse_segment_name(name: &str) -> Option<u64> {

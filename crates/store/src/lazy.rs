@@ -153,8 +153,7 @@ impl PartialEq<PropertyGraph> for LazyGraph {
 }
 
 /// A writer-side view of one session's graph, as accepted by the
-/// snapshot encoders ([`crate::Compaction::add_session`] and
-/// [`crate::SnapshotHandoff::add_session`]).
+/// snapshot encoder ([`crate::SnapshotCapture::add_session`]).
 ///
 /// `Pgcs` bytes are embedded verbatim — a dormant mapped session flows
 /// from one snapshot generation into the next without ever being

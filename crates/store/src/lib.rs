@@ -60,7 +60,7 @@ mod snapshot;
 pub mod wire;
 
 pub use lazy::{GraphPayload, LazyGraph};
-pub use record::{MigrationPhase, StoreRecord};
+pub use record::{Effect, MigrationPhase, SessionChange, SessionMeta, StoreRecord};
 pub use scan::{scan, ScanReport, SegmentInfo, SnapshotInfo};
 pub use snapshot::{GraphDesc, SnapshotDesc};
 
@@ -119,20 +119,14 @@ impl std::str::FromStr for FsyncPolicy {
 pub struct RecoveredSession {
     /// The session id.
     pub id: u64,
-    /// The schema's SDL source (the caller re-parses it).
-    pub schema_sdl: String,
     /// The graph with every recovered delta applied. Recovered from a
-    /// current-format (`PGS2`) snapshot with no WAL records to replay,
-    /// this is still a zero-copy [`LazyGraph::is_mapped`] view into the
-    /// memory-mapped snapshot file; it materializes on first use.
+    /// snapshot with no WAL records to replay, this is still a zero-copy
+    /// [`LazyGraph::is_mapped`] view into the memory-mapped snapshot
+    /// file; it materializes on first use.
     pub graph: LazyGraph,
-    /// How many deltas applied successfully over the session's life.
-    pub deltas_applied: u64,
-    /// Sequence number of the last record reflected in `graph`.
-    pub last_seq: u64,
-    /// The candidate schema SDL of an open migration window (a
-    /// `SchemaChange(begin)` with no commit/abort yet), if any.
-    pub pending_migration: Option<String>,
+    /// Schema, delta count, last sequence number and any open migration
+    /// window, as the replayed records left them.
+    pub meta: SessionMeta,
 }
 
 /// A torn or corrupt WAL tail found (and removed) during recovery.
@@ -573,14 +567,13 @@ impl Store {
     /// [`try_begin_compaction`](Self::try_begin_compaction) this rotates
     /// nothing and deletes nothing: `base_seq` is simply the current WAL
     /// position, and the caller feeds every live session through
-    /// [`SnapshotHandoff::add_session`] exactly as during compaction
+    /// [`SnapshotCapture::add_session`] exactly as during compaction
     /// (sessions captured after `base_seq` legitimately carry newer
     /// records; the receiver's per-session `last_seq` gating makes the
     /// overlap idempotent).
-    pub fn begin_handoff(&self) -> SnapshotHandoff {
-        let base_seq = self.wal.lock().unwrap().next_seq - 1;
-        SnapshotHandoff {
-            base_seq,
+    pub fn begin_handoff(&self) -> SnapshotCapture {
+        SnapshotCapture {
+            base_seq: self.wal.lock().unwrap().next_seq - 1,
             sessions: Vec::new(),
         }
     }
@@ -591,7 +584,7 @@ impl Store {
     ///
     /// Protocol: the rotation point `base_seq` is taken under the WAL
     /// lock; the caller then feeds every live session through
-    /// [`Compaction::add_session`] (capturing each under its own lock —
+    /// [`Compaction::capture`] (capturing each under its own lock —
     /// a session captured after the rotation may legitimately include
     /// records newer than `base_seq`, which is why each entry records
     /// its own `last_seq`); finally [`Compaction::finish`] writes the
@@ -604,10 +597,12 @@ impl Store {
         match result {
             Ok((base_seq, generation, old_segments)) => Ok(Some(Compaction {
                 store: self,
-                base_seq,
                 generation,
                 old_segments,
-                sessions: Vec::new(),
+                capture: SnapshotCapture {
+                    base_seq,
+                    sessions: Vec::new(),
+                },
             })),
             Err(e) => {
                 self.compacting.store(false, Ordering::Release);
@@ -656,55 +651,64 @@ impl Store {
     }
 }
 
-/// An in-flight compaction; see [`Store::try_begin_compaction`].
-pub struct Compaction<'a> {
-    store: &'a Store,
+/// The sessions of a snapshot being assembled, for compaction
+/// ([`Compaction::capture`]) or for a bootstrapping follower
+/// ([`Store::begin_handoff`]).
+pub struct SnapshotCapture {
     base_seq: u64,
-    generation: u64,
-    old_segments: Vec<PathBuf>,
     sessions: Vec<snapshot::SessionEntry>,
 }
 
-impl Compaction<'_> {
-    /// Captures one session into the snapshot. Call with the session's
-    /// own lock held so `last_seq` and `graph` are consistent.
-    /// `pending_migration` is the candidate SDL of an open migration
-    /// window, so compaction does not lose the window. A still-mapped
-    /// [`LazyGraph`] flows through as [`GraphPayload::Pgcs`] — its bytes
-    /// are embedded verbatim, never deserialized.
+impl SnapshotCapture {
+    /// The WAL position the snapshot corresponds to: a receiver tails
+    /// from `base_seq + 1`.
+    pub fn base_seq(&self) -> u64 {
+        self.base_seq
+    }
+
+    /// Captures one session. Call with the session's own lock held so
+    /// `meta` and `graph` are consistent. An open migration window's
+    /// candidate SDL travels in `meta`, so a snapshot does not lose the
+    /// window; a still-mapped [`LazyGraph`] flows through as
+    /// [`GraphPayload::Pgcs`] — its bytes are embedded verbatim, never
+    /// deserialized.
     pub fn add_session<'g>(
         &mut self,
         id: u64,
-        last_seq: u64,
-        deltas_applied: u64,
-        schema_sdl: &str,
+        meta: &SessionMeta,
         graph: impl Into<GraphPayload<'g>>,
-        pending_migration: Option<&str>,
     ) {
-        self.sessions.push(snapshot::encode_session(
-            id,
-            last_seq,
-            deltas_applied,
-            schema_sdl,
-            graph.into(),
-            pending_migration,
-        ));
+        self.sessions
+            .push(snapshot::encode_session(id, meta, graph.into()));
+    }
+
+    /// Assembles the snapshot blob (the CRC-framed format compaction
+    /// writes to disk), ready to ship over HTTP.
+    pub fn finish(&self, next_session_id: u64) -> Vec<u8> {
+        snapshot::assemble(self.base_seq, next_session_id, &self.sessions)
+    }
+}
+
+/// An in-flight compaction; see [`Store::try_begin_compaction`].
+pub struct Compaction<'a> {
+    store: &'a Store,
+    generation: u64,
+    old_segments: Vec<PathBuf>,
+    capture: SnapshotCapture,
+}
+
+impl Compaction<'_> {
+    /// Where the caller captures every live session.
+    pub fn capture(&mut self) -> &mut SnapshotCapture {
+        &mut self.capture
     }
 
     /// Writes the snapshot (temp file + atomic rename + directory sync)
     /// and deletes the superseded segments and older snapshots.
     pub fn finish(self, next_session_id: u64) -> io::Result<CompactionOutcome> {
         let store = self.store;
-        let payload = snapshot::assemble(self.base_seq, next_session_id, &self.sessions);
-        let tmp = files::snapshot_tmp_path(&store.dir, self.generation);
-        let path = files::snapshot_path(&store.dir, self.generation);
-        {
-            let mut file = OpenOptions::new().create_new(true).write(true).open(&tmp)?;
-            file.write_all(&payload)?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        files::sync_dir(&store.dir);
+        let payload = self.capture.finish(next_session_id);
+        files::write_snapshot(&store.dir, self.generation, &payload)?;
         // Only now is the old state superseded on disk; drop it.
         for old in &self.old_segments {
             let _ = std::fs::remove_file(old);
@@ -721,8 +725,8 @@ impl Compaction<'_> {
         store.snapshots.fetch_add(1, Ordering::Relaxed);
         Ok(CompactionOutcome {
             generation: self.generation,
-            base_seq: self.base_seq,
-            sessions: self.sessions.len(),
+            base_seq: self.capture.base_seq,
+            sessions: self.capture.sessions.len(),
             segments_removed: self.old_segments.len(),
             snapshot_bytes: payload.len() as u64,
         })
@@ -800,50 +804,6 @@ pub struct ReplicatedBatch {
     pub torn: Option<String>,
 }
 
-/// An in-flight handoff snapshot; see [`Store::begin_handoff`].
-pub struct SnapshotHandoff {
-    base_seq: u64,
-    sessions: Vec<snapshot::SessionEntry>,
-}
-
-impl SnapshotHandoff {
-    /// The WAL position the snapshot corresponds to: the receiver tails
-    /// from `base_seq + 1`.
-    pub fn base_seq(&self) -> u64 {
-        self.base_seq
-    }
-
-    /// Captures one session. Call with the session's own lock held so
-    /// `last_seq` and `graph` are consistent. An open migration
-    /// window's candidate SDL travels in `pending_migration`; a
-    /// still-mapped [`LazyGraph`] ships verbatim as
-    /// [`GraphPayload::Pgcs`].
-    pub fn add_session<'g>(
-        &mut self,
-        id: u64,
-        last_seq: u64,
-        deltas_applied: u64,
-        schema_sdl: &str,
-        graph: impl Into<GraphPayload<'g>>,
-        pending_migration: Option<&str>,
-    ) {
-        self.sessions.push(snapshot::encode_session(
-            id,
-            last_seq,
-            deltas_applied,
-            schema_sdl,
-            graph.into(),
-            pending_migration,
-        ));
-    }
-
-    /// Assembles the snapshot blob (the same CRC-framed format written
-    /// to disk by compaction), ready to ship over HTTP.
-    pub fn finish(self, next_session_id: u64) -> Vec<u8> {
-        snapshot::assemble(self.base_seq, next_session_id, &self.sessions)
-    }
-}
-
 /// Installs a handoff snapshot blob into an *empty* store directory —
 /// the follower side of `GET /wal/snapshot`. The blob is fully validated
 /// first, then written as snapshot generation 1 with the same temp-file +
@@ -877,15 +837,5 @@ pub fn install_snapshot(dir: impl Into<PathBuf>, bytes: &[u8]) -> io::Result<()>
             "refusing to install a snapshot into a non-empty store directory",
         ));
     }
-    let generation = 1;
-    let tmp = files::snapshot_tmp_path(&dir, generation);
-    let path = files::snapshot_path(&dir, generation);
-    {
-        let mut file = OpenOptions::new().create_new(true).write(true).open(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, &path)?;
-    files::sync_dir(&dir);
-    Ok(())
+    files::write_snapshot(&dir, 1, bytes)
 }

@@ -91,6 +91,134 @@ pub enum StoreRecord {
     },
 }
 
+/// What a [`StoreRecord::Delta`] or [`StoreRecord::SchemaChange`] asks of
+/// the one session it addresses. `Create` and `Delete` act on the
+/// session *map* and stay with whoever owns it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SessionChange {
+    /// Apply this mutation log to the session's graph.
+    Delta(GraphDelta),
+    /// Move the migration window through `phase`; the SDL is the
+    /// candidate's for [`MigrationPhase::Begin`] and empty otherwise.
+    Schema(MigrationPhase, String),
+}
+
+/// What a record did to the session it addressed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Effect {
+    /// The session already reflects the record (it was captured into a
+    /// snapshot after the record, or the record was redelivered):
+    /// nothing changed.
+    Duplicate,
+    /// A delta ran against the graph — in full, or part-way with its
+    /// effects kept (recovery rule 4).
+    Applied,
+    /// `Begin`: [`SessionMeta::pending_migration`] now holds the
+    /// candidate.
+    Opened,
+    /// `Commit`: the pending candidate became the session's schema.
+    Committed,
+    /// `Abort`: the pending candidate was dropped.
+    Aborted,
+    /// A `Commit` or `Abort` that found no window to close; only
+    /// `last_seq` moved.
+    NoWindow,
+}
+
+/// A session's durable state besides its graph — what a snapshot entry
+/// and a recovered, replicated or live session all carry — and the one
+/// definition of what a WAL record does to it. Recovery and followers
+/// feed records through [`replay`](Self::replay); a leader, which
+/// assigns the sequence numbers itself, calls the ungated halves
+/// [`delta_ran`](Self::delta_ran) and
+/// [`schema_change`](Self::schema_change) directly.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SessionMeta {
+    /// The schema's SDL source (re-parsed by whoever hydrates the
+    /// session).
+    pub schema_sdl: String,
+    /// Deltas that applied in full over the session's life.
+    pub deltas_applied: u64,
+    /// Sequence number of the last record the session reflects (0
+    /// without a store).
+    pub last_seq: u64,
+    /// The candidate schema SDL of an open migration window (a `Begin`
+    /// with no `Commit`/`Abort` yet), if any.
+    pub pending_migration: Option<String>,
+}
+
+impl SessionMeta {
+    /// The state a `Create` record logged at `seq` leaves behind.
+    pub fn created(schema_sdl: String, seq: u64) -> SessionMeta {
+        SessionMeta {
+            schema_sdl,
+            last_seq: seq,
+            ..SessionMeta::default()
+        }
+    }
+
+    /// The seq gate: a record at or below `last_seq` is a duplicate.
+    /// Sessions captured into a snapshot after the WAL rotation already
+    /// contain post-rotation records, and a follower sees redelivery
+    /// after a reconnect; applying a delta twice is not idempotent.
+    pub fn reflects(&self, seq: u64) -> bool {
+        seq <= self.last_seq
+    }
+
+    /// Applies the record `seq` carried for this session, unless the
+    /// session already reflects it. `mutate` runs a delta against the
+    /// session's graph, wherever that lives, and says whether it applied
+    /// in full; an error from it (the graph could not be reached)
+    /// propagates with nothing changed, so the record can be retried.
+    pub fn replay<E>(
+        &mut self,
+        seq: u64,
+        change: SessionChange,
+        mutate: impl FnOnce(&GraphDelta) -> Result<bool, E>,
+    ) -> Result<Effect, E> {
+        if self.reflects(seq) {
+            return Ok(Effect::Duplicate);
+        }
+        let effect = match change {
+            SessionChange::Delta(delta) => {
+                self.delta_ran(mutate(&delta)?);
+                Effect::Applied
+            }
+            SessionChange::Schema(phase, schema_sdl) => self.schema_change(phase, schema_sdl),
+        };
+        self.last_seq = seq;
+        Ok(effect)
+    }
+
+    /// Recovery rule 4: a delta that failed part-way keeps its effects
+    /// on the graph (`GraphDelta::apply_to` is deterministic, so every
+    /// replica reproduces the same partial state) and does not count
+    /// towards `deltas_applied`.
+    pub fn delta_ran(&mut self, in_full: bool) {
+        if in_full {
+            self.deltas_applied += 1;
+        }
+    }
+
+    /// The migration-window bookkeeping of a `SchemaChange` record. A
+    /// commit's own SDL is empty: the candidate comes from the pending
+    /// `Begin` (or from the snapshot that captured the open window).
+    pub fn schema_change(&mut self, phase: MigrationPhase, schema_sdl: String) -> Effect {
+        match (phase, self.pending_migration.take()) {
+            (MigrationPhase::Begin, _) => {
+                self.pending_migration = Some(schema_sdl);
+                Effect::Opened
+            }
+            (MigrationPhase::Commit, Some(candidate)) => {
+                self.schema_sdl = candidate;
+                Effect::Committed
+            }
+            (MigrationPhase::Abort, Some(_)) => Effect::Aborted,
+            (MigrationPhase::Commit | MigrationPhase::Abort, None) => Effect::NoWindow,
+        }
+    }
+}
+
 /// Encodes one framed record ready to append to a segment.
 pub(crate) fn encode_frame(seq: u64, record: &StoreRecord) -> Vec<u8> {
     let mut payload = Vec::with_capacity(64);
@@ -348,6 +476,46 @@ mod tests {
             buf.extend_from_slice(&encode_frame(ix as u64 + 1, record));
         }
         buf
+    }
+
+    #[test]
+    fn session_meta_gates_counts_and_tracks_the_window() {
+        let mut meta = SessionMeta::created("type A { x: Int }".to_owned(), 3);
+        let delta = || SessionChange::Delta(GraphDelta::new());
+        let phase = |phase, sdl: &str| SessionChange::Schema(phase, sdl.to_owned());
+        let unreachable = |_: &GraphDelta| -> Result<bool, ()> { panic!("gated out") };
+        // The gate: the creation's own seq and everything below it.
+        assert_eq!(meta.replay(3, delta(), unreachable), Ok(Effect::Duplicate));
+        // Rule 4: a part-way delta advances the session, not the count.
+        assert_eq!(
+            meta.replay(4, delta(), |_| Ok::<_, ()>(false)),
+            Ok(Effect::Applied)
+        );
+        assert_eq!(
+            meta.replay(5, delta(), |_| Ok::<_, ()>(true)),
+            Ok(Effect::Applied)
+        );
+        assert_eq!((meta.last_seq, meta.deltas_applied), (5, 1));
+        // An unreachable graph is an error that changes nothing.
+        assert_eq!(meta.replay(6, delta(), |_| Err("io")), Err("io"));
+        assert_eq!((meta.last_seq, meta.deltas_applied), (5, 1));
+        // The window: commit and abort need a begin.
+        let none = |_: &GraphDelta| Ok::<_, ()>(true);
+        let commit = || phase(MigrationPhase::Commit, "");
+        assert_eq!(meta.replay(6, commit(), none), Ok(Effect::NoWindow));
+        let begin = phase(MigrationPhase::Begin, "type A { y: Int }");
+        assert_eq!(meta.replay(7, begin.clone(), none), Ok(Effect::Opened));
+        assert_eq!(meta.replay(7, begin, none), Ok(Effect::Duplicate));
+        assert_eq!(
+            meta.replay(8, phase(MigrationPhase::Abort, ""), none),
+            Ok(Effect::Aborted)
+        );
+        assert_eq!(meta.pending_migration, None);
+        let begin = phase(MigrationPhase::Begin, "type A { y: Int }");
+        assert_eq!(meta.replay(9, begin, none), Ok(Effect::Opened));
+        assert_eq!(meta.replay(10, commit(), none), Ok(Effect::Committed));
+        assert_eq!(meta.schema_sdl, "type A { y: Int }");
+        assert_eq!((meta.last_seq, meta.pending_migration), (10, None));
     }
 
     #[test]

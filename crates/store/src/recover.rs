@@ -10,13 +10,17 @@
 //!    increase across segment boundaries; a regression is treated as
 //!    corruption (rule 1 applies at that record).
 //! 3. **Snapshot-relative replay.** A record mutates a session only if
-//!    its `seq` exceeds the session's snapshotted `last_seq` — sessions
-//!    captured *after* the WAL rotation already contain post-rotation
-//!    records, and double-applying a delta is not idempotent.
+//!    its `seq` exceeds the session's snapshotted `last_seq`
+//!    ([`SessionMeta::reflects`]).
 //! 4. **Deterministic partial failure.** A logged delta that fails to
 //!    apply mid-way (it was logged because the live engine also applied
 //!    it partially) is replayed with the same `GraphDelta::apply_to`
-//!    semantics, reproducing the identical partial state.
+//!    semantics, reproducing the identical partial state
+//!    ([`SessionMeta::delta_ran`]).
+//!
+//! Rules 3 and 4 are not implemented here: a follower applying the same
+//! records to live sessions needs exactly them, so they live with the
+//! record model and this module calls in.
 
 use std::collections::HashMap;
 use std::io;
@@ -26,7 +30,7 @@ use std::sync::Arc;
 use crate::files::{self, DirListing};
 use crate::lazy::{Backing, LazyGraph};
 use crate::mmap;
-use crate::record::{self, StoreRecord};
+use crate::record::{self, Effect, SessionChange, SessionMeta, StoreRecord};
 use crate::snapshot::{self, DecodeError};
 use crate::{Recovered, RecoveredSession, RecoveryInfo, TornTail};
 
@@ -81,7 +85,7 @@ pub(crate) fn recover(dir: &Path) -> io::Result<(Recovered, WalPosition)> {
                 max_seq = snap.base_seq;
                 snapshot_base = snap.base_seq;
                 for session in snap.sessions {
-                    max_seq = max_seq.max(session.last_seq);
+                    max_seq = max_seq.max(session.meta.last_seq);
                     sessions.insert(session.id, session);
                 }
                 break;
@@ -131,13 +135,14 @@ pub(crate) fn recover(dir: &Path) -> io::Result<(Recovered, WalPosition)> {
             }
             prev_seq = parsed.seq;
             kept += 1;
-            replay_record(
+            if !replay_record(
                 parsed.seq,
                 parsed.record,
                 &mut sessions,
                 &mut next_session_id,
-                &mut info,
-            )?;
+            )? {
+                info.records_skipped += 1;
+            }
         }
         max_seq = max_seq.max(prev_seq);
         info.records_replayed += kept;
@@ -183,99 +188,58 @@ pub(crate) fn recover(dir: &Path) -> io::Result<(Recovered, WalPosition)> {
     Ok((recovered, position))
 }
 
+/// Replays one record onto the recovered session map; `false` means it
+/// changed nothing (already covered by the snapshot, or aimed at a
+/// session or window that no longer exists). `Create` and `Delete` act
+/// on the map; what a record does to a session is
+/// [`SessionMeta::replay`]'s to say.
 fn replay_record(
     seq: u64,
     record: StoreRecord,
     sessions: &mut HashMap<u64, RecoveredSession>,
     next_session_id: &mut u64,
-    info: &mut RecoveryInfo,
-) -> io::Result<()> {
-    match record {
+) -> io::Result<bool> {
+    let (session, change) = match record {
         StoreRecord::Create {
             session,
             schema_sdl,
             graph,
         } => {
             *next_session_id = (*next_session_id).max(session + 1);
-            if sessions.get(&session).is_some_and(|s| seq <= s.last_seq) {
-                // The snapshot already reflects this creation.
-                info.records_skipped += 1;
-                return Ok(());
+            if sessions.get(&session).is_some_and(|s| s.meta.reflects(seq)) {
+                return Ok(false);
             }
-            sessions.insert(
-                session,
-                RecoveredSession {
-                    id: session,
-                    schema_sdl,
-                    graph: LazyGraph::from(graph),
-                    deltas_applied: 0,
-                    last_seq: seq,
-                    pending_migration: None,
-                },
-            );
-        }
-        StoreRecord::Delta { session, delta } => {
-            let Some(state) = sessions.get_mut(&session) else {
-                info.records_skipped += 1;
-                return Ok(());
+            let recovered = RecoveredSession {
+                id: session,
+                graph: LazyGraph::from(graph),
+                meta: SessionMeta::created(schema_sdl, seq),
             };
-            if seq <= state.last_seq {
-                info.records_skipped += 1;
-                return Ok(());
-            }
-            // Count only successful applications, mirroring the server's
-            // `deltas_applied`; a failure still leaves its deterministic
-            // partial effects in place (see module docs, rule 4). A WAL
-            // record touching a snapshotted session is what finally
-            // materializes its mapped graph; untouched sessions stay
-            // zero-copy.
-            if delta.apply_to(state.graph.load()?).is_ok() {
-                state.deltas_applied += 1;
-            }
-            state.last_seq = seq;
+            sessions.insert(session, recovered);
+            return Ok(true);
         }
         StoreRecord::Delete { session } => {
-            if sessions.get(&session).is_some_and(|s| seq <= s.last_seq) {
-                info.records_skipped += 1;
-                return Ok(());
+            let live = sessions
+                .get(&session)
+                .is_some_and(|s| !s.meta.reflects(seq));
+            if live {
+                sessions.remove(&session);
             }
-            if sessions.remove(&session).is_none() {
-                info.records_skipped += 1;
-            }
+            return Ok(live);
         }
+        StoreRecord::Delta { session, delta } => (session, SessionChange::Delta(delta)),
         StoreRecord::SchemaChange {
             session,
             phase,
             schema_sdl,
-        } => {
-            let Some(state) = sessions.get_mut(&session) else {
-                info.records_skipped += 1;
-                return Ok(());
-            };
-            if seq <= state.last_seq {
-                info.records_skipped += 1;
-                return Ok(());
-            }
-            match phase {
-                crate::MigrationPhase::Begin => state.pending_migration = Some(schema_sdl),
-                crate::MigrationPhase::Commit => {
-                    // The commit record's body is empty; the candidate
-                    // SDL comes from the pending begin (or the snapshot
-                    // that captured the open window).
-                    if let Some(sdl) = state.pending_migration.take() {
-                        state.schema_sdl = sdl;
-                    } else {
-                        info.records_skipped += 1;
-                    }
-                }
-                crate::MigrationPhase::Abort => {
-                    if state.pending_migration.take().is_none() {
-                        info.records_skipped += 1;
-                    }
-                }
-            }
-            state.last_seq = seq;
-        }
-    }
-    Ok(())
+        } => (session, SessionChange::Schema(phase, schema_sdl)),
+    };
+    let Some(RecoveredSession { graph, meta, .. }) = sessions.get_mut(&session) else {
+        return Ok(false);
+    };
+    // A WAL record touching a snapshotted session is what finally
+    // materializes its mapped graph; untouched sessions stay zero-copy.
+    let effect = meta.replay(seq, change, |delta| {
+        io::Result::Ok(delta.apply_to(graph.load()?).is_ok())
+    })?;
+    Ok(!matches!(effect, Effect::Duplicate | Effect::NoWindow))
 }

@@ -26,11 +26,11 @@ pub struct SnapshotInfo {
     pub sessions: usize,
     /// The WAL rotation point it corresponds to (0 when invalid).
     pub base_seq: u64,
-    /// Container format: 1 (`PGS1` legacy), 2 (`PGS2`), 0 unrecognized.
+    /// Container format: 2 (`PGS2`), 0 unrecognized.
     pub format: u32,
     /// Container frame CRC verdict (structure aside).
     pub crc_ok: bool,
-    /// Per-graph `PGCS` header details (v2 snapshots only).
+    /// Per-graph `PGCS` header details.
     pub graphs: Vec<GraphDesc>,
 }
 

@@ -38,21 +38,18 @@
 //!
 //! * [`DecodeError::Corrupt`] — torn tail, CRC mismatch, structural
 //!   damage. Recovery falls back to the next older generation.
-//! * [`DecodeError::Unsupported`] — an intact file written by a *newer*
-//!   format (`PGS3`…, or a newer embedded `PGCS` version). Recovery
-//!   refuses loudly with "unsupported snapshot version" instead of
-//!   silently regressing to stale state.
-//!
-//! Legacy `PGS1` snapshots (per-session `pgraph::binary` element
-//! streams) still decode via the eager path, so a data directory
-//! written by an older build opens cleanly.
+//! * [`DecodeError::Unsupported`] — an intact file in a `PGS`-family
+//!   format this build does not read (a newer `PGS3`…, the retired
+//!   eager `PGS1`, or a newer embedded `PGCS` version). Recovery refuses
+//!   loudly with "unsupported snapshot version" instead of silently
+//!   regressing to stale state.
 
+use pgraph::snapshot as pgcs;
 use pgraph::snapshot::{GraphHeader, SnapshotError};
-use pgraph::{binary, snapshot as pgcs};
 
 use crate::lazy::{Backing, GraphPayload, LazyGraph};
-use crate::record::FRAME_HEADER;
-use crate::wire::{SNAPSHOT_GRAPH_ALIGN, SNAPSHOT_MAGIC, SNAPSHOT_MAGIC_V2};
+use crate::record::{SessionMeta, FRAME_HEADER};
+use crate::wire::{SNAPSHOT_GRAPH_ALIGN, SNAPSHOT_MAGIC_V2};
 use crate::RecoveredSession;
 use pgraph::snapshot::crc32;
 
@@ -62,8 +59,8 @@ pub(crate) enum DecodeError {
     /// Torn, bit-flipped or structurally damaged — fall back to an
     /// older generation.
     Corrupt,
-    /// Intact but written by a newer format than this build understands
-    /// — refuse recovery with this message rather than fall back.
+    /// Intact but in a format this build does not read — refuse recovery
+    /// with this message rather than fall back.
     Unsupported(String),
 }
 
@@ -86,34 +83,27 @@ pub(crate) struct SessionEntry {
 /// graphs are serialised straight out of the session lock, no clone).
 /// A [`GraphPayload::Pgcs`] payload — a still-mapped dormant session —
 /// is embedded verbatim, never deserialized.
-pub(crate) fn encode_session(
-    id: u64,
-    last_seq: u64,
-    deltas_applied: u64,
-    schema_sdl: &str,
-    graph: GraphPayload<'_>,
-    pending_migration: Option<&str>,
-) -> SessionEntry {
+pub(crate) fn encode_session(id: u64, meta: &SessionMeta, graph: GraphPayload<'_>) -> SessionEntry {
     let graph = match graph {
         GraphPayload::Graph(g) => pgcs::graph_to_snapshot_bytes(g),
         GraphPayload::Pgcs(bytes) => bytes.to_vec(),
     };
-    let mut meta = Vec::with_capacity(41 + schema_sdl.len());
-    meta.extend_from_slice(&id.to_le_bytes());
-    meta.extend_from_slice(&last_seq.to_le_bytes());
-    meta.extend_from_slice(&deltas_applied.to_le_bytes());
-    meta.extend_from_slice(&(schema_sdl.len() as u32).to_le_bytes());
-    meta.extend_from_slice(schema_sdl.as_bytes());
-    match pending_migration {
+    let mut out = Vec::with_capacity(41 + meta.schema_sdl.len());
+    out.extend_from_slice(&id.to_le_bytes());
+    out.extend_from_slice(&meta.last_seq.to_le_bytes());
+    out.extend_from_slice(&meta.deltas_applied.to_le_bytes());
+    out.extend_from_slice(&(meta.schema_sdl.len() as u32).to_le_bytes());
+    out.extend_from_slice(meta.schema_sdl.as_bytes());
+    match &meta.pending_migration {
         Some(sdl) => {
-            meta.push(1);
-            meta.extend_from_slice(&(sdl.len() as u32).to_le_bytes());
-            meta.extend_from_slice(sdl.as_bytes());
+            out.push(1);
+            out.extend_from_slice(&(sdl.len() as u32).to_le_bytes());
+            out.extend_from_slice(sdl.as_bytes());
         }
-        None => meta.push(0),
+        None => out.push(0),
     }
-    meta.extend_from_slice(&(graph.len() as u64).to_le_bytes());
-    SessionEntry { meta, graph }
+    out.extend_from_slice(&(graph.len() as u64).to_le_bytes());
+    SessionEntry { meta: out, graph }
 }
 
 /// Bytes of zero padding needed after a payload of length `pos` so the
@@ -194,20 +184,17 @@ fn take_str(payload: &[u8], pos: &mut usize) -> Result<String, DecodeError> {
         .map_err(|_| DecodeError::Corrupt)
 }
 
-/// The structure of one v2 session entry: decoded metadata plus the
+/// The structure of one session entry: decoded metadata plus the
 /// payload-relative byte range of its `PGCS` graph image.
-struct V2Session {
+struct WalkedSession {
     id: u64,
-    last_seq: u64,
-    deltas_applied: u64,
-    schema_sdl: String,
-    pending_migration: Option<String>,
+    meta: SessionMeta,
     graph_range: std::ops::Range<usize>,
 }
 
-/// Walks a v2 payload structurally (after the magic), validating
-/// alignment padding and graph bounds but not graph contents.
-fn walk_v2(payload: &[u8]) -> Result<(u64, u64, Vec<V2Session>), DecodeError> {
+/// Walks a payload structurally (after the magic), validating alignment
+/// padding and graph bounds but not graph contents.
+fn walk(payload: &[u8]) -> Result<(u64, u64, Vec<WalkedSession>), DecodeError> {
     let mut pos = 4usize; // past the magic
     let base_seq = take_u64(payload, &mut pos)?;
     let next_session_id = take_u64(payload, &mut pos)?;
@@ -231,12 +218,14 @@ fn walk_v2(payload: &[u8]) -> Result<(u64, u64, Vec<V2Session>), DecodeError> {
         }
         let start = pos;
         take(payload, &mut pos, graph_len)?;
-        sessions.push(V2Session {
+        sessions.push(WalkedSession {
             id,
-            last_seq,
-            deltas_applied,
-            schema_sdl,
-            pending_migration,
+            meta: SessionMeta {
+                schema_sdl,
+                deltas_applied,
+                last_seq,
+                pending_migration,
+            },
             graph_range: start..pos,
         });
     }
@@ -258,40 +247,32 @@ fn graph_error(e: SnapshotError) -> DecodeError {
     }
 }
 
-/// Decodes a snapshot. For the current `PGS2` format this validates the
-/// container CRC (which covers every embedded image byte) and each
-/// graph's fixed-size header, then returns *mapped* [`LazyGraph`]s into
-/// `backing` — one checksum pass over the file and no per-element work;
-/// the per-image CRC re-verifies lazily when a graph materializes. Legacy
-/// `PGS1` files are decoded eagerly. A recognizably newer format yields
+/// Decodes a snapshot: validates the container CRC (which covers every
+/// embedded image byte) and each graph's fixed-size header, then returns
+/// *mapped* [`LazyGraph`]s into `backing` — one checksum pass over the
+/// file and no per-element work; the per-image CRC re-verifies lazily
+/// when a graph materializes. Any other `PGS`-family magic yields
 /// [`DecodeError::Unsupported`]; anything else wrong yields
 /// [`DecodeError::Corrupt`] (the caller falls back to an older
 /// generation).
 pub(crate) fn decode(backing: &Backing) -> Result<SnapshotData, DecodeError> {
     let buf = backing.bytes();
     let payload = framed_payload(buf)?;
-    if payload.len() < 4 {
-        return Err(DecodeError::Corrupt);
-    }
-    match &payload[..4] {
-        m if m == SNAPSHOT_MAGIC_V2 => {
-            let (base_seq, next_session_id, entries) = walk_v2(payload)?;
+    match payload.get(..4) {
+        Some(m) if m == SNAPSHOT_MAGIC_V2 => {
+            let (base_seq, next_session_id, entries) = walk(payload)?;
             let mut sessions = Vec::with_capacity(entries.len());
             for e in entries {
-                let graph_bytes = &payload[e.graph_range.clone()];
                 // Header only: magic, version, bounds. The container CRC
                 // already proved the image bytes intact; the image's own
                 // CRC re-verifies at materialize time.
-                GraphHeader::parse(graph_bytes).map_err(graph_error)?;
+                GraphHeader::parse(&payload[e.graph_range.clone()]).map_err(graph_error)?;
                 // File-relative range into the shared backing.
                 let range = FRAME_HEADER + e.graph_range.start..FRAME_HEADER + e.graph_range.end;
                 sessions.push(RecoveredSession {
                     id: e.id,
-                    schema_sdl: e.schema_sdl,
                     graph: LazyGraph::mapped(backing.clone(), range),
-                    deltas_applied: e.deltas_applied,
-                    last_seq: e.last_seq,
-                    pending_migration: e.pending_migration,
+                    meta: e.meta,
                 });
             }
             Ok(SnapshotData {
@@ -300,62 +281,22 @@ pub(crate) fn decode(backing: &Backing) -> Result<SnapshotData, DecodeError> {
                 sessions,
             })
         }
-        m if m == SNAPSHOT_MAGIC => decode_v1(payload),
-        m if m.starts_with(b"PGS") => {
+        Some(m) if m.starts_with(b"PGS") => {
             let tag = String::from_utf8_lossy(m).into_owned();
             Err(DecodeError::Unsupported(format!(
-                "unsupported snapshot version: magic `{tag}`, this build reads PGS1/PGS2"
+                "unsupported snapshot version: magic `{tag}`, this build reads PGS2"
             )))
         }
         _ => Err(DecodeError::Corrupt),
     }
 }
 
-/// The legacy eager decoder: per-session `pgraph::binary` graphs.
-fn decode_v1(payload: &[u8]) -> Result<SnapshotData, DecodeError> {
-    let mut pos = 4usize; // past the magic
-    let base_seq = take_u64(payload, &mut pos)?;
-    let next_session_id = take_u64(payload, &mut pos)?;
-    let count = take_u32(payload, &mut pos)? as usize;
-    let mut sessions = Vec::with_capacity(count.min(4096));
-    for _ in 0..count {
-        let id = take_u64(payload, &mut pos)?;
-        let last_seq = take_u64(payload, &mut pos)?;
-        let deltas_applied = take_u64(payload, &mut pos)?;
-        let schema_sdl = take_str(payload, &mut pos)?;
-        let graph_len = take_u32(payload, &mut pos)? as usize;
-        let graph = binary::graph_from_bytes(take(payload, &mut pos, graph_len)?)
-            .map_err(|_| DecodeError::Corrupt)?;
-        let pending_migration = match take(payload, &mut pos, 1)?[0] {
-            0 => None,
-            1 => Some(take_str(payload, &mut pos)?),
-            _ => return Err(DecodeError::Corrupt),
-        };
-        sessions.push(RecoveredSession {
-            id,
-            schema_sdl,
-            graph: LazyGraph::from(graph),
-            deltas_applied,
-            last_seq,
-            pending_migration,
-        });
-    }
-    if pos != payload.len() {
-        return Err(DecodeError::Corrupt);
-    }
-    Ok(SnapshotData {
-        base_seq,
-        next_session_id,
-        sessions,
-    })
-}
-
 /// What `pgschema store inspect` reports about one snapshot file: the
-/// container format and CRC status plus, for v2 files, every embedded
-/// graph's header (version, element counts, section table, CRC).
+/// container format and CRC status plus every embedded graph's header
+/// (version, element counts, section table, CRC).
 #[derive(Debug)]
 pub struct SnapshotDesc {
-    /// Container format: 1 (`PGS1`), 2 (`PGS2`), or 0 if unrecognized.
+    /// Container format: 2 (`PGS2`), or 0 if unrecognized.
     pub format: u32,
     /// Container frame CRC verdict.
     pub crc_ok: bool,
@@ -365,8 +306,7 @@ pub struct SnapshotDesc {
     pub sessions: usize,
     /// Whether the whole file decodes cleanly end to end.
     pub valid: bool,
-    /// Per-graph header details (v2 only; legacy graphs have no
-    /// independent header).
+    /// Per-graph header details.
     pub graphs: Vec<GraphDesc>,
 }
 
@@ -404,48 +344,38 @@ pub(crate) fn describe(buf: &[u8]) -> SnapshotDesc {
         return desc;
     };
     desc.crc_ok = true;
-    match payload.get(..4) {
-        Some(m) if m == SNAPSHOT_MAGIC_V2 => {
-            desc.format = 2;
-            let Ok((base_seq, _next, entries)) = walk_v2(payload) else {
-                return desc;
-            };
-            desc.base_seq = base_seq;
-            desc.sessions = entries.len();
-            desc.valid = true;
-            for e in &entries {
-                let bytes = &payload[e.graph_range.clone()];
-                let header = GraphHeader::parse(bytes).ok();
-                let crc_ok = header.as_ref().is_some_and(|h| h.crc_ok(bytes));
-                desc.valid &= crc_ok;
-                desc.graphs.push(GraphDesc {
-                    session: e.id,
-                    last_seq: e.last_seq,
-                    file_offset: (FRAME_HEADER + e.graph_range.start) as u64,
-                    len: (e.graph_range.end - e.graph_range.start) as u64,
-                    version: header.as_ref().map(|h| h.version),
-                    crc_ok,
-                    sections: header
-                        .map(|h| {
-                            pgcs::SECTION_NAMES
-                                .iter()
-                                .zip(h.sections.iter())
-                                .map(|(name, s)| (*name, s.offset, s.len))
-                                .collect()
-                        })
-                        .unwrap_or_default(),
-                });
-            }
-        }
-        Some(m) if m == SNAPSHOT_MAGIC => {
-            desc.format = 1;
-            if let Ok(data) = decode_v1(payload) {
-                desc.base_seq = data.base_seq;
-                desc.sessions = data.sessions.len();
-                desc.valid = true;
-            }
-        }
-        _ => {}
+    if payload.get(..4) != Some(&SNAPSHOT_MAGIC_V2[..]) {
+        return desc;
+    }
+    desc.format = 2;
+    let Ok((base_seq, _next, entries)) = walk(payload) else {
+        return desc;
+    };
+    desc.base_seq = base_seq;
+    desc.sessions = entries.len();
+    desc.valid = true;
+    for e in &entries {
+        let bytes = &payload[e.graph_range.clone()];
+        let header = GraphHeader::parse(bytes).ok();
+        let crc_ok = header.as_ref().is_some_and(|h| h.crc_ok(bytes));
+        desc.valid &= crc_ok;
+        desc.graphs.push(GraphDesc {
+            session: e.id,
+            last_seq: e.meta.last_seq,
+            file_offset: (FRAME_HEADER + e.graph_range.start) as u64,
+            len: (e.graph_range.end - e.graph_range.start) as u64,
+            version: header.as_ref().map(|h| h.version),
+            crc_ok,
+            sections: header
+                .map(|h| {
+                    pgcs::SECTION_NAMES
+                        .iter()
+                        .zip(h.sections.iter())
+                        .map(|(name, s)| (*name, s.offset, s.len))
+                        .collect()
+                })
+                .unwrap_or_default(),
+        });
     }
     desc
 }
@@ -468,24 +398,27 @@ mod tests {
         graph
     }
 
+    fn meta(last_seq: u64, deltas_applied: u64, sdl: &str, pending: Option<&str>) -> SessionMeta {
+        SessionMeta {
+            schema_sdl: sdl.to_owned(),
+            deltas_applied,
+            last_seq,
+            pending_migration: pending.map(str::to_owned),
+        }
+    }
+
     fn sample() -> Vec<u8> {
         let graph = sample_graph();
         let entries = vec![
             encode_session(
                 1,
-                5,
-                4,
-                "type User { login: String! }",
+                &meta(5, 4, "type User { login: String! }", None),
                 GraphPayload::Graph(&graph),
-                None,
             ),
             encode_session(
                 7,
-                9,
-                0,
-                "type T { x: Int }",
+                &meta(9, 0, "type T { x: Int }", Some("type T { x: Int y: Int }")),
                 GraphPayload::Graph(&PropertyGraph::new()),
-                Some("type T { x: Int y: Int }"),
             ),
         ];
         assemble(9, 8, &entries)
@@ -499,12 +432,12 @@ mod tests {
         assert_eq!(snap.next_session_id, 8);
         assert_eq!(snap.sessions.len(), 2);
         assert_eq!(snap.sessions[0].id, 1);
-        assert_eq!(snap.sessions[0].last_seq, 5);
-        assert_eq!(snap.sessions[0].deltas_applied, 4);
+        assert_eq!(snap.sessions[0].meta.last_seq, 5);
+        assert_eq!(snap.sessions[0].meta.deltas_applied, 4);
         let mut g0 = snap.sessions[0].graph.clone();
         assert!(g0.is_mapped(), "v2 decode defers materialization");
         assert_eq!(g0.load().expect("thaws").node_count(), 1);
-        assert_eq!(snap.sessions[0].pending_migration, None);
+        assert_eq!(snap.sessions[0].meta.pending_migration, None);
         assert_eq!(snap.sessions[1].id, 7);
         assert!(snap.sessions[1]
             .graph
@@ -513,7 +446,7 @@ mod tests {
             .expect("thaws")
             .is_empty());
         assert_eq!(
-            snap.sessions[1].pending_migration.as_deref(),
+            snap.sessions[1].meta.pending_migration.as_deref(),
             Some("type T { x: Int y: Int }"),
             "open migration window survives the snapshot"
         );
@@ -547,11 +480,8 @@ mod tests {
         let image = pgcs::graph_to_snapshot_bytes(&graph);
         let entries = vec![encode_session(
             3,
-            2,
-            1,
-            "type User { login: String! }",
+            &meta(2, 1, "type User { login: String! }", None),
             GraphPayload::Pgcs(&image),
-            None,
         )];
         let bytes = assemble(2, 4, &entries);
         let snap = decode(&heap(&bytes)).expect("decodes");
@@ -563,55 +493,22 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_snapshot_still_decodes() {
-        // A PGS1 file as the previous build wrote it, byte for byte.
-        let graph = sample_graph();
-        let graph_bytes = binary::graph_to_bytes(&graph);
-        let mut entry = Vec::new();
-        entry.extend_from_slice(&1u64.to_le_bytes());
-        entry.extend_from_slice(&5u64.to_le_bytes());
-        entry.extend_from_slice(&4u64.to_le_bytes());
-        let sdl = "type User { login: String! }";
-        entry.extend_from_slice(&(sdl.len() as u32).to_le_bytes());
-        entry.extend_from_slice(sdl.as_bytes());
-        entry.extend_from_slice(&(graph_bytes.len() as u32).to_le_bytes());
-        entry.extend_from_slice(&graph_bytes);
-        entry.push(0);
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&SNAPSHOT_MAGIC);
-        payload.extend_from_slice(&9u64.to_le_bytes());
-        payload.extend_from_slice(&8u64.to_le_bytes());
-        payload.extend_from_slice(&1u32.to_le_bytes());
-        payload.extend_from_slice(&entry);
-        let mut file = Vec::new();
-        file.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        file.extend_from_slice(&crc32(&payload).to_le_bytes());
-        file.extend_from_slice(&payload);
-
-        let snap = decode(&heap(&file)).expect("legacy decodes");
-        assert_eq!(snap.base_seq, 9);
-        assert_eq!(snap.sessions.len(), 1);
-        assert!(!snap.sessions[0].graph.is_mapped(), "legacy path is eager");
-        assert_eq!(snap.sessions[0].graph.loaded().unwrap(), &graph);
-        let desc = describe(&file);
-        assert_eq!(desc.format, 1);
-        assert!(desc.valid);
-    }
-
-    #[test]
     fn future_format_is_unsupported_not_corrupt() {
-        let mut bytes = sample();
-        // Rewrite the magic to PGS3 and fix up the CRC: an intact file
-        // from a future writer.
-        bytes[FRAME_HEADER + 3] = b'3';
-        let crc = crc32(&bytes[FRAME_HEADER..]);
-        bytes[4..8].copy_from_slice(&crc.to_le_bytes());
-        match decode(&heap(&bytes)) {
-            Err(DecodeError::Unsupported(msg)) => {
-                assert!(msg.contains("unsupported snapshot version"), "{msg}");
-                assert!(msg.contains("PGS3"), "{msg}");
+        // An intact file from a future writer (PGS3) or from the retired
+        // eager format (PGS1): the magic rewritten, the CRC fixed up.
+        for digit in [b'3', b'1'] {
+            let mut bytes = sample();
+            bytes[FRAME_HEADER + 3] = digit;
+            let crc = crc32(&bytes[FRAME_HEADER..]);
+            bytes[4..8].copy_from_slice(&crc.to_le_bytes());
+            match decode(&heap(&bytes)) {
+                Err(DecodeError::Unsupported(msg)) => {
+                    assert!(msg.contains("unsupported snapshot version"), "{msg}");
+                    assert!(msg.contains(&format!("PGS{}", digit as char)), "{msg}");
+                }
+                other => panic!("expected Unsupported, got {other:?}"),
             }
-            other => panic!("expected Unsupported, got {other:?}"),
+            assert_eq!(describe(&bytes).format, 0);
         }
     }
 

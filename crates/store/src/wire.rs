@@ -80,11 +80,7 @@ pub const KIND_SCHEMA: u8 = 4;
 /// than misclassify the (CRC-valid) frame as corruption.
 pub const KIND_MAX: u8 = KIND_SCHEMA;
 
-/// Magic bytes opening a legacy (v1) snapshot payload: sessions carry
-/// their graphs as `pgraph::binary` element streams, decoded eagerly.
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PGS1";
-
-/// Magic bytes opening a current (v2) snapshot payload: sessions embed
+/// Magic bytes opening a snapshot payload (format v2): sessions embed
 /// their graphs as verbatim `PGCS` columnar images
 /// ([`pgraph::snapshot`]), each 8-byte aligned *in the file* so a
 /// memory-mapped snapshot hands out aligned zero-copy graph views.

@@ -6,7 +6,7 @@
 use std::fs::{self, OpenOptions};
 use std::path::PathBuf;
 
-use pg_store::{FsyncPolicy, Store, Tail};
+use pg_store::{FsyncPolicy, SessionMeta, Store, Tail};
 use pgraph::{GraphDelta, NodeId, PropertyGraph, Value};
 
 fn test_dir(name: &str) -> PathBuf {
@@ -18,6 +18,16 @@ fn test_dir(name: &str) -> PathBuf {
 }
 
 const SDL: &str = "type User { login: String! @required }";
+
+/// The durable state an external caller captures beside the graph.
+fn meta(last_seq: u64, deltas_applied: u64) -> SessionMeta {
+    SessionMeta {
+        schema_sdl: SDL.to_owned(),
+        deltas_applied,
+        last_seq,
+        pending_migration: None,
+    }
+}
 
 fn seed_graph() -> PropertyGraph {
     let mut g = PropertyGraph::new();
@@ -135,7 +145,7 @@ fn compacted_history_demands_a_snapshot() {
     for i in 0..4 {
         toggle(i).apply_to(&mut graph).unwrap();
     }
-    compaction.add_session(1, 5, 4, SDL, &graph, None);
+    compaction.capture().add_session(1, &meta(5, 4), &graph);
     compaction.finish(2).unwrap();
     match leader.read_tail(1, usize::MAX >> 1).unwrap() {
         Tail::SnapshotRequired { oldest_retained } => assert_eq!(oldest_retained, 6),
@@ -193,7 +203,7 @@ fn replicated_appends_preserve_bytes_and_survive_duplicate_delivery() {
     drop(follower);
     let (_, recovered) = Store::open(&follower_dir, FsyncPolicy::Never).unwrap();
     assert_eq!(recovered.sessions.len(), 1);
-    assert_eq!(recovered.sessions[0].deltas_applied, 7);
+    assert_eq!(recovered.sessions[0].meta.deltas_applied, 7);
 }
 
 #[test]
@@ -238,7 +248,7 @@ fn snapshot_handoff_bootstraps_an_empty_follower() {
     for i in 0..8 {
         toggle(i).apply_to(&mut graph).unwrap();
     }
-    handoff.add_session(1, 9, 8, SDL, &graph, None);
+    handoff.add_session(1, &meta(9, 8), &graph);
     let blob = handoff.finish(2);
 
     let dir = test_dir("handoff-follower");
@@ -252,7 +262,7 @@ fn snapshot_handoff_bootstraps_an_empty_follower() {
 
     let (follower, recovered) = Store::open(&dir, FsyncPolicy::Never).unwrap();
     assert_eq!(recovered.sessions.len(), 1);
-    assert_eq!(recovered.sessions[0].deltas_applied, 8);
+    assert_eq!(recovered.sessions[0].meta.deltas_applied, 8);
     assert_eq!(recovered.next_session_id, 2);
     // The cursor resumes exactly past the snapshot base; new leader
     // records replicate on top.
@@ -281,7 +291,7 @@ fn handoff_tolerates_sessions_captured_past_base_seq() {
     for i in 0..4 {
         toggle(i).apply_to(&mut graph).unwrap();
     }
-    handoff.add_session(1, 5, 4, SDL, &graph, None);
+    handoff.add_session(1, &meta(5, 4), &graph);
     let blob = handoff.finish(2);
 
     let dir = test_dir("race-follower");
@@ -298,9 +308,9 @@ fn handoff_tolerates_sessions_captured_past_base_seq() {
     // Replay gating: the recovered session already reflects seqs 4–5, so
     // applying them again must be skipped by last_seq — which is what
     // recovery does when this directory is reopened.
-    assert_eq!(recovered.sessions[0].last_seq, 5);
+    assert_eq!(recovered.sessions[0].meta.last_seq, 5);
     drop(follower);
     let (_, recovered2) = Store::open(&dir, FsyncPolicy::Never).unwrap();
-    assert_eq!(recovered2.sessions[0].deltas_applied, 4);
-    assert_eq!(recovered2.sessions[0].last_seq, 5);
+    assert_eq!(recovered2.sessions[0].meta.deltas_applied, 4);
+    assert_eq!(recovered2.sessions[0].meta.last_seq, 5);
 }

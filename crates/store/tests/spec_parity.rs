@@ -261,14 +261,9 @@ fn snapshot_container_table_matches_wire_constants() {
         "session entries start right after the container header"
     );
 
-    // The magic row names both the current and the legacy magic.
-    let magic_v2 = String::from_utf8(wire::SNAPSHOT_MAGIC_V2.to_vec()).unwrap();
-    let magic_v1 = String::from_utf8(wire::SNAPSHOT_MAGIC.to_vec()).unwrap();
-    let notes = field_row(&rows, "magic")[3];
-    assert!(
-        notes.contains(&format!("`{magic_v2}`")) && notes.contains(&format!("`{magic_v1}`")),
-        "spec magic row names `{magic_v2}` and legacy `{magic_v1}`: {notes}"
-    );
+    // The magic row names the one magic this build reads.
+    let magic = String::from_utf8(wire::SNAPSHOT_MAGIC_V2.to_vec()).unwrap();
+    assert_eq!(field_row(&rows, "magic")[3], format!("`{magic}`"));
 
     // The alignment guarantee is stated with the frame-header width
     // that makes payload- and file-relative alignment coincide.
@@ -359,7 +354,7 @@ fn file_naming_matches_wire_constants() {
         )
     );
     // The snapshot magic is stated in prose right below the table.
-    let magic = String::from_utf8(wire::SNAPSHOT_MAGIC.to_vec()).unwrap();
+    let magic = String::from_utf8(wire::SNAPSHOT_MAGIC_V2.to_vec()).unwrap();
     assert!(
         text.contains(&format!("`{magic}`")),
         "spec names the snapshot magic {magic}"

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use pg_store::{FsyncPolicy, Recovered, Store};
+use pg_store::{FsyncPolicy, Recovered, SessionMeta, Store};
 use pgraph::{GraphDelta, NodeId, PropertyGraph, Value};
 use rand::prelude::*;
 
@@ -62,9 +62,9 @@ impl Oracle {
                 .sessions
                 .get(&session.id)
                 .unwrap_or_else(|| panic!("unexpected session {}", session.id));
-            assert_eq!(&session.schema_sdl, sdl);
+            assert_eq!(&session.meta.schema_sdl, sdl);
             assert_eq!(&session.graph, graph, "graph of session {}", session.id);
-            assert_eq!(session.deltas_applied, *applied);
+            assert_eq!(session.meta.deltas_applied, *applied);
         }
     }
 }
@@ -136,7 +136,13 @@ fn compaction_supersedes_segments_and_preserves_state() {
     let mut compaction = store.try_begin_compaction().unwrap().expect("not busy");
     // A second compaction is refused while one is in flight.
     assert!(store.try_begin_compaction().unwrap().is_none());
-    compaction.add_session(1, last_seq, applied, SDL, &tracked, None);
+    let meta = SessionMeta {
+        schema_sdl: SDL.to_owned(),
+        deltas_applied: applied,
+        last_seq,
+        pending_migration: None,
+    };
+    compaction.capture().add_session(1, &meta, &tracked);
     let outcome = compaction.finish(2).unwrap();
     assert_eq!(outcome.sessions, 1);
     assert_eq!(outcome.base_seq, 11);

@@ -404,6 +404,81 @@ proptest! {
 
 /// Weak ⊆ strong: a strong-conforming graph is weak-conforming, and
 /// violations found in weak-only mode are a subset of the full run.
+/// `SchemaGen` writes a required to-one relationship as bare
+/// `T @required` — which the PG-Schema printer used to refuse, so hardly
+/// any generated schema could be served in the second language. A
+/// relationship's outgoing cardinality is list-ness (WS4) × `@required`
+/// (DS6), so the field prints as `OUTGOING 1..1`: every generated schema
+/// that prints re-parses and judges a defect-salted instance
+/// byte-identically to the SDL original on all four engines. The one
+/// thing the `!` it gains would change is the target side (DS3/DS4 match
+/// against the wrapped type), so beside `@uniqueForTarget` /
+/// `@requiredForTarget` the printer still refuses, and says so.
+#[test]
+fn schemagen_schemas_survive_the_pgschema_round_trip() {
+    let (mut printed, mut bare_required) = (0, 0);
+    for seed in 0..50u64 {
+        let sdl = SchemaGen::new(SchemaGenParams {
+            num_types: 5,
+            attrs_per_type: 3,
+            rels_per_type: 2,
+            seed,
+            ..Default::default()
+        })
+        .generate();
+        let via_sdl = PgSchema::parse(&sdl).expect("generated schemas build");
+        let doc = gql_sdl::parse(&sdl).expect("generated schemas parse");
+        let to_one_required = |line: &&str| line.contains(": T") && line.contains(" @required");
+        let pgs = match pg_pgschema::print_pgschema(&doc, "Gen", pg_pgschema::TypeMode::Strict) {
+            Ok(pgs) => pgs,
+            Err(e) => {
+                let refused = sdl.lines().filter(to_one_required);
+                assert!(
+                    e.to_string().contains("target-side directive")
+                        && refused.into_iter().any(|line| line.contains("ForTarget")),
+                    "seed {seed} does not print: {e}\n{sdl}"
+                );
+                continue;
+            }
+        };
+        printed += 1;
+        bare_required += sdl.lines().filter(to_one_required).count();
+        let via_pgs = pg_pgschema::compile(&pgs)
+            .unwrap_or_else(|e| panic!("seed {seed} does not re-parse: {e}\n{pgs}"))
+            .schema;
+        let params = GraphGenParams {
+            nodes_per_type: 6,
+            seed,
+            ..Default::default()
+        };
+        let mut graph = GraphGen::new(&via_sdl, params).generate();
+        for defect in pg_datagen::Defect::ALL {
+            pg_datagen::inject(&mut graph, &via_sdl, defect);
+        }
+        for (engine, threads) in std::iter::once((Engine::Naive, 1)).chain(KERNEL_CONFIGS) {
+            let opts = ValidationOptions::builder()
+                .engine(engine)
+                .threads(threads)
+                .build();
+            let render = |schema: &PgSchema| {
+                let report = validate(&graph, schema, &opts);
+                ValidationReport::new(report.violations().to_vec()).to_json()
+            };
+            let (original, round_tripped) = (render(&via_sdl), render(&via_pgs));
+            assert!(
+                original.contains("\"violations\": [{"),
+                "seed {seed} has defects"
+            );
+            assert_eq!(
+                round_tripped, original,
+                "seed {seed} diverged on {engine:?}/{threads}"
+            );
+        }
+    }
+    assert!(printed >= 30, "only {printed} of 50 schemas print");
+    assert!(bare_required > 0, "the seeds exercise bare `T @required`");
+}
+
 #[test]
 fn weak_violations_are_a_subset_of_strong() {
     for seed in 0..10u64 {
