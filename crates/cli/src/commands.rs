@@ -122,12 +122,16 @@ fn resolve_lang(path: &str, flag: Option<&str>) -> Result<SchemaLanguage> {
 /// plus its canonical SDL text.
 fn load_schema_text(path: &str, lang: SchemaLanguage) -> Result<(PgSchema, String)> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    pg_pgschema::load_schema(&text, lang).map_err(|e| {
-        match e.downcast_ref::<pg_pgschema::ParseError>() {
-            Some(located) => format!("{path}:\n{}", located.render(&text)),
-            None => format!("{path}: {e}"),
-        }
-    })
+    pg_pgschema::load_schema(&text, lang).map_err(|e| located(path, &text, &*e))
+}
+
+/// `path: error` — or, for a parse error in either schema language,
+/// `path:` and the error's caret snippet in `text`.
+fn located(path: &str, text: &str, e: &(dyn std::error::Error + 'static)) -> String {
+    match e.downcast_ref::<gql_sdl::ParseError>() {
+        Some(parse) => format!("{path}:\n{}", parse.render(text)),
+        None => format!("{path}: {e}"),
+    }
 }
 
 fn load_schema(path: &str) -> Result<PgSchema> {
@@ -402,7 +406,7 @@ fn cmd_translate(rest: &[String]) -> Result<()> {
         fs::read_to_string(schema_path).map_err(|e| format!("cannot read {schema_path}: {e}"))?;
     let output = match from {
         SchemaLanguage::Sdl => {
-            let doc = gql_sdl::parse(&text).map_err(|e| format!("{schema_path}: {e}"))?;
+            let doc = gql_sdl::parse(&text).map_err(|e| located(schema_path, &text, &e))?;
             // A pragma on persisted lowered SDL names the original mode.
             let mode = pg_pgschema::pragma_of(&text)
                 .map(|(_, m)| m)
@@ -414,8 +418,8 @@ fn cmd_translate(rest: &[String]) -> Result<()> {
             }
         }
         SchemaLanguage::PgSchema => {
-            let compiled = pg_pgschema::compile(&text)
-                .map_err(|e| format!("{schema_path}:\n{}", e.render(&text)))?;
+            let compiled =
+                pg_pgschema::compile(&text).map_err(|e| located(schema_path, &text, &e))?;
             match to {
                 SchemaLanguage::Sdl => {
                     let printed = gql_sdl::print_document(&compiled.document);
@@ -449,7 +453,7 @@ fn cmd_consistency(rest: &[String]) -> Result<()> {
     };
     let text =
         fs::read_to_string(schema_path).map_err(|e| format!("cannot read {schema_path}: {e}"))?;
-    let doc = gql_sdl::parse(&text).map_err(|e| format!("{schema_path}: {e}"))?;
+    let doc = gql_sdl::parse(&text).map_err(|e| located(schema_path, &text, &e))?;
     let schema = gql_schema::build_schema(&doc).map_err(|ds| {
         let mut msg = String::new();
         for d in ds {
@@ -605,7 +609,7 @@ fn cmd_extend_api(rest: &[String]) -> Result<()> {
     };
     let text =
         fs::read_to_string(schema_path).map_err(|e| format!("cannot read {schema_path}: {e}"))?;
-    let doc = gql_sdl::parse(&text).map_err(|e| format!("{schema_path}: {e}"))?;
+    let doc = gql_sdl::parse(&text).map_err(|e| located(schema_path, &text, &e))?;
     let options = pg_schema::api_extension::ApiExtensionOptions {
         include_mutation: bools.contains(&"mutations"),
         ..Default::default()
@@ -743,7 +747,7 @@ fn cmd_normalize(rest: &[String]) -> Result<()> {
     };
     let text =
         fs::read_to_string(schema_path).map_err(|e| format!("cannot read {schema_path}: {e}"))?;
-    let doc = gql_sdl::parse(&text).map_err(|e| format!("{schema_path}: {e}"))?;
+    let doc = gql_sdl::parse(&text).map_err(|e| located(schema_path, &text, &e))?;
     let schema = gql_schema::build_schema(&doc)
         .map_err(|ds| ds.iter().map(|d| format!("{d}\n")).collect::<String>())?;
     let printed = gql_sdl::print_document(&gql_schema::emit::schema_to_document(&schema));

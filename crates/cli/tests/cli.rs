@@ -411,6 +411,22 @@ fn validate_lang_flag_overrides_extension() {
 }
 
 #[test]
+fn schema_parse_errors_render_a_caret_snippet_in_both_languages() {
+    let graph = write_tmp("caret.json", GOOD_GRAPH);
+    let sdl = write_tmp("caret.graphql", "type T {\n  id:: ID\n}\n");
+    let out = pgschema(&["validate", &sdl, &graph]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--> 2:6"), "{stderr}");
+    assert!(stderr.contains(" 2 |   id:: ID\n   |      ^\n"), "{stderr}");
+    // Bare-CR line ends: the snippet shows the line the position names.
+    let pgs = write_tmp("caret.pgs", "CREATE GRAPH TYPE G {\r  (Person { name })\r}");
+    let out = pgschema(&["validate", &pgs, &graph]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(" 2 |   (Person { name })\n"), "{stderr}");
+}
+
+#[test]
 fn validate_reports_agree_across_languages() {
     // The same broken graph yields the same violations whichever
     // language the schema was written in.

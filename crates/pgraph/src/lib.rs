@@ -24,7 +24,6 @@
 //!   incremental revalidation,
 //! * an immutable columnar view with a label index and out/in CSR
 //!   adjacency grouped by edge label ([`ColumnarGraph`]),
-//! * traversal helpers ([`traverse`]),
 //! * a stable JSON interchange format ([`json`]),
 //! * structural statistics ([`stats::GraphStats`]) used by the benchmark
 //!   harness.
@@ -60,7 +59,6 @@ pub mod parse;
 pub mod snapshot;
 pub mod stats;
 pub mod symbols;
-pub mod traverse;
 
 pub use builder::{BuildError, GraphBuilder};
 pub use columnar::{ColumnarGraph, ValueTable};

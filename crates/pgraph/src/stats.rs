@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{traverse, PropertyGraph};
+use crate::PropertyGraph;
 
 /// A summary of one Property Graph instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,7 +30,8 @@ pub struct GraphStats {
 }
 
 impl GraphStats {
-    /// Computes statistics in `O(|V| + |E|)` (plus component discovery).
+    /// Computes statistics in `O(|V| + |E|)`; weakly connected
+    /// components by union-find over node slots.
     pub fn compute(g: &PropertyGraph) -> Self {
         let mut nodes_per_label = BTreeMap::new();
         let mut edges_per_label = BTreeMap::new();
@@ -40,9 +41,17 @@ impl GraphStats {
             *nodes_per_label.entry(n.label().to_owned()).or_insert(0) += 1;
             node_properties += n.property_count();
         }
+        let slots = g.node_ids().map(|n| n.index() + 1).max().unwrap_or(0);
+        let (mut out_degree, mut in_degree) = (vec![0usize; slots], vec![0usize; slots]);
+        let mut parent: Vec<usize> = (0..slots).collect();
         for e in g.edges() {
             *edges_per_label.entry(e.label().to_owned()).or_insert(0) += 1;
             edge_properties += e.property_count();
+            let (s, t) = (e.source().index(), e.target().index());
+            out_degree[s] += 1;
+            in_degree[t] += 1;
+            let (a, b) = (root(&mut parent, s), root(&mut parent, t));
+            parent[a] = b;
         }
         GraphStats {
             nodes: g.node_count(),
@@ -51,9 +60,12 @@ impl GraphStats {
             edges_per_label,
             node_properties,
             edge_properties,
-            max_out_degree: traverse::out_degrees(g).into_iter().max().unwrap_or(0),
-            max_in_degree: traverse::in_degrees(g).into_iter().max().unwrap_or(0),
-            components: traverse::weakly_connected_components(g),
+            max_out_degree: out_degree.into_iter().max().unwrap_or(0),
+            max_in_degree: in_degree.into_iter().max().unwrap_or(0),
+            components: g
+                .node_ids()
+                .filter(|n| root(&mut parent, n.index()) == n.index())
+                .count(),
         }
     }
 
@@ -71,6 +83,15 @@ impl GraphStats {
             self.components
         )
     }
+}
+
+/// The representative of slot `i`'s component (halving the path to it).
+fn root(parent: &mut [usize], mut i: usize) -> usize {
+    while parent[i] != i {
+        parent[i] = parent[parent[i]];
+        i = parent[i];
+    }
+    i
 }
 
 #[cfg(test)]
@@ -106,13 +127,20 @@ mod tests {
         assert_eq!(s.max_in_degree, 2); // c
         assert_eq!(s.components, 1);
         assert!(s.summary().contains("|V|=3"));
+
+        // An island is a second weak component; edge direction is ignored.
+        g.add_node("I");
+        let c = g.nodes().find(|n| n.label() == "B").unwrap().id;
+        g.add_edge(c, a, "back").unwrap();
+        let s = GraphStats::compute(&g);
+        assert_eq!((s.components, s.max_out_degree, s.max_in_degree), (2, 2, 2));
     }
 
     #[test]
     fn stats_of_empty_graph() {
         let s = GraphStats::compute(&crate::PropertyGraph::new());
         assert_eq!(s.nodes, 0);
-        assert_eq!(s.max_out_degree, 0);
+        assert_eq!((s.max_out_degree, s.max_in_degree), (0, 0));
         assert_eq!(s.components, 0);
     }
 }

@@ -1,205 +1,99 @@
-//! The PG-Schema lexical analyser.
+//! The PG-Schema lexical rules.
 //!
-//! A hand-rolled scanner in the same style as the SDL lexer
-//! (`gql_sdl::Lexer`): whitespace, line terminators and comments are
-//! ignored; everything else becomes a [`Token`] with a source span.
-//! Both `//` (PG-Schema/GQL style) and `#` (GraphQL style) line comments
-//! are ignored, so schemas can carry either convention. One character of
-//! lookahead suffices except for `..`, `->` and `//`.
+//! The scanner, its line model and the located error are the shared
+//! source core's ([`gql_sdl::source`]); this module is PG-Schema's
+//! [`Lexicon`]. Whitespace, line terminators and comments are ignored —
+//! both `//` (PG-Schema/GQL style) and `#` (GraphQL style) line
+//! comments, so schemas can carry either convention — and commas are
+//! tokens, unlike in SDL. Compound punctuators are `..` and `->`.
 
-use crate::error::{ParseError, ParseErrorKind};
-use crate::token::{Pos, Span, Token, TokenKind};
+use gql_sdl::source::{Lexicon, Scanner};
+use gql_sdl::{ParseError, ParseErrorKind};
+
+use crate::token::TokenKind;
 
 /// Streaming tokenizer. Usually used through [`crate::parse`], but
 /// exposed for tooling and token-level tests.
-pub struct Lexer<'a> {
-    src: &'a str,
-    chars: std::str::CharIndices<'a>,
-    /// One-char lookahead: (byte offset, char).
-    peeked: Option<(usize, char)>,
-    line: u32,
-    column: u32,
-}
+pub type Lexer<'a> = Scanner<'a, TokenKind>;
 
-impl<'a> Lexer<'a> {
-    /// Creates a lexer over `src`.
-    pub fn new(src: &'a str) -> Self {
-        let mut lx = Lexer {
-            src,
-            chars: src.char_indices(),
-            peeked: None,
-            line: 1,
-            column: 1,
-        };
-        lx.peeked = lx.chars.next();
-        // Skip a UTF-8 byte-order mark if present.
-        if let Some((_, '\u{FEFF}')) = lx.peeked {
-            lx.bump();
-        }
-        lx
-    }
+impl Lexicon for TokenKind {
+    const EOF: Self = TokenKind::Eof;
+    const IGNORED: &'static [char] = &[];
+    const COMMENTS: &'static [&'static str] = &["#", "//"];
 
-    /// Tokenises the whole input, ending with an `Eof` token.
-    pub fn tokenize(mut self) -> Result<Vec<Token>, ParseError> {
-        let mut out = Vec::new();
-        loop {
-            let tok = self.next_token()?;
-            let done = tok.kind == TokenKind::Eof;
-            out.push(tok);
-            if done {
-                return Ok(out);
-            }
-        }
-    }
-
-    fn pos(&self) -> Pos {
-        Pos {
-            line: self.line,
-            column: self.column,
-            offset: self.peeked.map_or(self.src.len(), |(o, _)| o),
-        }
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.peeked.map(|(_, c)| c)
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let (_, c) = self.peeked?;
-        self.peeked = self.chars.next();
-        if c == '\n' {
-            self.line += 1;
-            self.column = 1;
-        } else {
-            self.column += 1;
-        }
-        Some(c)
-    }
-
-    fn skip_ignored(&mut self) {
-        loop {
-            match self.peek() {
-                Some(' ' | '\t' | '\n') => {
-                    self.bump();
-                }
-                Some('\r') => {
-                    self.bump();
-                    // CRLF counts as one line terminator; '\n' handling
-                    // in bump() advances the line if it follows.
-                    if self.peek() != Some('\n') {
-                        self.line += 1;
-                        self.column = 1;
-                    }
-                }
-                Some('#') => self.line_comment(),
-                Some('/') if self.peek2() == Some('/') => self.line_comment(),
-                _ => return,
-            }
-        }
-    }
-
-    fn peek2(&self) -> Option<char> {
-        let mut it = self.chars.clone();
-        it.next().map(|(_, c)| c)
-    }
-
-    fn line_comment(&mut self) {
-        while let Some(c) = self.peek() {
-            if c == '\n' || c == '\r' {
-                break;
-            }
-            self.bump();
-        }
-    }
-
-    /// Produces the next significant token.
-    pub fn next_token(&mut self) -> Result<Token, ParseError> {
-        self.skip_ignored();
-        let start = self.pos();
-        let Some(c) = self.peek() else {
-            return Ok(Token {
-                kind: TokenKind::Eof,
-                span: Span::at(start),
-            });
-        };
+    fn lex(s: &mut Lexer<'_>, c: char) -> Result<Self, ParseError> {
         let kind = match c {
-            '(' => self.punct(TokenKind::ParenL),
-            ')' => self.punct(TokenKind::ParenR),
-            '{' => self.punct(TokenKind::BraceL),
-            '}' => self.punct(TokenKind::BraceR),
-            '[' => self.punct(TokenKind::BracketL),
-            ']' => self.punct(TokenKind::BracketR),
-            ':' => self.punct(TokenKind::Colon),
-            ',' => self.punct(TokenKind::Comma),
-            '&' => self.punct(TokenKind::Amp),
-            '*' => self.punct(TokenKind::Star),
-            '-' => {
-                self.bump();
-                if self.peek() == Some('>') {
-                    self.bump();
-                    Ok(TokenKind::Arrow)
-                } else {
-                    Ok(TokenKind::Dash)
-                }
+            c if c == '_' || c.is_ascii_alphabetic() => {
+                return Ok(TokenKind::Name(s.name().to_owned()))
             }
-            '.' => {
-                self.bump();
-                if self.peek() == Some('.') {
-                    self.bump();
-                    Ok(TokenKind::DotDot)
-                } else {
-                    Ok(TokenKind::Dot)
-                }
-            }
-            c if c == '_' || c.is_ascii_alphabetic() => Ok(self.name()),
-            c if c.is_ascii_digit() => Ok(self.number()),
+            c if c.is_ascii_digit() => return Ok(number(s)),
+            '-' if s.eat("->") => return Ok(TokenKind::Arrow),
+            '.' if s.eat("..") => return Ok(TokenKind::DotDot),
+            '(' => TokenKind::ParenL,
+            ')' => TokenKind::ParenR,
+            '{' => TokenKind::BraceL,
+            '}' => TokenKind::BraceR,
+            '[' => TokenKind::BracketL,
+            ']' => TokenKind::BracketR,
+            ':' => TokenKind::Colon,
+            ',' => TokenKind::Comma,
+            '&' => TokenKind::Amp,
+            '*' => TokenKind::Star,
+            '-' => TokenKind::Dash,
+            '.' => TokenKind::Dot,
             other => {
-                self.bump();
-                Err(ParseError::new(
+                return Err(ParseError::new(
                     ParseErrorKind::UnexpectedCharacter(other),
-                    start,
+                    s.pos(),
                 ))
             }
-        }?;
-        Ok(Token {
-            kind,
-            span: Span {
-                start,
-                end: self.pos(),
-            },
-        })
-    }
-
-    fn punct(&mut self, kind: TokenKind) -> Result<TokenKind, ParseError> {
-        self.bump();
+        };
+        s.bump();
         Ok(kind)
     }
 
-    fn name(&mut self) -> TokenKind {
-        let mut s = String::new();
-        while let Some(c) = self.peek() {
-            if c == '_' || c.is_ascii_alphanumeric() {
-                s.push(c);
-                self.bump();
-            } else {
-                break;
-            }
+    fn as_name(&self) -> Option<&str> {
+        match self {
+            TokenKind::Name(n) => Some(n),
+            _ => None,
         }
-        TokenKind::Name(s)
     }
 
-    fn number(&mut self) -> TokenKind {
-        let mut n: u64 = 0;
-        while let Some(c) = self.peek() {
-            if let Some(d) = c.to_digit(10) {
-                n = n.saturating_mul(10).saturating_add(u64::from(d));
-                self.bump();
-            } else {
-                break;
-            }
+    fn describe(&self) -> String {
+        match self {
+            TokenKind::Name(n) => format!("name `{n}`"),
+            TokenKind::Int(i) => format!("integer `{i}`"),
+            TokenKind::ParenL => "`(`".to_owned(),
+            TokenKind::ParenR => "`)`".to_owned(),
+            TokenKind::BraceL => "`{`".to_owned(),
+            TokenKind::BraceR => "`}`".to_owned(),
+            TokenKind::BracketL => "`[`".to_owned(),
+            TokenKind::BracketR => "`]`".to_owned(),
+            TokenKind::Colon => "`:`".to_owned(),
+            TokenKind::Comma => "`,`".to_owned(),
+            TokenKind::Amp => "`&`".to_owned(),
+            TokenKind::Dot => "`.`".to_owned(),
+            TokenKind::DotDot => "`..`".to_owned(),
+            TokenKind::Dash => "`-`".to_owned(),
+            TokenKind::Arrow => "`->`".to_owned(),
+            TokenKind::Star => "`*`".to_owned(),
+            TokenKind::Eof => "end of input".to_owned(),
         }
-        TokenKind::Int(n)
     }
+}
+
+/// A non-negative integer (a cardinality bound), saturating at `u64::MAX`.
+fn number(s: &mut Lexer<'_>) -> TokenKind {
+    let mut n: u64 = 0;
+    while let Some(c) = s.peek() {
+        if let Some(d) = c.to_digit(10) {
+            n = n.saturating_mul(10).saturating_add(u64::from(d));
+            s.bump();
+        } else {
+            break;
+        }
+    }
+    TokenKind::Int(n)
 }
 
 #[cfg(test)]

@@ -3,13 +3,16 @@
 //! The paper defines property-graph schemas through the GraphQL SDL;
 //! PG-Schema (Angles et al., "PG-Schema: Schemas for Property Graphs")
 //! is the community's ISO-GQL-adjacent schema language for the same job.
-//! This crate makes the rule kernels *language*-agnostic: a hand-rolled
-//! [`lexer`]/[`parser`] for a practical PG-Schema subset, a [`lower`]ing
-//! compiler onto the existing [`pg_schema::PgSchema`] core (so all four
-//! engines, metrics, sessions, durability and replication just work),
-//! and a [`mod@print`]er rendering SDL documents back as PG-Schema over the
-//! overlapping fragment. [`load_schema`] is the one "(text, language) →
-//! (schema, canonical text)" function the CLI and the server share.
+//! This crate makes the rule kernels *language*-agnostic: the
+//! [`lexer`] rules and [`parser`] grammar of a practical PG-Schema
+//! subset — the scanner, token cursor and located [`ParseError`] they
+//! run on are `gql-sdl`'s shared source core ([`gql_sdl::source`]) — a
+//! [`lower`]ing compiler onto the existing [`pg_schema::PgSchema`] core
+//! (so all four engines, metrics, sessions, durability and replication
+//! just work), and a [`mod@print`]er rendering SDL documents back as
+//! PG-Schema over the overlapping fragment. [`load_schema`] is the one
+//! "(text, language) → (schema, canonical text)" function the CLI and the
+//! server share.
 //!
 //! # Where the mode lives
 //!
@@ -37,7 +40,6 @@
 //! replicas and cross-language migration windows.
 
 pub mod ast;
-pub mod error;
 pub mod lexer;
 pub mod lower;
 pub mod parser;
@@ -47,7 +49,8 @@ pub mod token;
 pub mod corpus;
 
 pub use ast::TypeMode;
-pub use error::{ParseError, ParseErrorKind};
+/// The located error both frontends raise, from the shared source core.
+pub use gql_sdl::{ParseError, ParseErrorKind};
 pub use lexer::Lexer;
 pub use lower::{compile, Compiled};
 pub use parser::parse;
@@ -148,8 +151,8 @@ pub fn parse_persisted(sdl: &str) -> Result<PgSchema, Box<dyn std::error::Error>
 /// canonical SDL text that gets persisted. PG-Schema input lowers to SDL
 /// prefixed with the language pragma, so sessions, WAL records and
 /// replication carry the source language with no format change; SDL
-/// input is its own canonical text. A PG-Schema failure is a
-/// [`ParseError`] (downcast to render its caret snippet).
+/// input is its own canonical text. A parse failure in either language
+/// is a [`ParseError`] (downcast to render its caret snippet).
 pub fn load_schema(
     source: &str,
     lang: SchemaLanguage,

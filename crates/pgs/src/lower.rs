@@ -40,10 +40,10 @@ use gql_sdl::ast::{
     ConstValue, Definition, DirectiveUse, Document, FieldDef, InputValueDef, InterfaceTypeDef,
     ObjectTypeDef, ScalarTypeDef, Type, TypeDef,
 };
+use gql_sdl::{ParseError, ParseErrorKind};
 use pg_schema::PgSchema;
 
 use crate::ast::{Cardinality, EdgeType, GraphType, NodeType, PropDef, TypeMode};
-use crate::error::{ParseError, ParseErrorKind};
 use crate::token::{Pos, Span};
 
 /// The five SDL builtin scalars and their PG-Schema keyword spellings.

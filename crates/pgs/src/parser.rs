@@ -24,360 +24,283 @@
 //!
 //! Keywords are uppercase, as in the PG-Schema paper; identifiers follow
 //! the SDL name grammar so labels and property names translate 1:1.
+//!
+//! Each production is a function over the shared token [`Cursor`]
+//! (`gql_sdl::source`). No production recurses — elements nest to a
+//! fixed depth and the node/edge decision is a linear scan — so unlike
+//! SDL's list types this grammar needs no [`gql_sdl::MAX_DEPTH`] guard:
+//! `((((…` is one syntax error however deep it goes.
+
+use gql_sdl::source::Cursor;
+use gql_sdl::{ParseError, ParseErrorKind};
 
 use crate::ast::{Cardinality, EdgeType, GraphType, KeyConstraint, NodeType, PropDef, TypeMode};
-use crate::error::{ParseError, ParseErrorKind};
-use crate::lexer::Lexer;
-use crate::token::{Pos, Span, Token, TokenKind};
+use crate::token::{Pos, Span, TokenKind};
 
 /// Parses PG-Schema source into a [`GraphType`].
 pub fn parse(source: &str) -> Result<GraphType, ParseError> {
-    let tokens = Lexer::new(source).tokenize()?;
-    Parser { tokens, at: 0 }.document()
+    document(&mut Cursor::new(source)?)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    at: usize,
+fn document(p: &mut Cursor<TokenKind>) -> Result<GraphType, ParseError> {
+    let head = p.pos();
+    p.keyword("CREATE")?;
+    p.keyword("GRAPH")?;
+    p.keyword("TYPE")?;
+    let (name, _) = p.name("a graph type name")?;
+    let mode = if p.eat_keyword("STRICT") {
+        TypeMode::Strict
+    } else if p.eat_keyword("LOOSE") {
+        TypeMode::Loose
+    } else {
+        TypeMode::Strict
+    };
+    p.expect(TokenKind::BraceL)?;
+    let mut gt = GraphType {
+        name,
+        mode,
+        nodes: Vec::new(),
+        edges: Vec::new(),
+        keys: Vec::new(),
+        span: Span::at(head),
+    };
+    while !p.eat(TokenKind::BraceR) {
+        element(p, &mut gt)?;
+        p.eat(TokenKind::Comma);
+    }
+    p.expect(TokenKind::Eof)?;
+    Ok(gt)
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.at.min(self.tokens.len() - 1)]
+fn element(p: &mut Cursor<TokenKind>, gt: &mut GraphType) -> Result<(), ParseError> {
+    let start = p.pos();
+    if p.at_keyword("FOR") {
+        gt.keys.push(key_constraint(p)?);
+        return Ok(());
     }
-
-    fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
-        if self.at < self.tokens.len() - 1 {
-            self.at += 1;
-        }
-        t
+    let is_abstract = p.eat_keyword("ABSTRACT");
+    if p.peek().kind != TokenKind::ParenL {
+        return Err(p.unexpected("a node type `(`, an edge type `(:`, or a key constraint `FOR`"));
     }
-
-    fn pos(&self) -> Pos {
-        self.peek().span.start
+    // Both node and edge types start with '(' — an edge endpoint is
+    // `(:Name)` followed by `-[`. Disambiguate by scanning for the
+    // closing paren and checking what follows.
+    if !is_abstract && looks_like_edge(p) {
+        gt.edges.push(edge_type(p)?);
+    } else {
+        gt.nodes.push(node_type(p, is_abstract, start)?);
     }
+    Ok(())
+}
 
-    fn unexpected(&self, expected: impl Into<String>) -> ParseError {
-        ParseError::new(
-            ParseErrorKind::Unexpected {
-                expected: expected.into(),
-                found: self.peek().kind.describe(),
-            },
-            self.pos(),
-        )
-    }
-
-    fn expect(&mut self, kind: TokenKind) -> Result<Token, ParseError> {
-        if self.peek().kind == kind {
-            Ok(self.bump())
-        } else {
-            Err(self.unexpected(kind.describe()))
-        }
-    }
-
-    /// Consumes a name token with any spelling.
-    fn name(&mut self, expected: &str) -> Result<(String, Span), ParseError> {
-        match &self.peek().kind {
-            TokenKind::Name(_) => {
-                let t = self.bump();
-                let TokenKind::Name(n) = t.kind else {
-                    unreachable!()
-                };
-                Ok((n, t.span))
-            }
-            _ => Err(self.unexpected(expected)),
-        }
-    }
-
-    /// Consumes the exact keyword `kw` (uppercase spelling).
-    fn keyword(&mut self, kw: &str) -> Result<Token, ParseError> {
-        if self.at_keyword(kw) {
-            Ok(self.bump())
-        } else {
-            Err(self.unexpected(format!("`{kw}`")))
-        }
-    }
-
-    fn at_keyword(&self, kw: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Name(n) if n == kw)
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.at_keyword(kw) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn eat(&mut self, kind: TokenKind) -> bool {
-        if self.peek().kind == kind {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn document(&mut self) -> Result<GraphType, ParseError> {
-        let head = self.pos();
-        self.keyword("CREATE")?;
-        self.keyword("GRAPH")?;
-        self.keyword("TYPE")?;
-        let (name, _) = self.name("a graph type name")?;
-        let mode = if self.eat_keyword("STRICT") {
-            TypeMode::Strict
-        } else if self.eat_keyword("LOOSE") {
-            TypeMode::Loose
-        } else {
-            TypeMode::Strict
-        };
-        self.expect(TokenKind::BraceL)?;
-        let mut gt = GraphType {
-            name,
-            mode,
-            nodes: Vec::new(),
-            edges: Vec::new(),
-            keys: Vec::new(),
-            span: Span::at(head),
-        };
-        while !self.eat(TokenKind::BraceR) {
-            self.element(&mut gt)?;
-            self.eat(TokenKind::Comma);
-        }
-        self.expect(TokenKind::Eof)?;
-        Ok(gt)
-    }
-
-    fn element(&mut self, gt: &mut GraphType) -> Result<(), ParseError> {
-        let start = self.pos();
-        if self.at_keyword("FOR") {
-            gt.keys.push(self.key_constraint()?);
-            return Ok(());
-        }
-        let is_abstract = self.eat_keyword("ABSTRACT");
-        if self.peek().kind != TokenKind::ParenL {
-            return Err(
-                self.unexpected("a node type `(`, an edge type `(:`, or a key constraint `FOR`")
-            );
-        }
-        // Both node and edge types start with '(' — an edge endpoint is
-        // `(:Name)` followed by `-[`. Disambiguate by scanning for the
-        // closing paren and checking what follows.
-        if !is_abstract && self.looks_like_edge() {
-            gt.edges.push(self.edge_type()?);
-        } else {
-            gt.nodes.push(self.node_type(is_abstract, start)?);
-        }
-        Ok(())
-    }
-
-    /// True if the upcoming `( ... )` group is an edge endpoint, i.e. its
-    /// matching close paren is immediately followed by `-`.
-    fn looks_like_edge(&self) -> bool {
-        let mut depth = 0usize;
-        for (i, t) in self.tokens[self.at..].iter().enumerate() {
-            match t.kind {
-                TokenKind::ParenL => depth += 1,
-                TokenKind::ParenR => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        return matches!(
-                            self.tokens.get(self.at + i + 1).map(|t| &t.kind),
-                            Some(TokenKind::Dash | TokenKind::Arrow)
-                        );
-                    }
+/// True if the upcoming `( ... )` group is an edge endpoint, i.e. its
+/// matching close paren is immediately followed by `-`.
+fn looks_like_edge(p: &Cursor<TokenKind>) -> bool {
+    let mut depth = 0usize;
+    let rest = p.rest();
+    for (i, t) in rest.iter().enumerate() {
+        match t.kind {
+            TokenKind::ParenL => depth += 1,
+            TokenKind::ParenR => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return matches!(
+                        rest.get(i + 1).map(|t| &t.kind),
+                        Some(TokenKind::Dash | TokenKind::Arrow)
+                    );
                 }
-                TokenKind::Eof => return false,
-                _ => {}
             }
+            TokenKind::Eof => return false,
+            _ => {}
         }
-        false
     }
+    false
+}
 
-    fn node_type(&mut self, is_abstract: bool, start: Pos) -> Result<NodeType, ParseError> {
-        self.expect(TokenKind::ParenL)?;
-        let mut open = self.eat_keyword("OPEN");
-        self.eat(TokenKind::Colon);
-        let (first, _) = self.name("a node label")?;
-        let mut labels = vec![first];
-        while self.eat(TokenKind::Amp) {
-            let (l, _) = self.name("a label conjunct")?;
-            labels.push(l);
-        }
-        open |= self.eat_keyword("OPEN");
-        let props = if self.peek().kind == TokenKind::BraceL {
-            self.props()?
+fn node_type(
+    p: &mut Cursor<TokenKind>,
+    is_abstract: bool,
+    start: Pos,
+) -> Result<NodeType, ParseError> {
+    p.expect(TokenKind::ParenL)?;
+    let mut open = p.eat_keyword("OPEN");
+    p.eat(TokenKind::Colon);
+    let (first, _) = p.name("a node label")?;
+    let mut labels = vec![first];
+    while p.eat(TokenKind::Amp) {
+        let (l, _) = p.name("a label conjunct")?;
+        labels.push(l);
+    }
+    open |= p.eat_keyword("OPEN");
+    let props = if p.peek().kind == TokenKind::BraceL {
+        props(p)?
+    } else {
+        Vec::new()
+    };
+    open |= p.eat_keyword("OPEN");
+    p.expect(TokenKind::ParenR)?;
+    Ok(NodeType {
+        is_abstract,
+        open,
+        labels,
+        props,
+        span: Span::at(start),
+    })
+}
+
+fn props(p: &mut Cursor<TokenKind>) -> Result<Vec<PropDef>, ParseError> {
+    p.expect(TokenKind::BraceL)?;
+    let mut out = Vec::new();
+    while !p.eat(TokenKind::BraceR) {
+        let start = p.pos();
+        let optional = p.eat_keyword("OPTIONAL");
+        let (name, _) = p.name("a property name")?;
+        let (ty, _) = p.name("a property type")?;
+        let array = p.eat_keyword("ARRAY");
+        out.push(PropDef {
+            optional,
+            name,
+            ty,
+            array,
+            span: Span::at(start),
+        });
+        p.eat(TokenKind::Comma);
+    }
+    Ok(out)
+}
+
+fn endpoint(p: &mut Cursor<TokenKind>) -> Result<String, ParseError> {
+    p.expect(TokenKind::ParenL)?;
+    p.expect(TokenKind::Colon)?;
+    let (label, _) = p.name("an endpoint label")?;
+    p.expect(TokenKind::ParenR)?;
+    Ok(label)
+}
+
+fn edge_type(p: &mut Cursor<TokenKind>) -> Result<EdgeType, ParseError> {
+    let start = p.pos();
+    let source = endpoint(p)?;
+    p.expect(TokenKind::Dash)?;
+    p.expect(TokenKind::BracketL)?;
+    p.eat(TokenKind::Colon);
+    let (label, _) = p.name("an edge label")?;
+    let props = if p.peek().kind == TokenKind::BraceL {
+        props(p)?
+    } else {
+        Vec::new()
+    };
+    p.expect(TokenKind::BracketR)?;
+    p.expect(TokenKind::Arrow)?;
+    let target = endpoint(p)?;
+
+    let mut edge = EdgeType {
+        source,
+        label,
+        target,
+        props,
+        outgoing: None,
+        incoming: None,
+        distinct: false,
+        no_loops: false,
+        span: Span::at(start),
+    };
+    loop {
+        if p.at_keyword("OUTGOING") {
+            p.bump();
+            edge.outgoing = Some(cardinality(p)?);
+        } else if p.at_keyword("INCOMING") {
+            p.bump();
+            edge.incoming = Some(cardinality(p)?);
+        } else if p.eat_keyword("DISTINCT") {
+            edge.distinct = true;
+        } else if p.at_keyword("NO") {
+            p.bump();
+            p.keyword("LOOPS")?;
+            edge.no_loops = true;
         } else {
-            Vec::new()
-        };
-        open |= self.eat_keyword("OPEN");
-        self.expect(TokenKind::ParenR)?;
-        Ok(NodeType {
-            is_abstract,
-            open,
-            labels,
-            props,
-            span: Span::at(start),
-        })
-    }
-
-    fn props(&mut self) -> Result<Vec<PropDef>, ParseError> {
-        self.expect(TokenKind::BraceL)?;
-        let mut out = Vec::new();
-        while !self.eat(TokenKind::BraceR) {
-            let start = self.pos();
-            let optional = self.eat_keyword("OPTIONAL");
-            let (name, _) = self.name("a property name")?;
-            let (ty, _) = self.name("a property type")?;
-            let array = self.eat_keyword("ARRAY");
-            out.push(PropDef {
-                optional,
-                name,
-                ty,
-                array,
-                span: Span::at(start),
-            });
-            self.eat(TokenKind::Comma);
+            break;
         }
-        Ok(out)
     }
+    Ok(edge)
+}
 
-    fn endpoint(&mut self) -> Result<String, ParseError> {
-        self.expect(TokenKind::ParenL)?;
-        self.expect(TokenKind::Colon)?;
-        let (label, _) = self.name("an endpoint label")?;
-        self.expect(TokenKind::ParenR)?;
-        Ok(label)
-    }
-
-    fn edge_type(&mut self) -> Result<EdgeType, ParseError> {
-        let start = self.pos();
-        let source = self.endpoint()?;
-        self.expect(TokenKind::Dash)?;
-        self.expect(TokenKind::BracketL)?;
-        self.eat(TokenKind::Colon);
-        let (label, _) = self.name("an edge label")?;
-        let props = if self.peek().kind == TokenKind::BraceL {
-            self.props()?
-        } else {
-            Vec::new()
-        };
-        self.expect(TokenKind::BracketR)?;
-        self.expect(TokenKind::Arrow)?;
-        let target = self.endpoint()?;
-
-        let mut edge = EdgeType {
-            source,
-            label,
-            target,
-            props,
-            outgoing: None,
-            incoming: None,
-            distinct: false,
-            no_loops: false,
-            span: Span::at(start),
-        };
-        loop {
-            if self.at_keyword("OUTGOING") {
-                self.bump();
-                edge.outgoing = Some(self.cardinality()?);
-            } else if self.at_keyword("INCOMING") {
-                self.bump();
-                edge.incoming = Some(self.cardinality()?);
-            } else if self.eat_keyword("DISTINCT") {
-                edge.distinct = true;
-            } else if self.at_keyword("NO") {
-                self.bump();
-                self.keyword("LOOPS")?;
-                edge.no_loops = true;
-            } else {
-                break;
-            }
+fn cardinality(p: &mut Cursor<TokenKind>) -> Result<Cardinality, ParseError> {
+    let start = p.pos();
+    let min = match p.peek().kind {
+        TokenKind::Int(n) => {
+            p.bump();
+            n
         }
-        Ok(edge)
-    }
-
-    fn cardinality(&mut self) -> Result<Cardinality, ParseError> {
-        let start = self.pos();
-        let min = match self.peek().kind {
-            TokenKind::Int(n) => {
-                self.bump();
-                n
-            }
-            _ => return Err(self.unexpected("a cardinality lower bound")),
-        };
-        self.expect(TokenKind::DotDot)?;
-        let max = match self.peek().kind {
-            TokenKind::Int(n) => {
-                self.bump();
-                Some(n)
-            }
-            TokenKind::Star => {
-                self.bump();
-                None
-            }
-            _ => return Err(self.unexpected("a cardinality upper bound or `*`")),
-        };
-        Ok(Cardinality {
-            min,
-            max,
-            span: Span {
-                start,
-                end: self.pos(),
-            },
-        })
-    }
-
-    fn key_constraint(&mut self) -> Result<KeyConstraint, ParseError> {
-        let start = self.pos();
-        self.keyword("FOR")?;
-        self.expect(TokenKind::ParenL)?;
-        let (var, _) = self.name("a key variable")?;
-        self.expect(TokenKind::Colon)?;
-        let (label, _) = self.name("a node label")?;
-        self.expect(TokenKind::ParenR)?;
-        self.keyword("KEY")?;
-        let mut fields = vec![self.key_ref(&var)?];
-        // A comma continues this key — unless what follows is `FOR (`, the
-        // head of the next constraint, in which case the comma separates
-        // elements and belongs to the caller. (`FOR.x` after a comma is
-        // still a reference through a variable spelled `FOR`.)
-        while self.peek().kind == TokenKind::Comma && !self.next_constraint_follows() {
-            self.bump();
-            fields.push(self.key_ref(&var)?);
+        _ => return Err(p.unexpected("a cardinality lower bound")),
+    };
+    p.expect(TokenKind::DotDot)?;
+    let max = match p.peek().kind {
+        TokenKind::Int(n) => {
+            p.bump();
+            Some(n)
         }
-        Ok(KeyConstraint {
-            var,
-            label,
-            fields,
-            span: Span::at(start),
-        })
-    }
-
-    /// True if the tokens after the one under the cursor are `FOR (`.
-    fn next_constraint_follows(&self) -> bool {
-        let ahead = |n: usize| self.tokens.get(self.at + n).map(|t| &t.kind);
-        matches!(ahead(1), Some(TokenKind::Name(n)) if n == "FOR")
-            && ahead(2) == Some(&TokenKind::ParenL)
-    }
-
-    fn key_ref(&mut self, var: &str) -> Result<String, ParseError> {
-        let (v, span) = self.name("the key variable")?;
-        if v != var {
-            return Err(ParseError::new(
-                ParseErrorKind::Invalid(format!(
-                    "key reference uses `{v}` but the constraint binds `{var}`"
-                )),
-                span.start,
-            ));
+        TokenKind::Star => {
+            p.bump();
+            None
         }
-        self.expect(TokenKind::Dot)?;
-        let (field, _) = self.name("a property name")?;
-        Ok(field)
+        _ => return Err(p.unexpected("a cardinality upper bound or `*`")),
+    };
+    Ok(Cardinality {
+        min,
+        max,
+        span: Span {
+            start,
+            end: p.pos(),
+        },
+    })
+}
+
+fn key_constraint(p: &mut Cursor<TokenKind>) -> Result<KeyConstraint, ParseError> {
+    let start = p.pos();
+    p.keyword("FOR")?;
+    p.expect(TokenKind::ParenL)?;
+    let (var, _) = p.name("a key variable")?;
+    p.expect(TokenKind::Colon)?;
+    let (label, _) = p.name("a node label")?;
+    p.expect(TokenKind::ParenR)?;
+    p.keyword("KEY")?;
+    let mut fields = vec![key_ref(p, &var)?];
+    // A comma continues this key — unless what follows is `FOR (`, the
+    // head of the next constraint, in which case the comma separates
+    // elements and belongs to the caller. (`FOR.x` after a comma is
+    // still a reference through a variable spelled `FOR`.)
+    while p.peek().kind == TokenKind::Comma && !next_constraint_follows(p) {
+        p.bump();
+        fields.push(key_ref(p, &var)?);
     }
+    Ok(KeyConstraint {
+        var,
+        label,
+        fields,
+        span: Span::at(start),
+    })
+}
+
+/// True if the tokens after the one under the cursor are `FOR (`.
+fn next_constraint_follows(p: &Cursor<TokenKind>) -> bool {
+    let ahead = |n: usize| p.rest().get(n).map(|t| &t.kind);
+    matches!(ahead(1), Some(TokenKind::Name(n)) if n == "FOR")
+        && ahead(2) == Some(&TokenKind::ParenL)
+}
+
+fn key_ref(p: &mut Cursor<TokenKind>, var: &str) -> Result<String, ParseError> {
+    let (v, span) = p.name("the key variable")?;
+    if v != var {
+        return Err(ParseError::new(
+            ParseErrorKind::Invalid(format!(
+                "key reference uses `{v}` but the constraint binds `{var}`"
+            )),
+            span.start,
+        ));
+    }
+    p.expect(TokenKind::Dot)?;
+    let (field, _) = p.name("a property name")?;
+    Ok(field)
 }
 
 #[cfg(test)]

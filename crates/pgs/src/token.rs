@@ -1,12 +1,6 @@
-//! Tokens and source positions for PG-Schema documents.
-//!
-//! Positions reuse the same discipline as the SDL lexer
-//! (`gql_sdl::token`): 1-based line/column in Unicode scalar values,
-//! 0-based byte offsets, CRLF counted as one line terminator. The types
-//! are re-exported from `gql-sdl` so spans are interchangeable between
-//! the two frontends.
-
-use std::fmt;
+//! PG-Schema token kinds. Positions, spans and the token wrapper are the
+//! shared source core's ([`gql_sdl::source`]), so spans are
+//! interchangeable between the two frontends.
 
 pub use gql_sdl::{Pos, Span};
 
@@ -54,42 +48,5 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
-    /// A short description used in error messages.
-    pub fn describe(&self) -> String {
-        match self {
-            TokenKind::Name(n) => format!("name `{n}`"),
-            TokenKind::Int(i) => format!("integer `{i}`"),
-            TokenKind::ParenL => "`(`".to_owned(),
-            TokenKind::ParenR => "`)`".to_owned(),
-            TokenKind::BraceL => "`{`".to_owned(),
-            TokenKind::BraceR => "`}`".to_owned(),
-            TokenKind::BracketL => "`[`".to_owned(),
-            TokenKind::BracketR => "`]`".to_owned(),
-            TokenKind::Colon => "`:`".to_owned(),
-            TokenKind::Comma => "`,`".to_owned(),
-            TokenKind::Amp => "`&`".to_owned(),
-            TokenKind::Dot => "`.`".to_owned(),
-            TokenKind::DotDot => "`..`".to_owned(),
-            TokenKind::Dash => "`-`".to_owned(),
-            TokenKind::Arrow => "`->`".to_owned(),
-            TokenKind::Star => "`*`".to_owned(),
-            TokenKind::Eof => "end of input".to_owned(),
-        }
-    }
-}
-
-impl fmt::Display for TokenKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.describe())
-    }
-}
-
-/// A token with its source span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    /// The token kind and payload.
-    pub kind: TokenKind,
-    /// Where it came from.
-    pub span: Span,
-}
+/// A PG-Schema token with its source span.
+pub type Token = gql_sdl::source::Token<TokenKind>;

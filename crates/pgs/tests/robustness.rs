@@ -1,7 +1,9 @@
 //! Parser robustness: `pg_pgschema::compile` on mutated valid inputs
 //! (truncations, token swaps, character noise) must never panic, and
 //! every rejection must carry a usable 1-based line/column position —
-//! the error contract DESIGN §PG-Schema frontend promises tooling.
+//! the error contract DESIGN §PG-Schema frontend promises tooling. The
+//! same mutations of the corpus's SDL text go through `gql_sdl::parse`
+//! and `PgSchema::parse`, the other surface of the shared source core.
 //!
 //! Lowering equivalence: every *acceptance* must be rehydratable. The
 //! compiler builds its schema straight from the lowered document and
@@ -12,6 +14,7 @@
 use pg_pgschema::{
     compile, corpus::corpus_sdl, parse_persisted, print_pgschema, Compiled, ParseError, TypeMode,
 };
+use pg_schema::PgSchema;
 use proptest::prelude::*;
 
 /// A valid PG-Schema text: the bilingual corpus schema for `seed`,
@@ -45,7 +48,7 @@ fn assert_rehydrates(compiled: &Compiled) {
     assert_eq!(a.is_open_world(), b.is_open_world());
     assert_eq!(a.keys(), b.keys());
     assert_eq!(a.constraint_sites(), b.constraint_sites());
-    let types = |s: &pg_schema::PgSchema| -> Vec<_> {
+    let types = |s: &PgSchema| -> Vec<_> {
         let s = s.schema();
         (s.object_types().chain(s.interface_types()))
             .map(|t| (t, s.type_name(t).to_owned()))
@@ -104,6 +107,51 @@ fn check(text: &str) {
     }
 }
 
+/// The same discipline for SDL text, through both of its readers: the
+/// parser alone, and the parser plus schema classification.
+fn check_sdl(text: &str) {
+    if let Err(err) = gql_sdl::parse(text) {
+        assert_error_is_located(&err, text);
+    }
+    if let Err(err) = PgSchema::parse(text) {
+        if let Some(err) = err.downcast_ref::<ParseError>() {
+            assert_error_is_located(err, text);
+        }
+    }
+}
+
+/// `text` cut at byte `cut` (modulo its length, on a char boundary).
+fn truncate(text: &str, cut: usize) -> &str {
+    &text[..char_floor(text, cut % (text.len() + 1))]
+}
+
+/// `text` with whitespace-delimited tokens `a` and `b` (modulo their
+/// count) swapped, re-joined by single spaces.
+fn swap_tokens(text: &str, a: usize, b: usize) -> String {
+    let mut tokens: Vec<&str> = text.split_whitespace().collect();
+    if !tokens.is_empty() {
+        let n = tokens.len();
+        tokens.swap(a % n, b % n);
+    }
+    tokens.join(" ")
+}
+
+/// `text` with a grammar-significant character inserted at `at`, or —
+/// for `which` past the noise table — the character there deleted.
+fn noise(text: &str, at: usize, which: usize) -> String {
+    const NOISE: [char; 11] = ['(', ')', '{', '}', '[', ']', ':', ',', '.', '-', '\u{e9}'];
+    let at = char_floor(text, at % (text.len() + 1));
+    let (head, rest) = text.split_at(at);
+    match NOISE.get(which) {
+        Some(c) => format!("{head}{c}{rest}"),
+        // Delete the character at `at` (no-op at end of input).
+        None => {
+            let skip = rest.chars().next().map_or(0, char::len_utf8);
+            format!("{head}{}", &rest[skip..])
+        }
+    }
+}
+
 /// Clamp `at` to the nearest char boundary at or below it.
 fn char_floor(text: &str, at: usize) -> usize {
     let mut i = at.min(text.len());
@@ -131,48 +179,23 @@ proptest! {
     /// (or acceptance, for cuts landing after the closing brace).
     #[test]
     fn truncations_never_panic(seed in 0u64..24, cut in 0usize..4096) {
-        let text = corpus_pgs(seed);
-        let cut = char_floor(&text, cut % (text.len() + 1));
-        check(&text[..cut]);
+        check(truncate(&corpus_pgs(seed), cut));
+        check_sdl(truncate(&corpus_sdl(seed), cut));
     }
 
     /// Swapping two whitespace-delimited tokens: never a panic, and
     /// rejections stay located.
     #[test]
     fn token_swaps_never_panic(seed in 0u64..24, a in 0usize..256, b in 0usize..256) {
-        let text = corpus_pgs(seed);
-        let tokens: Vec<&str> = text.split_whitespace().collect();
-        if tokens.len() < 2 {
-            return Ok(());
-        }
-        let (a, b) = (a % tokens.len(), b % tokens.len());
-        let mut swapped = tokens.clone();
-        swapped.swap(a, b);
-        check(&swapped.join(" "));
+        check(&swap_tokens(&corpus_pgs(seed), a, b));
+        check_sdl(&swap_tokens(&corpus_sdl(seed), a, b));
     }
 
     /// Single-character noise — insertion of a grammar-significant
     /// character, or deletion of one in place: never a panic.
     #[test]
     fn character_noise_never_panics(seed in 0u64..24, at in 0usize..4096, which in 0usize..12) {
-        let text = corpus_pgs(seed);
-        let at = char_floor(&text, at % (text.len() + 1));
-        const NOISE: [char; 11] = ['(', ')', '{', '}', '[', ']', ':', ',', '.', '-', '\u{e9}'];
-        let mutated = if which < NOISE.len() {
-            let mut m = String::with_capacity(text.len() + 2);
-            m.push_str(&text[..at]);
-            m.push(NOISE[which]);
-            m.push_str(&text[at..]);
-            m
-        } else {
-            // Delete the character at `at` (no-op at end of input).
-            let mut m = String::with_capacity(text.len());
-            m.push_str(&text[..at]);
-            let rest = &text[at..];
-            let skip = rest.chars().next().map_or(0, char::len_utf8);
-            m.push_str(&rest[skip..]);
-            m
-        };
-        check(&mutated);
+        check(&noise(&corpus_pgs(seed), at, which));
+        check_sdl(&noise(&corpus_sdl(seed), at, which));
     }
 }

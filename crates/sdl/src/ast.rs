@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crate::token::Span;
+use crate::source::Span;
 
 /// A parsed SDL document.
 #[derive(Debug, Clone, PartialEq)]
@@ -429,7 +429,7 @@ impl DirectiveUse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::token::{Pos, Span};
+    use crate::source::{Pos, Span};
 
     fn span() -> Span {
         Span::at(Pos::start())

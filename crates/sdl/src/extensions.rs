@@ -8,7 +8,7 @@
 use std::fmt;
 
 use crate::ast::*;
-use crate::token::Span;
+use crate::source::Span;
 
 /// A failure while folding extensions.
 #[derive(Debug, Clone, PartialEq)]

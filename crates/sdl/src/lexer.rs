@@ -1,188 +1,90 @@
 //! The GraphQL lexical analyser (spec §2.1, June 2018 edition).
 //!
 //! Whitespace, line terminators, commas, comments and a leading BOM are
-//! *ignored tokens*; everything else becomes a [`Token`]. The lexer is a
-//! plain hand-rolled scanner over the source `char` stream — GraphQL's
-//! lexical grammar is regular, so no lookahead beyond one character is
-//! needed except for `...` and the `"""` fence.
+//! *ignored tokens*; everything else becomes a [`Token`](crate::Token).
+//! The scanner and its line model are [`crate::source`]'s, shared with
+//! the PG-Schema frontend; this module is SDL's [`Lexicon`]: the
+//! ignored comma, the punctuators, and the string and number rules.
 
-use crate::error::{ParseError, ParseErrorKind};
-use crate::token::{Pos, Span, Token, TokenKind};
+use crate::source::{Lexicon, ParseError, ParseErrorKind, Pos, Scanner};
+use crate::token::TokenKind;
 
 /// Streaming tokenizer. Usually used through [`crate::parse`], but exposed
 /// for tooling (syntax highlighting, token-level tests).
-pub struct Lexer<'a> {
-    src: &'a str,
-    chars: std::str::CharIndices<'a>,
-    /// One-char lookahead: (byte offset, char).
-    peeked: Option<(usize, char)>,
-    line: u32,
-    column: u32,
-}
+pub type Lexer<'a> = Scanner<'a, TokenKind>;
 
-impl<'a> Lexer<'a> {
-    /// Creates a lexer over `src`.
-    pub fn new(src: &'a str) -> Self {
-        let mut lx = Lexer {
-            src,
-            chars: src.char_indices(),
-            peeked: None,
-            line: 1,
-            column: 1,
-        };
-        lx.peeked = lx.chars.next();
-        // Skip a UTF-8 byte-order mark if present (an ignored token).
-        if let Some((_, '\u{FEFF}')) = lx.peeked {
-            lx.bump();
-        }
-        lx
-    }
+impl Lexicon for TokenKind {
+    const EOF: Self = TokenKind::Eof;
+    const IGNORED: &'static [char] = &[','];
+    const COMMENTS: &'static [&'static str] = &["#"];
 
-    /// Tokenises the whole input, ending with an `Eof` token.
-    pub fn tokenize(mut self) -> Result<Vec<Token>, ParseError> {
-        let mut out = Vec::new();
-        loop {
-            let tok = self.next_token()?;
-            let done = tok.kind == TokenKind::Eof;
-            out.push(tok);
-            if done {
-                return Ok(out);
-            }
-        }
-    }
-
-    fn pos(&self) -> Pos {
-        Pos {
-            line: self.line,
-            column: self.column,
-            offset: self.peeked.map_or(self.src.len(), |(o, _)| o),
-        }
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.peeked.map(|(_, c)| c)
-    }
-
-    fn peek2(&self) -> Option<char> {
-        let mut it = self.chars.clone();
-        it.next().map(|(_, c)| c)
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let (_, c) = self.peeked?;
-        self.peeked = self.chars.next();
-        if c == '\n' {
-            self.line += 1;
-            self.column = 1;
-        } else {
-            self.column += 1;
-        }
-        Some(c)
-    }
-
-    fn skip_ignored(&mut self) {
-        loop {
-            match self.peek() {
-                Some(' ' | '\t' | ',' | '\n') => {
-                    self.bump();
-                }
-                Some('\r') => {
-                    self.bump();
-                    // CRLF counts as one line terminator; '\n' handling in
-                    // bump() already advanced the line if it follows.
-                    if self.peek() != Some('\n') {
-                        self.line += 1;
-                        self.column = 1;
-                    }
-                }
-                Some('#') => {
-                    while let Some(c) = self.peek() {
-                        if c == '\n' || c == '\r' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                _ => return,
-            }
-        }
-    }
-
-    /// Produces the next significant token.
-    pub fn next_token(&mut self) -> Result<Token, ParseError> {
-        self.skip_ignored();
-        let start = self.pos();
-        let Some(c) = self.peek() else {
-            return Ok(Token {
-                kind: TokenKind::Eof,
-                span: Span::at(start),
-            });
-        };
+    fn lex(s: &mut Lexer<'_>, c: char) -> Result<Self, ParseError> {
+        let start = s.pos();
         let kind = match c {
-            '!' => self.punct(TokenKind::Bang),
-            '$' => self.punct(TokenKind::Dollar),
-            '&' => self.punct(TokenKind::Amp),
-            '(' => self.punct(TokenKind::ParenL),
-            ')' => self.punct(TokenKind::ParenR),
-            ':' => self.punct(TokenKind::Colon),
-            '=' => self.punct(TokenKind::Eq),
-            '@' => self.punct(TokenKind::At),
-            '[' => self.punct(TokenKind::BracketL),
-            ']' => self.punct(TokenKind::BracketR),
-            '{' => self.punct(TokenKind::BraceL),
-            '}' => self.punct(TokenKind::BraceR),
-            '|' => self.punct(TokenKind::Pipe),
-            '.' => {
-                self.bump();
-                if self.peek() == Some('.') && self.peek2() == Some('.') {
-                    self.bump();
-                    self.bump();
-                    Ok(TokenKind::Spread)
-                } else {
-                    Err(ParseError::new(
-                        ParseErrorKind::UnexpectedCharacter('.'),
-                        start,
-                    ))
-                }
+            '"' if s.eat("\"\"\"") => return s.block_string(start),
+            '"' => return s.string(start),
+            '.' if s.eat("...") => return Ok(TokenKind::Spread),
+            c if c == '_' || c.is_ascii_alphabetic() => {
+                return Ok(TokenKind::Name(s.name().to_owned()))
             }
-            '"' => self.string(start),
-            c if c == '_' || c.is_ascii_alphabetic() => Ok(self.name()),
-            c if c == '-' || c.is_ascii_digit() => self.number(start),
+            c if c == '-' || c.is_ascii_digit() => return s.number(start),
+            '!' => TokenKind::Bang,
+            '$' => TokenKind::Dollar,
+            '&' => TokenKind::Amp,
+            '(' => TokenKind::ParenL,
+            ')' => TokenKind::ParenR,
+            ':' => TokenKind::Colon,
+            '=' => TokenKind::Eq,
+            '@' => TokenKind::At,
+            '[' => TokenKind::BracketL,
+            ']' => TokenKind::BracketR,
+            '{' => TokenKind::BraceL,
+            '}' => TokenKind::BraceR,
+            '|' => TokenKind::Pipe,
             other => {
-                self.bump();
-                Err(ParseError::new(
+                return Err(ParseError::new(
                     ParseErrorKind::UnexpectedCharacter(other),
                     start,
                 ))
             }
-        }?;
-        Ok(Token {
-            kind,
-            span: Span {
-                start,
-                end: self.pos(),
-            },
-        })
-    }
-
-    fn punct(&mut self, kind: TokenKind) -> Result<TokenKind, ParseError> {
-        self.bump();
+        };
+        s.bump();
         Ok(kind)
     }
 
-    fn name(&mut self) -> TokenKind {
-        let mut s = String::new();
-        while let Some(c) = self.peek() {
-            if c == '_' || c.is_ascii_alphanumeric() {
-                s.push(c);
-                self.bump();
-            } else {
-                break;
-            }
+    fn as_name(&self) -> Option<&str> {
+        match self {
+            TokenKind::Name(n) => Some(n),
+            _ => None,
         }
-        TokenKind::Name(s)
     }
 
+    fn describe(&self) -> String {
+        match self {
+            TokenKind::Name(n) => format!("name `{n}`"),
+            TokenKind::Int(i) => format!("integer `{i}`"),
+            TokenKind::Float(x) => format!("float `{x}`"),
+            TokenKind::Str { .. } => "string literal".to_owned(),
+            TokenKind::Bang => "`!`".to_owned(),
+            TokenKind::Dollar => "`$`".to_owned(),
+            TokenKind::Amp => "`&`".to_owned(),
+            TokenKind::ParenL => "`(`".to_owned(),
+            TokenKind::ParenR => "`)`".to_owned(),
+            TokenKind::Spread => "`...`".to_owned(),
+            TokenKind::Colon => "`:`".to_owned(),
+            TokenKind::Eq => "`=`".to_owned(),
+            TokenKind::At => "`@`".to_owned(),
+            TokenKind::BracketL => "`[`".to_owned(),
+            TokenKind::BracketR => "`]`".to_owned(),
+            TokenKind::BraceL => "`{`".to_owned(),
+            TokenKind::BraceR => "`}`".to_owned(),
+            TokenKind::Pipe => "`|`".to_owned(),
+            TokenKind::Eof => "end of input".to_owned(),
+        }
+    }
+}
+
+impl Lexer<'_> {
     fn number(&mut self, start: Pos) -> Result<TokenKind, ParseError> {
         let mut text = String::new();
         if self.peek() == Some('-') {
@@ -276,18 +178,6 @@ impl<'a> Lexer<'a> {
 
     fn string(&mut self, start: Pos) -> Result<TokenKind, ParseError> {
         self.bump(); // opening quote
-        if self.peek() == Some('"') {
-            self.bump();
-            if self.peek() == Some('"') {
-                self.bump();
-                return self.block_string(start);
-            }
-            // Empty string "".
-            return Ok(TokenKind::Str {
-                value: String::new(),
-                block: false,
-            });
-        }
         let mut value = String::new();
         loop {
             match self.peek() {
@@ -354,55 +244,24 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// The body of a `"""block string"""`; the opening fence is consumed.
     fn block_string(&mut self, start: Pos) -> Result<TokenKind, ParseError> {
-        // We are just past the opening `"""`.
         let mut raw = String::new();
         loop {
-            match self.peek() {
-                None => {
-                    return Err(ParseError::new(ParseErrorKind::UnterminatedString, start));
-                }
-                Some('"') => {
-                    // Possible fence.
-                    if self.peek2() == Some('"') {
-                        let mut it = self.chars.clone();
-                        it.next();
-                        if it.next().map(|(_, c)| c) == Some('"') {
-                            self.bump();
-                            self.bump();
-                            self.bump();
-                            return Ok(TokenKind::Str {
-                                value: dedent_block(&raw),
-                                block: true,
-                            });
-                        }
-                    }
-                    raw.push('"');
-                    self.bump();
-                }
-                Some('\\') => {
-                    // Only `\"""` is an escape in block strings.
-                    if self.peek2() == Some('"') {
-                        let mut it = self.chars.clone();
-                        it.next();
-                        let third = it.next().map(|(_, c)| c);
-                        let fourth = it.next().map(|(_, c)| c);
-                        if third == Some('"') && fourth == Some('"') {
-                            self.bump();
-                            self.bump();
-                            self.bump();
-                            self.bump();
-                            raw.push_str("\"\"\"");
-                            continue;
-                        }
-                    }
-                    raw.push('\\');
-                    self.bump();
-                }
-                Some(c) => {
-                    raw.push(c);
-                    self.bump();
-                }
+            if self.eat("\"\"\"") {
+                return Ok(TokenKind::Str {
+                    value: dedent_block(&raw),
+                    block: true,
+                });
+            }
+            // Only `\"""` is an escape in block strings.
+            if self.eat("\\\"\"\"") {
+                raw.push_str("\"\"\"");
+                continue;
+            }
+            match self.bump() {
+                Some(c) => raw.push(c),
+                None => return Err(ParseError::new(ParseErrorKind::UnterminatedString, start)),
             }
         }
     }

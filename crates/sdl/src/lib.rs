@@ -16,7 +16,12 @@
 //!   [`MAX_DEPTH`] lists deep (the formal schema layer later enforces the
 //!   paper's restriction to the four wrappings of §4.1);
 //! * a canonical pretty-printer ([`print_document`]) such that
-//!   `parse(print(doc)) == doc` (round-tripping is property-tested).
+//!   `parse(print(doc)) == doc` (round-tripping is property-tested);
+//! * the [`source`] core the PG-Schema frontend (`pg-pgschema`) reads
+//!   text with too: positions, the character scanner and its line model,
+//!   the located [`ParseError`] and its caret render, the token cursor
+//!   and the [`MAX_DEPTH`] guard. Each language keeps only its token
+//!   kinds, lexical rules and grammar.
 //!
 //! Executable-definition syntax (queries, mutations, fragments) is out of
 //! scope: the paper repurposes only the *schema* language.
@@ -35,20 +40,19 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-mod error;
 pub mod extensions;
 mod lexer;
 mod parser;
 mod printer;
+pub mod source;
 mod token;
 
-pub use error::{ParseError, ParseErrorKind};
 pub use lexer::Lexer;
-pub use parser::MAX_DEPTH;
 pub use printer::print_document;
-pub use token::{Pos, Span, Token, TokenKind};
+pub use source::{ParseError, ParseErrorKind, Pos, Span, MAX_DEPTH};
+pub use token::{Token, TokenKind};
 
 /// Parses an SDL document.
 pub fn parse(source: &str) -> Result<ast::Document, ParseError> {
-    parser::Parser::new(source)?.parse_document()
+    source::Cursor::new(source)?.parse_document()
 }

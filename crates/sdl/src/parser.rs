@@ -5,116 +5,13 @@
 //! names everywhere except at definition heads, exactly as in the spec.
 
 use crate::ast::*;
-use crate::error::{ParseError, ParseErrorKind};
-use crate::lexer::Lexer;
-use crate::token::{Pos, Span, Token, TokenKind};
+use crate::source::{Cursor, ParseError, ParseErrorKind, Span};
+use crate::token::TokenKind;
 
-/// Deepest nesting of list types (`[[…T…]]`) and of list/object constant
-/// values the parser accepts. Both productions recurse once per level, so
-/// without a bound one schema of `[[[[…` overflows the stack of whichever
-/// thread parses it; no real schema nests more than a handful deep.
-pub const MAX_DEPTH: usize = 64;
-
-/// The parser. Construct with [`Parser::new`], consume with
-/// [`Parser::parse_document`].
-pub struct Parser {
-    tokens: Vec<Token>,
-    ix: usize,
-    /// Open `[`/`{` levels around the cursor in the production being
-    /// parsed.
-    depth: usize,
-}
-
-impl Parser {
-    /// Lexes `source` eagerly; lexical errors surface here.
-    pub fn new(source: &str) -> Result<Self, ParseError> {
-        Ok(Parser {
-            tokens: Lexer::new(source).tokenize()?,
-            ix: 0,
-            depth: 0,
-        })
-    }
-
-    fn peek(&self) -> &Token {
-        &self.tokens[self.ix.min(self.tokens.len() - 1)]
-    }
-
-    fn pos(&self) -> Pos {
-        self.peek().span.start
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.ix.min(self.tokens.len() - 1)].clone();
-        if self.ix < self.tokens.len() - 1 {
-            self.ix += 1;
-        }
-        t
-    }
-
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token, ParseError> {
-        if &self.peek().kind == kind {
-            Ok(self.bump())
-        } else {
-            Err(self.unexpected(&kind.describe()))
-        }
-    }
-
-    fn unexpected(&self, expected: &str) -> ParseError {
-        ParseError::new(
-            ParseErrorKind::Unexpected {
-                expected: expected.to_owned(),
-                found: self.peek().kind.describe(),
-            },
-            self.pos(),
-        )
-    }
-
-    /// Parses one bracketed level of a recursive production (the cursor
-    /// is on its opener), refusing to open more than [`MAX_DEPTH`].
-    fn nested<T>(
-        &mut self,
-        parse: fn(&mut Self) -> Result<T, ParseError>,
-    ) -> Result<T, ParseError> {
-        if self.depth == MAX_DEPTH {
-            return Err(ParseError::new(
-                ParseErrorKind::TooDeep(MAX_DEPTH),
-                self.pos(),
-            ));
-        }
-        self.depth += 1;
-        let parsed = parse(self);
-        self.depth -= 1;
-        parsed
-    }
-
-    fn eat_name(&mut self) -> Result<(String, Span), ParseError> {
-        match &self.peek().kind {
-            TokenKind::Name(_) => {
-                let t = self.bump();
-                let TokenKind::Name(n) = t.kind else {
-                    unreachable!()
-                };
-                Ok((n, t.span))
-            }
-            _ => Err(self.unexpected("a name")),
-        }
-    }
-
-    /// True if the next token is the given keyword name.
-    fn at_keyword(&self, kw: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Name(n) if n == kw)
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> Result<Span, ParseError> {
-        if self.at_keyword(kw) {
-            Ok(self.bump().span)
-        } else {
-            Err(self.unexpected(&format!("keyword `{kw}`")))
-        }
-    }
-
+/// The SDL grammar's productions, over the shared token cursor.
+impl Cursor<TokenKind> {
     /// Parses a complete document.
-    pub fn parse_document(mut self) -> Result<Document, ParseError> {
+    pub(crate) fn parse_document(mut self) -> Result<Document, ParseError> {
         let mut definitions = Vec::new();
         while self.peek().kind != TokenKind::Eof {
             definitions.push(self.parse_definition()?);
@@ -167,7 +64,7 @@ impl Parser {
                 .parse_directive_def(description)
                 .map(Definition::Directive),
             "query" | "mutation" | "subscription" | "fragment" => Err(ParseError::new(
-                ParseErrorKind::UnsupportedConstruct(format!("executable definition `{kw}`")),
+                ParseErrorKind::ExecutableOnly(format!("executable definition `{kw}`")),
                 self.pos(),
             )),
             "extend" => {
@@ -199,12 +96,12 @@ impl Parser {
     }
 
     fn parse_schema_def(&mut self) -> Result<SchemaDef, ParseError> {
-        let start = self.eat_keyword("schema")?;
+        let start = self.keyword("schema")?;
         let directives = self.parse_directive_uses()?;
-        self.expect(&TokenKind::BraceL)?;
+        self.expect(TokenKind::BraceL)?;
         let mut operations = Vec::new();
         while self.peek().kind != TokenKind::BraceR {
-            let (op_name, op_span) = self.eat_name()?;
+            let (op_name, op_span) = self.name("a name")?;
             let kind = match op_name.as_str() {
                 "query" => OperationKind::Query,
                 "mutation" => OperationKind::Mutation,
@@ -219,24 +116,24 @@ impl Parser {
                     ));
                 }
             };
-            self.expect(&TokenKind::Colon)?;
-            let (ty, _) = self.eat_name()?;
+            self.expect(TokenKind::Colon)?;
+            let (ty, _) = self.name("a name")?;
             operations.push((kind, ty));
         }
-        let end = self.expect(&TokenKind::BraceR)?;
+        let end = self.expect(TokenKind::BraceR)?;
         Ok(SchemaDef {
             directives,
             operations,
             span: Span {
                 start: start.start,
-                end: end.span.end,
+                end: end.end,
             },
         })
     }
 
     fn parse_scalar(&mut self, description: Option<String>) -> Result<ScalarTypeDef, ParseError> {
-        let start = self.eat_keyword("scalar")?;
-        let (name, name_span) = self.eat_name()?;
+        let start = self.keyword("scalar")?;
+        let (name, name_span) = self.name("a name")?;
         let directives = self.parse_directive_uses()?;
         Ok(ScalarTypeDef {
             description,
@@ -251,18 +148,13 @@ impl Parser {
 
     fn parse_implements(&mut self) -> Result<Vec<String>, ParseError> {
         let mut names = Vec::new();
-        if self.at_keyword("implements") {
-            self.bump();
+        if self.eat_keyword("implements") {
             // Optional leading `&`.
-            if self.peek().kind == TokenKind::Amp {
-                self.bump();
-            }
+            self.eat(TokenKind::Amp);
             loop {
-                let (n, _) = self.eat_name()?;
+                let (n, _) = self.name("a name")?;
                 names.push(n);
-                if self.peek().kind == TokenKind::Amp {
-                    self.bump();
-                } else {
+                if !self.eat(TokenKind::Amp) {
                     break;
                 }
             }
@@ -271,8 +163,8 @@ impl Parser {
     }
 
     fn parse_object(&mut self, description: Option<String>) -> Result<ObjectTypeDef, ParseError> {
-        let start = self.eat_keyword("type")?;
-        let (name, mut end) = self.eat_name()?;
+        let start = self.keyword("type")?;
+        let (name, mut end) = self.name("a name")?;
         let implements = self.parse_implements()?;
         let directives = self.parse_directive_uses()?;
         let fields = if self.peek().kind == TokenKind::BraceL {
@@ -299,8 +191,8 @@ impl Parser {
         &mut self,
         description: Option<String>,
     ) -> Result<InterfaceTypeDef, ParseError> {
-        let start = self.eat_keyword("interface")?;
-        let (name, mut end) = self.eat_name()?;
+        let start = self.keyword("interface")?;
+        let (name, mut end) = self.name("a name")?;
         let directives = self.parse_directive_uses()?;
         let fields = if self.peek().kind == TokenKind::BraceL {
             let (fs, close) = self.parse_field_block()?;
@@ -322,22 +214,17 @@ impl Parser {
     }
 
     fn parse_union(&mut self, description: Option<String>) -> Result<UnionTypeDef, ParseError> {
-        let start = self.eat_keyword("union")?;
-        let (name, mut end) = self.eat_name()?;
+        let start = self.keyword("union")?;
+        let (name, mut end) = self.name("a name")?;
         let directives = self.parse_directive_uses()?;
         let mut members = Vec::new();
-        if self.peek().kind == TokenKind::Eq {
-            self.bump();
-            if self.peek().kind == TokenKind::Pipe {
-                self.bump();
-            }
+        if self.eat(TokenKind::Eq) {
+            self.eat(TokenKind::Pipe);
             loop {
-                let (m, m_span) = self.eat_name()?;
+                let (m, m_span) = self.name("a name")?;
                 end = m_span;
                 members.push(m);
-                if self.peek().kind == TokenKind::Pipe {
-                    self.bump();
-                } else {
+                if !self.eat(TokenKind::Pipe) {
                     break;
                 }
             }
@@ -355,15 +242,14 @@ impl Parser {
     }
 
     fn parse_enum(&mut self, description: Option<String>) -> Result<EnumTypeDef, ParseError> {
-        let start = self.eat_keyword("enum")?;
-        let (name, mut end) = self.eat_name()?;
+        let start = self.keyword("enum")?;
+        let (name, mut end) = self.name("a name")?;
         let directives = self.parse_directive_uses()?;
         let mut values = Vec::new();
-        if self.peek().kind == TokenKind::BraceL {
-            self.bump();
+        if self.eat(TokenKind::BraceL) {
             while self.peek().kind != TokenKind::BraceR {
                 let v_description = self.parse_description();
-                let (v_name, v_span) = self.eat_name()?;
+                let (v_name, v_span) = self.name("a name")?;
                 if matches!(v_name.as_str(), "true" | "false" | "null") {
                     return Err(ParseError::new(
                         ParseErrorKind::Unexpected {
@@ -380,7 +266,7 @@ impl Parser {
                     directives: v_directives,
                 });
             }
-            end = self.expect(&TokenKind::BraceR)?.span;
+            end = self.expect(TokenKind::BraceR)?;
         }
         Ok(EnumTypeDef {
             description,
@@ -398,16 +284,15 @@ impl Parser {
         &mut self,
         description: Option<String>,
     ) -> Result<InputObjectTypeDef, ParseError> {
-        let start = self.eat_keyword("input")?;
-        let (name, mut end) = self.eat_name()?;
+        let start = self.keyword("input")?;
+        let (name, mut end) = self.name("a name")?;
         let directives = self.parse_directive_uses()?;
         let mut fields = Vec::new();
-        if self.peek().kind == TokenKind::BraceL {
-            self.bump();
+        if self.eat(TokenKind::BraceL) {
             while self.peek().kind != TokenKind::BraceR {
                 fields.push(self.parse_input_value()?);
             }
-            end = self.expect(&TokenKind::BraceR)?.span;
+            end = self.expect(TokenKind::BraceR)?;
         }
         Ok(InputObjectTypeDef {
             description,
@@ -425,27 +310,25 @@ impl Parser {
         &mut self,
         description: Option<String>,
     ) -> Result<DirectiveDef, ParseError> {
-        let start = self.eat_keyword("directive")?;
-        self.expect(&TokenKind::At)?;
-        let (name, _) = self.eat_name()?;
+        let start = self.keyword("directive")?;
+        self.expect(TokenKind::At)?;
+        let (name, _) = self.name("a name")?;
         let args = if self.peek().kind == TokenKind::ParenL {
             self.parse_arguments_definition()?
         } else {
             Vec::new()
         };
-        self.eat_keyword("on")?;
-        if self.peek().kind == TokenKind::Pipe {
-            self.bump();
+        if !self.eat_keyword("on") {
+            return Err(self.unexpected("keyword `on`"));
         }
+        self.eat(TokenKind::Pipe);
         let mut locations = Vec::new();
         let mut end;
         loop {
-            let (loc, loc_span) = self.eat_name()?;
+            let (loc, loc_span) = self.name("a name")?;
             end = loc_span;
             locations.push(loc);
-            if self.peek().kind == TokenKind::Pipe {
-                self.bump();
-            } else {
+            if !self.eat(TokenKind::Pipe) {
                 break;
             }
         }
@@ -462,24 +345,24 @@ impl Parser {
     }
 
     fn parse_field_block(&mut self) -> Result<(Vec<FieldDef>, Span), ParseError> {
-        self.expect(&TokenKind::BraceL)?;
+        self.expect(TokenKind::BraceL)?;
         let mut fields = Vec::new();
         while self.peek().kind != TokenKind::BraceR {
             fields.push(self.parse_field()?);
         }
-        let close = self.expect(&TokenKind::BraceR)?;
-        Ok((fields, close.span))
+        let close = self.expect(TokenKind::BraceR)?;
+        Ok((fields, close))
     }
 
     fn parse_field(&mut self) -> Result<FieldDef, ParseError> {
         let description = self.parse_description();
-        let (name, name_span) = self.eat_name()?;
+        let (name, name_span) = self.name("a name")?;
         let args = if self.peek().kind == TokenKind::ParenL {
             self.parse_arguments_definition()?
         } else {
             Vec::new()
         };
-        self.expect(&TokenKind::Colon)?;
+        self.expect(TokenKind::Colon)?;
         let ty = self.parse_type()?;
         let directives = self.parse_directive_uses()?;
         Ok(FieldDef {
@@ -493,22 +376,21 @@ impl Parser {
     }
 
     fn parse_arguments_definition(&mut self) -> Result<Vec<InputValueDef>, ParseError> {
-        self.expect(&TokenKind::ParenL)?;
+        self.expect(TokenKind::ParenL)?;
         let mut args = Vec::new();
         while self.peek().kind != TokenKind::ParenR {
             args.push(self.parse_input_value()?);
         }
-        self.expect(&TokenKind::ParenR)?;
+        self.expect(TokenKind::ParenR)?;
         Ok(args)
     }
 
     fn parse_input_value(&mut self) -> Result<InputValueDef, ParseError> {
         let description = self.parse_description();
-        let (name, name_span) = self.eat_name()?;
-        self.expect(&TokenKind::Colon)?;
+        let (name, name_span) = self.name("a name")?;
+        self.expect(TokenKind::Colon)?;
         let ty = self.parse_type()?;
-        let default = if self.peek().kind == TokenKind::Eq {
-            self.bump();
+        let default = if self.eat(TokenKind::Eq) {
             Some(self.parse_const_value()?)
         } else {
             None
@@ -529,15 +411,14 @@ impl Parser {
             self.nested(|p| {
                 p.bump();
                 let t = p.parse_type()?;
-                p.expect(&TokenKind::BracketR)?;
+                p.expect(TokenKind::BracketR)?;
                 Ok(Type::List(Box::new(t)))
             })?
         } else {
-            let (n, _) = self.eat_name()?;
+            let (n, _) = self.name("a name")?;
             Type::Named(n)
         };
-        if self.peek().kind == TokenKind::Bang {
-            self.bump();
+        if self.eat(TokenKind::Bang) {
             Ok(Type::NonNull(Box::new(inner)))
         } else {
             Ok(inner)
@@ -580,8 +461,8 @@ impl Parser {
                 p.bump();
                 let mut fields = Vec::new();
                 while p.peek().kind != TokenKind::BraceR {
-                    let (k, _) = p.eat_name()?;
-                    p.expect(&TokenKind::Colon)?;
+                    let (k, _) = p.name("a name")?;
+                    p.expect(TokenKind::Colon)?;
                     let v = p.parse_const_value()?;
                     fields.push((k, v));
                 }
@@ -589,7 +470,7 @@ impl Parser {
                 Ok(ConstValue::Object(fields))
             }),
             TokenKind::Dollar => Err(ParseError::new(
-                ParseErrorKind::UnsupportedConstruct("variable value".to_owned()),
+                ParseErrorKind::ExecutableOnly("variable value".to_owned()),
                 self.pos(),
             )),
             _ => Err(self.unexpected("a constant value")),
@@ -600,23 +481,22 @@ impl Parser {
         let mut out = Vec::new();
         while self.peek().kind == TokenKind::At {
             let at = self.bump();
-            let (name, mut end) = self.eat_name()?;
+            let (name, mut end) = self.name("a name")?;
             let mut args = Vec::new();
-            if self.peek().kind == TokenKind::ParenL {
-                self.bump();
+            if self.eat(TokenKind::ParenL) {
                 while self.peek().kind != TokenKind::ParenR {
-                    let (k, _) = self.eat_name()?;
-                    self.expect(&TokenKind::Colon)?;
+                    let (k, _) = self.name("a name")?;
+                    self.expect(TokenKind::Colon)?;
                     let v = self.parse_const_value()?;
                     args.push((k, v));
                 }
-                end = self.expect(&TokenKind::ParenR)?.span;
+                end = self.expect(TokenKind::ParenR)?;
             }
             out.push(DirectiveUse {
                 name,
                 args,
                 span: Span {
-                    start: at.span.start,
+                    start: at.start,
                     end: end.end,
                 },
             });
@@ -628,7 +508,7 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse;
+    use crate::{parse, MAX_DEPTH};
 
     #[test]
     fn nesting_is_bounded_with_a_located_error() {
@@ -836,7 +716,7 @@ mod tests {
     #[test]
     fn executable_definitions_are_rejected() {
         let err = parse("query Q { hero }").unwrap_err();
-        assert!(matches!(err.kind, ParseErrorKind::UnsupportedConstruct(_)));
+        assert!(matches!(err.kind, ParseErrorKind::ExecutableOnly(_)));
     }
 
     #[test]
@@ -916,6 +796,6 @@ mod tests {
     #[test]
     fn variable_default_is_rejected() {
         let err = parse("type T { f(a: Int = $v): Int }").unwrap_err();
-        assert!(matches!(err.kind, ParseErrorKind::UnsupportedConstruct(_)));
+        assert!(matches!(err.kind, ParseErrorKind::ExecutableOnly(_)));
     }
 }

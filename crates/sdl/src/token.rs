@@ -1,59 +1,5 @@
-//! Tokens and source positions.
-
-use std::fmt;
-
-/// A position in the source text (1-based line/column, 0-based byte offset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Pos {
-    /// 1-based line number.
-    pub line: u32,
-    /// 1-based column number (in Unicode scalar values).
-    pub column: u32,
-    /// Byte offset into the source.
-    pub offset: usize,
-}
-
-impl Pos {
-    /// The position of the first character.
-    pub fn start() -> Self {
-        Pos {
-            line: 1,
-            column: 1,
-            offset: 0,
-        }
-    }
-}
-
-impl fmt::Display for Pos {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}", self.line, self.column)
-    }
-}
-
-/// A half-open source range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Span {
-    /// Start of the range.
-    pub start: Pos,
-    /// End of the range (exclusive).
-    pub end: Pos,
-}
-
-impl Span {
-    /// A zero-width span at `pos`.
-    pub fn at(pos: Pos) -> Self {
-        Span {
-            start: pos,
-            end: pos,
-        }
-    }
-}
-
-impl fmt::Display for Span {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.start)
-    }
-}
+//! SDL token kinds; positions and the token wrapper are
+//! [`crate::source`]'s.
 
 /// The kind (and payload) of a lexical token.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,38 +50,5 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
-    /// A short description used in error messages.
-    pub fn describe(&self) -> String {
-        match self {
-            TokenKind::Name(n) => format!("name `{n}`"),
-            TokenKind::Int(i) => format!("integer `{i}`"),
-            TokenKind::Float(x) => format!("float `{x}`"),
-            TokenKind::Str { .. } => "string literal".to_owned(),
-            TokenKind::Bang => "`!`".to_owned(),
-            TokenKind::Dollar => "`$`".to_owned(),
-            TokenKind::Amp => "`&`".to_owned(),
-            TokenKind::ParenL => "`(`".to_owned(),
-            TokenKind::ParenR => "`)`".to_owned(),
-            TokenKind::Spread => "`...`".to_owned(),
-            TokenKind::Colon => "`:`".to_owned(),
-            TokenKind::Eq => "`=`".to_owned(),
-            TokenKind::At => "`@`".to_owned(),
-            TokenKind::BracketL => "`[`".to_owned(),
-            TokenKind::BracketR => "`]`".to_owned(),
-            TokenKind::BraceL => "`{`".to_owned(),
-            TokenKind::BraceR => "`}`".to_owned(),
-            TokenKind::Pipe => "`|`".to_owned(),
-            TokenKind::Eof => "end of input".to_owned(),
-        }
-    }
-}
-
-/// A token with its source span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    /// The token kind and payload.
-    pub kind: TokenKind,
-    /// Where it came from.
-    pub span: Span,
-}
+/// An SDL token with its source span.
+pub type Token = crate::source::Token<TokenKind>;

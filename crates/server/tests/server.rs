@@ -543,6 +543,16 @@ fn hostile_nesting_is_a_400_and_the_daemon_keeps_serving() {
         )) && message.contains(&format!("1:{}", 13 + gql_sdl::MAX_DEPTH)),
         "{message}"
     );
+    // PG-Schema has no recursive production: deep parentheses are one
+    // located syntax error, not a stack overflow.
+    let deep_pgs = format!("CREATE GRAPH TYPE G {{ {}", "(".repeat(200_000));
+    let body = envelope_with(&deep_pgs, &json::to_json(&sample_graph(1)));
+    let (status, error) = client
+        .request_json("POST", "/validate?lang=pgschema", &body)
+        .unwrap();
+    assert_eq!(status, 400);
+    let message = error.get("error").and_then(Json::as_str).unwrap();
+    assert!(message.contains("1:24: expected a node label"), "{message}");
 
     // Same daemon, same connection, sessions intact.
     let (status, report) = client
