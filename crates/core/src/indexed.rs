@@ -3,8 +3,10 @@
 //! One `O(|V| + |E|)` pass freezes the graph into a
 //! [`ColumnarGraph`](pgraph::ColumnarGraph) (interned symbols,
 //! struct-of-arrays element tables, CSR adjacency in both directions plus
-//! a label-index CSR) and compiles the schema onto the same symbol space
-//! ([`SymSchema`](crate::rules::symschema::SymSchema)); the
+//! a label-index CSR) on top of the schema's own symbol space — the
+//! schema was compiled onto it once
+//! ([`SymSchema`](crate::rules::symschema::SymSchema), memoised in the
+//! [`PgSchema`]), so a call pays for its graph only; the
 //! [`rules`](crate::rules) layer then evaluates every enabled kernel over
 //! a whole-graph [`Scope`](crate::rules::Scope):
 //!
@@ -23,12 +25,11 @@
 
 use std::time::Instant;
 
-use pgraph::{ColumnarGraph, PropertyGraph};
+use pgraph::PropertyGraph;
 
 use crate::metrics::MetricsRecorder;
 use crate::pgschema::PgSchema;
 use crate::report::ValidationReport;
-use crate::rules::symschema::SymSchema;
 use crate::rules::{self, Ds7Plan, Scope, Sink};
 use crate::ValidationOptions;
 
@@ -53,14 +54,14 @@ pub(crate) fn run_named(
     let mut r = ValidationReport::with_limit(options.max_violations);
     let mut rec = MetricsRecorder::new(options.collect_metrics, engine_name, 1);
 
-    // Freeze first, compile second: the symbol table must hold every
-    // graph-side string before the SymSchema sizes its per-symbol rows.
+    // The schema is compiled once, onto its own symbols; the graph is
+    // frozen into a copy of them, its own strings landing after.
     let start = Instant::now();
-    let mut cols = ColumnarGraph::freeze(g);
-    let ss = SymSchema::build(s, cols.symbols_mut());
+    let compiled = s.compiled();
+    let cols = compiled.freeze(g);
     rec.index_build(start.elapsed().as_nanos() as u64);
 
-    let scope = Scope::full(g, s, &ss, &cols);
+    let scope = Scope::full(g, s, &compiled.sym, &cols);
     let mut sink = Sink::new(&mut r, options.collect_metrics);
     rules::run(&scope, options, &mut sink, Ds7Plan::Inline);
     rec.absorb(sink.finish());

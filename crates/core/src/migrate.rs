@@ -44,13 +44,12 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use pgraph::{EdgeId, NodeId, PropertyGraph, SymbolTable};
+use pgraph::{EdgeId, NodeId, PropertyGraph};
 
 use crate::diff::{self, Compat, SchemaChange};
 use crate::pgschema::PgSchema;
 use crate::report::{self, ValidationReport, Violation};
 use crate::rules::partial::PartialCols;
-use crate::rules::symschema::SymSchema;
 use crate::rules::{self, Ds7Plan, Scope, Sink};
 use crate::ValidationOptions;
 
@@ -387,12 +386,12 @@ pub(crate) fn region_run(
     let mut options = *options;
     options.max_violations = None;
     options.collect_metrics = false;
-    // Region strings are interned before the schema is compiled so the
-    // SymSchema's row table covers every graph-side symbol.
-    let mut symbols = SymbolTable::new();
+    // Region strings are interned into a copy of the schema's memoised
+    // symbol space, after its names.
+    let compiled = s.compiled();
+    let mut symbols = compiled.symbols.clone();
     let pc = PartialCols::build(g, &region.nodes, &region.edges, &mut symbols);
-    let ss = SymSchema::build(s, &mut symbols);
-    let scope = Scope::dirty(g, s, &ss, &symbols, &pc, &region.nodes);
+    let scope = Scope::dirty(g, s, &compiled.sym, &symbols, &pc, &region.nodes);
     let mut report = ValidationReport::default();
     let mut sink = Sink::new(&mut report, false);
     rules::run(&scope, &options, &mut sink, Ds7Plan::Inline);

@@ -1,10 +1,11 @@
 //! The parallel validation engine — a sharding planner over the rule
 //! kernels.
 //!
-//! Freezes the graph into a [`ColumnarGraph`] once, serially, compiles
-//! the schema onto its symbol space, then partitions the node and edge
-//! slot spaces into one contiguous shard per worker ([`even_ranges`])
-//! and runs the
+//! Freezes the graph into a [`ColumnarGraph`] once, serially, on top of
+//! the schema's memoised symbol space (the schema is compiled once per
+//! [`PgSchema`], not per call), then partitions the node and edge slot
+//! spaces into one contiguous shard per worker ([`even_ranges`]) and
+//! runs the
 //! shared rule kernels ([`crate::rules`]) shard-locally on scoped
 //! threads ([`std::thread::scope`] — no dependencies beyond std). Each
 //! worker evaluates every kernel over a shard [`Scope`] — a contiguous
@@ -83,13 +84,13 @@ pub(crate) fn run(
     let threads = effective_threads(options.threads);
     let mut rec = MetricsRecorder::new(options.collect_metrics, "parallel", threads);
 
-    // The columnar view is frozen once, serially, and shared read-only
-    // by all workers (same O(|V| + |E|) pass as the indexed engine).
-    // Freeze before compiling the schema so the symbol table covers
-    // every graph-side string.
+    // The columnar view is frozen once, serially, into the schema's
+    // memoised symbol space and shared read-only by all workers (the
+    // same O(|V| + |E|) pass as the indexed engine).
     let start = Instant::now();
-    let mut cols = ColumnarGraph::freeze(g);
-    let ss = SymSchema::build(s, cols.symbols_mut());
+    let compiled = s.compiled();
+    let cols = compiled.freeze(g);
+    let ss = &compiled.sym;
     rec.index_build(start.elapsed().as_nanos() as u64);
 
     // Contiguous slot ranges (rather than `id % k` striping) keep each
@@ -101,7 +102,7 @@ pub(crate) fn run(
             .into_iter()
             .zip(edge_ranges)
             .map(|(nodes, edges)| {
-                let (cols, ss) = (&cols, &ss);
+                let cols = &cols;
                 scope.spawn(move || worker(g, s, cols, ss, options, nodes, edges))
             })
             .collect();
@@ -111,7 +112,7 @@ pub(crate) fn run(
             .collect()
     });
 
-    merge(&ss, options, outputs, rec)
+    merge(ss, options, outputs, rec)
 }
 
 /// Splits `0..bound` into `k` near-equal contiguous ranges (the first

@@ -16,12 +16,15 @@
 //!   implementing source types (cf. Example 6.1).
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use gql_schema::{
     consistency, directives as dir, subtype, AppliedDirective, FieldInfo, Schema, TypeId,
     WrappedType,
 };
-use pgraph::Value;
+use pgraph::{ColumnarGraph, PropertyGraph, SymbolTable, Value};
+
+use crate::rules::symschema::SymSchema;
 
 /// An error constructing a [`PgSchema`].
 #[derive(Debug)]
@@ -154,6 +157,33 @@ pub struct PgSchema {
     /// Open-world schemas (PG-Schema `LOOSE`) leave undeclared elements
     /// alone: the strong rule family (SS1–SS4) never runs for them.
     open_world: bool,
+    /// The symbol-keyed form the kernels read, built on first use.
+    compiled: OnceLock<Compiled>,
+}
+
+/// A schema compiled onto its own, schema-only symbol space: every name
+/// it mentions interned, one [`SymSchema`] row per symbol. Built once per
+/// [`PgSchema`]; each full pass freezes its graph into a clone of
+/// `symbols`, so graph-only strings land after the schema's and get the
+/// empty row (the `symschema` module docs say why that is sound).
+pub(crate) struct Compiled {
+    pub(crate) symbols: SymbolTable,
+    pub(crate) sym: SymSchema,
+}
+
+impl Compiled {
+    /// Freezes `g` into this schema's symbol space.
+    pub(crate) fn freeze(&self, g: &PropertyGraph) -> ColumnarGraph {
+        ColumnarGraph::freeze_into(g, self.symbols.clone())
+    }
+}
+
+impl std::fmt::Debug for Compiled {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Compiled")
+            .field("symbols", &self.symbols.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl PgSchema {
@@ -252,6 +282,17 @@ impl PgSchema {
             constraint_sites,
             keys,
             open_world: false,
+            compiled: OnceLock::new(),
+        })
+    }
+
+    /// The schema compiled onto its own symbol space, built by the first
+    /// caller and shared by every later one (and every thread).
+    pub(crate) fn compiled(&self) -> &Compiled {
+        self.compiled.get_or_init(|| {
+            let mut symbols = SymbolTable::new();
+            let sym = SymSchema::build(self, &mut symbols);
+            Compiled { symbols, sym }
         })
     }
 

@@ -8,10 +8,10 @@
 //! adjacency questions the full columnar kernels ask, but materialised
 //! only for the dirty nodes and their locally-incident edges.
 //!
-//! The build interns graph-side strings **before**
-//! [`SymSchema::build`](super::symschema::SymSchema::build) runs (see
-//! that module's ordering invariant): construct the `PartialCols` first,
-//! then compile the schema onto the same [`SymbolTable`].
+//! The build interns graph-side strings into a [`SymbolTable`] that
+//! already holds the compiled schema's names; strings the schema never
+//! mentions land after them and read the `SymSchema` empty row (see the
+//! `symschema` module docs for why that is the right answer).
 
 use std::collections::{BTreeSet, HashMap};
 

@@ -18,12 +18,18 @@
 //! * per constraint site, the precomputed wrapped-subtype bit DS4 asks
 //!   for.
 //!
-//! Because rows cover *every* symbol interned before the build, the
-//! caller must intern the graph side first (freeze the graph, or build
-//! the dirty-region [`PartialCols`](super::partial::PartialCols)) and
-//! build the `SymSchema` second — symbols interned afterwards fall back
-//! to an empty row, which answers every question the way an unknown
-//! label would.
+//! Rows cover every symbol interned before the build; a symbol interned
+//! afterwards gets the empty row. **Schema first, graph after** is
+//! therefore sound: the build interns every name the schema mentions, so
+//! a later symbol names no schema type, `label_type` is `None` for it,
+//! and every row bit (`is_object`, the supertypes, the DS4 site bits, the
+//! field tables) is false or empty — exactly the empty row. That is what
+//! lets a [`PgSchema`] compile itself once onto a schema-only table
+//! ([`PgSchema::compiled`]): the full-pass engines freeze each graph into
+//! a clone of that table, and the migration preview builds its
+//! [`PartialCols`](super::partial::PartialCols) into one. The
+//! incremental engine compiles onto its own growing table, because a
+//! migration window compiles a second schema onto the same symbols.
 
 use gql_schema::TypeId;
 use pgraph::{Sym, SymbolTable};
@@ -78,7 +84,8 @@ pub(crate) struct LabelRow {
     /// Named supertypes of `ty`, sorted — `⊑` is a binary search.
     supers: Vec<TypeId>,
     /// Per constraint site (index into [`SymSchema::sites`]): whether
-    /// this label sits below the site's wrapped field type (DS4).
+    /// this label sits below the site's wrapped field type (DS4). Empty
+    /// for a symbol that names no schema type.
     site_target_ok: Vec<bool>,
     /// Attribute definitions sorted by name symbol.
     attrs: Vec<(Sym, AttrSlot)>,
@@ -201,8 +208,8 @@ pub(crate) struct SymSchema {
 
 impl SymSchema {
     /// Interns every schema name into `symbols` and compiles one row per
-    /// symbol currently in the table. Graph-side symbols must already be
-    /// interned (see module docs).
+    /// symbol currently in the table. Symbols interned later get the
+    /// empty row (see module docs).
     pub(crate) fn build(s: &PgSchema, symbols: &mut SymbolTable) -> SymSchema {
         let schema = s.schema();
 
@@ -293,11 +300,16 @@ impl SymSchema {
                 }
                 None => Vec::new(),
             };
-            let site_target_ok: Vec<bool> = s
-                .constraint_sites()
-                .iter()
-                .map(|cs| s.label_subtype_wrapped(name, &cs.rel.ty))
-                .collect();
+            // Only a type name can sit below a site's field type; every
+            // other row keeps no bits and reads false for each site.
+            let site_target_ok: Vec<bool> = match ty {
+                Some(_) => s
+                    .constraint_sites()
+                    .iter()
+                    .map(|cs| s.label_subtype_wrapped(name, &cs.rel.ty))
+                    .collect(),
+                None => Vec::new(),
+            };
             let mut attrs = Vec::new();
             let mut rels = Vec::new();
             let mut fields = Vec::new();
@@ -442,6 +454,57 @@ mod tests {
         assert!(ss.row(late).attr(late).is_none());
         assert!(!ss.row(late).is_object);
         assert!(!ss.row(late).site_target_ok(0));
+    }
+
+    /// Schema first, graph after answers every kernel question the way
+    /// graph first, schema after does — the memo's interning order.
+    #[test]
+    fn schema_first_order_gives_the_same_rows() {
+        let s = pg(r#"
+            type User @key(fields: ["login"]) {
+                login: String! @required
+                follows: [User] @distinct @requiredForTarget
+            }
+        "#);
+        let user_t = s.label_type("User").unwrap();
+        let graph_names = ["Ghost", "User", "login", "follows", "haunts"];
+        let mut graph_first = SymbolTable::new();
+        for name in graph_names {
+            graph_first.intern(name);
+        }
+        let a = SymSchema::build(&s, &mut graph_first);
+        let mut schema_first = SymbolTable::new();
+        let b = SymSchema::build(&s, &mut schema_first);
+        for name in graph_names {
+            schema_first.intern(name);
+        }
+        for name in graph_names {
+            let (ta, tb) = (&graph_first, &schema_first);
+            let (ra, rb) = (
+                a.row(ta.lookup(name).unwrap()),
+                b.row(tb.lookup(name).unwrap()),
+            );
+            assert_eq!(ra.is_object, rb.is_object, "{name}");
+            assert_eq!(ra.subtype(user_t), rb.subtype(user_t), "{name}");
+            assert_eq!(ra.site_target_ok(0), rb.site_target_ok(0), "{name}");
+            for field in ["login", "follows"] {
+                let (fa, fb) = (ta.lookup(field).unwrap(), tb.lookup(field).unwrap());
+                assert_eq!(
+                    ra.attr(fa).is_some(),
+                    rb.attr(fb).is_some(),
+                    "{name}.{field}"
+                );
+                assert_eq!(ra.rel(fa).is_some(), rb.rel(fb).is_some(), "{name}.{field}");
+                assert_eq!(
+                    ra.field(fa).is_some(),
+                    rb.field(fb).is_some(),
+                    "{name}.{field}"
+                );
+            }
+        }
+        // Only the graph-only names were interned after the build.
+        assert!(schema_first.lookup("Ghost").unwrap().index() >= b.rows.len());
+        assert!(schema_first.lookup("User").unwrap().index() < b.rows.len());
     }
 
     #[test]

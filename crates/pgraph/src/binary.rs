@@ -14,8 +14,9 @@
 //! record in a length+CRC frame and owns corruption detection, so a
 //! payload handed to [`graph_from_bytes`] / [`delta_from_bytes`] is
 //! expected to be intact — decoding still validates structurally (no
-//! out-of-range endpoints, no dangling live edges) and fails with a
-//! [`BinError`] rather than panicking on adversarial input.
+//! out-of-range endpoints, no dangling live edges, list values nested at
+//! most [`MAX_DEPTH`] deep) and fails with a [`BinError`] rather than
+//! panicking or overflowing the stack on adversarial input.
 //!
 //! ```
 //! use pgraph::{binary, GraphDelta};
@@ -34,6 +35,7 @@
 use std::fmt;
 
 use crate::graph::{EdgeData, NodeData, PropMap};
+use crate::json::MAX_DEPTH;
 use crate::{DeltaOp, EdgeId, GraphDelta, NodeId, PropertyGraph, Value};
 
 /// Errors raised when decoding binary payloads.
@@ -66,6 +68,11 @@ pub enum BinError {
         /// Number of unconsumed bytes.
         count: usize,
     },
+    /// A list value opened more than [`MAX_DEPTH`] levels deep.
+    TooDeep {
+        /// Byte offset of the list tag that went one level too far.
+        at: usize,
+    },
 }
 
 impl fmt::Display for BinError {
@@ -79,6 +86,9 @@ impl fmt::Display for BinError {
             }
             BinError::TrailingBytes { count } => {
                 write!(f, "{count} trailing bytes after payload")
+            }
+            BinError::TooDeep { at } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} levels at byte {at}")
             }
         }
     }
@@ -281,6 +291,16 @@ impl<'a> Cursor<'a> {
     }
 
     fn value(&mut self) -> Result<Value, BinError> {
+        self.value_within(0)
+    }
+
+    /// One value inside `depth` enclosing lists. Decoding recurses once
+    /// per list, so a list opens only below [`MAX_DEPTH`] — the JSON
+    /// reader's bound, so every value that arrived as JSON decodes here
+    /// too, while a CRC-valid frame of nested list tags cannot overflow
+    /// the stack.
+    fn value_within(&mut self, depth: usize) -> Result<Value, BinError> {
+        let at = self.pos;
         let tag = self.u8()?;
         Ok(match tag {
             0 => Value::Int(self.u64()? as i64),
@@ -290,10 +310,13 @@ impl<'a> Cursor<'a> {
             4 => Value::Id(self.string()?),
             5 => Value::Enum(self.string()?),
             6 => {
+                if depth == MAX_DEPTH {
+                    return Err(BinError::TooDeep { at });
+                }
                 let len = self.u32()? as usize;
                 let mut items = Vec::with_capacity(len.min(1024));
                 for _ in 0..len {
-                    items.push(self.value()?);
+                    items.push(self.value_within(depth + 1)?);
                 }
                 Value::List(items)
             }
@@ -536,6 +559,69 @@ mod tests {
             graph_from_bytes(&bytes),
             Err(BinError::DanglingEdge { edge_index: 0 })
         );
+    }
+
+    /// One `SetNodeProperty` op whose value is `levels` nested one-item
+    /// lists around a `Null`.
+    fn nested_delta_bytes(levels: usize) -> Vec<u8> {
+        let mut bytes = vec![1, 0, 0, 0, 4, 0, 0, 0, 0, 1, 0, 0, 0, b'x'];
+        for _ in 0..levels {
+            bytes.extend_from_slice(&[6, 1, 0, 0, 0]);
+        }
+        bytes.push(7);
+        bytes
+    }
+
+    #[test]
+    fn list_nesting_is_bounded_with_a_located_error() {
+        let nested =
+            |levels: usize| (0..levels).fold(Value::Null, |inner, _| Value::List(vec![inner]));
+        let delta =
+            GraphDelta::new().set_node_property(NodeId::from_index(0), "x", nested(MAX_DEPTH));
+        assert_eq!(delta_to_bytes(&delta), nested_delta_bytes(MAX_DEPTH));
+        assert_eq!(
+            delta_from_bytes(&nested_delta_bytes(MAX_DEPTH)).unwrap(),
+            delta
+        );
+        // The op header is 14 bytes and each level 5: the list one level
+        // too deep opens at byte 14 + 5 * MAX_DEPTH.
+        assert_eq!(
+            delta_from_bytes(&nested_delta_bytes(MAX_DEPTH + 1)),
+            Err(BinError::TooDeep {
+                at: 14 + 5 * MAX_DEPTH
+            })
+        );
+        // What used to recurse once per level until the stack ran out.
+        let err = delta_from_bytes(&nested_delta_bytes(1_000_000)).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains(&format!("nesting deeper than {MAX_DEPTH} levels")),
+            "{err}"
+        );
+    }
+
+    /// The deepest value the JSON delta reader accepts survives the
+    /// binary codec — the WAL can log whatever a client could send.
+    #[test]
+    fn the_deepest_json_value_round_trips() {
+        let parse = |levels: usize| {
+            crate::json::delta_from_json(&format!(
+                "{{\"ops\": [{{\"op\": \"set-node-property\", \"node\": 0, \"name\": \"x\", \
+                 \"value\": {}1{}}}]}}",
+                "[".repeat(levels),
+                "]".repeat(levels)
+            ))
+        };
+        let deepest = (1..=MAX_DEPTH + 1)
+            .take_while(|&levels| parse(levels).is_ok())
+            .last()
+            .unwrap();
+        assert!(
+            deepest > MAX_DEPTH - 8,
+            "JSON accepted only {deepest} levels"
+        );
+        let delta = parse(deepest).unwrap();
+        assert_eq!(delta_from_bytes(&delta_to_bytes(&delta)).unwrap(), delta);
     }
 
     #[test]

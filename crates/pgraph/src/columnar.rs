@@ -155,7 +155,15 @@ impl ColumnarGraph {
     /// first, then property keys in name order — then edge slots), so the
     /// same graph always freezes to the same bytes.
     pub fn freeze(g: &PropertyGraph) -> ColumnarGraph {
-        let mut symbols = SymbolTable::new();
+        Self::freeze_into(g, SymbolTable::new())
+    }
+
+    /// Freezes a graph onto a symbol table that already holds other
+    /// strings (a compiled schema's names): the same walk as
+    /// [`freeze`](Self::freeze), with graph strings the table already
+    /// knows keeping their symbol and the rest appended after it. The
+    /// result thaws to the same graph; only the symbol numbering differs.
+    pub fn freeze_into(g: &PropertyGraph, mut symbols: SymbolTable) -> ColumnarGraph {
         let mut values = ValueTable::default();
 
         let n = g.node_index_bound();
@@ -378,12 +386,6 @@ impl ColumnarGraph {
         &self.symbols
     }
 
-    /// Mutable intern table — lets a schema be interned into the *same*
-    /// symbol space after freezing (new symbols simply have no elements).
-    pub fn symbols_mut(&mut self) -> &mut SymbolTable {
-        &mut self.symbols
-    }
-
     /// The value pool.
     pub fn values(&self) -> &ValueTable {
         &self.values
@@ -517,8 +519,8 @@ impl ColumnarGraph {
         label_run(self.in_row(v), &self.edge_label, label)
     }
 
-    /// Sorted live node ids labelled `label`. Empty for symbols interned
-    /// after the freeze (e.g. schema names).
+    /// Sorted live node ids labelled `label`. Empty for symbols no live
+    /// node carries (e.g. seeded schema names) and for foreign symbols.
     pub fn nodes_with_label(&self, label: Sym) -> &[u32] {
         csr_row(&self.label_start, &self.label_nodes, label.index())
     }
@@ -626,10 +628,13 @@ mod tests {
         assert_eq!(cg.nodes_with_label(user).len(), 2);
         let doomed = cg.symbols().lookup("Doomed").unwrap();
         assert_eq!(cg.nodes_with_label(doomed).len(), 0);
-        // A symbol interned after freezing resolves to an empty slice.
-        let mut cg = cg;
-        let fresh = cg.symbols_mut().intern("Fresh");
+        // A seeded symbol no node carries, and one past the table, both
+        // resolve to an empty slice.
+        let mut seed = SymbolTable::new();
+        let fresh = seed.intern("Fresh");
+        let cg = ColumnarGraph::freeze_into(&g, seed);
         assert_eq!(cg.nodes_with_label(fresh).len(), 0);
+        assert_eq!(cg.nodes_with_label(Sym::from_index(10_000)).len(), 0);
         assert_eq!(cg.out_row(NodeId::from_index(9999)).len(), 0);
     }
 

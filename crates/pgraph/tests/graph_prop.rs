@@ -3,7 +3,7 @@
 //! agreement, and columnar/snapshot round-trips (tombstoned id space
 //! preserved bit for bit).
 
-use pgraph::{json, snapshot, ColumnarGraph, NodeId, PropertyGraph, Value};
+use pgraph::{json, snapshot, ColumnarGraph, NodeId, PropertyGraph, Sym, SymbolTable, Value};
 use proptest::prelude::*;
 
 fn value() -> BoxedStrategy<Value> {
@@ -202,6 +202,31 @@ proptest! {
         prop_assert_eq!(g.node_ids().collect::<Vec<_>>(), back.node_ids().collect::<Vec<_>>());
         prop_assert_eq!(g.edge_ids().collect::<Vec<_>>(), back.edge_ids().collect::<Vec<_>>());
         prop_assert_eq!(g, back);
+    }
+
+    /// Freezing onto a pre-seeded symbol table (a compiled schema's
+    /// names, some shared with the graph, some not) keeps every seeded
+    /// symbol, thaws to the same graph, and leaves the snapshot walk
+    /// alone: the image of the thawed graph is byte-equal to `freeze`'s.
+    #[test]
+    fn freeze_into_a_seeded_table_round_trips(
+        spec in graph_spec(),
+        seeds in prop::collection::vec("[A-Za-z][a-z]{0,5}", 0..12),
+    ) {
+        let g = build(&spec);
+        let mut table = SymbolTable::new();
+        let seeded: Vec<Sym> = seeds.iter().map(|s| table.intern(s)).collect();
+        let cols = ColumnarGraph::freeze_into(&g, table);
+        for (name, sym) in seeds.iter().zip(&seeded) {
+            prop_assert_eq!(cols.symbols().lookup(name), Some(*sym));
+        }
+        prop_assert_eq!(cols.live_node_count(), g.node_count());
+        let back = cols.thaw();
+        prop_assert_eq!(&back, &g);
+        prop_assert_eq!(
+            snapshot::graph_to_snapshot_bytes(&back),
+            snapshot::encode(&ColumnarGraph::freeze(&g))
+        );
     }
 
     #[test]

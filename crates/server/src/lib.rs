@@ -28,6 +28,9 @@
 //!   reads a total order — requests to different sessions never contend,
 //!   and two cores addressing the same session wait for at most one
 //!   handler;
+//! * a **compiled-schema cache** shared by every core compiles each
+//!   distinct posted schema text once (`POST /validate`, `POST
+//!   /sessions`, `POST /check-sat`), bounded in entries and source bytes;
 //! * **graceful shutdown**: SIGTERM / ctrl-c (see [`signal`]) leads to
 //!   [`ServerHandle::shutdown`]; the accept loop stops, each core
 //!   finishes its in-flight requests (flushing queued responses) and
@@ -95,6 +98,7 @@ pub mod reactor;
 pub mod registry;
 mod replication;
 pub mod ring;
+mod schema_cache;
 pub mod server;
 pub mod signal;
 pub mod sys;

@@ -50,6 +50,11 @@ pub struct RenderGauges {
     pub sessions_evicted: u64,
     /// Sessions currently inside an open dual-schema migration window.
     pub migration_windows_open: usize,
+    /// Posted schemas served from the compiled-schema cache.
+    pub schema_cache_hits: u64,
+    /// Posted schemas the cache did not hold, so they were compiled
+    /// (failed compiles included).
+    pub schema_cache_misses: u64,
     /// The store's counters, when the server is durable.
     pub store: Option<pg_store::StoreStats>,
 }
@@ -501,6 +506,18 @@ impl Metrics {
         let r = &self.replication;
         let mut unlabelled: Vec<(&str, &str, &str, u64)> = vec![
             (
+                "pgschemad_schema_cache_hits_total",
+                "Posted schemas served from the compiled-schema cache.",
+                "counter",
+                g.schema_cache_hits,
+            ),
+            (
+                "pgschemad_schema_cache_misses_total",
+                "Posted schemas compiled because the cache did not hold them.",
+                "counter",
+                g.schema_cache_misses,
+            ),
+            (
                 "pgschemad_replication_state",
                 "Follower state: 0 none, 1 connecting, 2 tailing, 3 stalled.",
                 "gauge",
@@ -633,6 +650,8 @@ mod tests {
             sessions_recovered: 3,
             sessions_evicted: 1,
             migration_windows_open: 2,
+            schema_cache_hits: 41,
+            schema_cache_misses: 3,
             store: Some(pg_store::StoreStats {
                 appends: 9,
                 appended_bytes: 4096,
@@ -661,6 +680,10 @@ mod tests {
         assert!(text.contains("pgschemad_migration_actions_total{action=\"plan\"} 1"));
         assert!(text.contains("pgschemad_migration_actions_total{action=\"commit\"} 0"));
         assert!(text.contains("pgschemad_migration_windows_open 2"));
+        assert!(text.contains(
+            "# TYPE pgschemad_schema_cache_hits_total counter\npgschemad_schema_cache_hits_total 41\n"
+        ));
+        assert!(text.contains("pgschemad_schema_cache_misses_total 3"));
         assert!(text.contains("pgschemad_shed_total 1"));
         assert!(text.contains("pgschemad_wal_append_duration_micros_bucket{le=\"10\"} 1"));
         assert!(text.contains("pgschemad_wal_append_duration_micros_count 1"));

@@ -19,6 +19,7 @@ use crate::http::{push_json_string, Request, Response};
 use crate::metrics::{Metrics, MigrationAction, RenderGauges};
 use crate::reactor::{self, CoreShared};
 use crate::registry::{Absent, HydrationError, Session, SessionRegistry};
+use crate::schema_cache::{CompiledSchema, SchemaCache};
 
 /// How the accept thread sleeps between polls when no connection is
 /// pending (it also re-checks the shutdown flag at this cadence).
@@ -220,6 +221,8 @@ impl ServerConfigBuilder {
 pub(crate) struct Ctx {
     pub(crate) metrics: Metrics,
     pub(crate) registry: SessionRegistry,
+    /// Posted schema texts, compiled once each.
+    pub(crate) schemas: SchemaCache,
     pub(crate) log_format: LogFormat,
     pub(crate) compact_after_bytes: u64,
     /// Number of reactor cores (event-loop threads).
@@ -341,6 +344,7 @@ impl Server {
             ctx: Arc::new(Ctx {
                 metrics: Metrics::new(cores),
                 registry,
+                schemas: SchemaCache::default(),
                 log_format: config.log_format,
                 compact_after_bytes: config.compact_after_bytes,
                 cores,
@@ -743,7 +747,7 @@ fn route(ctx: &Ctx, request: &Request) -> Routed {
         }
         // Satisfiability is a pure read over the posted schema, so a
         // follower answers it locally like /validate.
-        ("POST", "/check-sat") => (None, handle_check_sat(request)),
+        ("POST", "/check-sat") => (None, handle_check_sat(ctx, request)),
         ("POST", "/sessions") => (INCREMENTAL, handle_create_session(ctx, request)),
         ("GET", "/wal/tail") => (None, handle_wal_tail(ctx, request)),
         ("GET", "/wal/snapshot") => (None, handle_wal_snapshot(ctx)),
@@ -804,6 +808,8 @@ fn handle_metrics(ctx: &Ctx) -> Response {
         sessions_recovered: ctx.registry.recovered_total(),
         sessions_evicted: ctx.registry.evicted_total(),
         migration_windows_open: ctx.registry.open_migrations(),
+        schema_cache_hits: ctx.schemas.hits(),
+        schema_cache_misses: ctx.schemas.misses(),
         store: ctx.registry.store().map(|s| s.stats()),
     };
     Response::text(200, ctx.metrics.render(&gauges))
@@ -868,7 +874,8 @@ fn handle_migrate(ctx: &Ctx, request: &Request, id: u64) -> Result<Response, Htt
 /// SDL. An optional `"lang"` field lets migration windows cross
 /// languages: a pgschema candidate is compiled and stored as its
 /// pragma-tagged lowered SDL, so the SchemaChange WAL record (and every
-/// follower) carries the language too.
+/// follower) carries the language too. Compiled afresh, not through the
+/// schema cache: `begin` hands the candidate to the session by value.
 fn migration_candidate(doc: &Json) -> Result<(PgSchema, String), HttpError> {
     let source = str_field(doc, "schema")?;
     let lang = match doc.get("lang").and_then(Json::as_str) {
@@ -1107,31 +1114,33 @@ where
 }
 
 /// Decodes the `{"schema": <schema string>, "graph": <graph document>}`
-/// envelope shared by `POST /validate` and `POST /sessions`. The
-/// returned text is the canonical SDL (see [`pg_pgschema::load_schema`])
-/// because durable sessions persist it.
+/// envelope shared by `POST /validate` and `POST /sessions`, the schema
+/// through the compiled-schema cache. Its canonical SDL (see
+/// [`pg_pgschema::load_schema`]) comes along because durable sessions
+/// persist it.
 fn parse_envelope(
+    ctx: &Ctx,
     request: &Request,
     lang: SchemaLanguage,
-) -> Result<(PgSchema, pgraph::PropertyGraph, String), HttpError> {
+) -> Result<(Arc<CompiledSchema>, pgraph::PropertyGraph), HttpError> {
     let doc = Json::parse(body_text(request)?)?;
-    let (schema, sdl) = pg_pgschema::load_schema(str_field(&doc, "schema")?, lang)?;
+    let compiled = ctx.schemas.load(str_field(&doc, "schema")?, lang)?;
     let graph_value = doc
         .get("graph")
         .ok_or_else(|| HttpError::new(400, "missing field \"graph\""))?;
     let graph = json::graph_from_value(graph_value)
         .map_err(|e| HttpError::new(400, format!("graph: {e}")))?;
-    Ok((schema, graph, sdl))
+    Ok((compiled, graph))
 }
 
 fn handle_validate(ctx: &Ctx, request: &Request, engine: Engine) -> Result<Response, HttpError> {
     let lang = enum_param(request, "lang", SchemaLanguage::Sdl)?;
-    let (schema, graph, _) = parse_envelope(request, lang)?;
+    let (compiled, graph) = parse_envelope(ctx, request, lang)?;
     let options = ValidationOptions::builder()
         .engine(engine)
         .collect_metrics(true)
         .build();
-    let report = validate(&graph, &schema, &options);
+    let report = validate(&graph, &compiled.schema, &options);
     ctx.metrics.record_validation(engine, report.metrics());
     Ok(Response::json(200, report.to_json()))
 }
@@ -1145,12 +1154,13 @@ fn handle_validate(ctx: &Ctx, request: &Request, engine: Engine) -> Result<Respo
 /// `{"result": "unsatisfiable"}`, or `{"result": "no_finite_model",
 /// "bound": K, "tableau_satisfiable": bool|null}` — all with status 200;
 /// the check itself succeeded either way.
-fn handle_check_sat(request: &Request) -> Result<Response, HttpError> {
+fn handle_check_sat(ctx: &Ctx, request: &Request) -> Result<Response, HttpError> {
     let lang = enum_param(request, "lang", SchemaLanguage::Sdl)?;
     let doc = Json::parse(body_text(request)?)?;
     let source = str_field(&doc, "schema")?;
     let type_name = str_field(&doc, "type")?;
-    let (schema, sdl) = pg_pgschema::load_schema(source, lang)?;
+    let compiled = ctx.schemas.load(source, lang)?;
+    let (schema, sdl) = (&compiled.schema, &compiled.sdl);
     let mut config = pg_reason::ReasonerConfig::default();
     if let Some(k) = doc.get("max_size") {
         match k.as_i64() {
@@ -1169,11 +1179,11 @@ fn handle_check_sat(request: &Request) -> Result<Response, HttpError> {
             // lowered text for PG-Schema inputs, so both languages share
             // the same path.
             let parsed =
-                gql_sdl::parse(&sdl).map_err(|e| HttpError::new(400, format!("schema: {e}")))?;
+                gql_sdl::parse(sdl).map_err(|e| HttpError::new(400, format!("schema: {e}")))?;
             pg_reason::check_field_satisfiable(&parsed, type_name, field, &config)
                 .map_err(|message| HttpError::new(400, message))?
         }
-        None => pg_reason::check_type_satisfiable(&schema, type_name, &config),
+        None => pg_reason::check_type_satisfiable(schema, type_name, &config),
     };
     let mut body = String::with_capacity(96);
     body.push_str("{\"type\":");
@@ -1206,11 +1216,11 @@ fn handle_check_sat(request: &Request) -> Result<Response, HttpError> {
 fn handle_create_session(ctx: &Ctx, request: &Request) -> Result<Response, HttpError> {
     ctx.require_leader()?;
     let lang = enum_param(request, "lang", SchemaLanguage::Sdl)?;
-    let (schema, graph, sdl) = parse_envelope(request, lang)?;
+    let (compiled, graph) = parse_envelope(ctx, request, lang)?;
     let options = ValidationOptions::builder().collect_metrics(true).build();
     let created = ctx
         .registry
-        .create(graph, Arc::new(schema), &sdl, &options)
+        .create(graph, Arc::clone(&compiled.schema), &compiled.sdl, &options)
         .map_err(|e| HttpError::new(500, format!("failed to persist session: {e}")))?;
     ctx.record_wal(created.wal_micros);
     let report = created.slot.session.lock().unwrap().engine()?.report();

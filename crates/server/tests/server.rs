@@ -975,6 +975,149 @@ fn migration_windows_cross_languages() {
     daemon.stop();
 }
 
+/// The compiled-schema cache keys on the language and the exact text, so
+/// no two posted schemas can share a compiled form unless they are the
+/// same bytes in the same language. Two cores answer interleaved posts of
+/// one schema, its one-byte variant, a STRICT / LOOSE pair of one
+/// PG-Schema body and one text under both languages; every answer equals
+/// in-process validation under a freshly compiled schema (and a failed
+/// compile stays a 400). Past capacity the first schema is compiled again
+/// and still answers right, and a session created from a cached schema
+/// reports, before and after a delta, what an uncached daemon reports.
+#[test]
+fn schema_cache_never_aliases_distinct_texts() {
+    let daemon = Daemon::start(2, 16);
+    let mut clients = [
+        Client::connect(daemon.addr).unwrap(),
+        Client::connect(daemon.addr).unwrap(),
+    ];
+    let graph_json = r#"{"nodes":[{"id":0,"label":"User",
+        "properties":{"login":"alice","nickname":"al"}}],"edges":[]}"#;
+    let graph = json::from_json(graph_json).unwrap();
+    const LANGS: [(&str, pg_pgschema::SchemaLanguage); 2] = [
+        ("sdl", pg_pgschema::SchemaLanguage::Sdl),
+        ("pgschema", pg_pgschema::SchemaLanguage::PgSchema),
+    ];
+    // What a daemon that compiled `schema` afresh must answer.
+    let expected = |schema: &str, lang| match pg_pgschema::load_schema(schema, lang) {
+        Ok((schema, _)) => {
+            let report = validate(&graph, &schema, &ValidationOptions::default());
+            Some(workload::canonical_report(report.to_json().as_bytes(), &["metrics"]).unwrap())
+        }
+        Err(_) => None,
+    };
+    let post = |client: &mut Client, schema: &str, (lang_name, lang)| {
+        let target = format!("/validate?lang={lang_name}");
+        let (status, body) = client
+            .request("POST", &target, &envelope_with(schema, graph_json))
+            .unwrap();
+        match expected(schema, lang) {
+            Some(want) => {
+                assert_eq!(status, 200, "{schema} as {lang_name}");
+                let got = workload::canonical_report(&body, &["metrics"]).unwrap();
+                assert_eq!(got, want, "{schema} as {lang_name}");
+            }
+            None => assert_eq!(status, 400, "{schema} as {lang_name}"),
+        }
+    };
+
+    let cases = [
+        ("type User { login: String nickname: String }", LANGS[0]),
+        // One byte apart: `User` is no longer a declared type.
+        ("type Usex { login: String nickname: String }", LANGS[0]),
+        (
+            "CREATE GRAPH TYPE G STRICT { (User {login STRING}) }",
+            LANGS[1],
+        ),
+        (
+            "CREATE GRAPH TYPE G LOOSE { (User {login STRING}) }",
+            LANGS[1],
+        ),
+        // One text, both languages: valid SDL, not PG-Schema.
+        ("type User { login: String }", LANGS[0]),
+        ("type User { login: String }", LANGS[1]),
+    ];
+    for round in 0..3 {
+        for (k, (schema, lang)) in cases.into_iter().enumerate() {
+            post(&mut clients[(round + k) % 2], schema, lang);
+        }
+    }
+    let text = daemon_metrics(&mut clients[0]);
+    let hits = metric(&text, "pgschemad_schema_cache_hits_total ");
+    let misses = metric(&text, "pgschemad_schema_cache_misses_total ");
+    // Five texts compile once each; the failing one misses every time.
+    assert_eq!((hits, misses), (10, 8), "{text}");
+
+    // More distinct schemas than the cache holds, then the first again:
+    // evicted, so compiled anew — and still right.
+    for k in 0..100 {
+        let schema = format!("type User {{ login: String }} type Pad{k} {{ x: Int }}");
+        post(&mut clients[k % 2], &schema, LANGS[0]);
+    }
+    post(&mut clients[1], cases[0].0, cases[0].1);
+    let text = daemon_metrics(&mut clients[0]);
+    assert_eq!(
+        metric(&text, "pgschemad_schema_cache_misses_total "),
+        misses + 101,
+        "the first schema was evicted"
+    );
+
+    // Sessions: one on a schema the cache holds, one on an uncached
+    // daemon; the same delta; the same reports.
+    let fresh = Daemon::start(1, 4);
+    let mut uncached = Client::connect(fresh.addr).unwrap();
+    let schema = cases[0].0;
+    post(&mut clients[0], schema, LANGS[0]);
+    let mut reports = Vec::new();
+    for client in [&mut clients[1], &mut uncached] {
+        let created = client
+            .expect(
+                "create",
+                201,
+                "POST",
+                "/sessions",
+                &envelope_with(schema, graph_json),
+            )
+            .unwrap();
+        let id = workload::session_id(&created).unwrap();
+        let delta = r#"{"ops":[{"op":"set-node-property","node":0,"name":"login","value":7}]}"#;
+        let patched = client
+            .expect(
+                "delta",
+                200,
+                "POST",
+                &format!("/sessions/{id}/deltas"),
+                delta.as_bytes(),
+            )
+            .unwrap();
+        let report = client
+            .expect("report", 200, "GET", &format!("/sessions/{id}/report"), b"")
+            .unwrap();
+        let created = Json::parse(&String::from_utf8_lossy(&created)).unwrap();
+        let patched = Json::parse(&String::from_utf8_lossy(&patched)).unwrap();
+        let canonical = |report: &Json| {
+            workload::canonical_report(report.to_string().as_bytes(), &["metrics"]).unwrap()
+        };
+        reports.push([
+            canonical(created.get("report").unwrap()),
+            canonical(patched.get("report").unwrap()),
+            workload::canonical_report(&report, &["metrics"]).unwrap(),
+        ]);
+    }
+    assert_eq!(reports[0], reports[1]);
+    assert!(reports[0][1].contains("WS1"), "{:?}", reports[0]);
+
+    fresh.stop();
+    daemon.stop();
+}
+
+fn daemon_metrics(client: &mut Client) -> String {
+    let body = client
+        .expect("metrics", 200, "GET", "/metrics", b"")
+        .unwrap();
+    String::from_utf8(body).unwrap()
+}
+
 /// The other direction: the candidate is judged under *its own* mode, so
 /// closing an open-world session surfaces the strong-family violations
 /// in the plan and the commit refuses them unless forced.

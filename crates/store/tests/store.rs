@@ -283,6 +283,42 @@ fn bit_flip_matrix_never_accepts_corrupt_records() {
     }
 }
 
+/// A frame whose CRC matches but whose delta value nests a list a
+/// million levels deep (five bytes a level) used to overflow the stack
+/// of whatever decoded it — recovery here, a follower on `/wal/tail`.
+/// Now it is one more undecodable record body: cut away, everything
+/// before it kept.
+#[test]
+fn a_crc_valid_frame_of_nested_lists_is_torn_not_fatal() {
+    use pg_store::wire;
+    let dir = test_dir("nested");
+    let (oracles, boundaries) = build_wal(&dir, 6);
+    let mut payload = 7u64.to_le_bytes().to_vec(); // the next seq
+    payload.push(wire::KIND_DELTA);
+    payload.extend_from_slice(&1u64.to_le_bytes()); // session 1
+                                                    // One SetNodeProperty op on node 0, name "x", the value nested.
+    payload.extend_from_slice(&[1, 0, 0, 0, 4, 0, 0, 0, 0, 1, 0, 0, 0, b'x']);
+    for _ in 0..1_000_000 {
+        payload.extend_from_slice(&[6, 1, 0, 0, 0]);
+    }
+    payload.push(7);
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&pgraph::snapshot::crc32(&payload).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    let segment = segment_of(&dir);
+    let mut bytes = fs::read(&segment).unwrap();
+    bytes.extend_from_slice(&frame);
+    fs::write(&segment, &bytes).unwrap();
+
+    let report = pg_store::scan(&dir).unwrap();
+    assert!(report.segments[0].torn.is_some());
+    let (_, recovered) = Store::open(&dir, FsyncPolicy::Always).unwrap();
+    oracles[6].assert_matches(&recovered);
+    let torn = recovered.info.truncated.expect("the frame is cut away");
+    assert_eq!(torn.offset, boundaries[6]);
+    assert!(torn.reason.contains("undecodable"), "{}", torn.reason);
+}
+
 #[test]
 fn interval_and_never_policies_survive_clean_reopen() {
     for (name, policy) in [

@@ -479,6 +479,96 @@ fn schemagen_schemas_survive_the_pgschema_round_trip() {
     assert!(bare_required > 0, "the seeds exercise bare `T @required`");
 }
 
+/// A `PgSchema` compiles its symbol space once and every later pass
+/// freezes its graph into a copy of it, so graph strings the schema never
+/// names are interned *after* the schema's and read the empty row. One
+/// schema instance therefore validates graph after graph — salted with
+/// unknown labels, unknown keys, an edge labelled with a type name and a
+/// node labelled with a schema *field* name — and on every engine each
+/// canonical report is byte-equal to the naive oracle's and to the one a
+/// freshly parsed schema (a memo of its own) gives.
+#[test]
+fn schema_memo_is_reused_across_graphs() {
+    let render = |report: &ValidationReport| {
+        let canonical = ValidationReport::new(report.violations().to_vec());
+        (canonical.to_json(), canonical.to_string())
+    };
+    for schema_seed in 0..10u64 {
+        let sdl = SchemaGen::new(SchemaGenParams {
+            num_types: 5,
+            attrs_per_type: 3,
+            rels_per_type: 2,
+            seed: schema_seed,
+            ..Default::default()
+        })
+        .generate();
+        let shared = PgSchema::parse(&sdl).expect("generated schemas build");
+        let t = shared
+            .schema()
+            .object_types()
+            .next()
+            .expect("an object type");
+        let type_name = shared.schema().type_name(t).to_owned();
+        let attr = shared.attributes(t)[0].name.clone();
+        for graph_seed in 0..4u64 {
+            let mut graph = GraphGen::new(
+                &shared,
+                GraphGenParams {
+                    nodes_per_type: 4 + graph_seed as usize,
+                    seed: graph_seed,
+                    ..Default::default()
+                },
+            )
+            .generate();
+            let first = graph.node_ids().next().expect("generated nodes");
+            let field_named = graph.add_node(attr.clone());
+            graph.set_node_property(field_named, attr.clone(), pgraph::Value::Int(1));
+            let ghost = graph.add_node(format!("Ghost{graph_seed}"));
+            graph.set_node_property(ghost, format!("ecto{graph_seed}"), pgraph::Value::Int(2));
+            graph.set_node_property(first, format!("ecto{graph_seed}"), pgraph::Value::Int(3));
+            graph
+                .add_edge(first, field_named, type_name.clone())
+                .unwrap();
+            graph.add_edge(ghost, first, attr.clone()).unwrap();
+            graph.add_edge(field_named, ghost, "haunts").unwrap();
+
+            let oracle = render(&validate(
+                &graph,
+                &shared,
+                &ValidationOptions::with_engine(Engine::Naive),
+            ));
+            assert!(
+                oracle.1.contains("[SS1]"),
+                "the salt is visible: {}",
+                oracle.1
+            );
+            let fresh = PgSchema::parse(&sdl).unwrap();
+            assert_eq!(
+                render(&validate(&graph, &fresh, &ValidationOptions::default())),
+                oracle,
+                "schema {schema_seed}, graph {graph_seed}: fresh schema"
+            );
+            for (engine, threads) in KERNEL_CONFIGS {
+                let opts = ValidationOptions::builder()
+                    .engine(engine)
+                    .threads(threads)
+                    .build();
+                assert_eq!(
+                    render(&validate(&graph, &shared, &opts)),
+                    oracle,
+                    "schema {schema_seed}, graph {graph_seed}: {engine:?}/{threads}"
+                );
+            }
+            let session = IncrementalEngine::new(graph, &shared, &ValidationOptions::default());
+            assert_eq!(
+                render(&session.report()),
+                oracle,
+                "schema {schema_seed}, graph {graph_seed}: session"
+            );
+        }
+    }
+}
+
 #[test]
 fn weak_violations_are_a_subset_of_strong() {
     for seed in 0..10u64 {
