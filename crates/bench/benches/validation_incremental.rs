@@ -7,8 +7,9 @@
 //! `O(|V| + |E|)`. So `incremental/1op` should stay flat as the graph
 //! grows while `full_indexed` scales linearly — the gap at the largest
 //! size is the E2i headline number. `seed` measures the one-off cost of
-//! opening a session (a full pass plus adjacency/key-table builds),
-//! which amortizes over the deltas that follow.
+//! opening a session (a full pass plus the key-table builds; adjacency is
+//! the graph's own incidence lists, built with the graph), which
+//! amortizes over the deltas that follow.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pg_datagen::{DeltaGen, DeltaGenParams, GraphGen, GraphGenParams};
@@ -112,7 +113,7 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
 }
 
 /// Session-opening cost: `IncrementalEngine::new` is a full pass plus
-/// adjacency and key-table construction.
+/// key-table construction (the graph already holds its incidence lists).
 fn bench_seed_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("E2i_seed_cost");
     group.sample_size(10);

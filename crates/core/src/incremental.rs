@@ -3,9 +3,9 @@
 //! Theorem 1 bounds *full* validation; a production store revalidates
 //! after small mutations, where almost all of the previous
 //! [`ValidationReport`] is still correct. [`IncrementalEngine`] keeps the
-//! graph, the last report and enough derived state (adjacency lists,
-//! per-`@key` tuple tables) to re-derive, after a [`GraphDelta`], exactly
-//! the violations that could have changed.
+//! graph (which owns its per-node incidence lists), the last report and
+//! per-`@key` tuple tables, enough to re-derive, after a [`GraphDelta`],
+//! exactly the violations that could have changed.
 //!
 //! # Rule dependency analysis
 //!
@@ -143,9 +143,6 @@ pub struct IncrementalEngine<S: Borrow<PgSchema>> {
     options: ValidationOptions,
     /// Canonical (sorted, deduped) violations of the current graph.
     violations: Vec<Violation>,
-    /// Outgoing / incoming edge ids per raw node index (loops in both).
-    out: Vec<Vec<EdgeId>>,
-    inc: Vec<Vec<EdgeId>>,
     /// One table per `schema.keys()` entry, in order; empty when
     /// directives are not checked.
     key_tables: Vec<KeyTable>,
@@ -177,7 +174,8 @@ struct WindowState {
 
 impl<S: Borrow<PgSchema>> IncrementalEngine<S> {
     /// Seeds the session: one full indexed-engine pass over `graph`, plus
-    /// the adjacency and key tables later deltas are checked against.
+    /// the key tables later deltas are checked against. Adjacency is the
+    /// graph's own: deltas read its incidence lists.
     pub fn new(graph: PropertyGraph, schema: S, options: &ValidationOptions) -> Self {
         let mut options = *options;
         options.max_violations = None;
@@ -188,8 +186,6 @@ impl<S: Borrow<PgSchema>> IncrementalEngine<S> {
             schema,
             options,
             violations: Vec::new(),
-            out: Vec::new(),
-            inc: Vec::new(),
             key_tables: Vec::new(),
             metrics: None,
             symbols,
@@ -200,23 +196,16 @@ impl<S: Borrow<PgSchema>> IncrementalEngine<S> {
         engine
     }
 
-    /// Rebuilds every piece of derived state — report, adjacency lists,
-    /// key tables — from the current graph with one full indexed pass.
-    /// Used to seed a new session and to recover from a partially
-    /// applied delta.
+    /// Rebuilds every piece of derived state — report and key tables —
+    /// from the current graph with one full indexed pass. Used to seed a
+    /// new session and to recover from a partially applied delta (the
+    /// graph's incidence lists are exact after every op, failed or not).
     fn reseed(&mut self) {
         let schema = self.schema.borrow();
         let mut report = indexed::run_named(&self.graph, schema, &self.options, "incremental");
         report.canonicalize();
         let seed_metrics = report.metrics().cloned();
         self.violations = report.take_violations();
-
-        self.out = vec![Vec::new(); self.graph.node_index_bound()];
-        self.inc = vec![Vec::new(); self.graph.node_index_bound()];
-        for e in self.graph.edges() {
-            self.out[e.source().index()].push(e.id);
-            self.inc[e.target().index()].push(e.id);
-        }
 
         self.key_tables = rules::directives::build_key_tables(schema, &self.graph, &self.options);
         self.metrics = None;
@@ -282,27 +271,10 @@ impl<S: Borrow<PgSchema>> IncrementalEngine<S> {
         Ok(self.absorb(&effect))
     }
 
-    /// Patches report + derived state from a delta's effect.
+    /// Patches report + derived state from a delta's effect. The graph
+    /// has already applied the delta, incidence lists included.
     fn absorb(&mut self, effect: &DeltaEffect) -> DeltaOutcome {
-        // -- 1. adjacency maintenance -----------------------------------
-        // Additions before removals: an edge both added and removed by one
-        // delta must have been added first (ids are never reused), so this
-        // order leaves no stale entry behind.
-        let bound = self.graph.node_index_bound();
-        if self.out.len() < bound {
-            self.out.resize(bound, Vec::new());
-            self.inc.resize(bound, Vec::new());
-        }
-        for t in &effect.added_edges {
-            self.out[t.source.index()].push(t.edge);
-            self.inc[t.target.index()].push(t.edge);
-        }
-        for t in &effect.removed_edges {
-            self.out[t.source.index()].retain(|&e| e != t.edge);
-            self.inc[t.target.index()].retain(|&e| e != t.edge);
-        }
-
-        // -- 2. dirty closure -------------------------------------------
+        // -- 1. dirty closure -------------------------------------------
         // D = mutated nodes ∪ endpoints of touched edges ∪ neighbours of
         // relabelled nodes (their DS3/DS4 groups filter by the old label).
         let mut dirty: BTreeSet<NodeId> = BTreeSet::new();
@@ -319,27 +291,23 @@ impl<S: Borrow<PgSchema>> IncrementalEngine<S> {
             dirty.insert(t.source);
             dirty.insert(t.target);
         }
+        let g = &self.graph;
         for &v in &effect.relabelled_nodes {
-            for &e in self.out[v.index()].iter().chain(&self.inc[v.index()]) {
-                if let Some((s, t)) = self.graph.edge_endpoints(e) {
-                    dirty.insert(s);
-                    dirty.insert(t);
-                }
+            for e in g.out_edges(v).chain(g.in_edges(v)) {
+                dirty.insert(e.source());
+                dirty.insert(e.target());
             }
         }
 
         // L = live edges incident to D (complete per dirty endpoint).
         let mut local_edges: BTreeSet<EdgeId> = BTreeSet::new();
         for &v in &dirty {
-            if v.index() < self.out.len() {
-                local_edges.extend(self.out[v.index()].iter().copied());
-                local_edges.extend(self.inc[v.index()].iter().copied());
-            }
+            local_edges.extend(g.out_edges(v).chain(g.in_edges(v)).map(|e| e.id));
         }
         let removed_edge_ids: BTreeSet<EdgeId> =
             effect.removed_edges.iter().map(|t| t.edge).collect();
 
-        // -- 3..5. drop, re-derive, merge — once per live schema --------
+        // -- 2..4. drop, re-derive, merge — once per live schema --------
         // The interned partial view covers the dirty region and is
         // schema-independent, so an open migration window reuses it: the
         // candidate side is patched through the same kernels against its
@@ -543,7 +511,7 @@ impl<S: Borrow<PgSchema> + From<PgSchema>> IncrementalEngine<S> {
 
 /// Drops every violation anchored in the dirty region, re-derives over
 /// it through the shared kernels under one schema, and merges — steps
-/// 3–5 of [`IncrementalEngine::absorb`], factored out so an open
+/// 2–4 of [`IncrementalEngine::absorb`], factored out so an open
 /// migration window patches its candidate side identically.
 ///
 /// `kept` and the re-derived set have disjoint anchor spaces by the

@@ -362,11 +362,9 @@ pub(crate) fn region_of(
         }
     }
     let mut edges: BTreeSet<EdgeId> = BTreeSet::new();
-    if with_edges && !nodes.is_empty() {
-        for e in g.edges() {
-            if nodes.contains(&e.source()) || nodes.contains(&e.target()) {
-                edges.insert(e.id);
-            }
+    if with_edges {
+        for &v in &nodes {
+            edges.extend(g.out_edges(v).chain(g.in_edges(v)).map(|e| e.id));
         }
     }
     Region { nodes, edges }

@@ -4,8 +4,10 @@
 //! 5.1–5.3 — the paper's observation after Theorem 1 that "a
 //! straightforward implementation of the first-order logical formulas
 //! leads already to a tractable algorithm with time complexity O(n³)".
-//! Every quantifier becomes a loop over `V` or `E`; no indexes are built.
-//! This engine is the reference against which the indexed engine is
+//! Every quantifier becomes a loop over `V` or `E`; no indexes are built,
+//! and none are read — not even the graph's own incidence lists, so the
+//! engines that do read them are checked against a reference that does
+//! not. This engine is the reference against which the indexed engine is
 //! property-tested, and the baseline of benchmark E2.
 
 use pgraph::{PropertyGraph, Value};
@@ -147,7 +149,10 @@ fn ws4(g: &PropertyGraph, s: &PgSchema, r: &mut ValidationReport) {
             if f.ty.is_list() {
                 continue;
             }
-            let count = g.out_edges(n.id).filter(|e| e.label() == f.name).count();
+            let count = g
+                .edges()
+                .filter(|e| e.source() == n.id && e.label() == f.name)
+                .count();
             if count > 1 {
                 r.push(Violation::NonListFieldMultiEdge {
                     source: n.id,
@@ -258,8 +263,9 @@ fn ds4(g: &PropertyGraph, s: &PgSchema, r: &mut ValidationReport) {
             if !s.label_subtype_wrapped(n.label(), &rel.ty) {
                 continue;
             }
-            let has_incoming = g.in_edges(n.id).any(|e| {
-                e.label() == rel.name
+            let has_incoming = g.edges().any(|e| {
+                e.target() == n.id
+                    && e.label() == rel.name
                     && s.label_subtype(g.node_label(e.source()).unwrap_or(""), site.site)
             });
             if !has_incoming {
@@ -326,7 +332,10 @@ fn ds5_ds6(g: &PropertyGraph, s: &PgSchema, r: &mut ValidationReport) {
             if !s.label_subtype(n.label(), site.site) {
                 continue;
             }
-            if !g.out_edges(n.id).any(|e| e.label() == rel.name) {
+            if !g
+                .edges()
+                .any(|e| e.source() == n.id && e.label() == rel.name)
+            {
                 r.push(Violation::RequiredEdgeMissing {
                     node: n.id,
                     field: rel.name.clone(),

@@ -417,11 +417,7 @@ pub fn graph_from_bytes(bytes: &[u8]) -> Result<PropertyGraph, BinError> {
         let alive = c.u8()? != 0;
         let label = c.string()?;
         let props = c.props()?;
-        nodes.push(NodeData {
-            label,
-            props,
-            alive,
-        });
+        nodes.push(NodeData::new(label, props, alive));
     }
     let edge_slots = c.u32()? as usize;
     let mut edges = Vec::with_capacity(edge_slots.min(1 << 20));

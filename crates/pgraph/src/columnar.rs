@@ -1,11 +1,12 @@
 //! Columnar (struct-of-arrays) graph representation with CSR adjacency.
 //!
 //! [`PropertyGraph`] is the *mutable* element store: a `Vec` of per-element
-//! structs whose properties live in `BTreeMap<String, Value>`. That shape
-//! is right for deltas but wrong for validation, where the 15 rule kernels
-//! are dominated by label comparisons, property lookups and neighbourhood
-//! scans — every one of which pays pointer chasing and string hashing in
-//! the map-shaped form.
+//! structs whose properties live in `BTreeMap<String, Value>`, with
+//! unlabelled per-node incidence lists. That shape is right for deltas but
+//! wrong for validation, where the 15 rule kernels are dominated by label
+//! comparisons, property lookups and labelled neighbourhood scans — every
+//! one of which pays pointer chasing and string hashing in the map-shaped
+//! form.
 //!
 //! [`ColumnarGraph::freeze`] converts a graph into dense parallel columns:
 //!
@@ -340,15 +341,17 @@ impl ColumnarGraph {
     /// from, `PartialEq`-identical to the original (tombstones included).
     pub fn thaw(&self) -> PropertyGraph {
         let nodes = (0..self.node_alive.len())
-            .map(|ix| NodeData {
-                label: self.symbols.resolve(self.node_label[ix]).to_owned(),
-                props: self.props_map(
-                    self.node_prop_start[ix],
-                    self.node_prop_start[ix + 1],
-                    &self.node_prop_keys,
-                    &self.node_prop_vals,
-                ),
-                alive: self.node_alive[ix],
+            .map(|ix| {
+                NodeData::new(
+                    self.symbols.resolve(self.node_label[ix]).to_owned(),
+                    self.props_map(
+                        self.node_prop_start[ix],
+                        self.node_prop_start[ix + 1],
+                        &self.node_prop_keys,
+                        &self.node_prop_vals,
+                    ),
+                    self.node_alive[ix],
+                )
             })
             .collect();
         let edges = (0..self.edge_alive.len())

@@ -304,20 +304,17 @@ impl GraphDelta {
                     eff.added_nodes.push(g.add_node(label.clone()));
                 }
                 DeltaOp::RemoveNode { node } => {
-                    if !g.contains_node(*node) {
-                        return Err(GraphError::MissingNode(*node));
-                    }
-                    // Capture the cascade before the graph forgets it.
-                    for e in g.out_edges(*node).chain(g.in_edges(*node)) {
-                        let touch = EdgeTouch {
+                    // Capture the cascade before the graph forgets it. A
+                    // self-loop is in both lists; record it as an out-edge.
+                    // An absent or tombstoned node has empty lists, so
+                    // nothing is captured and `remove_node` reports it.
+                    let incoming = g.in_edges(*node).filter(|e| e.source() != *node);
+                    for e in g.out_edges(*node).chain(incoming) {
+                        eff.removed_edges.push(EdgeTouch {
                             edge: e.id,
                             source: e.source(),
                             target: e.target(),
-                        };
-                        // A self-loop shows up in both scans; record once.
-                        if !eff.removed_edges.contains(&touch) {
-                            eff.removed_edges.push(touch);
-                        }
+                        });
                     }
                     g.remove_node(*node)?;
                     eff.removed_nodes.push(*node);
@@ -428,16 +425,20 @@ mod tests {
         let (mut g, a, b, e) = seeded();
         let back = g.add_edge(b, a, "back").unwrap();
         let loop_e = g.add_edge(a, a, "self").unwrap();
+        let parallel = g.add_edge(a, b, "rel").unwrap();
         let eff = GraphDelta::new().remove_node(a).apply_to(&mut g).unwrap();
         assert_eq!(eff.removed_nodes, vec![a]);
+        // Out-edges first, then in-edges, each in ascending id order; the
+        // self-loop is listed once despite being in both lists, and the
+        // parallel edge is a distinct edge with the same endpoints.
         let removed: Vec<EdgeId> = eff.removed_edges.iter().map(|t| t.edge).collect();
-        assert!(removed.contains(&e));
-        assert!(removed.contains(&back));
-        assert!(removed.contains(&loop_e));
-        // The self-loop is listed once despite appearing in both scans.
-        assert_eq!(eff.removed_edges.len(), 3);
+        assert_eq!(removed, vec![e, loop_e, parallel, back]);
         assert_eq!(eff.removed_edges[0].source, a);
+        assert_eq!(eff.removed_edges[2].target, b);
         assert!(!g.contains_node(a));
+        assert_eq!(g.edge_count(), 0);
+        assert_eq!(g.out_edges(b).count(), 0);
+        assert_eq!(g.in_edges(b).count(), 0);
     }
 
     #[test]

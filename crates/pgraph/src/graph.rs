@@ -81,6 +81,25 @@ pub(crate) struct NodeData {
     pub label: String,
     pub props: PropMap,
     pub alive: bool,
+    /// The node's live outgoing / incoming edges in ascending id order (a
+    /// self-loop is in both). Derived from the edge table, never
+    /// serialised; empty once the node is tombstoned.
+    pub out: Vec<EdgeId>,
+    pub inc: Vec<EdgeId>,
+}
+
+impl NodeData {
+    /// A node slot with empty incidence lists; [`PropertyGraph::add_edge`]
+    /// and [`PropertyGraph::from_raw_parts`] fill them.
+    pub(crate) fn new(label: String, props: PropMap, alive: bool) -> NodeData {
+        NodeData {
+            label,
+            props,
+            alive,
+            out: Vec::new(),
+            inc: Vec::new(),
+        }
+    }
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -158,12 +177,13 @@ impl<'g> EdgeRef<'g> {
 /// A directed, labelled multigraph with node and edge properties —
 /// the tuple `(V, E, ρ, λ, σ)` of Definition 2.1.
 ///
-/// The structure is a plain adjacency-free element store: edges know their
-/// endpoints, but no adjacency lists are maintained inline. Validation-grade
-/// adjacency and label indexes are built on demand by
-/// [`crate::ColumnarGraph::freeze`], which keeps the mutation path cheap and the
-/// read path explicit about what it costs — the naive validation engine of
-/// the paper deliberately runs *without* indexes.
+/// The graph owns the unlabelled incidence of `ρ`: each node keeps its live
+/// out- and in-edge ids in ascending order, maintained by every mutation, so
+/// [`out_edges`](Self::out_edges), [`in_edges`](Self::in_edges) and
+/// [`remove_node`](Self::remove_node) cost the node's degree. Labelled
+/// adjacency (CSR rows grouped by label) and label indexes belong to
+/// [`crate::ColumnarGraph::freeze`]. The naive validation engine of the paper
+/// deliberately reads neither: it quantifies over `E` directly.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PropertyGraph {
     pub(crate) nodes: Vec<NodeData>,
@@ -222,11 +242,8 @@ impl PropertyGraph {
     /// Adds a node with the given label and returns its id.
     pub fn add_node(&mut self, label: impl Into<String>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeData {
-            label: label.into(),
-            props: PropMap::new(),
-            alive: true,
-        });
+        self.nodes
+            .push(NodeData::new(label.into(), PropMap::new(), true));
         self.live_nodes += 1;
         id
     }
@@ -250,6 +267,9 @@ impl PropertyGraph {
             props: PropMap::new(),
             alive: true,
         });
+        // The new id is the largest, so pushing keeps both lists ascending.
+        self.nodes[src.index()].out.push(id);
+        self.nodes[dst.index()].inc.push(id);
         self.live_edges += 1;
         Ok(id)
     }
@@ -258,14 +278,16 @@ impl PropertyGraph {
     /// unaffected (tombstoning).
     pub fn remove_node(&mut self, id: NodeId) -> Result<(), GraphError> {
         self.require_node(id)?;
-        for ix in 0..self.edges.len() {
-            let e = &self.edges[ix];
-            if e.alive && (e.src == id || e.dst == id) {
-                self.edges[ix].alive = false;
-                self.live_edges -= 1;
+        let node = &mut self.nodes[id.index()];
+        node.alive = false;
+        let out = std::mem::take(&mut node.out);
+        let inc = std::mem::take(&mut node.inc);
+        for e in out.into_iter().chain(inc) {
+            // A self-loop is in both lists; the first visit removes it.
+            if self.edges[e.index()].alive {
+                self.detach(e);
             }
         }
-        self.nodes[id.index()].alive = false;
         self.live_nodes -= 1;
         Ok(())
     }
@@ -273,9 +295,18 @@ impl PropertyGraph {
     /// Removes an edge.
     pub fn remove_edge(&mut self, id: EdgeId) -> Result<(), GraphError> {
         self.require_edge(id)?;
-        self.edges[id.index()].alive = false;
-        self.live_edges -= 1;
+        self.detach(id);
         Ok(())
+    }
+
+    /// Tombstones a live edge and drops it from its endpoints' lists.
+    fn detach(&mut self, id: EdgeId) {
+        let e = &mut self.edges[id.index()];
+        e.alive = false;
+        let (src, dst) = (e.src, e.dst);
+        unlist(&mut self.nodes[src.index()].out, id);
+        unlist(&mut self.nodes[dst.index()].inc, id);
+        self.live_edges -= 1;
     }
 
     /// True if `id` denotes a live node.
@@ -290,26 +321,17 @@ impl PropertyGraph {
 
     /// `λ(v)` — the label of a node.
     pub fn node_label(&self, id: NodeId) -> Option<&str> {
-        self.nodes
-            .get(id.index())
-            .filter(|n| n.alive)
-            .map(|n| n.label.as_str())
+        self.node(id).map(|n| n.label())
     }
 
     /// `λ(e)` — the label of an edge.
     pub fn edge_label(&self, id: EdgeId) -> Option<&str> {
-        self.edges
-            .get(id.index())
-            .filter(|e| e.alive)
-            .map(|e| e.label.as_str())
+        self.edge(id).map(|e| e.label())
     }
 
     /// `ρ(e)` — the (source, target) pair of an edge.
     pub fn edge_endpoints(&self, id: EdgeId) -> Option<(NodeId, NodeId)> {
-        self.edges
-            .get(id.index())
-            .filter(|e| e.alive)
-            .map(|e| (e.src, e.dst))
+        self.edge(id).map(|e| (e.source(), e.target()))
     }
 
     /// Relabels a node. Mostly used by the violation injector.
@@ -374,18 +396,12 @@ impl PropertyGraph {
 
     /// `σ(v, name)` for a node.
     pub fn node_property(&self, id: NodeId, name: &str) -> Option<&Value> {
-        self.nodes
-            .get(id.index())
-            .filter(|n| n.alive)
-            .and_then(|n| n.props.get(name))
+        self.node(id)?.property(name)
     }
 
     /// `σ(e, name)` for an edge.
     pub fn edge_property(&self, id: EdgeId, name: &str) -> Option<&Value> {
-        self.edges
-            .get(id.index())
-            .filter(|e| e.alive)
-            .and_then(|e| e.props.get(name))
+        self.edge(id)?.property(name)
     }
 
     /// A full view of one node.
@@ -430,31 +446,37 @@ impl PropertyGraph {
 
     /// Iterates over all live node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.alive)
-            .map(|(ix, _)| NodeId(ix as u32))
+        self.nodes().map(|n| n.id)
     }
 
     /// Iterates over all live edge ids.
     pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.alive)
-            .map(|(ix, _)| EdgeId(ix as u32))
+        self.edges().map(|e| e.id)
     }
 
-    /// Outgoing edges of `v` (linear scan; use [`crate::ColumnarGraph`]
-    /// for repeated queries).
+    /// Live outgoing edges of `v` in ascending id order (none for an absent
+    /// or tombstoned node). Costs the out-degree; use
+    /// [`crate::ColumnarGraph`] for edges grouped by label.
     pub fn out_edges(&self, v: NodeId) -> impl Iterator<Item = EdgeRef<'_>> {
-        self.edges().filter(move |e| e.source() == v)
+        self.incident(v.index(), |n| &n.out)
     }
 
-    /// Incoming edges of `v` (linear scan).
+    /// Live incoming edges of `v` in ascending id order; see
+    /// [`out_edges`](Self::out_edges).
     pub fn in_edges(&self, v: NodeId) -> impl Iterator<Item = EdgeRef<'_>> {
-        self.edges().filter(move |e| e.target() == v)
+        self.incident(v.index(), |n| &n.inc)
+    }
+
+    fn incident(
+        &self,
+        ix: usize,
+        list: fn(&NodeData) -> &[EdgeId],
+    ) -> impl Iterator<Item = EdgeRef<'_>> {
+        let ids = self.nodes.get(ix).map_or(&[][..], list);
+        ids.iter().map(move |&id| EdgeRef {
+            id,
+            data: &self.edges[id.index()],
+        })
     }
 
     /// Compacts tombstoned elements away, producing a graph whose ids are
@@ -481,13 +503,21 @@ impl PropertyGraph {
         out
     }
 
-    /// Rebuilds a graph from raw element tables, recomputing the live
-    /// counters from the `alive` flags. Used by the binary snapshot codec,
-    /// which must reproduce the id space *exactly* — tombstones included —
-    /// so that replayed deltas resolve ids the same way they originally did.
-    pub(crate) fn from_raw_parts(nodes: Vec<NodeData>, edges: Vec<EdgeData>) -> PropertyGraph {
+    /// Rebuilds a graph from raw element tables (nodes with empty lists),
+    /// recomputing the live counters from the `alive` flags and the
+    /// incidence lists from the live edges. Used by the binary and `PGCS`
+    /// decoders and [`crate::ColumnarGraph::thaw`], which must reproduce
+    /// the id space *exactly* — tombstones included — so that replayed
+    /// deltas resolve ids the same way they originally did. The decoders
+    /// have checked that every live edge joins two live, in-range nodes.
+    pub(crate) fn from_raw_parts(mut nodes: Vec<NodeData>, edges: Vec<EdgeData>) -> PropertyGraph {
         let live_nodes = nodes.iter().filter(|n| n.alive).count();
-        let live_edges = edges.iter().filter(|e| e.alive).count();
+        let mut live_edges = 0;
+        for (ix, e) in edges.iter().enumerate().filter(|(_, e)| e.alive) {
+            nodes[e.src.index()].out.push(EdgeId(ix as u32));
+            nodes[e.dst.index()].inc.push(EdgeId(ix as u32));
+            live_edges += 1;
+        }
         PropertyGraph {
             nodes,
             edges,
@@ -510,6 +540,13 @@ impl PropertyGraph {
         } else {
             Err(GraphError::MissingEdge(id))
         }
+    }
+}
+
+/// Removes `e` from an ascending incidence list, if present.
+fn unlist(list: &mut Vec<EdgeId>, e: EdgeId) {
+    if let Ok(at) = list.binary_search(&e) {
+        list.remove(at);
     }
 }
 

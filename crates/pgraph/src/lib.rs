@@ -18,7 +18,9 @@
 //! Beyond the bare model the crate provides what a validation engine needs
 //! from its substrate:
 //!
-//! * mutation and bulk-construction APIs ([`PropertyGraph`], [`GraphBuilder`]),
+//! * mutation and bulk-construction APIs ([`PropertyGraph`], [`GraphBuilder`]);
+//!   the graph keeps per-node incidence lists, so a node's edges cost its
+//!   degree,
 //! * mutation logs ([`delta::GraphDelta`]) that capture an evolution step
 //!   as a value and report exactly what they touched — the substrate for
 //!   incremental revalidation,

@@ -431,11 +431,11 @@ impl<'a> SnapshotView<'a> {
         }
         let mut nodes = Vec::with_capacity(node_alive.len());
         for ix in 0..node_alive.len() {
-            nodes.push(NodeData {
-                label: resolve(node_label[ix])?,
-                props: props(&node_prop_start, &node_prop_keys, &node_prop_vals, ix)?,
-                alive: node_alive[ix],
-            });
+            nodes.push(NodeData::new(
+                resolve(node_label[ix])?,
+                props(&node_prop_start, &node_prop_keys, &node_prop_vals, ix)?,
+                node_alive[ix],
+            ));
         }
 
         let edge_alive = self.bool_column(5);

@@ -1,9 +1,13 @@
 //! Property tests for the Property Graph substrate: JSON round-trips,
-//! streamed-vs-tree JSON byte identity, compaction invariants, index/scan
-//! agreement, and columnar/snapshot round-trips (tombstoned id space
-//! preserved bit for bit).
+//! streamed-vs-tree JSON byte identity, compaction invariants, incidence
+//! lists against the edge table, index/scan agreement, and
+//! columnar/snapshot round-trips (tombstoned id space preserved bit for
+//! bit; `==` compares the incidence lists too, so every decoder's rebuild
+//! of them is checked).
 
-use pgraph::{json, snapshot, ColumnarGraph, NodeId, PropertyGraph, Sym, SymbolTable, Value};
+use pgraph::{
+    json, snapshot, ColumnarGraph, EdgeId, EdgeRef, NodeId, PropertyGraph, Sym, SymbolTable, Value,
+};
 use proptest::prelude::*;
 
 fn value() -> BoxedStrategy<Value> {
@@ -59,6 +63,7 @@ struct GraphSpec {
     edges: Vec<(usize, usize, String)>,
     node_props: Vec<(usize, String, Value)>,
     edge_props: Vec<(usize, String, Value)>,
+    edge_removals: Vec<usize>,
     removals: Vec<usize>,
 }
 
@@ -84,14 +89,16 @@ fn graph_spec_over(
             prop::collection::vec((0..n, 0..n, edge_label), 0..20),
             prop::collection::vec((0..n, prop_name, value()), 0..10),
             prop::collection::vec((0..20usize, prop_name, value()), 0..6),
+            prop::collection::vec(0..20usize, 0..6),
             prop::collection::vec(0..n, 0..3),
         )
             .prop_map(
-                |(labels, edges, node_props, edge_props, removals)| GraphSpec {
+                |(labels, edges, node_props, edge_props, edge_removals, removals)| GraphSpec {
                     labels,
                     edges,
                     node_props,
                     edge_props,
+                    edge_removals,
                     removals,
                 },
             )
@@ -113,10 +120,19 @@ fn build(spec: &GraphSpec) -> PropertyGraph {
             g.set_edge_property(id, key.clone(), v.clone());
         }
     }
+    for &e in &spec.edge_removals {
+        if let Some(&id) = edges.get(e) {
+            let _ = g.remove_edge(id);
+        }
+    }
     for &r in &spec.removals {
         let _ = g.remove_node(nodes[r]);
     }
     g
+}
+
+fn ids<'g>(edges: impl Iterator<Item = EdgeRef<'g>>) -> Vec<EdgeId> {
+    edges.map(|e| e.id).collect()
 }
 
 proptest! {
@@ -180,12 +196,27 @@ proptest! {
         }
     }
 
+    /// The graph's incidence lists are the edge table's answer: for every
+    /// node slot (and one id past the last), `out_edges`/`in_edges` yield
+    /// exactly the live edges with that source/target, in ascending id
+    /// order — none for a tombstoned or absent node, so removing a node
+    /// removed its incident edges.
     #[test]
-    fn removing_nodes_removes_incident_edges(spec in graph_spec()) {
+    fn incidence_lists_equal_the_edge_table(spec in graph_spec()) {
         let g = build(&spec);
         for e in g.edges() {
             prop_assert!(g.contains_node(e.source()));
             prop_assert!(g.contains_node(e.target()));
+        }
+        for ix in 0..g.node_index_bound() + 1 {
+            let v = NodeId::from_index(ix);
+            let out = ids(g.out_edges(v));
+            let inc = ids(g.in_edges(v));
+            prop_assert_eq!(&out, &ids(g.edges().filter(|e| e.source() == v)));
+            prop_assert_eq!(&inc, &ids(g.edges().filter(|e| e.target() == v)));
+            if !g.contains_node(v) {
+                prop_assert!(out.is_empty() && inc.is_empty());
+            }
         }
     }
 
