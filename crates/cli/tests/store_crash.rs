@@ -9,104 +9,22 @@
 //! back past the session's Create record, on an empty store), never on
 //! fabricated state.
 
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pg_schema::{validate, Engine, PgSchema, ValidationOptions};
-use pg_server::http::read_response;
-use pg_server::workload::{sample_graph, toggle_delta, user_ids, SCHEMA_SDL};
+use pg_server::workload::{
+    envelope, free_addr, sample_graph, toggle_delta, user_ids, Client, Daemon, Scratch, SCHEMA_SDL,
+};
 use pgraph::json::{self, Json};
 use pgraph::{GraphDelta, PropertyGraph};
 use rand::prelude::*;
 
-struct Client {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl Client {
-    fn connect(addr: &str) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-        Ok(Client {
-            stream,
-            buf: Vec::new(),
-        })
-    }
-
-    fn request(
-        &mut self,
-        method: &str,
-        target: &str,
-        body: &[u8],
-    ) -> std::io::Result<(u16, Vec<u8>)> {
-        let head = format!(
-            "{method} {target} HTTP/1.1\r\nhost: crash\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body)?;
-        let (status, _headers, body) = read_response(&mut self.stream, &mut self.buf)?;
-        Ok((status, body))
-    }
-}
-
-fn test_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("pgschema-crash-tests")
-        .join(format!("{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn spawn_daemon(addr: &str, data_dir: &Path) -> Child {
-    Command::new(env!("CARGO_BIN_EXE_pgschema"))
-        .args([
-            "serve",
-            "--addr",
-            addr,
-            "--cores",
-            "2",
-            "--log-format",
-            "off",
-            "--fsync",
-            "always",
-            "--data-dir",
-        ])
-        .arg(data_dir)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn pgschema serve")
-}
-
-fn wait_ready(addr: &str) -> Client {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if let Ok(mut client) = Client::connect(addr) {
-            if matches!(client.request("GET", "/healthz", b""), Ok((200, _))) {
-                return client;
-            }
-        }
-        assert!(Instant::now() < deadline, "daemon on {addr} never came up");
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-fn envelope(graph: &PropertyGraph) -> Vec<u8> {
-    let mut out = String::new();
-    out.push_str("{\"schema\":");
-    pg_server::http::push_json_string(&mut out, SCHEMA_SDL);
-    out.push_str(",\"graph\":");
-    out.push_str(&json::to_json(graph));
-    out.push('}');
-    out.into_bytes()
+/// A durable daemon from this crate's `pgschema` binary on `addr` over
+/// `data_dir`, with a ready connection to it.
+fn spawn_daemon(addr: &str, data_dir: &Path) -> (Daemon, Client) {
+    Daemon::spawn(env!("CARGO_BIN_EXE_pgschema"), addr, data_dir, None).unwrap()
 }
 
 /// The `conforms` and `violations` members of a report document —
@@ -150,26 +68,17 @@ fn assert_four_engine_agreement(graph: &PropertyGraph, served_report: &Json, con
 /// report to pass the four-engine oracle.
 #[test]
 fn sigkill_mid_load_recovers_an_acknowledged_prefix() {
-    let data_dir = test_dir("sigkill");
-    let port = TcpListener::bind("127.0.0.1:0")
-        .and_then(|l| l.local_addr())
-        .unwrap()
-        .port();
-    let addr = format!("127.0.0.1:{port}");
+    let scratch = Scratch::new("crash-sigkill").unwrap();
+    let data_dir = scratch.path();
+    let addr = free_addr().unwrap();
     let mut rng = StdRng::seed_from_u64(0xC4A5_11ED);
 
     let initial = sample_graph(4);
     let user = user_ids(&initial)[0];
 
-    let mut child = spawn_daemon(&addr, &data_dir);
-    let mut client = wait_ready(&addr);
-    let (status, body) = client
-        .request("POST", "/sessions", &envelope(&initial))
-        .unwrap();
-    assert_eq!(status, 201, "create session");
-    let id = Json::parse(&String::from_utf8_lossy(&body))
-        .ok()
-        .and_then(|d| d.get("session")?.as_i64())
+    let (mut daemon, mut client) = spawn_daemon(&addr, data_dir);
+    let id = client
+        .create_session("/sessions", &envelope(SCHEMA_SDL, &initial))
         .unwrap();
     drop(client);
 
@@ -205,16 +114,15 @@ fn sigkill_mid_load_recovers_an_acknowledged_prefix() {
                 }
             });
             std::thread::sleep(kill_after);
-            child.kill().expect("SIGKILL daemon");
-            let _ = child.wait();
+            drop(daemon);
             loader.join().unwrap();
         });
         let acked = acked.load(Ordering::SeqCst) as usize;
         let sent = sent.load(Ordering::SeqCst) as usize;
 
         // Relaunch on the same directory and read the recovered state.
-        child = spawn_daemon(&addr, &data_dir);
-        let mut client = wait_ready(&addr);
+        let (relaunched, mut client) = spawn_daemon(&addr, data_dir);
+        daemon = relaunched;
         let (status, graph_body) = client
             .request("GET", &format!("/sessions/{id}/graph"), b"")
             .unwrap();
@@ -267,11 +175,9 @@ fn sigkill_mid_load_recovers_an_acknowledged_prefix() {
 
     // Leave a crashed (not drained) directory behind for the tail-
     // corruption phase.
-    let _ = child.kill();
-    let _ = child.wait();
+    drop(daemon);
 
-    corrupt_tails_and_recover(&data_dir, &initial, &applied);
-    let _ = std::fs::remove_dir_all(&data_dir);
+    corrupt_tails_and_recover(data_dir, &initial, &applied);
 }
 
 /// Phase two: truncate and bit-flip the WAL tail of *copies* of the
@@ -305,7 +211,8 @@ fn corrupt_tails_and_recover(data_dir: &Path, initial: &PropertyGraph, applied: 
     let tail_len = std::fs::metadata(tail).unwrap().len();
 
     for trial in 0..12 {
-        let copy = test_dir(&format!("corrupt-{trial}"));
+        let scratch = Scratch::new(&format!("crash-corrupt-{trial}")).unwrap();
+        let copy = scratch.path();
         for entry in std::fs::read_dir(data_dir).unwrap() {
             let p = entry.unwrap().path();
             std::fs::copy(&p, copy.join(p.file_name().unwrap())).unwrap();
@@ -331,7 +238,7 @@ fn corrupt_tails_and_recover(data_dir: &Path, initial: &PropertyGraph, applied: 
         }
 
         let (_store, recovered) =
-            pg_store::Store::open(&copy, pg_store::FsyncPolicy::Never).expect("recovery succeeds");
+            pg_store::Store::open(copy, pg_store::FsyncPolicy::Never).expect("recovery succeeds");
         match recovered.sessions.as_slice() {
             [] => {} // the cut reached past the Create record
             [session] => {
@@ -360,6 +267,5 @@ fn corrupt_tails_and_recover(data_dir: &Path, initial: &PropertyGraph, applied: 
             }
             more => panic!("trial {trial}: unexpected sessions: {}", more.len()),
         }
-        let _ = std::fs::remove_dir_all(&copy);
     }
 }

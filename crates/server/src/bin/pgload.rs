@@ -1,91 +1,34 @@
-//! `pgload` — the load generator and smoke tester for `pg-schema serve`.
+//! `pgload` — the process-level checks of `pgschema serve`.
 //!
-//! Drives N concurrent keep-alive connections of one-shot `/validate`
-//! and/or incremental-session delta traffic against a running daemon
-//! and reports throughput plus p50/p95/p99 client-observed latency —
-//! the measurement behind the E3s/E3e tables in EXPERIMENTS.md.
-//!
-//! Closed-loop by default (each connection fires its next request when
-//! the previous response lands — measures capacity). `--rate R` switches
-//! to an open loop with a fixed arrival schedule spread across the
-//! connections; latency is then measured from each request's *scheduled*
-//! arrival time, so server stalls surface as tail latency instead of
-//! silently thinning the sample (the coordinated-omission trap).
-//! `--hold N` parks N idle keep-alive connections to exercise
-//! connection-scale rather than request throughput.
+//! Each mode is one pass/fail check that prints `<check>: ok` or exits 1
+//! with `<check>: FAIL: <reason>`. Load generation and latency numbers
+//! live in the benchmark harness (`pgbench`), not here.
 //!
 //! ```text
-//! pgload --addr 127.0.0.1:7878 --mode oneshot --connections 8 --duration 10
-//! pgload --addr 127.0.0.1:7878 --mode session --connections 8 --duration 10
-//! pgload --addr 127.0.0.1:7878 --mode mixed   --connections 8 --duration 10
-//! pgload --addr 127.0.0.1:7878 --mode oneshot --rate 5000 --duration 10
-//! pgload --addr 127.0.0.1:7878 --hold 5000 --duration 10
-//! pgload --cluster 127.0.0.1:7878,127.0.0.1:7879 --mode session --duration 10
-//! pgload --addr 127.0.0.1:7878 --smoke   # CI: one pass over the surface
-//! pgload --restart-check path/to/pgschema   # CI: durability across SIGKILL
-//! pgload --failover-check path/to/pgschema  # CI: promote a follower, lose nothing
-//! pgload --migrate-check path/to/pgschema   # CI: dual-schema window survives SIGKILL
+//! pgload --addr 127.0.0.1:7878 --smoke                   # one pass over the HTTP surface
+//! pgload --addr 127.0.0.1:7878 --hold 5000 --duration 5  # idle keep-alive capacity
+//! pgload --restart-check path/to/pgschema   # durability across SIGKILL
+//! pgload --failover-check path/to/pgschema  # promote a follower, lose nothing
+//! pgload --migrate-check path/to/pgschema   # dual-schema window survives SIGKILL
 //! ```
 //!
-//! `--cluster a,b,c` shards session traffic across independent leaders
-//! with the same consistent-hash ring every other client computes
-//! ([`pg_server::ring::Ring`]); `--failover-check` spawns a leader and
-//! two followers, kills the leader under acknowledged traffic, promotes
-//! a follower and requires zero acked-write loss.
+//! `--smoke` and `--hold` drive a daemon already running at `--addr`.
+//! The three `--*-check` modes spawn their own durable daemons from the
+//! given binary on free loopback ports (via [`pg_server::workload::Daemon`])
+//! and SIGKILL them as the check requires.
 
-use std::net::TcpListener;
-use std::path::Path;
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use pg_server::ring::Ring;
 use pg_server::workload::{
-    self, canonical_report, migrate_body, sample_graph, toggle_delta, user_ids, Client, SCHEMA_SDL,
+    self, canonical_report, free_addr, migrate_body, sample_graph, toggle_delta, user_ids, Client,
+    Daemon, Scratch, SCHEMA_SDL,
 };
 use pgraph::json::{self, Json};
-
-/// Set once from `--lang pgschema`: the workload then posts the
-/// PG-Schema rendering of the worked-example schema, and schema-carrying
-/// creation requests add `lang=pgschema`. Deltas, reports and graphs are
-/// language-neutral, so everything downstream is unchanged — which is
-/// the point: E5f measures the per-language frontend cost in isolation.
-static USE_PGSCHEMA: AtomicBool = AtomicBool::new(false);
-
-fn use_pgschema() -> bool {
-    USE_PGSCHEMA.load(Ordering::Relaxed)
-}
-
-/// The workload schema in the selected language.
-fn workload_schema() -> String {
-    if use_pgschema() {
-        let doc = gql_sdl::parse(SCHEMA_SDL).expect("workload schema parses");
-        pg_pgschema::print_pgschema(&doc, "Workload", pg_pgschema::TypeMode::Strict)
-            .expect("workload schema is inside the PG-Schema fragment")
-    } else {
-        SCHEMA_SDL.to_owned()
-    }
-}
-
-/// The session-creation target in the selected language.
-fn sessions_target() -> &'static str {
-    if use_pgschema() {
-        "/sessions?lang=pgschema"
-    } else {
-        "/sessions"
-    }
-}
-
-/// The one-shot validation target in the selected language.
-fn validate_target(engine: &str) -> String {
-    let lang = if use_pgschema() { "&lang=pgschema" } else { "" };
-    format!("/validate?engine={engine}{lang}")
-}
 
 /// The `{"schema": …, "graph": …}` envelope for the worked-example
 /// workload.
 fn envelope(users: usize) -> Vec<u8> {
-    workload::envelope(&workload_schema(), &sample_graph(users))
+    workload::envelope(SCHEMA_SDL, &sample_graph(users))
 }
 
 /// The `i`-th toggle of the first user of `sample_graph(users)`, as a
@@ -93,238 +36,6 @@ fn envelope(users: usize) -> Vec<u8> {
 fn toggle_body(users: usize, i: u64) -> String {
     let user = user_ids(&sample_graph(users))[0];
     json::delta_to_json(&toggle_delta(user, i))
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Oneshot,
-    Session,
-    Mixed,
-}
-
-struct WorkerStats {
-    latencies_micros: Vec<u64>,
-    errors: u64,
-    shed: u64,
-}
-
-/// One worker's slice of the open-loop arrival schedule: its k-th
-/// request is *due* at `start + offset_s + k * interval_s`, regardless
-/// of how the server is doing. Latency is measured from that due time —
-/// a stalled server accumulates schedule debt that shows up as tail
-/// latency, which is what makes the recording coordinated-omission safe.
-#[derive(Clone, Copy)]
-struct Pace {
-    start: Instant,
-    interval_s: f64,
-    offset_s: f64,
-}
-
-/// One worker driving a single connection until `deadline`.
-fn run_worker(
-    addr: &str,
-    oneshot: bool,
-    users: usize,
-    engine: &str,
-    deadline: Instant,
-    stop: &AtomicBool,
-    pace: Option<Pace>,
-) -> WorkerStats {
-    let mut stats = WorkerStats {
-        latencies_micros: Vec::with_capacity(1 << 16),
-        errors: 0,
-        shed: 0,
-    };
-    let body = envelope(users);
-    let graph = sample_graph(users);
-    let user = user_ids(&graph)[0];
-    let target = validate_target(engine);
-
-    // The arrival index persists across reconnects so the schedule is
-    // never silently thinned by a dropped connection.
-    let mut k = 0u64;
-    'reconnect: loop {
-        if stop.load(Ordering::Relaxed) || Instant::now() >= deadline {
-            return stats;
-        }
-        let mut client = match Client::connect(addr) {
-            Ok(client) => client,
-            Err(_) => {
-                stats.errors += 1;
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-
-        // Session mode: create this connection's own session first.
-        let session_id = if oneshot {
-            None
-        } else {
-            match client.request("POST", sessions_target(), &body) {
-                Ok((201, response)) => match workload::session_id(&response) {
-                    Some(id) => Some(id),
-                    None => {
-                        stats.errors += 1;
-                        continue 'reconnect;
-                    }
-                },
-                Ok((503, _)) => {
-                    stats.shed += 1;
-                    std::thread::sleep(Duration::from_millis(20));
-                    continue 'reconnect;
-                }
-                _ => {
-                    stats.errors += 1;
-                    continue 'reconnect;
-                }
-            }
-        };
-        let delta_target = session_id.map(|id| format!("/sessions/{id}/deltas"));
-        let report_target = session_id.map(|id| format!("/sessions/{id}/report"));
-
-        let mut i = 0u64;
-        loop {
-            // Open loop: wait for the k-th arrival to come due. If the
-            // previous response came back late the due time is already in
-            // the past and the request fires immediately, carrying the
-            // backlog in its recorded latency.
-            let started = match pace {
-                Some(p) => {
-                    let due =
-                        p.start + Duration::from_secs_f64(p.offset_s + k as f64 * p.interval_s);
-                    let now = Instant::now();
-                    if due > now {
-                        std::thread::sleep(due - now);
-                    }
-                    due
-                }
-                None => Instant::now(),
-            };
-            if stop.load(Ordering::Relaxed) || Instant::now() >= deadline {
-                if let Some(id) = session_id {
-                    let _ = client.request("DELETE", &format!("/sessions/{id}"), b"");
-                }
-                return stats;
-            }
-            let result = if oneshot {
-                client.request("POST", &target, &body)
-            } else if i % 16 == 15 {
-                client.request("GET", report_target.as_deref().unwrap(), b"")
-            } else {
-                let delta = json::delta_to_json(&toggle_delta(user, i));
-                client.request("POST", delta_target.as_deref().unwrap(), delta.as_bytes())
-            };
-            let micros = started.elapsed().as_micros() as u64;
-            i += 1;
-            k += 1;
-            match result {
-                Ok((200, _)) => stats.latencies_micros.push(micros),
-                Ok((503, _)) => {
-                    stats.shed += 1;
-                    std::thread::sleep(Duration::from_millis(20));
-                    continue 'reconnect;
-                }
-                Ok((_, _)) => stats.errors += 1,
-                Err(_) => {
-                    stats.errors += 1;
-                    continue 'reconnect;
-                }
-            }
-        }
-    }
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() as f64) * p).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_load(
-    addr: &str,
-    cluster: Option<&Ring>,
-    mode: Mode,
-    connections: usize,
-    seconds: u64,
-    users: usize,
-    engine: &str,
-    rate: Option<f64>,
-) {
-    let start = Instant::now();
-    let deadline = start + Duration::from_secs(seconds);
-    let stop = AtomicBool::new(false);
-    let stop_ref = &stop;
-    // With `--cluster`, each worker's session key picks its node off the
-    // consistent-hash ring — the same placement every client computes
-    // from the same node list, no coordinator involved.
-    let targets: Vec<String> = (0..connections)
-        .map(|c| match cluster {
-            Some(ring) => ring
-                .node_for_key(format!("pgload-{c}").as_bytes())
-                .to_owned(),
-            None => addr.to_owned(),
-        })
-        .collect();
-    let stats: Vec<WorkerStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..connections)
-            .map(|c| {
-                let oneshot = match mode {
-                    Mode::Oneshot => true,
-                    Mode::Session => false,
-                    Mode::Mixed => c % 2 == 0,
-                };
-                // Open loop: the aggregate rate R is interleaved across
-                // the C connections — worker c owns arrivals c, c+C,
-                // c+2C, … of the global schedule.
-                let pace = rate.map(|r| Pace {
-                    start,
-                    interval_s: connections as f64 / r,
-                    offset_s: c as f64 / r,
-                });
-                let target = targets[c].as_str();
-                scope.spawn(move || {
-                    run_worker(target, oneshot, users, engine, deadline, stop_ref, pace)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut errors = 0u64;
-    let mut shed = 0u64;
-    for s in &stats {
-        latencies.extend_from_slice(&s.latencies_micros);
-        errors += s.errors;
-        shed += s.shed;
-    }
-    latencies.sort_unstable();
-    let requests = latencies.len() as u64;
-    let mode_name = match mode {
-        Mode::Oneshot => "oneshot",
-        Mode::Session => "session",
-        Mode::Mixed => "mixed",
-    };
-    let mut target = match rate {
-        Some(r) => format!(" target_rps={r:.0}"),
-        None => String::new(),
-    };
-    if let Some(ring) = cluster {
-        target.push_str(&format!(" cluster_nodes={}", ring.nodes().len()));
-    }
-    println!(
-        "mode={mode_name} connections={connections} duration_s={elapsed:.1}{target} \
-         requests={requests} errors={errors} shed={shed} \
-         throughput_rps={:.0} p50_us={} p95_us={} p99_us={}",
-        requests as f64 / elapsed,
-        percentile(&latencies, 0.50),
-        percentile(&latencies, 0.95),
-        percentile(&latencies, 0.99),
-    );
 }
 
 /// Connection-scale check (`--hold N`): opens N keep-alive connections,
@@ -399,14 +110,20 @@ fn run_smoke(addr: &str) -> Result<(), String> {
     let envelope = envelope(4);
     for engine in ["naive", "indexed", "parallel", "incremental"] {
         let what = format!("validate({engine})");
-        let report = client.expect_json(&what, 200, "POST", &validate_target(engine), &envelope)?;
+        let report = client.expect_json(
+            &what,
+            200,
+            "POST",
+            &format!("/validate?engine={engine}"),
+            &envelope,
+        )?;
         if conforms(&report) != Some(true) {
             return Err(format!("{what}: sample should conform"));
         }
     }
 
     // Session round trip: create, break, observe, repair, verify.
-    let id = client.create_session(sessions_target(), &envelope)?;
+    let id = client.create_session("/sessions", &envelope)?;
     let deltas = format!("/sessions/{id}/deltas");
     let patched = client.expect_json(
         "breaking delta",
@@ -466,94 +183,6 @@ fn run_smoke(addr: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// A `pgschema serve` child process, SIGKILLed when dropped.
-struct Daemon {
-    child: Child,
-}
-
-impl Daemon {
-    /// Spawns the daemon on `addr` over `data_dir` (two cores, `--fsync
-    /// always`, optionally `--follow`ing a leader) and waits until it
-    /// answers `/healthz`.
-    fn spawn(
-        server_bin: &str,
-        addr: &str,
-        data_dir: &Path,
-        follow: Option<&str>,
-    ) -> Result<(Daemon, Client), String> {
-        let mut command = Command::new(server_bin);
-        command
-            .args([
-                "serve",
-                "--addr",
-                addr,
-                "--cores",
-                "2",
-                "--log-format",
-                "off",
-            ])
-            .args(["--fsync", "always", "--data-dir"])
-            .arg(data_dir);
-        if let Some(leader) = follow {
-            command.args(["--follow", leader]);
-        }
-        let child = command
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .map_err(|e| format!("cannot spawn {server_bin}: {e}"))?;
-        let daemon = Daemon { child };
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            if let Ok(mut client) = Client::connect(addr) {
-                if let Ok((200, _)) = client.request("GET", "/healthz", b"") {
-                    return Ok((daemon, client));
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(format!("daemon on {addr} not ready within 10s"));
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    }
-}
-
-impl Drop for Daemon {
-    /// SIGKILL: no drain, no flush beyond what `--fsync always` already
-    /// guaranteed per acknowledged append.
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// A scratch directory for one check, removed when dropped.
-struct Scratch(std::path::PathBuf);
-
-impl Scratch {
-    fn new(check: &str) -> Result<Scratch, String> {
-        let dir = std::env::temp_dir().join(format!("pgload-{check}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
-        Ok(Scratch(dir))
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// Reserves a loopback port by binding to 0 and releasing it; the daemon
-/// binds it back a moment later.
-fn pick_addr() -> Result<String, String> {
-    let listener = TcpListener::bind("127.0.0.1:0");
-    let addr = listener.and_then(|l| l.local_addr());
-    addr.map(|a| a.to_string())
-        .map_err(|e| format!("cannot pick a port: {e}"))
-}
-
 /// A session's report (volatile timing metrics stripped) and graph
 /// bytes, as `who` serves them.
 fn served_state(client: &mut Client, who: &str, id: u64) -> Result<(String, Vec<u8>), String> {
@@ -610,12 +239,7 @@ fn write_histories(client: &mut Client, ids: &[(u64, usize)]) -> Result<(), Stri
 fn create_sessions(client: &mut Client) -> Result<Vec<(u64, usize)>, String> {
     [2usize, 4, 6]
         .into_iter()
-        .map(|users| {
-            Ok((
-                client.create_session(sessions_target(), &envelope(users))?,
-                users,
-            ))
-        })
+        .map(|users| Ok((client.create_session("/sessions", &envelope(users))?, users)))
         .collect()
 }
 
@@ -627,9 +251,9 @@ fn create_sessions(client: &mut Client) -> Result<Vec<(u64, usize)>, String> {
 /// stays deleted and that new sequence numbers keep flowing after
 /// recovery.
 fn run_restart_check(server_bin: &str) -> Result<(), String> {
-    let scratch = Scratch::new("restart")?;
-    let addr = pick_addr()?;
-    let (daemon, mut client) = Daemon::spawn(server_bin, &addr, &scratch.0, None)?;
+    let scratch = Scratch::new("pgload-restart")?;
+    let addr = free_addr()?;
+    let (daemon, mut client) = Daemon::spawn(server_bin, &addr, scratch.path(), None)?;
 
     // Three sessions with different histories, plus one conflicting
     // delta that returns 409 — its deterministic partial effects must
@@ -641,7 +265,7 @@ fn run_restart_check(server_bin: &str) -> Result<(), String> {
     client.expect("conflicting delta", 409, "POST", &first, conflict)?;
 
     // A deleted session must stay deleted across the restart.
-    let doomed = client.create_session(sessions_target(), &envelope(3))?;
+    let doomed = client.create_session("/sessions", &envelope(3))?;
     client.expect(
         "delete doomed",
         200,
@@ -656,7 +280,7 @@ fn run_restart_check(server_bin: &str) -> Result<(), String> {
     }
 
     drop(daemon);
-    let (_daemon, mut client) = Daemon::spawn(server_bin, &addr, &scratch.0, None)?;
+    let (_daemon, mut client) = Daemon::spawn(server_bin, &addr, scratch.path(), None)?;
 
     for (id, state_before) in &before {
         let state = served_state(&mut client, "post-restart", *id)?;
@@ -672,7 +296,7 @@ fn run_restart_check(server_bin: &str) -> Result<(), String> {
         )
         .map_err(|e| format!("doomed session should stay deleted: {e}"))?;
     // Recovery must keep handing out fresh ids.
-    let new_id = client.create_session(sessions_target(), &envelope(2))?;
+    let new_id = client.create_session("/sessions", &envelope(2))?;
     if new_id <= doomed {
         return Err(format!(
             "session ids must not be reused: {new_id} after {doomed}"
@@ -723,10 +347,10 @@ fn wait_caught_up(leader: &mut Client, follower: &mut Client, name: &str) -> Res
 /// the zero-acked-write-loss guarantee of docs/replication.md exercised
 /// across real processes.
 fn run_failover_check(server_bin: &str) -> Result<(), String> {
-    let scratch = Scratch::new("failover")?;
-    let (leader_addr, f1_addr, f2_addr) = (pick_addr()?, pick_addr()?, pick_addr()?);
+    let scratch = Scratch::new("pgload-failover")?;
+    let (leader_addr, f1_addr, f2_addr) = (free_addr()?, free_addr()?, free_addr()?);
     let spawn = |addr: &str, dir: &str, follow: Option<&str>| {
-        Daemon::spawn(server_bin, addr, &scratch.0.join(dir), follow)
+        Daemon::spawn(server_bin, addr, &scratch.path().join(dir), follow)
     };
     let (leader_daemon, mut leader) = spawn(&leader_addr, "leader", None)?;
 
@@ -767,7 +391,7 @@ fn run_failover_check(server_bin: &str) -> Result<(), String> {
 
     // Follower writes are misdirected to the leader, not applied.
     let (status, headers, _) = f1
-        .request_full("POST", sessions_target(), &envelope(2))
+        .request_full("POST", "/sessions", &envelope(2))
         .map_err(|e| format!("follower write: {e}"))?;
     if status != 421 {
         return Err(format!("follower write: expected 421, got {status}"));
@@ -784,6 +408,9 @@ fn run_failover_check(server_bin: &str) -> Result<(), String> {
 
     // Leader loss: SIGKILL, then promote follower-1.
     drop(leader_daemon);
+    if Client::connect(&leader_addr).is_ok() {
+        return Err("the leader still answers after its SIGKILL".into());
+    }
     let promote_started = Instant::now();
     let promoted = f1.expect_json("promote", 200, "POST", "/promote", b"")?;
     if promoted.get("role") != Some(&Json::Str("leader".into())) {
@@ -820,7 +447,7 @@ fn run_failover_check(server_bin: &str) -> Result<(), String> {
         &format!("/sessions/{id}/deltas"),
         toggle_body(users, 2).as_bytes(),
     )?;
-    let new_id = f1.create_session(sessions_target(), &envelope(3))?;
+    let new_id = f1.create_session("/sessions", &envelope(3))?;
     if ids.iter().any(|&(id, _)| new_id <= id) {
         return Err(format!("session ids must not be reused: got {new_id}"));
     }
@@ -848,17 +475,17 @@ fn run_migrate_check(server_bin: &str) -> Result<(), String> {
     let begin_compatible = migrate_body("begin", Some(&compatible_sdl), false);
     let commit = migrate_body("commit", None, false);
 
-    let scratch = Scratch::new("migrate")?;
-    let (leader_addr, follower_addr) = (pick_addr()?, pick_addr()?);
-    let leader_dir = scratch.0.join("leader");
+    let scratch = Scratch::new("pgload-migrate")?;
+    let (leader_addr, follower_addr) = (free_addr()?, free_addr()?);
+    let leader_dir = scratch.path().join("leader");
     let (leader_daemon, mut leader) = Daemon::spawn(server_bin, &leader_addr, &leader_dir, None)?;
-    let id = leader.create_session(sessions_target(), &envelope(4))?;
+    let id = leader.create_session("/sessions", &envelope(4))?;
     let migrate = format!("/sessions/{id}/migrate");
     let report = format!("/sessions/{id}/report");
     let (_follower_daemon, mut follower) = Daemon::spawn(
         server_bin,
         &follower_addr,
-        &scratch.0.join("follower"),
+        &scratch.path().join("follower"),
         Some(&leader_addr),
     )?;
     let windows_open = |leader: &mut Client| leader.metric("pgschemad_migration_windows_open");
@@ -987,140 +614,58 @@ fn run_migrate_check(server_bin: &str) -> Result<(), String> {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: pgload --addr HOST:PORT [--mode oneshot|session|mixed] \
-         [--connections N] [--duration SECS] [--users N] \
-         [--engine naive|indexed|parallel|incremental] \
-         [--lang sdl|pgschema] \
-         [--rate REQS_PER_SEC] [--cluster HOST:PORT,HOST:PORT,...] \
-         [--hold CONNECTIONS] [--smoke] \
-         [--restart-check PGSCHEMA_BIN] [--failover-check PGSCHEMA_BIN] \
-         [--migrate-check PGSCHEMA_BIN]"
+        "usage: pgload [--addr HOST:PORT] (--smoke | --hold CONNECTIONS [--duration SECS])\n       \
+         pgload (--restart-check | --failover-check | --migrate-check) PGSCHEMA_BIN"
     );
     std::process::exit(2);
+}
+
+/// The one check a `pgload` run performs.
+enum Check {
+    Smoke,
+    Hold(usize),
+    Restart(String),
+    Failover(String),
+    Migrate(String),
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr = "127.0.0.1:7878".to_owned();
-    let mut mode = Mode::Oneshot;
-    let mut connections = 8usize;
     let mut duration = 10u64;
-    let mut users = 4usize;
-    let mut engine = "indexed".to_owned();
-    let mut rate: Option<f64> = None;
-    let mut cluster: Option<Ring> = None;
-    let mut hold: Option<usize> = None;
-    let mut smoke = false;
-    let mut restart_check: Option<String> = None;
-    let mut failover_check: Option<String> = None;
-    let mut migrate_check: Option<String> = None;
+    let mut check = None;
 
     let mut i = 0;
     while i < args.len() {
-        let flag = args[i].clone();
         let value = |i: &mut usize| -> String {
             *i += 1;
             args.get(*i).cloned().unwrap_or_else(|| usage())
         };
-        match flag.as_str() {
+        match args[i].as_str() {
             "--addr" => addr = value(&mut i),
-            "--mode" => {
-                mode = match value(&mut i).as_str() {
-                    "oneshot" => Mode::Oneshot,
-                    "session" => Mode::Session,
-                    "mixed" => Mode::Mixed,
-                    _ => usage(),
-                }
-            }
-            "--connections" => connections = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--duration" => duration = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--users" => users = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--engine" => engine = value(&mut i),
-            "--lang" => {
-                let lang: pg_pgschema::SchemaLanguage = match value(&mut i).parse() {
-                    Ok(lang) => lang,
-                    Err(e) => {
-                        eprintln!("pgload: --lang: {e}");
-                        usage();
-                    }
-                };
-                USE_PGSCHEMA.store(
-                    lang == pg_pgschema::SchemaLanguage::PgSchema,
-                    Ordering::Relaxed,
-                );
+            "--smoke" => check = Some(Check::Smoke),
+            "--hold" => {
+                let count = value(&mut i).parse().unwrap_or_else(|_| usage());
+                check = Some(Check::Hold(count));
             }
-            "--rate" => {
-                let r: f64 = value(&mut i).parse().unwrap_or_else(|_| usage());
-                if r <= 0.0 || !r.is_finite() {
-                    usage();
-                }
-                rate = Some(r);
-            }
-            "--cluster" => {
-                let nodes: Vec<String> = value(&mut i)
-                    .split(',')
-                    .map(|n| n.trim().to_owned())
-                    .filter(|n| !n.is_empty())
-                    .collect();
-                if nodes.is_empty() {
-                    usage();
-                }
-                cluster = Some(Ring::new(nodes));
-            }
-            "--hold" => hold = Some(value(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--smoke" => smoke = true,
-            "--restart-check" => restart_check = Some(value(&mut i)),
-            "--failover-check" => failover_check = Some(value(&mut i)),
-            "--migrate-check" => migrate_check = Some(value(&mut i)),
-            "--help" | "-h" => usage(),
+            "--restart-check" => check = Some(Check::Restart(value(&mut i))),
+            "--failover-check" => check = Some(Check::Failover(value(&mut i))),
+            "--migrate-check" => check = Some(Check::Migrate(value(&mut i))),
             _ => usage(),
         }
         i += 1;
     }
 
-    if let Some(server_bin) = restart_check {
-        if let Err(message) = run_restart_check(&server_bin) {
-            eprintln!("restart-check: FAIL: {message}");
-            std::process::exit(1);
-        }
-        return;
+    let (name, result) = match check.unwrap_or_else(|| usage()) {
+        Check::Smoke => ("smoke", run_smoke(&addr)),
+        Check::Hold(count) => ("hold", run_hold(&addr, count, duration)),
+        Check::Restart(bin) => ("restart-check", run_restart_check(&bin)),
+        Check::Failover(bin) => ("failover-check", run_failover_check(&bin)),
+        Check::Migrate(bin) => ("migrate-check", run_migrate_check(&bin)),
+    };
+    if let Err(message) = result {
+        eprintln!("{name}: FAIL: {message}");
+        std::process::exit(1);
     }
-    if let Some(server_bin) = failover_check {
-        if let Err(message) = run_failover_check(&server_bin) {
-            eprintln!("failover-check: FAIL: {message}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if let Some(server_bin) = migrate_check {
-        if let Err(message) = run_migrate_check(&server_bin) {
-            eprintln!("migrate-check: FAIL: {message}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if smoke {
-        if let Err(message) = run_smoke(&addr) {
-            eprintln!("smoke: FAIL: {message}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if let Some(count) = hold {
-        if let Err(message) = run_hold(&addr, count, duration) {
-            eprintln!("hold: FAIL: {message}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    run_load(
-        &addr,
-        cluster.as_ref(),
-        mode,
-        connections,
-        duration,
-        users,
-        &engine,
-        rate,
-    );
 }

@@ -361,7 +361,8 @@ pub type ResponseParts = (u16, Vec<(String, String)>, Vec<u8>);
 
 /// Client-side helper: reads one response (status, headers, body) from
 /// `stream`, resuming from and leaving pipelined surplus in `buf`. Used
-/// by the `pgload` generator and the integration tests.
+/// by [`crate::workload::Client`], the follower's tail loop and the
+/// integration tests.
 pub fn read_response(stream: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<ResponseParts> {
     let mut chunk = [0u8; 8 * 1024];
     loop {

@@ -63,7 +63,7 @@
 //! *dormant* and revalidate lazily on their first report. `--max-sessions`
 //! bounds the registry with LRU eviction; evicted ids answer `410 Gone`.
 //!
-//! ## Replication and sharding
+//! ## Replication
 //!
 //! A durable server is also a replication **leader** for free: followers
 //! poll `GET /wal/tail` for raw WAL frames (byte-identical to the
@@ -75,20 +75,19 @@
 //! Misdirected Request` (the `x-pgschema-leader` header names the
 //! leader), and becomes a leader on `POST /promote` or SIGHUP.
 //! Replication lag is exported under `pgschemad_replication_*` in
-//! `/metrics`. Horizontal scale-out uses client-side consistent hashing
-//! ([`ring::Ring`]) across independent leaders. The wire protocol is
-//! specified normatively in `docs/replication.md`; the runbook is
-//! `docs/operations.md`.
+//! `/metrics`. The wire protocol is specified normatively in
+//! `docs/replication.md`; the runbook is `docs/operations.md`.
 //!
 //! Request and response bodies reuse the `pgraph::json` value types and
 //! (de)serializers — the server adds no JSON parser of its own.
 //!
-//! The `pgload` binary (in `src/bin`) is the matching load generator:
-//! N concurrent connections of closed-loop mixed traffic, an open-loop
-//! `--rate` mode with coordinated-omission-safe latency recording, and a
-//! `--hold` mode that parks thousands of idle keep-alive connections
-//! (EXPERIMENTS.md §E3e), plus a `--smoke` mode CI uses to exercise the
-//! surface end to end.
+//! The `pgload` binary (in `src/bin`) holds the process-level checks CI
+//! runs against a real daemon: a `--smoke` pass over the surface, a
+//! `--hold` of thousands of idle keep-alive connections, and the
+//! SIGKILL restart, failover and migration rehearsals. They spawn and
+//! drive daemons through [`workload`], as the crash-injection suite
+//! does. Load and latency are measured by the separate `pgbench`
+//! harness.
 
 #![warn(missing_docs)]
 
@@ -97,7 +96,6 @@ pub mod metrics;
 pub mod reactor;
 pub mod registry;
 mod replication;
-pub mod ring;
 mod schema_cache;
 pub mod server;
 pub mod signal;

@@ -1,12 +1,16 @@
-//! The shared worked-example workload: the paper's Examples 3.1–3.5
-//! schema and a small conforming instance, used by the `pgload` load
-//! generator, the CI smoke run and the integration tests so that all
-//! three drive the daemon with the same traffic — through the same
-//! blocking [`Client`].
+//! The shared serve-path harness: the paper's Examples 3.1–3.5 schema
+//! and a small conforming instance, the blocking [`Client`] that drives
+//! a daemon with them, and the kill-on-drop [`Daemon`] process. The
+//! `pgload` checks, the crash-injection suite and the integration tests
+//! all speak to the daemon through these, so they send the same traffic
+//! and spawn, wait for and kill a daemon the same way.
 
+use std::ffi::OsStr;
 use std::io::{self, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 use pgraph::json::{self, Json};
 use pgraph::{GraphBuilder, GraphDelta, NodeId, PropertyGraph, Value};
@@ -122,6 +126,107 @@ impl Client {
             .and_then(|v| v.trim().parse().ok())
             .ok_or_else(|| format!("metrics: no `{name}` sample"))
     }
+}
+
+/// A durable `pgschema serve` child process, SIGKILLed when dropped.
+pub struct Daemon {
+    child: Child,
+}
+
+impl Daemon {
+    /// Spawns `bin serve` on `addr` over `data_dir` (two cores, `--fsync
+    /// always`, logging off, optionally `--follow`ing a leader), waits
+    /// until it answers `/healthz`, and returns it with that connection.
+    ///
+    /// `addr` must be unserved when this is called, and the child must
+    /// still be running when `/healthz` answers: otherwise a process that
+    /// outlived its kill (or any other listener) would answer in the new
+    /// daemon's place, and a relaunch would silently test the old state.
+    pub fn spawn(
+        bin: impl AsRef<OsStr>,
+        addr: &str,
+        data_dir: &Path,
+        follow: Option<&str>,
+    ) -> Result<(Daemon, Client), String> {
+        if TcpStream::connect(addr).is_ok() {
+            return Err(format!("{addr} is already served by another process"));
+        }
+        let bin = bin.as_ref();
+        let mut command = Command::new(bin);
+        command
+            .args(["serve", "--addr", addr, "--cores", "2"])
+            .args(["--log-format", "off", "--fsync", "always", "--data-dir"])
+            .arg(data_dir);
+        if let Some(leader) = follow {
+            command.args(["--follow", leader]);
+        }
+        let child = command
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .map_err(|e| format!("cannot spawn {}: {e}", bin.to_string_lossy()))?;
+        let mut daemon = Daemon { child };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            if let Ok(Some(status)) = daemon.child.try_wait() {
+                return Err(format!(
+                    "daemon on {addr} exited before it was ready: {status}"
+                ));
+            }
+            if let Ok(mut client) = Client::connect(addr) {
+                if let Ok((200, _)) = client.request("GET", "/healthz", b"") {
+                    return Ok((daemon, client));
+                }
+            }
+            if Instant::now() >= deadline {
+                return Err(format!("daemon on {addr} not ready within 10s"));
+            }
+            std::thread::sleep(Duration::from_millis(25));
+        }
+    }
+}
+
+impl Drop for Daemon {
+    /// SIGKILL: no drain, no flush beyond what `--fsync always` already
+    /// guaranteed per acknowledged append.
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// A fresh directory under the system temp dir, removed when dropped.
+pub struct Scratch(PathBuf);
+
+impl Scratch {
+    /// Creates (emptying it first if a previous run left it behind)
+    /// `pgschema-<name>-<pid>`.
+    pub fn new(name: &str) -> Result<Scratch, String> {
+        let dir = std::env::temp_dir().join(format!("pgschema-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
+        Ok(Scratch(dir))
+    }
+
+    /// The directory.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A free loopback address: binds port 0 and releases it, for a daemon
+/// to bind a moment later.
+pub fn free_addr() -> Result<String, String> {
+    let listener = TcpListener::bind("127.0.0.1:0");
+    let addr = listener.and_then(|l| l.local_addr());
+    addr.map(|a| a.to_string())
+        .map_err(|e| format!("cannot pick a port: {e}"))
 }
 
 /// The `session` member of a `201` body of `POST /sessions`.

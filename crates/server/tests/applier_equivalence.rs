@@ -6,28 +6,19 @@
 //! must be the same — schema, delta count, open window, graph bytes and
 //! the four-engine report.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use pg_schema::{validate, ValidationOptions};
 use pg_server::registry::SessionRegistry;
 use pg_server::workload::{
     canonical_report, envelope, migrate_body, sample_graph, toggle_delta, user_ids, Client,
-    SCHEMA_SDL,
+    Scratch, SCHEMA_SDL,
 };
 use pg_server::{LogFormat, Server, ServerConfig};
 use pg_store::{FsyncPolicy, Store};
 use pgraph::json::{self, Json};
 use pgraph::{GraphDelta, NodeId, Value};
 use proptest::prelude::*;
-
-fn test_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("pg-server-applier-tests")
-        .join(format!("{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// What the test expects of one live session, tracked from the answers.
 struct Model {
@@ -65,19 +56,20 @@ proptest! {
     ) {
         let breaking = SCHEMA_SDL.replace("endTime: Time!", "endTime: Time! @required");
         let compatible = SCHEMA_SDL.replace("nicknames: [String!]!", "nicknames: [String!]!\n    note: String");
-        let leader_dir = test_dir("leader");
+        let leader_dir = Scratch::new("applier-leader").unwrap();
         let config = ServerConfig::builder()
             .addr("127.0.0.1:0")
             .cores(1)
             .log_format(LogFormat::Off)
-            .data_dir(&leader_dir)
+            .data_dir(leader_dir.path())
             .fsync(FsyncPolicy::Never)
             .compact_after_bytes(0)
             .build();
         let handle = Server::bind(config).expect("bind").serve().expect("serve");
         let mut leader = Client::connect(handle.local_addr()).unwrap();
         let options = ValidationOptions::builder().collect_metrics(true).build();
-        let (store, recovered) = Store::open(test_dir("follower"), FsyncPolicy::Never).unwrap();
+        let follower_dir = Scratch::new("applier-follower").unwrap();
+        let (store, recovered) = Store::open(follower_dir.path(), FsyncPolicy::Never).unwrap();
         let store = Arc::new(store);
         let follower =
             SessionRegistry::with_store(Arc::clone(&store), recovered, &options, None).unwrap();
@@ -163,7 +155,7 @@ proptest! {
         drop(leader);
         handle.shutdown();
         handle.join().expect("clean shutdown");
-        let (_store, recovered) = Store::open(&leader_dir, FsyncPolicy::Never).unwrap();
+        let (_store, recovered) = Store::open(leader_dir.path(), FsyncPolicy::Never).unwrap();
 
         prop_assert_eq!(recovered.sessions.len(), live.len());
         prop_assert_eq!(follower.len(), live.len());
@@ -192,7 +184,5 @@ proptest! {
                 prop_assert_eq!(canonical(scratch.as_bytes()), expected.clone(), "{}", engine);
             }
         }
-        let _ = std::fs::remove_dir_all(test_dir("follower"));
-        let _ = std::fs::remove_dir_all(&leader_dir);
     }
 }

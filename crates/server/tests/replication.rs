@@ -5,22 +5,15 @@
 //! protocol of docs/replication.md exercised end to end.
 
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use pg_server::workload::{
-    self, canonical_report, migrate_body, sample_graph, toggle_delta, user_ids, Client, SCHEMA_SDL,
+    self, canonical_report, migrate_body, sample_graph, toggle_delta, user_ids, Client, Scratch,
+    SCHEMA_SDL,
 };
 use pg_server::{LogFormat, Server, ServerConfig, ServerHandle};
 use pgraph::json::{self, Json};
-
-fn test_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("pg-server-repl-tests")
-        .join(format!("{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 struct Daemon {
     addr: SocketAddr,
@@ -119,9 +112,9 @@ fn envelope(users: usize) -> Vec<u8> {
 
 #[test]
 fn follower_bootstraps_serves_reads_and_misdirects_writes() {
-    let leader_dir = test_dir("boot-leader");
-    let follower_dir = test_dir("boot-follower");
-    let leader = Daemon::leader(&leader_dir);
+    let leader_dir = Scratch::new("repl-boot-leader").unwrap();
+    let follower_dir = Scratch::new("repl-boot-follower").unwrap();
+    let leader = Daemon::leader(leader_dir.path());
     let mut client = Client::connect(leader.addr).unwrap();
 
     // Session history on the leader: one broken, one repaired.
@@ -157,7 +150,7 @@ fn follower_bootstraps_serves_reads_and_misdirects_writes() {
     assert_eq!(status, 410, "compacted history must demand a snapshot");
     assert!(header_u64(&headers, "x-wal-oldest-retained") > 1);
 
-    let follower = Daemon::follower(&follower_dir, leader.addr);
+    let follower = Daemon::follower(follower_dir.path(), leader.addr);
     let mut fclient = Client::connect(follower.addr).unwrap();
     let last = leader_last_seq(&mut client);
     wait_caught_up(&mut fclient, last);
@@ -224,15 +217,13 @@ fn follower_bootstraps_serves_reads_and_misdirects_writes() {
 
     follower.stop();
     leader.stop();
-    let _ = std::fs::remove_dir_all(&leader_dir);
-    let _ = std::fs::remove_dir_all(&follower_dir);
 }
 
 #[test]
 fn live_deltas_replicate_while_both_run() {
-    let leader_dir = test_dir("live-leader");
-    let follower_dir = test_dir("live-follower");
-    let leader = Daemon::leader(&leader_dir);
+    let leader_dir = Scratch::new("repl-live-leader").unwrap();
+    let follower_dir = Scratch::new("repl-live-follower").unwrap();
+    let leader = Daemon::leader(leader_dir.path());
     let mut client = Client::connect(leader.addr).unwrap();
 
     let (status, body) = client.request("POST", "/sessions", &envelope(2)).unwrap();
@@ -242,7 +233,7 @@ fn live_deltas_replicate_while_both_run() {
         .and_then(|d| d.get("session")?.as_i64())
         .expect("session id");
 
-    let follower = Daemon::follower(&follower_dir, leader.addr);
+    let follower = Daemon::follower(follower_dir.path(), leader.addr);
     let mut fclient = Client::connect(follower.addr).unwrap();
     wait_caught_up(&mut fclient, leader_last_seq(&mut client));
 
@@ -282,15 +273,13 @@ fn live_deltas_replicate_while_both_run() {
 
     follower.stop();
     leader.stop();
-    let _ = std::fs::remove_dir_all(&leader_dir);
-    let _ = std::fs::remove_dir_all(&follower_dir);
 }
 
 #[test]
 fn promotion_flips_the_role_and_accepts_writes() {
-    let leader_dir = test_dir("promote-leader");
-    let follower_dir = test_dir("promote-follower");
-    let leader = Daemon::leader(&leader_dir);
+    let leader_dir = Scratch::new("repl-promote-leader").unwrap();
+    let follower_dir = Scratch::new("repl-promote-follower").unwrap();
+    let leader = Daemon::leader(leader_dir.path());
     let mut client = Client::connect(leader.addr).unwrap();
 
     // Promoting a node that is already a leader is a no-op answer.
@@ -306,7 +295,7 @@ fn promotion_flips_the_role_and_accepts_writes() {
         .and_then(|d| d.get("session")?.as_i64())
         .expect("session id");
 
-    let follower = Daemon::follower(&follower_dir, leader.addr);
+    let follower = Daemon::follower(follower_dir.path(), leader.addr);
     let mut fclient = Client::connect(follower.addr).unwrap();
     wait_caught_up(&mut fclient, leader_last_seq(&mut client));
 
@@ -336,8 +325,6 @@ fn promotion_flips_the_role_and_accepts_writes() {
 
     follower.stop();
     leader.stop();
-    let _ = std::fs::remove_dir_all(&leader_dir);
-    let _ = std::fs::remove_dir_all(&follower_dir);
 }
 
 #[test]
@@ -363,8 +350,8 @@ fn replication_endpoints_require_a_store() {
 
 #[test]
 fn tail_rejects_bad_from_parameters() {
-    let dir = test_dir("tail-params");
-    let leader = Daemon::leader(&dir);
+    let dir = Scratch::new("repl-tail-params").unwrap();
+    let leader = Daemon::leader(dir.path());
     let mut client = Client::connect(leader.addr).unwrap();
 
     for target in ["/wal/tail", "/wal/tail?from=0", "/wal/tail?from=nope"] {
@@ -381,7 +368,6 @@ fn tail_rejects_bad_from_parameters() {
     assert_eq!(header_u64(&headers, "x-wal-next-from"), 999);
 
     leader.stop();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// [`SCHEMA_SDL`] with `UserSession.endTime` made `@required` — every
@@ -408,8 +394,8 @@ scalar Time
 /// crash.
 #[test]
 fn open_migration_window_survives_restart() {
-    let dir = test_dir("migrate-restart");
-    let leader = Daemon::leader(&dir);
+    let dir = Scratch::new("repl-migrate-restart").unwrap();
+    let leader = Daemon::leader(dir.path());
     let mut client = Client::connect(leader.addr).unwrap();
 
     let (status, body) = client.request("POST", "/sessions", &envelope(3)).unwrap();
@@ -438,7 +424,7 @@ fn open_migration_window_survives_restart() {
     assert_eq!(status, 200);
     leader.stop();
 
-    let leader = Daemon::leader(&dir);
+    let leader = Daemon::leader(dir.path());
     let mut client = Client::connect(leader.addr).unwrap();
     // The recovered window still guards its regressions...
     let (status, body) = client
@@ -464,9 +450,9 @@ fn open_migration_window_survives_restart() {
 /// violations, and misdirects migration writes throughout.
 #[test]
 fn follower_applies_replicated_migration() {
-    let leader_dir = test_dir("migrate-leader");
-    let follower_dir = test_dir("migrate-follower");
-    let leader = Daemon::leader(&leader_dir);
+    let leader_dir = Scratch::new("repl-migrate-leader").unwrap();
+    let follower_dir = Scratch::new("repl-migrate-follower").unwrap();
+    let leader = Daemon::leader(leader_dir.path());
     let mut client = Client::connect(leader.addr).unwrap();
 
     let (status, body) = client.request("POST", "/sessions", &envelope(4)).unwrap();
@@ -475,7 +461,7 @@ fn follower_applies_replicated_migration() {
     let id = created.get("session").and_then(Json::as_i64).unwrap();
     let migrate = format!("/sessions/{id}/migrate");
 
-    let follower = Daemon::follower(&follower_dir, leader.addr);
+    let follower = Daemon::follower(follower_dir.path(), leader.addr);
     let mut fclient = Client::connect(follower.addr).unwrap();
     wait_caught_up(&mut fclient, leader_last_seq(&mut client));
 
@@ -544,15 +530,15 @@ fn follower_applies_replicated_migration() {
 #[test]
 fn promoted_follower_finishes_an_inherited_window() {
     for ending in ["commit", "abort"] {
-        let leader_dir = test_dir(&format!("inherit-{ending}-leader"));
-        let follower_dir = test_dir(&format!("inherit-{ending}-follower"));
-        let leader = Daemon::leader(&leader_dir);
+        let leader_dir = Scratch::new(&format!("repl-inherit-{ending}-leader")).unwrap();
+        let follower_dir = Scratch::new(&format!("repl-inherit-{ending}-follower")).unwrap();
+        let leader = Daemon::leader(leader_dir.path());
         let mut client = Client::connect(leader.addr).unwrap();
         let id = client.create_session("/sessions", &envelope(3)).unwrap();
         let migrate = format!("/sessions/{id}/migrate");
         let report = format!("/sessions/{id}/report");
 
-        let follower = Daemon::follower(&follower_dir, leader.addr);
+        let follower = Daemon::follower(follower_dir.path(), leader.addr);
         let mut fclient = Client::connect(follower.addr).unwrap();
         wait_caught_up(&mut fclient, leader_last_seq(&mut client));
         // The read hydrates the follower's session: its engine is
@@ -612,7 +598,5 @@ fn promoted_follower_finishes_an_inherited_window() {
             .expect("healthz", 200, "GET", "/healthz", b"")
             .unwrap();
         follower.stop();
-        let _ = std::fs::remove_dir_all(&leader_dir);
-        let _ = std::fs::remove_dir_all(&follower_dir);
     }
 }
