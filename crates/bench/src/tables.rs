@@ -728,7 +728,10 @@ pub fn solver_ablation(num_vars: &[usize], instances: u64) -> String {
             let a = dpll::solve(&f).is_some();
             dpll_times.push(t0.elapsed());
             let t1 = std::time::Instant::now();
-            let b = dpll::solve_cdcl(&f).is_some();
+            let b = matches!(
+                dpll::solve_cdcl(&f, &mut dpll::Budget::new(u64::MAX)),
+                Ok(Some(_))
+            );
             cdcl_times.push(t1.elapsed());
             agree &= a == b;
         }

@@ -481,7 +481,7 @@ fn cmd_check_sat(rest: &[String]) -> Result<()> {
     let as_dot = bools.contains(&"dot");
     let lang_flag = values.iter().find(|(k, _)| *k == "lang").map(|(_, v)| *v);
     let lang = resolve_lang(schema_path, lang_flag)?;
-    let (schema, schema_sdl) = load_schema_text(schema_path, lang)?;
+    let (schema, _) = load_schema_text(schema_path, lang)?;
     let mut config = pg_reason::ReasonerConfig::default();
     let mut field: Option<&str> = None;
     for (k, v) in values {
@@ -496,15 +496,7 @@ fn cmd_check_sat(rest: &[String]) -> Result<()> {
             _ => unreachable!(),
         }
     }
-    let result = match field {
-        Some(f) => {
-            // `schema_sdl` is the lowered SDL for PG-Schema inputs, so
-            // field-mode reasoning works identically in both languages.
-            let doc = gql_sdl::parse(&schema_sdl).map_err(|e| e.to_string())?;
-            pg_reason::check_field_satisfiable(&doc, type_name, f, &config)?
-        }
-        None => pg_reason::check_type_satisfiable(&schema, type_name, &config),
-    };
+    let result = pg_reason::check(&schema, type_name, field, &config)?;
     match result {
         pg_reason::Satisfiability::Satisfiable { witness, size } => {
             println!("{type_name} is satisfiable: witness with {size} node(s)");

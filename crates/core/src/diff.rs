@@ -268,7 +268,7 @@ impl SchemaDiff {
                 Compat::Breaking => "breaking",
             };
             out.push_str("{\"change\": \"");
-            crate::report::esc_into(&mut out, &c.describe());
+            pgraph::json::escape_into(&mut out, &c.describe());
             out.push_str(&format!("\", \"compat\": \"{compat}\"}}"));
         }
         out.push_str("]}");

@@ -120,7 +120,7 @@ impl MigrationPlan {
                 Compat::Breaking => "breaking",
             };
             out.push_str("{\"change\": \"");
-            report::esc_into(&mut out, &c.change.describe());
+            pgraph::json::escape_into(&mut out, &c.change.describe());
             out.push_str(&format!(
                 "\", \"compat\": \"{compat}\", \"affected_labels\": ["
             ));
@@ -129,7 +129,7 @@ impl MigrationPlan {
                     out.push_str(", ");
                 }
                 out.push('"');
-                report::esc_into(&mut out, l);
+                pgraph::json::escape_into(&mut out, l);
                 out.push('"');
             }
             out.push_str("]}");

@@ -773,25 +773,6 @@ impl ValidationReport {
     }
 }
 
-/// JSON string escaping shared by every hand-rolled renderer in the
-/// crate (report, migration plan, schema diff): appends the escaped body
-/// of `s`, without the surrounding quotes.
-pub(crate) fn esc_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// A formatter sink that JSON-escapes what is written through it, so a
 /// `Display` value lands in a JSON string without an intermediate
 /// `String`.
@@ -799,7 +780,7 @@ struct Escaped<'a>(&'a mut String);
 
 impl fmt::Write for Escaped<'_> {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        esc_into(self.0, s);
+        pgraph::json::escape_into(self.0, s);
         Ok(())
     }
 }
@@ -1007,6 +988,25 @@ mod tests {
         assert!(json.contains(r#"we\\\"ird\\nname"#), "{json}");
         // Must itself be valid JSON: cheap structural check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+        // U+0008 and U+000C take their short escapes and parse back.
+        let mut r = ValidationReport::default();
+        let v = Violation::NodePropertyType {
+            node: NodeId::from_index(0),
+            field: "back\u{8}space form\u{c}feed".into(),
+            value: "3".into(),
+            expected: "String".into(),
+        };
+        let message = v.to_string();
+        r.push(v);
+        let json = r.to_json();
+        assert!(json.contains(r"back\bspace form\ffeed"), "{json}");
+        let parsed = pgraph::json::Json::parse(&json).unwrap();
+        let violations = parsed.get("violations").and_then(|v| v.as_array());
+        let first = violations.and_then(|vs| vs.first());
+        let parsed_message = first
+            .and_then(|v| v.get("message"))
+            .and_then(|m| m.as_str());
+        assert_eq!(parsed_message, Some(message.as_str()));
     }
 
     #[test]

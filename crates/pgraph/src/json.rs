@@ -438,8 +438,10 @@ impl<'a> Parser<'a> {
 // Printer
 // ---------------------------------------------------------------------------
 
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
+/// Appends `s` JSON-escaped, without the surrounding quotes. The one
+/// string escaper of the workspace: graph documents, reports, server
+/// bodies and the request log all write strings through it.
+pub fn escape_into(out: &mut String, s: &str) {
     // Every byte that needs an escape is ASCII, so the runs between them
     // are whole UTF-8 sequences and copy over as slices.
     let mut run = 0;
@@ -466,7 +468,6 @@ fn escape_into(out: &mut String, s: &str) {
         }
     }
     out.push_str(&s[run..]);
-    out.push('"');
 }
 
 /// Writes `f` so it re-parses as a float: Rust's shortest-roundtrip
@@ -573,8 +574,9 @@ impl<'a> JsonWriter<'a> {
 
     fn key(&mut self, key: &str) {
         self.member();
+        self.out.push('"');
         escape_into(self.out, key);
-        self.out.push_str(": ");
+        self.out.push_str("\": ");
         self.after_key = true;
     }
 
@@ -619,7 +621,9 @@ impl<'a> JsonWriter<'a> {
 
     fn string(&mut self, s: &str) {
         self.value();
+        self.out.push('"');
         escape_into(self.out, s);
+        self.out.push('"');
     }
 }
 

@@ -93,7 +93,8 @@ impl Concept {
                 }
                 match out.len() {
                     0 => Concept::Top,
-                    1 => out.pop().unwrap(),
+                    // `out` holds exactly one concept here.
+                    1 => out.pop().expect("one concept"),
                     _ => {
                         out.sort();
                         out.dedup();
@@ -113,7 +114,8 @@ impl Concept {
                 }
                 match out.len() {
                     0 => Concept::Bottom,
-                    1 => out.pop().unwrap(),
+                    // `out` holds exactly one concept here.
+                    1 => out.pop().expect("one concept"),
                     _ => {
                         out.sort();
                         out.dedup();

@@ -9,7 +9,7 @@
 //! > satisfiability: add the @required to the field definition and check
 //! > if the type of the field definition is satisfiable."
 
-use gql_sdl::ast::{ConstValue, Definition, DirectiveUse, Document, TypeDef};
+use gql_sdl::ast::{ConstValue, Definition, DirectiveUse, TypeDef};
 use gql_sdl::{Pos, Span};
 use pg_schema::PgSchema;
 
@@ -67,15 +67,15 @@ pub fn check_type_satisfiable(
 /// the *source* type is satisfiable (every witness then contains an
 /// instance of the edge).
 ///
-/// Operates on the SDL document so the directive can be inserted
-/// faithfully.
+/// Works on the schema's document form ([`gql_schema::emit`]), so the
+/// directive is inserted into the definition the schema was built from.
 pub fn check_field_satisfiable(
-    doc: &Document,
+    schema: &PgSchema,
     type_name: &str,
     field_name: &str,
     config: &ReasonerConfig,
 ) -> Result<Satisfiability, String> {
-    let mut doc = doc.clone();
+    let mut doc = gql_schema::emit::schema_to_document(schema.schema());
     let mut found = false;
     for def in &mut doc.definitions {
         let Definition::Type(td) = def else { continue };
@@ -98,12 +98,27 @@ pub fn check_field_satisfiable(
         }
     }
     if !found {
-        return Err(format!("no field {type_name}.{field_name} in the document"));
+        return Err(format!("no field {type_name}.{field_name} in the schema"));
     }
-    let schema = PgSchema::from_document(&doc).map_err(|e| e.to_string())?;
+    let forced = PgSchema::from_document(&doc).map_err(|e| e.to_string())?;
     // For an interface-sited field, any implementor carrying the required
     // edge suffices; check_type_satisfiable handles both cases.
-    Ok(check_type_satisfiable(&schema, type_name, config))
+    Ok(check_type_satisfiable(&forced, type_name, config))
+}
+
+/// The check behind `pgschema check-sat` and `POST /check-sat`: the type
+/// `type_name`, or with `field` its edge definition. `Err` names a field
+/// the type does not declare.
+pub fn check(
+    schema: &PgSchema,
+    type_name: &str,
+    field: Option<&str>,
+    config: &ReasonerConfig,
+) -> Result<Satisfiability, String> {
+    match field {
+        Some(field) => check_field_satisfiable(schema, type_name, field, config),
+        None => Ok(check_type_satisfiable(schema, type_name, config)),
+    }
 }
 
 #[cfg(test)]
@@ -177,7 +192,7 @@ mod tests {
 
     #[test]
     fn field_satisfiability_follows_the_paper_recipe() {
-        let doc = gql_sdl::parse(
+        let doc = PgSchema::parse(
             r#"
             type A { toB: B }
             type B { x: Int }
@@ -194,7 +209,7 @@ mod tests {
 
     #[test]
     fn field_on_unsatisfiable_source_type_is_unsatisfiable() {
-        let doc = gql_sdl::parse(
+        let doc = PgSchema::parse(
             r#"
             type OT1 { }
             interface IT { f: [OT1] @uniqueForTarget }
@@ -216,7 +231,7 @@ mod tests {
         // unsatisfiable chain)… simpler: D is only reachable via toD but
         // D itself is fine; instead make the edge unsatisfiable by making
         // its target type unsatisfiable.
-        let doc = gql_sdl::parse(
+        let doc = PgSchema::parse(
             r#"
             type C { toD: D }
             type D { back: [C] @required @uniqueForTarget f: [D1] @required }
@@ -232,13 +247,12 @@ mod tests {
         // exist, and C.toD is unsatisfiable even though C is satisfiable.
         let sat = check_field_satisfiable(&doc, "C", "toD", &cfg()).unwrap();
         assert!(!sat.is_satisfiable(), "{sat:?}");
-        let schema = PgSchema::from_document(&doc).unwrap();
-        assert!(check_type_satisfiable(&schema, "C", &cfg()).is_satisfiable());
+        assert!(check_type_satisfiable(&doc, "C", &cfg()).is_satisfiable());
     }
 
     #[test]
     fn missing_field_is_an_error() {
-        let doc = gql_sdl::parse("type A { x: Int }").unwrap();
+        let doc = PgSchema::parse("type A { x: Int }").unwrap();
         assert!(check_field_satisfiable(&doc, "A", "ghost", &cfg()).is_err());
         assert!(check_field_satisfiable(&doc, "Ghost", "x", &cfg()).is_err());
     }

@@ -133,6 +133,8 @@ fn conflict_name(i: usize, j: usize, i2: usize, j2: usize) -> String {
 /// Returns the witness graph if satisfiable.
 pub fn decide_via_reduction(cnf: &Cnf) -> Option<pgraph::PropertyGraph> {
     let red = reduce_cnf(cnf);
+    // Every field is `[OT]` on interfaces and implementors alike, so the
+    // emitted schema is consistent for every formula (module docs).
     let schema = PgSchema::parse(&red.sdl).expect("reduction emits a consistent schema");
     for k in 1..=red.bound {
         if let Some(g) = crate::finite::find_model(&schema, &red.object_type, k) {

@@ -26,7 +26,7 @@ mod cnf;
 mod gen;
 mod solver;
 
-pub use cdcl::{solve_cdcl, solve_cdcl_with_stats, CdclStats};
+pub use cdcl::{solve_cdcl, solve_cdcl_with_stats, Budget, CdclStats, OutOfSteps};
 pub use cnf::{Cnf, DimacsError, Lit};
 pub use gen::{random_ksat, KsatParams};
 pub use solver::{solve, solve_with_stats, SolveStats};

@@ -564,9 +564,9 @@ fn run_migrate_check(server_bin: &str) -> Result<(), String> {
         &format!("/sessions/{id}/graph"),
         b"",
     )?;
-    let mut oneshot = String::from("{\"schema\":");
-    pg_server::http::push_json_string(&mut oneshot, &breaking_sdl);
-    oneshot.push_str(",\"graph\":");
+    let mut oneshot = String::from("{\"schema\":\"");
+    pgraph::json::escape_into(&mut oneshot, &breaking_sdl);
+    oneshot.push_str("\",\"graph\":");
     oneshot.push_str(&String::from_utf8_lossy(&graph_json));
     oneshot.push('}');
     for engine in ["naive", "indexed", "parallel", "incremental"] {

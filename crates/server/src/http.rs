@@ -260,9 +260,9 @@ impl Response {
     /// A JSON error envelope `{"error": …}`.
     pub fn error(status: u16, message: &str) -> Self {
         let mut body = String::with_capacity(message.len() + 16);
-        body.push_str("{\"error\":");
-        push_json_string(&mut body, message);
-        body.push('}');
+        body.push_str("{\"error\":\"");
+        pgraph::json::escape_into(&mut body, message);
+        body.push_str("\"}");
         Response::json(status, body)
     }
 
@@ -317,25 +317,6 @@ impl Response {
     pub fn write_to(&self, stream: &mut TcpStream, close: bool) -> io::Result<()> {
         stream.write_all(&self.serialize(close))
     }
-}
-
-/// Appends a JSON string literal (with escaping) to `out`.
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn reason(status: u16) -> &'static str {
@@ -594,12 +575,5 @@ mod tests {
             .iter()
             .any(|(n, v)| n == "x-wal-next-from" && v == "42"));
         assert!(buf.is_empty(), "no surplus bytes after the terminator");
-    }
-
-    #[test]
-    fn json_string_escaping() {
-        let mut out = String::new();
-        push_json_string(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }

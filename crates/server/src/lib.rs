@@ -79,7 +79,8 @@
 //! `docs/replication.md`; the runbook is `docs/operations.md`.
 //!
 //! Request and response bodies reuse the `pgraph::json` value types and
-//! (de)serializers — the server adds no JSON parser of its own.
+//! (de)serializers — the server adds no JSON parser or string escaper of
+//! its own.
 //!
 //! The `pgload` binary (in `src/bin`) holds the process-level checks CI
 //! runs against a real daemon: a `--smoke` pass over the surface, a

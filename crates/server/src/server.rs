@@ -15,7 +15,7 @@ use pg_schema::{validate, Engine, PgSchema, ValidationOptions};
 use pg_store::{FsyncPolicy, MigrationPhase, Store};
 use pgraph::json::{self, Json};
 
-use crate::http::{push_json_string, Request, Response};
+use crate::http::{Request, Response};
 use crate::metrics::{Metrics, MigrationAction, RenderGauges};
 use crate::reactor::{self, CoreShared};
 use crate::registry::{Absent, HydrationError, Session, SessionRegistry};
@@ -1146,21 +1146,21 @@ fn handle_validate(ctx: &Ctx, request: &Request, engine: Engine) -> Result<Respo
 }
 
 /// `POST /check-sat`: finite-model satisfiability of one type (or one
-/// field) of the posted schema, through the ALCQI tableau plus the CDCL
-/// finite-model search. Body:
+/// field) of the posted schema, through [`pg_reason::check`]. Body:
 /// `{"schema": <text>, "type": <name>, "field"?: <name>, "max_size"?: K}`,
 /// with `?lang=` selecting the schema language as on `/validate`.
 /// Answers `{"result": "satisfiable", "witness_size": N}`,
 /// `{"result": "unsatisfiable"}`, or `{"result": "no_finite_model",
 /// "bound": K, "tableau_satisfiable": bool|null}` — all with status 200;
-/// the check itself succeeded either way.
+/// the check itself succeeded either way. `bound` is the largest size
+/// fully refuted, below `max_size` when the reasoner's step budget ran
+/// out first; that budget bounds the time this core spends here.
 fn handle_check_sat(ctx: &Ctx, request: &Request) -> Result<Response, HttpError> {
     let lang = enum_param(request, "lang", SchemaLanguage::Sdl)?;
     let doc = Json::parse(body_text(request)?)?;
     let source = str_field(&doc, "schema")?;
     let type_name = str_field(&doc, "type")?;
     let compiled = ctx.schemas.load(source, lang)?;
-    let (schema, sdl) = (&compiled.schema, &compiled.sdl);
     let mut config = pg_reason::ReasonerConfig::default();
     if let Some(k) = doc.get("max_size") {
         match k.as_i64() {
@@ -1173,36 +1173,27 @@ fn handle_check_sat(ctx: &Ctx, request: &Request) -> Result<Response, HttpError>
             }
         }
     }
-    let result = match doc.get("field").and_then(Json::as_str) {
-        Some(field) => {
-            // Field-mode reasoning works over the document; `sdl` is the
-            // lowered text for PG-Schema inputs, so both languages share
-            // the same path.
-            let parsed =
-                gql_sdl::parse(sdl).map_err(|e| HttpError::new(400, format!("schema: {e}")))?;
-            pg_reason::check_field_satisfiable(&parsed, type_name, field, &config)
-                .map_err(|message| HttpError::new(400, message))?
-        }
-        None => pg_reason::check_type_satisfiable(schema, type_name, &config),
-    };
+    let field = doc.get("field").and_then(Json::as_str);
+    let result = pg_reason::check(&compiled.schema, type_name, field, &config)
+        .map_err(|message| HttpError::new(400, message))?;
     let mut body = String::with_capacity(96);
-    body.push_str("{\"type\":");
-    push_json_string(&mut body, type_name);
+    body.push_str("{\"type\":\"");
+    json::escape_into(&mut body, type_name);
     match result {
         pg_reason::Satisfiability::Satisfiable { size, .. } => {
             body.push_str(&format!(
-                ",\"result\":\"satisfiable\",\"witness_size\":{size}}}"
+                "\",\"result\":\"satisfiable\",\"witness_size\":{size}}}"
             ));
         }
         pg_reason::Satisfiability::Unsatisfiable => {
-            body.push_str(",\"result\":\"unsatisfiable\"}");
+            body.push_str("\",\"result\":\"unsatisfiable\"}");
         }
         pg_reason::Satisfiability::NoFiniteModelFound {
             bound,
             tableau_satisfiable,
         } => {
             body.push_str(&format!(
-                ",\"result\":\"no_finite_model\",\"bound\":{bound},\"tableau_satisfiable\":{}}}",
+                "\",\"result\":\"no_finite_model\",\"bound\":{bound},\"tableau_satisfiable\":{}}}",
                 match tableau_satisfiable {
                     Some(b) => b.to_string(),
                     None => "null".to_owned(),
@@ -1303,15 +1294,15 @@ fn log_request(
         ),
         LogFormat::Json => {
             let mut line = String::with_capacity(96);
-            line.push_str("{\"method\":");
-            push_json_string(&mut line, method);
-            line.push_str(",\"path\":");
-            push_json_string(&mut line, path);
+            line.push_str("{\"method\":\"");
+            json::escape_into(&mut line, method);
+            line.push_str("\",\"path\":\"");
+            json::escape_into(&mut line, path);
             line.push_str(&format!(
-                ",\"status\":{status},\"micros\":{micros},\"engine\":"
+                "\",\"status\":{status},\"micros\":{micros},\"engine\":"
             ));
             match engine {
-                Some(engine) => push_json_string(&mut line, engine),
+                Some(engine) => line.push_str(&format!("\"{engine}\"")),
                 None => line.push_str("null"),
             }
             line.push('}');

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use pgraph::json::{self, Json};
 use pgraph::{GraphBuilder, GraphDelta, NodeId, PropertyGraph, Value};
 
-use crate::http::{push_json_string, read_response, ResponseParts};
+use crate::http::{read_response, ResponseParts};
 
 /// One blocking keep-alive client connection to a daemon.
 pub struct Client {
@@ -238,9 +238,9 @@ pub fn session_id(created: &[u8]) -> Option<u64> {
 /// The `{"schema": …, "graph": …}` envelope of `POST /validate` and
 /// `POST /sessions`.
 pub fn envelope(schema: &str, graph: &PropertyGraph) -> Vec<u8> {
-    let mut out = String::from("{\"schema\":");
-    push_json_string(&mut out, schema);
-    out.push_str(",\"graph\":");
+    let mut out = String::from("{\"schema\":\"");
+    json::escape_into(&mut out, schema);
+    out.push_str("\",\"graph\":");
     out.push_str(&json::to_json(graph));
     out.push('}');
     out.into_bytes()
@@ -250,8 +250,9 @@ pub fn envelope(schema: &str, graph: &PropertyGraph) -> Vec<u8> {
 pub fn migrate_body(action: &str, schema: Option<&str>, force: bool) -> Vec<u8> {
     let mut out = format!("{{\"action\":\"{action}\"");
     if let Some(sdl) = schema {
-        out.push_str(",\"schema\":");
-        push_json_string(&mut out, sdl);
+        out.push_str(",\"schema\":\"");
+        json::escape_into(&mut out, sdl);
+        out.push('"');
     }
     if force {
         out.push_str(",\"force\":true");

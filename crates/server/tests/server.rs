@@ -752,9 +752,9 @@ fn migration_window_lifecycle() {
 /// text (any language) and graph JSON.
 fn envelope_with(schema: &str, graph_json: &str) -> Vec<u8> {
     let mut out = String::new();
-    out.push_str("{\"schema\":");
-    pg_server::http::push_json_string(&mut out, schema);
-    out.push_str(",\"graph\":");
+    out.push_str("{\"schema\":\"");
+    json::escape_into(&mut out, schema);
+    out.push_str("\",\"graph\":");
     out.push_str(graph_json);
     out.push('}');
     out.into_bytes()
@@ -763,10 +763,11 @@ fn envelope_with(schema: &str, graph_json: &str) -> Vec<u8> {
 /// Builds a `/check-sat` body.
 fn check_sat_body(schema: &str, type_name: &str, max_size: Option<u64>) -> Vec<u8> {
     let mut out = String::new();
-    out.push_str("{\"schema\":");
-    pg_server::http::push_json_string(&mut out, schema);
-    out.push_str(",\"type\":");
-    pg_server::http::push_json_string(&mut out, type_name);
+    out.push_str("{\"schema\":\"");
+    json::escape_into(&mut out, schema);
+    out.push_str("\",\"type\":\"");
+    json::escape_into(&mut out, type_name);
+    out.push('"');
     if let Some(k) = max_size {
         out.push_str(&format!(",\"max_size\":{k}"));
     }
@@ -948,12 +949,12 @@ fn migration_windows_cross_languages() {
 
     // Migrate to an open-world (LOOSE) PG-Schema candidate: the window
     // crosses languages via the body's "lang" field.
-    let mut begin = String::from("{\"action\":\"begin\",\"lang\":\"pgschema\",\"schema\":");
-    pg_server::http::push_json_string(
+    let mut begin = String::from("{\"action\":\"begin\",\"lang\":\"pgschema\",\"schema\":\"");
+    json::escape_into(
         &mut begin,
         "CREATE GRAPH TYPE G LOOSE { (User {login STRING}) }",
     );
-    begin.push('}');
+    begin.push_str("\"}");
     let (status, planned) = client
         .request_json("POST", &migrate, begin.as_bytes())
         .unwrap();

@@ -94,3 +94,44 @@ fn parse_validate_serve_log_and_recover() {
     handle.join().expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The `/check-sat` body that used to hold a one-core daemon for minutes:
+/// its finite-model CNF is a pigeonhole formula at every size. The
+/// reasoner's step budget ends the search at the largest size it refuted,
+/// and the core serves `/healthz` right after.
+#[test]
+fn check_sat_is_bounded_on_one_core() {
+    use std::io::{Read, Write};
+    let dir = std::env::temp_dir().join(format!("pg-serve-smoke-sat-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (handle, mut client) = serve(&dir);
+    let body = r#"{"schema":"interface I { next: N @required @uniqueForTarget }\ntype Root implements I { next: N @required @uniqueForTarget }\ntype N implements I { next: N @required @uniqueForTarget }","type":"Root","max_size":40}"#;
+    // An unoptimised build spends tens of seconds of its budget, past the
+    // workload client's read timeout, so this request has its own socket.
+    let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(300)))
+        .unwrap();
+    let head = format!(
+        "POST /check-sat HTTP/1.1\r\nhost: smoke\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(body.as_bytes()).unwrap();
+    let mut answer = String::new();
+    stream.read_to_string(&mut answer).unwrap();
+    assert!(answer.starts_with("HTTP/1.1 200"), "{answer}");
+    let (_, body) = answer.split_once("\r\n\r\n").unwrap();
+    let doc = json::Json::parse(body).unwrap();
+    let result = doc.get("result").and_then(json::Json::as_str);
+    assert_eq!(result, Some("no_finite_model"), "{body}");
+    let bound = doc.get("bound").and_then(json::Json::as_i64).unwrap();
+    assert!((8..40).contains(&bound), "{body}");
+    client
+        .expect("healthz", 200, "GET", "/healthz", b"")
+        .unwrap();
+    drop(client);
+    handle.shutdown();
+    handle.join().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
