@@ -13,11 +13,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use pg_schema::{validate, Engine, PgSchema, ValidationOptions};
+use pg_schema::PgSchema;
 use pg_server::workload::{
-    envelope, free_addr, sample_graph, toggle_delta, user_ids, Client, Daemon, Scratch, SCHEMA_SDL,
+    canonical_report, envelope, free_addr, oracle, sample_graph, toggle_delta, user_ids, Client,
+    Daemon, Scratch, SCHEMA_SDL, VOLATILE,
 };
-use pgraph::json::{self, Json};
+use pgraph::json;
 use pgraph::{GraphDelta, PropertyGraph};
 use rand::prelude::*;
 
@@ -27,38 +28,17 @@ fn spawn_daemon(addr: &str, data_dir: &Path) -> (Daemon, Client) {
     Daemon::spawn(env!("CARGO_BIN_EXE_pgschema"), addr, data_dir, None).unwrap()
 }
 
-/// The `conforms` and `violations` members of a report document —
-/// everything that must agree across engines and restarts (timing
-/// metrics and the engine label legitimately differ).
-fn report_essence(doc: &Json) -> (Json, Json) {
-    (
-        doc.get("conforms").cloned().expect("report has conforms"),
-        doc.get("violations")
-            .cloned()
-            .expect("report has violations"),
-    )
-}
-
 /// The from-scratch oracle: all four engines over `graph` must agree
-/// with each other and with the served report's essence.
-fn assert_four_engine_agreement(graph: &PropertyGraph, served_report: &Json, context: &str) {
+/// with each other and, byte for byte, with the served report (timing
+/// metrics and the engine label aside).
+fn assert_four_engine_agreement(graph: &PropertyGraph, served_report: &[u8], context: &str) {
     let schema = PgSchema::parse(SCHEMA_SDL).unwrap();
-    let served = report_essence(served_report);
-    for engine in [
-        Engine::Naive,
-        Engine::Indexed,
-        Engine::Parallel,
-        Engine::Incremental,
-    ] {
-        let scratch = validate(graph, &schema, &ValidationOptions::with_engine(engine));
-        let scratch_doc = Json::parse(&scratch.to_json()).unwrap();
-        assert_eq!(
-            served,
-            report_essence(&scratch_doc),
-            "{context}: {} disagrees with the served report",
-            engine.name()
-        );
-    }
+    let served = canonical_report(served_report, &VOLATILE).unwrap();
+    let expected = oracle(graph, &schema).unwrap_or_else(|e| panic!("{context}: {e}"));
+    assert_eq!(
+        served, expected,
+        "{context}: the served report is not the oracle's"
+    );
 }
 
 /// SIGKILL the daemon at random points while a loader hammers one
@@ -132,7 +112,6 @@ fn sigkill_mid_load_recovers_an_acknowledged_prefix() {
             .request("GET", &format!("/sessions/{id}/report"), b"")
             .unwrap();
         assert_eq!(status, 200);
-        let served_report = Json::parse(&String::from_utf8_lossy(&report_body)).unwrap();
         drop(client);
 
         // Every acknowledged delta must have survived; the one that may
@@ -167,7 +146,7 @@ fn sigkill_mid_load_recovers_an_acknowledged_prefix() {
                  (acked {acked}, sent {sent})"
             )
         });
-        assert_four_engine_agreement(&adopted, &served_report, &format!("round {round}"));
+        assert_four_engine_agreement(&adopted, &report_body, &format!("round {round}"));
 
         applied.extend(round_deltas[..k].iter().cloned());
         delta_counter += sent as u64;
@@ -248,21 +227,8 @@ fn corrupt_tails_and_recover(data_dir: &Path, initial: &PropertyGraph, applied: 
                     prefixes.contains(&got),
                     "trial {trial}: recovered graph is not a prefix of the history"
                 );
-                let reports: Vec<_> = [
-                    Engine::Naive,
-                    Engine::Indexed,
-                    Engine::Parallel,
-                    Engine::Incremental,
-                ]
-                .into_iter()
-                .map(|e| validate(&graph, &schema, &ValidationOptions::with_engine(e)))
-                .collect();
-                for r in &reports {
-                    assert_eq!(
-                        r.violations(),
-                        reports[0].violations(),
-                        "trial {trial}: engines disagree on the recovered graph"
-                    );
+                if let Err(e) = oracle(&graph, &schema) {
+                    panic!("trial {trial}: engines disagree on the recovered graph: {e}");
                 }
             }
             more => panic!("trial {trial}: unexpected sessions: {}", more.len()),

@@ -447,11 +447,6 @@ impl<S: Borrow<PgSchema>> IncrementalEngine<S> {
         self.window.is_some()
     }
 
-    /// The candidate schema of the open window.
-    pub fn migration_schema(&self) -> Option<&PgSchema> {
-        self.window.as_ref().map(|w| &w.schema)
-    }
-
     /// The candidate side's report — equal to a full validation of the
     /// current graph under the candidate schema.
     pub fn migration_report(&self) -> Option<ValidationReport> {

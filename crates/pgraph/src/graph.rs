@@ -345,17 +345,6 @@ impl PropertyGraph {
         Ok(())
     }
 
-    /// Relabels an edge.
-    pub fn set_edge_label(
-        &mut self,
-        id: EdgeId,
-        label: impl Into<String>,
-    ) -> Result<(), GraphError> {
-        self.require_edge(id)?;
-        self.edges[id.index()].label = label.into();
-        Ok(())
-    }
-
     /// Sets `σ(v, name) = value`, replacing any previous value.
     pub fn set_node_property(
         &mut self,

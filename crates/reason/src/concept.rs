@@ -202,11 +202,6 @@ impl TBox {
         &self.role_names[id as usize]
     }
 
-    /// Number of interned concept names.
-    pub fn concept_count(&self) -> usize {
-        self.concept_names.len()
-    }
-
     /// Adds the axiom `sub ⊑ sup` (internalised as the global constraint
     /// `¬sub ⊔ sup`).
     pub fn add_subsumption(&mut self, sub: Concept, sup: Concept) {

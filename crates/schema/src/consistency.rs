@@ -390,11 +390,6 @@ fn check_one_directive(
     }
 }
 
-/// Convenience: true iff [`check`] returns no violations (Definition 4.5).
-pub fn is_consistent(schema: &Schema) -> bool {
-    check(schema).is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

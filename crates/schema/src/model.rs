@@ -235,11 +235,6 @@ impl Schema {
         &self.types[id.index()]
     }
 
-    /// Number of named types, `|T|`.
-    pub fn type_count(&self) -> usize {
-        self.types.len()
-    }
-
     /// All type ids.
     pub fn type_ids(&self) -> impl Iterator<Item = TypeId> {
         (0..self.types.len() as u32).map(TypeId)

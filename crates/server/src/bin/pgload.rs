@@ -19,9 +19,11 @@
 
 use std::time::{Duration, Instant};
 
+use pg_schema::PgSchema;
+use pg_server::server::SERVED_ENGINES;
 use pg_server::workload::{
     self, canonical_report, free_addr, migrate_body, sample_graph, toggle_delta, user_ids, Client,
-    Daemon, Scratch, SCHEMA_SDL,
+    Daemon, Scratch, SCHEMA_SDL, VOLATILE,
 };
 use pgraph::json::{self, Json};
 
@@ -106,21 +108,19 @@ fn run_smoke(addr: &str) -> Result<(), String> {
         return Err("healthz: unexpected body".into());
     }
 
-    // Stateless validation on every engine agrees the sample conforms.
+    // Stateless validation on every served engine answers the oracle's
+    // report; the naive engine is the oracle, and is not served.
     let envelope = envelope(4);
-    for engine in ["naive", "indexed", "parallel", "incremental"] {
-        let what = format!("validate({engine})");
-        let report = client.expect_json(
-            &what,
-            200,
-            "POST",
-            &format!("/validate?engine={engine}"),
-            &envelope,
-        )?;
-        if conforms(&report) != Some(true) {
-            return Err(format!("{what}: sample should conform"));
-        }
-    }
+    let schema = PgSchema::parse(SCHEMA_SDL).map_err(|e| format!("schema: {e}"))?;
+    let expected = workload::oracle(&sample_graph(4), &schema)?;
+    served_engines_agree(&mut client, &envelope, &expected)?;
+    client.expect(
+        "validate(naive)",
+        400,
+        "POST",
+        "/validate?engine=naive",
+        &envelope,
+    )?;
 
     // Session round trip: create, break, observe, repair, verify.
     let id = client.create_session("/sessions", &envelope)?;
@@ -142,13 +142,10 @@ fn run_smoke(addr: &str) -> Result<(), String> {
         &deltas,
         toggle_body(4, 1).as_bytes(),
     )?;
-    let report =
-        client.expect_json("report", 200, "GET", &format!("/sessions/{id}/report"), b"")?;
-    if conforms(&report) != Some(true) {
-        return Err("report: repaired session should conform".into());
-    }
-    if report.get("rule_counts").is_none() {
-        return Err("report: missing per-rule counts".into());
+    // Repaired, the session reports what the oracle does for the sample.
+    let report = client.expect("report", 200, "GET", &format!("/sessions/{id}/report"), b"")?;
+    if canonical_report(&report, &VOLATILE)? != expected {
+        return Err("report: the repaired session's report is not the oracle's".into());
     }
 
     let body = client.expect("metrics", 200, "GET", "/metrics", b"")?;
@@ -180,6 +177,26 @@ fn run_smoke(addr: &str) -> Result<(), String> {
         b"",
     )?;
     println!("smoke: ok");
+    Ok(())
+}
+
+/// Posts `envelope` to `/validate` on each served engine and requires
+/// every report to be `expected`, the [`workload::oracle`]'s.
+fn served_engines_agree(
+    client: &mut Client,
+    envelope: &[u8],
+    expected: &str,
+) -> Result<(), String> {
+    for engine in SERVED_ENGINES {
+        let what = format!("validate({engine})");
+        let target = format!("/validate?engine={engine}");
+        let body = client.expect(&what, 200, "POST", &target, envelope)?;
+        if canonical_report(&body, &VOLATILE)? != expected {
+            return Err(format!(
+                "{what}: report diverges from the four-engine oracle"
+            ));
+        }
+    }
     Ok(())
 }
 
@@ -546,8 +563,9 @@ fn run_migrate_check(server_bin: &str) -> Result<(), String> {
         .expect("post-recovery commit", 409, "POST", &migrate, &commit)
         .map_err(|e| format!("regressions must survive recovery: {e}"))?;
 
-    // Force the swap and check the session's report against the four
-    // one-shot engine oracles on the session's own graph.
+    // Force the swap and check the session's report, and one-shot runs
+    // of the three served engines, against the four-engine oracle on the
+    // session's own graph.
     let force = migrate_body("commit", None, true);
     leader.expect("force commit", 200, "POST", &migrate, &force)?;
     let session_report = leader.expect("post-commit report", 200, "GET", &report, b"")?;
@@ -556,7 +574,6 @@ fn run_migrate_check(server_bin: &str) -> Result<(), String> {
     if conforms(&doc) != Some(false) {
         return Err("post-commit report must be non-conforming under the new schema".into());
     }
-    let session_canonical = canonical_report(&session_report, &["metrics", "engine"])?;
     let graph_json = leader.expect(
         "post-commit graph",
         200,
@@ -564,22 +581,17 @@ fn run_migrate_check(server_bin: &str) -> Result<(), String> {
         &format!("/sessions/{id}/graph"),
         b"",
     )?;
-    let mut oneshot = String::from("{\"schema\":\"");
-    pgraph::json::escape_into(&mut oneshot, &breaking_sdl);
-    oneshot.push_str("\",\"graph\":");
-    oneshot.push_str(&String::from_utf8_lossy(&graph_json));
-    oneshot.push('}');
-    for engine in ["naive", "indexed", "parallel", "incremental"] {
-        let what = format!("oracle({engine})");
-        let target = format!("/validate?engine={engine}");
-        let body = leader.expect(&what, 200, "POST", &target, oneshot.as_bytes())?;
-        if canonical_report(&body, &["metrics", "engine"])? != session_canonical {
-            return Err(format!(
-                "{what}: post-commit session report diverges from \
-                 a from-scratch validation under the new schema"
-            ));
-        }
+    let graph = json::from_json(&String::from_utf8_lossy(&graph_json))
+        .map_err(|e| format!("post-commit graph: {e}"))?;
+    let schema = PgSchema::parse(&breaking_sdl).map_err(|e| format!("breaking schema: {e}"))?;
+    let expected = workload::oracle(&graph, &schema)?;
+    if canonical_report(&session_report, &VOLATILE)? != expected {
+        return Err("post-commit session report diverges from \
+                    a from-scratch validation under the new schema"
+            .into());
     }
+    let oneshot = workload::envelope(&breaking_sdl, &graph);
+    served_engines_agree(&mut leader, &oneshot, &expected)?;
 
     // A compatible window commits cleanly, and abort closes without
     // swapping.

@@ -40,11 +40,13 @@
 //!
 //! | Route | Meaning |
 //! |---|---|
-//! | `POST /validate?engine=naive\|indexed\|parallel\|incremental` | stateless one-shot validation |
+//! | `POST /validate?engine=indexed\|parallel\|incremental` | stateless one-shot validation; `engine=naive` is a `400` |
+//! | `POST /check-sat` | finite-model satisfiability of one type of the posted schema |
 //! | `POST /sessions` | create an incremental session (schema + graph) |
 //! | `POST /sessions/{id}/deltas` | apply a [`pgraph::GraphDelta`], returns the patched report |
 //! | `GET /sessions/{id}/report` | current report |
 //! | `GET /sessions/{id}/graph` | current graph document |
+//! | `POST /sessions/{id}/migrate` | plan, begin, commit or abort a schema migration window |
 //! | `POST /sessions/{id}/compact` | snapshot the store, drop superseded WAL segments |
 //! | `DELETE /sessions/{id}` | drop the session |
 //! | `GET /healthz` | liveness |
@@ -77,6 +79,13 @@
 //! Replication lag is exported under `pgschemad_replication_*` in
 //! `/metrics`. The wire protocol is specified normatively in
 //! `docs/replication.md`; the runbook is `docs/operations.md`.
+//!
+//! `/validate` serves only the engines with Theorem 1's near-linear
+//! bound ([`server::SERVED_ENGINES`]). The naive engine, the paper's
+//! rules transcribed as O(n²–n³) loops, is the oracle they are checked
+//! against: it runs in process ([`workload::oracle`], `pgschema validate
+//! --engine naive`), never on a reactor core. docs/operations.md has
+//! each route's cost and the cap that bounds it.
 //!
 //! Request and response bodies reuse the `pgraph::json` value types and
 //! (de)serializers — the server adds no JSON parser or string escaper of

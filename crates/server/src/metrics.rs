@@ -10,6 +10,8 @@ use std::sync::Mutex;
 
 use pg_schema::{Engine, Rule, ValidationMetrics};
 
+use crate::server::SERVED_ENGINES;
+
 /// Upper bounds (µs) of the request-latency histogram buckets; the last
 /// implicit bucket is `+Inf`.
 pub const LATENCY_BUCKETS_MICROS: [u64; 10] = [
@@ -108,13 +110,6 @@ pub struct ReplicationMetrics {
     /// Sequence number of the newest record applied from the leader.
     pub last_applied_seq: AtomicU64,
 }
-
-const ENGINES: [Engine; 4] = [
-    Engine::Naive,
-    Engine::Indexed,
-    Engine::Parallel,
-    Engine::Incremental,
-];
 
 /// Per-engine counters aggregated from [`ValidationMetrics`] of the runs
 /// the server executed.
@@ -219,8 +214,8 @@ pub struct Metrics {
     wakeup_events: Histogram<{ WAKEUP_EVENT_BUCKETS.len() }>,
     /// Schema-migration API actions, indexed like [`MIGRATION_ACTIONS`].
     migration_actions: [AtomicU64; MIGRATION_ACTIONS.len()],
-    /// Per-engine validation counters, indexed like [`ENGINES`].
-    engines: [EngineCounters; 4],
+    /// Per-engine validation counters, indexed like [`SERVED_ENGINES`].
+    engines: [EngineCounters; SERVED_ENGINES.len()],
     /// Violations found per rule across all runs, indexed like
     /// [`Rule::ALL`].
     rule_violations: [AtomicU64; Rule::ALL.len()],
@@ -382,10 +377,10 @@ impl Metrics {
             ),
         ];
         for (name, help, get) in by_engine {
-            let samples = ENGINES
+            let samples = SERVED_ENGINES
                 .iter()
                 .zip(&self.engines)
-                .map(|(engine, counters)| (engine.name(), load(get(counters))));
+                .map(|(&engine, counters)| (engine, load(get(counters))));
             family(out, name, help, "counter", &labelled("engine", samples));
         }
         let by_rule = |counters: &[AtomicU64]| {
@@ -609,12 +604,10 @@ fn rule_index(rule: Rule) -> usize {
 }
 
 fn engine_index(engine: Engine) -> usize {
-    match engine {
-        Engine::Naive => 0,
-        Engine::Indexed => 1,
-        Engine::Parallel => 2,
-        Engine::Incremental => 3,
-    }
+    SERVED_ENGINES
+        .iter()
+        .position(|&name| name == engine.name())
+        .expect("only served engines run in the server")
 }
 
 #[cfg(test)]

@@ -552,6 +552,7 @@ pub(crate) fn bad_request(ctx: &Ctx, message: &str) -> Response {
 /// | body is not JSON / not a delta ([`json::JsonError`]) | 400 | the located parse error |
 /// | schema does not load ([`pg_pgschema::load_schema`]) | 400 | `schema: …` |
 /// | unknown `?engine=` / `?lang=` ([`pgraph::ParseEnumError`]) | 400 | the accepted spellings |
+/// | `?engine=naive` ([`SERVED_ENGINES`]) | 400 | the served engines |
 /// | session deleted or never created ([`Absent::Missing`]) | 404 | `no such session` |
 /// | session evicted ([`Absent::Evicted`]) | 410 | `session evicted` |
 /// | stored state no longer hydrates ([`HydrationError`]) | 500 | what failed |
@@ -739,7 +740,7 @@ fn route(ctx: &Ctx, request: &Request) -> Routed {
         ("GET", "/healthz") => (None, Ok(Response::text(200, "ok\n"))),
         ("GET", "/metrics") => (None, Ok(handle_metrics(ctx))),
         ("POST", "/validate") => {
-            let engine = enum_param(request, "engine", Engine::Indexed);
+            let engine = served_engine(request);
             (
                 engine.as_ref().ok().map(|engine| engine.name()),
                 engine.and_then(|engine| handle_validate(ctx, request, engine)),
@@ -1110,6 +1111,27 @@ where
     match request.query_param(name) {
         None => Ok(default),
         Some(value) => Ok(value.parse()?),
+    }
+}
+
+/// The engines `POST /validate?engine=` serves: those with Theorem 1's
+/// near-linear bound. `naive`, the paper's rules transcribed as
+/// O(n²–n³) loops, is the oracle the others are checked against; it
+/// runs in process (`pgschema validate --engine naive`,
+/// [`crate::workload::oracle`]), never on a core that serves other
+/// connections.
+pub const SERVED_ENGINES: &[&str] = &["indexed", "parallel", "incremental"];
+
+/// The `?engine=` of `POST /validate`, [`Engine::Indexed`] when absent.
+/// Anything outside [`SERVED_ENGINES`], `naive` included, is a `400`
+/// naming them, decided before the body is decoded.
+fn served_engine(request: &Request) -> Result<Engine, HttpError> {
+    match request.query_param("engine") {
+        None => Ok(Engine::Indexed),
+        Some(name) if SERVED_ENGINES.contains(&name) => Ok(name.parse()?),
+        Some(name) => {
+            Err(pgraph::ParseEnumError::new("served engine", name, SERVED_ENGINES).into())
+        }
     }
 }
 

@@ -87,6 +87,8 @@ pub struct Epoll {
 impl Epoll {
     /// `epoll_create1(EPOLL_CLOEXEC)`.
     pub fn new() -> io::Result<Epoll> {
+        // SAFETY: takes no pointers; a negative return is mapped to an
+        // error, so only a fresh descriptor is stored.
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Epoll { fd })
     }
@@ -112,6 +114,9 @@ impl Epoll {
             events,
             data: token,
         };
+        // SAFETY: `event` is a live local with the kernel's layout (see
+        // `EpollEvent`), and the kernel only reads it during the call.
+        // `self.fd` is the epoll descriptor this value owns.
         cvt(unsafe { epoll_ctl(self.fd, op, fd, &mut event) })?;
         Ok(())
     }
@@ -121,6 +126,12 @@ impl Epoll {
     /// (`EINTR` — e.g. SIGTERM hitting this thread) reports as zero
     /// events so the caller re-checks its shutdown flag.
     pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+        // SAFETY: the kernel writes at most `maxevents` entries, and
+        // `maxevents` is `events.len()` cast to `i32`: never larger than
+        // the slice (a negative value is refused with `EINVAL`), so every
+        // write lands inside the exclusively borrowed slice.
+        // `EpollEvent` has the kernel's layout and no invalid bit
+        // patterns.
         let n = unsafe {
             epoll_wait(
                 self.fd,
@@ -142,6 +153,8 @@ impl Epoll {
 
 impl Drop for Epoll {
     fn drop(&mut self) {
+        // SAFETY: `self.fd` is owned by this value and never handed
+        // out, so this is its one close.
         unsafe { close(self.fd) };
     }
 }
@@ -156,6 +169,8 @@ pub struct EventFd {
 impl EventFd {
     /// `eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)`.
     pub fn new() -> io::Result<EventFd> {
+        // SAFETY: takes no pointers; a negative return is mapped to an
+        // error, so only a fresh descriptor is stored.
         let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
         Ok(EventFd { fd })
     }
@@ -170,18 +185,26 @@ impl EventFd {
     /// drains to zero, so in practice this never fails.
     pub fn signal(&self) {
         let one = 1u64.to_ne_bytes();
+        // SAFETY: the kernel reads `one.len()` bytes from a live local
+        // array of exactly that length. The descriptor is nonblocking,
+        // so the call cannot hang.
         unsafe { write(self.fd, one.as_ptr(), one.len()) };
     }
 
     /// Resets the counter to zero, consuming all pending wakes.
     pub fn drain(&self) {
         let mut buf = [0u8; 8];
+        // SAFETY: the kernel writes at most `buf.len()` bytes into a live
+        // local array of exactly that length. The descriptor is
+        // nonblocking, so the call cannot hang.
         unsafe { read(self.fd, buf.as_mut_ptr(), buf.len()) };
     }
 }
 
 impl Drop for EventFd {
     fn drop(&mut self) {
+        // SAFETY: `self.fd` is owned by this value; `raw` lends it only
+        // for registration, never for closing, so this is its one close.
         unsafe { close(self.fd) };
     }
 }
@@ -205,6 +228,9 @@ pub fn write_vectored(fd: RawFd, bufs: &[Vec<u8>], skip: usize) -> io::Result<us
         };
         count += 1;
     }
+    // SAFETY: the first `count` (≤ `MAX_IOV`) entries of `iov` each
+    // point into a buffer of `bufs` with its exact remaining length, and
+    // `bufs` is borrowed for the whole call. The kernel only reads them.
     let n = unsafe { writev(fd, iov.as_ptr(), count as i32) };
     if n < 0 {
         Err(io::Error::last_os_error())

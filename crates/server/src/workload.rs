@@ -1,9 +1,11 @@
 //! The shared serve-path harness: the paper's Examples 3.1–3.5 schema
 //! and a small conforming instance, the blocking [`Client`] that drives
-//! a daemon with them, and the kill-on-drop [`Daemon`] process. The
-//! `pgload` checks, the crash-injection suite and the integration tests
-//! all speak to the daemon through these, so they send the same traffic
-//! and spawn, wait for and kill a daemon the same way.
+//! a daemon with them, the kill-on-drop [`Daemon`] process, and the
+//! in-process four-engine [`oracle`] a served report is checked against.
+//! The `pgload` checks, the crash-injection suite and the integration
+//! tests all speak to the daemon through these, so they send the same
+//! traffic, spawn, wait for and kill a daemon the same way, and judge
+//! what it serves by the same oracle.
 
 use std::ffi::OsStr;
 use std::io::{self, Write};
@@ -12,6 +14,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use pg_schema::{validate, Engine, PgSchema, ValidationOptions};
 use pgraph::json::{self, Json};
 use pgraph::{GraphBuilder, GraphDelta, NodeId, PropertyGraph, Value};
 
@@ -279,6 +282,35 @@ pub fn canonical_report(body: &[u8], volatile: &[&str]) -> Result<String, String
     .to_string())
 }
 
+/// The members [`oracle`] leaves out of a report: `metrics` (wall times
+/// differ run to run) and `engine` (the engines differ by design).
+pub const VOLATILE: [&str; 2] = ["metrics", "engine"];
+
+/// The from-scratch oracle: validates `graph` against `schema` in
+/// process on all four engines — [`Engine::Naive`], the paper's rules
+/// transcribed as nested loops, included — and returns their one
+/// canonical report (every member but [`VOLATILE`]). Errs, naming the
+/// engine, unless all four reports are byte-identical.
+///
+/// The naive engine is O(n²–n³) by design, so it runs here, in the
+/// caller's process, and never behind a served route.
+pub fn oracle(graph: &PropertyGraph, schema: &PgSchema) -> Result<String, String> {
+    let run = |engine| {
+        let report = validate(graph, schema, &ValidationOptions::with_engine(engine));
+        canonical_report(report.to_json().as_bytes(), &VOLATILE)
+    };
+    let naive = run(Engine::Naive)?;
+    for engine in [Engine::Indexed, Engine::Parallel, Engine::Incremental] {
+        let (name, got) = (engine.name(), run(engine)?);
+        if got != naive {
+            return Err(format!(
+                "{name} disagrees with naive\n  naive: {naive}\n  {name}: {got}"
+            ));
+        }
+    }
+    Ok(naive)
+}
+
 /// The SDL of the paper's worked example (Example 3.1 with the edge
 /// properties of 3.12 and the key of 3.4).
 pub const SCHEMA_SDL: &str = r#"
@@ -341,7 +373,7 @@ pub fn toggle_delta(user: NodeId, i: u64) -> GraphDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pg_schema::{strongly_satisfies, PgSchema};
+    use pg_schema::strongly_satisfies;
 
     #[test]
     fn sample_conforms_and_toggles_flip_conformance() {
@@ -352,6 +384,9 @@ mod tests {
         assert_eq!(users.len(), 3);
         toggle_delta(users[0], 0).apply_to(&mut g).unwrap();
         assert!(!strongly_satisfies(&g, &schema));
+        let broken = oracle(&g, &schema).unwrap();
+        assert!(broken.contains("\"WS1\": 1"), "{broken}");
+        assert!(!broken.contains("\"engine\""), "{broken}");
         toggle_delta(users[0], 1).apply_to(&mut g).unwrap();
         assert!(strongly_satisfies(&g, &schema));
     }

@@ -8,11 +8,11 @@
 
 use std::sync::Arc;
 
-use pg_schema::{validate, ValidationOptions};
+use pg_schema::ValidationOptions;
 use pg_server::registry::SessionRegistry;
 use pg_server::workload::{
-    canonical_report, envelope, migrate_body, sample_graph, toggle_delta, user_ids, Client,
-    Scratch, SCHEMA_SDL,
+    canonical_report, envelope, migrate_body, oracle, sample_graph, toggle_delta, user_ids, Client,
+    Scratch, SCHEMA_SDL, VOLATILE,
 };
 use pg_server::{LogFormat, Server, ServerConfig};
 use pg_store::{FsyncPolicy, Store};
@@ -159,7 +159,7 @@ proptest! {
 
         prop_assert_eq!(recovered.sessions.len(), live.len());
         prop_assert_eq!(follower.len(), live.len());
-        let canonical = |report: &[u8]| canonical_report(report, &["metrics", "engine"]).unwrap();
+        let canonical = |report: &[u8]| canonical_report(report, &VOLATILE).unwrap();
         for (session, (leader_report, leader_graph)) in live.iter().zip(served) {
             let id = session.id;
             let replayed = recovered.sessions.iter().find(|s| s.id == id).expect("recovered");
@@ -178,11 +178,7 @@ proptest! {
             let expected = canonical(&leader_report);
             let replicated_report = replicated.engine().unwrap().report().to_json();
             prop_assert_eq!(canonical(replicated_report.as_bytes()), expected.clone());
-            for engine in ["naive", "indexed", "parallel", "incremental"] {
-                let options = ValidationOptions::with_engine(engine.parse().unwrap());
-                let scratch = validate(&graph, &schema, &options).to_json();
-                prop_assert_eq!(canonical(scratch.as_bytes()), expected.clone(), "{}", engine);
-            }
+            prop_assert_eq!(oracle(&graph, &schema).unwrap(), expected);
         }
     }
 }

@@ -100,9 +100,14 @@ mod unix {
         len: usize,
     }
 
-    // The mapping is read-only and owned: sharing a `&MmapRegion` across
-    // threads only ever reads the pages.
+    // SAFETY: the raw pointer is the only thing keeping the auto traits
+    // away. The region owns its mapping outright (no other value aliases
+    // or unmaps it), so moving it to another thread moves that
+    // ownership, and `Drop` unmaps exactly once wherever it runs.
     unsafe impl Send for MmapRegion {}
+    // SAFETY: the mapping is `PROT_READ` and `MAP_PRIVATE`, and the only
+    // access through `&MmapRegion` is `as_slice`, a shared read. Threads
+    // sharing a reference can only read the pages concurrently.
     unsafe impl Sync for MmapRegion {}
 
     impl MmapRegion {

@@ -1,12 +1,16 @@
 //! The one tier-1 suite that crosses every layer: parse → validate →
-//! serve over TCP → WAL → recover, on one small fixture, plus the two
-//! hostile-nesting bodies that used to kill a reactor core. Everything
+//! serve over TCP → WAL → recover, on one small fixture, plus the bodies
+//! that used to hold or kill a reactor core: two hostile nestings, a
+//! pigeonhole `/check-sat` and a large `?engine=naive`. Everything
 //! deeper lives in the crates' own suites (`cargo test --workspace`);
 //! this is the tripwire `cargo test -q` at the root cannot miss.
 
+use std::time::{Duration, Instant};
+
 use pg_schema::{validate, PgSchema, ValidationOptions};
 use pg_server::workload::{
-    canonical_report, envelope, sample_graph, toggle_delta, user_ids, Client, SCHEMA_SDL,
+    canonical_report, envelope, oracle, sample_graph, toggle_delta, user_ids, Client, SCHEMA_SDL,
+    VOLATILE,
 };
 use pg_server::{LogFormat, Server, ServerConfig, ServerHandle};
 use pgraph::json;
@@ -54,14 +58,14 @@ fn parse_validate_serve_log_and_recover() {
     };
     let served = state(&mut client);
 
-    // The served state is the library's verdict on the mutated graph.
+    // The served state is the four-engine oracle's verdict on the
+    // mutated graph.
     breaking.apply_to(&mut graph).unwrap();
     assert_eq!(served.1, json::to_json(&graph).into_bytes());
-    let expected = validate(&graph, &schema, &ValidationOptions::default());
-    assert!(!expected.conforms());
-    let expected = canonical_report(expected.to_json().as_bytes(), &["metrics", "engine"]);
+    let expected = oracle(&graph, &schema).unwrap();
+    assert!(expected.contains("\"conforms\": false"), "{expected}");
     let served_report = canonical_report(served.0.as_bytes(), &["engine"]);
-    assert_eq!(served_report, expected);
+    assert_eq!(served_report.unwrap(), expected);
 
     // Hostile nesting is a located 400, not a dead core.
     let brackets = "[".repeat(400_000);
@@ -134,4 +138,48 @@ fn check_sat_is_bounded_on_one_core() {
     handle.shutdown();
     handle.join().expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The naive engine is the O(n²–n³) oracle, not a route. A ≈ 4 MB body
+/// asking for it used to hold a one-core daemon for seconds; now it is
+/// refused before it is decoded, the core answers `/healthz` right
+/// after, and the same body on the default engine is served the
+/// four-engine oracle's report.
+#[test]
+fn naive_engine_is_refused_on_one_core() {
+    let dir = std::env::temp_dir().join(format!("pg-serve-smoke-naive-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (handle, mut client) = serve(&dir);
+    let graph = sample_graph(8_000);
+    let body = envelope(SCHEMA_SDL, &graph);
+    assert!(
+        (3_500_000..4_500_000).contains(&body.len()),
+        "{}",
+        body.len()
+    );
+
+    let started = Instant::now();
+    let refused = client.expect("naive", 400, "POST", "/validate?engine=naive", &body);
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "{:?}",
+        started.elapsed()
+    );
+    let refused = String::from_utf8(refused.unwrap()).unwrap();
+    assert!(
+        refused.contains("(expected indexed|parallel|incremental)"),
+        "{refused}"
+    );
+    client
+        .expect("healthz", 200, "GET", "/healthz", b"")
+        .unwrap();
+
+    let served = client.expect("default engine", 200, "POST", "/validate", &body);
+    let served = canonical_report(&served.unwrap(), &VOLATILE).unwrap();
+    drop(client);
+    handle.shutdown();
+    handle.join().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+    let schema = PgSchema::parse(SCHEMA_SDL).unwrap();
+    assert_eq!(served, oracle(&graph, &schema).unwrap());
 }
