@@ -1,14 +1,12 @@
-//! # pg-bench — benchmark harness
+//! # pg-bench — table harness
 //!
-//! Two entry points:
-//!
-//! * Criterion micro-benchmarks under `benches/` (one per experiment in
-//!   EXPERIMENTS.md), run via `cargo bench`;
-//! * the `experiments` binary (`cargo run --release -p pg-bench --bin
-//!   experiments`), which regenerates the *tables* of EXPERIMENTS.md —
-//!   scaling series with fitted growth exponents, the SAT phase
-//!   transition, the satisfiability verdicts for the §6.2 diagrams, and
-//!   the violation-detection matrix.
+//! The `experiments` binary (`cargo run --release -p pg-bench --bin
+//! experiments`) regenerates the *tables* of EXPERIMENTS.md: scaling
+//! series with fitted growth exponents, the SAT phase transition, the
+//! satisfiability verdicts for the §6.2 diagrams, and the
+//! violation-detection matrix. Asymptotic bounds are not timed here: the
+//! root package's `tests/complexity.rs` pins them as ratios of work
+//! counters. Served numbers come from `pgbench`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

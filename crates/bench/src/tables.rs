@@ -8,6 +8,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use dpll::KsatParams;
+use pg_datagen::schemagen::ring_schema;
 use pg_datagen::{
     inject, Defect, DeltaGen, DeltaGenParams, GraphGen, GraphGenParams, SchemaGen, SchemaGenParams,
 };
@@ -340,27 +341,13 @@ pub fn columnar_core(sizes: &[usize], iters: usize) -> String {
 /// E4m — migration planning: dirty-region impact preview vs a full
 /// revalidation under the candidate schema.
 ///
-/// The schema is a ring of `num_types` otherwise-identical types; the
-/// two candidates change only `T0` (an added optional attribute and an
+/// The schema is [`ring_schema`] over `num_types` types; the two
+/// candidates change only `T0` (an added optional attribute and an
 /// `@required` tightening), so `migrate::plan`'s dirty region is one
 /// type's nodes plus their incident edges while the full pass touches
 /// everything.
 pub fn migration_planning(num_types: usize, nodes_per_type: usize, iters: usize) -> String {
-    fn sdl(num_types: usize, tighten: bool, extend: bool) -> String {
-        let mut s = String::new();
-        for t in 0..num_types {
-            let req = if tighten && t == 0 { " @required" } else { "" };
-            let _ = writeln!(s, "type T{t} {{");
-            let _ = writeln!(s, "    name: String{req}");
-            if extend && t == 0 {
-                let _ = writeln!(s, "    zmig: String");
-            }
-            let _ = writeln!(s, "    next: [T{}] @distinct", (t + 1) % num_types);
-            let _ = writeln!(s, "}}");
-        }
-        s
-    }
-    let old = PgSchema::parse(&sdl(num_types, false, false)).unwrap();
+    let old = PgSchema::parse(&ring_schema(num_types, false, false)).unwrap();
     let graph = GraphGen::new(
         &old,
         GraphGenParams {
@@ -379,7 +366,7 @@ pub fn migration_planning(num_types: usize, nodes_per_type: usize, iters: usize)
         ("add optional `T0.zmig`", false, true),
         ("tighten `T0.name @required`", true, false),
     ] {
-        let candidate = PgSchema::parse(&sdl(num_types, tighten, extend)).unwrap();
+        let candidate = PgSchema::parse(&ring_schema(num_types, tighten, extend)).unwrap();
         let t_full = time_median(iters, || {
             validate(
                 &graph,

@@ -41,10 +41,10 @@ pub(crate) fn ds1(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
                 if sink.at_limit() {
                     return false;
                 }
+                sink.group_visited();
                 if edges.len() < 2 {
                     return true;
                 }
-                sink.group_visited();
                 if ss.label_subtype_opt(scope.label_sym(src), site.site) {
                     sink.push(Violation::DistinctViolated {
                         source: src,
@@ -105,10 +105,10 @@ pub(crate) fn ds3(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
                 if sink.at_limit() {
                     return false;
                 }
+                sink.group_visited();
                 if edges.len() < 2 {
                     return true;
                 }
-                sink.group_visited();
                 let count = edges
                     .iter()
                     .filter(|&e| {

@@ -207,6 +207,26 @@ pub fn library_schema() -> &'static str {
     "#
 }
 
+/// A ring of `num_types` otherwise-identical types `T0 … T{n-1}`, each
+/// with an optional `name` and a `@distinct` list `next` to its
+/// successor. The two flags change only `T0`: `tighten` makes its `name`
+/// `@required`, `extend` adds an optional `zmig` attribute. Migration
+/// planning's workload: a change to `T0` leaves every other type
+/// untouched, however many there are.
+pub fn ring_schema(num_types: usize, tighten: bool, extend: bool) -> String {
+    let mut s = String::new();
+    for t in 0..num_types {
+        let req = if tighten && t == 0 { " @required" } else { "" };
+        s.push_str(&format!("type T{t} {{\n    name: String{req}\n"));
+        if extend && t == 0 {
+            s.push_str("    zmig: String\n");
+        }
+        let next = (t + 1) % num_types;
+        s.push_str(&format!("    next: [T{next}] @distinct\n}}\n"));
+    }
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -433,7 +433,7 @@ u1,p1,authored,
             .unwrap();
         assert_eq!(bob.property("nicknames"), None);
         let post = g.nodes().find(|n| n.label() == "Post").unwrap();
-        assert_eq!(post.property_count(), 0);
+        assert_eq!(post.properties().count(), 0);
     }
 
     #[test]

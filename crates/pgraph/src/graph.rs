@@ -132,10 +132,6 @@ impl<'g> NodeRef<'g> {
     pub fn properties(&self) -> impl Iterator<Item = (&'g str, &'g Value)> {
         self.data.props.iter().map(|(k, v)| (k.as_str(), v))
     }
-    /// Number of properties defined on this node.
-    pub fn property_count(&self) -> usize {
-        self.data.props.len()
-    }
 }
 
 /// A borrowed view of one edge: its id, label, endpoints (`ρ`) and
@@ -167,10 +163,6 @@ impl<'g> EdgeRef<'g> {
     /// All properties of the edge in name order.
     pub fn properties(&self) -> impl Iterator<Item = (&'g str, &'g Value)> {
         self.data.props.iter().map(|(k, v)| (k.as_str(), v))
-    }
-    /// Number of properties defined on this edge.
-    pub fn property_count(&self) -> usize {
-        self.data.props.len()
     }
 }
 

@@ -26,9 +26,7 @@
 //!   incremental revalidation,
 //! * an immutable columnar view with a label index and out/in CSR
 //!   adjacency grouped by edge label ([`ColumnarGraph`]),
-//! * a stable JSON interchange format ([`json`]),
-//! * structural statistics ([`stats::GraphStats`]) used by the benchmark
-//!   harness.
+//! * a stable JSON interchange format ([`json`]).
 //!
 //! ```
 //! use pgraph::{PropertyGraph, Value};
@@ -59,7 +57,6 @@ pub mod dot;
 pub mod json;
 pub mod parse;
 pub mod snapshot;
-pub mod stats;
 pub mod symbols;
 
 pub use builder::{BuildError, GraphBuilder};

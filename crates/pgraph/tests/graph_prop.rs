@@ -274,16 +274,6 @@ proptest! {
         // graphs are byte-comparable.
         prop_assert_eq!(bytes, snapshot::graph_to_snapshot_bytes(&back));
     }
-
-    #[test]
-    fn stats_totals_are_consistent(spec in graph_spec()) {
-        let g = build(&spec);
-        let s = pgraph::stats::GraphStats::compute(&g);
-        prop_assert_eq!(s.nodes, g.node_count());
-        prop_assert_eq!(s.edges, g.edge_count());
-        prop_assert_eq!(s.nodes_per_label.values().sum::<usize>(), s.nodes);
-        prop_assert_eq!(s.edges_per_label.values().sum::<usize>(), s.edges);
-    }
 }
 
 #[test]

@@ -9,7 +9,6 @@ use std::time::Instant;
 
 use pg_datagen::{inject, Defect, GraphGen, GraphGenParams};
 use pg_schema::{validate, Engine, PgSchema, ValidationOptions};
-use pgraph::stats::GraphStats;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schema = PgSchema::parse(pg_datagen::schemagen::social_schema())?;
@@ -25,7 +24,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let graph = gen
         .generate_conforming(5)
         .ok_or("social schema should be generable")?;
-    println!("generated: {}", GraphStats::compute(&graph).summary());
+    println!(
+        "generated: {} nodes, {} edges",
+        graph.node_count(),
+        graph.edge_count()
+    );
 
     for engine in [Engine::Indexed, Engine::Naive] {
         let start = Instant::now();
