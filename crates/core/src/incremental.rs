@@ -66,18 +66,6 @@ use crate::rules::symschema::SymSchema;
 use crate::rules::{self, Ds7Plan, KeyTable, Scope, Sink, SinkOutput};
 use crate::ValidationOptions;
 
-/// Stateless entry point behind [`Engine::Incremental`](crate::Engine):
-/// with no prior report to start from, the first run is necessarily a
-/// full pass, so this delegates to the indexed rule library (the same
-/// pass [`IncrementalEngine::new`] performs to seed its state).
-pub(crate) fn run(
-    g: &PropertyGraph,
-    s: &PgSchema,
-    options: &ValidationOptions,
-) -> ValidationReport {
-    indexed::run_named(g, s, options, "incremental")
-}
-
 /// What one [`apply`](IncrementalEngine::apply) call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaOutcome {
@@ -202,7 +190,7 @@ impl<S: Borrow<PgSchema>> IncrementalEngine<S> {
     /// graph's incidence lists are exact after every op, failed or not).
     fn reseed(&mut self) {
         let schema = self.schema.borrow();
-        let mut report = indexed::run_named(&self.graph, schema, &self.options, "incremental");
+        let mut report = indexed::run_rows(&self.graph, schema, &self.options, "incremental");
         report.canonicalize();
         let seed_metrics = report.metrics().cloned();
         self.violations = report.take_violations();
@@ -219,7 +207,7 @@ impl<S: Borrow<PgSchema>> IncrementalEngine<S> {
         // An open window is re-seeded the same way, under its schema.
         if let Some(w) = &mut self.window {
             let mut report =
-                indexed::run_named(&self.graph, &w.schema, &self.options, "incremental");
+                indexed::run_rows(&self.graph, &w.schema, &self.options, "incremental");
             report.canonicalize();
             w.violations = report.take_violations();
             w.key_tables =

@@ -1,12 +1,12 @@
 //! The indexed validation engine — a thin planner over the rule kernels.
 //!
-//! One `O(|V| + |E|)` pass freezes the graph into a
-//! [`ColumnarGraph`](pgraph::ColumnarGraph) (interned symbols,
+//! The graph arrives as a [`ColumnarGraph`] (interned symbols,
 //! struct-of-arrays element tables, CSR adjacency in both directions plus
-//! a label-index CSR) on top of the schema's own symbol space — the
-//! schema was compiled onto it once
-//! ([`SymSchema`](crate::rules::symschema::SymSchema), memoised in the
-//! [`PgSchema`]), so a call pays for its graph only; the
+//! a label-index CSR) on top of the schema's own symbol space — frozen
+//! from rows in one `O(|V| + |E|)` pass ([`run_rows`]) or decoded
+//! straight into columns by the caller. The schema was compiled onto that
+//! space once ([`SymSchema`](crate::rules::symschema::SymSchema),
+//! memoised in the [`PgSchema`]), so a call pays for its graph only; the
 //! [`rules`](crate::rules) layer then evaluates every enabled kernel over
 //! a whole-graph [`Scope`](crate::rules::Scope):
 //!
@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 
-use pgraph::PropertyGraph;
+use pgraph::{ColumnarGraph, PropertyGraph};
 
 use crate::metrics::MetricsRecorder;
 use crate::pgschema::PgSchema;
@@ -33,39 +33,46 @@ use crate::report::ValidationReport;
 use crate::rules::{self, Ds7Plan, Scope, Sink};
 use crate::ValidationOptions;
 
+/// The full indexed pass over columns already on the schema's symbol
+/// space, reported under `engine_name` — the incremental engine's seeding
+/// run and the stateless `Engine::Incremental` path report themselves as
+/// `"incremental"` while running exactly this code. `index_build_nanos`
+/// is what building the columns cost the caller.
 pub(crate) fn run(
-    g: &PropertyGraph,
-    s: &PgSchema,
-    options: &ValidationOptions,
-) -> ValidationReport {
-    run_named(g, s, options, "indexed")
-}
-
-/// The full indexed pass under a caller-chosen engine name — the
-/// incremental engine's seeding run and the stateless
-/// `Engine::Incremental` path report themselves as `"incremental"` while
-/// running exactly this code.
-pub(crate) fn run_named(
-    g: &PropertyGraph,
+    cols: &ColumnarGraph,
     s: &PgSchema,
     options: &ValidationOptions,
     engine_name: &'static str,
+    index_build_nanos: u64,
 ) -> ValidationReport {
     let mut r = ValidationReport::with_limit(options.max_violations);
     let mut rec = MetricsRecorder::new(options.collect_metrics, engine_name, 1);
+    rec.index_build(index_build_nanos);
 
-    // The schema is compiled once, onto its own symbols; the graph is
-    // frozen into a copy of them, its own strings landing after.
-    let start = Instant::now();
-    let compiled = s.compiled();
-    let cols = compiled.freeze(g);
-    rec.index_build(start.elapsed().as_nanos() as u64);
-
-    let scope = Scope::full(g, s, &compiled.sym, &cols);
+    let scope = Scope::full(s, &s.compiled().sym, cols);
     let mut sink = Sink::new(&mut r, options.collect_metrics);
     rules::run(&scope, options, &mut sink, Ds7Plan::Inline);
     rec.absorb(sink.finish());
 
     rec.finish(&mut r);
     r
+}
+
+/// [`run`] over rows: the graph is frozen into a copy of the schema's
+/// symbols first, the freeze timed as the index build.
+pub(crate) fn run_rows(
+    g: &PropertyGraph,
+    s: &PgSchema,
+    options: &ValidationOptions,
+    engine_name: &'static str,
+) -> ValidationReport {
+    let start = Instant::now();
+    let cols = s.compiled().freeze(g);
+    run(
+        &cols,
+        s,
+        options,
+        engine_name,
+        start.elapsed().as_nanos() as u64,
+    )
 }

@@ -33,6 +33,11 @@
 //!   region (see the [`incremental`] module for the rule dependency
 //!   analysis).
 //!
+//! [`validate`] takes the mutable rows ([`pgraph::PropertyGraph`]);
+//! [`validate_columns`] takes a graph already in columns — decoded
+//! straight into [`PgSchema::columns_builder`], as the validation server
+//! does — and skips the freeze.
+//!
 //! Four-way engine agreement is property-tested — including agreement of
 //! the incremental engine with full revalidation after arbitrary mutation
 //! sequences; benchmarks E2 and E2i in EXPERIMENTS.md measure the
@@ -84,6 +89,10 @@ mod parallel;
 mod pgschema;
 pub mod report;
 mod rules;
+
+use std::time::Instant;
+
+use pgraph::ColumnarGraph;
 
 pub use api_extension::ApiExtensionError;
 pub use incremental::{DeltaOutcome, IncrementalEngine};
@@ -287,17 +296,56 @@ impl ValidationOptionsBuilder {
 
 /// Validates `graph` against `schema` — the Schema Validation Problem of
 /// §6.1 ("Does G strongly satisfy S?"), with per-rule violation reporting.
+///
+/// The naive engine reads the rows; the others freeze them into the
+/// schema's symbol space and run [`validate_columns`]' pass.
 pub fn validate(
     graph: &pgraph::PropertyGraph,
     schema: &PgSchema,
     options: &ValidationOptions,
 ) -> ValidationReport {
-    let mut report = match options.engine {
-        Engine::Naive => naive::run(graph, schema, options),
-        Engine::Indexed => indexed::run(graph, schema, options),
-        Engine::Parallel => parallel::run(graph, schema, options),
-        Engine::Incremental => incremental::run(graph, schema, options),
+    if options.engine == Engine::Naive {
+        return finish(naive::run(graph, schema, options), options);
+    }
+    let start = Instant::now();
+    let cols = schema.compiled().freeze(graph);
+    run_columns(&cols, schema, options, start.elapsed().as_nanos() as u64)
+}
+
+/// [`validate`] over a graph already in columns — what a caller that
+/// decodes straight into [`PgSchema::columns_builder`] holds, with no
+/// rows ever built. Columns on another symbol space (frozen or built
+/// without the schema's names first) are never read against this
+/// schema's symbols: they are thawed and re-frozen onto them, and the
+/// naive engine, which reads rows, gets them thawed.
+pub fn validate_columns(
+    cols: &ColumnarGraph,
+    schema: &PgSchema,
+    options: &ValidationOptions,
+) -> ValidationReport {
+    if options.engine == Engine::Naive || !schema.compiled().holds(cols) {
+        return validate(&cols.thaw(), schema, options);
+    }
+    run_columns(cols, schema, options, 0)
+}
+
+/// The columnar engines' dispatch, then [`finish`].
+fn run_columns(
+    cols: &ColumnarGraph,
+    schema: &PgSchema,
+    options: &ValidationOptions,
+    index_build_nanos: u64,
+) -> ValidationReport {
+    let report = match options.engine {
+        Engine::Parallel => parallel::run(cols, schema, options, index_build_nanos),
+        engine => indexed::run(cols, schema, options, engine.name(), index_build_nanos),
     };
+    finish(report, options)
+}
+
+/// Names the engine, marks truncation and canonicalises: what every
+/// engine's report goes through before it reaches the caller.
+fn finish(mut report: ValidationReport, options: &ValidationOptions) -> ValidationReport {
     report.set_engine(options.engine.name());
     // Once the limit is reached the engines stop scanning, so whether
     // further violations exist is unknown — that is what `truncated`

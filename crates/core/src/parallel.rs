@@ -1,9 +1,10 @@
 //! The parallel validation engine — a sharding planner over the rule
 //! kernels.
 //!
-//! Freezes the graph into a [`ColumnarGraph`] once, serially, on top of
-//! the schema's memoised symbol space (the schema is compiled once per
-//! [`PgSchema`], not per call), then partitions the node and edge slot
+//! Takes the graph as a [`ColumnarGraph`] on the schema's memoised
+//! symbol space (frozen once, serially, by [`crate::validate`], or
+//! decoded straight into columns by the caller of
+//! [`crate::validate_columns`]), then partitions the node and edge slot
 //! spaces into one contiguous shard per worker ([`even_ranges`]) and
 //! runs the
 //! shared rule kernels ([`crate::rules`]) shard-locally on scoped
@@ -39,7 +40,7 @@ use std::ops::Range;
 use std::thread;
 use std::time::Instant;
 
-use pgraph::{ColumnarGraph, NodeId, PropertyGraph};
+use pgraph::{ColumnarGraph, NodeId};
 
 use crate::metrics::MetricsRecorder;
 use crate::pgschema::PgSchema;
@@ -76,22 +77,19 @@ struct WorkerOutput {
     elements: u64,
 }
 
+/// Validates columns already on the schema's symbol space, shared
+/// read-only by all workers; `index_build_nanos` is what building them
+/// cost the caller.
 pub(crate) fn run(
-    g: &PropertyGraph,
+    cols: &ColumnarGraph,
     s: &PgSchema,
     options: &ValidationOptions,
+    index_build_nanos: u64,
 ) -> ValidationReport {
     let threads = effective_threads(options.threads);
     let mut rec = MetricsRecorder::new(options.collect_metrics, "parallel", threads);
-
-    // The columnar view is frozen once, serially, into the schema's
-    // memoised symbol space and shared read-only by all workers (the
-    // same O(|V| + |E|) pass as the indexed engine).
-    let start = Instant::now();
-    let compiled = s.compiled();
-    let cols = compiled.freeze(g);
-    let ss = &compiled.sym;
-    rec.index_build(start.elapsed().as_nanos() as u64);
+    rec.index_build(index_build_nanos);
+    let ss = &s.compiled().sym;
 
     // Contiguous slot ranges (rather than `id % k` striping) keep each
     // worker's accesses sequential over the columns.
@@ -101,10 +99,7 @@ pub(crate) fn run(
         let handles: Vec<_> = node_ranges
             .into_iter()
             .zip(edge_ranges)
-            .map(|(nodes, edges)| {
-                let cols = &cols;
-                scope.spawn(move || worker(g, s, cols, ss, options, nodes, edges))
-            })
+            .map(|(nodes, edges)| scope.spawn(move || worker(s, cols, ss, options, nodes, edges)))
             .collect();
         handles
             .into_iter()
@@ -135,7 +130,6 @@ fn even_ranges(bound: usize, k: usize) -> Vec<Range<usize>> {
 /// (tombstones included — with them present the live populations of
 /// equal-width ranges differ, which `shard_elements` reports).
 fn worker(
-    g: &PropertyGraph,
     s: &PgSchema,
     cols: &ColumnarGraph,
     ss: &SymSchema,
@@ -153,7 +147,7 @@ fn worker(
         0
     };
 
-    let scope = Scope::shard(g, s, ss, cols, nodes, edges);
+    let scope = Scope::shard(s, ss, cols, nodes, edges);
     let mut sink = Sink::new(&mut r, options.collect_metrics);
     rules::run(&scope, options, &mut sink, Ds7Plan::Map(&mut key_tables));
     let out = sink.finish();

@@ -22,7 +22,7 @@ use gql_schema::{
     consistency, directives as dir, subtype, AppliedDirective, FieldInfo, Schema, TypeId,
     WrappedType,
 };
-use pgraph::{ColumnarGraph, PropertyGraph, SymbolTable, Value};
+use pgraph::{ColumnarGraph, ColumnsBuilder, PropertyGraph, SymbolTable, Value};
 
 use crate::rules::symschema::SymSchema;
 
@@ -176,6 +176,14 @@ impl Compiled {
     pub(crate) fn freeze(&self, g: &PropertyGraph) -> ColumnarGraph {
         ColumnarGraph::freeze_into(g, self.symbols.clone())
     }
+
+    /// True when `cols` sit on this schema's symbol space: their table
+    /// starts with the schema's names, in order, so every symbol the
+    /// compiled schema holds means the same string in the columns.
+    pub(crate) fn holds(&self, cols: &ColumnarGraph) -> bool {
+        let (ours, theirs) = (&self.symbols, cols.symbols());
+        theirs.len() >= ours.len() && ours.strings().zip(theirs.strings()).all(|(a, b)| a == b)
+    }
 }
 
 impl std::fmt::Debug for Compiled {
@@ -284,6 +292,13 @@ impl PgSchema {
             open_world: false,
             compiled: OnceLock::new(),
         })
+    }
+
+    /// A column builder on this schema's symbol space: the columns it
+    /// builds go to [`validate_columns`](crate::validate_columns) as they
+    /// are, a graph decoded into it never becoming rows.
+    pub fn columns_builder(&self) -> ColumnsBuilder {
+        ColumnsBuilder::new(self.compiled().symbols.clone())
     }
 
     /// The schema compiled onto its own symbol space, built by the first

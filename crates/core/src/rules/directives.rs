@@ -300,7 +300,8 @@ fn ds7_collect_values(
     sink: &mut Sink<'_>,
     key: &KeySlot,
 ) -> HashMap<Vec<Option<Value>>, Vec<NodeId>> {
-    let (g, ss) = (scope.g, scope.ss);
+    let g = scope.graph().expect("value collect requires a dirty scope");
+    let ss = scope.ss;
     let mut groups: HashMap<Vec<Option<Value>>, Vec<NodeId>> = HashMap::new();
     for &label in scope.labels() {
         if !ss.label_subtype(label, key.site) {
@@ -446,7 +447,10 @@ pub(crate) fn ds7_recheck(scope: &Scope<'_, '_>, sink: &mut Sink<'_>, tables: &m
         .dirty_nodes()
         .expect("DS7 recheck plan requires a dirty scope");
     sink.rule(Rule::DS7, |sink| {
-        let (g, s) = (scope.g, scope.s);
+        let g = scope
+            .graph()
+            .expect("DS7 recheck plan requires a dirty scope");
+        let s = scope.s;
         for (key, table) in s.keys().iter().zip(tables) {
             for &v in dirty {
                 sink.group_visited();

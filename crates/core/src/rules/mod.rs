@@ -122,24 +122,21 @@ enum View<'a, 'g> {
         edges: Range<usize>,
     },
     /// The interned dirty region of a delta (incremental engine):
-    /// `nodes` is the dirty-node closure driving ownership.
+    /// `nodes` is the dirty-node closure driving ownership, `g` the
+    /// *whole* graph the region was cut from (the region restricts which
+    /// elements are scanned, not what lookups can see).
     Dirty {
+        g: &'g PropertyGraph,
         pc: &'a PartialCols<'g>,
         nodes: &'a BTreeSet<NodeId>,
     },
 }
 
-/// Everything a rule kernel reads: the graph (for the few cold lookups
-/// that still need it), the schema in both its string-keyed and
-/// symbol-compiled forms, the symbol table for rendering report strings,
-/// and the evaluation view. See the module docs for the three view
-/// variants and how the planners instantiate them.
+/// Everything a rule kernel reads: the schema in both its string-keyed
+/// and symbol-compiled forms, the symbol table for rendering report
+/// strings, and the evaluation view. See the module docs for the three
+/// view variants and how the planners instantiate them.
 pub(crate) struct Scope<'a, 'g> {
-    /// The graph under validation (always the *whole* graph — views
-    /// restrict which elements are scanned, not what lookups can see).
-    /// Kernels use it only for DS7's persistent recheck tables; the hot
-    /// paths read the columnar view.
-    pub(crate) g: &'g PropertyGraph,
     /// The schema validated against (string-keyed; DS7 recheck only).
     pub(crate) s: &'a PgSchema,
     /// The schema compiled onto the symbol space.
@@ -359,14 +356,8 @@ impl Iterator for EdgeRunIter<'_> {
 impl<'a, 'g: 'a> Scope<'a, 'g> {
     /// Whole-graph scope (indexed engine, incremental seeding) over a
     /// frozen columnar view.
-    pub(crate) fn full(
-        g: &'g PropertyGraph,
-        s: &'a PgSchema,
-        ss: &'a SymSchema,
-        cols: &'a ColumnarGraph,
-    ) -> Self {
+    pub(crate) fn full(s: &'a PgSchema, ss: &'a SymSchema, cols: &'a ColumnarGraph) -> Self {
         Scope {
-            g,
             s,
             ss,
             syms: cols.symbols(),
@@ -376,7 +367,6 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
 
     /// One worker's contiguous slot ranges of the parallel engine.
     pub(crate) fn shard(
-        g: &'g PropertyGraph,
         s: &'a PgSchema,
         ss: &'a SymSchema,
         cols: &'a ColumnarGraph,
@@ -384,7 +374,6 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
         edges: Range<usize>,
     ) -> Self {
         Scope {
-            g,
             s,
             ss,
             syms: cols.symbols(),
@@ -404,11 +393,10 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
         nodes: &'a BTreeSet<NodeId>,
     ) -> Self {
         Scope {
-            g,
             s,
             ss,
             syms,
-            view: View::Dirty { pc, nodes },
+            view: View::Dirty { g, pc, nodes },
         }
     }
 
@@ -523,7 +511,7 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
                     None
                 }
             }
-            View::Dirty { .. } => self.g.edge_endpoints(e).map(|(s, _)| s),
+            View::Dirty { g, .. } => g.edge_endpoints(e).map(|(s, _)| s),
         }
     }
 
@@ -546,6 +534,16 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
         }
     }
 
+    /// The whole graph behind the dirty view — `None` under the columnar
+    /// ones, which read only the columns. DS7 reads `Value` tuples from
+    /// it where no value table exists.
+    pub(crate) fn graph(&self) -> Option<&'g PropertyGraph> {
+        match &self.view {
+            View::Dirty { g, .. } => Some(g),
+            _ => None,
+        }
+    }
+
     /// The dirty node set — `Some` only under the dirty view. DS7's
     /// recheck plan uses this to move exactly the dirty nodes between
     /// key groups.
@@ -562,7 +560,7 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
         match &self.view {
             View::Full { cols } => out_groups_cols(cols, 0..cols.node_slots(), f),
             View::Shard { cols, nodes, .. } => out_groups_cols(cols, nodes.clone(), f),
-            View::Dirty { pc, nodes } => {
+            View::Dirty { pc, nodes, .. } => {
                 for (src, label, run) in pc.out_groups() {
                     if !nodes.contains(&src) {
                         continue;
@@ -585,7 +583,7 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
         match &self.view {
             View::Full { cols } => parallel_runs_cols(cols, 0..cols.node_slots(), label, f),
             View::Shard { cols, nodes, .. } => parallel_runs_cols(cols, nodes.clone(), label, f),
-            View::Dirty { pc, nodes } => {
+            View::Dirty { pc, nodes, .. } => {
                 for (src, dst, run) in pc.parallel_runs(label) {
                     if !nodes.contains(&src) {
                         continue;
@@ -604,7 +602,7 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
         match &self.view {
             View::Full { cols } => in_runs_cols(cols, 0..cols.node_slots(), label, f),
             View::Shard { cols, nodes, .. } => in_runs_cols(cols, nodes.clone(), label, f),
-            View::Dirty { pc, nodes } => {
+            View::Dirty { pc, nodes, .. } => {
                 for (dst, run) in pc.in_runs(label) {
                     if !nodes.contains(&dst) {
                         continue;

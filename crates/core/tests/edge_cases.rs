@@ -289,3 +289,57 @@ fn multiple_keys_are_all_enforced() {
     let report = both(&g, &s);
     assert_eq!(report.by_rule(Rule::DS7).count(), 1, "{report}");
 }
+
+/// `validate_columns` trusts only columns on the schema's symbol space:
+/// columns frozen onto their own table (where `User` may be symbol 0 and
+/// mean nothing to the schema) get the report the rows get, on every
+/// engine, and so do columns decoded straight into the schema's builder.
+#[test]
+fn columns_on_a_foreign_symbol_space_are_never_misread() {
+    let s = PgSchema::parse(
+        r#"
+        type User @key(fields: ["login"]) {
+            login: String! @required
+            follows: [User] @noLoops
+        }
+        "#,
+    )
+    .unwrap();
+    let g = GraphBuilder::new()
+        .node("a", "User")
+        .prop("a", "login", "al")
+        .node("b", "User")
+        .prop("b", "login", "al")
+        .node("c", "Stranger")
+        .prop("c", "shoe", 7i64)
+        .edge("a", "a", "follows")
+        .edge("b", "c", "follows")
+        .edge("c", "a", "haunts")
+        .build()
+        .unwrap();
+    let foreign = pgraph::ColumnarGraph::freeze(&g);
+    let mut decoded = s.columns_builder();
+    let text = pgraph::json::to_json(&g);
+    pgraph::json::read_graph(&mut pgraph::json::Reader::new(&text), &mut decoded).unwrap();
+    let decoded = decoded.finish();
+    for engine in [
+        Engine::Naive,
+        Engine::Indexed,
+        Engine::Parallel,
+        Engine::Incremental,
+    ] {
+        let options = ValidationOptions::with_engine(engine);
+        let want = validate(&g, &s, &options);
+        assert!(!want.conforms());
+        assert_eq!(
+            pg_schema::validate_columns(&foreign, &s, &options),
+            want,
+            "{engine:?}"
+        );
+        assert_eq!(
+            pg_schema::validate_columns(&decoded, &s, &options),
+            want,
+            "{engine:?}"
+        );
+    }
+}

@@ -8,7 +8,11 @@
 //! one of which pays pointer chasing and string hashing in the map-shaped
 //! form.
 //!
-//! [`ColumnarGraph::freeze`] converts a graph into dense parallel columns:
+//! [`ColumnarGraph`] holds a graph as dense parallel columns. One
+//! assembler, [`ColumnsBuilder`], appends to them: [`ColumnarGraph::freeze`]
+//! walks a graph's rows into it, and a decoder that implements its side
+//! of [`GraphSink`] ([`crate::json::read_graph`]) feeds it straight from
+//! the text, with no rows in between. Either way:
 //!
 //! * labels and property keys become [`Sym`]s in one [`SymbolTable`];
 //! * property values are deduplicated into a [`ValueTable`] and referred
@@ -31,6 +35,7 @@
 //! The columns (not the derived CSR) are also the on-disk snapshot
 //! layout — see [`crate::snapshot`].
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::graph::{EdgeData, NodeData, PropMap};
@@ -164,68 +169,37 @@ impl ColumnarGraph {
     /// [`freeze`](Self::freeze), with graph strings the table already
     /// knows keeping their symbol and the rest appended after it. The
     /// result thaws to the same graph; only the symbol numbering differs.
-    pub fn freeze_into(g: &PropertyGraph, mut symbols: SymbolTable) -> ColumnarGraph {
-        let mut values = ValueTable::default();
-
-        let n = g.node_index_bound();
-        let mut node_alive = Vec::with_capacity(n);
-        let mut node_label = Vec::with_capacity(n);
-        let mut node_prop_start = Vec::with_capacity(n + 1);
-        let mut node_prop_keys = Vec::new();
-        let mut node_prop_vals = Vec::new();
-        node_prop_start.push(0);
+    pub fn freeze_into(g: &PropertyGraph, symbols: SymbolTable) -> ColumnarGraph {
+        let mut b = ColumnsBuilder::new(symbols);
         for data in &g.nodes {
-            node_alive.push(data.alive);
-            node_label.push(symbols.intern(&data.label));
-            push_props(
-                &data.props,
-                &mut symbols,
-                &mut values,
-                &mut node_prop_keys,
-                &mut node_prop_vals,
-            );
-            node_prop_start.push(node_prop_keys.len() as u32);
+            let props = data.props.iter().map(|(k, v)| (k.as_str(), v));
+            b.push_node(data.alive, &data.label, props);
         }
-
-        let m = g.edge_index_bound();
-        let mut edge_alive = Vec::with_capacity(m);
-        let mut edge_label = Vec::with_capacity(m);
-        let mut edge_src = Vec::with_capacity(m);
-        let mut edge_dst = Vec::with_capacity(m);
-        let mut edge_prop_start = Vec::with_capacity(m + 1);
-        let mut edge_prop_keys = Vec::new();
-        let mut edge_prop_vals = Vec::new();
-        edge_prop_start.push(0);
         for data in &g.edges {
-            edge_alive.push(data.alive);
-            edge_label.push(symbols.intern(&data.label));
-            edge_src.push(data.src.index() as u32);
-            edge_dst.push(data.dst.index() as u32);
-            push_props(
-                &data.props,
-                &mut symbols,
-                &mut values,
-                &mut edge_prop_keys,
-                &mut edge_prop_vals,
-            );
-            edge_prop_start.push(edge_prop_keys.len() as u32);
+            let ends = (data.src.index() as u32, data.dst.index() as u32);
+            let props = data.props.iter().map(|(k, v)| (k.as_str(), v));
+            b.push_edge(data.alive, &data.label, ends, props);
         }
+        b.finish()
+    }
 
-        let mut cg = ColumnarGraph {
+    /// Empty columns over `symbols`, derived indexes not yet built.
+    fn empty(symbols: SymbolTable) -> ColumnarGraph {
+        ColumnarGraph {
             symbols,
-            values,
-            node_alive,
-            node_label,
-            node_prop_start,
-            node_prop_keys,
-            node_prop_vals,
-            edge_alive,
-            edge_label,
-            edge_src,
-            edge_dst,
-            edge_prop_start,
-            edge_prop_keys,
-            edge_prop_vals,
+            values: ValueTable::default(),
+            node_alive: Vec::new(),
+            node_label: Vec::new(),
+            node_prop_start: vec![0],
+            node_prop_keys: Vec::new(),
+            node_prop_vals: Vec::new(),
+            edge_alive: Vec::new(),
+            edge_label: Vec::new(),
+            edge_src: Vec::new(),
+            edge_dst: Vec::new(),
+            edge_prop_start: vec![0],
+            edge_prop_keys: Vec::new(),
+            edge_prop_vals: Vec::new(),
             out_start: Vec::new(),
             out_edges: Vec::new(),
             in_start: Vec::new(),
@@ -235,9 +209,7 @@ impl ColumnarGraph {
             labels_present: Vec::new(),
             live_nodes: 0,
             live_edges: 0,
-        };
-        cg.rebuild_derived();
-        cg
+        }
     }
 
     /// Assembles a graph from raw columns (snapshot thaw). The caller has
@@ -260,7 +232,6 @@ impl ColumnarGraph {
         edge_prop_vals: Vec<u32>,
     ) -> ColumnarGraph {
         let mut cg = ColumnarGraph {
-            symbols,
             values,
             node_alive,
             node_label,
@@ -274,15 +245,7 @@ impl ColumnarGraph {
             edge_prop_start,
             edge_prop_keys,
             edge_prop_vals,
-            out_start: Vec::new(),
-            out_edges: Vec::new(),
-            in_start: Vec::new(),
-            in_edges: Vec::new(),
-            label_start: Vec::new(),
-            label_nodes: Vec::new(),
-            labels_present: Vec::new(),
-            live_nodes: 0,
-            live_edges: 0,
+            ..ColumnarGraph::empty(symbols)
         };
         cg.rebuild_derived();
         cg
@@ -534,31 +497,128 @@ impl ColumnarGraph {
     }
 }
 
-/// Interns one element's property map into the flattened columns, keys
-/// sorted by symbol (not by name — lookup binary-searches symbols).
-fn push_props(
-    props: &PropMap,
-    symbols: &mut SymbolTable,
-    values: &mut ValueTable,
-    keys: &mut Vec<Sym>,
-    vals: &mut Vec<u32>,
-) {
-    let start = keys.len();
-    for (name, value) in props {
-        keys.push(symbols.intern(name));
-        vals.push(values.intern(value));
+/// A property list handed to a [`GraphSink`]: keys in name order, no key
+/// twice.
+pub type Props<'a> = Vec<(Cow<'a, str>, Value)>;
+
+/// Where a graph decoder puts what it reads: one call per element, nodes
+/// first, each given a dense id in call order. The two sinks are the
+/// mutable rows ([`PropertyGraph`]) and the frozen columns
+/// ([`ColumnsBuilder`]); a decoder that feeds this trait produces either
+/// without an intermediate form.
+pub trait GraphSink {
+    /// Appends the next node. The sink takes the properties out of
+    /// `props`, leaving it empty for the next element.
+    fn node(&mut self, label: &str, props: &mut Props<'_>);
+    /// Appends an edge between two nodes already appended.
+    fn edge(&mut self, source: u32, target: u32, label: &str, props: &mut Props<'_>);
+}
+
+/// The one column assembler: elements are appended in slot order and the
+/// CSR adjacency and label index are built once, in
+/// [`finish`](Self::finish).
+///
+/// Labels, keys and values are interned as they arrive — for each
+/// element its label, then its keys (with their values) in name order —
+/// so [`ColumnarGraph::freeze_into`], which walks the rows into a
+/// builder, and a decoder that feeds one the same graph produce the same
+/// columns.
+#[derive(Debug)]
+pub struct ColumnsBuilder {
+    cols: ColumnarGraph,
+    /// One element's `(key, value id)` pairs, for the sort by symbol.
+    scratch: Vec<(Sym, u32)>,
+}
+
+impl ColumnsBuilder {
+    /// Starts empty columns over `symbols`, which may already hold other
+    /// strings (a compiled schema's names).
+    pub fn new(symbols: SymbolTable) -> ColumnsBuilder {
+        ColumnsBuilder {
+            cols: ColumnarGraph::empty(symbols),
+            scratch: Vec::new(),
+        }
     }
-    // Few properties per element: insertion sort via sort_unstable is fine.
-    let slice_start = start;
-    let mut pairs: Vec<(Sym, u32)> = keys[slice_start..]
-        .iter()
-        .copied()
-        .zip(vals[slice_start..].iter().copied())
-        .collect();
-    pairs.sort_unstable_by_key(|&(k, _)| k);
-    for (i, (k, v)) in pairs.into_iter().enumerate() {
-        keys[slice_start + i] = k;
-        vals[slice_start + i] = v;
+
+    /// Appends the next node slot. `props` must be in name order with no
+    /// key twice.
+    pub fn push_node<'v>(
+        &mut self,
+        alive: bool,
+        label: &str,
+        props: impl IntoIterator<Item = (&'v str, &'v Value)>,
+    ) {
+        let sym = self.cols.symbols.intern(label);
+        self.cols.node_alive.push(alive);
+        self.cols.node_label.push(sym);
+        self.intern_props(props);
+        let c = &mut self.cols;
+        c.node_prop_keys
+            .extend(self.scratch.iter().map(|&(k, _)| k));
+        c.node_prop_vals
+            .extend(self.scratch.iter().map(|&(_, v)| v));
+        c.node_prop_start.push(c.node_prop_keys.len() as u32);
+    }
+
+    /// Appends the next edge slot between two node slots already
+    /// appended; `props` as for [`push_node`](Self::push_node).
+    pub fn push_edge<'v>(
+        &mut self,
+        alive: bool,
+        label: &str,
+        (source, target): (u32, u32),
+        props: impl IntoIterator<Item = (&'v str, &'v Value)>,
+    ) {
+        let nodes = self.cols.node_alive.len();
+        assert!(
+            source.max(target) < nodes as u32,
+            "edge to a node slot not appended"
+        );
+        let sym = self.cols.symbols.intern(label);
+        self.cols.edge_alive.push(alive);
+        self.cols.edge_label.push(sym);
+        self.cols.edge_src.push(source);
+        self.cols.edge_dst.push(target);
+        self.intern_props(props);
+        let c = &mut self.cols;
+        c.edge_prop_keys
+            .extend(self.scratch.iter().map(|&(k, _)| k));
+        c.edge_prop_vals
+            .extend(self.scratch.iter().map(|&(_, v)| v));
+        c.edge_prop_start.push(c.edge_prop_keys.len() as u32);
+    }
+
+    /// Interns one element's properties (in name order, keys and values
+    /// interleaved) into `scratch`, sorted by key symbol — not by name:
+    /// lookup binary-searches symbols.
+    fn intern_props<'v>(&mut self, props: impl IntoIterator<Item = (&'v str, &'v Value)>) {
+        let (symbols, values) = (&mut self.cols.symbols, &mut self.cols.values);
+        self.scratch.clear();
+        self.scratch.extend(
+            props
+                .into_iter()
+                .map(|(name, value)| (symbols.intern(name), values.intern(value))),
+        );
+        self.scratch.sort_unstable_by_key(|&(k, _)| k);
+    }
+
+    /// Builds the derived indexes and hands over the columns.
+    pub fn finish(mut self) -> ColumnarGraph {
+        self.cols.rebuild_derived();
+        self.cols
+    }
+}
+
+impl GraphSink for ColumnsBuilder {
+    fn node(&mut self, label: &str, props: &mut Props<'_>) {
+        self.push_node(true, label, props.iter().map(|(k, v)| (&**k, v)));
+        props.clear();
+    }
+
+    fn edge(&mut self, source: u32, target: u32, label: &str, props: &mut Props<'_>) {
+        let props_iter = props.iter().map(|(k, v)| (&**k, v));
+        self.push_edge(true, label, (source, target), props_iter);
+        props.clear();
     }
 }
 

@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::columnar::{GraphSink, Props};
 use crate::Value;
 
 /// Identifier of a node (an element of `V`).
@@ -522,6 +523,25 @@ impl PropertyGraph {
             Err(GraphError::MissingEdge(id))
         }
     }
+}
+
+/// The rows as a decoder's target ([`crate::json::from_json`], sessions).
+impl GraphSink for PropertyGraph {
+    fn node(&mut self, label: &str, props: &mut Props<'_>) {
+        let id = self.add_node(label);
+        self.nodes[id.index()].props = own_props(props);
+    }
+
+    fn edge(&mut self, source: u32, target: u32, label: &str, props: &mut Props<'_>) {
+        let id = self
+            .add_edge(NodeId(source), NodeId(target), label)
+            .expect("the decoder appended both endpoints");
+        self.edges[id.index()].props = own_props(props);
+    }
+}
+
+fn own_props(props: &mut Props<'_>) -> PropMap {
+    props.drain(..).map(|(k, v)| (k.into_owned(), v)).collect()
 }
 
 /// Removes `e` from an ascending incidence list, if present.

@@ -60,7 +60,7 @@ pub mod snapshot;
 pub mod symbols;
 
 pub use builder::{BuildError, GraphBuilder};
-pub use columnar::{ColumnarGraph, ValueTable};
+pub use columnar::{ColumnarGraph, ColumnsBuilder, GraphSink, Props, ValueTable};
 pub use delta::{DeltaEffect, DeltaOp, EdgeTouch, GraphDelta};
 pub use graph::{EdgeId, EdgeRef, GraphError, NodeId, NodeRef, PropertyGraph};
 pub use parse::ParseEnumError;

@@ -3,10 +3,13 @@
 //! lists against the edge table, index/scan agreement, and
 //! columnar/snapshot round-trips (tombstoned id space preserved bit for
 //! bit; `==` compares the incidence lists too, so every decoder's rebuild
-//! of them is checked).
+//! of them is checked), and the streaming graph decoder against the tree
+//! one.
 
+use pgraph::json::{self, Json};
 use pgraph::{
-    json, snapshot, ColumnarGraph, EdgeId, EdgeRef, NodeId, PropertyGraph, Sym, SymbolTable, Value,
+    snapshot, ColumnarGraph, ColumnsBuilder, EdgeId, EdgeRef, NodeId, PropertyGraph, Sym,
+    SymbolTable, Value,
 };
 use proptest::prelude::*;
 
@@ -283,4 +286,262 @@ fn the_empty_graph_streams_the_tree_printers_bytes() {
     assert_eq!(text, "{\n  \"nodes\": [],\n  \"edges\": []\n}");
     assert_eq!(text, json::graph_to_value(&g).to_string());
     assert_eq!(json::to_json(&json::from_json(&text).unwrap()), text);
+}
+
+/// SplitMix64: the mutations one decode-equivalence case applies.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+
+    fn chance(&mut self, percent: u64) -> bool {
+        self.next() % 100 < percent
+    }
+}
+
+/// Stands for an integer token no `i64` holds; swapped in after
+/// rendering.
+const BIG: &str = "@BIG@";
+
+/// Any JSON value, nested up to `depth`.
+fn junk(rng: &mut Rng, depth: usize) -> Json {
+    match rng.below(if depth == 0 { 5 } else { 8 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.chance(50)),
+        2 => Json::Int(rng.next() as i64 % 1000),
+        3 => Json::Float(0.5),
+        4 => Json::Str(["j", "π", "😀", BIG][rng.below(4)].to_owned()),
+        5 => Json::Array((0..rng.below(3)).map(|_| junk(rng, depth - 1)).collect()),
+        6 => Json::Object(vec![(
+            ["$id", "$enum", "k"][rng.below(3)].to_owned(),
+            junk(rng, depth - 1),
+        )]),
+        _ => Json::Object(vec![
+            ("$id".to_owned(), Json::Str("a".to_owned())),
+            ("$enum".to_owned(), Json::Str("B".to_owned())),
+        ]),
+    }
+}
+
+/// Rewrites a graph document the ways a client may legally or
+/// illegally write one: members reordered (`edges` before `nodes`) and
+/// repeated, unknown members, repeated property keys, repeated or
+/// out-of-range node ids, values no property can hold.
+fn mutate(doc: &mut Json, rng: &mut Rng) {
+    let Json::Object(root) = doc else { return };
+    if rng.chance(30) {
+        root.reverse();
+    }
+    if rng.chance(15) {
+        let name = ["nodes", "edges"][rng.below(2)].to_owned();
+        root.push((name, junk(rng, 2)));
+    }
+    if rng.chance(15) {
+        let at = rng.below(root.len() + 1);
+        root.insert(at, ("extra".to_owned(), junk(rng, 3)));
+    }
+    let node_ids: Vec<Json> = root
+        .iter()
+        .filter(|(k, _)| k == "nodes")
+        .flat_map(|(_, v)| v.as_array().unwrap_or(&[]))
+        .filter_map(|n| n.get("id").cloned())
+        .collect();
+    for (_, list) in root.iter_mut() {
+        let Json::Array(items) = list else { continue };
+        for item in items {
+            let Json::Object(members) = item else {
+                continue;
+            };
+            if rng.chance(10) && !members.is_empty() {
+                // A repeat: the first occurrence counts.
+                let name = members[rng.below(members.len())].0.clone();
+                members.push((name, junk(rng, 2)));
+            }
+            if rng.chance(10) {
+                let at = rng.below(members.len() + 1);
+                members.insert(at, ("unknown".to_owned(), junk(rng, 3)));
+            }
+            if rng.chance(5) {
+                // Duplicate or out-of-range ids and endpoints.
+                let field = ["id", "source", "target"][rng.below(3)];
+                let value = match rng.below(3) {
+                    0 if !node_ids.is_empty() => node_ids[rng.below(node_ids.len())].clone(),
+                    1 => Json::Str(BIG.to_owned()),
+                    _ => Json::Int(-1),
+                };
+                if let Some(slot) = members.iter_mut().find(|(k, _)| k == field) {
+                    slot.1 = value;
+                }
+            }
+            if rng.chance(10) {
+                for i in (1..members.len()).rev() {
+                    members.swap(i, rng.below(i + 1));
+                }
+            }
+            let Some((_, Json::Object(props))) =
+                members.iter_mut().find(|(k, _)| k == "properties")
+            else {
+                continue;
+            };
+            if rng.chance(20) && !props.is_empty() {
+                // A repeated key: the last occurrence counts.
+                let name = props[rng.below(props.len())].0.clone();
+                let at = rng.below(props.len() + 1);
+                let value = match rng.below(3) {
+                    0 => Json::Int(7),
+                    1 => Json::Object(vec![("$enum".to_owned(), Json::Str("E".to_owned()))]),
+                    _ => junk(rng, 2),
+                };
+                props.insert(at, (name, value));
+            }
+            if rng.chance(10) {
+                let value = Json::Array(vec![Json::Str(BIG.to_owned()), junk(rng, 3)]);
+                props.push(("big".to_owned(), value));
+            }
+        }
+    }
+}
+
+/// Compact JSON, each string character written plainly or — with
+/// `escapes` — sometimes as `\uXXXX` (a surrogate pair beyond the BMP).
+fn compact(out: &mut String, v: &Json, escapes: bool, rng: &mut Rng) {
+    let string = |out: &mut String, s: &str, rng: &mut Rng| {
+        out.push('"');
+        for c in s.chars() {
+            if escapes && c != '@' && (!c.is_ascii() || rng.chance(20)) {
+                for unit in c.encode_utf16(&mut [0; 2]) {
+                    out.push_str(&format!("\\u{unit:04x}"));
+                }
+            } else {
+                json::escape_into(out, c.encode_utf8(&mut [0; 4]));
+            }
+        }
+        out.push('"');
+    };
+    match v {
+        Json::Str(s) => string(out, s, rng),
+        Json::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                compact(out, item, escapes, rng);
+            }
+            out.push(']');
+        }
+        Json::Object(members) => {
+            out.push('{');
+            for (i, (k, item)) in members.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                string(out, k, rng);
+                out.push(':');
+                compact(out, item, escapes, rng);
+            }
+            out.push('}');
+        }
+        scalar => out.push_str(&scalar.to_string()),
+    }
+}
+
+/// One document for the decode-equivalence property: `g`'s document,
+/// pretty or compact, perhaps escaped, mutated, truncated or with one
+/// character swapped.
+fn document(g: &PropertyGraph, seed: u64) -> String {
+    let mut rng = Rng(seed);
+    let mut doc = json::graph_to_value(g);
+    if rng.chance(70) {
+        mutate(&mut doc, &mut rng);
+    }
+    let mut text = match rng.below(3) {
+        0 => doc.to_string(),
+        mode => {
+            let mut out = String::new();
+            compact(&mut out, &doc, mode == 2, &mut rng);
+            out
+        }
+    };
+    let big = ["18446744073709551616", "-9223372036854775809", "4294967296"][rng.below(3)];
+    text = text.replace(&format!("\"{BIG}\""), big);
+    let cut = |text: &str, at: usize| (0..=at).rev().find(|&i| text.is_char_boundary(i)).unwrap();
+    if rng.chance(8) {
+        let at = cut(&text, rng.below(text.len()));
+        text.truncate(at);
+    } else if rng.chance(8) {
+        let at = cut(&text, rng.below(text.len()));
+        let len = text[at..].chars().next().map_or(0, char::len_utf8);
+        let swap = ["{", "}", "[", "]", ",", ":", "\"", "\\", "1", "-", "x", " "][rng.below(12)];
+        text.replace_range(at..at + len, swap);
+    }
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The streaming decoder is the tree decoder without the tree: over
+    /// pretty, compact, escaped, mutated and broken documents it accepts
+    /// exactly what `graph_from_value(&Json::parse(t))` accepts and
+    /// builds the same rows; decoded into a `ColumnsBuilder` it builds
+    /// columns that thaw to those rows and encode to the snapshot bytes
+    /// of freezing them — the assembler interns in `freeze`'s order.
+    #[test]
+    fn streaming_decode_matches_the_tree_decoder(spec in hostile_graph_spec(), seed in any::<u64>()) {
+        let text = document(&build(&spec), seed);
+        let reference = Json::parse(&text).and_then(|doc| json::graph_from_value(&doc));
+        let rows = json::from_json(&text);
+        let mut builder = ColumnsBuilder::new(SymbolTable::new());
+        let mut reader = json::Reader::new(&text);
+        let cols = json::read_graph(&mut reader, &mut builder)
+            .and_then(|()| reader.finish())
+            .map(|()| builder.finish());
+        match (&reference, &rows, &cols) {
+            (Ok(want), Ok(got), Ok(cols)) => {
+                prop_assert_eq!(want, got);
+                prop_assert_eq!(&cols.thaw(), want);
+                prop_assert_eq!(snapshot::encode(cols), snapshot::graph_to_snapshot_bytes(want));
+            }
+            (Err(_), Err(_), Err(_)) => {}
+            _ => prop_assert!(
+                false,
+                "tree {:?} / rows {:?} / columns {:?} on {}",
+                reference.as_ref().err(),
+                rows.as_ref().err(),
+                cols.as_ref().err(),
+                text
+            ),
+        }
+    }
+}
+
+/// A document that repeats a node id is refused by both decoders: the
+/// edges naming the id would otherwise bind to whichever node came last.
+#[test]
+fn repeated_node_ids_are_refused() {
+    let text = r#"{"nodes":[{"id":7,"label":"A"},{"id":7,"label":"B"},{"id":8,"label":"C"}],
+                   "edges":[{"label":"e","source":7,"target":8}]}"#;
+    let tree = json::graph_from_value(&Json::parse(text).unwrap());
+    for result in [tree, json::from_json(text)] {
+        match result {
+            Err(json::JsonError::DuplicateNode {
+                node_index: 1,
+                id: 7,
+            }) => {}
+            other => panic!("expected a repeated-id error, got {other:?}"),
+        }
+    }
+    let message = json::from_json(text).unwrap_err().to_string();
+    assert_eq!(message, "node #1 repeats node id 7");
 }

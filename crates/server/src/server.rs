@@ -11,9 +11,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pg_pgschema::SchemaLanguage;
-use pg_schema::{validate, Engine, PgSchema, ValidationOptions};
+use pg_schema::{validate_columns, Engine, PgSchema, ValidationOptions};
 use pg_store::{FsyncPolicy, MigrationPhase, Store};
-use pgraph::json::{self, Json};
+use pgraph::json::{self, Json, Kind, Reader};
+use pgraph::{GraphSink, PropertyGraph};
 
 use crate::http::{Request, Response};
 use crate::metrics::{Metrics, MigrationAction, RenderGauges};
@@ -701,7 +702,11 @@ fn body_text(request: &Request) -> Result<&str, HttpError> {
 fn str_field<'a>(doc: &'a Json, name: &str) -> Result<&'a str, HttpError> {
     doc.get(name)
         .and_then(Json::as_str)
-        .ok_or_else(|| HttpError::new(400, format!("missing string field \"{name}\"")))
+        .ok_or_else(|| missing_string(name))
+}
+
+fn missing_string(name: &str) -> HttpError {
+    HttpError::new(400, format!("missing string field \"{name}\""))
 }
 
 /// The top-level routes. Each is its own template: the `route` label of
@@ -1136,33 +1141,80 @@ fn served_engine(request: &Request) -> Result<Engine, HttpError> {
 }
 
 /// Decodes the `{"schema": <schema string>, "graph": <graph document>}`
-/// envelope shared by `POST /validate` and `POST /sessions`, the schema
-/// through the compiled-schema cache. Its canonical SDL (see
-/// [`pg_pgschema::load_schema`]) comes along because durable sessions
-/// persist it.
-fn parse_envelope(
+/// envelope shared by `POST /validate` and `POST /sessions` in one pass
+/// over the body, with no [`Json`] tree. The first `"schema"` member goes
+/// through the compiled-schema cache; the first `"graph"` member is read
+/// straight into the sink `sink_for` makes from the compiled schema —
+/// columns for `/validate`, rows for `/sessions`. A `"graph"` that comes
+/// before the schema is skipped with a syntax check and re-read from its
+/// bookmark once the schema is known; every other member is skipped the
+/// same way. The canonical SDL (see [`pg_pgschema::load_schema`]) comes
+/// along because durable sessions persist it.
+fn parse_envelope<S: GraphSink>(
     ctx: &Ctx,
     request: &Request,
     lang: SchemaLanguage,
-) -> Result<(Arc<CompiledSchema>, pgraph::PropertyGraph), HttpError> {
-    let doc = Json::parse(body_text(request)?)?;
-    let compiled = ctx.schemas.load(str_field(&doc, "schema")?, lang)?;
-    let graph_value = doc
-        .get("graph")
-        .ok_or_else(|| HttpError::new(400, "missing field \"graph\""))?;
-    let graph = json::graph_from_value(graph_value)
-        .map_err(|e| HttpError::new(400, format!("graph: {e}")))?;
+    sink_for: impl Fn(&CompiledSchema) -> S,
+) -> Result<(Arc<CompiledSchema>, S), HttpError> {
+    let mut reader = Reader::new(body_text(request)?);
+    if reader.peek()? != Kind::Object {
+        // Only a syntax error outranks the missing schema.
+        reader.skip_value()?;
+        reader.finish()?;
+        return Err(missing_string("schema"));
+    }
+    reader.begin_object()?;
+    let mut schema = None;
+    // `Ok`: decoded in place; `Err`: a bookmark, the schema not yet known.
+    let mut graph = None;
+    while let Some(key) = reader.next_key()? {
+        match &*key {
+            // The first `"schema"` either compiles or ends the request.
+            "schema" if schema.is_none() => {
+                if reader.peek()? != Kind::Str {
+                    return Err(missing_string("schema"));
+                }
+                schema = Some(ctx.schemas.load(&reader.string()?, lang)?);
+            }
+            "graph" if graph.is_none() => {
+                graph = Some(match &schema {
+                    Some(compiled) => Ok(read_graph(&mut reader, sink_for(compiled))?),
+                    None => {
+                        let bookmark = reader.clone();
+                        reader.skip_value()?;
+                        Err(bookmark)
+                    }
+                });
+            }
+            _ => reader.skip_value()?,
+        }
+    }
+    reader.finish()?;
+    let compiled = schema.ok_or_else(|| missing_string("schema"))?;
+    let graph = match graph {
+        Some(Ok(sink)) => sink,
+        Some(Err(mut bookmark)) => read_graph(&mut bookmark, sink_for(&compiled))?,
+        None => return Err(HttpError::new(400, "missing field \"graph\"")),
+    };
     Ok((compiled, graph))
+}
+
+/// The graph document at the reader's cursor, decoded into `sink`.
+fn read_graph<S: GraphSink>(reader: &mut Reader<'_>, mut sink: S) -> Result<S, HttpError> {
+    json::read_graph(reader, &mut sink).map_err(|e| HttpError::new(400, format!("graph: {e}")))?;
+    Ok(sink)
 }
 
 fn handle_validate(ctx: &Ctx, request: &Request, engine: Engine) -> Result<Response, HttpError> {
     let lang = enum_param(request, "lang", SchemaLanguage::Sdl)?;
-    let (compiled, graph) = parse_envelope(ctx, request, lang)?;
+    let (compiled, columns) = parse_envelope(ctx, request, lang, |compiled| {
+        compiled.schema.columns_builder()
+    })?;
     let options = ValidationOptions::builder()
         .engine(engine)
         .collect_metrics(true)
         .build();
-    let report = validate(&graph, &compiled.schema, &options);
+    let report = validate_columns(&columns.finish(), &compiled.schema, &options);
     ctx.metrics.record_validation(engine, report.metrics());
     Ok(Response::json(200, report.to_json()))
 }
@@ -1229,7 +1281,7 @@ fn handle_check_sat(ctx: &Ctx, request: &Request) -> Result<Response, HttpError>
 fn handle_create_session(ctx: &Ctx, request: &Request) -> Result<Response, HttpError> {
     ctx.require_leader()?;
     let lang = enum_param(request, "lang", SchemaLanguage::Sdl)?;
-    let (compiled, graph) = parse_envelope(ctx, request, lang)?;
+    let (compiled, graph) = parse_envelope(ctx, request, lang, |_| PropertyGraph::new())?;
     let options = ValidationOptions::builder().collect_metrics(true).build();
     let created = ctx
         .registry

@@ -1174,3 +1174,132 @@ fn migration_from_loose_to_strict_is_judged_closed_world() {
 
     daemon.stop();
 }
+
+/// `POST /validate` streams its envelope: the first `schema` and the
+/// first `graph` member count wherever they stand, other members are
+/// skipped, and whatever the parsed-tree reading of the body refused is
+/// still a `400`. Every accepted body is answered, on every served
+/// engine, with the in-process four-engine oracle's report — over every
+/// corpus schema and a generated graph that breaks it, posted as SDL and
+/// as PG-Schema.
+#[test]
+fn envelope_members_stream_in_any_order() {
+    let daemon = Daemon::start(2, 16);
+    let mut client = Client::connect(daemon.addr).unwrap();
+    let quoted = |text: &str| {
+        let mut out = String::from("\"");
+        json::escape_into(&mut out, text);
+        out.push('"');
+        out
+    };
+    for corpus_seed in 0..24 {
+        let sdl = pg_pgschema::corpus::corpus_sdl(corpus_seed);
+        let doc = gql_sdl::parse(&sdl).unwrap();
+        let pgs =
+            pg_pgschema::print_pgschema(&doc, "Corpus", pg_pgschema::TypeMode::Strict).unwrap();
+        let schema = pg_schema::PgSchema::parse(&sdl).unwrap();
+        let mut graph = pg_datagen::GraphGen::new(
+            &schema,
+            pg_datagen::GraphGenParams {
+                nodes_per_type: 4,
+                seed: corpus_seed,
+                ..Default::default()
+            },
+        )
+        .generate();
+        let ghost = graph.add_node("Ghost");
+        graph.set_node_property(ghost, "list", pgraph::Value::from(vec![1i64, 2]));
+        let first = graph.node_ids().next().unwrap();
+        graph.add_edge(first, ghost, "haunts").unwrap();
+        let graph_json = json::to_json(&graph);
+
+        for (lang, text) in [("sdl", &sdl), ("pgschema", &pgs)] {
+            let compiled = pg_pgschema::load_schema(text, lang.parse().unwrap())
+                .unwrap()
+                .0;
+            let expected =
+                workload::oracle(&json::from_json(&graph_json).unwrap(), &compiled).unwrap();
+            let (s, g) = (quoted(text), graph_json.as_str());
+            let good = [
+                format!("{{\"schema\":{s},\"graph\":{g}}}"),
+                format!("{{\"graph\":{g},\"schema\":{s}}}"),
+                format!("{{\"graph\":{g},\"schema\":{s},\"graph\":7,\"schema\":null}}"),
+                format!(
+                    "{{\"x\":[1,{{\"y\":null}}],\"schema\":{s},\"z\":\"\\u00e9\",\"graph\":{g},\"w\":{{}}}}"
+                ),
+            ];
+            for body in &good {
+                for engine in pg_server::server::SERVED_ENGINES {
+                    let target = format!("/validate?lang={lang}&engine={engine}");
+                    let (status, report) =
+                        client.request("POST", &target, body.as_bytes()).unwrap();
+                    assert_eq!(
+                        status,
+                        200,
+                        "{target}: {}",
+                        String::from_utf8_lossy(&report)
+                    );
+                    let served = workload::canonical_report(&report, &workload::VOLATILE).unwrap();
+                    assert_eq!(served, expected, "{target} corpus {corpus_seed}: {body}");
+                }
+            }
+        }
+    }
+
+    // What the tree reading refused stays refused: a schema or graph
+    // member of the wrong type even when a good one follows, a missing
+    // member, a root that is not an object, broken syntax after the
+    // graph, nesting past the limit inside a property list, and a graph
+    // that repeats a node id.
+    let s = quoted(SCHEMA_SDL);
+    let g = json::to_json(&sample_graph(2));
+    let nested = |depth: usize| {
+        format!(
+            "{{\"schema\":{s},\"graph\":{{\"nodes\":[{{\"id\":0,\"label\":\"User\",\
+             \"properties\":{{\"deep\":{}1{}}}}}],\"edges\":[]}}}}",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        )
+    };
+    // Envelope, graph, nodes, node and properties hold five levels.
+    let (status, _) = client
+        .request("POST", "/validate", nested(json::MAX_DEPTH - 5).as_bytes())
+        .unwrap();
+    assert_eq!(status, 200);
+    let bad = [
+        format!("{{\"schema\":7,\"schema\":{s},\"graph\":{g}}}"),
+        format!("{{\"schema\":{s},\"graph\":[],\"graph\":{g}}}"),
+        format!("{{\"graph\":{g}}}"),
+        format!("{{\"schema\":{s}}}"),
+        format!("[{{\"schema\":{s},\"graph\":{g}}}]"),
+        "\"schema\"".to_owned(),
+        "null".to_owned(),
+        String::new(),
+        format!("{{\"schema\":{s},\"graph\":{g},}}"),
+        format!("{{\"graph\":{g},\"schema\":{s}}} 1"),
+        format!("{{\"schema\":{s},\"graph\":{g},\"x\":[1 2]}}"),
+        nested(json::MAX_DEPTH - 4),
+        format!(
+            "{{\"schema\":{s},\"graph\":{{\"nodes\":[{{\"id\":7,\"label\":\"User\"}},\
+             {{\"id\":7,\"label\":\"User\"}}],\"edges\":[]}}}}"
+        ),
+    ];
+    for body in &bad {
+        for target in ["/validate", "/sessions"] {
+            let (status, error) = client
+                .request_json("POST", target, body.as_bytes())
+                .unwrap();
+            assert_eq!(status, 400, "{target}: {body}");
+            assert!(
+                error.get("error").and_then(Json::as_str).is_some(),
+                "{error}"
+            );
+        }
+    }
+    let (_, error) = client
+        .request_json("POST", "/validate", bad.last().unwrap().as_bytes())
+        .unwrap();
+    let message = error.get("error").and_then(Json::as_str).unwrap();
+    assert!(message.contains("node #1 repeats node id 7"), "{message}");
+    daemon.stop();
+}
