@@ -27,16 +27,17 @@
 //! every anchor whose rule inputs the mutation can have changed.
 //! Violations anchored in `D ∪ L` (or at removed elements) are dropped,
 //! and the shared rule kernels (the crate-private `rules` module) are
-//! re-run over a dirty `Scope`: element scans walk `D` and `L`,
-//! group-keyed kernels run over an interned `PartialCols` view
-//! (crate-private, `rules::partial`) of the
-//! region whose scope owns exactly the nodes of `D` — the same
-//! ownership-predicate mechanism the sharded `parallel` engine uses,
-//! with "shard" = the dirty set (groups keyed by a node of `D` are
-//! complete in the partial view, because *all* of that node's incident
-//! edges are in `L`). DS7 is maintained as a persistent tuple table per
-//! key (`Ds7Plan::Recheck` — the durable form of the parallel engine's
-//! map side), so only affected key groups are re-emitted.
+//! re-run over `D ∪ L` frozen into a small columnar graph of its own
+//! (`rules::region::RegionCols`, assembled by the same
+//! `pgraph::ColumnsBuilder` as every full pass). Its scope owns exactly
+//! the nodes of `D` and the edges of `L` — the same ownership mechanism
+//! the sharded `parallel` engine uses, with "shard" = the dirty set
+//! (groups keyed by a node of `D` are complete in the region, because
+//! *all* of that node's incident edges are in `L`) — and its sink maps
+//! the region's local ids back to the graph's. DS7 is maintained as a
+//! persistent tuple table per key (`Ds7Plan::Recheck` — the durable form
+//! of the parallel engine's map side), so only affected key groups are
+//! re-emitted.
 //!
 //! Soundness rests on a symmetry invariant: *everything dropped is
 //! re-derivable, and everything re-derived was dropped* — node-anchored
@@ -61,7 +62,7 @@ use crate::metrics::families_from_rules;
 use crate::migrate;
 use crate::pgschema::PgSchema;
 use crate::report::{ValidationMetrics, ValidationReport, Violation};
-use crate::rules::partial::PartialCols;
+use crate::rules::region::RegionCols;
 use crate::rules::symschema::SymSchema;
 use crate::rules::{self, Ds7Plan, KeyTable, Scope, Sink, SinkOutput};
 use crate::ValidationOptions;
@@ -136,12 +137,13 @@ pub struct IncrementalEngine<S: Borrow<PgSchema>> {
     key_tables: Vec<KeyTable>,
     /// Metrics of the last apply (or the seeding run), when requested.
     metrics: Option<ValidationMetrics>,
-    /// Shared symbol space for the per-delta partial views, with the
-    /// primary schema compiled onto it. Cached across deltas: the table
-    /// is append-only, and a graph symbol interned after the compile
-    /// falls back to the `SymSchema` empty row — the unknown-label
-    /// answer, which is exactly what a symbol the schema never
-    /// mentioned deserves (see the `symschema` module docs).
+    /// Shared symbol space for the per-delta regions, with the primary
+    /// schema compiled onto it. Cached across deltas (each region takes
+    /// it by value and hands it back): the table is append-only, and a
+    /// graph symbol interned after the compile falls back to the
+    /// `SymSchema` empty row — the unknown-label answer, which is exactly
+    /// what a symbol the schema never mentioned deserves (see the
+    /// `symschema` module docs).
     symbols: SymbolTable,
     sym_schema: SymSchema,
     /// An open dual-schema migration window, if any — the candidate
@@ -296,21 +298,21 @@ impl<S: Borrow<PgSchema>> IncrementalEngine<S> {
             effect.removed_edges.iter().map(|t| t.edge).collect();
 
         // -- 2..4. drop, re-derive, merge — once per live schema --------
-        // The interned partial view covers the dirty region and is
-        // schema-independent, so an open migration window reuses it: the
-        // candidate side is patched through the same kernels against its
-        // own violation set and key tables. Schema compilation happened
-        // once at construction; every schema-known name is already in
-        // the table, and a graph symbol first seen here resolves to the
-        // SymSchema empty row — the unknown-label answer.
-        let pc = PartialCols::build(&self.graph, &dirty, &local_edges, &mut self.symbols);
+        // The frozen region is schema-independent, so an open migration
+        // window reuses it: the candidate side is patched through the
+        // same kernels against its own violation set and key tables.
+        // Schema compilation happened once at construction; every
+        // schema-known name is already in the table, and a graph symbol
+        // first seen here resolves to the SymSchema empty row — the
+        // unknown-label answer.
+        let symbols = std::mem::take(&mut self.symbols);
+        let region = RegionCols::build(&self.graph, &dirty, &local_edges, symbols);
         let (added, removed, sink_out) = repatch(
             &self.graph,
             self.schema.borrow(),
             &self.options,
             &self.sym_schema,
-            &self.symbols,
-            &pc,
+            &region,
             &dirty,
             &local_edges,
             &removed_edge_ids,
@@ -330,8 +332,7 @@ impl<S: Borrow<PgSchema>> IncrementalEngine<S> {
                 schema,
                 &self.options,
                 sym_schema,
-                &self.symbols,
-                &pc,
+                &region,
                 &dirty,
                 &local_edges,
                 &removed_edge_ids,
@@ -340,6 +341,7 @@ impl<S: Borrow<PgSchema>> IncrementalEngine<S> {
                 false,
             );
         }
+        self.symbols = region.into_symbols();
 
         let rechecked = (dirty.len() + local_edges.len()) as u64;
         let total = (self.graph.node_count() + self.graph.edge_count()) as u64;
@@ -507,8 +509,7 @@ fn repatch(
     s: &PgSchema,
     options: &ValidationOptions,
     ss: &SymSchema,
-    symbols: &SymbolTable,
-    pc: &PartialCols<'_>,
+    region: &RegionCols,
     dirty: &BTreeSet<NodeId>,
     local_edges: &BTreeSet<EdgeId>,
     removed_edge_ids: &BTreeSet<EdgeId>,
@@ -538,9 +539,14 @@ fn repatch(
     });
 
     let mut fresh = ValidationReport::default();
-    let scope = Scope::dirty(g, s, ss, symbols, pc, dirty);
-    let mut sink = Sink::new(&mut fresh, collect_metrics);
-    rules::run(&scope, options, &mut sink, Ds7Plan::Recheck(key_tables));
+    let scope = Scope::region(s, ss, region);
+    let mut sink = Sink::for_region(&mut fresh, collect_metrics, region);
+    let ds7 = Ds7Plan::Recheck {
+        tables: key_tables,
+        g,
+        dirty,
+    };
+    rules::run(&scope, options, &mut sink, ds7);
     let sink_out = sink.finish();
 
     let mut fresh_v = fresh.take_violations();

@@ -23,15 +23,18 @@
 //!   affected label set is closed under key sites: if any affected
 //!   label sits below a key's site, every label below that site joins
 //!   the region (to a fixpoint, since joining can reach further keys).
-//!   This is what makes running DS7 `Ds7Plan::Inline` over the dirty
+//!   This is what makes running DS7 `Ds7Plan::Inline` over the region's
 //!   scope sound — every key group that intersects the region is
 //!   entirely inside it.
 //!
 //! The dirty region `D` (nodes with affected labels) ∪ `L` (incident
-//! edges) is then validated twice through the shared rule kernels —
-//! once per schema — and the multiset difference of the two runs is
-//! the plan's violation preview: exact for this graph, at a cost
-//! proportional to the region instead of the graph (experiment E4m).
+//! edges) is then frozen into a small columnar graph of its own (the
+//! crate-private `rules::region::RegionCols`, assembled by the same
+//! `pgraph::ColumnsBuilder` as every full pass) and validated twice
+//! through the shared rule kernels — once per schema — and the multiset
+//! difference of the two runs is the plan's violation preview: exact for
+//! this graph, at a cost proportional to the region instead of the graph
+//! (experiment E4m).
 //!
 //! The same region machinery seeds the incremental engine's dual-schema
 //! window ([`IncrementalEngine::begin_migration`]): the candidate
@@ -49,7 +52,7 @@ use pgraph::{EdgeId, NodeId, PropertyGraph};
 use crate::diff::{self, Compat, SchemaChange};
 use crate::pgschema::PgSchema;
 use crate::report::{self, ValidationReport, Violation};
-use crate::rules::partial::PartialCols;
+use crate::rules::region::RegionCols;
 use crate::rules::{self, Ds7Plan, Scope, Sink};
 use crate::ValidationOptions;
 
@@ -384,14 +387,13 @@ pub(crate) fn region_run(
     let mut options = *options;
     options.max_violations = None;
     options.collect_metrics = false;
-    // Region strings are interned into a copy of the schema's memoised
-    // symbol space, after its names.
+    // The region is frozen into a copy of the schema's memoised symbol
+    // space, its strings after the schema's names.
     let compiled = s.compiled();
-    let mut symbols = compiled.symbols.clone();
-    let pc = PartialCols::build(g, &region.nodes, &region.edges, &mut symbols);
-    let scope = Scope::dirty(g, s, &compiled.sym, &symbols, &pc, &region.nodes);
+    let cols = RegionCols::build(g, &region.nodes, &region.edges, compiled.symbols.clone());
+    let scope = Scope::region(s, &compiled.sym, &cols);
     let mut report = ValidationReport::default();
-    let mut sink = Sink::new(&mut report, false);
+    let mut sink = Sink::for_region(&mut report, false, &cols);
     rules::run(&scope, &options, &mut sink, Ds7Plan::Inline);
     sink.finish();
     let mut v = report.take_violations();

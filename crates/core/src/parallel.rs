@@ -35,18 +35,18 @@
 //! violations are summed, and the DS7 entry additionally absorbs the
 //! reduce.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::thread;
 use std::time::Instant;
 
-use pgraph::{ColumnarGraph, NodeId};
+use pgraph::ColumnarGraph;
 
 use crate::metrics::MetricsRecorder;
 use crate::pgschema::PgSchema;
 use crate::report::{Rule, RuleMetrics, ValidationReport};
+use crate::rules::directives::{self, KeyGroups};
 use crate::rules::symschema::SymSchema;
-use crate::rules::{self, directives, Ds7Plan, Scope, Sink};
+use crate::rules::{self, Ds7Plan, Scope, Sink};
 use crate::ValidationOptions;
 
 /// Upper bound on workers — far above any plausible CPU count, it only
@@ -71,7 +71,7 @@ fn effective_threads(requested: usize) -> usize {
 struct WorkerOutput {
     report: ValidationReport,
     rules: Vec<RuleMetrics>,
-    key_tables: Vec<HashMap<Vec<Option<u32>>, Vec<NodeId>>>,
+    key_tables: Vec<KeyGroups>,
     nodes_scanned: u64,
     edges_scanned: u64,
     elements: u64,
@@ -147,7 +147,7 @@ fn worker(
         0
     };
 
-    let scope = Scope::shard(s, ss, cols, nodes, edges);
+    let scope = Scope::new(s, ss, cols, nodes, edges);
     let mut sink = Sink::new(&mut r, options.collect_metrics);
     rules::run(&scope, options, &mut sink, Ds7Plan::Map(&mut key_tables));
     let out = sink.finish();
@@ -198,8 +198,9 @@ fn merge(
     let mut ds7_violations = 0;
     if options.directives {
         let before = merged.len();
+        let mut sink = Sink::new(&mut merged, false);
         for (ki, key) in ss.keys.iter().enumerate() {
-            let mut table: HashMap<Vec<Option<u32>>, Vec<NodeId>> = HashMap::new();
+            let mut table = KeyGroups::new();
             for out in &mut outputs {
                 if let Some(local) = out.key_tables.get_mut(ki) {
                     for (tuple, mut nodes) in local.drain() {
@@ -207,7 +208,7 @@ fn merge(
                     }
                 }
             }
-            directives::ds7_emit(&key.ty_name, &key.fields, table, &mut merged);
+            directives::ds7_emit(&key.ty_name, &key.fields, table, &mut sink);
         }
         ds7_violations = merged.len() - before;
     }

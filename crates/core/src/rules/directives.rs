@@ -7,21 +7,20 @@
 //! cross-shard [`ds7_emit`] reduce, and [`ds7_recheck`] maintains the
 //! persistent [`KeyTable`]s of an incremental session.
 //!
-//! Over a columnar scope the collect phase is allocation-free per node:
-//! a key tuple is the vector of `Option<u32>` *value-class ids* over the
-//! key's scalar fields ([`ValueTable::eq_rep`](pgraph::ValueTable)
-//! collapses ids to one representative per `Value`-equal class), so
-//! tuple equality coincides with the `Value`-tuple equality the paper's
-//! "agree" relation asks for — including across shards, because the ids
-//! are graph-global.
+//! The collect phase is allocation-free per node: a key tuple is the
+//! vector of `Option<u32>` *value-class ids* over the key's scalar fields
+//! ([`ValueTable::eq_rep`](pgraph::ValueTable) collapses ids to one
+//! representative per `Value`-equal class), so tuple equality coincides
+//! with the `Value`-tuple equality the paper's "agree" relation asks for
+//! — including across shards, because the ids are global to the columns
+//! scanned.
 
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::{BTreeSet, HashMap};
 
 use pgraph::{NodeId, PropertyGraph, Value};
 
 use crate::pgschema::{KeyConstraint, PgSchema};
-use crate::report::{Rule, ValidationReport, Violation};
+use crate::report::{Rule, Violation};
 use crate::ValidationOptions;
 
 use super::symschema::KeySlot;
@@ -30,7 +29,7 @@ use super::{Scope, Sink};
 /// DS1 (`@distinct`): no parallel edges between the same endpoints with
 /// the same label — via the parallel-edge groups whose source the scope
 /// owns.
-pub(crate) fn ds1(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
+pub(crate) fn ds1(scope: &Scope<'_>, sink: &mut Sink<'_>) {
     sink.rule(Rule::DS1, |sink| {
         let ss = scope.ss;
         for site in &ss.sites {
@@ -61,7 +60,7 @@ pub(crate) fn ds1(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
 
 /// DS2 (`@noLoops`): no self-loops — one scan over the scope's edges per
 /// run (all loop sites checked in the same pass).
-pub(crate) fn ds2(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
+pub(crate) fn ds2(scope: &Scope<'_>, sink: &mut Sink<'_>) {
     sink.rule(Rule::DS2, |sink| {
         let ss = scope.ss;
         let loop_sites: Vec<_> = ss.sites.iter().filter(|site| site.no_loops).collect();
@@ -94,7 +93,7 @@ pub(crate) fn ds2(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
 /// the `(target, label)` in-groups whose target the scope owns, counting
 /// only edges whose source is below the constraint site (cf. the DS3
 /// reading note in the naive engine).
-pub(crate) fn ds3(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
+pub(crate) fn ds3(scope: &Scope<'_>, sink: &mut Sink<'_>) {
     sink.rule(Rule::DS3, |sink| {
         let ss = scope.ss;
         for site in &ss.sites {
@@ -132,7 +131,7 @@ pub(crate) fn ds3(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
 /// DS4 (`@requiredForTarget`): at least one incoming edge per target —
 /// via the label index: for every owned node whose label is below the
 /// field type, check the incoming `(target, label)` group.
-pub(crate) fn ds4(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
+pub(crate) fn ds4(scope: &Scope<'_>, sink: &mut Sink<'_>) {
     sink.rule(Rule::DS4, |sink| {
         let ss = scope.ss;
         for (si, site) in ss.sites.iter().enumerate() {
@@ -171,7 +170,7 @@ pub(crate) fn ds4(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
 
 /// DS5 (`@required` on attributes): required properties are present and
 /// non-empty — via the label index, over owned nodes.
-pub(crate) fn ds5(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
+pub(crate) fn ds5(scope: &Scope<'_>, sink: &mut Sink<'_>) {
     sink.rule(Rule::DS5, |sink| {
         let ss = scope.ss;
         for site in &ss.ds5_sites {
@@ -210,7 +209,7 @@ pub(crate) fn ds5(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
 
 /// DS6 (`@required` on relationships): required outgoing edges exist —
 /// via the label index and out-groups, over owned nodes.
-pub(crate) fn ds6(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
+pub(crate) fn ds6(scope: &Scope<'_>, sink: &mut Sink<'_>) {
     sink.rule(Rule::DS6, |sink| {
         let ss = scope.ss;
         for site in &ss.sites {
@@ -257,21 +256,20 @@ pub(crate) fn ds7_scalar_fields<'s>(s: &'s PgSchema, key: &'s KeyConstraint) -> 
         .collect()
 }
 
-/// DS7 map phase over a columnar scope: groups the owned nodes below the
-/// key's site by their key tuple of value-class ids.
+/// One key's groups: nodes by their tuple of value-class ids.
+pub(crate) type KeyGroups = HashMap<Vec<Option<u32>>, Vec<NodeId>>;
+
+/// DS7 map phase: groups the owned nodes below the key's site by their
+/// key tuple of value-class ids.
 ///
 /// DS7's "agree" relation (both lack the property, or both have equal
 /// values) is exactly tuple equality, so tables from disjoint shards
 /// merge by appending the node lists.
-fn ds7_collect_vids(
-    scope: &Scope<'_, '_>,
-    sink: &mut Sink<'_>,
-    key: &KeySlot,
-) -> HashMap<Vec<Option<u32>>, Vec<NodeId>> {
+fn ds7_collect(scope: &Scope<'_>, sink: &mut Sink<'_>, key: &KeySlot) -> KeyGroups {
     let ss = scope.ss;
-    let cols = scope.cols().expect("vid collect requires a columnar scope");
+    let cols = scope.cols;
     let vt = cols.values();
-    let mut groups: HashMap<Vec<Option<u32>>, Vec<NodeId>> = HashMap::new();
+    let mut groups = KeyGroups::new();
     for &label in scope.labels() {
         if !ss.label_subtype(label, key.site) {
             continue;
@@ -292,58 +290,21 @@ fn ds7_collect_vids(
     groups
 }
 
-/// DS7 map phase over the dirty scope: same grouping, with owned `Value`
-/// tuples read back from the graph (the dirty region is too small to
-/// justify a freeze).
-fn ds7_collect_values(
-    scope: &Scope<'_, '_>,
-    sink: &mut Sink<'_>,
-    key: &KeySlot,
-) -> HashMap<Vec<Option<Value>>, Vec<NodeId>> {
-    let g = scope.graph().expect("value collect requires a dirty scope");
-    let ss = scope.ss;
-    let mut groups: HashMap<Vec<Option<Value>>, Vec<NodeId>> = HashMap::new();
-    for &label in scope.labels() {
-        if !ss.label_subtype(label, key.site) {
-            continue;
-        }
-        for n in scope.nodes_with_label(label) {
-            if !scope.owns(n) {
-                continue;
-            }
-            sink.group_visited();
-            let tuple: Vec<Option<Value>> = key
-                .scalar_names
-                .iter()
-                .map(|f| g.node_property(n, f).cloned())
-                .collect();
-            groups.entry(tuple).or_default().push(n);
-        }
-    }
-    groups
-}
-
 /// DS7 reduce phase: emits one violation per unordered pair of nodes
-/// sharing a key tuple, in sorted node order. Generic over the tuple
-/// representation (value-class ids or `Value`s); used inline by [`ds7`]
-/// and by the parallel engine's cross-shard merge.
-pub(crate) fn ds7_emit<K: Hash + Eq>(
-    ty: &str,
-    fields: &[String],
-    groups: HashMap<K, Vec<NodeId>>,
-    r: &mut ValidationReport,
-) {
+/// sharing a key tuple, in sorted node order. Used inline by [`ds7`] and
+/// by the parallel engine's cross-shard merge.
+pub(crate) fn ds7_emit(ty: &str, fields: &[String], groups: KeyGroups, sink: &mut Sink<'_>) {
     for mut nodes in groups.into_values() {
         if nodes.len() < 2 {
             continue;
         }
-        if r.at_limit() {
+        if sink.at_limit() {
             return;
         }
         nodes.sort();
         for (i, &a) in nodes.iter().enumerate() {
             for &b in nodes.iter().skip(i + 1) {
-                r.push(Violation::KeyViolated {
+                sink.push(Violation::KeyViolated {
                     a,
                     b,
                     ty: ty.to_owned(),
@@ -355,20 +316,15 @@ pub(crate) fn ds7_emit<K: Hash + Eq>(
 }
 
 /// DS7 (`@key`), inline plan: collect and emit per key (serial
-/// full-graph engines, and the dirty-region revalidation of migrations).
-pub(crate) fn ds7(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
+/// full-graph engines, and the region revalidation of migrations).
+pub(crate) fn ds7(scope: &Scope<'_>, sink: &mut Sink<'_>) {
     sink.rule(Rule::DS7, |sink| {
         for key in &scope.ss.keys {
             if sink.at_limit() {
                 return;
             }
-            if scope.cols().is_some() {
-                let groups = ds7_collect_vids(scope, sink, key);
-                ds7_emit(&key.ty_name, &key.fields, groups, sink.report);
-            } else {
-                let groups = ds7_collect_values(scope, sink, key);
-                ds7_emit(&key.ty_name, &key.fields, groups, sink.report);
-            }
+            let groups = ds7_collect(scope, sink, key);
+            ds7_emit(&key.ty_name, &key.fields, groups, sink);
         }
     });
 }
@@ -376,15 +332,11 @@ pub(crate) fn ds7(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
 /// DS7, map plan: collect one shard-local tuple table per key (in schema
 /// key order) for the caller's cross-shard reduce. Emits no violations
 /// itself; the recorded DS7 timing covers the map side only — the
-/// planner adds the reduce time after the join. Columnar scopes only.
-pub(crate) fn ds7_map(
-    scope: &Scope<'_, '_>,
-    sink: &mut Sink<'_>,
-    tables: &mut Vec<HashMap<Vec<Option<u32>>, Vec<NodeId>>>,
-) {
+/// planner adds the reduce time after the join.
+pub(crate) fn ds7_map(scope: &Scope<'_>, sink: &mut Sink<'_>, tables: &mut Vec<KeyGroups>) {
     sink.rule(Rule::DS7, |sink| {
         for key in &scope.ss.keys {
-            tables.push(ds7_collect_vids(scope, sink, key));
+            tables.push(ds7_collect(scope, sink, key));
         }
     });
 }
@@ -438,18 +390,19 @@ pub(crate) fn build_key_tables(
         .collect()
 }
 
-/// DS7, recheck plan: move each dirty node between tuple groups and
-/// re-emit the pairs it now participates in. Pairs between two non-dirty
-/// nodes were never dropped and stay valid (their tuples did not
-/// change). Requires a dirty scope.
-pub(crate) fn ds7_recheck(scope: &Scope<'_, '_>, sink: &mut Sink<'_>, tables: &mut [KeyTable]) {
-    let dirty = scope
-        .dirty_nodes()
-        .expect("DS7 recheck plan requires a dirty scope");
+/// DS7, recheck plan: move each dirty node of `g` between tuple groups
+/// and re-emit the pairs it now participates in. Pairs between two
+/// non-dirty nodes were never dropped and stay valid (their tuples did
+/// not change). The pairs carry `g`'s ids, so they go to the report
+/// directly, past the sink's region translation.
+pub(crate) fn ds7_recheck(
+    scope: &Scope<'_>,
+    sink: &mut Sink<'_>,
+    tables: &mut [KeyTable],
+    g: &PropertyGraph,
+    dirty: &BTreeSet<NodeId>,
+) {
     sink.rule(Rule::DS7, |sink| {
-        let g = scope
-            .graph()
-            .expect("DS7 recheck plan requires a dirty scope");
         let s = scope.s;
         for (key, table) in s.keys().iter().zip(tables) {
             for &v in dirty {
@@ -486,7 +439,7 @@ pub(crate) fn ds7_recheck(scope: &Scope<'_, '_>, sink: &mut Sink<'_>, tables: &m
                         continue;
                     }
                     let (a, b) = if v < w { (v, w) } else { (w, v) };
-                    sink.push(Violation::KeyViolated {
+                    sink.report.push(Violation::KeyViolated {
                         a,
                         b,
                         ty: s.schema().type_name(key.site).to_owned(),

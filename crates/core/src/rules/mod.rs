@@ -19,40 +19,38 @@
 //!
 //! # The columnar scope
 //!
-//! Kernels no longer touch the pointer-rich [`PropertyGraph`] directly.
-//! A [`Scope`] pairs a symbol-keyed view of the *data* with a
-//! symbol-keyed compilation of the *schema*:
+//! Kernels never touch the pointer-rich [`PropertyGraph`]. A [`Scope`]
+//! pairs one symbol-keyed data path with a symbol-keyed compilation of
+//! the *schema*:
 //!
-//! * full and shard scopes scan a frozen
-//!   [`ColumnarGraph`](pgraph::ColumnarGraph) — struct-of-arrays element
+//! * the data is a frozen [`ColumnarGraph`] — struct-of-arrays element
 //!   tables plus CSR adjacency, so an element scan is a walk over
 //!   contiguous `u32` columns and a "parallel edges of `v` under label
-//!   `l`" query is a binary-searched subslice of one CSR row;
-//! * the dirty scope of the incremental engine scans a small
-//!   [`PartialCols`](partial::PartialCols) interned over just the dirty
-//!   region, sharing the same symbol space;
+//!   `l`" query is a binary-searched subslice of one CSR row — plus the
+//!   node and edge slot ranges the scope owns;
 //! * every label/field question goes through the
 //!   [`SymSchema`](symschema::SymSchema) — one row per interned symbol,
 //!   making `λ(v) ⊑ t` a binary search over `u32`s and putting the
 //!   report strings (expected types, site names) behind precomputed
 //!   fields, so the hot loops never hash or compare strings.
 //!
-//! The three scope variants answer the same questions:
+//! The planners choose the columns and the ranges:
 //!
-//! * **full** — the whole graph (the serial indexed engine, and the
-//!   seeding pass of an incremental session); benchmark E2 runs kernels
-//!   under this scope;
-//! * **shard** — one contiguous raw-index range of the columnar tables
-//!   (parallel engine, E2p); element scans walk the shard's own slots
-//!   and group-keyed kernels process exactly the groups whose key
-//!   element the shard owns, so every violation is derived by exactly
-//!   one worker;
-//! * **dirty** — the dirty region computed from a
-//!   [`GraphDelta`](pgraph::GraphDelta) closure by the incremental
-//!   engine: a set of dirty nodes plus the live edges incident to them
-//!   (E2i).
+//! * **full** — every slot of the whole graph (the serial indexed
+//!   engine, and the seeding pass of an incremental session); benchmark
+//!   E2 runs kernels under this scope;
+//! * **shard** — one contiguous slot range of the whole graph (parallel
+//!   engine, E2p); element scans walk the shard's own slots and
+//!   group-keyed kernels process exactly the groups whose key element
+//!   the shard owns, so every violation is derived by exactly one worker;
+//! * **region** — the dirty region of a
+//!   [`GraphDelta`](pgraph::GraphDelta) closure (incremental engine,
+//!   E2i) or of a schema change (migration preview), frozen into columns
+//!   of its own ([`region`]): its dirty nodes are local slots `0..k`,
+//!   which the scope owns, followed by unowned boundary endpoints, and
+//!   every edge is owned. Its [`Sink`] translates the local ids back.
 //!
-//! Kernels never ask which variant they run under: element scans iterate
+//! Kernels never ask which kind they run under: element scans iterate
 //! [`Scope::nodes`]/[`Scope::edges`], group-keyed kernels walk
 //! [`Scope::for_out_groups`]/[`Scope::for_parallel_runs`]/
 //! [`Scope::for_in_runs`] and filter through [`Scope::owns`]. That one
@@ -66,6 +64,7 @@
 //!
 //! * `max_violations` early-exit ([`Sink::at_limit`] short-circuits both
 //!   within and between kernels),
+//! * the region's id translation, when the kernels scan a region,
 //! * per-rule observability — wall time, elements examined and
 //!   violations per kernel, recorded as [`RuleMetrics`] when metrics
 //!   are requested and zero-cost (a dead branch per element) when not,
@@ -90,14 +89,13 @@
 //! affected pairs re-emitted).
 
 pub(crate) mod directives;
-pub(crate) mod partial;
+pub(crate) mod region;
 pub(crate) mod strong;
 pub(crate) mod symschema;
 pub(crate) mod weak;
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::ops::Range;
-use std::slice;
 use std::time::Instant;
 
 use pgraph::{ColumnarGraph, EdgeId, NodeId, PropertyGraph, Sym, SymbolTable, Value, ValueTable};
@@ -107,43 +105,26 @@ use crate::report::{Rule, RuleMetrics, ValidationReport, Violation};
 use crate::ValidationOptions;
 
 pub(crate) use directives::KeyTable;
-use partial::{PartialCols, PartialNode};
+use region::RegionCols;
 use symschema::SymSchema;
-
-/// The slice of the graph a kernel invocation derives violations for.
-enum View<'a, 'g> {
-    /// Every slot of the frozen columnar tables.
-    Full { cols: &'a ColumnarGraph },
-    /// One contiguous raw-index range of the columnar tables (parallel
-    /// engine).
-    Shard {
-        cols: &'a ColumnarGraph,
-        nodes: Range<usize>,
-        edges: Range<usize>,
-    },
-    /// The interned dirty region of a delta (incremental engine):
-    /// `nodes` is the dirty-node closure driving ownership, `g` the
-    /// *whole* graph the region was cut from (the region restricts which
-    /// elements are scanned, not what lookups can see).
-    Dirty {
-        g: &'g PropertyGraph,
-        pc: &'a PartialCols<'g>,
-        nodes: &'a BTreeSet<NodeId>,
-    },
-}
 
 /// Everything a rule kernel reads: the schema in both its string-keyed
 /// and symbol-compiled forms, the symbol table for rendering report
-/// strings, and the evaluation view. See the module docs for the three
-/// view variants and how the planners instantiate them.
-pub(crate) struct Scope<'a, 'g> {
-    /// The schema validated against (string-keyed; DS7 recheck only).
+/// strings, and the columns with the slot ranges the scope owns. See the
+/// module docs for how the planners choose the ranges.
+pub(crate) struct Scope<'a> {
+    /// The schema validated against, string-keyed.
     pub(crate) s: &'a PgSchema,
     /// The schema compiled onto the symbol space.
     pub(crate) ss: &'a SymSchema,
     /// The shared symbol table — resolves [`Sym`]s into report strings.
     pub(crate) syms: &'a SymbolTable,
-    view: View<'a, 'g>,
+    /// The columns scanned: a whole graph or a frozen region.
+    pub(crate) cols: &'a ColumnarGraph,
+    /// Owned node slots.
+    nodes: Range<usize>,
+    /// Owned edge slots.
+    edges: Range<usize>,
 }
 
 /// A node under the cursor of a scope scan.
@@ -163,210 +144,109 @@ pub(crate) struct EdgeCur<'a> {
 }
 
 /// An element's property list, interned: key symbols in name order plus
-/// the values (columnar: value ids into the shared [`ValueTable`];
-/// dirty: borrowed values).
-pub(crate) enum PropsRef<'a> {
-    Cols {
-        keys: &'a [Sym],
-        vids: &'a [u32],
-        vt: &'a ValueTable,
-    },
-    Slice(&'a [(Sym, &'a Value)]),
+/// value ids into the shared [`ValueTable`].
+pub(crate) struct PropsRef<'a> {
+    keys: &'a [Sym],
+    vids: &'a [u32],
+    vt: &'a ValueTable,
 }
 
 impl<'a> PropsRef<'a> {
     /// Iterates `(key symbol, value)` in property-name order.
-    pub(crate) fn iter(&self) -> PropsIter<'a> {
-        match *self {
-            PropsRef::Cols { keys, vids, vt } => PropsIter::Cols {
-                keys: keys.iter(),
-                vids: vids.iter(),
-                vt,
-            },
-            PropsRef::Slice(s) => PropsIter::Slice(s.iter()),
-        }
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Sym, &'a Value)> + 'a {
+        let vt = self.vt;
+        self.keys
+            .iter()
+            .zip(self.vids)
+            .map(move |(&k, &vid)| (k, vt.value(vid)))
     }
 }
 
-/// Iterator over a [`PropsRef`].
-pub(crate) enum PropsIter<'a> {
-    Cols {
-        keys: slice::Iter<'a, Sym>,
-        vids: slice::Iter<'a, u32>,
-        vt: &'a ValueTable,
-    },
-    Slice(slice::Iter<'a, (Sym, &'a Value)>),
-}
-
-impl<'a> Iterator for PropsIter<'a> {
-    type Item = (Sym, &'a Value);
-    fn next(&mut self) -> Option<(Sym, &'a Value)> {
-        match self {
-            PropsIter::Cols { keys, vids, vt } => {
-                let k = *keys.next()?;
-                let vid = *vids.next()?;
-                Some((k, vt.value(vid)))
-            }
-            PropsIter::Slice(it) => it.next().map(|&(k, v)| (k, v)),
-        }
-    }
-}
-
-/// Live-node scan over a scope's view, in ascending id order.
-pub(crate) enum NodeIter<'a> {
-    Cols {
-        cols: &'a ColumnarGraph,
-        range: Range<usize>,
-    },
-    Partial(slice::Iter<'a, PartialNode<'a>>),
+/// Live-node scan over a slot range, in ascending id order.
+pub(crate) struct NodeIter<'a> {
+    cols: &'a ColumnarGraph,
+    range: Range<usize>,
 }
 
 impl<'a> Iterator for NodeIter<'a> {
     type Item = NodeCur<'a>;
     fn next(&mut self) -> Option<NodeCur<'a>> {
-        match self {
-            NodeIter::Cols { cols, range } => loop {
-                let ix = range.next()?;
-                if !cols.node_is_live(ix) {
-                    continue;
-                }
-                let id = NodeId::from_index(ix);
-                return Some(NodeCur {
-                    id,
-                    label: cols.node_label_sym(id),
-                    props: PropsRef::Cols {
-                        keys: cols.node_prop_syms(id),
-                        vids: cols.node_prop_vids(id),
-                        vt: cols.values(),
-                    },
-                });
+        let cols = self.cols;
+        let ix = self.range.find(|&ix| cols.node_is_live(ix))?;
+        let id = NodeId::from_index(ix);
+        Some(NodeCur {
+            id,
+            label: cols.node_label_sym(id),
+            props: PropsRef {
+                keys: cols.node_prop_syms(id),
+                vids: cols.node_prop_vids(id),
+                vt: cols.values(),
             },
-            NodeIter::Partial(it) => it.next().map(|n| NodeCur {
-                id: n.id,
-                label: n.label,
-                props: PropsRef::Slice(&n.props),
-            }),
-        }
+        })
     }
 }
 
-/// Live-edge scan over a scope's view, in ascending id order.
-pub(crate) enum EdgeIter<'a> {
-    Cols {
-        cols: &'a ColumnarGraph,
-        range: Range<usize>,
-    },
-    Partial(slice::Iter<'a, partial::PartialEdge<'a>>),
+/// Live-edge scan over a slot range, in ascending id order.
+pub(crate) struct EdgeIter<'a> {
+    cols: &'a ColumnarGraph,
+    range: Range<usize>,
 }
 
 impl<'a> Iterator for EdgeIter<'a> {
     type Item = EdgeCur<'a>;
     fn next(&mut self) -> Option<EdgeCur<'a>> {
-        match self {
-            EdgeIter::Cols { cols, range } => loop {
-                let ix = range.next()?;
-                if !cols.edge_is_live(ix) {
-                    continue;
-                }
-                let id = EdgeId::from_index(ix);
-                return Some(EdgeCur {
-                    id,
-                    label: cols.edge_label_sym(id),
-                    src: cols.edge_source(id),
-                    dst: cols.edge_target(id),
-                    props: PropsRef::Cols {
-                        keys: cols.edge_prop_syms(id),
-                        vids: cols.edge_prop_vids(id),
-                        vt: cols.values(),
-                    },
-                });
+        let cols = self.cols;
+        let ix = self.range.find(|&ix| cols.edge_is_live(ix))?;
+        let id = EdgeId::from_index(ix);
+        Some(EdgeCur {
+            id,
+            label: cols.edge_label_sym(id),
+            src: cols.edge_source(id),
+            dst: cols.edge_target(id),
+            props: PropsRef {
+                keys: cols.edge_prop_syms(id),
+                vids: cols.edge_prop_vids(id),
+                vt: cols.values(),
             },
-            EdgeIter::Partial(it) => it.next().map(|e| EdgeCur {
-                id: e.id,
-                label: e.label,
-                src: e.src,
-                dst: e.dst,
-                props: PropsRef::Slice(&e.props),
-            }),
-        }
+        })
     }
 }
 
-/// Node ids from a per-label index: raw `u32` slots (columnar) or
-/// materialised ids (dirty view).
-pub(crate) enum NodeIdIter<'a> {
-    Raw(slice::Iter<'a, u32>),
-    Ids(slice::Iter<'a, NodeId>),
-}
-
-impl Iterator for NodeIdIter<'_> {
-    type Item = NodeId;
-    fn next(&mut self) -> Option<NodeId> {
-        match self {
-            NodeIdIter::Raw(it) => it.next().map(|&ix| NodeId::from_index(ix as usize)),
-            NodeIdIter::Ids(it) => it.next().copied(),
-        }
-    }
-}
-
-/// One adjacency group: a run of edge ids, either a CSR subslice (raw
-/// `u32` slots) or a materialised id list (dirty view).
+/// One adjacency group: a subslice of a CSR row, as edge slots.
 #[derive(Clone, Copy)]
-pub(crate) enum EdgeRun<'a> {
-    Raw(&'a [u32]),
-    Ids(&'a [EdgeId]),
-}
+pub(crate) struct EdgeRun<'a>(&'a [u32]);
 
 impl<'a> EdgeRun<'a> {
     pub(crate) fn len(&self) -> usize {
-        match self {
-            EdgeRun::Raw(r) => r.len(),
-            EdgeRun::Ids(r) => r.len(),
-        }
+        self.0.len()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
     }
 
-    pub(crate) fn iter(&self) -> EdgeRunIter<'a> {
-        match *self {
-            EdgeRun::Raw(r) => EdgeRunIter::Raw(r.iter()),
-            EdgeRun::Ids(r) => EdgeRunIter::Ids(r.iter()),
-        }
+    pub(crate) fn iter(&self) -> impl Iterator<Item = EdgeId> + 'a {
+        self.0.iter().map(|&ix| EdgeId::from_index(ix as usize))
     }
 }
 
-/// Iterator over an [`EdgeRun`], yielding [`EdgeId`]s.
-pub(crate) enum EdgeRunIter<'a> {
-    Raw(slice::Iter<'a, u32>),
-    Ids(slice::Iter<'a, EdgeId>),
-}
-
-impl Iterator for EdgeRunIter<'_> {
-    type Item = EdgeId;
-    fn next(&mut self) -> Option<EdgeId> {
-        match self {
-            EdgeRunIter::Raw(it) => it.next().map(|&ix| EdgeId::from_index(ix as usize)),
-            EdgeRunIter::Ids(it) => it.next().copied(),
-        }
-    }
-}
-
-impl<'a, 'g: 'a> Scope<'a, 'g> {
-    /// Whole-graph scope (indexed engine, incremental seeding) over a
-    /// frozen columnar view.
+impl<'a> Scope<'a> {
+    /// Whole-graph scope (indexed engine, incremental seeding): every
+    /// slot is owned.
     pub(crate) fn full(s: &'a PgSchema, ss: &'a SymSchema, cols: &'a ColumnarGraph) -> Self {
-        Scope {
-            s,
-            ss,
-            syms: cols.symbols(),
-            view: View::Full { cols },
-        }
+        Self::new(s, ss, cols, 0..cols.node_slots(), 0..cols.edge_slots())
     }
 
-    /// One worker's contiguous slot ranges of the parallel engine.
-    pub(crate) fn shard(
+    /// A frozen dirty region (incremental engine, migration preview): the
+    /// region's own nodes and every edge are owned, boundary nodes not.
+    pub(crate) fn region(s: &'a PgSchema, ss: &'a SymSchema, region: &'a RegionCols) -> Self {
+        let cols = &region.cols;
+        Self::new(s, ss, cols, region.owned(), 0..cols.edge_slots())
+    }
+
+    /// A scope owning the given contiguous slot ranges of `cols` — one
+    /// worker's shard of the parallel engine.
+    pub(crate) fn new(
         s: &'a PgSchema,
         ss: &'a SymSchema,
         cols: &'a ColumnarGraph,
@@ -377,326 +257,145 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
             s,
             ss,
             syms: cols.symbols(),
-            view: View::Shard { cols, nodes, edges },
-        }
-    }
-
-    /// The dirty region of the incremental engine: `nodes` is the dirty
-    /// node closure, `pc` the interned view of it and its incident live
-    /// edges (sharing `syms` with `ss`).
-    pub(crate) fn dirty(
-        g: &'g PropertyGraph,
-        s: &'a PgSchema,
-        ss: &'a SymSchema,
-        syms: &'a SymbolTable,
-        pc: &'a PartialCols<'g>,
-        nodes: &'a BTreeSet<NodeId>,
-    ) -> Self {
-        Scope {
-            s,
-            ss,
-            syms,
-            view: View::Dirty { g, pc, nodes },
+            cols,
+            nodes,
+            edges,
         }
     }
 
     /// Does this scope own the given node? Group-keyed kernels process
     /// exactly the groups whose key element is owned, which is what
-    /// makes shard/dirty evaluation partition-exact.
+    /// makes shard and region evaluation partition-exact.
     #[inline]
     pub(crate) fn owns(&self, n: NodeId) -> bool {
-        match &self.view {
-            View::Full { .. } => true,
-            View::Shard { nodes, .. } => nodes.contains(&n.index()),
-            View::Dirty { nodes, .. } => nodes.contains(&n),
-        }
+        self.nodes.contains(&n.index())
     }
 
-    /// The live nodes of the view, in ascending id order.
+    /// The owned live nodes, in ascending id order.
     pub(crate) fn nodes(&self) -> NodeIter<'a> {
-        match &self.view {
-            View::Full { cols } => NodeIter::Cols {
-                cols,
-                range: 0..cols.node_slots(),
-            },
-            View::Shard { cols, nodes, .. } => NodeIter::Cols {
-                cols,
-                range: nodes.clone(),
-            },
-            View::Dirty { pc, .. } => NodeIter::Partial(pc.nodes.iter()),
+        NodeIter {
+            cols: self.cols,
+            range: self.nodes.clone(),
         }
     }
 
-    /// The live edges of the view, in ascending id order.
+    /// The owned live edges, in ascending id order.
     pub(crate) fn edges(&self) -> EdgeIter<'a> {
-        match &self.view {
-            View::Full { cols } => EdgeIter::Cols {
-                cols,
-                range: 0..cols.edge_slots(),
-            },
-            View::Shard { cols, edges, .. } => EdgeIter::Cols {
-                cols,
-                range: edges.clone(),
-            },
-            View::Dirty { pc, .. } => EdgeIter::Partial(pc.edges.iter()),
+        EdgeIter {
+            cols: self.cols,
+            range: self.edges.clone(),
         }
     }
 
-    /// The label symbol of a live node — any node of the graph for the
-    /// columnar views; dirty nodes and local-edge endpoints for the
-    /// dirty one (exactly the nodes its kernels classify).
+    /// The label symbol of any live node of the columns.
     #[inline]
     pub(crate) fn label_sym(&self, n: NodeId) -> Option<Sym> {
-        match &self.view {
-            View::Full { cols } | View::Shard { cols, .. } => {
-                if cols.node_is_live(n.index()) {
-                    Some(cols.node_label_sym(n))
-                } else {
-                    None
-                }
-            }
-            View::Dirty { pc, .. } => pc.label_of(n),
-        }
+        let cols = self.cols;
+        cols.node_is_live(n.index()).then(|| cols.node_label_sym(n))
     }
 
-    /// The distinct labels with at least one live node in the view's
-    /// population, sorted by symbol.
+    /// The distinct labels with at least one live node in the columns,
+    /// sorted by symbol.
     pub(crate) fn labels(&self) -> &'a [Sym] {
-        match &self.view {
-            View::Full { cols } | View::Shard { cols, .. } => cols.labels_present(),
-            View::Dirty { pc, .. } => pc.labels(),
-        }
+        self.cols.labels_present()
     }
 
-    /// Live nodes carrying `label` (the whole graph for columnar views,
-    /// the dirty set for the dirty one), ascending id order.
-    pub(crate) fn nodes_with_label(&self, label: Sym) -> NodeIdIter<'a> {
-        match &self.view {
-            View::Full { cols } | View::Shard { cols, .. } => {
-                NodeIdIter::Raw(cols.nodes_with_label(label).iter())
-            }
-            View::Dirty { pc, .. } => NodeIdIter::Ids(pc.nodes_with_label(label).iter()),
-        }
+    /// Live nodes of the columns carrying `label`, ascending id order.
+    pub(crate) fn nodes_with_label(&self, label: Sym) -> impl Iterator<Item = NodeId> + 'a {
+        let run = self.cols.nodes_with_label(label);
+        run.iter().map(|&ix| NodeId::from_index(ix as usize))
     }
 
-    /// Out-edges of `v` labelled `label` (local edges only under the
-    /// dirty view), ascending id order.
+    /// Out-edges of `v` labelled `label`, ascending id order.
     pub(crate) fn out_edges_labelled(&self, v: NodeId, label: Sym) -> EdgeRun<'a> {
-        match &self.view {
-            View::Full { cols } | View::Shard { cols, .. } => {
-                EdgeRun::Raw(cols.out_edges_labelled(v, label))
-            }
-            View::Dirty { pc, .. } => EdgeRun::Ids(pc.out_edges_labelled(v, label)),
-        }
+        EdgeRun(self.cols.out_edges_labelled(v, label))
     }
 
     /// In-edges of `v` labelled `label`, ascending id order.
     pub(crate) fn in_edges_labelled(&self, v: NodeId, label: Sym) -> EdgeRun<'a> {
-        match &self.view {
-            View::Full { cols } | View::Shard { cols, .. } => {
-                EdgeRun::Raw(cols.in_edges_labelled(v, label))
-            }
-            View::Dirty { pc, .. } => EdgeRun::Ids(pc.in_edges_labelled(v, label)),
-        }
+        EdgeRun(self.cols.in_edges_labelled(v, label))
     }
 
     /// The source endpoint of a live edge.
     #[inline]
     pub(crate) fn edge_source(&self, e: EdgeId) -> Option<NodeId> {
-        match &self.view {
-            View::Full { cols } | View::Shard { cols, .. } => {
-                if cols.edge_is_live(e.index()) {
-                    Some(cols.edge_source(e))
-                } else {
-                    None
-                }
-            }
-            View::Dirty { g, .. } => g.edge_endpoints(e).map(|(s, _)| s),
-        }
+        let cols = self.cols;
+        cols.edge_is_live(e.index()).then(|| cols.edge_source(e))
     }
 
-    /// A node's property by key symbol (columnar lookup or dirty-region
-    /// lookup).
+    /// A node's property by key symbol.
     #[inline]
     pub(crate) fn node_prop(&self, n: NodeId, key: Sym) -> Option<&'a Value> {
-        match &self.view {
-            View::Full { cols } | View::Shard { cols, .. } => cols.node_prop(n, key),
-            View::Dirty { pc, .. } => pc.node_prop(n, key),
-        }
+        self.cols.node_prop(n, key)
     }
 
-    /// The columnar view, when this scope has one (DS7's tuple collect
-    /// interns against its value table).
-    pub(crate) fn cols(&self) -> Option<&'a ColumnarGraph> {
-        match &self.view {
-            View::Full { cols } | View::Shard { cols, .. } => Some(cols),
-            View::Dirty { .. } => None,
-        }
-    }
-
-    /// The whole graph behind the dirty view — `None` under the columnar
-    /// ones, which read only the columns. DS7 reads `Value` tuples from
-    /// it where no value table exists.
-    pub(crate) fn graph(&self) -> Option<&'g PropertyGraph> {
-        match &self.view {
-            View::Dirty { g, .. } => Some(g),
-            _ => None,
-        }
-    }
-
-    /// The dirty node set — `Some` only under the dirty view. DS7's
-    /// recheck plan uses this to move exactly the dirty nodes between
-    /// key groups.
-    pub(crate) fn dirty_nodes(&self) -> Option<&'a BTreeSet<NodeId>> {
-        match &self.view {
-            View::Dirty { nodes, .. } => Some(nodes),
-            _ => None,
-        }
+    /// The owned live node slots, as ids.
+    fn owned_nodes(&self) -> impl Iterator<Item = NodeId> + 'a {
+        let cols = self.cols;
+        self.nodes
+            .clone()
+            .filter(move |&ix| cols.node_is_live(ix))
+            .map(NodeId::from_index)
     }
 
     /// Walks every `(source, edge label, edges)` out-group whose source
-    /// the scope owns (WS4's groups). `f` returns `false` to stop early.
+    /// the scope owns (WS4's groups): each owned out row, split into
+    /// label runs (the row is sorted by label first). `f` returns
+    /// `false` to stop early.
     pub(crate) fn for_out_groups(&self, f: &mut dyn FnMut(NodeId, Sym, EdgeRun<'a>) -> bool) {
-        match &self.view {
-            View::Full { cols } => out_groups_cols(cols, 0..cols.node_slots(), f),
-            View::Shard { cols, nodes, .. } => out_groups_cols(cols, nodes.clone(), f),
-            View::Dirty { pc, nodes, .. } => {
-                for (src, label, run) in pc.out_groups() {
-                    if !nodes.contains(&src) {
-                        continue;
-                    }
-                    if !f(src, label, EdgeRun::Ids(run)) {
-                        return;
-                    }
+        let cols = self.cols;
+        for v in self.owned_nodes() {
+            let row = cols.out_row(v);
+            let label_at = |i: usize| cols.edge_label_sym(EdgeId::from_index(row[i] as usize));
+            let mut start = 0;
+            while start < row.len() {
+                let label = label_at(start);
+                let end = (start + 1..row.len())
+                    .find(|&i| label_at(i) != label)
+                    .unwrap_or(row.len());
+                if !f(v, label, EdgeRun(&row[start..end])) {
+                    return;
                 }
+                start = end;
             }
         }
     }
 
     /// Walks every `(source, target, edges)` parallel-edge group under
-    /// `label` whose source the scope owns (DS1's groups).
+    /// `label` whose source the scope owns (DS1's groups): each owned
+    /// labelled out run, split into same-target runs (sorted by target
+    /// within a label run).
     pub(crate) fn for_parallel_runs(
         &self,
         label: Sym,
         f: &mut dyn FnMut(NodeId, NodeId, EdgeRun<'a>) -> bool,
     ) {
-        match &self.view {
-            View::Full { cols } => parallel_runs_cols(cols, 0..cols.node_slots(), label, f),
-            View::Shard { cols, nodes, .. } => parallel_runs_cols(cols, nodes.clone(), label, f),
-            View::Dirty { pc, nodes, .. } => {
-                for (src, dst, run) in pc.parallel_runs(label) {
-                    if !nodes.contains(&src) {
-                        continue;
-                    }
-                    if !f(src, dst, EdgeRun::Ids(run)) {
-                        return;
-                    }
+        let cols = self.cols;
+        for v in self.owned_nodes() {
+            let run = cols.out_edges_labelled(v, label);
+            let dst_at = |i: usize| cols.edge_target(EdgeId::from_index(run[i] as usize));
+            let mut start = 0;
+            while start < run.len() {
+                let dst = dst_at(start);
+                let end = (start + 1..run.len())
+                    .find(|&i| dst_at(i) != dst)
+                    .unwrap_or(run.len());
+                if !f(v, dst, EdgeRun(&run[start..end])) {
+                    return;
                 }
+                start = end;
             }
         }
     }
 
-    /// Walks every `(target, edges)` in-group under `label` whose target
-    /// the scope owns (DS3's groups).
+    /// Walks every non-empty `(target, edges)` in-group under `label`
+    /// whose target the scope owns (DS3's groups).
     pub(crate) fn for_in_runs(&self, label: Sym, f: &mut dyn FnMut(NodeId, EdgeRun<'a>) -> bool) {
-        match &self.view {
-            View::Full { cols } => in_runs_cols(cols, 0..cols.node_slots(), label, f),
-            View::Shard { cols, nodes, .. } => in_runs_cols(cols, nodes.clone(), label, f),
-            View::Dirty { pc, nodes, .. } => {
-                for (dst, run) in pc.in_runs(label) {
-                    if !nodes.contains(&dst) {
-                        continue;
-                    }
-                    if !f(dst, EdgeRun::Ids(run)) {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// CSR walk behind [`Scope::for_out_groups`]: each live node slot's out
-/// row, split into label runs (the row is sorted by label first).
-fn out_groups_cols<'a>(
-    cols: &'a ColumnarGraph,
-    range: Range<usize>,
-    f: &mut dyn FnMut(NodeId, Sym, EdgeRun<'a>) -> bool,
-) {
-    for ix in range {
-        if !cols.node_is_live(ix) {
-            continue;
-        }
-        let v = NodeId::from_index(ix);
-        let row = cols.out_row(v);
-        let mut start = 0;
-        while start < row.len() {
-            let label = cols.edge_label_sym(EdgeId::from_index(row[start] as usize));
-            let mut end = start + 1;
-            while end < row.len()
-                && cols.edge_label_sym(EdgeId::from_index(row[end] as usize)) == label
-            {
-                end += 1;
-            }
-            if !f(v, label, EdgeRun::Raw(&row[start..end])) {
+        for v in self.owned_nodes() {
+            let run = self.cols.in_edges_labelled(v, label);
+            if !run.is_empty() && !f(v, EdgeRun(run)) {
                 return;
             }
-            start = end;
-        }
-    }
-}
-
-/// CSR walk behind [`Scope::for_parallel_runs`]: each live node slot's
-/// labelled out run, split into same-target runs (sorted by target
-/// within a label run).
-fn parallel_runs_cols<'a>(
-    cols: &'a ColumnarGraph,
-    range: Range<usize>,
-    label: Sym,
-    f: &mut dyn FnMut(NodeId, NodeId, EdgeRun<'a>) -> bool,
-) {
-    for ix in range {
-        if !cols.node_is_live(ix) {
-            continue;
-        }
-        let v = NodeId::from_index(ix);
-        let run = cols.out_edges_labelled(v, label);
-        let mut start = 0;
-        while start < run.len() {
-            let dst = cols.edge_target(EdgeId::from_index(run[start] as usize));
-            let mut end = start + 1;
-            while end < run.len() && cols.edge_target(EdgeId::from_index(run[end] as usize)) == dst
-            {
-                end += 1;
-            }
-            if !f(v, dst, EdgeRun::Raw(&run[start..end])) {
-                return;
-            }
-            start = end;
-        }
-    }
-}
-
-/// CSR walk behind [`Scope::for_in_runs`]: each live node slot's
-/// labelled in run (non-empty runs only — a group exists only where an
-/// edge does).
-fn in_runs_cols<'a>(
-    cols: &'a ColumnarGraph,
-    range: Range<usize>,
-    label: Sym,
-    f: &mut dyn FnMut(NodeId, EdgeRun<'a>) -> bool,
-) {
-    for ix in range {
-        if !cols.node_is_live(ix) {
-            continue;
-        }
-        let v = NodeId::from_index(ix);
-        let run = cols.in_edges_labelled(v, label);
-        if run.is_empty() {
-            continue;
-        }
-        if !f(v, EdgeRun::Raw(run)) {
-            return;
         }
     }
 }
@@ -725,6 +424,8 @@ struct SinkMetrics {
 pub(crate) struct Sink<'r> {
     report: &'r mut ValidationReport,
     metrics: Option<SinkMetrics>,
+    /// The region whose local ids the kernels emit, when they scan one.
+    region: Option<&'r RegionCols>,
 }
 
 impl<'r> Sink<'r> {
@@ -739,13 +440,30 @@ impl<'r> Sink<'r> {
                 edges_scanned: 0,
                 current: 0,
             }),
+            region: None,
+        }
+    }
+
+    /// A sink for kernels scanning `region`: every pushed violation is
+    /// translated from the region's local ids to the graph's.
+    pub(crate) fn for_region(
+        report: &'r mut ValidationReport,
+        collect: bool,
+        region: &'r RegionCols,
+    ) -> Self {
+        Sink {
+            region: Some(region),
+            ..Sink::new(report, collect)
         }
     }
 
     /// Emits one violation (dropped, marking the report truncated, once
     /// the limit is reached).
     #[inline]
-    pub(crate) fn push(&mut self, v: Violation) {
+    pub(crate) fn push(&mut self, mut v: Violation) {
+        if let Some(region) = self.region {
+            region.translate(&mut v);
+        }
         self.report.push(v);
     }
 
@@ -832,11 +550,16 @@ pub(crate) enum Ds7Plan<'p> {
     /// the caller's cross-shard reduce (parallel engine). Tuples are
     /// graph-global value-class ids, so equal tuples collide across
     /// shards exactly as their [`Value`] counterparts would.
-    Map(&'p mut Vec<HashMap<Vec<Option<u32>>, Vec<NodeId>>>),
-    /// Move the scope's dirty nodes between the persistent per-key
+    Map(&'p mut Vec<directives::KeyGroups>),
+    /// Move the `dirty` nodes of `g` between the persistent per-key
     /// tables and re-emit exactly the pairs they participate in
-    /// (incremental engine). Requires a dirty scope.
-    Recheck(&'p mut [KeyTable]),
+    /// (incremental engine). Their partners lie outside any region, so
+    /// this plan reads the graph itself and emits its ids.
+    Recheck {
+        tables: &'p mut [KeyTable],
+        g: &'p PropertyGraph,
+        dirty: &'p BTreeSet<NodeId>,
+    },
 }
 
 /// Runs every enabled kernel over `scope` in rule order (WS1–WS4,
@@ -844,7 +567,7 @@ pub(crate) enum Ds7Plan<'p> {
 /// within kernels. This is the entire rule schedule; the engines differ
 /// only in the scope they build and the [`Ds7Plan`] they pass.
 pub(crate) fn run(
-    scope: &Scope<'_, '_>,
+    scope: &Scope<'_>,
     options: &ValidationOptions,
     sink: &mut Sink<'_>,
     ds7: Ds7Plan<'_>,
@@ -865,7 +588,9 @@ pub(crate) fn run(
         match ds7 {
             Ds7Plan::Inline => directives::ds7(scope, sink),
             Ds7Plan::Map(tables) => directives::ds7_map(scope, sink, tables),
-            Ds7Plan::Recheck(tables) => directives::ds7_recheck(scope, sink, tables),
+            Ds7Plan::Recheck { tables, g, dirty } => {
+                directives::ds7_recheck(scope, sink, tables, g, dirty)
+            }
         }
     }
     if options.strong && !scope.s.is_open_world() {

@@ -10,7 +10,7 @@ use super::{Scope, Sink};
 
 /// SS1: every node label is an object type of the schema — one scan over
 /// the scope's nodes.
-pub(crate) fn ss1(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
+pub(crate) fn ss1(scope: &Scope<'_>, sink: &mut Sink<'_>) {
     sink.rule(Rule::SS1, |sink| {
         let ss = scope.ss;
         for n in scope.nodes() {
@@ -30,7 +30,7 @@ pub(crate) fn ss1(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
 
 /// SS2: every node property is backed by an attribute definition — one
 /// scan over the scope's nodes.
-pub(crate) fn ss2(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
+pub(crate) fn ss2(scope: &Scope<'_>, sink: &mut Sink<'_>) {
     sink.rule(Rule::SS2, |sink| {
         let ss = scope.ss;
         for n in scope.nodes() {
@@ -53,7 +53,7 @@ pub(crate) fn ss2(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
 
 /// SS3: every edge property is backed by a relationship argument — one
 /// scan over the scope's edges.
-pub(crate) fn ss3(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
+pub(crate) fn ss3(scope: &Scope<'_>, sink: &mut Sink<'_>) {
     sink.rule(Rule::SS3, |sink| {
         let ss = scope.ss;
         for e in scope.edges() {
@@ -77,7 +77,7 @@ pub(crate) fn ss3(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
 
 /// SS4: every edge is backed by a relationship definition — one scan
 /// over the scope's edges.
-pub(crate) fn ss4(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
+pub(crate) fn ss4(scope: &Scope<'_>, sink: &mut Sink<'_>) {
     sink.rule(Rule::SS4, |sink| {
         let ss = scope.ss;
         for e in scope.edges() {

@@ -26,15 +26,18 @@
 //! field tables) is false or empty — exactly the empty row. That is what
 //! lets a [`PgSchema`] compile itself once onto a schema-only table
 //! ([`PgSchema::compiled`]): the full-pass engines freeze each graph into
-//! a clone of that table, and the migration preview builds its
-//! [`PartialCols`](super::partial::PartialCols) into one. The
-//! incremental engine compiles onto its own growing table, because a
-//! migration window compiles a second schema onto the same symbols.
+//! a clone of that table, and the migration preview freezes its
+//! [`RegionCols`](super::region::RegionCols) into one. The incremental
+//! engine compiles onto its own growing table, because a migration window
+//! compiles a second schema onto the same symbols; each delta's region
+//! borrows that table by value and hands it back.
 
 use gql_schema::TypeId;
 use pgraph::{Sym, SymbolTable};
 
 use crate::pgschema::PgSchema;
+
+use super::directives::ds7_scalar_fields;
 
 /// One attribute definition, symbol-keyed (WS1, DS5, SS2).
 pub(crate) struct AttrSlot {
@@ -191,8 +194,6 @@ pub(crate) struct KeySlot {
     pub(crate) fields: Vec<String>,
     /// Symbols of the scalar key fields (tuple columns).
     pub(crate) scalar_syms: Vec<Sym>,
-    /// Names of the scalar key fields, parallel to `scalar_syms`.
-    pub(crate) scalar_names: Vec<String>,
 }
 
 /// The compiled, symbol-keyed view of a [`PgSchema`]. See module docs.
@@ -260,25 +261,14 @@ impl SymSchema {
         let keys: Vec<KeySlot> = s
             .keys()
             .iter()
-            .map(|key| {
-                let mut scalar_syms = Vec::new();
-                let mut scalar_names = Vec::new();
-                for f in &key.fields {
-                    let scalar = schema
-                        .field(key.site, f)
-                        .is_some_and(|fi| schema.is_scalar(fi.ty.base));
-                    if scalar {
-                        scalar_syms.push(symbols.intern(f));
-                        scalar_names.push(f.clone());
-                    }
-                }
-                KeySlot {
-                    site: key.site,
-                    ty_name: schema.type_name(key.site).to_owned(),
-                    fields: key.fields.clone(),
-                    scalar_syms,
-                    scalar_names,
-                }
+            .map(|key| KeySlot {
+                site: key.site,
+                ty_name: schema.type_name(key.site).to_owned(),
+                fields: key.fields.clone(),
+                scalar_syms: ds7_scalar_fields(s, key)
+                    .into_iter()
+                    .map(|f| symbols.intern(f))
+                    .collect(),
             })
             .collect();
 

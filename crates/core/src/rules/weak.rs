@@ -12,7 +12,7 @@ use super::{Scope, Sink};
 
 /// WS1: node property values conform to their declared attribute types —
 /// one scan over the scope's nodes.
-pub(crate) fn ws1(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
+pub(crate) fn ws1(scope: &Scope<'_>, sink: &mut Sink<'_>) {
     sink.rule(Rule::WS1, |sink| {
         let (s, ss) = (scope.s, scope.ss);
         for n in scope.nodes() {
@@ -40,7 +40,7 @@ pub(crate) fn ws1(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
 /// WS2: edge property values conform to their declared argument types
 /// (relationship fields only; attribute field arguments are ignored per
 /// §3.6) — one scan over the scope's edges.
-pub(crate) fn ws2(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
+pub(crate) fn ws2(scope: &Scope<'_>, sink: &mut Sink<'_>) {
     sink.rule(Rule::WS2, |sink| {
         let (s, ss) = (scope.s, scope.ss);
         for e in scope.edges() {
@@ -70,7 +70,7 @@ pub(crate) fn ws2(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
 /// WS3: an edge's target label is a subtype of the field's base type —
 /// checked over *all* field definitions of the source type, in one scan
 /// over the scope's edges.
-pub(crate) fn ws3(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
+pub(crate) fn ws3(scope: &Scope<'_>, sink: &mut Sink<'_>) {
     sink.rule(Rule::WS3, |sink| {
         let ss = scope.ss;
         for e in scope.edges() {
@@ -100,7 +100,7 @@ pub(crate) fn ws3(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
 
 /// WS4: at most one outgoing edge per non-list relationship field — via
 /// the `(source, label)` out-groups whose source the scope owns.
-pub(crate) fn ws4(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
+pub(crate) fn ws4(scope: &Scope<'_>, sink: &mut Sink<'_>) {
     sink.rule(Rule::WS4, |sink| {
         let ss = scope.ss;
         scope.for_out_groups(&mut |source, label, edges| {

@@ -352,6 +352,11 @@ impl ColumnarGraph {
         &self.symbols
     }
 
+    /// Hands the intern table back, dropping the columns.
+    pub fn into_symbols(self) -> SymbolTable {
+        self.symbols
+    }
+
     /// The value pool.
     pub fn values(&self) -> &ValueTable {
         &self.values

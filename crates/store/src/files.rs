@@ -32,8 +32,7 @@ pub(crate) fn write_snapshot(dir: &Path, generation: u64, bytes: &[u8]) -> io::R
         file.sync_all()?;
     }
     std::fs::rename(&tmp, snapshot_path(dir, generation))?;
-    sync_dir(dir);
-    Ok(())
+    sync_dir(dir)
 }
 
 pub(crate) fn parse_segment_name(name: &str) -> Option<u64> {
@@ -87,11 +86,13 @@ pub(crate) fn list_dir(dir: &Path) -> io::Result<DirListing> {
 }
 
 /// Flushes directory metadata so a just-renamed or just-deleted entry
-/// survives a crash. Best-effort on platforms where opening a directory
-/// for sync is not supported.
-pub(crate) fn sync_dir(dir: &Path) {
-    if let Ok(handle) = std::fs::File::open(dir) {
-        let _ = handle.sync_all();
+/// survives a crash. On unix a failure is the caller's error; elsewhere
+/// opening a directory for sync is not supported, so it is best-effort.
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    match std::fs::File::open(dir) {
+        Ok(handle) => handle.sync_all(),
+        Err(e) if cfg!(unix) => Err(e),
+        Err(_) => Ok(()),
     }
 }
 
@@ -115,5 +116,15 @@ mod tests {
         assert_eq!(parse_segment_name("wal-.log"), None);
         assert_eq!(parse_snapshot_name("snapshot-1.tmp"), None);
         assert_eq!(parse_segment_name("other.log"), None);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn sync_dir_fails_on_a_removed_directory() {
+        let dir = std::env::temp_dir().join(format!("pg-store-sync-dir-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        assert!(sync_dir(&dir).is_ok());
+        std::fs::remove_dir(&dir).unwrap();
+        assert!(sync_dir(&dir).is_err());
     }
 }

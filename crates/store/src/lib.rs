@@ -238,7 +238,7 @@ impl Store {
                     .create_new(true)
                     .append(true)
                     .open(&path)?;
-                files::sync_dir(&dir);
+                files::sync_dir(&dir)?;
                 segments.push((first_seq, path));
                 live_bytes = 0;
                 (first_seq, file)
@@ -636,7 +636,7 @@ impl Store {
                 .create_new(true)
                 .append(true)
                 .open(&path)?;
-            files::sync_dir(&self.dir);
+            files::sync_dir(&self.dir)?;
             wal.file = file;
             wal.current_first_seq = first_seq;
             old_segments = std::mem::take(&mut wal.segments)
@@ -720,7 +720,7 @@ impl Compaction<'_> {
                 }
             }
         }
-        files::sync_dir(&store.dir);
+        files::sync_dir(&store.dir)?;
         store.wal.lock().unwrap().snapshot_generation = self.generation;
         store.snapshots.fetch_add(1, Ordering::Relaxed);
         Ok(CompactionOutcome {

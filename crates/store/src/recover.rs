@@ -155,7 +155,7 @@ pub(crate) fn recover(dir: &Path) -> io::Result<(Recovered, WalPosition)> {
             for (_, later) in &segments[ix + 1..] {
                 let _ = std::fs::remove_file(later);
             }
-            files::sync_dir(dir);
+            files::sync_dir(dir)?;
             stop = Some(TornTail {
                 segment: path.clone(),
                 offset: valid_len,

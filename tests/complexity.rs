@@ -6,7 +6,8 @@
 //!   and parallel engines examines a number of elements proportional to
 //!   `|V| + |E|` (`RuleMetrics::elements_scanned`);
 //! * (b) revalidation costs in proportion to the change, not the graph
-//!   (`DeltaOutcome::elements_rechecked` of a one-op delta);
+//!   (`DeltaOutcome::elements_rechecked` of a one-op delta, and the
+//!   kernels' `nodes_scanned + edges_scanned` over its region);
 //! * (c) migration planning's dirty region is the changed type's, not
 //!   the schema's (`MigrationPlan::{dirty_nodes, dirty_edges}`);
 //! * (d) recovery replays the WAL written since the last compaction, not
@@ -90,7 +91,11 @@ fn every_kernel_scans_a_constant_number_of_elements_per_element() {
 #[test]
 fn a_one_op_delta_rechecks_a_constant_region() {
     let schema = PgSchema::parse(social_schema()).unwrap();
-    let options = ValidationOptions::default();
+    let options = ValidationOptions::builder().collect_metrics(true).build();
+    // scanned[i]: kernel node + edge visits per re-checked element over
+    // the three deltas at size i (the first node's degree, and so the
+    // region, differs between the fixtures).
+    let mut scanned = Vec::new();
     for &n in &NODES_PER_TYPE {
         let graph = conforming(&schema, n);
         let target = graph.node_ids().next().expect("non-empty graph");
@@ -101,6 +106,7 @@ fn a_one_op_delta_rechecks_a_constant_region() {
             .map(|a| a.name.clone())
             .expect("the first node's type declares an attribute");
         let mut engine = IncrementalEngine::new(graph, &schema, &options);
+        let (mut visits, mut rechecked) = (0, 0);
         for value in ["toggle-a", "toggle-b", "toggle-a"] {
             let delta = GraphDelta::new().set_node_property(
                 target,
@@ -114,8 +120,20 @@ fn a_one_op_delta_rechecks_a_constant_region() {
                 outcome.elements_rechecked,
                 outcome.elements_total
             );
+            let report = engine.report();
+            let m = report.metrics().expect("metrics were requested");
+            visits += m.nodes_scanned + m.edges_scanned;
+            rechecked += m.elements_rechecked;
         }
+        scanned.push(visits as f64 / rechecked as f64);
     }
+    let (min, max) = scanned
+        .iter()
+        .fold((f64::MAX, 0.0f64), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+    assert!(
+        min > 0.0 && max / min <= FLAT,
+        "the kernels' scans of a 1-op delta grow with the graph: {scanned:.3?} per re-checked element over {NODES_PER_TYPE:?} nodes per type"
+    );
 }
 
 #[test]
