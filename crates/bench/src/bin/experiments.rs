@@ -1,130 +1,36 @@
-//! Regenerates every table of EXPERIMENTS.md.
+//! Regenerates the tables of EXPERIMENTS.md, the same bytes on every run.
 //!
 //! ```text
 //! cargo run --release -p pg-bench --bin experiments            # all
-//! cargo run --release -p pg-bench --bin experiments -- E2 E4   # subset
-//! cargo run --release -p pg-bench --bin experiments -- --quick # small sizes
+//! cargo run --release -p pg-bench --bin experiments -- E4 E6   # subset
 //! ```
 
 use pg_bench::tables;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-    let run = |id: &str| wanted.is_empty() || wanted.contains(&id);
+    let wanted: Vec<String> = std::env::args().skip(1).collect();
+    let run = |id: &str| wanted.is_empty() || wanted.iter().any(|w| w == id);
 
     if run("E1") {
         println!("## E1 — cardinality combinations (§3.3 table)\n");
         println!("{}", tables::cardinality_table());
     }
-    if run("E2") {
-        println!("## E2 — validation scaling (Theorem 1)\n");
-        let (sizes, cap, iters): (&[usize], usize, usize) = if quick {
-            (&[100, 200, 400], 400, 3)
-        } else {
-            (&[250, 500, 1000, 2000, 4000, 8000], 1000, 5)
-        };
-        println!("{}", tables::validation_scaling(sizes, cap, iters));
-    }
-    if run("E2i") {
-        println!("## E2i — incremental revalidation vs full re-validation\n");
-        let (sizes, iters): (&[usize], usize) = if quick {
-            (&[200, 400], 3)
-        } else {
-            (&[1000, 4000, 16000], 5)
-        };
-        println!("{}", tables::incremental_scaling(sizes, iters));
-    }
-    if run("E2c") {
-        println!("## E2c — columnar core: CSR adjacency and zero-copy recovery\n");
-        let (sizes, iters): (&[usize], usize) = if quick {
-            (&[200, 400], 2)
-        } else {
-            (&[1000, 4000, 16000], 5)
-        };
-        println!("{}", tables::columnar_core(sizes, iters));
-    }
-    if run("E3") {
-        println!("## E3 — validation vs schema size (combined complexity)\n");
-        let counts: &[usize] = if quick { &[4, 8] } else { &[4, 8, 16, 32, 64] };
-        println!(
-            "{}",
-            tables::schema_scaling(counts, 3000, if quick { 2 } else { 5 })
-        );
-    }
-    if run("E4m") {
-        println!("## E4m — migration planning vs full revalidation\n");
-        let (types, npt, iters) = if quick { (8, 50, 2) } else { (16, 6500, 5) };
-        println!("{}", tables::migration_planning(types, npt, iters));
-    }
     if run("E4") {
         println!("## E4a — random 3-SAT phase transition (DPLL oracle)\n");
-        let (vars, instances) = if quick { (15, 10) } else { (30, 40) };
-        println!("{}", tables::phase_transition(vars, instances));
+        println!("{}", tables::phase_transition(30, 40));
         println!("## E4b — Theorem 2 reduction pipeline\n");
-        let var_counts: &[usize] = if quick { &[3, 4] } else { &[3, 4, 5, 6] };
-        println!(
-            "{}",
-            tables::reduction_scaling(var_counts, 1.5, if quick { 2 } else { 5 })
-        );
+        println!("{}", tables::reduction_scaling(&[3, 4, 5, 6], 1.5, 5));
     }
     if run("E5") {
-        println!("## E5 — tableau scaling (Theorem 3)\n");
-        let depths: &[usize] = if quick {
-            &[1, 2, 4]
-        } else {
-            &[1, 2, 4, 8, 12, 16]
-        };
-        println!(
-            "{}",
-            tables::reasoner_scaling(depths, if quick { 1 } else { 3 })
-        );
+        println!("## E5 — tableau verdicts (Theorem 3)\n");
+        println!("{}", tables::reasoner_scaling(&[1, 2, 4, 8, 12, 16]));
     }
     if run("E6") {
         println!("## E6 — §6.2 satisfiability verdicts\n");
         println!("{}", tables::satisfiability_verdicts());
     }
-    if run("E9") {
-        println!("## E9 — consistency checking scaling (Defs. 4.3–4.5)\n");
-        let counts: &[usize] = if quick {
-            &[4, 8]
-        } else {
-            &[8, 16, 32, 64, 128]
-        };
-        println!(
-            "{}",
-            tables::consistency_scaling(counts, if quick { 2 } else { 10 })
-        );
-    }
     if run("E10") {
         println!("## E10 — violation detection matrix\n");
         println!("{}", tables::detection_matrix());
-    }
-    if run("E11") {
-        println!("## E11 — ablation: symmetry breaking in the finite-model search\n");
-        let counts: &[usize] = if quick { &[3, 4] } else { &[3, 4, 5, 6] };
-        println!("{}", tables::symmetry_ablation(counts));
-    }
-    if run("E12") {
-        println!("## E12 — ablation: DPLL vs CDCL at the phase transition\n");
-        let (counts, instances): (&[usize], u64) = if quick {
-            (&[15, 20], 6)
-        } else {
-            (&[20, 30, 40, 50], 20)
-        };
-        println!("{}", tables::solver_ablation(counts, instances));
-    }
-    if run("headline") && !quick {
-        let (n, e, t) = tables::throughput(5000);
-        println!(
-            "headline: validated {n} nodes / {e} edges in {} ({:.1}k elements/s)\n",
-            pg_bench::fmt_duration(t),
-            (n + e) as f64 / t.as_secs_f64() / 1e3
-        );
     }
 }

@@ -8,7 +8,10 @@
 //! witness**. [`search`] tries sizes `1, 2, …` in turn under one step
 //! budget — `k²` steps for size `k` and a step per CDCL conflict — so a
 //! schema whose CNF is hard at every size (a pigeonhole formula) still
-//! ends in bounded time.
+//! ends in bounded time. Every encoding carries the symmetry-breaking
+//! clauses (non-decreasing type indices over the interchangeable nodes
+//! `1..k`); without them a refutation must rule out all `k!` renamings
+//! of each candidate graph.
 //!
 //! The encoding covers exactly the rules that constrain graph *structure*:
 //! SS1/SS4 (typed nodes, justified edges), WS3 (target types), WS4
@@ -33,40 +36,12 @@ use pgraph::{PropertyGraph, Value};
 
 use crate::ReasonerConfig;
 
-/// Options for the finite-model search (exposed for the ablation
-/// benchmark in EXPERIMENTS.md).
-#[derive(Debug, Clone, Copy)]
-pub struct FiniteSearchOptions {
-    /// Emit the node-renaming symmetry-breaking clauses (non-decreasing
-    /// type indices). Disabling this is exponentially slower on UNSAT
-    /// instances — the ablation of DESIGN.md.
-    pub symmetry_breaking: bool,
-}
-
-impl Default for FiniteSearchOptions {
-    fn default() -> Self {
-        FiniteSearchOptions {
-            symmetry_breaking: true,
-        }
-    }
-}
-
 /// Searches for a strongly-satisfying Property Graph with exactly `k`
 /// nodes containing at least one node labelled `ot_name`.
 pub fn find_model(schema: &PgSchema, ot_name: &str, k: usize) -> Option<PropertyGraph> {
-    find_model_with_options(schema, ot_name, k, &FiniteSearchOptions::default())
-}
-
-/// [`find_model`] with explicit search options.
-pub fn find_model_with_options(
-    schema: &PgSchema,
-    ot_name: &str,
-    k: usize,
-    options: &FiniteSearchOptions,
-) -> Option<PropertyGraph> {
     // `u64::MAX` steps do not run out, so this is the complete answer.
     let mut unbounded = Budget::new(u64::MAX);
-    model_of_size(schema, ot_name, k, options, &mut unbounded)
+    model_of_size(schema, ot_name, k, &mut unbounded)
         .ok()
         .flatten()
 }
@@ -81,9 +56,8 @@ pub fn search(
     config: &ReasonerConfig,
 ) -> Result<PropertyGraph, usize> {
     let mut budget = Budget::new(config.max_steps);
-    let options = FiniteSearchOptions::default();
     for k in 1..=config.max_graph_size {
-        match model_of_size(schema, ot_name, k, &options, &mut budget) {
+        match model_of_size(schema, ot_name, k, &mut budget) {
             Ok(Some(witness)) => return Ok(witness),
             Ok(None) => {}
             Err(OutOfSteps) => return Err(k - 1),
@@ -105,15 +79,14 @@ fn model_of_size(
     schema: &PgSchema,
     ot_name: &str,
     k: usize,
-    options: &FiniteSearchOptions,
     budget: &mut Budget,
 ) -> Result<Option<PropertyGraph>, OutOfSteps> {
     budget.spend((k as u64).saturating_mul(k as u64))?;
-    let Some(enc) = Encoding::build(schema, ot_name, k, options) else {
+    let Some(enc) = Encoding::build(schema, ot_name, k) else {
         return Ok(None);
     };
-    // CDCL is the production solver; the plain DPLL baseline remains
-    // available for the solver-ablation experiment.
+    // CDCL is the production solver; the plain DPLL baseline is the
+    // oracle it is cross-checked against (`dpll::cdcl` tests).
     let model = dpll::solve_cdcl(&enc.cnf, budget)?;
     Ok(model.map(|model| enc.decode(schema, &model)))
 }
@@ -140,12 +113,7 @@ impl Encoding {
 
     /// The encoding of size `k`, or `None` if `ot_name` names no object
     /// type.
-    fn build(
-        schema: &PgSchema,
-        ot_name: &str,
-        k: usize,
-        options: &FiniteSearchOptions,
-    ) -> Option<Encoding> {
+    fn build(schema: &PgSchema, ot_name: &str, k: usize) -> Option<Encoding> {
         let s = schema.schema();
         let queried = schema.label_type(ot_name)?;
         if !s.is_object(queried) {
@@ -205,15 +173,13 @@ impl Encoding {
         // non-decreasing type indices — any model can be permuted into
         // this form. Collapses the k! node-renaming symmetry that
         // otherwise drowns DPLL on UNSAT instances.
-        if options.symmetry_breaking {
-            for v in 1..k.saturating_sub(1) {
-                for t1 in 0..n_ot {
-                    for t2 in 0..t1 {
-                        clauses.push(vec![
-                            Lit::neg(enc.type_var(v, t1)),
-                            Lit::neg(enc.type_var(v + 1, t2)),
-                        ]);
-                    }
+        for v in 1..k.saturating_sub(1) {
+            for t1 in 0..n_ot {
+                for t2 in 0..t1 {
+                    clauses.push(vec![
+                        Lit::neg(enc.type_var(v, t1)),
+                        Lit::neg(enc.type_var(v + 1, t2)),
+                    ]);
                 }
             }
         }
