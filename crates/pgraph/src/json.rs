@@ -24,7 +24,9 @@
 //! * `reader` — [`Reader`], the one tokenizer: a pull reader over a
 //!   `&str` with an explicit depth counter bounded by [`MAX_DEPTH`] and
 //!   escape-free strings borrowed from the body;
-//! * `tree` — the parsed tree [`Json`], a thin builder on the reader;
+//! * `tree` — the parsed tree [`Json`], a thin builder on the reader,
+//!   for the reference graph codec and for harnesses that read
+//!   responses; no request body is decoded through it;
 //! * `write` — the string escaper [`escape_into`] and the one streaming
 //!   two-space pretty printer behind [`to_json`] and [`Json`]'s
 //!   `Display`;
@@ -37,7 +39,8 @@
 //! * `delta` — mutation logs ([`GraphDelta`](crate::GraphDelta)): a
 //!   delta document is `{"ops": [...]}` where each op is a tagged object
 //!   such as `{"op": "set-node-property", "node": 0, "name": "login",
-//!   "value": "al"}` — see [`delta_to_json`] / [`delta_from_json`].
+//!   "value": "al"}` — streamed out by [`delta_to_json`] and read by
+//!   [`delta_from_json`] with the reader, no tree either way.
 //!   Element ids in a delta refer to the graph the delta will be applied
 //!   to, i.e. the `id` fields of a graph document written by [`to_json`].
 
@@ -49,7 +52,7 @@ mod reader;
 mod tree;
 mod write;
 
-pub use delta::{delta_from_json, delta_from_value, delta_to_json, delta_to_value};
+pub use delta::{delta_from_json, delta_to_json};
 pub use graph::{from_json, graph_from_value, graph_to_value, read_graph, to_json};
 pub use reader::{Kind, Reader};
 pub use tree::Json;

@@ -1,131 +1,98 @@
 //! The mutation-log document `{"ops": [...]}`: each op a tagged object
 //! such as `{"op": "set-node-property", "node": 0, "name": "login",
-//! "value": "al"}`, encoded and decoded through the [`Json`] tree.
+//! "value": "al"}`, written by the [`JsonWriter`] and read by the
+//! [`Reader`], with no [`Json`](super::Json) tree either way.
 
-use super::tree::{as_object, get_str, get_u32, get_value, root_array, value_to_json};
-use super::{Json, JsonError};
+use std::borrow::Cow;
+
+use super::graph::{begin_array, begin_object, read_str, read_u32, read_value};
+use super::reader::{Kind, Reader};
+use super::tree::{expected, missing};
+use super::write::{write_value, JsonWriter};
+use super::JsonError;
 use crate::delta::{DeltaOp, GraphDelta};
 use crate::{EdgeId, NodeId};
 
-fn op_to_json(op: &DeltaOp) -> Json {
-    fn tag(name: &str) -> (String, Json) {
-        ("op".to_owned(), Json::Str(name.to_owned()))
+/// Serialises a mutation log to its JSON document (`{"ops": [...]}`),
+/// streamed in the module's canonical layout.
+pub fn delta_to_json(delta: &GraphDelta) -> String {
+    let mut out = String::with_capacity(32 + 96 * delta.len());
+    let mut w = JsonWriter::new(&mut out);
+    w.begin_object();
+    w.key("ops");
+    w.begin_array();
+    for op in delta.ops() {
+        write_op(&mut w, op);
     }
-    fn node(id: NodeId) -> (String, Json) {
-        ("node".to_owned(), Json::Int(id.index() as i64))
+    w.end_array();
+    w.end_object();
+    out
+}
+
+fn write_op(w: &mut JsonWriter<'_>, op: &DeltaOp) {
+    fn id(w: &mut JsonWriter<'_>, key: &str, index: usize) {
+        w.key(key);
+        w.int(index as i64);
     }
-    fn edge(id: EdgeId) -> (String, Json) {
-        ("edge".to_owned(), Json::Int(id.index() as i64))
+    fn text(w: &mut JsonWriter<'_>, key: &str, s: &str) {
+        w.key(key);
+        w.string(s);
     }
-    fn label(l: &str) -> (String, Json) {
-        ("label".to_owned(), Json::Str(l.to_owned()))
-    }
-    fn name(n: &str) -> (String, Json) {
-        ("name".to_owned(), Json::Str(n.to_owned()))
-    }
-    Json::Object(match op {
-        DeltaOp::AddNode { label: l } => vec![tag("add-node"), label(l)],
-        DeltaOp::RemoveNode { node: n } => vec![tag("remove-node"), node(*n)],
+    w.begin_object();
+    match op {
+        DeltaOp::AddNode { label } => {
+            text(w, "op", "add-node");
+            text(w, "label", label);
+        }
+        DeltaOp::RemoveNode { node } => {
+            text(w, "op", "remove-node");
+            id(w, "node", node.index());
+        }
         DeltaOp::AddEdge {
             source,
             target,
-            label: l,
-        } => vec![
-            tag("add-edge"),
-            ("source".to_owned(), Json::Int(source.index() as i64)),
-            ("target".to_owned(), Json::Int(target.index() as i64)),
-            label(l),
-        ],
-        DeltaOp::RemoveEdge { edge: e } => vec![tag("remove-edge"), edge(*e)],
-        DeltaOp::SetNodeProperty {
-            node: n,
-            name: k,
-            value,
-        } => vec![
-            tag("set-node-property"),
-            node(*n),
-            name(k),
-            ("value".to_owned(), value_to_json(value)),
-        ],
-        DeltaOp::RemoveNodeProperty { node: n, name: k } => {
-            vec![tag("remove-node-property"), node(*n), name(k)]
+            label,
+        } => {
+            text(w, "op", "add-edge");
+            id(w, "source", source.index());
+            id(w, "target", target.index());
+            text(w, "label", label);
         }
-        DeltaOp::SetEdgeProperty {
-            edge: e,
-            name: k,
-            value,
-        } => vec![
-            tag("set-edge-property"),
-            edge(*e),
-            name(k),
-            ("value".to_owned(), value_to_json(value)),
-        ],
-        DeltaOp::RemoveEdgeProperty { edge: e, name: k } => {
-            vec![tag("remove-edge-property"), edge(*e), name(k)]
+        DeltaOp::RemoveEdge { edge } => {
+            text(w, "op", "remove-edge");
+            id(w, "edge", edge.index());
         }
-        DeltaOp::SetNodeLabel { node: n, label: l } => {
-            vec![tag("set-node-label"), node(*n), label(l)]
+        DeltaOp::SetNodeProperty { node, name, value } => {
+            text(w, "op", "set-node-property");
+            id(w, "node", node.index());
+            text(w, "name", name);
+            w.key("value");
+            write_value(w, value);
         }
-    })
-}
-
-fn op_from_json(v: &Json, ctx: &str) -> Result<DeltaOp, JsonError> {
-    let members = as_object(v, ctx)?;
-    let tag = get_str(members, "op", ctx)?;
-    let node = |key: &str| get_u32(members, key, ctx).map(|i| NodeId::from_index(i as usize));
-    let edge = |key: &str| get_u32(members, key, ctx).map(|i| EdgeId::from_index(i as usize));
-    let string = |key: &str| get_str(members, key, ctx).map(str::to_owned);
-    let value = || get_value(members, "value", ctx);
-    match tag {
-        "add-node" => Ok(DeltaOp::AddNode {
-            label: string("label")?,
-        }),
-        "remove-node" => Ok(DeltaOp::RemoveNode {
-            node: node("node")?,
-        }),
-        "add-edge" => Ok(DeltaOp::AddEdge {
-            source: node("source")?,
-            target: node("target")?,
-            label: string("label")?,
-        }),
-        "remove-edge" => Ok(DeltaOp::RemoveEdge {
-            edge: edge("edge")?,
-        }),
-        "set-node-property" => Ok(DeltaOp::SetNodeProperty {
-            node: node("node")?,
-            name: string("name")?,
-            value: value()?,
-        }),
-        "remove-node-property" => Ok(DeltaOp::RemoveNodeProperty {
-            node: node("node")?,
-            name: string("name")?,
-        }),
-        "set-edge-property" => Ok(DeltaOp::SetEdgeProperty {
-            edge: edge("edge")?,
-            name: string("name")?,
-            value: value()?,
-        }),
-        "remove-edge-property" => Ok(DeltaOp::RemoveEdgeProperty {
-            edge: edge("edge")?,
-            name: string("name")?,
-        }),
-        "set-node-label" => Ok(DeltaOp::SetNodeLabel {
-            node: node("node")?,
-            label: string("label")?,
-        }),
-        other => Err(JsonError::Parse(format!("{ctx}: unknown op {other:?}"))),
+        DeltaOp::RemoveNodeProperty { node, name } => {
+            text(w, "op", "remove-node-property");
+            id(w, "node", node.index());
+            text(w, "name", name);
+        }
+        DeltaOp::SetEdgeProperty { edge, name, value } => {
+            text(w, "op", "set-edge-property");
+            id(w, "edge", edge.index());
+            text(w, "name", name);
+            w.key("value");
+            write_value(w, value);
+        }
+        DeltaOp::RemoveEdgeProperty { edge, name } => {
+            text(w, "op", "remove-edge-property");
+            id(w, "edge", edge.index());
+            text(w, "name", name);
+        }
+        DeltaOp::SetNodeLabel { node, label } => {
+            text(w, "op", "set-node-label");
+            id(w, "node", node.index());
+            text(w, "label", label);
+        }
     }
-}
-
-/// Serialises a mutation log to its JSON document (`{"ops": [...]}`).
-pub fn delta_to_json(delta: &GraphDelta) -> String {
-    delta_to_value(delta).to_string()
-}
-
-/// Builds the [`Json`] tree of a mutation log (`{"ops": [...]}`).
-pub fn delta_to_value(delta: &GraphDelta) -> Json {
-    let ops = Json::Array(delta.ops().iter().map(op_to_json).collect());
-    Json::Object(vec![("ops".to_owned(), ops)])
+    w.end_object();
 }
 
 /// Parses a mutation log from its JSON document.
@@ -134,25 +101,102 @@ pub fn delta_to_value(delta: &GraphDelta) -> Json {
 /// elements of the graph the delta will be applied to, or elements the
 /// delta itself creates (dense continuation ids, see
 /// [`DeltaOp`]).
+///
+/// No [`Json`](super::Json) tree is built, and the outcome is a tree
+/// decoder's, messages included: the first `ops`, and in each op the
+/// first of each member, count; unknown members are skipped with a
+/// syntax check; and a syntax error anywhere outranks a shape error met
+/// before it, so a failed decode re-scans the text for one.
 pub fn delta_from_json(text: &str) -> Result<GraphDelta, JsonError> {
-    delta_from_value(&Json::parse(text)?)
+    let mut reader = Reader::new(text);
+    let ops = read_ops(&mut reader).and_then(|ops| reader.finish().map(|()| ops));
+    ops.map(GraphDelta::from_ops).map_err(|first| {
+        let mut scan = Reader::new(text);
+        let syntax = scan.skip_value().and_then(|()| scan.finish());
+        syntax.err().unwrap_or(first)
+    })
 }
 
-/// Decodes a mutation log from an already-parsed [`Json`] tree.
-pub fn delta_from_value(doc: &Json) -> Result<GraphDelta, JsonError> {
-    let root = as_object(doc, "document")?;
-    let parsed = root_array(root, "ops")?
-        .iter()
-        .enumerate()
-        .map(|(ix, op)| op_from_json(op, &format!("op #{ix}")))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(GraphDelta::from_ops(parsed))
+fn read_ops(r: &mut Reader<'_>) -> Result<Vec<DeltaOp>, JsonError> {
+    begin_object(r, || "document".to_owned())?;
+    let mut ops = None;
+    while let Some(key) = r.next_key()? {
+        if key != "ops" || ops.is_some() {
+            r.skip_value()?;
+            continue;
+        }
+        begin_array(r, "ops")?;
+        let mut list = Vec::new();
+        while r.next_item()? {
+            list.push(read_op(r, list.len())?);
+        }
+        ops = Some(list);
+    }
+    ops.ok_or_else(|| missing("document", "ops"))
+}
+
+/// The op object at the cursor: the first of each member it may carry is
+/// bookmarked, then the tag's fields are read in their declared order.
+fn read_op<'a>(r: &mut Reader<'a>, ix: usize) -> Result<DeltaOp, JsonError> {
+    let ctx = move || format!("op #{ix}");
+    let kind = r.peek()?;
+    if kind != Kind::Object {
+        return Err(expected(&ctx(), "an object", kind.name()));
+    }
+    let [op, node, edge, source, target, label, name, value] = r.members([
+        "op", "node", "edge", "source", "target", "label", "name", "value",
+    ])?;
+    let field = |mark: Option<Reader<'a>>, key| mark.ok_or_else(|| missing(&ctx(), key));
+    let id = |mark, key| read_u32(&mut field(mark, key)?, key, ctx).map(|i| i as usize);
+    let node_id = |mark, key| id(mark, key).map(NodeId::from_index);
+    let edge_id = |mark| id(mark, "edge").map(EdgeId::from_index);
+    let string = |mark, key| read_str(&mut field(mark, key)?, key, ctx).map(Cow::into_owned);
+    let property_value = || read_value(&mut field(value, "value")?);
+    let tag = read_str(&mut field(op, "op")?, "op", ctx)?;
+    Ok(match &*tag {
+        "add-node" => DeltaOp::AddNode {
+            label: string(label, "label")?,
+        },
+        "remove-node" => DeltaOp::RemoveNode {
+            node: node_id(node, "node")?,
+        },
+        "add-edge" => DeltaOp::AddEdge {
+            source: node_id(source, "source")?,
+            target: node_id(target, "target")?,
+            label: string(label, "label")?,
+        },
+        "remove-edge" => DeltaOp::RemoveEdge {
+            edge: edge_id(edge)?,
+        },
+        "set-node-property" => DeltaOp::SetNodeProperty {
+            node: node_id(node, "node")?,
+            name: string(name, "name")?,
+            value: property_value()?,
+        },
+        "remove-node-property" => DeltaOp::RemoveNodeProperty {
+            node: node_id(node, "node")?,
+            name: string(name, "name")?,
+        },
+        "set-edge-property" => DeltaOp::SetEdgeProperty {
+            edge: edge_id(edge)?,
+            name: string(name, "name")?,
+            value: property_value()?,
+        },
+        "remove-edge-property" => DeltaOp::RemoveEdgeProperty {
+            edge: edge_id(edge)?,
+            name: string(name, "name")?,
+        },
+        "set-node-label" => DeltaOp::SetNodeLabel {
+            node: node_id(node, "node")?,
+            label: string(label, "label")?,
+        },
+        other => return Err(JsonError::Parse(format!("{}: unknown op {other:?}", ctx()))),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{graph_from_value, graph_to_value};
     use crate::{GraphBuilder, PropertyGraph, Value};
 
     fn sample() -> PropertyGraph {
@@ -204,38 +248,6 @@ mod tests {
         assert!(err.to_string().contains("unknown op"), "{err}");
         let err = delta_from_json(r#"{"ops": [{"op": "add-node"}]}"#).unwrap_err();
         assert!(err.to_string().contains("op #0"), "{err}");
-    }
-
-    #[test]
-    fn embedded_graph_and_delta_decode_from_value_trees() {
-        // A composite payload: graph and delta nested in an envelope,
-        // decoded via the public value-level API.
-        let g = sample();
-        let delta = GraphDelta::new().set_node_property(
-            g.node_ids().next().unwrap(),
-            "age",
-            Value::Int(31),
-        );
-        let envelope = Json::Object(vec![
-            (
-                "schema".to_owned(),
-                Json::Str("type User { x: Int }".to_owned()),
-            ),
-            ("graph".to_owned(), graph_to_value(&g)),
-            ("delta".to_owned(), delta_to_value(&delta)),
-        ]);
-        let text = envelope.to_string();
-        let parsed = Json::parse(&text).unwrap();
-        assert_eq!(
-            parsed.get("schema").and_then(Json::as_str),
-            Some("type User { x: Int }")
-        );
-        let g2 = graph_from_value(parsed.get("graph").unwrap()).unwrap();
-        assert_eq!(g, g2);
-        let d2 = delta_from_value(parsed.get("delta").unwrap()).unwrap();
-        assert_eq!(delta, d2);
-        assert!(parsed.get("missing").is_none());
-        assert!(parsed.get("schema").unwrap().get("x").is_none());
     }
 
     #[test]

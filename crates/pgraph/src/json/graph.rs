@@ -357,21 +357,28 @@ fn sort_props(props: &mut Props<'_>) {
     });
 }
 
-fn begin_object(r: &mut Reader<'_>, ctx: impl FnOnce() -> String) -> Result<(), JsonError> {
+pub(super) fn begin_object(
+    r: &mut Reader<'_>,
+    ctx: impl FnOnce() -> String,
+) -> Result<(), JsonError> {
     match r.peek()? {
         Kind::Object => r.begin_object(),
         other => Err(expected(&ctx(), "an object", other.name())),
     }
 }
 
-fn begin_array(r: &mut Reader<'_>, ctx: &str) -> Result<(), JsonError> {
+pub(super) fn begin_array(r: &mut Reader<'_>, ctx: &str) -> Result<(), JsonError> {
     match r.peek()? {
         Kind::Array => r.begin_array(),
         other => Err(expected(ctx, "an array", other.name())),
     }
 }
 
-fn read_u32(r: &mut Reader<'_>, key: &str, ctx: impl FnOnce() -> String) -> Result<u32, JsonError> {
+pub(super) fn read_u32(
+    r: &mut Reader<'_>,
+    key: &str,
+    ctx: impl FnOnce() -> String,
+) -> Result<u32, JsonError> {
     let kind = r.peek()?;
     if kind == Kind::Number {
         if let Json::Int(i) = r.scalar()? {
@@ -383,7 +390,7 @@ fn read_u32(r: &mut Reader<'_>, key: &str, ctx: impl FnOnce() -> String) -> Resu
     Err(wrong_kind(&ctx(), key, "a u32", kind.name()))
 }
 
-fn read_str<'a>(
+pub(super) fn read_str<'a>(
     r: &mut Reader<'a>,
     key: &str,
     ctx: impl FnOnce() -> String,
@@ -396,7 +403,7 @@ fn read_str<'a>(
 
 /// A property value at the cursor. Lists recurse, bounded by the
 /// reader's depth limit.
-fn read_value(r: &mut Reader<'_>) -> Result<Value, JsonError> {
+pub(super) fn read_value(r: &mut Reader<'_>) -> Result<Value, JsonError> {
     Ok(match r.peek()? {
         Kind::Array => {
             r.begin_array()?;
@@ -466,6 +473,28 @@ mod tests {
         assert_eq!(from_json(&text).unwrap(), g);
         assert_eq!(graph_from_value(&Json::parse(&text).unwrap()).unwrap(), g);
         assert_eq!(graph_to_value(&g).to_string(), text);
+    }
+
+    #[test]
+    fn embedded_graph_decodes_from_a_value_tree() {
+        // A composite payload: a graph nested in an envelope, decoded via
+        // the public value-level API.
+        let g = sample();
+        let envelope = Json::Object(vec![
+            (
+                "schema".to_owned(),
+                Json::Str("type User { x: Int }".to_owned()),
+            ),
+            ("graph".to_owned(), graph_to_value(&g)),
+        ]);
+        let parsed = Json::parse(&envelope.to_string()).unwrap();
+        assert_eq!(
+            parsed.get("schema").and_then(Json::as_str),
+            Some("type User { x: Int }")
+        );
+        assert_eq!(graph_from_value(parsed.get("graph").unwrap()).unwrap(), g);
+        assert!(parsed.get("missing").is_none());
+        assert!(parsed.get("schema").unwrap().get("x").is_none());
     }
 
     #[test]

@@ -245,6 +245,29 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads past the value at the cursor and returns, for each of
+    /// `names`, a bookmark on the value of its first member so named, as
+    /// [`Json::get`] looks members up; every other member is skipped with
+    /// a syntax check. A value that is not an object has no members.
+    pub fn members<const N: usize>(
+        &mut self,
+        names: [&str; N],
+    ) -> Result<[Option<Reader<'a>>; N], JsonError> {
+        let mut marks = [(); N].map(|()| None);
+        if self.peek()? != Kind::Object {
+            return self.skip_value().map(|()| marks);
+        }
+        self.begin_object()?;
+        while let Some(key) = self.next_key()? {
+            match names.iter().position(|name| *name == key) {
+                Some(ix) if marks[ix].is_none() => marks[ix] = Some(self.clone()),
+                _ => {}
+            }
+            self.skip_value()?;
+        }
+        Ok(marks)
+    }
+
     /// Ends the document: only whitespace may follow.
     pub fn finish(mut self) -> Result<(), JsonError> {
         self.skip_ws();

@@ -1,6 +1,6 @@
 //! The parsed JSON tree, [`Json`]: a thin builder over the
 //! [`Reader`], plus the tree ↔ [`Value`] mapping and the member lookups
-//! the tree-level codecs share.
+//! of the tree-level graph codec.
 
 use std::fmt;
 
@@ -12,12 +12,11 @@ use crate::Value;
 /// Parsed JSON value. Object member order is preserved.
 ///
 /// Decoders that know their shape read the text with a [`Reader`]
-/// instead (the graph document does); the tree is for composite
-/// payloads — e.g. an HTTP body `{"action": …, "schema": …}` — parsed
-/// once with [`Json::parse`] and picked apart with
-/// [`Json::get`]/[`Json::as_str`], and for the reference decoders
-/// [`graph_from_value`](super::graph_from_value) /
-/// [`delta_from_value`](super::delta_from_value).
+/// instead — the graph and delta documents and every request body the
+/// server reads do. The tree is for the reference decoder
+/// [`graph_from_value`](super::graph_from_value) and for harnesses
+/// that read *responses*, parsed once with [`Json::parse`] and picked
+/// apart with [`Json::get`]/[`Json::as_str`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -103,6 +102,14 @@ impl Json {
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Json::Int(i) => Some(*i),
+            _ => None,
+        }
+    }
+
+    /// The boolean payload, if this is `true` or `false`.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -220,16 +227,6 @@ pub(super) fn get_str<'j>(
         Some(other) => Err(wrong_kind(ctx, key, "a string", other.kind())),
         None => Err(missing(ctx, key)),
     }
-}
-
-pub(super) fn get_value(
-    members: &[(String, Json)],
-    key: &str,
-    ctx: &str,
-) -> Result<Value, JsonError> {
-    get(members, key)
-        .ok_or_else(|| missing(ctx, key))
-        .and_then(value_from_json)
 }
 
 pub(super) fn get_properties<'j>(

@@ -1,6 +1,7 @@
 //! The writer side: the one string escaper and the one streaming
-//! pretty printer that [`to_json`](super::to_json) and [`Json`]'s
-//! `Display` both drive.
+//! pretty printer that [`to_json`](super::to_json),
+//! [`delta_to_json`](super::delta_to_json) and [`Json`]'s `Display` all
+//! drive.
 
 use std::fmt::Write as _;
 
@@ -54,9 +55,9 @@ fn push_float(out: &mut String, f: f64) {
 /// over a caller's buffer. Two-space indentation, one member per line,
 /// `": "` after keys, `{}` / `[]` for empty containers. The writer owns
 /// the commas and the indentation; callers only say what comes next.
-/// Both [`to_json`](super::to_json) (straight from the graph) and
-/// [`Json`]'s `Display` (from a tree) drive it, so their bytes cannot
-/// drift apart.
+/// [`to_json`](super::to_json) and [`delta_to_json`](super::delta_to_json)
+/// (straight from the graph or delta) and [`Json`]'s `Display` (from a
+/// tree) all drive it, so their bytes cannot drift apart.
 pub(super) struct JsonWriter<'a> {
     out: &'a mut String,
     /// Open containers.

@@ -3,13 +3,15 @@
 //! lists against the edge table, index/scan agreement, and
 //! columnar/snapshot round-trips (tombstoned id space preserved bit for
 //! bit; `==` compares the incidence lists too, so every decoder's rebuild
-//! of them is checked), and the streaming graph decoder against the tree
-//! one.
+//! of them is checked), the streaming graph and delta decoders against
+//! the tree ones, and the bytes of a delta document.
 
+use pg_datagen::{DeltaGen, DeltaGenParams, GraphGen, GraphGenParams, SchemaGen, SchemaGenParams};
+use pg_schema::PgSchema;
 use pgraph::json::{self, Json};
 use pgraph::{
-    snapshot, ColumnarGraph, ColumnsBuilder, EdgeId, EdgeRef, NodeId, PropertyGraph, Sym,
-    SymbolTable, Value,
+    snapshot, ColumnarGraph, ColumnsBuilder, EdgeId, EdgeRef, GraphDelta, NodeId, PropertyGraph,
+    Sym, SymbolTable, Value,
 };
 use proptest::prelude::*;
 
@@ -333,18 +335,37 @@ fn junk(rng: &mut Rng, depth: usize) -> Json {
     }
 }
 
-/// Rewrites a graph document the ways a client may legally or
+/// The members of a document `mutate` knows by name.
+struct Shape {
+    /// The root's array members.
+    lists: &'static [&'static str],
+    /// The members of a list item that hold element ids.
+    ids: &'static [&'static str],
+}
+
+const GRAPH: Shape = Shape {
+    lists: &["nodes", "edges"],
+    ids: &["id", "source", "target"],
+};
+
+const DELTA: Shape = Shape {
+    lists: &["ops"],
+    ids: &["node", "edge", "source", "target"],
+};
+
+/// Rewrites a graph or delta document the ways a client may legally or
 /// illegally write one: members reordered (`edges` before `nodes`) and
-/// repeated, unknown members, repeated property keys, repeated or
-/// out-of-range node ids, values no property can hold.
-fn mutate(doc: &mut Json, rng: &mut Rng) {
+/// repeated, unknown members, members of the wrong type, repeated
+/// property keys, repeated or out-of-range element ids, values no
+/// property can hold.
+fn mutate(doc: &mut Json, shape: &Shape, rng: &mut Rng) {
     let Json::Object(root) = doc else { return };
+    if rng.chance(15) {
+        let name = shape.lists[rng.below(shape.lists.len())].to_owned();
+        root.push((name, junk(rng, 2)));
+    }
     if rng.chance(30) {
         root.reverse();
-    }
-    if rng.chance(15) {
-        let name = ["nodes", "edges"][rng.below(2)].to_owned();
-        root.push((name, junk(rng, 2)));
     }
     if rng.chance(15) {
         let at = rng.below(root.len() + 1);
@@ -373,7 +394,7 @@ fn mutate(doc: &mut Json, rng: &mut Rng) {
             }
             if rng.chance(5) {
                 // Duplicate or out-of-range ids and endpoints.
-                let field = ["id", "source", "target"][rng.below(3)];
+                let field = shape.ids[rng.below(shape.ids.len())];
                 let value = match rng.below(3) {
                     0 if !node_ids.is_empty() => node_ids[rng.below(node_ids.len())].clone(),
                     1 => Json::Str(BIG.to_owned()),
@@ -382,6 +403,11 @@ fn mutate(doc: &mut Json, rng: &mut Rng) {
                 if let Some(slot) = members.iter_mut().find(|(k, _)| k == field) {
                     slot.1 = value;
                 }
+            }
+            if rng.chance(8) && !members.is_empty() {
+                // A member of the wrong type.
+                let at = rng.below(members.len());
+                members[at].1 = junk(rng, 2);
             }
             if rng.chance(10) {
                 for i in (1..members.len()).rev() {
@@ -456,14 +482,13 @@ fn compact(out: &mut String, v: &Json, escapes: bool, rng: &mut Rng) {
     }
 }
 
-/// One document for the decode-equivalence property: `g`'s document,
-/// pretty or compact, perhaps escaped, mutated, truncated or with one
-/// character swapped.
-fn document(g: &PropertyGraph, seed: u64) -> String {
+/// One document for a decode-equivalence property: `doc`, perhaps
+/// mutated as a document of `shape`, written pretty or compact, perhaps
+/// escaped, truncated or with one character swapped.
+fn document(mut doc: Json, shape: &Shape, seed: u64) -> String {
     let mut rng = Rng(seed);
-    let mut doc = json::graph_to_value(g);
     if rng.chance(70) {
-        mutate(&mut doc, &mut rng);
+        mutate(&mut doc, shape, &mut rng);
     }
     let mut text = match rng.below(3) {
         0 => doc.to_string(),
@@ -499,7 +524,7 @@ proptest! {
     /// of freezing them — the assembler interns in `freeze`'s order.
     #[test]
     fn streaming_decode_matches_the_tree_decoder(spec in hostile_graph_spec(), seed in any::<u64>()) {
-        let text = document(&build(&spec), seed);
+        let text = document(json::graph_to_value(&build(&spec)), &GRAPH, seed);
         let reference = Json::parse(&text).and_then(|doc| json::graph_from_value(&doc));
         let rows = json::from_json(&text);
         let mut builder = ColumnsBuilder::new(SymbolTable::new());
@@ -544,4 +569,232 @@ fn repeated_node_ids_are_refused() {
     }
     let message = json::from_json(text).unwrap_err().to_string();
     assert_eq!(message, "node #1 repeats node id 7");
+}
+
+/// The tree decoder `json::delta_from_json` was before it read the text
+/// with the pull reader: `Json::parse`, then a walk over the tree. Kept
+/// here, on the public `Json` API only, as the reference the streaming
+/// decoder is compared against, messages included.
+mod tree_delta {
+    use pgraph::json::{Json, JsonError};
+    use pgraph::{DeltaOp, EdgeId, GraphDelta, NodeId, Value};
+
+    type Members = [(String, Json)];
+
+    fn shape(msg: String) -> JsonError {
+        JsonError::Parse(msg)
+    }
+
+    fn expected(ctx: &str, want: &str, got: &str) -> JsonError {
+        shape(format!("{ctx}: expected {want}, got {got}"))
+    }
+
+    fn missing(ctx: &str, key: &str) -> JsonError {
+        shape(format!("{ctx}: missing field {key:?}"))
+    }
+
+    fn wrong_kind(ctx: &str, key: &str, want: &str, got: &str) -> JsonError {
+        shape(format!("{ctx}: field {key:?} must be {want}, got {got}"))
+    }
+
+    fn get<'j>(members: &'j Members, key: &str) -> Option<&'j Json> {
+        members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    fn get_u32(members: &Members, key: &str, ctx: &str) -> Result<u32, JsonError> {
+        match get(members, key) {
+            Some(Json::Int(i)) if *i >= 0 && *i <= u32::MAX as i64 => Ok(*i as u32),
+            Some(other) => Err(wrong_kind(ctx, key, "a u32", other.kind())),
+            None => Err(missing(ctx, key)),
+        }
+    }
+
+    fn get_str<'j>(members: &'j Members, key: &str, ctx: &str) -> Result<&'j str, JsonError> {
+        match get(members, key) {
+            Some(Json::Str(s)) => Ok(s),
+            Some(other) => Err(wrong_kind(ctx, key, "a string", other.kind())),
+            None => Err(missing(ctx, key)),
+        }
+    }
+
+    fn value(v: &Json) -> Result<Value, JsonError> {
+        Ok(match v {
+            Json::Null => Value::Null,
+            Json::Bool(b) => Value::Bool(*b),
+            Json::Int(i) => Value::Int(*i),
+            Json::Float(f) => Value::Float(*f),
+            Json::Str(s) => Value::String(s.clone()),
+            Json::Array(items) => Value::List(items.iter().map(value).collect::<Result<_, _>>()?),
+            Json::Object(members) => match members.as_slice() {
+                [(key, Json::Str(s))] if key == "$id" => Value::Id(s.clone()),
+                [(key, Json::Str(s))] if key == "$enum" => Value::Enum(s.clone()),
+                _ => {
+                    let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+                    return Err(JsonError::BadValue(format!(
+                        "objects other than $id/$enum tags are not property values: keys {keys:?}"
+                    )));
+                }
+            },
+        })
+    }
+
+    fn op(v: &Json, ctx: &str) -> Result<DeltaOp, JsonError> {
+        let Json::Object(members) = v else {
+            return Err(expected(ctx, "an object", v.kind()));
+        };
+        let tag = get_str(members, "op", ctx)?;
+        let node = |key: &str| get_u32(members, key, ctx).map(|i| NodeId::from_index(i as usize));
+        let edge = |key: &str| get_u32(members, key, ctx).map(|i| EdgeId::from_index(i as usize));
+        let string = |key: &str| get_str(members, key, ctx).map(str::to_owned);
+        let value = || {
+            get(members, "value")
+                .ok_or_else(|| missing(ctx, "value"))
+                .and_then(value)
+        };
+        Ok(match tag {
+            "add-node" => DeltaOp::AddNode {
+                label: string("label")?,
+            },
+            "remove-node" => DeltaOp::RemoveNode {
+                node: node("node")?,
+            },
+            "add-edge" => DeltaOp::AddEdge {
+                source: node("source")?,
+                target: node("target")?,
+                label: string("label")?,
+            },
+            "remove-edge" => DeltaOp::RemoveEdge {
+                edge: edge("edge")?,
+            },
+            "set-node-property" => DeltaOp::SetNodeProperty {
+                node: node("node")?,
+                name: string("name")?,
+                value: value()?,
+            },
+            "remove-node-property" => DeltaOp::RemoveNodeProperty {
+                node: node("node")?,
+                name: string("name")?,
+            },
+            "set-edge-property" => DeltaOp::SetEdgeProperty {
+                edge: edge("edge")?,
+                name: string("name")?,
+                value: value()?,
+            },
+            "remove-edge-property" => DeltaOp::RemoveEdgeProperty {
+                edge: edge("edge")?,
+                name: string("name")?,
+            },
+            "set-node-label" => DeltaOp::SetNodeLabel {
+                node: node("node")?,
+                label: string("label")?,
+            },
+            other => return Err(shape(format!("{ctx}: unknown op {other:?}"))),
+        })
+    }
+
+    pub fn decode(text: &str) -> Result<GraphDelta, JsonError> {
+        let doc = Json::parse(text)?;
+        let Json::Object(root) = &doc else {
+            return Err(expected("document", "an object", doc.kind()));
+        };
+        let ops = match get(root, "ops") {
+            Some(Json::Array(items)) => items,
+            Some(other) => return Err(expected("ops", "an array", other.kind())),
+            None => return Err(missing("document", "ops")),
+        };
+        let ops = ops
+            .iter()
+            .enumerate()
+            .map(|(ix, v)| op(v, &format!("op #{ix}")))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(GraphDelta::from_ops(ops))
+    }
+}
+
+/// A `deltagen` delta of one to twelve ops against a generated schema
+/// and graph: ids, enums, lists, every op kind.
+fn generated_delta(seed: u64) -> GraphDelta {
+    let sdl = SchemaGen::new(SchemaGenParams {
+        num_types: 3,
+        attrs_per_type: 3,
+        rels_per_type: 2,
+        seed: seed % 8,
+        ..Default::default()
+    })
+    .generate();
+    let schema = PgSchema::parse(&sdl).expect("generated schemas build");
+    let graph = GraphGen::new(
+        &schema,
+        GraphGenParams {
+            nodes_per_type: 3,
+            seed,
+            ..Default::default()
+        },
+    )
+    .generate();
+    DeltaGen::new(
+        &schema,
+        DeltaGenParams {
+            ops: 1 + (seed % 12) as usize,
+            p_structural: 0.5,
+            ..Default::default()
+        },
+    )
+    .generate_seeded(&graph, seed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The streaming delta decoder is the tree decoder without the tree:
+    /// over pretty, compact, escaped, mutated and broken delta documents
+    /// it accepts exactly what the tree decoder accepts, decodes the same
+    /// delta, and refuses the rest with the same message.
+    #[test]
+    fn streaming_delta_decode_matches_the_tree_decoder(delta_seed in any::<u64>(), seed in any::<u64>()) {
+        let delta = generated_delta(delta_seed);
+        let written = json::delta_to_json(&delta);
+        prop_assert_eq!(tree_delta::decode(&written).ok(), Some(delta));
+        let text = document(Json::parse(&written).unwrap(), &DELTA, seed);
+        let reference = tree_delta::decode(&text).map_err(|e| e.to_string());
+        let streamed = json::delta_from_json(&text).map_err(|e| e.to_string());
+        prop_assert_eq!(streamed, reference, "on {}", text);
+    }
+}
+
+/// The bytes of `delta_to_json`, pinned: every op, `$id` / `$enum` tags,
+/// lists, escapes, and a float JSON cannot hold (written `null`).
+#[test]
+fn delta_documents_keep_their_bytes() {
+    let (n0, n7, e3) = (
+        NodeId::from_index(0),
+        NodeId::from_index(7),
+        EdgeId::from_index(3),
+    );
+    let list = Value::List(vec![
+        Value::Int(-1),
+        Value::Float(0.5),
+        Value::Null,
+        Value::from("π"),
+    ]);
+    let delta = GraphDelta::new()
+        .add_node("User")
+        .remove_node(n7)
+        .add_edge(n0, n7, "follows")
+        .remove_edge(e3)
+        .set_node_property(n0, "id", Value::Id("u-\"17\"".into()))
+        .set_node_property(n0, "unit", Value::Enum("METER".into()))
+        .set_node_property(n0, "xs", list)
+        .remove_node_property(n0, "login")
+        .set_edge_property(e3, "w", Value::Float(f64::INFINITY))
+        .set_edge_property(e3, "ok", Value::Bool(true))
+        .set_edge_property(e3, "empty", Value::List(Vec::new()))
+        .remove_edge_property(e3, "w")
+        .set_node_label(n0, "Admin");
+    let expected = "{\n  \"ops\": [\n    {\n      \"op\": \"add-node\",\n      \"label\": \"User\"\n    },\n    {\n      \"op\": \"remove-node\",\n      \"node\": 7\n    },\n    {\n      \"op\": \"add-edge\",\n      \"source\": 0,\n      \"target\": 7,\n      \"label\": \"follows\"\n    },\n    {\n      \"op\": \"remove-edge\",\n      \"edge\": 3\n    },\n    {\n      \"op\": \"set-node-property\",\n      \"node\": 0,\n      \"name\": \"id\",\n      \"value\": {\n        \"$id\": \"u-\\\"17\\\"\"\n      }\n    },\n    {\n      \"op\": \"set-node-property\",\n      \"node\": 0,\n      \"name\": \"unit\",\n      \"value\": {\n        \"$enum\": \"METER\"\n      }\n    },\n    {\n      \"op\": \"set-node-property\",\n      \"node\": 0,\n      \"name\": \"xs\",\n      \"value\": [\n        -1,\n        0.5,\n        null,\n        \"π\"\n      ]\n    },\n    {\n      \"op\": \"remove-node-property\",\n      \"node\": 0,\n      \"name\": \"login\"\n    },\n    {\n      \"op\": \"set-edge-property\",\n      \"edge\": 3,\n      \"name\": \"w\",\n      \"value\": null\n    },\n    {\n      \"op\": \"set-edge-property\",\n      \"edge\": 3,\n      \"name\": \"ok\",\n      \"value\": true\n    },\n    {\n      \"op\": \"set-edge-property\",\n      \"edge\": 3,\n      \"name\": \"empty\",\n      \"value\": []\n    },\n    {\n      \"op\": \"remove-edge-property\",\n      \"edge\": 3,\n      \"name\": \"w\"\n    },\n    {\n      \"op\": \"set-node-label\",\n      \"node\": 0,\n      \"label\": \"Admin\"\n    }\n  ]\n}";
+    assert_eq!(json::delta_to_json(&delta), expected);
+    assert_eq!(
+        json::delta_to_json(&GraphDelta::new()),
+        "{\n  \"ops\": []\n}"
+    );
 }

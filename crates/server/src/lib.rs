@@ -41,12 +41,12 @@
 //! | Route | Meaning |
 //! |---|---|
 //! | `POST /validate?engine=indexed\|parallel\|incremental` | stateless one-shot validation; `engine=naive` is a `400` |
-//! | `POST /check-sat` | finite-model satisfiability of one type of the posted schema |
+//! | `POST /check-sat` | finite-model satisfiability of one type of the posted schema; a wrong-typed `field` or `max_size` is a `400` |
 //! | `POST /sessions` | create an incremental session (schema + graph) |
 //! | `POST /sessions/{id}/deltas` | apply a [`pgraph::GraphDelta`], returns the patched report |
 //! | `GET /sessions/{id}/report` | current report |
 //! | `GET /sessions/{id}/graph` | current graph document |
-//! | `POST /sessions/{id}/migrate` | plan, begin, commit or abort a schema migration window |
+//! | `POST /sessions/{id}/migrate` | plan, begin, commit or abort a schema migration window; a wrong-typed `lang` or `force` is a `400` |
 //! | `POST /sessions/{id}/compact` | snapshot the store, drop superseded WAL segments |
 //! | `DELETE /sessions/{id}` | drop the session |
 //! | `GET /healthz` | liveness |

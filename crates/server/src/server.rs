@@ -2,6 +2,7 @@
 //! request logging. See the crate docs for the architecture overview and
 //! the route table; the event loop lives in [`crate::reactor`].
 
+use std::borrow::Cow;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -13,7 +14,7 @@ use std::time::{Duration, Instant};
 use pg_pgschema::SchemaLanguage;
 use pg_schema::{validate_columns, Engine, PgSchema, ValidationOptions};
 use pg_store::{FsyncPolicy, MigrationPhase, Store};
-use pgraph::json::{self, Json, Kind, Reader};
+use pgraph::json::{self, Kind, Reader};
 use pgraph::{GraphSink, PropertyGraph};
 
 use crate::http::{Request, Response};
@@ -698,11 +699,48 @@ fn body_text(request: &Request) -> Result<&str, HttpError> {
     Ok(std::str::from_utf8(&request.body)?)
 }
 
+/// The first member of each of `names` in a flat JSON body, bookmarked
+/// on its value ([`Reader::members`]). The whole body is read first, so
+/// a syntax error anywhere outranks what any member holds; a root that
+/// is not an object has no members.
+fn body_members<'a, const N: usize>(
+    request: &'a Request,
+    names: [&str; N],
+) -> Result<[Option<Reader<'a>>; N], HttpError> {
+    let mut reader = Reader::new(body_text(request)?);
+    let members = reader.members(names)?;
+    reader.finish()?;
+    Ok(members)
+}
+
+/// A body member's string value; `None` when it is not a string (the
+/// body's syntax is already checked, so that is the only way the read
+/// can fail).
+fn string_value(mut value: Reader<'_>) -> Option<Cow<'_, str>> {
+    value.string().ok()
+}
+
 /// A required string member of a JSON body.
-fn str_field<'a>(doc: &'a Json, name: &str) -> Result<&'a str, HttpError> {
-    doc.get(name)
-        .and_then(Json::as_str)
+fn str_member<'a>(member: Option<Reader<'a>>, name: &str) -> Result<Cow<'a, str>, HttpError> {
+    member
+        .and_then(string_value)
         .ok_or_else(|| missing_string(name))
+}
+
+/// An optional member of a JSON body, read by `read`, which answers
+/// `None` for a value of the wrong type: a `400` saying what the member
+/// must be.
+fn optional<'a, T>(
+    member: Option<Reader<'a>>,
+    name: &str,
+    must_be: &str,
+    read: impl FnOnce(Reader<'a>) -> Option<T>,
+) -> Result<Option<T>, HttpError> {
+    member
+        .map(|value| {
+            read(value).ok_or_else(|| HttpError::new(400, format!("\"{name}\" must be {must_be}")))
+        })
+        .transpose()
 }
 
 fn missing_string(name: &str) -> HttpError {
@@ -855,23 +893,27 @@ fn handle_compact(ctx: &Ctx, id: u64) -> Result<Response, HttpError> {
 /// candidate schema's impact, `begin` opens a dual-schema window,
 /// `commit` atomically swaps the session onto the candidate (refused
 /// with `409` while the window has regressions, unless
-/// `"force": true`), `abort` closes the window. `begin`, `commit` and
-/// `abort` are WAL-logged as `SchemaChange` records, so open windows
+/// `"force": true`; a `"force"` that is not a bool, like a `"lang"` that
+/// is not a string, is a `400`), `abort` closes the window; the first
+/// of each body member counts. `begin`, `commit` and `abort` are
+/// WAL-logged as `SchemaChange` records, so open windows
 /// survive crashes and replicate to followers; each moves
 /// `session.meta` through [`pg_store::SessionMeta::schema_change`], the
 /// same bookkeeping recovery and followers run on those records.
 fn handle_migrate(ctx: &Ctx, request: &Request, id: u64) -> Result<Response, HttpError> {
     ctx.require_leader()?;
-    let doc = Json::parse(body_text(request)?)?;
-    let action = match doc.get("action").and_then(Json::as_str) {
+    let [action, schema, lang, force] =
+        body_members(request, ["action", "schema", "lang", "force"])?;
+    let action = action.and_then(string_value);
+    let action = match action.as_deref() {
         Some(action @ ("plan" | "begin" | "commit" | "abort")) => action,
         Some(other) => return Err(HttpError::new(400, format!("unknown action {other:?}"))),
-        None => return Err(HttpError::new(400, "missing string field \"action\"")),
+        None => return Err(missing_string("action")),
     };
     with_session(ctx, id, |session| match action {
-        "plan" => migrate_plan(ctx, &doc, session, id),
-        "begin" => migrate_begin(ctx, &doc, session, id),
-        "commit" => migrate_commit(ctx, &doc, session, id),
+        "plan" => migrate_plan(ctx, migration_candidate(schema, lang)?.0, session, id),
+        "begin" => migrate_begin(ctx, migration_candidate(schema, lang)?, session, id),
+        "commit" => migrate_commit(ctx, force, session, id),
         _ => migrate_abort(ctx, session, id),
     })
 }
@@ -882,15 +924,18 @@ fn handle_migrate(ctx: &Ctx, request: &Request, id: u64) -> Result<Response, Htt
 /// pragma-tagged lowered SDL, so the SchemaChange WAL record (and every
 /// follower) carries the language too. Compiled afresh, not through the
 /// schema cache: `begin` hands the candidate to the session by value.
-fn migration_candidate(doc: &Json) -> Result<(PgSchema, String), HttpError> {
-    let source = str_field(doc, "schema")?;
-    let lang = match doc.get("lang").and_then(Json::as_str) {
+fn migration_candidate(
+    schema: Option<Reader<'_>>,
+    lang: Option<Reader<'_>>,
+) -> Result<(PgSchema, String), HttpError> {
+    let source = str_member(schema, "schema")?;
+    let lang = match optional(lang, "lang", "a string", string_value)? {
         None => SchemaLanguage::Sdl,
         Some(name) => name
             .parse()
             .map_err(|e: pgraph::ParseEnumError| HttpError::new(400, format!("lang: {e}")))?,
     };
-    Ok(pg_pgschema::load_schema(source, lang)?)
+    Ok(pg_pgschema::load_schema(&source, lang)?)
 }
 
 fn plan_response(id: u64, action: &str, plan: &pg_schema::migrate::MigrationPlan) -> Response {
@@ -905,11 +950,10 @@ fn plan_response(id: u64, action: &str, plan: &pg_schema::migrate::MigrationPlan
 
 fn migrate_plan(
     ctx: &Ctx,
-    doc: &Json,
+    candidate: PgSchema,
     session: &mut Session,
     id: u64,
 ) -> Result<Response, HttpError> {
-    let (candidate, _) = migration_candidate(doc)?;
     let engine = session.engine()?;
     let plan = pg_schema::migrate::plan(
         engine.graph(),
@@ -923,11 +967,10 @@ fn migrate_plan(
 
 fn migrate_begin(
     ctx: &Ctx,
-    doc: &Json,
+    (candidate, sdl): (PgSchema, String),
     session: &mut Session,
     id: u64,
 ) -> Result<Response, HttpError> {
-    let (candidate, sdl) = migration_candidate(doc)?;
     if session.meta.pending_migration.is_some() {
         return Err(HttpError::new(409, "a migration window is already open"));
     }
@@ -957,11 +1000,14 @@ fn lost_window() -> HttpError {
 
 fn migrate_commit(
     ctx: &Ctx,
-    doc: &Json,
+    force: Option<Reader<'_>>,
     session: &mut Session,
     id: u64,
 ) -> Result<Response, HttpError> {
-    let force = matches!(doc.get("force"), Some(Json::Bool(true)));
+    let force = optional(force, "force", "a boolean", |mut value| {
+        value.scalar().ok()?.as_bool()
+    })?
+    .unwrap_or(false);
     if session.meta.pending_migration.is_none() {
         return Err(no_window());
     }
@@ -1142,7 +1188,7 @@ fn served_engine(request: &Request) -> Result<Engine, HttpError> {
 
 /// Decodes the `{"schema": <schema string>, "graph": <graph document>}`
 /// envelope shared by `POST /validate` and `POST /sessions` in one pass
-/// over the body, with no [`Json`] tree. The first `"schema"` member goes
+/// over the body, with no [`json::Json`] tree. The first `"schema"` member goes
 /// through the compiled-schema cache; the first `"graph"` member is read
 /// straight into the sink `sink_for` makes from the compiled schema —
 /// columns for `/validate`, rows for `/sessions`. A `"graph"` that comes
@@ -1222,7 +1268,9 @@ fn handle_validate(ctx: &Ctx, request: &Request, engine: Engine) -> Result<Respo
 /// `POST /check-sat`: finite-model satisfiability of one type (or one
 /// field) of the posted schema, through [`pg_reason::check`]. Body:
 /// `{"schema": <text>, "type": <name>, "field"?: <name>, "max_size"?: K}`,
-/// with `?lang=` selecting the schema language as on `/validate`.
+/// with `?lang=` selecting the schema language as on `/validate`; the
+/// first of each member counts, and a `"field"` that is not a string or
+/// a `"max_size"` that is not a positive integer is a `400`.
 /// Answers `{"result": "satisfiable", "witness_size": N}`,
 /// `{"result": "unsatisfiable"}`, or `{"result": "no_finite_model",
 /// "bound": K, "tableau_satisfiable": bool|null}` — all with status 200;
@@ -1231,28 +1279,24 @@ fn handle_validate(ctx: &Ctx, request: &Request, engine: Engine) -> Result<Respo
 /// out first; that budget bounds the time this core spends here.
 fn handle_check_sat(ctx: &Ctx, request: &Request) -> Result<Response, HttpError> {
     let lang = enum_param(request, "lang", SchemaLanguage::Sdl)?;
-    let doc = Json::parse(body_text(request)?)?;
-    let source = str_field(&doc, "schema")?;
-    let type_name = str_field(&doc, "type")?;
-    let compiled = ctx.schemas.load(source, lang)?;
+    let [schema, type_name, field, max_size] =
+        body_members(request, ["schema", "type", "field", "max_size"])?;
+    let source = str_member(schema, "schema")?;
+    let type_name = str_member(type_name, "type")?;
+    let compiled = ctx.schemas.load(&source, lang)?;
     let mut config = pg_reason::ReasonerConfig::default();
-    if let Some(k) = doc.get("max_size") {
-        match k.as_i64() {
-            Some(k) if k >= 1 => config.max_graph_size = k as usize,
-            _ => {
-                return Err(HttpError::new(
-                    400,
-                    "\"max_size\" must be a positive integer",
-                ))
-            }
-        }
+    let max_size = optional(max_size, "max_size", "a positive integer", |mut value| {
+        value.scalar().ok()?.as_i64().filter(|&k| k >= 1)
+    })?;
+    if let Some(k) = max_size {
+        config.max_graph_size = k as usize;
     }
-    let field = doc.get("field").and_then(Json::as_str);
-    let result = pg_reason::check(&compiled.schema, type_name, field, &config)
+    let field = optional(field, "field", "a string", string_value)?;
+    let result = pg_reason::check(&compiled.schema, &type_name, field.as_deref(), &config)
         .map_err(|message| HttpError::new(400, message))?;
     let mut body = String::with_capacity(96);
     body.push_str("{\"type\":\"");
-    json::escape_into(&mut body, type_name);
+    json::escape_into(&mut body, &type_name);
     match result {
         pg_reason::Satisfiability::Satisfiable { size, .. } => {
             body.push_str(&format!(

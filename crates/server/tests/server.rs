@@ -1303,3 +1303,239 @@ fn envelope_members_stream_in_any_order() {
     assert!(message.contains("node #1 repeats node id 7"), "{message}");
     daemon.stop();
 }
+
+/// `/check-sat` and `/sessions/{id}/migrate` read their flat bodies with
+/// the pull reader and answer what a parsed-tree reading answered:
+/// members in any order, the first of a repeated one counting, unknown
+/// members skipped; a root that is not an object has no members; and a
+/// syntax error anywhere (trailing garbage, a broken unknown member,
+/// nesting past the limit) outranks a missing or wrong-typed member,
+/// with `Json::parse`'s message. The one departure: an optional member
+/// of the wrong type (`field`, `lang`, `force`) is a `400` naming it.
+#[test]
+fn flat_envelopes_read_like_the_tree() {
+    let daemon = Daemon::start(1, 16);
+    let mut client = Client::connect(daemon.addr).unwrap();
+    let (status, created) = client
+        .request_json("POST", "/sessions", &envelope(3))
+        .unwrap();
+    assert_eq!(status, 201);
+    let id = created.get("session").and_then(Json::as_i64).unwrap();
+    let migrate = format!("/sessions/{id}/migrate");
+    let quoted = |text: &str| {
+        let mut out = String::from("\"");
+        json::escape_into(&mut out, text);
+        out.push('"');
+        out
+    };
+    let syntax = |body: &str| Json::parse(body).unwrap_err().to_string();
+    let deep = |levels: usize| format!("{}1{}", "[".repeat(levels), "]".repeat(levels));
+    let missing = |name: &str| format!("missing string field \"{name}\"");
+
+    // What each route answers its canonical body, and the bodies that
+    // must be answered the same.
+    let s = quoted(SCHEMA_SDL);
+    let sat = format!("{{\"schema\":{s},\"type\":\"User\"}}");
+    let c = quoted(COMPATIBLE_SDL);
+    let plan = format!("{{\"action\":\"plan\",\"schema\":{c}}}");
+    let (status, sat_answer) = client
+        .request("POST", "/check-sat", sat.as_bytes())
+        .unwrap();
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&sat_answer));
+    let (status, plan_answer) = client.request("POST", &migrate, plan.as_bytes()).unwrap();
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&plan_answer));
+    let same = [
+        ("/check-sat", format!("{{\"type\":\"User\",\"schema\":{s}}}")),
+        (
+            "/check-sat",
+            format!("{{\"schema\":{s},\"type\":\"User\",\"type\":7,\"schema\":null}}"),
+        ),
+        (
+            "/check-sat",
+            format!(
+                "{{\"x\":[1,{{\"y\":null}}],\"schema\":{s},\"z\":\"\\u00e9\",\"type\":\"User\",\"w\":{{}}}}"
+            ),
+        ),
+        (
+            "/check-sat",
+            format!("{{\"schema\":{s},\"type\":\"User\",\"x\":{}}}", deep(json::MAX_DEPTH - 1)),
+        ),
+        (&migrate, format!("{{\"schema\":{c},\"action\":\"plan\"}}")),
+        (
+            &migrate,
+            format!("{{\"action\":\"plan\",\"schema\":{c},\"action\":\"begin\",\"schema\":7}}"),
+        ),
+        (
+            &migrate,
+            format!("{{\"x\":[1,{{\"y\":null}}],\"schema\":{c},\"action\":\"plan\",\"w\":{{}}}}"),
+        ),
+        (
+            &migrate,
+            format!("{{\"action\":\"plan\",\"schema\":{c},\"lang\":\"sdl\",\"force\":false}}"),
+        ),
+    ];
+    for (target, body) in &same {
+        let (status, answer) = client.request("POST", target, body.as_bytes()).unwrap();
+        let want = if *target == "/check-sat" {
+            &sat_answer
+        } else {
+            &plan_answer
+        };
+        assert_eq!(status, 200, "{target}: {body}");
+        assert_eq!(&answer, want, "{target}: {body}");
+    }
+
+    // Refusals: status and message, the tree reading's.
+    let trailing = format!("{sat} 1");
+    let broken = format!("{{\"schema\":{s},\"type\":\"User\",\"x\":[1 2]}}");
+    let broken_after_shape = "{\"schema\":7,\"x\":[1 2]}".to_owned();
+    let too_deep = format!(
+        "{{\"schema\":{s},\"type\":\"User\",\"x\":{}}}",
+        deep(json::MAX_DEPTH)
+    );
+    let m_trailing = format!("{plan} x");
+    let m_broken = "{\"action\":\"plan\",\"x\":{\"a\" 1}}".to_owned();
+    let m_too_deep = format!("{{\"action\":7,\"x\":{}}}", deep(json::MAX_DEPTH));
+    let refused: Vec<(&str, String, u16, String)> = vec![
+        (
+            "/check-sat",
+            "{\"type\":\"User\"}".to_owned(),
+            400,
+            missing("schema"),
+        ),
+        (
+            "/check-sat",
+            format!("{{\"schema\":{s}}}"),
+            400,
+            missing("type"),
+        ),
+        (
+            "/check-sat",
+            format!("{{\"schema\":7,\"schema\":{s},\"type\":\"User\"}}"),
+            400,
+            missing("schema"),
+        ),
+        ("/check-sat", format!("[{sat}]"), 400, missing("schema")),
+        (
+            "/check-sat",
+            "\"schema\"".to_owned(),
+            400,
+            missing("schema"),
+        ),
+        ("/check-sat", "null".to_owned(), 400, missing("schema")),
+        ("/check-sat", "7".to_owned(), 400, missing("schema")),
+        ("/check-sat", String::new(), 400, syntax("")),
+        ("/check-sat", trailing.clone(), 400, syntax(&trailing)),
+        ("/check-sat", broken.clone(), 400, syntax(&broken)),
+        (
+            "/check-sat",
+            broken_after_shape.clone(),
+            400,
+            syntax(&broken_after_shape),
+        ),
+        ("/check-sat", too_deep.clone(), 400, syntax(&too_deep)),
+        (
+            "/check-sat",
+            format!("{{\"schema\":{s},\"type\":\"User\",\"max_size\":0,\"max_size\":3}}"),
+            400,
+            "\"max_size\" must be a positive integer".to_owned(),
+        ),
+        (
+            "/check-sat",
+            format!("{{\"schema\":{s},\"type\":\"User\",\"max_size\":\"3\"}}"),
+            400,
+            "\"max_size\" must be a positive integer".to_owned(),
+        ),
+        (
+            &migrate,
+            "{\"schema\":\"x\"}".to_owned(),
+            400,
+            missing("action"),
+        ),
+        (
+            &migrate,
+            "{\"action\":7,\"action\":\"plan\"}".to_owned(),
+            400,
+            missing("action"),
+        ),
+        (
+            &migrate,
+            "{\"action\":\"warp\",\"action\":\"plan\"}".to_owned(),
+            400,
+            "unknown action \"warp\"".to_owned(),
+        ),
+        (
+            &migrate,
+            "{\"action\":\"plan\"}".to_owned(),
+            400,
+            missing("schema"),
+        ),
+        (
+            &migrate,
+            format!("{{\"action\":\"plan\",\"schema\":{c},\"lang\":\"cobol\",\"lang\":7}}"),
+            400,
+            "lang: unknown schema language `cobol` (expected sdl|pgschema)".to_owned(),
+        ),
+        (&migrate, format!("[{plan}]"), 400, missing("action")),
+        (&migrate, "\"plan\"".to_owned(), 400, missing("action")),
+        (&migrate, "null".to_owned(), 400, missing("action")),
+        (&migrate, String::new(), 400, syntax("")),
+        (&migrate, m_trailing.clone(), 400, syntax(&m_trailing)),
+        (&migrate, m_broken.clone(), 400, syntax(&m_broken)),
+        (&migrate, m_too_deep.clone(), 400, syntax(&m_too_deep)),
+        (
+            &migrate,
+            "{\"action\":\"commit\",\"force\":true}".to_owned(),
+            409,
+            "no open migration window".to_owned(),
+        ),
+        (
+            &migrate,
+            "{\"force\":true,\"action\":\"abort\"}".to_owned(),
+            409,
+            "no open migration window".to_owned(),
+        ),
+        // The wrong-typed optional members, which the tree reading
+        // ignored (checking the whole type, compiling the candidate as
+        // SDL, reading `force` as false).
+        (
+            "/check-sat",
+            format!("{{\"schema\":{s},\"type\":\"User\",\"field\":7}}"),
+            400,
+            "\"field\" must be a string".to_owned(),
+        ),
+        (
+            "/check-sat",
+            format!("{{\"schema\":{s},\"type\":\"User\",\"field\":null,\"field\":\"login\"}}"),
+            400,
+            "\"field\" must be a string".to_owned(),
+        ),
+        (
+            &migrate,
+            format!("{{\"action\":\"plan\",\"schema\":{c},\"lang\":7}}"),
+            400,
+            "\"lang\" must be a string".to_owned(),
+        ),
+        (
+            &migrate,
+            "{\"action\":\"commit\",\"force\":\"yes\"}".to_owned(),
+            400,
+            "\"force\" must be a boolean".to_owned(),
+        ),
+    ];
+    let mut differ = Vec::new();
+    for (target, body, status, message) in &refused {
+        let (got, error) = client
+            .request_json("POST", target, body.as_bytes())
+            .unwrap();
+        let got_message = error.get("error").and_then(Json::as_str).unwrap_or("");
+        if (got, got_message) != (*status, message.as_str()) {
+            let head: String = body.chars().take(80).collect();
+            differ.push(format!(
+                "{target} {head}: {got} {got_message:?}, want {status} {message:?}"
+            ));
+        }
+    }
+    assert!(differ.is_empty(), "{}", differ.join("\n"));
+    daemon.stop();
+}
