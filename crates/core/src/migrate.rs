@@ -94,14 +94,6 @@ impl MigrationPlan {
         self.added.is_empty()
     }
 
-    /// Changes whose static classification is breaking.
-    pub fn breaking_changes(&self) -> usize {
-        self.changes
-            .iter()
-            .filter(|c| c.change.compat() == Compat::Breaking)
-            .count()
-    }
-
     /// Renders the plan as a JSON document, following the report JSON
     /// conventions (`pgschema migrate plan --json`, the server's
     /// `action=plan` response).
@@ -756,7 +748,6 @@ mod tests {
             assert_region_sound(&g, old, new);
         }
         let closing = plan(&g, &loose, &strict, &options);
-        assert_eq!(closing.breaking_changes(), 1);
         // SS2 (nickname), SS1 (Ghost), SS4 (haunts).
         assert_eq!(closing.added.len(), 3, "{:?}", closing.added);
         assert!(plan(&g, &strict, &loose, &options).compatible());

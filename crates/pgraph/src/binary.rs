@@ -9,7 +9,10 @@
 //! `AddEdge` continuation id lands on the same index it did the first time.
 //!
 //! The encoding is little-endian throughout, with length-prefixed strings
-//! and one tag byte per [`Value`] / [`DeltaOp`] variant. It carries no
+//! and one tag byte per [`Value`] / [`DeltaOp`] variant. A delta's op
+//! layout — which tag, which fields in which order — is not spelled out
+//! here: [`crate::delta`] owns it for both wire forms, and this codec
+//! writes and reads its fields by position. It carries no
 //! framing, checksums or versioning of its own: the store wraps every
 //! record in a length+CRC frame and owns corruption detection, so a
 //! payload handed to [`graph_from_bytes`] / [`delta_from_bytes`] is
@@ -34,9 +37,10 @@
 
 use std::fmt;
 
+use crate::delta::{OpReader, OpWriter};
 use crate::graph::{EdgeData, NodeData, PropMap};
 use crate::json::MAX_DEPTH;
-use crate::{DeltaOp, EdgeId, GraphDelta, NodeId, PropertyGraph, Value};
+use crate::{DeltaOp, GraphDelta, NodeId, PropertyGraph, Value};
 
 /// Errors raised when decoding binary payloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,64 +175,34 @@ fn put_props(out: &mut Vec<u8>, props: &PropMap) {
     }
 }
 
-/// Serialises a delta to the binary form.
+/// Serialises a delta to the binary form: a `u32` op count, then each
+/// op's tag byte and fields in [`crate::delta`]'s layout.
 pub fn delta_to_bytes(delta: &GraphDelta) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 * delta.len() + 4);
     put_u32(&mut out, delta.len() as u32);
     for op in delta.ops() {
-        match op {
-            DeltaOp::AddNode { label } => {
-                out.push(0);
-                put_str(&mut out, label);
-            }
-            DeltaOp::RemoveNode { node } => {
-                out.push(1);
-                put_u32(&mut out, node.index() as u32);
-            }
-            DeltaOp::AddEdge {
-                source,
-                target,
-                label,
-            } => {
-                out.push(2);
-                put_u32(&mut out, source.index() as u32);
-                put_u32(&mut out, target.index() as u32);
-                put_str(&mut out, label);
-            }
-            DeltaOp::RemoveEdge { edge } => {
-                out.push(3);
-                put_u32(&mut out, edge.index() as u32);
-            }
-            DeltaOp::SetNodeProperty { node, name, value } => {
-                out.push(4);
-                put_u32(&mut out, node.index() as u32);
-                put_str(&mut out, name);
-                put_value(&mut out, value);
-            }
-            DeltaOp::RemoveNodeProperty { node, name } => {
-                out.push(5);
-                put_u32(&mut out, node.index() as u32);
-                put_str(&mut out, name);
-            }
-            DeltaOp::SetEdgeProperty { edge, name, value } => {
-                out.push(6);
-                put_u32(&mut out, edge.index() as u32);
-                put_str(&mut out, name);
-                put_value(&mut out, value);
-            }
-            DeltaOp::RemoveEdgeProperty { edge, name } => {
-                out.push(7);
-                put_u32(&mut out, edge.index() as u32);
-                put_str(&mut out, name);
-            }
-            DeltaOp::SetNodeLabel { node, label } => {
-                out.push(8);
-                put_u32(&mut out, node.index() as u32);
-                put_str(&mut out, label);
-            }
-        }
+        op.encode(&mut out);
     }
     out
+}
+
+/// Fields by position: ids are `u32`, names length-prefixed.
+impl OpWriter for Vec<u8> {
+    fn tag(&mut self, tag: u8) {
+        self.push(tag);
+    }
+
+    fn id(&mut self, _key: &'static str, index: usize) {
+        put_u32(self, index as u32);
+    }
+
+    fn string(&mut self, _key: &'static str, s: &str) {
+        put_str(self, s);
+    }
+
+    fn value(&mut self, v: &Value) {
+        put_value(self, v);
+    }
 }
 
 /// Serialises a graph to the binary form, preserving the full id space:
@@ -351,8 +325,20 @@ fn node_id(c: &mut Cursor<'_>) -> Result<NodeId, BinError> {
     Ok(NodeId::from_index(c.u32()? as usize))
 }
 
-fn edge_id(c: &mut Cursor<'_>) -> Result<EdgeId, BinError> {
-    Ok(EdgeId::from_index(c.u32()? as usize))
+impl OpReader for Cursor<'_> {
+    type Error = BinError;
+
+    fn id(&mut self, _key: &'static str) -> Result<usize, BinError> {
+        Ok(self.u32()? as usize)
+    }
+
+    fn string(&mut self, _key: &'static str) -> Result<String, BinError> {
+        Cursor::string(self)
+    }
+
+    fn value(&mut self) -> Result<Value, BinError> {
+        Cursor::value(self)
+    }
 }
 
 /// Decodes a delta written by [`delta_to_bytes`].
@@ -362,43 +348,7 @@ pub fn delta_from_bytes(bytes: &[u8]) -> Result<GraphDelta, BinError> {
     let mut ops = Vec::with_capacity(count.min(4096));
     for _ in 0..count {
         let tag = c.u8()?;
-        ops.push(match tag {
-            0 => DeltaOp::AddNode { label: c.string()? },
-            1 => DeltaOp::RemoveNode {
-                node: node_id(&mut c)?,
-            },
-            2 => DeltaOp::AddEdge {
-                source: node_id(&mut c)?,
-                target: node_id(&mut c)?,
-                label: c.string()?,
-            },
-            3 => DeltaOp::RemoveEdge {
-                edge: edge_id(&mut c)?,
-            },
-            4 => DeltaOp::SetNodeProperty {
-                node: node_id(&mut c)?,
-                name: c.string()?,
-                value: c.value()?,
-            },
-            5 => DeltaOp::RemoveNodeProperty {
-                node: node_id(&mut c)?,
-                name: c.string()?,
-            },
-            6 => DeltaOp::SetEdgeProperty {
-                edge: edge_id(&mut c)?,
-                name: c.string()?,
-                value: c.value()?,
-            },
-            7 => DeltaOp::RemoveEdgeProperty {
-                edge: edge_id(&mut c)?,
-                name: c.string()?,
-            },
-            8 => DeltaOp::SetNodeLabel {
-                node: node_id(&mut c)?,
-                label: c.string()?,
-            },
-            tag => return Err(BinError::BadTag { what: "op", tag }),
-        });
+        ops.push(DeltaOp::decode(tag, &mut c)?.ok_or(BinError::BadTag { what: "op", tag })?);
     }
     c.finish()?;
     Ok(GraphDelta::from_ops(ops))
@@ -448,6 +398,7 @@ pub fn graph_from_bytes(bytes: &[u8]) -> Result<PropertyGraph, BinError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EdgeId;
 
     fn sample_graph() -> PropertyGraph {
         let mut g = PropertyGraph::new();

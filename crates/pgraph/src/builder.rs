@@ -138,21 +138,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Sets a property on the `i`-th declared edge (0-based).
-    pub fn nth_edge_prop(
-        mut self,
-        i: usize,
-        key: impl Into<String>,
-        value: impl Into<Value>,
-    ) -> Self {
-        self.ops.push(Op::EdgeProp {
-            edge: i,
-            key: key.into(),
-            value: value.into(),
-        });
-        self
-    }
-
     /// Materialises the graph, resolving names to ids.
     pub fn build(self) -> Result<PropertyGraph, BuildError> {
         let mut g = PropertyGraph::new();
@@ -252,22 +237,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, BuildError::UnknownNode("ghost".into()));
-    }
-
-    #[test]
-    fn nth_edge_prop_targets_specific_edge() {
-        let g = GraphBuilder::new()
-            .node("a", "A")
-            .node("b", "B")
-            .edge("a", "b", "e0")
-            .edge("a", "b", "e1")
-            .nth_edge_prop(0, "k", 1i64)
-            .build()
-            .unwrap();
-        let first = g.edges().find(|e| e.label() == "e0").unwrap();
-        let second = g.edges().find(|e| e.label() == "e1").unwrap();
-        assert_eq!(first.property("k"), Some(&Value::Int(1)));
-        assert_eq!(second.property("k"), None);
     }
 
     #[test]

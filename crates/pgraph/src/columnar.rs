@@ -100,22 +100,6 @@ impl ValueTable {
     pub fn values(&self) -> &[Value] {
         &self.exact
     }
-
-    /// Rebuilds a table from decoded values (snapshot thaw): re-derives
-    /// the equality classes, keyed by the values themselves.
-    pub(crate) fn from_values(values: Vec<Value>) -> ValueTable {
-        let mut t = ValueTable::default();
-        for v in &values {
-            t.scratch.clear();
-            binary::encode_value(&mut t.scratch, v);
-            let id = t.exact.len() as u32;
-            t.by_bytes.insert(t.scratch.clone(), id);
-            let rep = *t.by_eq.entry(v.clone()).or_insert(id);
-            t.eq_rep.push(rep);
-            t.exact.push(v.clone());
-        }
-        t
-    }
 }
 
 /// The frozen, columnar form of a [`PropertyGraph`].
@@ -142,7 +126,7 @@ pub struct ColumnarGraph {
     pub(crate) edge_prop_keys: Vec<Sym>,
     pub(crate) edge_prop_vals: Vec<u32>,
 
-    // Derived — rebuilt on freeze/thaw, never serialised.
+    // Derived — built by `ColumnsBuilder::finish`, never serialised.
     out_start: Vec<u32>,
     out_edges: Vec<u32>,
     in_start: Vec<u32>,
@@ -150,9 +134,6 @@ pub struct ColumnarGraph {
     label_start: Vec<u32>,
     label_nodes: Vec<u32>,
     labels_present: Vec<Sym>,
-
-    live_nodes: usize,
-    live_edges: usize,
 }
 
 impl ColumnarGraph {
@@ -207,54 +188,11 @@ impl ColumnarGraph {
             label_start: Vec::new(),
             label_nodes: Vec::new(),
             labels_present: Vec::new(),
-            live_nodes: 0,
-            live_edges: 0,
         }
     }
 
-    /// Assembles a graph from raw columns (snapshot thaw). The caller has
-    /// already validated the columns; this only rebuilds derived indexes.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_columns(
-        symbols: SymbolTable,
-        values: ValueTable,
-        node_alive: Vec<bool>,
-        node_label: Vec<Sym>,
-        node_prop_start: Vec<u32>,
-        node_prop_keys: Vec<Sym>,
-        node_prop_vals: Vec<u32>,
-        edge_alive: Vec<bool>,
-        edge_label: Vec<Sym>,
-        edge_src: Vec<u32>,
-        edge_dst: Vec<u32>,
-        edge_prop_start: Vec<u32>,
-        edge_prop_keys: Vec<Sym>,
-        edge_prop_vals: Vec<u32>,
-    ) -> ColumnarGraph {
-        let mut cg = ColumnarGraph {
-            values,
-            node_alive,
-            node_label,
-            node_prop_start,
-            node_prop_keys,
-            node_prop_vals,
-            edge_alive,
-            edge_label,
-            edge_src,
-            edge_dst,
-            edge_prop_start,
-            edge_prop_keys,
-            edge_prop_vals,
-            ..ColumnarGraph::empty(symbols)
-        };
-        cg.rebuild_derived();
-        cg
-    }
-
-    /// (Re)builds the CSR adjacency and label indexes from the columns.
+    /// Builds the CSR adjacency and label indexes from the columns.
     fn rebuild_derived(&mut self) {
-        self.live_nodes = self.node_alive.iter().filter(|&&a| a).count();
-        self.live_edges = self.edge_alive.iter().filter(|&&a| a).count();
         let n = self.node_alive.len();
 
         // Out-CSR: live edge ids sorted by (src, label, dst, id); rows are
@@ -370,16 +308,6 @@ impl ColumnarGraph {
     /// Raw edge slot count (tombstones included).
     pub fn edge_slots(&self) -> usize {
         self.edge_alive.len()
-    }
-
-    /// Live node count.
-    pub fn live_node_count(&self) -> usize {
-        self.live_nodes
-    }
-
-    /// Live edge count.
-    pub fn live_edge_count(&self) -> usize {
-        self.live_edges
     }
 
     /// Whether node slot `ix` is live.
@@ -684,8 +612,6 @@ mod tests {
         let cg = ColumnarGraph::freeze(&g);
         assert_eq!(cg.thaw(), g);
         assert_eq!(cg.node_slots(), g.node_index_bound());
-        assert_eq!(cg.live_node_count(), g.node_count());
-        assert_eq!(cg.live_edge_count(), g.edge_count());
     }
 
     #[test]

@@ -15,9 +15,17 @@
 //! must re-check — see that crate's `incremental` module for the rule
 //! dependency analysis.
 //!
-//! Deltas have a JSON interchange form (`{"ops": [...]}`) handled by
-//! [`crate::json::delta_to_json`] / [`crate::json::delta_from_json`];
-//! the CLI's `validate --watch-delta` consumes it.
+//! Deltas have two wire forms: the JSON document (`{"ops": [...]}`,
+//! [`crate::json::delta_to_json`] / [`crate::json::delta_from_json`]),
+//! which clients send and the CLI's `validate --watch-delta` reads, and
+//! the binary body of the store's WAL records
+//! ([`crate::binary::delta_to_bytes`] / [`crate::binary::delta_from_bytes`]).
+//! Their shared layout lives here, once: one tag table (the binary tag
+//! byte is the index of the JSON `"op"` name) and one encode and one
+//! decode match over [`DeltaOp`], each generic over a small field
+//! writer or reader that the two codecs implement. A codec owns only its
+//! framing, its tag lookup and its errors. `docs/replication.md`
+//! (§Delta body) specifies the layout.
 //!
 //! ```
 //! use pgraph::{GraphDelta, PropertyGraph, Value};
@@ -110,6 +118,150 @@ pub enum DeltaOp {
         /// The new label.
         label: String,
     },
+}
+
+/// The op tags of both wire forms: entry `i` is the JSON `"op"` name of
+/// the op whose binary tag byte is `i`.
+pub(crate) const OP_TAGS: [&str; 9] = [
+    "add-node",
+    "remove-node",
+    "add-edge",
+    "remove-edge",
+    "set-node-property",
+    "remove-node-property",
+    "set-edge-property",
+    "remove-edge-property",
+    "set-node-label",
+];
+
+/// A wire form's side of [`DeltaOp::encode`]: the op's tag, then its
+/// fields in layout order. Keys are the JSON member names; the binary
+/// form writes fields by position and ignores them.
+pub(crate) trait OpWriter {
+    /// The op's tag, an index into [`OP_TAGS`].
+    fn tag(&mut self, tag: u8);
+    /// A node or edge id.
+    fn id(&mut self, key: &'static str, index: usize);
+    /// A label or property name.
+    fn string(&mut self, key: &'static str, s: &str);
+    /// The property value, member `"value"`.
+    fn value(&mut self, v: &Value);
+}
+
+/// A wire form's side of [`DeltaOp::decode`]: the fields of an op whose
+/// tag the codec has already read, asked for in layout order.
+pub(crate) trait OpReader {
+    /// The codec's decode error.
+    type Error;
+    /// A node or edge id.
+    fn id(&mut self, key: &'static str) -> Result<usize, Self::Error>;
+    /// A label or property name.
+    fn string(&mut self, key: &'static str) -> Result<String, Self::Error>;
+    /// The property value, member `"value"`.
+    fn value(&mut self) -> Result<Value, Self::Error>;
+}
+
+impl DeltaOp {
+    /// Writes the op in its wire layout: the one place that says which
+    /// tag an op has and which fields follow it, in what order.
+    pub(crate) fn encode(&self, w: &mut impl OpWriter) {
+        match self {
+            DeltaOp::AddNode { label } => {
+                w.tag(0);
+                w.string("label", label);
+            }
+            DeltaOp::RemoveNode { node } => {
+                w.tag(1);
+                w.id("node", node.index());
+            }
+            DeltaOp::AddEdge {
+                source,
+                target,
+                label,
+            } => {
+                w.tag(2);
+                w.id("source", source.index());
+                w.id("target", target.index());
+                w.string("label", label);
+            }
+            DeltaOp::RemoveEdge { edge } => {
+                w.tag(3);
+                w.id("edge", edge.index());
+            }
+            DeltaOp::SetNodeProperty { node, name, value } => {
+                w.tag(4);
+                w.id("node", node.index());
+                w.string("name", name);
+                w.value(value);
+            }
+            DeltaOp::RemoveNodeProperty { node, name } => {
+                w.tag(5);
+                w.id("node", node.index());
+                w.string("name", name);
+            }
+            DeltaOp::SetEdgeProperty { edge, name, value } => {
+                w.tag(6);
+                w.id("edge", edge.index());
+                w.string("name", name);
+                w.value(value);
+            }
+            DeltaOp::RemoveEdgeProperty { edge, name } => {
+                w.tag(7);
+                w.id("edge", edge.index());
+                w.string("name", name);
+            }
+            DeltaOp::SetNodeLabel { node, label } => {
+                w.tag(8);
+                w.id("node", node.index());
+                w.string("label", label);
+            }
+        }
+    }
+
+    /// Reads the fields of the op tagged `tag` in the order
+    /// [`encode`](Self::encode) writes them. `None` for a tag past
+    /// [`OP_TAGS`], before any field is read.
+    pub(crate) fn decode<R: OpReader>(tag: u8, r: &mut R) -> Result<Option<DeltaOp>, R::Error> {
+        let node = |r: &mut R, key| r.id(key).map(NodeId::from_index);
+        let edge = |r: &mut R| r.id("edge").map(EdgeId::from_index);
+        Ok(Some(match tag {
+            0 => DeltaOp::AddNode {
+                label: r.string("label")?,
+            },
+            1 => DeltaOp::RemoveNode {
+                node: node(r, "node")?,
+            },
+            2 => DeltaOp::AddEdge {
+                source: node(r, "source")?,
+                target: node(r, "target")?,
+                label: r.string("label")?,
+            },
+            3 => DeltaOp::RemoveEdge { edge: edge(r)? },
+            4 => DeltaOp::SetNodeProperty {
+                node: node(r, "node")?,
+                name: r.string("name")?,
+                value: r.value()?,
+            },
+            5 => DeltaOp::RemoveNodeProperty {
+                node: node(r, "node")?,
+                name: r.string("name")?,
+            },
+            6 => DeltaOp::SetEdgeProperty {
+                edge: edge(r)?,
+                name: r.string("name")?,
+                value: r.value()?,
+            },
+            7 => DeltaOp::RemoveEdgeProperty {
+                edge: edge(r)?,
+                name: r.string("name")?,
+            },
+            8 => DeltaOp::SetNodeLabel {
+                node: node(r, "node")?,
+                label: r.string("label")?,
+            },
+            _ => return Ok(None),
+        }))
+    }
 }
 
 /// An edge together with the endpoints it had when the delta touched it.

@@ -2,6 +2,11 @@
 //! such as `{"op": "set-node-property", "node": 0, "name": "login",
 //! "value": "al"}`, written by the [`JsonWriter`] and read by the
 //! [`Reader`], with no [`Json`](super::Json) tree either way.
+//!
+//! Which tag an op has and which members follow it, in what order, is
+//! [`crate::delta`]'s layout, shared with the binary WAL codec: this
+//! module names the tag by its `"op"` string, writes fields as members,
+//! and reads them from the op object's member bookmarks.
 
 use std::borrow::Cow;
 
@@ -10,8 +15,8 @@ use super::reader::{Kind, Reader};
 use super::tree::{expected, missing};
 use super::write::{write_value, JsonWriter};
 use super::JsonError;
-use crate::delta::{DeltaOp, GraphDelta};
-use crate::{EdgeId, NodeId};
+use crate::delta::{DeltaOp, GraphDelta, OpReader, OpWriter, OP_TAGS};
+use crate::Value;
 
 /// Serialises a mutation log to its JSON document (`{"ops": [...]}`),
 /// streamed in the module's canonical layout.
@@ -22,77 +27,36 @@ pub fn delta_to_json(delta: &GraphDelta) -> String {
     w.key("ops");
     w.begin_array();
     for op in delta.ops() {
-        write_op(&mut w, op);
+        w.begin_object();
+        op.encode(&mut w);
+        w.end_object();
     }
     w.end_array();
     w.end_object();
     out
 }
 
-fn write_op(w: &mut JsonWriter<'_>, op: &DeltaOp) {
-    fn id(w: &mut JsonWriter<'_>, key: &str, index: usize) {
-        w.key(key);
-        w.int(index as i64);
+/// Fields by name: the tag is the `"op"` member, ids are integers.
+impl OpWriter for JsonWriter<'_> {
+    fn tag(&mut self, tag: u8) {
+        self.key("op");
+        self.string(OP_TAGS[tag as usize]);
     }
-    fn text(w: &mut JsonWriter<'_>, key: &str, s: &str) {
-        w.key(key);
-        w.string(s);
+
+    fn id(&mut self, key: &'static str, index: usize) {
+        self.key(key);
+        self.int(index as i64);
     }
-    w.begin_object();
-    match op {
-        DeltaOp::AddNode { label } => {
-            text(w, "op", "add-node");
-            text(w, "label", label);
-        }
-        DeltaOp::RemoveNode { node } => {
-            text(w, "op", "remove-node");
-            id(w, "node", node.index());
-        }
-        DeltaOp::AddEdge {
-            source,
-            target,
-            label,
-        } => {
-            text(w, "op", "add-edge");
-            id(w, "source", source.index());
-            id(w, "target", target.index());
-            text(w, "label", label);
-        }
-        DeltaOp::RemoveEdge { edge } => {
-            text(w, "op", "remove-edge");
-            id(w, "edge", edge.index());
-        }
-        DeltaOp::SetNodeProperty { node, name, value } => {
-            text(w, "op", "set-node-property");
-            id(w, "node", node.index());
-            text(w, "name", name);
-            w.key("value");
-            write_value(w, value);
-        }
-        DeltaOp::RemoveNodeProperty { node, name } => {
-            text(w, "op", "remove-node-property");
-            id(w, "node", node.index());
-            text(w, "name", name);
-        }
-        DeltaOp::SetEdgeProperty { edge, name, value } => {
-            text(w, "op", "set-edge-property");
-            id(w, "edge", edge.index());
-            text(w, "name", name);
-            w.key("value");
-            write_value(w, value);
-        }
-        DeltaOp::RemoveEdgeProperty { edge, name } => {
-            text(w, "op", "remove-edge-property");
-            id(w, "edge", edge.index());
-            text(w, "name", name);
-        }
-        DeltaOp::SetNodeLabel { node, label } => {
-            text(w, "op", "set-node-label");
-            id(w, "node", node.index());
-            text(w, "label", label);
-        }
+
+    fn string(&mut self, key: &'static str, s: &str) {
+        self.key(key);
+        JsonWriter::string(self, s);
     }
-    w.end_object();
+
+    fn value(&mut self, v: &Value) {
+        self.key("value");
+        write_value(self, v);
+    }
 }
 
 /// Parses a mutation log from its JSON document.
@@ -135,69 +99,67 @@ fn read_ops(r: &mut Reader<'_>) -> Result<Vec<DeltaOp>, JsonError> {
     ops.ok_or_else(|| missing("document", "ops"))
 }
 
+/// The members an op object may carry: the tag, then every field key
+/// of the layout.
+const MEMBERS: [&str; 8] = [
+    "op", "node", "edge", "source", "target", "label", "name", "value",
+];
+
 /// The op object at the cursor: the first of each member it may carry is
-/// bookmarked, then the tag's fields are read in their declared order.
-fn read_op<'a>(r: &mut Reader<'a>, ix: usize) -> Result<DeltaOp, JsonError> {
+/// bookmarked, then the tag is looked up and its fields are read in
+/// layout order.
+fn read_op(r: &mut Reader<'_>, ix: usize) -> Result<DeltaOp, JsonError> {
     let ctx = move || format!("op #{ix}");
     let kind = r.peek()?;
     if kind != Kind::Object {
         return Err(expected(&ctx(), "an object", kind.name()));
     }
-    let [op, node, edge, source, target, label, name, value] = r.members([
-        "op", "node", "edge", "source", "target", "label", "name", "value",
-    ])?;
-    let field = |mark: Option<Reader<'a>>, key| mark.ok_or_else(|| missing(&ctx(), key));
-    let id = |mark, key| read_u32(&mut field(mark, key)?, key, ctx).map(|i| i as usize);
-    let node_id = |mark, key| id(mark, key).map(NodeId::from_index);
-    let edge_id = |mark| id(mark, "edge").map(EdgeId::from_index);
-    let string = |mark, key| read_str(&mut field(mark, key)?, key, ctx).map(Cow::into_owned);
-    let property_value = || read_value(&mut field(value, "value")?);
-    let tag = read_str(&mut field(op, "op")?, "op", ctx)?;
-    Ok(match &*tag {
-        "add-node" => DeltaOp::AddNode {
-            label: string(label, "label")?,
-        },
-        "remove-node" => DeltaOp::RemoveNode {
-            node: node_id(node, "node")?,
-        },
-        "add-edge" => DeltaOp::AddEdge {
-            source: node_id(source, "source")?,
-            target: node_id(target, "target")?,
-            label: string(label, "label")?,
-        },
-        "remove-edge" => DeltaOp::RemoveEdge {
-            edge: edge_id(edge)?,
-        },
-        "set-node-property" => DeltaOp::SetNodeProperty {
-            node: node_id(node, "node")?,
-            name: string(name, "name")?,
-            value: property_value()?,
-        },
-        "remove-node-property" => DeltaOp::RemoveNodeProperty {
-            node: node_id(node, "node")?,
-            name: string(name, "name")?,
-        },
-        "set-edge-property" => DeltaOp::SetEdgeProperty {
-            edge: edge_id(edge)?,
-            name: string(name, "name")?,
-            value: property_value()?,
-        },
-        "remove-edge-property" => DeltaOp::RemoveEdgeProperty {
-            edge: edge_id(edge)?,
-            name: string(name, "name")?,
-        },
-        "set-node-label" => DeltaOp::SetNodeLabel {
-            node: node_id(node, "node")?,
-            label: string(label, "label")?,
-        },
-        other => return Err(JsonError::Parse(format!("{}: unknown op {other:?}", ctx()))),
-    })
+    let mut fields = OpFields {
+        marks: r.members(MEMBERS)?,
+        ctx,
+    };
+    let name = read_str(&mut fields.member("op")?, "op", ctx)?;
+    let op = match OP_TAGS.iter().position(|&tag| tag == name) {
+        Some(tag) => DeltaOp::decode(tag as u8, &mut fields)?,
+        None => None,
+    };
+    op.ok_or_else(|| JsonError::Parse(format!("{}: unknown op {:?}", ctx(), &*name)))
+}
+
+/// One op object's bookmarked [`MEMBERS`], each read at most once.
+struct OpFields<'a, C> {
+    marks: [Option<Reader<'a>>; MEMBERS.len()],
+    ctx: C,
+}
+
+impl<'a, C: Fn() -> String + Copy> OpFields<'a, C> {
+    fn member(&mut self, key: &str) -> Result<Reader<'a>, JsonError> {
+        let ix = MEMBERS.iter().position(|&m| m == key);
+        ix.and_then(|ix| self.marks[ix].take())
+            .ok_or_else(|| missing(&(self.ctx)(), key))
+    }
+}
+
+impl<C: Fn() -> String + Copy> OpReader for OpFields<'_, C> {
+    type Error = JsonError;
+
+    fn id(&mut self, key: &'static str) -> Result<usize, JsonError> {
+        read_u32(&mut self.member(key)?, key, self.ctx).map(|i| i as usize)
+    }
+
+    fn string(&mut self, key: &'static str) -> Result<String, JsonError> {
+        read_str(&mut self.member(key)?, key, self.ctx).map(Cow::into_owned)
+    }
+
+    fn value(&mut self) -> Result<Value, JsonError> {
+        read_value(&mut self.member("value")?)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GraphBuilder, PropertyGraph, Value};
+    use crate::{EdgeId, GraphBuilder, NodeId, PropertyGraph};
 
     fn sample() -> PropertyGraph {
         GraphBuilder::new()

@@ -65,4 +65,4 @@ pub use delta::{DeltaEffect, DeltaOp, EdgeTouch, GraphDelta};
 pub use graph::{EdgeId, EdgeRef, GraphError, NodeId, NodeRef, PropertyGraph};
 pub use parse::ParseEnumError;
 pub use symbols::{Sym, SymbolTable};
-pub use value::{Value, ValueKind};
+pub use value::Value;

@@ -8,7 +8,8 @@
 //! one CRC pass — **no per-element deserialisation** — which is what lets
 //! `pg-store` recovery and follower bootstrap `mmap` a snapshot and start
 //! serving immediately; elements are only materialised when a session is
-//! first validated ([`SnapshotView::thaw`]).
+//! first validated ([`SnapshotView::thaw`], the one decoder: it
+//! validates every column and element as it builds the graph).
 //!
 //! The normative layout table lives in `docs/replication.md` and is
 //! machine-checked against the constants below by the store's
@@ -30,7 +31,8 @@
 //! `val_start`, `val_heap`. All numeric columns are `u32` LE; the heaps
 //! are raw UTF-8 and concatenated [`crate::binary`] value encodings, with
 //! `*_start` prefix-sum columns delimiting entries. The derived CSR
-//! adjacency is *not* stored — it is rebuilt on thaw.
+//! adjacency is *not* stored: thaw yields the mutable graph, and the CSR
+//! is built only when a graph is frozen into columns.
 //!
 //! A snapshot with a recognisable magic but a newer version fails with
 //! [`SnapshotError::UnsupportedVersion`] — never a silent fallback and
@@ -39,7 +41,7 @@
 use std::fmt;
 
 use crate::binary::{self, BinError};
-use crate::columnar::{ColumnarGraph, ValueTable};
+use crate::columnar::ColumnarGraph;
 use crate::graph::{EdgeData, NodeData, PropMap};
 use crate::symbols::{Sym, SymbolTable};
 use crate::{NodeId, PropertyGraph};
@@ -240,11 +242,11 @@ impl GraphHeader {
             (self.values as u64 + 1) * 4,  // val_start
             s[15].len,                     // val_heap
         ];
-        for (i, (&section, &expected)) in s.iter().zip(want.iter()).enumerate() {
-            if section.len != expected {
-                let _ = i;
-                return Err(SnapshotError::Layout("section length"));
-            }
+        if s.iter()
+            .zip(&want)
+            .any(|(section, &expected)| section.len != expected)
+        {
+            return Err(SnapshotError::Layout("section length"));
         }
         if !s[3].len.is_multiple_of(4) || !s[10].len.is_multiple_of(4) {
             return Err(SnapshotError::Layout("prop column alignment"));
@@ -299,94 +301,13 @@ impl<'a> SnapshotView<'a> {
         self.section(ix).iter().map(|&b| b != 0).collect()
     }
 
-    /// Decodes the columns into a [`ColumnarGraph`], fully validating
-    /// every element (UTF-8 symbols, value encodings, prefix-sum
-    /// monotonicity, edge endpoints). This is the per-element work a
-    /// mapped snapshot defers until a session is first used.
-    pub fn thaw_columnar(&self) -> Result<ColumnarGraph, SnapshotError> {
-        let symbols = self.decode_symbols()?;
-        let values = ValueTable::from_values(binary::decode_values(
-            self.section(15),
-            self.header.values as usize,
-        )?);
-        // val_start must delimit exactly the encodings decode_values
-        // consumed; cheap monotonicity check.
-        check_prefix(&self.u32_column(14), self.header.sections[15].len)?;
-
-        let node_prop_start = self.u32_column(2);
-        check_prefix(&node_prop_start, self.header.sections[3].len / 4)?;
-        if node_prop_start.last().copied().unwrap_or(0) as u64 * 4 != self.header.sections[3].len {
-            return Err(SnapshotError::Layout("node prop extent"));
-        }
-        let edge_prop_start = self.u32_column(9);
-        if edge_prop_start.last().copied().unwrap_or(0) as u64 * 4 != self.header.sections[10].len {
-            return Err(SnapshotError::Layout("edge prop extent"));
-        }
-        check_prefix(&edge_prop_start, self.header.sections[10].len / 4)?;
-
-        let node_label = self.sym_column(1);
-        let node_prop_keys = self.sym_column(3);
-        let node_prop_vals = self.u32_column(4);
-        let edge_label = self.sym_column(6);
-        let edge_prop_keys = self.sym_column(10);
-        let edge_prop_vals = self.u32_column(11);
-        let sym_bound = symbols.len();
-        let val_bound = values.len() as u32;
-        for s in node_label
-            .iter()
-            .chain(&node_prop_keys)
-            .chain(&edge_label)
-            .chain(&edge_prop_keys)
-        {
-            if s.index() >= sym_bound {
-                return Err(SnapshotError::Layout("symbol out of range"));
-            }
-        }
-        for &v in node_prop_vals.iter().chain(&edge_prop_vals) {
-            if v >= val_bound {
-                return Err(SnapshotError::Layout("value out of range"));
-            }
-        }
-
-        let node_alive = self.bool_column(0);
-        let edge_alive = self.bool_column(5);
-        let edge_src = self.u32_column(7);
-        let edge_dst = self.u32_column(8);
-        let n = node_alive.len() as u32;
-        for (ix, &alive) in edge_alive.iter().enumerate() {
-            let (src, dst) = (edge_src[ix], edge_dst[ix]);
-            if src >= n || dst >= n {
-                return Err(SnapshotError::Layout("edge endpoint out of range"));
-            }
-            if alive && (!node_alive[src as usize] || !node_alive[dst as usize]) {
-                return Err(SnapshotError::DanglingEdge { edge_index: ix });
-            }
-        }
-
-        Ok(ColumnarGraph::from_columns(
-            symbols,
-            values,
-            node_alive,
-            node_label,
-            node_prop_start,
-            node_prop_keys,
-            node_prop_vals,
-            edge_alive,
-            edge_label,
-            edge_src,
-            edge_dst,
-            edge_prop_start,
-            edge_prop_keys,
-            edge_prop_vals,
-        ))
-    }
-
-    /// Materialises the mutable [`PropertyGraph`] — the columnar decode
-    /// plus per-element map rebuilds. Identical to the graph the snapshot
-    /// was written from, tombstones included.
+    /// Decodes the columns into the mutable [`PropertyGraph`] the
+    /// snapshot was written from, tombstones included — the one PGCS
+    /// decoder. Every element is validated (UTF-8 symbols, value
+    /// encodings, prefix-sum columns, symbol and value ids, edge
+    /// endpoints); this is the per-element work a mapped snapshot defers
+    /// until a session is first used.
     pub fn thaw(&self) -> Result<PropertyGraph, SnapshotError> {
-        // Decode straight into NodeData/EdgeData without building the
-        // derived CSR the ColumnarGraph path would.
         let symbols = self.decode_symbols()?;
         let values = binary::decode_values(self.section(15), self.header.values as usize)?;
         check_prefix(&self.u32_column(14), self.header.sections[15].len)?;
@@ -426,7 +347,7 @@ impl<'a> SnapshotView<'a> {
         let node_prop_start = self.u32_column(2);
         let node_prop_keys = self.sym_column(3);
         let node_prop_vals = self.u32_column(4);
-        if node_prop_start.first() != Some(&0) && !node_prop_start.is_empty() {
+        if node_prop_start[0] != 0 {
             return Err(SnapshotError::Layout("prop start origin"));
         }
         let mut nodes = Vec::with_capacity(node_alive.len());
@@ -462,6 +383,18 @@ impl<'a> SnapshotView<'a> {
                 props: props(&edge_prop_start, &edge_prop_keys, &edge_prop_vals, ix)?,
                 alive: edge_alive[ix],
             });
+        }
+        // Every prop entry has exactly one owner: the per-element ranges
+        // are in order and in bounds, so it is enough that each start
+        // column begins at 0 and ends at its key column's length.
+        if edge_prop_start[0] != 0 {
+            return Err(SnapshotError::Layout("prop start origin"));
+        }
+        if node_prop_start[nodes.len()] as usize != node_prop_keys.len() {
+            return Err(SnapshotError::Layout("node prop extent"));
+        }
+        if edge_prop_start[edges.len()] as usize != edge_prop_keys.len() {
+            return Err(SnapshotError::Layout("edge prop extent"));
         }
         Ok(PropertyGraph::from_raw_parts(nodes, edges))
     }
@@ -659,7 +592,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GraphBuilder, Value};
+    use crate::{EdgeId, GraphBuilder, Value};
 
     fn sample() -> PropertyGraph {
         let mut g = GraphBuilder::new()
@@ -674,6 +607,7 @@ mod tests {
             .edge("s", "a", "user")
             .build()
             .unwrap();
+        g.set_edge_property(EdgeId::from_index(0), "since", Value::Int(2019));
         let doomed = g.add_node("Doomed");
         g.set_node_property(doomed, "nan", Value::Float(f64::NAN));
         let e = g.add_edge(doomed, doomed, "selfie").unwrap();
@@ -690,7 +624,6 @@ mod tests {
         assert_eq!(view.header().version, VERSION);
         assert_eq!(view.header().node_slots as usize, g.node_index_bound());
         assert_eq!(view.thaw().unwrap(), g);
-        assert_eq!(view.thaw_columnar().unwrap().thaw(), g);
     }
 
     #[test]
@@ -757,19 +690,34 @@ mod tests {
     #[test]
     fn corrupt_columns_fail_thaw_not_parse() {
         // A snapshot can be CRC-clean yet structurally hostile (a buggy
-        // writer): thaw must reject it. Build one by encoding a graph and
-        // then re-CRC-ing after corrupting a column.
+        // writer): thaw must reject it. Build each by encoding a graph,
+        // overwriting words of one column, then re-CRC-ing.
         let g = sample();
-        let mut bytes = graph_to_snapshot_bytes(&g);
-        let view = SnapshotView::parse(&bytes).unwrap();
-        // Point node 0's label at an out-of-range symbol.
-        let label_off = view.header().sections[1].offset as usize;
-        bytes[label_off..label_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let crc = crc32(&bytes[16..]);
-        bytes[8..12].copy_from_slice(&crc.to_le_bytes());
-        let view = SnapshotView::parse(&bytes).unwrap();
-        assert!(view.thaw().is_err());
-        assert!(view.thaw_columnar().is_err());
+        let bytes = graph_to_snapshot_bytes(&g);
+        let header = SnapshotView::parse(&bytes).unwrap().header().clone();
+        let corrupt = |section: usize, words: &[(usize, u32)]| {
+            let mut bad = bytes.clone();
+            let base = header.sections[section].offset as usize;
+            for &(ix, word) in words {
+                bad[base + 4 * ix..base + 4 * ix + 4].copy_from_slice(&word.to_le_bytes());
+            }
+            let crc = crc32(&bad[16..]);
+            bad[8..12].copy_from_slice(&crc.to_le_bytes());
+            SnapshotView::parse(&bad).unwrap().thaw()
+        };
+        // Node 0's label an out-of-range symbol.
+        assert!(corrupt(1, &[(0, u32::MAX)]).is_err());
+        // A prop-start column that does not begin at 0, or that ends
+        // short of its key column, leaves properties with no owner.
+        let (n, m) = (header.node_slots as usize, header.edge_slots as usize);
+        for (section, slots, extent) in [(2, n, "node prop extent"), (9, m, "edge prop extent")] {
+            assert_eq!(
+                corrupt(section, &[(0, 1)]),
+                Err(SnapshotError::Layout("prop start origin"))
+            );
+            let zeros: Vec<(usize, u32)> = (0..=slots).map(|ix| (ix, 0)).collect();
+            assert_eq!(corrupt(section, &zeros), Err(SnapshotError::Layout(extent)));
+        }
     }
 
     #[test]

@@ -44,42 +44,7 @@ pub enum Value {
     Null,
 }
 
-/// The coarse kind of a [`Value`], used in diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ValueKind {
-    /// `Value::Int`
-    Int,
-    /// `Value::Float`
-    Float,
-    /// `Value::String`
-    String,
-    /// `Value::Bool`
-    Bool,
-    /// `Value::Id`
-    Id,
-    /// `Value::Enum`
-    Enum,
-    /// `Value::List`
-    List,
-    /// `Value::Null`
-    Null,
-}
-
 impl Value {
-    /// Returns the coarse kind of this value.
-    pub fn kind(&self) -> ValueKind {
-        match self {
-            Value::Int(_) => ValueKind::Int,
-            Value::Float(_) => ValueKind::Float,
-            Value::String(_) => ValueKind::String,
-            Value::Bool(_) => ValueKind::Bool,
-            Value::Id(_) => ValueKind::Id,
-            Value::Enum(_) => ValueKind::Enum,
-            Value::List(_) => ValueKind::List,
-            Value::Null => ValueKind::Null,
-        }
-    }
-
     /// True if this is `Value::Null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
@@ -106,15 +71,6 @@ impl Value {
         }
     }
 
-    /// If this is a `Float` (or an `Int`, which GraphQL coerces), the number.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(f) => Some(*f),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
     /// If this is a `String`, `Id` or `Enum`, the underlying text.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -128,15 +84,6 @@ impl Value {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,
-        }
-    }
-
-    /// Total number of scalar leaves in this value (lists recursively).
-    /// Used by the benchmark harness to size workloads.
-    pub fn leaf_count(&self) -> usize {
-        match self {
-            Value::List(items) => items.iter().map(Value::leaf_count).sum(),
-            _ => 1,
         }
     }
 
@@ -305,18 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn kinds_are_reported() {
-        assert_eq!(Value::Int(1).kind(), ValueKind::Int);
-        assert_eq!(Value::Float(1.0).kind(), ValueKind::Float);
-        assert_eq!(Value::from("x").kind(), ValueKind::String);
-        assert_eq!(Value::Bool(true).kind(), ValueKind::Bool);
-        assert_eq!(Value::Id("i".into()).kind(), ValueKind::Id);
-        assert_eq!(Value::Enum("E".into()).kind(), ValueKind::Enum);
-        assert_eq!(Value::List(vec![]).kind(), ValueKind::List);
-        assert_eq!(Value::Null.kind(), ValueKind::Null);
-    }
-
-    #[test]
     fn nan_values_are_equal_and_hash_alike() {
         let a = Value::Float(f64::NAN);
         let b = Value::Float(-f64::NAN);
@@ -348,13 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn as_float_coerces_int() {
-        assert_eq!(Value::Int(3).as_float(), Some(3.0));
-        assert_eq!(Value::Float(2.5).as_float(), Some(2.5));
-        assert_eq!(Value::from("x").as_float(), None);
-    }
-
-    #[test]
     fn ordering_is_total_and_deterministic() {
         let mut vals = [
             Value::from("b"),
@@ -368,16 +296,6 @@ mod tests {
         vals.sort(); // idempotent
         assert_eq!(vals[0], Value::Null);
         assert!(vals.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn leaf_count_recurses() {
-        let v = Value::List(vec![
-            Value::from(vec![1i64, 2]),
-            Value::Int(3),
-            Value::List(vec![]),
-        ]);
-        assert_eq!(v.leaf_count(), 3);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! the spec, or spec edited away from the code — fails the build.
 
 use pg_store::wire;
+use pgraph::json::{self, Json};
+use pgraph::{binary, EdgeId, GraphDelta, NodeId, Value};
 
 fn spec_text() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/replication.md");
@@ -359,4 +361,89 @@ fn file_naming_matches_wire_constants() {
         text.contains(&format!("`{magic}`")),
         "spec names the snapshot magic {magic}"
     );
+}
+
+#[test]
+fn delta_body_table_matches_the_codecs() {
+    let text = spec_text();
+    let rows = table_after(&text, "### Delta body");
+    // One op of each kind, every field distinct, so a field read at the
+    // wrong position shows.
+    let (node, edge) = (NodeId::from_index(11), EdgeId::from_index(12));
+    let (source, target) = (NodeId::from_index(13), NodeId::from_index(14));
+    let delta = GraphDelta::new()
+        .add_node("Label")
+        .remove_node(node)
+        .add_edge(source, target, "Label")
+        .remove_edge(edge)
+        .set_node_property(node, "nm", Value::Int(5))
+        .remove_node_property(node, "nm")
+        .set_edge_property(edge, "nm", Value::Int(5))
+        .remove_edge_property(edge, "nm")
+        .set_node_label(node, "Label");
+    assert_eq!(rows.len(), delta.len(), "one spec row per op kind");
+    let doc = Json::parse(&json::delta_to_json(&delta)).unwrap();
+    let json_ops = doc.get("ops").and_then(Json::as_array).unwrap();
+    let u32_at = |b: &[u8]| u32::from_le_bytes(b[..4].try_into().unwrap());
+    for ((row, op), json_op) in rows.iter().zip(delta.ops()).zip(json_ops) {
+        let bytes = binary::delta_to_bytes(&GraphDelta::from_ops(vec![op.clone()]));
+        assert_eq!(row[0], bytes[4].to_string(), "spec tag of {op:?}");
+        let Json::Object(members) = json_op else {
+            panic!("{op:?} is a JSON object")
+        };
+        assert_eq!(members[0].0, "op");
+        assert_eq!(members[0].1.as_str(), Some(row[1]), "spec name of {op:?}");
+        let fields: Vec<&str> = row[2].split(", ").collect();
+        let encodings: Vec<&str> = row[3].split(", ").collect();
+        let keys: Vec<&str> = members[1..].iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, fields, "spec field order of {op:?} (JSON)");
+        assert_eq!(encodings.len(), fields.len());
+        // The binary fields come in the same order, each in its encoding:
+        // read each off the bytes and compare with the JSON member.
+        let mut rest = &bytes[5..];
+        for (encoding, (key, member)) in encodings.iter().zip(&members[1..]) {
+            match *encoding {
+                "u32" => {
+                    assert_eq!(Some(u32_at(rest) as i64), member.as_i64(), "{op:?} {key}");
+                    rest = &rest[4..];
+                }
+                "str" => {
+                    let end = 4 + u32_at(rest) as usize;
+                    let s = std::str::from_utf8(&rest[4..end]).unwrap();
+                    assert_eq!(Some(s), member.as_str(), "{op:?} {key}");
+                    rest = &rest[end..];
+                }
+                "value" => {
+                    assert_eq!(member.as_i64(), Some(5), "{op:?} {key}");
+                    assert_eq!(rest, [0, 5, 0, 0, 0, 0, 0, 0, 0], "{op:?} {key}");
+                    rest = &[];
+                }
+                other => panic!("spec encoding `{other}` of {op:?}"),
+            }
+        }
+        assert!(rest.is_empty(), "{op:?} has bytes past its spec fields");
+    }
+
+    // The value tags, read off a `set-node-property` body: count (4),
+    // tag (1), node (4), name "v" (4 + 1), then the value's tag byte.
+    let values = table_after(&text, "#### Delta values");
+    let kinds = [
+        Value::Int(1),
+        Value::Float(1.0),
+        Value::from("s"),
+        Value::Bool(true),
+        Value::Id("i".into()),
+        Value::Enum("E".into()),
+        Value::List(vec![]),
+        Value::Null,
+    ];
+    assert_eq!(values.len(), kinds.len(), "one spec row per value kind");
+    for (row, value) in values.iter().zip(kinds) {
+        let name = format!("{value:?}");
+        let name = name.split('(').next().unwrap();
+        let delta = GraphDelta::new().set_node_property(node, "v", value.clone());
+        let bytes = binary::delta_to_bytes(&delta);
+        assert_eq!(row[1], name, "spec value row {}", row[0]);
+        assert_eq!(row[0], bytes[14].to_string(), "spec tag of {name}");
+    }
 }

@@ -7,7 +7,8 @@
 
 use pg_datagen::{DeltaGen, DeltaGenParams, GraphGen, GraphGenParams, SchemaGen, SchemaGenParams};
 use pg_schema::PgSchema;
-use pgraph::{binary, json, GraphDelta, PropertyGraph};
+use pgraph::binary::{self, BinError};
+use pgraph::{json, EdgeId, GraphDelta, NodeId, PropertyGraph, Value};
 use proptest::prelude::*;
 
 fn schema_for(seed: u64) -> PgSchema {
@@ -120,5 +121,83 @@ proptest! {
         for cut in 0..dbytes.len() {
             prop_assert!(binary::delta_from_bytes(&dbytes[..cut]).is_err());
         }
+    }
+}
+
+/// One delta holding every op and every value kind, with the float bit
+/// patterns (`-0.0`, a NaN payload), the empty string, non-ASCII text and
+/// a nested list that a layout change would be likeliest to disturb.
+fn every_op_delta() -> GraphDelta {
+    let (n, e) = (NodeId::from_index(3), EdgeId::from_index(258));
+    let nan = Value::Float(f64::from_bits(0x7ff8_0000_dead_beef));
+    let nested = Value::List(vec![
+        Value::Int(-2),
+        Value::List(vec![Value::Null, Value::Bool(true)]),
+        Value::from(""),
+    ]);
+    GraphDelta::new()
+        .add_node("Überweisung")
+        .remove_node(n)
+        .add_edge(n, NodeId::from_index(70_000), "rel")
+        .remove_edge(e)
+        .set_node_property(n, "z", Value::Float(-0.0))
+        .set_node_property(n, "nan", nan)
+        .set_node_property(n, "xs", nested)
+        .remove_node_property(n, "")
+        .set_edge_property(e, "id", Value::Id("u-1".into()))
+        .set_edge_property(e, "unit", Value::Enum("METER".into()))
+        .remove_edge_property(e, "w")
+        .set_node_label(n, "日本")
+}
+
+/// The WAL bytes of [`every_op_delta`], one hex string per op after the
+/// `u32` op count: tag byte, then the op's fields in order (ids `u32`,
+/// strings `u32`-length-prefixed UTF-8, values tagged). Records already
+/// on disk decode only while these stay put.
+const EVERY_OP_BYTES: [&str; 13] = [
+    // 12 ops
+    "0c000000",
+    "000c000000c39c62657277656973756e67", // add-node "Überweisung"
+    "0103000000",                         // remove-node 3
+    "0203000000701101000300000072656c",   // add-edge 3 -> 70000 "rel"
+    "0302010000",                         // remove-edge 258
+    "0403000000010000007a010000000000000080", // set-node-property 3 "z" -0.0
+    "0403000000030000006e616e01efbeadde0000f87f", // set-node-property 3 "nan" NaN payload
+    "0403000000020000007873060300000000feffffffffffffff06020000000703010200000000", // set-node-property 3 "xs" [-2, [null, true], ""]
+    "050300000000000000",                     // remove-node-property 3 ""
+    "06020100000200000069640403000000752d31", // set-edge-property 258 "id" Id("u-1")
+    "060201000004000000756e697405050000004d45544552", // set-edge-property 258 "unit" Enum("METER")
+    "07020100000100000077",                   // remove-edge-property 258 "w"
+    "080300000006000000e697a5e69cac",         // set-node-label 3 "日本"
+];
+
+#[test]
+fn delta_bytes_keep_their_layout() {
+    let hex = EVERY_OP_BYTES.concat();
+    let golden: Vec<u8> = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect();
+    let delta = every_op_delta();
+    assert_eq!(binary::delta_to_bytes(&delta), golden);
+    // Decoding is the inverse bit for bit (`Value`'s `==` would let
+    // `-0.0` and `0.0`, or two NaN payloads, pass for each other).
+    let decoded = binary::delta_from_bytes(&golden).unwrap();
+    assert_eq!(decoded, delta);
+    assert_eq!(binary::delta_to_bytes(&decoded), golden);
+
+    // Tag 9 is the first one past the table.
+    assert_eq!(
+        binary::delta_from_bytes(&[1, 0, 0, 0, 9]),
+        Err(BinError::BadTag { what: "op", tag: 9 })
+    );
+    for cut in 0..golden.len() {
+        assert!(
+            matches!(
+                binary::delta_from_bytes(&golden[..cut]),
+                Err(BinError::Truncated { .. })
+            ),
+            "prefix of {cut} bytes"
+        );
     }
 }
