@@ -66,7 +66,7 @@ impl RegionCols {
             let mut local = |v: NodeId| {
                 *slot.entry(v).or_insert_with(|| {
                     let label = g.node_label(v).expect("a live edge's endpoint is live");
-                    b.push_node(true, label, std::iter::empty());
+                    b.push_node(true, label, std::iter::empty::<(&str, pgraph::Value)>());
                     nodes.push(v);
                     nodes.len() as u32 - 1
                 })

@@ -37,41 +37,66 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 use crate::graph::{EdgeData, NodeData, PropMap};
 use crate::symbols::{Sym, SymbolTable};
-use crate::{binary, EdgeId, NodeId, PropertyGraph, Value};
+use crate::{EdgeId, NodeId, PropertyGraph, Value};
 
 /// Interned property values, deduplicated two ways.
 ///
-/// *Storage identity* is bit-exact: two values share a value id iff their
-/// binary encodings are identical, so NaN payloads and `-0.0` survive a
-/// round-trip untouched. *Comparison identity* follows [`Value`]'s `Eq`
-/// (which canonicalises floats: every NaN is equal to every NaN, `-0.0 ==
-/// 0.0`): [`ValueTable::eq_rep`] maps each value id to the id of the first
-/// value in its equivalence class, so kernels that ask "do these two
-/// properties agree?" (DS7) compare two `u32`s.
+/// *Storage identity* is bit-exact: two values share a value id iff they
+/// are the same variant with the same bits (floats by `to_bits`, lists
+/// item by item), so NaN payloads and `-0.0` survive a round-trip
+/// untouched. One index finds them: a keyed hash of a value's exact bits
+/// maps to the newest id with that hash, and `prev` chains each id to the
+/// next older one with the same hash.
+///
+/// *Comparison identity* follows [`Value`]'s `Eq` (which canonicalises
+/// floats: every NaN is equal to every NaN, `-0.0 == 0.0`):
+/// [`ValueTable::eq_rep`] maps each value id to the id of the first value
+/// in its equivalence class, so kernels that ask "do these two properties
+/// agree?" (DS7) compare two `u32`s. A value with no float in it is the
+/// only member of its class; only float-bearing values consult a class
+/// map, which holds one clone per class.
 #[derive(Debug, Clone, Default)]
 pub struct ValueTable {
     exact: Vec<Value>,
     eq_rep: Vec<u32>,
-    by_bytes: HashMap<Vec<u8>, u32>,
-    by_eq: HashMap<Value, u32>,
-    scratch: Vec<u8>,
+    /// Keyed hash of a value's exact bits → the newest id with that hash.
+    by_bits: HashMap<u64, u32>,
+    /// Per id, the next older id with the same hash; [`NO_ID`] ends it.
+    prev: Vec<u32>,
+    /// `Value`-equality class → its first id, for float-bearing values.
+    float_classes: HashMap<Value, u32>,
 }
 
+/// The end of a `prev` chain.
+const NO_ID: u32 = u32::MAX;
+
 impl ValueTable {
-    /// Interns a value, returning its (bit-exact) value id.
-    pub fn intern(&mut self, v: &Value) -> u32 {
-        self.scratch.clear();
-        binary::encode_value(&mut self.scratch, v);
-        if let Some(&id) = self.by_bytes.get(self.scratch.as_slice()) {
-            return id;
+    /// Interns a value, returning its (bit-exact) value id. A new value
+    /// is moved in if owned and cloned once if borrowed; a value already
+    /// held is dropped.
+    pub fn intern<'v>(&mut self, v: impl Into<Cow<'v, Value>>) -> u32 {
+        let v = v.into();
+        let hash = self.by_bits.hasher().hash_one(ExactBits(&v));
+        let head = self.by_bits.entry(hash).or_insert(NO_ID);
+        let mut at = *head;
+        while at != NO_ID {
+            if same_bits(&self.exact[at as usize], &v) {
+                return at;
+            }
+            at = self.prev[at as usize];
         }
         let id = self.exact.len() as u32;
-        self.by_bytes.insert(self.scratch.clone(), id);
-        let rep = *self.by_eq.entry(v.clone()).or_insert(id);
-        self.exact.push(v.clone());
+        self.prev.push(std::mem::replace(head, id));
+        let rep = if holds_float(&v) {
+            *self.float_classes.entry((*v).clone()).or_insert(id)
+        } else {
+            id
+        };
+        self.exact.push(v.into_owned());
         self.eq_rep.push(rep);
         id
     }
@@ -99,6 +124,47 @@ impl ValueTable {
     /// All stored values in id order.
     pub fn values(&self) -> &[Value] {
         &self.exact
+    }
+}
+
+/// Hashes a value by its exact bits: the identity [`same_bits`] decides.
+struct ExactBits<'a>(&'a Value);
+
+impl Hash for ExactBits<'_> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self.0).hash(h);
+        match self.0 {
+            Value::Int(i) => i.hash(h),
+            Value::Float(f) => f.to_bits().hash(h),
+            Value::String(s) | Value::Id(s) | Value::Enum(s) => s.hash(h),
+            Value::Bool(b) => b.hash(h),
+            Value::List(items) => {
+                items.len().hash(h);
+                items.iter().for_each(|item| ExactBits(item).hash(h));
+            }
+            Value::Null => {}
+        }
+    }
+}
+
+/// Same variant, same bits: floats by `to_bits`, lists item by item.
+fn same_bits(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        (Value::List(xs), Value::List(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_bits(x, y))
+        }
+        _ => a == b,
+    }
+}
+
+/// Whether `Value`'s `Eq` can identify `v` with other bits: a float, or a
+/// list with one inside.
+fn holds_float(v: &Value) -> bool {
+    match v {
+        Value::Float(_) => true,
+        Value::List(items) => items.iter().any(holds_float),
+        _ => false,
     }
 }
 
@@ -153,13 +219,11 @@ impl ColumnarGraph {
     pub fn freeze_into(g: &PropertyGraph, symbols: SymbolTable) -> ColumnarGraph {
         let mut b = ColumnsBuilder::new(symbols);
         for data in &g.nodes {
-            let props = data.props.iter().map(|(k, v)| (k.as_str(), v));
-            b.push_node(data.alive, &data.label, props);
+            b.push_node(data.alive, &data.label, &data.props);
         }
         for data in &g.edges {
             let ends = (data.src.index() as u32, data.dst.index() as u32);
-            let props = data.props.iter().map(|(k, v)| (k.as_str(), v));
-            b.push_edge(data.alive, &data.label, ends, props);
+            b.push_edge(data.alive, &data.label, ends, &data.props);
         }
         b.finish()
     }
@@ -474,12 +538,13 @@ impl ColumnsBuilder {
     }
 
     /// Appends the next node slot. `props` must be in name order with no
-    /// key twice.
+    /// key twice; each value is moved in if owned and new, cloned if
+    /// borrowed and new, and dropped if the pool already holds it.
     pub fn push_node<'v>(
         &mut self,
         alive: bool,
         label: &str,
-        props: impl IntoIterator<Item = (&'v str, &'v Value)>,
+        props: impl IntoIterator<Item = (impl AsRef<str>, impl Into<Cow<'v, Value>>)>,
     ) {
         let sym = self.cols.symbols.intern(label);
         self.cols.node_alive.push(alive);
@@ -500,7 +565,7 @@ impl ColumnsBuilder {
         alive: bool,
         label: &str,
         (source, target): (u32, u32),
-        props: impl IntoIterator<Item = (&'v str, &'v Value)>,
+        props: impl IntoIterator<Item = (impl AsRef<str>, impl Into<Cow<'v, Value>>)>,
     ) {
         let nodes = self.cols.node_alive.len();
         assert!(
@@ -524,13 +589,16 @@ impl ColumnsBuilder {
     /// Interns one element's properties (in name order, keys and values
     /// interleaved) into `scratch`, sorted by key symbol — not by name:
     /// lookup binary-searches symbols.
-    fn intern_props<'v>(&mut self, props: impl IntoIterator<Item = (&'v str, &'v Value)>) {
+    fn intern_props<'v>(
+        &mut self,
+        props: impl IntoIterator<Item = (impl AsRef<str>, impl Into<Cow<'v, Value>>)>,
+    ) {
         let (symbols, values) = (&mut self.cols.symbols, &mut self.cols.values);
         self.scratch.clear();
         self.scratch.extend(
             props
                 .into_iter()
-                .map(|(name, value)| (symbols.intern(name), values.intern(value))),
+                .map(|(name, value)| (symbols.intern(name.as_ref()), values.intern(value))),
         );
         self.scratch.sort_unstable_by_key(|&(k, _)| k);
     }
@@ -542,16 +610,15 @@ impl ColumnsBuilder {
     }
 }
 
+/// Hands each decoded value over owned, so a new one is moved into the
+/// pool rather than cloned.
 impl GraphSink for ColumnsBuilder {
     fn node(&mut self, label: &str, props: &mut Props<'_>) {
-        self.push_node(true, label, props.iter().map(|(k, v)| (&**k, v)));
-        props.clear();
+        self.push_node(true, label, props.drain(..));
     }
 
     fn edge(&mut self, source: u32, target: u32, label: &str, props: &mut Props<'_>) {
-        let props_iter = props.iter().map(|(k, v)| (&**k, v));
-        self.push_edge(true, label, (source, target), props_iter);
-        props.clear();
+        self.push_edge(true, label, (source, target), props.drain(..));
     }
 }
 
@@ -667,19 +734,37 @@ mod tests {
     #[test]
     fn value_table_separates_exact_and_eq_identity() {
         let mut t = ValueTable::default();
-        let zero = t.intern(&Value::Float(0.0));
-        let neg_zero = t.intern(&Value::Float(-0.0));
+        // Owned and borrowed values intern alike.
+        let (zero, neg) = (t.intern(Value::Float(0.0)), Value::Float(-0.0));
+        let neg_zero = t.intern(&neg);
         // Bit-distinct → distinct ids; Value-equal → same representative.
         assert_ne!(zero, neg_zero);
         assert_eq!(t.eq_rep(zero), t.eq_rep(neg_zero));
-        assert_eq!(
-            t.value(neg_zero).to_string(),
-            Value::Float(-0.0).to_string()
-        );
+        assert_eq!(t.value(neg_zero).to_string(), neg.to_string());
         // Identical bits → identical id.
-        assert_eq!(t.intern(&Value::Float(0.0)), zero);
-        let i = t.intern(&Value::Int(0));
+        assert_eq!(t.intern(Value::Float(0.0)), zero);
+        let i = t.intern(Value::Int(0));
         assert_ne!(t.eq_rep(i), t.eq_rep(zero));
+    }
+
+    #[test]
+    fn bit_distinct_nans_hash_apart_and_share_one_class() {
+        // A hash that canonicalised floats would put every NaN payload in
+        // one chain and make interning them quadratic.
+        let mut t = ValueTable::default();
+        let nan = f64::NAN.to_bits() & !0xFFFF;
+        let nans: Vec<u32> = (0..1u64 << 16)
+            .map(|payload| t.intern(Value::Float(f64::from_bits(nan | payload))))
+            .collect();
+        let zeros = [0.0, -0.0].map(|z| t.intern(Value::Float(z)));
+        assert_eq!(t.len(), nans.len() + 2, "every payload is its own value");
+        assert!(
+            t.prev.iter().all(|&older| older == NO_ID),
+            "a chain holds two ids"
+        );
+        assert!(nans.iter().all(|&id| t.eq_rep(id) == nans[0]));
+        assert_eq!(t.eq_rep(zeros[1]), zeros[0]);
+        assert_ne!(zeros[0], nans[0]);
     }
 
     #[test]

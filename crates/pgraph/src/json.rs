@@ -53,7 +53,7 @@ mod tree;
 mod write;
 
 pub use delta::{delta_from_json, delta_to_json};
-pub use graph::{from_json, graph_from_value, graph_to_value, read_graph, to_json};
+pub use graph::{from_json, graph_from_value, read_graph, to_json};
 pub use reader::{Kind, Reader};
 pub use tree::Json;
 pub use write::escape_into;

@@ -1,15 +1,14 @@
 //! The graph document: written straight from a [`PropertyGraph`]
 //! ([`to_json`]), read straight from the text into any [`GraphSink`]
-//! ([`read_graph`], behind [`from_json`]), plus the tree-level pair
-//! [`graph_to_value`] / [`graph_from_value`] that the streaming decoder
-//! is tested against.
+//! ([`read_graph`], behind [`from_json`]), plus the tree-level reference
+//! decoder [`graph_from_value`] that the streaming one is tested against.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use super::reader::{Kind, Reader};
 use super::tree::{
     as_object, expected, get_properties, get_str, get_u32, missing, root_array, untagged_object,
-    value_from_json, value_to_json, wrong_kind,
+    value_from_json, wrong_kind,
 };
 use super::write::{write_value, JsonWriter};
 use super::{Json, JsonError};
@@ -55,7 +54,7 @@ fn write_element<'g>(
 /// Properties are emitted in sorted key order so the output is
 /// deterministic regardless of insertion order. The document is streamed
 /// from the graph into one buffer — no [`Json`] tree is built — and is
-/// byte-identical to `graph_to_value(g).to_string()`, the tree-based
+/// byte-identical to printing the same document as a tree, the
 /// reference the tests compare it against.
 pub fn to_json(g: &PropertyGraph) -> String {
     // A pretty-printed element with a property or two is ~130 bytes.
@@ -77,56 +76,6 @@ pub fn to_json(g: &PropertyGraph) -> String {
     w.end_array();
     w.end_object();
     out
-}
-
-/// Builds the [`Json`] tree of a graph document — [`to_json`] without the
-/// final rendering, for embedding a graph inside a larger payload.
-pub fn graph_to_value(g: &PropertyGraph) -> Json {
-    fn props_json<'a>(props: impl Iterator<Item = (&'a str, &'a Value)>) -> Json {
-        let sorted: BTreeMap<&str, &Value> = props.collect();
-        Json::Object(
-            sorted
-                .into_iter()
-                .map(|(k, v)| (k.to_owned(), value_to_json(v)))
-                .collect(),
-        )
-    }
-    let nodes = Json::Array(
-        g.nodes()
-            .map(|n| {
-                let mut members = vec![
-                    ("id".to_owned(), Json::Int(n.id.index() as i64)),
-                    ("label".to_owned(), Json::Str(n.label().to_owned())),
-                ];
-                let props = props_json(n.properties());
-                if !matches!(&props, Json::Object(m) if m.is_empty()) {
-                    members.push(("properties".to_owned(), props));
-                }
-                Json::Object(members)
-            })
-            .collect(),
-    );
-    let edges = Json::Array(
-        g.edges()
-            .map(|e| {
-                let mut members = vec![
-                    ("id".to_owned(), Json::Int(e.id.index() as i64)),
-                    ("label".to_owned(), Json::Str(e.label().to_owned())),
-                    ("source".to_owned(), Json::Int(e.source().index() as i64)),
-                    ("target".to_owned(), Json::Int(e.target().index() as i64)),
-                ];
-                let props = props_json(e.properties());
-                if !matches!(&props, Json::Object(m) if m.is_empty()) {
-                    members.push(("properties".to_owned(), props));
-                }
-                Json::Object(members)
-            })
-            .collect(),
-    );
-    Json::Object(vec![
-        ("nodes".to_owned(), nodes),
-        ("edges".to_owned(), edges),
-    ])
 }
 
 /// Parses a graph from its JSON document. Node ids in the document are
@@ -472,7 +421,6 @@ mod tests {
         let text = to_json(&g);
         assert_eq!(from_json(&text).unwrap(), g);
         assert_eq!(graph_from_value(&Json::parse(&text).unwrap()).unwrap(), g);
-        assert_eq!(graph_to_value(&g).to_string(), text);
     }
 
     #[test]
@@ -485,7 +433,7 @@ mod tests {
                 "schema".to_owned(),
                 Json::Str("type User { x: Int }".to_owned()),
             ),
-            ("graph".to_owned(), graph_to_value(&g)),
+            ("graph".to_owned(), Json::parse(&to_json(&g)).unwrap()),
         ]);
         let parsed = Json::parse(&envelope.to_string()).unwrap();
         assert_eq!(

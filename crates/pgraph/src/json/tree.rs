@@ -133,25 +133,6 @@ impl fmt::Display for Json {
     }
 }
 
-pub(super) fn value_to_json(v: &Value) -> Json {
-    match v {
-        Value::Int(i) => Json::Int(*i),
-        Value::Float(f) => {
-            if f.is_finite() {
-                Json::Float(*f)
-            } else {
-                Json::Null
-            }
-        }
-        Value::String(s) => Json::Str(s.clone()),
-        Value::Bool(b) => Json::Bool(*b),
-        Value::Id(s) => Json::Object(vec![("$id".to_owned(), Json::Str(s.clone()))]),
-        Value::Enum(s) => Json::Object(vec![("$enum".to_owned(), Json::Str(s.clone()))]),
-        Value::List(items) => Json::Array(items.iter().map(value_to_json).collect()),
-        Value::Null => Json::Null,
-    }
-}
-
 pub(super) fn value_from_json(v: &Json) -> Result<Value, JsonError> {
     match v {
         Json::Null => Ok(Value::Null),

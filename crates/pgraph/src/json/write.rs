@@ -231,8 +231,8 @@ fn write_tagged(w: &mut JsonWriter<'_>, tag: &str, s: &str) {
     w.end_object();
 }
 
-/// A property value, streamed: the writer-side twin of
-/// [`value_to_json`](super::tree::value_to_json).
+/// A property value, streamed: `Id` and `Enum` as tagged objects, and a
+/// float JSON cannot hold (NaN, ±∞) as `null`.
 pub(super) fn write_value(w: &mut JsonWriter<'_>, v: &Value) {
     match v {
         Value::Int(i) => w.int(*i),

@@ -283,22 +283,9 @@ impl<'a> SnapshotView<'a> {
         &self.bytes[s.offset as usize..(s.offset + s.len) as usize]
     }
 
-    fn u32_column(&self, ix: usize) -> Vec<u32> {
-        self.section(ix)
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect()
-    }
-
-    fn sym_column(&self, ix: usize) -> Vec<Sym> {
-        self.section(ix)
-            .chunks_exact(4)
-            .map(|c| Sym::from_index(u32::from_le_bytes(c.try_into().unwrap()) as usize))
-            .collect()
-    }
-
-    fn bool_column(&self, ix: usize) -> Vec<bool> {
-        self.section(ix).iter().map(|&b| b != 0).collect()
+    /// A numeric section, read in place.
+    fn words(&self, ix: usize) -> Words<'a> {
+        Words(self.section(ix))
     }
 
     /// Decodes the columns into the mutable [`PropertyGraph`] the
@@ -306,11 +293,12 @@ impl<'a> SnapshotView<'a> {
     /// decoder. Every element is validated (UTF-8 symbols, value
     /// encodings, prefix-sum columns, symbol and value ids, edge
     /// endpoints); this is the per-element work a mapped snapshot defers
-    /// until a session is first used.
+    /// until a session is first used. Columns are read where they lie in
+    /// the image, never copied out.
     pub fn thaw(&self) -> Result<PropertyGraph, SnapshotError> {
         let symbols = self.decode_symbols()?;
         let values = binary::decode_values(self.section(15), self.header.values as usize)?;
-        check_prefix(&self.u32_column(14), self.header.sections[15].len)?;
+        check_prefix(self.words(14), self.header.sections[15].len)?;
         let sym_bound = symbols.len();
         let val_bound = values.len() as u32;
 
@@ -320,95 +308,95 @@ impl<'a> SnapshotView<'a> {
                 .map(str::to_owned)
                 .ok_or(SnapshotError::Layout("symbol out of range"))
         };
-        let props = |start: &[u32],
-                     keys: &[Sym],
-                     vals: &[u32],
+        let props = |start: Words<'_>,
+                     keys: Words<'_>,
+                     vals: Words<'_>,
                      ix: usize|
          -> Result<PropMap, SnapshotError> {
-            let (a, b) = (start[ix] as usize, start[ix + 1] as usize);
+            let (a, b) = (start.get(ix) as usize, start.get(ix + 1) as usize);
             if a > b || b > keys.len() || b > vals.len() {
                 return Err(SnapshotError::Layout("prop range"));
             }
             let mut map = PropMap::new();
             for i in a..b {
-                if keys[i].index() >= sym_bound || vals[i] >= val_bound {
+                if keys.sym(i).index() >= sym_bound || vals.get(i) >= val_bound {
                     return Err(SnapshotError::Layout("prop entry out of range"));
                 }
                 map.insert(
-                    symbols.resolve(keys[i]).to_owned(),
-                    values[vals[i] as usize].clone(),
+                    symbols.resolve(keys.sym(i)).to_owned(),
+                    values[vals.get(i) as usize].clone(),
                 );
             }
             Ok(map)
         };
 
-        let node_alive = self.bool_column(0);
-        let node_label = self.sym_column(1);
-        let node_prop_start = self.u32_column(2);
-        let node_prop_keys = self.sym_column(3);
-        let node_prop_vals = self.u32_column(4);
-        if node_prop_start[0] != 0 {
+        let node_alive = self.section(0);
+        let node_label = self.words(1);
+        let node_prop_start = self.words(2);
+        let node_prop_keys = self.words(3);
+        let node_prop_vals = self.words(4);
+        if node_prop_start.get(0) != 0 {
             return Err(SnapshotError::Layout("prop start origin"));
         }
         let mut nodes = Vec::with_capacity(node_alive.len());
-        for ix in 0..node_alive.len() {
+        for (ix, &alive) in node_alive.iter().enumerate() {
             nodes.push(NodeData::new(
-                resolve(node_label[ix])?,
-                props(&node_prop_start, &node_prop_keys, &node_prop_vals, ix)?,
-                node_alive[ix],
+                resolve(node_label.sym(ix))?,
+                props(node_prop_start, node_prop_keys, node_prop_vals, ix)?,
+                alive != 0,
             ));
         }
 
-        let edge_alive = self.bool_column(5);
-        let edge_label = self.sym_column(6);
-        let edge_src = self.u32_column(7);
-        let edge_dst = self.u32_column(8);
-        let edge_prop_start = self.u32_column(9);
-        let edge_prop_keys = self.sym_column(10);
-        let edge_prop_vals = self.u32_column(11);
+        let edge_alive = self.section(5);
+        let edge_label = self.words(6);
+        let edge_src = self.words(7);
+        let edge_dst = self.words(8);
+        let edge_prop_start = self.words(9);
+        let edge_prop_keys = self.words(10);
+        let edge_prop_vals = self.words(11);
         let n = nodes.len() as u32;
         let mut edges = Vec::with_capacity(edge_alive.len());
-        for ix in 0..edge_alive.len() {
-            let (src, dst) = (edge_src[ix], edge_dst[ix]);
+        for (ix, &alive) in edge_alive.iter().enumerate() {
+            let (src, dst, alive) = (edge_src.get(ix), edge_dst.get(ix), alive != 0);
             if src >= n || dst >= n {
                 return Err(SnapshotError::Layout("edge endpoint out of range"));
             }
-            if edge_alive[ix] && (!nodes[src as usize].alive || !nodes[dst as usize].alive) {
+            if alive && (!nodes[src as usize].alive || !nodes[dst as usize].alive) {
                 return Err(SnapshotError::DanglingEdge { edge_index: ix });
             }
             edges.push(EdgeData {
-                label: resolve(edge_label[ix])?,
+                label: resolve(edge_label.sym(ix))?,
                 src: NodeId::from_index(src as usize),
                 dst: NodeId::from_index(dst as usize),
-                props: props(&edge_prop_start, &edge_prop_keys, &edge_prop_vals, ix)?,
-                alive: edge_alive[ix],
+                props: props(edge_prop_start, edge_prop_keys, edge_prop_vals, ix)?,
+                alive,
             });
         }
         // Every prop entry has exactly one owner: the per-element ranges
         // are in order and in bounds, so it is enough that each start
         // column begins at 0 and ends at its key column's length.
-        if edge_prop_start[0] != 0 {
+        if edge_prop_start.get(0) != 0 {
             return Err(SnapshotError::Layout("prop start origin"));
         }
-        if node_prop_start[nodes.len()] as usize != node_prop_keys.len() {
+        if node_prop_start.get(nodes.len()) as usize != node_prop_keys.len() {
             return Err(SnapshotError::Layout("node prop extent"));
         }
-        if edge_prop_start[edges.len()] as usize != edge_prop_keys.len() {
+        if edge_prop_start.get(edges.len()) as usize != edge_prop_keys.len() {
             return Err(SnapshotError::Layout("edge prop extent"));
         }
         Ok(PropertyGraph::from_raw_parts(nodes, edges))
     }
 
     fn decode_symbols(&self) -> Result<SymbolTable, SnapshotError> {
-        let sym_start = self.u32_column(12);
+        let sym_start = self.words(12);
         let heap = self.section(13);
-        check_prefix(&sym_start, heap.len() as u64)?;
-        if sym_start.last().copied().unwrap_or(0) as usize != heap.len() {
+        check_prefix(sym_start, heap.len() as u64)?;
+        if sym_start.last().unwrap_or(0) as usize != heap.len() {
             return Err(SnapshotError::Layout("symbol heap extent"));
         }
         let mut strings = Vec::with_capacity(sym_start.len().saturating_sub(1));
-        for w in sym_start.windows(2) {
-            let s = std::str::from_utf8(&heap[w[0] as usize..w[1] as usize])
+        for (a, b) in sym_start.iter().zip(sym_start.iter().skip(1)) {
+            let s = std::str::from_utf8(&heap[a as usize..b as usize])
                 .map_err(|_| SnapshotError::Layout("symbol not UTF-8"))?;
             strings.push(s.to_owned());
         }
@@ -416,20 +404,44 @@ impl<'a> SnapshotView<'a> {
     }
 }
 
+/// A column of `u32` LE words, read where it lies in the image. Header
+/// checks size every section to a whole number of words.
+#[derive(Clone, Copy)]
+struct Words<'a>(&'a [u8]);
+
+impl<'a> Words<'a> {
+    fn len(self) -> usize {
+        self.0.len() / 4
+    }
+
+    fn get(self, ix: usize) -> u32 {
+        let at = 4 * ix;
+        u32::from_le_bytes(self.0[at..at + 4].try_into().expect("a word is four bytes"))
+    }
+
+    fn sym(self, ix: usize) -> Sym {
+        Sym::from_index(self.get(ix) as usize)
+    }
+
+    fn last(self) -> Option<u32> {
+        self.len().checked_sub(1).map(|ix| self.get(ix))
+    }
+
+    fn iter(self) -> impl Iterator<Item = u32> + 'a {
+        (0..self.len()).map(move |ix| self.get(ix))
+    }
+}
+
 /// A prefix-sum column must start at 0, be monotone, and stay in bounds.
-fn check_prefix(start: &[u32], bound_bytes: u64) -> Result<(), SnapshotError> {
-    if start.first().is_some_and(|&f| f != 0) {
+fn check_prefix(start: Words<'_>, bound_bytes: u64) -> Result<(), SnapshotError> {
+    if start.iter().next().is_some_and(|f| f != 0) {
         return Err(SnapshotError::Layout("prefix origin"));
     }
-    for w in start.windows(2) {
-        if w[0] > w[1] {
-            return Err(SnapshotError::Layout("prefix not monotone"));
-        }
+    if start.iter().zip(start.iter().skip(1)).any(|(a, b)| a > b) {
+        return Err(SnapshotError::Layout("prefix not monotone"));
     }
-    if let Some(&last) = start.last() {
-        if last as u64 > bound_bytes {
-            return Err(SnapshotError::Layout("prefix out of bounds"));
-        }
+    if start.last().is_some_and(|last| last as u64 > bound_bytes) {
+        return Err(SnapshotError::Layout("prefix out of bounds"));
     }
     Ok(())
 }

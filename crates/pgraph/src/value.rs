@@ -9,6 +9,7 @@
 //! schema layer never produces types that permit them, matching the paper's
 //! restriction of wrapping types to `t!`, `[t]`, `[t!]`, `[t!]!`.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -237,6 +238,19 @@ impl From<String> for Value {
 impl<T: Into<Value>> From<Vec<T>> for Value {
     fn from(v: Vec<T>) -> Self {
         Value::List(v.into_iter().map(Into::into).collect())
+    }
+}
+
+/// A value handed to a value pool owned: moved in if new.
+impl From<Value> for Cow<'_, Value> {
+    fn from(v: Value) -> Self {
+        Cow::Owned(v)
+    }
+}
+/// A value handed to a value pool borrowed: cloned if new.
+impl<'a> From<&'a Value> for Cow<'a, Value> {
+    fn from(v: &'a Value) -> Self {
+        Cow::Borrowed(v)
     }
 }
 

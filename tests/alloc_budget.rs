@@ -7,7 +7,11 @@
 //!   no tree, so what is left is the op's own strings and the list;
 //! * (ii) a one-op delta on a resident [`IncrementalEngine`] allocates
 //!   the same whatever the size of the graph it lands on, and no more
-//!   than its ceiling.
+//!   than its ceiling;
+//! * (iii) decoding a graph document with [`json::read_graph`] into a
+//!   schema's [`ColumnsBuilder`](pgraph::ColumnsBuilder), `finish`
+//!   included, allocates a constant number of times per element, and no
+//!   more than its ceiling: each decoded value is moved into the pool.
 //!
 //! Every allocation of the process is counted by the global allocator
 //! below, so the file holds one `#[test]` that takes its cases serially:
@@ -65,9 +69,17 @@ const FLAT: f64 = 1.25;
 /// about 10.
 const DECODE_CEILING: f64 = 1.8125 * 1.25;
 
-/// Allocations of a one-op property toggle on [`ring`]: the measured 46
-/// at every size × 1.25.
-const DELTA_CEILING: f64 = 46.0 * 1.25;
+/// Allocations of a one-op property toggle on [`ring`]: the measured 40
+/// at every size × 1.25. A value pool that clones each new value into
+/// two maps besides its column measured 46.
+const DELTA_CEILING: f64 = 40.0 * 1.25;
+
+/// Allocations per element of decoding [`ring`]'s document into a
+/// schema's columns: the measured 1.676 at 2¹⁰ elements (falling to
+/// 1.515 at 2¹⁴) × 1.25, with each decoded value moved into the value
+/// pool. A pool that encodes each value to bytes and clones it into two
+/// maps besides its column measured 4.679 (4.516).
+const COLUMNS_CEILING: f64 = 1.676 * 1.25;
 
 fn spread(xs: &[f64]) -> f64 {
     let (min, max) = xs
@@ -164,5 +176,25 @@ fn allocations_stay_within_budget() {
     assert!(
         per_delta.iter().all(|&x| x <= DELTA_CEILING),
         "a 1-op delta allocates more than {DELTA_CEILING} times: {per_delta:.1?}"
+    );
+
+    // (iii) A graph document decoded into columns, 2¹⁰ … 2¹⁴ elements.
+    let mut per_element = Vec::new();
+    for users in (9..=13).map(|k| 1usize << k) {
+        let text = json::to_json(&ring(users));
+        let (cols, allocations) = counted(|| {
+            let mut builder = schema.columns_builder();
+            json::read_graph(&mut json::Reader::new(&text), &mut builder).map(|()| builder.finish())
+        });
+        assert_eq!(cols.expect("written graphs decode").node_slots(), users);
+        per_element.push(allocations as f64 / (2 * users) as f64);
+    }
+    assert!(
+        spread(&per_element) <= FLAT,
+        "decoding a graph into columns allocates more per element as it grows: {per_element:.3?} over 2^10..2^14 elements"
+    );
+    assert!(
+        per_element.iter().all(|&x| x <= COLUMNS_CEILING),
+        "decoding a graph into columns allocates more than {COLUMNS_CEILING} times per element: {per_element:.3?}"
     );
 }

@@ -3,12 +3,15 @@
 //! generated schemas, graphs and mutation sequences, both codecs must
 //! describe the same object — with the one designed divergence that the
 //! binary graph form preserves the raw id space (tombstones included)
-//! while the JSON form re-densifies ids on load.
+//! while the JSON form re-densifies ids on load. The columnar value pool
+//! is checked against a reference built on the same binary encoding.
+
+use std::collections::HashMap;
 
 use pg_datagen::{DeltaGen, DeltaGenParams, GraphGen, GraphGenParams, SchemaGen, SchemaGenParams};
 use pg_schema::PgSchema;
 use pgraph::binary::{self, BinError};
-use pgraph::{json, EdgeId, GraphDelta, NodeId, PropertyGraph, Value};
+use pgraph::{json, EdgeId, GraphDelta, NodeId, PropertyGraph, Value, ValueTable};
 use proptest::prelude::*;
 
 fn schema_for(seed: u64) -> PgSchema {
@@ -199,5 +202,86 @@ fn delta_bytes_keep_their_layout() {
             ),
             "prefix of {cut} bytes"
         );
+    }
+}
+
+/// A value's binary encoding behind a fixed prefix: the bytes of the
+/// one-op delta that sets it.
+fn value_bytes(v: &Value) -> Vec<u8> {
+    let set = GraphDelta::new().set_node_property(NodeId::from_index(0), "", v.clone());
+    binary::delta_to_bytes(&set)
+}
+
+/// The value pool with two maps: storage identity by binary encoding,
+/// comparison identity by `Value`'s `Eq`, each value cloned into both.
+/// [`ValueTable`] must assign the ids it does.
+#[derive(Default)]
+struct TwoMapTable {
+    exact: Vec<Value>,
+    eq_rep: Vec<u32>,
+    by_bytes: HashMap<Vec<u8>, u32>,
+    by_eq: HashMap<Value, u32>,
+}
+
+impl TwoMapTable {
+    fn intern(&mut self, v: &Value) -> u32 {
+        let bytes = value_bytes(v);
+        if let Some(&id) = self.by_bytes.get(&bytes) {
+            return id;
+        }
+        let id = self.exact.len() as u32;
+        self.by_bytes.insert(bytes, id);
+        let rep = *self.by_eq.entry(v.clone()).or_insert(id);
+        self.exact.push(v.clone());
+        self.eq_rep.push(rep);
+        id
+    }
+}
+
+/// Values from a small pool, so a sequence repeats them: the float bit
+/// patterns `Value`'s `Eq` identifies (`±0.0`, NaN payloads), `Int(0)`
+/// beside `Float(0.0)`, one text as `String`, `Id` and `Enum`, and
+/// nested lists holding floats.
+fn pooled_value() -> impl Strategy<Value = Value> {
+    let nan = f64::NAN.to_bits();
+    let float_bits = [
+        0,
+        1 << 63,
+        1.5f64.to_bits(),
+        nan,
+        nan | 1,
+        nan | 0xbeef,
+        (1 << 63) | nan,
+    ];
+    let leaf = prop_oneof![
+        (0..float_bits.len()).prop_map(move |i| Value::Float(f64::from_bits(float_bits[i]))),
+        (0i64..2).prop_map(Value::Int),
+        (0u8..3, 0u8..2).prop_map(|(kind, text)| {
+            let text = ["a", "b"][text as usize].to_owned();
+            [Value::String, Value::Id, Value::Enum][kind as usize](text)
+        }),
+        any::<bool>().prop_map(Value::Bool),
+        Just(Value::Null),
+    ];
+    leaf.prop_recursive(2, 8, 3, |inner| {
+        prop::collection::vec(inner, 0..3).prop_map(Value::List)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Interning assigns the ids, class representatives and stored bits
+    /// the two-map table does, whether a value arrives owned or borrowed.
+    #[test]
+    fn value_table_matches_the_two_map_reference(values in prop::collection::vec(pooled_value(), 0..48)) {
+        let (mut table, mut reference) = (ValueTable::default(), TwoMapTable::default());
+        for (at, v) in values.iter().enumerate() {
+            let id = if at % 2 == 0 { table.intern(v.clone()) } else { table.intern(v) };
+            prop_assert_eq!(id, reference.intern(v), "id at position {}", at);
+            prop_assert_eq!(table.eq_rep(id), reference.eq_rep[id as usize], "eq_rep at position {}", at);
+            prop_assert_eq!(value_bytes(table.value(id)), value_bytes(v), "stored bits at position {}", at);
+        }
+        prop_assert_eq!(table.len(), reference.exact.len());
     }
 }
