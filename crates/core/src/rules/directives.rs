@@ -292,18 +292,16 @@ fn ds7_collect(scope: &Scope<'_>, sink: &mut Sink<'_>, key: &KeySlot) -> KeyGrou
 
 /// DS7 reduce phase: emits one violation per unordered pair of nodes
 /// sharing a key tuple, in sorted node order. Used inline by [`ds7`] and
-/// by the parallel engine's cross-shard merge.
+/// by the parallel engine's cross-shard merge. The limit is checked per
+/// pair: one group of n nodes holds n(n-1)/2 of them.
 pub(crate) fn ds7_emit(ty: &str, fields: &[String], groups: KeyGroups, sink: &mut Sink<'_>) {
     for mut nodes in groups.into_values() {
-        if nodes.len() < 2 {
-            continue;
-        }
-        if sink.at_limit() {
-            return;
-        }
         nodes.sort();
         for (i, &a) in nodes.iter().enumerate() {
             for &b in nodes.iter().skip(i + 1) {
+                if sink.at_limit() {
+                    return;
+                }
                 sink.push(Violation::KeyViolated {
                     a,
                     b,

@@ -17,9 +17,11 @@
 //! record in a length+CRC frame and owns corruption detection, so a
 //! payload handed to [`graph_from_bytes`] / [`delta_from_bytes`] is
 //! expected to be intact — decoding still validates structurally (no
-//! out-of-range endpoints, no dangling live edges, list values nested at
-//! most [`MAX_DEPTH`] deep) and fails with a [`BinError`] rather than
-//! panicking or overflowing the stack on adversarial input.
+//! edge, live or tombstoned, to a node slot out of range, no live edge
+//! to a dead node, list values nested at most [`MAX_DEPTH`] deep) and
+//! fails with a [`BinError`] rather than panicking or overflowing the
+//! stack on adversarial input. A graph decodes slot by slot into the
+//! rows' [`GraphSink`], the one builder every graph source feeds.
 //!
 //! ```
 //! use pgraph::{binary, GraphDelta};
@@ -35,10 +37,12 @@
 //! assert_eq!(binary::delta_from_bytes(&bytes).unwrap(), delta);
 //! ```
 
+use std::borrow::Cow;
 use std::fmt;
 
+use crate::columnar::{sort_props, GraphSink, Props};
 use crate::delta::{OpReader, OpWriter};
-use crate::graph::{EdgeData, NodeData, PropMap};
+use crate::graph::PropMap;
 use crate::json::MAX_DEPTH;
 use crate::{DeltaOp, GraphDelta, NodeId, PropertyGraph, Value};
 
@@ -62,7 +66,8 @@ pub enum BinError {
         /// Byte offset of the string payload.
         at: usize,
     },
-    /// A live edge referenced a node slot that is out of range or dead.
+    /// An edge referenced a node slot that is out of range, or a live
+    /// edge one that is dead.
     DanglingEdge {
         /// Index of the offending edge slot.
         edge_index: usize,
@@ -86,7 +91,7 @@ impl fmt::Display for BinError {
             BinError::BadTag { what, tag } => write!(f, "unknown {what} tag {tag:#04x}"),
             BinError::BadUtf8 { at } => write!(f, "invalid UTF-8 in string at byte {at}"),
             BinError::DanglingEdge { edge_index } => {
-                write!(f, "live edge slot {edge_index} references a missing node")
+                write!(f, "edge slot {edge_index} references a missing node")
             }
             BinError::TrailingBytes { count } => {
                 write!(f, "{count} trailing bytes after payload")
@@ -257,11 +262,15 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn string(&mut self) -> Result<String, BinError> {
+    fn str(&mut self) -> Result<&'a str, BinError> {
         let len = self.u32()? as usize;
         let at = self.pos;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| BinError::BadUtf8 { at })
+        std::str::from_utf8(bytes).map_err(|_| BinError::BadUtf8 { at })
+    }
+
+    fn string(&mut self) -> Result<String, BinError> {
+        self.str().map(str::to_owned)
     }
 
     fn value(&mut self) -> Result<Value, BinError> {
@@ -299,15 +308,17 @@ impl<'a> Cursor<'a> {
         })
     }
 
-    fn props(&mut self) -> Result<PropMap, BinError> {
+    /// One element's properties into `props`, in name order, the last
+    /// of a repeated name winning.
+    fn props(&mut self, props: &mut Props<'a>) -> Result<(), BinError> {
         let len = self.u32()? as usize;
-        let mut props = PropMap::new();
         for _ in 0..len {
-            let name = self.string()?;
+            let name = self.str()?;
             let value = self.value()?;
-            props.insert(name, value);
+            props.push((Cow::Borrowed(name), value));
         }
-        Ok(props)
+        sort_props(props);
+        Ok(())
     }
 
     fn finish(self) -> Result<(), BinError> {
@@ -319,10 +330,6 @@ impl<'a> Cursor<'a> {
             })
         }
     }
-}
-
-fn node_id(c: &mut Cursor<'_>) -> Result<NodeId, BinError> {
-    Ok(NodeId::from_index(c.u32()? as usize))
 }
 
 impl OpReader for Cursor<'_> {
@@ -354,45 +361,42 @@ pub fn delta_from_bytes(bytes: &[u8]) -> Result<GraphDelta, BinError> {
     Ok(GraphDelta::from_ops(ops))
 }
 
-/// Decodes a graph written by [`graph_to_bytes`].
+/// Decodes a graph written by [`graph_to_bytes`], slot by slot into
+/// the rows' [`GraphSink`].
 ///
-/// Validates structurally: every *live* edge must point at in-range, live
-/// node slots (tombstoned edges may reference tombstoned nodes — that is
-/// exactly the state `remove_node`'s cascade leaves behind).
+/// Validates structurally: every edge must point at in-range node slots,
+/// and a *live* edge at live ones (tombstoned edges may reference
+/// tombstoned nodes — that is exactly the state `remove_node`'s cascade
+/// leaves behind).
 pub fn graph_from_bytes(bytes: &[u8]) -> Result<PropertyGraph, BinError> {
     let mut c = Cursor { buf: bytes, pos: 0 };
+    let mut props = Props::new();
     let node_slots = c.u32()? as usize;
-    let mut nodes = Vec::with_capacity(node_slots.min(1 << 20));
+    let mut g = PropertyGraph::with_capacity(node_slots.min(1 << 20), 0);
     for _ in 0..node_slots {
         let alive = c.u8()? != 0;
-        let label = c.string()?;
-        let props = c.props()?;
-        nodes.push(NodeData::new(label, props, alive));
+        let label = c.str()?;
+        c.props(&mut props)?;
+        GraphSink::node(&mut g, alive, label, &mut props);
     }
     let edge_slots = c.u32()? as usize;
-    let mut edges = Vec::with_capacity(edge_slots.min(1 << 20));
+    g.edges.reserve(edge_slots.min(1 << 20));
     for ix in 0..edge_slots {
         let alive = c.u8()? != 0;
-        let src = node_id(&mut c)?;
-        let dst = node_id(&mut c)?;
-        let label = c.string()?;
-        let props = c.props()?;
-        if alive {
-            let ok = |id: NodeId| nodes.get(id.index()).is_some_and(|n: &NodeData| n.alive);
-            if !ok(src) || !ok(dst) {
-                return Err(BinError::DanglingEdge { edge_index: ix });
-            }
+        let ends = (c.u32()?, c.u32()?);
+        let label = c.str()?;
+        c.props(&mut props)?;
+        let joins = |n: u32| {
+            (n as usize) < g.node_index_bound()
+                && (!alive || g.contains_node(NodeId::from_index(n as usize)))
+        };
+        if !joins(ends.0) || !joins(ends.1) {
+            return Err(BinError::DanglingEdge { edge_index: ix });
         }
-        edges.push(EdgeData {
-            label,
-            src,
-            dst,
-            props,
-            alive,
-        });
+        GraphSink::edge(&mut g, alive, ends, label, &mut props);
     }
     c.finish()?;
-    Ok(PropertyGraph::from_raw_parts(nodes, edges))
+    Ok(g)
 }
 
 #[cfg(test)]

@@ -10,9 +10,12 @@
 //!
 //! [`ColumnarGraph`] holds a graph as dense parallel columns. One
 //! assembler, [`ColumnsBuilder`], appends to them: [`ColumnarGraph::freeze`]
-//! walks a graph's rows into it, and a decoder that implements its side
-//! of [`GraphSink`] ([`crate::json::read_graph`]) feeds it straight from
-//! the text, with no rows in between. Either way:
+//! walks a graph's rows into it, and the JSON decoder
+//! ([`crate::json::read_graph`]) feeds it straight from the text through
+//! [`GraphSink`], with no rows in between. [`GraphSink`] is the one way
+//! any source builds a graph: its other sink is the rows, which
+//! [`ColumnarGraph::thaw`], `PGCS` images, the binary codec and CSV
+//! feed slot by slot. Either way:
 //!
 //! * labels and property keys become [`Sym`]s in one [`SymbolTable`];
 //! * property values are deduplicated into a [`ValueTable`] and referred
@@ -39,7 +42,6 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 
-use crate::graph::{EdgeData, NodeData, PropMap};
 use crate::symbols::{Sym, SymbolTable};
 use crate::{EdgeId, NodeId, PropertyGraph, Value};
 
@@ -303,48 +305,42 @@ impl ColumnarGraph {
     }
 
     /// Rebuilds the mutable [`PropertyGraph`] the columns were frozen
-    /// from, `PartialEq`-identical to the original (tombstones included).
+    /// from, `PartialEq`-identical to the original (tombstones included):
+    /// every slot goes through the rows' [`GraphSink`] in slot order.
     pub fn thaw(&self) -> PropertyGraph {
-        let nodes = (0..self.node_alive.len())
-            .map(|ix| {
-                NodeData::new(
-                    self.symbols.resolve(self.node_label[ix]).to_owned(),
-                    self.props_map(
-                        self.node_prop_start[ix],
-                        self.node_prop_start[ix + 1],
-                        &self.node_prop_keys,
-                        &self.node_prop_vals,
-                    ),
-                    self.node_alive[ix],
-                )
-            })
-            .collect();
-        let edges = (0..self.edge_alive.len())
-            .map(|ix| EdgeData {
-                label: self.symbols.resolve(self.edge_label[ix]).to_owned(),
-                src: NodeId::from_index(self.edge_src[ix] as usize),
-                dst: NodeId::from_index(self.edge_dst[ix] as usize),
-                props: self.props_map(
-                    self.edge_prop_start[ix],
-                    self.edge_prop_start[ix + 1],
-                    &self.edge_prop_keys,
-                    &self.edge_prop_vals,
-                ),
-                alive: self.edge_alive[ix],
-            })
-            .collect();
-        PropertyGraph::from_raw_parts(nodes, edges)
+        let mut g = PropertyGraph::with_capacity(self.node_slots(), self.edge_slots());
+        let mut props = Props::new();
+        for ix in 0..self.node_slots() {
+            let (a, b) = (self.node_prop_start[ix], self.node_prop_start[ix + 1]);
+            self.element_props(&mut props, a..b, &self.node_prop_keys, &self.node_prop_vals);
+            let label = self.symbols.resolve(self.node_label[ix]);
+            GraphSink::node(&mut g, self.node_alive[ix], label, &mut props);
+        }
+        for ix in 0..self.edge_slots() {
+            let (a, b) = (self.edge_prop_start[ix], self.edge_prop_start[ix + 1]);
+            self.element_props(&mut props, a..b, &self.edge_prop_keys, &self.edge_prop_vals);
+            let ends = (self.edge_src[ix], self.edge_dst[ix]);
+            let label = self.symbols.resolve(self.edge_label[ix]);
+            GraphSink::edge(&mut g, self.edge_alive[ix], ends, label, &mut props);
+        }
+        g
     }
 
-    fn props_map(&self, start: u32, end: u32, keys: &[Sym], vals: &[u32]) -> PropMap {
-        let mut map = PropMap::new();
-        for ix in start as usize..end as usize {
-            map.insert(
-                self.symbols.resolve(keys[ix]).to_owned(),
-                self.values.value(vals[ix]).clone(),
-            );
-        }
-        map
+    /// One element's properties, put in name order for a [`GraphSink`]:
+    /// the columns hold them in symbol order.
+    fn element_props<'s>(
+        &'s self,
+        props: &mut Props<'s>,
+        range: std::ops::Range<u32>,
+        keys: &[Sym],
+        vals: &[u32],
+    ) {
+        props.extend(range.map(|i| {
+            let i = i as usize;
+            let name = self.symbols.resolve(keys[i]);
+            (Cow::Borrowed(name), self.values.value(vals[i]).clone())
+        }));
+        sort_props(props);
     }
 
     // ------------------------------------------------------------ access
@@ -498,17 +494,39 @@ impl ColumnarGraph {
 /// twice.
 pub type Props<'a> = Vec<(Cow<'a, str>, Value)>;
 
-/// Where a graph decoder puts what it reads: one call per element, nodes
-/// first, each given a dense id in call order. The two sinks are the
-/// mutable rows ([`PropertyGraph`]) and the frozen columns
-/// ([`ColumnsBuilder`]); a decoder that feeds this trait produces either
-/// without an intermediate form.
+/// Puts an element's properties in name order, the last of a repeated
+/// key winning (the stable sort keeps repeats in source order): how a
+/// source whose keys arrive in another order meets [`Props`]' contract.
+pub(crate) fn sort_props(props: &mut Props<'_>) {
+    props.sort_by(|a, b| a.0.cmp(&b.0));
+    props.dedup_by(|later, kept| {
+        let repeat = later.0 == kept.0;
+        if repeat {
+            std::mem::swap(&mut later.1, &mut kept.1);
+        }
+        repeat
+    });
+}
+
+/// Where every graph source puts what it reads: one call per slot, nodes
+/// first, each slot given the next dense id in call order, tombstones
+/// included, so a source that preserves an id space reproduces it
+/// exactly. The two sinks are the mutable rows ([`PropertyGraph`]) and
+/// the frozen columns ([`ColumnsBuilder`]); the sources are the JSON
+/// document ([`crate::json::read_graph`]), the binary codec
+/// ([`crate::binary::graph_from_bytes`]), `PGCS` images
+/// ([`crate::snapshot::SnapshotView::thaw`]), the columns themselves
+/// ([`ColumnarGraph::thaw`]) and CSV ([`crate::csv::from_csv`]).
+///
+/// The contract: an edge joins node slots already appended, and a live
+/// edge joins live nodes. Sources check it and refuse their input
+/// otherwise; the sinks assert it.
 pub trait GraphSink {
-    /// Appends the next node. The sink takes the properties out of
+    /// Appends the next node slot. The sink takes the properties out of
     /// `props`, leaving it empty for the next element.
-    fn node(&mut self, label: &str, props: &mut Props<'_>);
-    /// Appends an edge between two nodes already appended.
-    fn edge(&mut self, source: u32, target: u32, label: &str, props: &mut Props<'_>);
+    fn node(&mut self, alive: bool, label: &str, props: &mut Props<'_>);
+    /// Appends the next edge slot, from node slot `ends.0` to `ends.1`.
+    fn edge(&mut self, alive: bool, ends: (u32, u32), label: &str, props: &mut Props<'_>);
 }
 
 /// The one column assembler: elements are appended in slot order and the
@@ -559,7 +577,8 @@ impl ColumnsBuilder {
     }
 
     /// Appends the next edge slot between two node slots already
-    /// appended; `props` as for [`push_node`](Self::push_node).
+    /// appended, both live if the edge is; `props` as for
+    /// [`push_node`](Self::push_node).
     pub fn push_edge<'v>(
         &mut self,
         alive: bool,
@@ -567,11 +586,14 @@ impl ColumnsBuilder {
         (source, target): (u32, u32),
         props: impl IntoIterator<Item = (impl AsRef<str>, impl Into<Cow<'v, Value>>)>,
     ) {
-        let nodes = self.cols.node_alive.len();
-        assert!(
-            source.max(target) < nodes as u32,
-            "edge to a node slot not appended"
-        );
+        for n in [source, target] {
+            let node = self.cols.node_alive.get(n as usize);
+            assert!(node.is_some(), "edge to a node slot not appended");
+            assert!(
+                !alive || node == Some(&true),
+                "live edge to a tombstoned node"
+            );
+        }
         let sym = self.cols.symbols.intern(label);
         self.cols.edge_alive.push(alive);
         self.cols.edge_label.push(sym);
@@ -613,12 +635,12 @@ impl ColumnsBuilder {
 /// Hands each decoded value over owned, so a new one is moved into the
 /// pool rather than cloned.
 impl GraphSink for ColumnsBuilder {
-    fn node(&mut self, label: &str, props: &mut Props<'_>) {
-        self.push_node(true, label, props.drain(..));
+    fn node(&mut self, alive: bool, label: &str, props: &mut Props<'_>) {
+        self.push_node(alive, label, props.drain(..));
     }
 
-    fn edge(&mut self, source: u32, target: u32, label: &str, props: &mut Props<'_>) {
-        self.push_edge(true, label, (source, target), props.drain(..));
+    fn edge(&mut self, alive: bool, ends: (u32, u32), label: &str, props: &mut Props<'_>) {
+        self.push_edge(alive, label, ends, props.drain(..));
     }
 }
 

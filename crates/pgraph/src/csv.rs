@@ -16,10 +16,12 @@
 //! cells mean "property absent". Quoted fields follow RFC-4180 (`""`
 //! escapes a quote).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::{NodeId, PropertyGraph, Value};
+use crate::columnar::{sort_props, GraphSink, Props};
+use crate::{PropertyGraph, Value};
 
 /// A CSV import failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -243,52 +245,69 @@ fn split_row(line: &str, line_no: usize) -> Result<Vec<String>, CsvError> {
     Ok(cells)
 }
 
-/// Loads a graph from nodes CSV and edges CSV texts.
+/// One data row: each property cell parsed into `props` in name order
+/// (an empty cell is an absent property, and the last of a repeated
+/// column wins), every other cell handed to `field`.
+fn read_row<'h>(
+    header: &'h [Column],
+    line: &str,
+    line_no: usize,
+    props: &mut Props<'h>,
+    mut field: impl FnMut(&Column, String) -> Result<(), CsvError>,
+) -> Result<(), CsvError> {
+    let cells = split_row(line, line_no)?;
+    if cells.len() > header.len() {
+        return Err(CsvError::RowTooLong { line: line_no });
+    }
+    for (col, cell) in header.iter().zip(cells) {
+        match col.ty {
+            ColType::Prop(_) if cell.is_empty() => {}
+            ColType::Prop(pty) => {
+                let v = parse_cell(&cell, pty).ok_or_else(|| CsvError::BadCell {
+                    line: line_no,
+                    column: col.name.clone(),
+                    cell: cell.clone(),
+                })?;
+                props.push((Cow::Borrowed(&col.name), v));
+            }
+            _ => field(col, cell)?,
+        }
+    }
+    sort_props(props);
+    Ok(())
+}
+
+/// Loads a graph from nodes CSV and edges CSV texts, row by row into the
+/// rows' [`GraphSink`].
 pub fn from_csv(nodes_csv: &str, edges_csv: &str) -> Result<PropertyGraph, CsvError> {
     let mut g = PropertyGraph::new();
-    let mut by_row_id: HashMap<String, NodeId> = HashMap::new();
+    let mut by_row_id: HashMap<String, u32> = HashMap::new();
 
     let mut node_lines = nodes_csv.lines().enumerate();
-    let header = loop {
+    let node_header = loop {
         match node_lines.next() {
             None => return Err(CsvError::MissingColumn("id:ID")),
             Some((_, l)) if l.trim().is_empty() => continue,
             Some((_, l)) => break parse_header(l, false)?,
         }
     };
-    if !header.iter().any(|c| c.ty == ColType::Id) {
+    if !node_header.iter().any(|c| c.ty == ColType::Id) {
         return Err(CsvError::MissingColumn("id:ID"));
     }
-    if !header.iter().any(|c| c.ty == ColType::Label) {
+    if !node_header.iter().any(|c| c.ty == ColType::Label) {
         return Err(CsvError::MissingColumn("label:LABEL"));
     }
+    let mut props = Props::new();
     for (ix, line) in node_lines {
         let line_no = ix + 1;
         if line.trim().is_empty() {
             continue;
         }
-        let cells = split_row(line, line_no)?;
-        if cells.len() > header.len() {
-            return Err(CsvError::RowTooLong { line: line_no });
-        }
-        let mut row_id = None;
-        let mut label = None;
-        let mut props: Vec<(String, Value)> = Vec::new();
-        for (col, cell) in header.iter().zip(&cells) {
+        let (mut row_id, mut label) = (None, None);
+        read_row(&node_header, line, line_no, &mut props, |col, cell| {
             match col.ty {
-                ColType::Id => row_id = Some(cell.clone()),
-                ColType::Label => label = Some(cell.clone()),
-                ColType::Prop(pty) => {
-                    if cell.is_empty() {
-                        continue;
-                    }
-                    let v = parse_cell(cell, pty).ok_or_else(|| CsvError::BadCell {
-                        line: line_no,
-                        column: col.name.clone(),
-                        cell: cell.clone(),
-                    })?;
-                    props.push((col.name.clone(), v));
-                }
+                ColType::Id => row_id = Some(cell),
+                ColType::Label => label = Some(cell),
                 _ => {
                     return Err(CsvError::BadHeader(format!(
                         "{}: edge column in nodes file",
@@ -296,25 +315,22 @@ pub fn from_csv(nodes_csv: &str, edges_csv: &str) -> Result<PropertyGraph, CsvEr
                     )))
                 }
             }
-        }
+            Ok(())
+        })?;
         let row_id = row_id.filter(|r| !r.is_empty()).ok_or(CsvError::BadCell {
             line: line_no,
             column: "id".to_owned(),
             cell: String::new(),
         })?;
-        let label = label.unwrap_or_default();
         if by_row_id.contains_key(&row_id) {
             return Err(CsvError::DuplicateNodeId(row_id));
         }
-        let node = g.add_node(label);
-        for (k, v) in props {
-            g.set_node_property(node, k, v);
-        }
-        by_row_id.insert(row_id, node);
+        by_row_id.insert(row_id, g.node_index_bound() as u32);
+        GraphSink::node(&mut g, true, &label.unwrap_or_default(), &mut props);
     }
 
     let mut edge_lines = edges_csv.lines().enumerate();
-    let header = loop {
+    let edge_header = loop {
         match edge_lines.next() {
             None => return Ok(g), // no edges file content: nodes only
             Some((_, l)) if l.trim().is_empty() => continue,
@@ -322,7 +338,7 @@ pub fn from_csv(nodes_csv: &str, edges_csv: &str) -> Result<PropertyGraph, CsvEr
         }
     };
     for required in [ColType::StartId, ColType::EndId, ColType::EdgeType] {
-        if !header.iter().any(|c| c.ty == required) {
+        if !edge_header.iter().any(|c| c.ty == required) {
             return Err(CsvError::MissingColumn(match required {
                 ColType::StartId => "source:START_ID",
                 ColType::EndId => "target:END_ID",
@@ -335,53 +351,30 @@ pub fn from_csv(nodes_csv: &str, edges_csv: &str) -> Result<PropertyGraph, CsvEr
         if line.trim().is_empty() {
             continue;
         }
-        let cells = split_row(line, line_no)?;
-        if cells.len() > header.len() {
-            return Err(CsvError::RowTooLong { line: line_no });
-        }
-        let mut src = None;
-        let mut dst = None;
-        let mut label = None;
-        let mut props: Vec<(String, Value)> = Vec::new();
-        for (col, cell) in header.iter().zip(&cells) {
+        let (mut src, mut dst, mut label) = (None, None, None);
+        read_row(&edge_header, line, line_no, &mut props, |col, cell| {
             match col.ty {
-                ColType::StartId => src = Some(cell.clone()),
-                ColType::EndId => dst = Some(cell.clone()),
-                ColType::EdgeType => label = Some(cell.clone()),
-                ColType::Prop(pty) => {
-                    if cell.is_empty() {
-                        continue;
-                    }
-                    let v = parse_cell(cell, pty).ok_or_else(|| CsvError::BadCell {
-                        line: line_no,
-                        column: col.name.clone(),
-                        cell: cell.clone(),
-                    })?;
-                    props.push((col.name.clone(), v));
-                }
-                ColType::Id | ColType::Label => {
+                ColType::StartId => src = Some(cell),
+                ColType::EndId => dst = Some(cell),
+                ColType::EdgeType => label = Some(cell),
+                _ => {
                     return Err(CsvError::BadHeader(format!(
                         "{}: node column in edges file",
                         col.name
                     )))
                 }
             }
-        }
-        let resolve = |id: Option<String>| -> Result<NodeId, CsvError> {
+            Ok(())
+        })?;
+        let resolve = |id: Option<String>| {
             let id = id.unwrap_or_default();
             by_row_id
                 .get(&id)
                 .copied()
                 .ok_or(CsvError::UnknownNode { line: line_no, id })
         };
-        let src = resolve(src)?;
-        let dst = resolve(dst)?;
-        let e = g
-            .add_edge(src, dst, label.unwrap_or_default())
-            .expect("resolved endpoints exist");
-        for (k, v) in props {
-            g.set_edge_property(e, k, v);
-        }
+        let ends = (resolve(src)?, resolve(dst)?);
+        GraphSink::edge(&mut g, true, ends, &label.unwrap_or_default(), &mut props);
     }
     Ok(g)
 }

@@ -90,9 +90,9 @@ pub(crate) struct NodeData {
 }
 
 impl NodeData {
-    /// A node slot with empty incidence lists; [`PropertyGraph::add_edge`]
-    /// and [`PropertyGraph::from_raw_parts`] fill them.
-    pub(crate) fn new(label: String, props: PropMap, alive: bool) -> NodeData {
+    /// A node slot with empty incidence lists; edges pushed after it fill
+    /// them.
+    fn new(label: String, props: PropMap, alive: bool) -> NodeData {
         NodeData {
             label,
             props,
@@ -234,11 +234,7 @@ impl PropertyGraph {
 
     /// Adds a node with the given label and returns its id.
     pub fn add_node(&mut self, label: impl Into<String>) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes
-            .push(NodeData::new(label.into(), PropMap::new(), true));
-        self.live_nodes += 1;
-        id
+        self.push_node(true, label.into(), PropMap::new())
     }
 
     /// Adds an edge `src --label--> dst` and returns its id.
@@ -252,19 +248,43 @@ impl PropertyGraph {
     ) -> Result<EdgeId, GraphError> {
         self.require_node(src)?;
         self.require_node(dst)?;
+        Ok(self.push_edge(true, src, dst, label.into(), PropMap::new()))
+    }
+
+    /// Appends the next node slot.
+    fn push_node(&mut self, alive: bool, label: String, props: PropMap) -> NodeId {
+        let id = NodeId(self.nodes.len() as u32);
+        self.nodes.push(NodeData::new(label, props, alive));
+        self.live_nodes += alive as usize;
+        id
+    }
+
+    /// Appends the next edge slot between two appended node slots, both
+    /// live if the edge is.
+    fn push_edge(
+        &mut self,
+        alive: bool,
+        src: NodeId,
+        dst: NodeId,
+        label: String,
+        props: PropMap,
+    ) -> EdgeId {
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(EdgeData {
-            label: label.into(),
+            label,
             src,
             dst,
-            props: PropMap::new(),
-            alive: true,
+            props,
+            alive,
         });
-        // The new id is the largest, so pushing keeps both lists ascending.
-        self.nodes[src.index()].out.push(id);
-        self.nodes[dst.index()].inc.push(id);
-        self.live_edges += 1;
-        Ok(id)
+        if alive {
+            // The new id is the largest, so pushing keeps both lists
+            // ascending.
+            self.nodes[src.index()].out.push(id);
+            self.nodes[dst.index()].inc.push(id);
+            self.live_edges += 1;
+        }
+        id
     }
 
     /// Removes a node and all its incident edges. Ids of other elements are
@@ -468,44 +488,16 @@ impl PropertyGraph {
         let mut remap = vec![None; self.nodes.len()];
         for (ix, n) in self.nodes.iter().enumerate() {
             if n.alive {
-                let new = out.add_node(n.label.clone());
-                out.nodes[new.index()].props = n.props.clone();
-                remap[ix] = Some(new);
+                remap[ix] = Some(out.push_node(true, n.label.clone(), n.props.clone()));
             }
         }
         for e in self.edges.iter().filter(|e| e.alive) {
             let (Some(src), Some(dst)) = (remap[e.src.index()], remap[e.dst.index()]) else {
                 continue;
             };
-            let id = out
-                .add_edge(src, dst, e.label.clone())
-                .expect("remapped endpoints exist");
-            out.edges[id.index()].props = e.props.clone();
+            out.push_edge(true, src, dst, e.label.clone(), e.props.clone());
         }
         out
-    }
-
-    /// Rebuilds a graph from raw element tables (nodes with empty lists),
-    /// recomputing the live counters from the `alive` flags and the
-    /// incidence lists from the live edges. Used by the binary and `PGCS`
-    /// decoders and [`crate::ColumnarGraph::thaw`], which must reproduce
-    /// the id space *exactly* — tombstones included — so that replayed
-    /// deltas resolve ids the same way they originally did. The decoders
-    /// have checked that every live edge joins two live, in-range nodes.
-    pub(crate) fn from_raw_parts(mut nodes: Vec<NodeData>, edges: Vec<EdgeData>) -> PropertyGraph {
-        let live_nodes = nodes.iter().filter(|n| n.alive).count();
-        let mut live_edges = 0;
-        for (ix, e) in edges.iter().enumerate().filter(|(_, e)| e.alive) {
-            nodes[e.src.index()].out.push(EdgeId(ix as u32));
-            nodes[e.dst.index()].inc.push(EdgeId(ix as u32));
-            live_edges += 1;
-        }
-        PropertyGraph {
-            nodes,
-            edges,
-            live_nodes,
-            live_edges,
-        }
     }
 
     fn require_node(&self, id: NodeId) -> Result<(), GraphError> {
@@ -525,18 +517,27 @@ impl PropertyGraph {
     }
 }
 
-/// The rows as a decoder's target ([`crate::json::from_json`], sessions).
+/// The rows as a source's target: each call pushes one slot, so a source
+/// that preserves an id space (the binary and `PGCS` decoders,
+/// [`crate::ColumnarGraph::thaw`]) reproduces it exactly, tombstones
+/// included, with the live counts and incidence lists kept as it goes.
 impl GraphSink for PropertyGraph {
-    fn node(&mut self, label: &str, props: &mut Props<'_>) {
-        let id = self.add_node(label);
-        self.nodes[id.index()].props = own_props(props);
+    fn node(&mut self, alive: bool, label: &str, props: &mut Props<'_>) {
+        self.push_node(alive, label.to_owned(), own_props(props));
     }
 
-    fn edge(&mut self, source: u32, target: u32, label: &str, props: &mut Props<'_>) {
-        let id = self
-            .add_edge(NodeId(source), NodeId(target), label)
-            .expect("the decoder appended both endpoints");
-        self.edges[id.index()].props = own_props(props);
+    fn edge(&mut self, alive: bool, ends: (u32, u32), label: &str, props: &mut Props<'_>) {
+        let [src, dst] = [ends.0, ends.1].map(|n| {
+            let node = self.nodes.get(n as usize);
+            assert!(node.is_some(), "edge to a node slot not appended");
+            assert!(
+                !alive || node.is_some_and(|n| n.alive),
+                "live edge to a tombstoned node"
+            );
+            NodeId(n)
+        });
+        let props = own_props(props);
+        self.push_edge(alive, src, dst, label.to_owned(), props);
     }
 }
 

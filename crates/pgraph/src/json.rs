@@ -25,17 +25,17 @@
 //!   `&str` with an explicit depth counter bounded by [`MAX_DEPTH`] and
 //!   escape-free strings borrowed from the body;
 //! * `tree` — the parsed tree [`Json`], a thin builder on the reader,
-//!   for the reference graph codec and for harnesses that read
-//!   responses; no request body is decoded through it;
+//!   for harnesses that read responses; no request body is decoded
+//!   through it;
 //! * `write` — the string escaper [`escape_into`] and the one streaming
 //!   two-space pretty printer behind [`to_json`] and [`Json`]'s
 //!   `Display`;
 //! * `graph` — the graph document. [`read_graph`] decodes it straight
 //!   from the text into a [`GraphSink`](crate::GraphSink): rows
 //!   ([`from_json`]) or columns ([`ColumnsBuilder`](crate::ColumnsBuilder),
-//!   what `POST /validate` decodes into). [`graph_from_value`] is the
-//!   reference decoder over a parsed tree that the streaming one is
-//!   tested against;
+//!   what `POST /validate` decodes into). [`graph_from_value`] decodes a
+//!   graph inside a parsed tree by printing it and reading it back, so
+//!   there is one graph decoder;
 //! * `delta` — mutation logs ([`GraphDelta`](crate::GraphDelta)): a
 //!   delta document is `{"ops": [...]}` where each op is a tagged object
 //!   such as `{"op": "set-node-property", "node": 0, "name": "login",

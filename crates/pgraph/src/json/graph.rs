@@ -1,18 +1,15 @@
 //! The graph document: written straight from a [`PropertyGraph`]
-//! ([`to_json`]), read straight from the text into any [`GraphSink`]
-//! ([`read_graph`], behind [`from_json`]), plus the tree-level reference
-//! decoder [`graph_from_value`] that the streaming one is tested against.
+//! ([`to_json`]) and read straight from the text into any [`GraphSink`]
+//! ([`read_graph`], behind [`from_json`] and, for a document already
+//! parsed into a [`Json`] tree, [`graph_from_value`]).
 
 use std::collections::HashMap;
 
 use super::reader::{Kind, Reader};
-use super::tree::{
-    as_object, expected, get_properties, get_str, get_u32, missing, root_array, untagged_object,
-    value_from_json, wrong_kind,
-};
+use super::tree::{expected, missing, untagged_object, value_from_json, wrong_kind};
 use super::write::{write_value, JsonWriter};
 use super::{Json, JsonError};
-use crate::columnar::{GraphSink, Props};
+use crate::columnar::{sort_props, GraphSink, Props};
 use crate::{NodeId, PropertyGraph, Value};
 
 /// One node (`ends` absent) or edge object. `props` arrive in name order
@@ -88,63 +85,21 @@ pub fn from_json(text: &str) -> Result<PropertyGraph, JsonError> {
     Ok(g)
 }
 
-/// Decodes a graph from an already-parsed [`Json`] tree — the reference
-/// decoder [`read_graph`] is tested against, for graphs embedded in a
-/// document that was parsed whole.
+/// Decodes a graph from an already-parsed [`Json`] tree, for graphs
+/// embedded in a document that was parsed whole: the tree is printed and
+/// read back by [`from_json`], so both accept the same documents.
 pub fn graph_from_value(doc: &Json) -> Result<PropertyGraph, JsonError> {
-    let root = as_object(doc, "document")?;
-    let nodes = root_array(root, "nodes")?;
-    let edges = root_array(root, "edges")?;
-
-    let mut g = PropertyGraph::with_capacity(nodes.len(), edges.len());
-    let mut remap = HashMap::with_capacity(nodes.len());
-    for (ix, n) in nodes.iter().enumerate() {
-        let ctx = format!("node #{ix}");
-        let members = as_object(n, &ctx)?;
-        let doc_id = get_u32(members, "id", &ctx)?;
-        let label = get_str(members, "label", &ctx)?;
-        let id = g.add_node(label.to_owned());
-        if remap.insert(doc_id, id).is_some() {
-            return Err(JsonError::DuplicateNode {
-                node_index: ix,
-                id: doc_id,
-            });
-        }
-        for (k, v) in get_properties(members, &ctx)? {
-            g.set_node_property(id, k.clone(), value_from_json(v)?);
-        }
-    }
-    for (ix, e) in edges.iter().enumerate() {
-        let ctx = format!("edge #{ix}");
-        let members = as_object(e, &ctx)?;
-        let source = get_u32(members, "source", &ctx)?;
-        let target = get_u32(members, "target", &ctx)?;
-        let label = get_str(members, "label", &ctx)?;
-        let end = |node| {
-            remap.get(&node).copied().ok_or(JsonError::DanglingEdge {
-                edge_index: ix,
-                node,
-            })
-        };
-        let eid = g
-            .add_edge(end(source)?, end(target)?, label.to_owned())
-            .expect("remapped");
-        for (k, v) in get_properties(members, &ctx)? {
-            g.set_edge_property(eid, k.clone(), value_from_json(v)?);
-        }
-    }
-    Ok(g)
+    from_json(&doc.to_string())
 }
 
 /// Decodes the graph document at the reader's cursor into `sink`,
 /// streaming: no [`Json`] tree is built, and the sink sees each element
 /// once, nodes first, in document order.
 ///
-/// It accepts exactly what [`graph_from_value`] accepts over the parsed
-/// text and hands the sink the same graph: the first `nodes`, `edges`,
-/// `id`, `label`, `source`, `target` and `properties` member counts, as
-/// [`Json::get`] does; inside `properties` the last of a repeated key
-/// wins; unknown members are skipped with a syntax check. An `edges`
+/// The first `nodes`, `edges`, `id`, `label`, `source`, `target` and
+/// `properties` member counts, as [`Json::get`] does; inside
+/// `properties` the last of a repeated key wins; unknown members are
+/// skipped with a syntax check. An `edges`
 /// member that comes before `nodes` is skipped the same way and re-read
 /// once the nodes are known.
 pub fn read_graph<'a, S: GraphSink>(
@@ -231,7 +186,7 @@ impl<'a> Decoder<'a> {
                 return Err(JsonError::DuplicateNode { node_index, id });
             }
             sort_props(&mut self.props);
-            sink.node(&label, &mut self.props);
+            sink.node(true, &label, &mut self.props);
             node_index += 1;
         }
         Ok(())
@@ -268,7 +223,7 @@ impl<'a> Decoder<'a> {
             };
             let (src, dst) = (end(source)?, end(target)?);
             sort_props(&mut self.props);
-            sink.edge(src, dst, &label, &mut self.props);
+            sink.edge(true, (src, dst), &label, &mut self.props);
             edge_index += 1;
         }
         Ok(())
@@ -291,19 +246,6 @@ impl<'a> Decoder<'a> {
         }
         Ok(())
     }
-}
-
-/// Puts an element's properties in name order, the last of a repeated
-/// key winning (the stable sort keeps repeats in document order).
-fn sort_props(props: &mut Props<'_>) {
-    props.sort_by(|a, b| a.0.cmp(&b.0));
-    props.dedup_by(|later, kept| {
-        let repeat = later.0 == kept.0;
-        if repeat {
-            std::mem::swap(&mut later.1, &mut kept.1);
-        }
-        repeat
-    });
 }
 
 pub(super) fn begin_object(
@@ -369,13 +311,15 @@ pub(super) fn read_value(r: &mut Reader<'_>) -> Result<Value, JsonError> {
 }
 
 /// A `{"$id": …}` / `{"$enum": …}` tag at the cursor; any other object is
-/// a [`JsonError::BadValue`] naming its keys.
+/// a [`JsonError::BadValue`] naming its keys. The keys are only counted:
+/// the error walks the object again from a bookmark to name them.
 fn read_tagged(r: &mut Reader<'_>) -> Result<Value, JsonError> {
+    let mark = r.clone();
     r.begin_object()?;
-    let mut keys = Vec::new();
+    let mut keys = 0;
     let mut tagged = None;
     while let Some(key) = r.next_key()? {
-        if keys.is_empty() && (key == "$id" || key == "$enum") && r.peek()? == Kind::Str {
+        if keys == 0 && (key == "$id" || key == "$enum") && r.peek()? == Kind::Str {
             let s = r.string()?.into_owned();
             tagged = Some(if key == "$id" {
                 Value::Id(s)
@@ -385,12 +329,23 @@ fn read_tagged(r: &mut Reader<'_>) -> Result<Value, JsonError> {
         } else {
             r.skip_value()?;
         }
-        keys.push(key);
+        keys += 1;
     }
     match tagged {
-        Some(value) if keys.len() == 1 => Ok(value),
-        _ => Err(untagged_object(&keys)),
+        Some(value) if keys == 1 => Ok(value),
+        _ => Err(untagged_object(&object_keys(mark)?)),
     }
+}
+
+/// The keys of the object at `r`, which has been read through once.
+fn object_keys(mut r: Reader<'_>) -> Result<Vec<std::borrow::Cow<'_, str>>, JsonError> {
+    r.begin_object()?;
+    let mut keys = Vec::new();
+    while let Some(key) = r.next_key()? {
+        r.skip_value()?;
+        keys.push(key);
+    }
+    Ok(keys)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The parsed JSON tree, [`Json`]: a thin builder over the
-//! [`Reader`], plus the tree ↔ [`Value`] mapping and the member lookups
-//! of the tree-level graph codec.
+//! [`Reader`], plus the tree → [`Value`] mapping and the shape errors
+//! the streaming decoders share.
 
 use std::fmt;
 
@@ -13,10 +13,10 @@ use crate::Value;
 ///
 /// Decoders that know their shape read the text with a [`Reader`]
 /// instead — the graph and delta documents and every request body the
-/// server reads do. The tree is for the reference decoder
-/// [`graph_from_value`](super::graph_from_value) and for harnesses
-/// that read *responses*, parsed once with [`Json::parse`] and picked
-/// apart with [`Json::get`]/[`Json::as_str`].
+/// server reads do. The tree is for harnesses that read *responses*,
+/// parsed once with [`Json::parse`] and picked apart with
+/// [`Json::get`]/[`Json::as_str`]; a graph inside one decodes with
+/// [`graph_from_value`](super::graph_from_value).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -85,7 +85,7 @@ impl Json {
     /// non-objects). The first of duplicate members wins.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Object(members) => get(members, key),
+            Json::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -169,12 +169,6 @@ pub(super) fn untagged_object(keys: &[impl fmt::Debug]) -> JsonError {
     ))
 }
 
-/// Field lookup in a parsed object (serde-style: unknown members are
-/// ignored, missing required members are an error).
-fn get<'j>(members: &'j [(String, Json)], key: &str) -> Option<&'j Json> {
-    members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
 /// The error for a member of the wrong type.
 pub(super) fn wrong_kind(ctx: &str, key: &str, want: &str, got: &str) -> JsonError {
     JsonError::Parse(format!("{ctx}: field {key:?} must be {want}, got {got}"))
@@ -188,56 +182,6 @@ pub(super) fn missing(ctx: &str, key: &str) -> JsonError {
 /// The error for a value of the wrong type where a container is due.
 pub(super) fn expected(ctx: &str, want: &str, got: &str) -> JsonError {
     JsonError::Parse(format!("{ctx}: expected {want}, got {got}"))
-}
-
-pub(super) fn get_u32(members: &[(String, Json)], key: &str, ctx: &str) -> Result<u32, JsonError> {
-    match get(members, key) {
-        Some(Json::Int(i)) if *i >= 0 && *i <= u32::MAX as i64 => Ok(*i as u32),
-        Some(other) => Err(wrong_kind(ctx, key, "a u32", other.kind())),
-        None => Err(missing(ctx, key)),
-    }
-}
-
-pub(super) fn get_str<'j>(
-    members: &'j [(String, Json)],
-    key: &str,
-    ctx: &str,
-) -> Result<&'j str, JsonError> {
-    match get(members, key) {
-        Some(Json::Str(s)) => Ok(s),
-        Some(other) => Err(wrong_kind(ctx, key, "a string", other.kind())),
-        None => Err(missing(ctx, key)),
-    }
-}
-
-pub(super) fn get_properties<'j>(
-    members: &'j [(String, Json)],
-    ctx: &str,
-) -> Result<&'j [(String, Json)], JsonError> {
-    match get(members, "properties") {
-        Some(Json::Object(props)) => Ok(props),
-        Some(other) => Err(wrong_kind(ctx, "properties", "an object", other.kind())),
-        None => Ok(&[]),
-    }
-}
-
-pub(super) fn as_object<'j>(v: &'j Json, ctx: &str) -> Result<&'j [(String, Json)], JsonError> {
-    match v {
-        Json::Object(members) => Ok(members),
-        other => Err(expected(ctx, "an object", other.kind())),
-    }
-}
-
-/// The array member `key` of the document root, required.
-pub(super) fn root_array<'j>(
-    root: &'j [(String, Json)],
-    key: &str,
-) -> Result<&'j [Json], JsonError> {
-    match get(root, key) {
-        Some(Json::Array(items)) => Ok(items),
-        Some(other) => Err(expected(key, "an array", other.kind())),
-        None => Err(missing("document", key)),
-    }
 }
 
 #[cfg(test)]

@@ -38,13 +38,13 @@
 //! [`SnapshotError::UnsupportedVersion`] — never a silent fallback and
 //! never a torn-tail truncation.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::binary::{self, BinError};
-use crate::columnar::ColumnarGraph;
-use crate::graph::{EdgeData, NodeData, PropMap};
+use crate::columnar::{sort_props, ColumnarGraph, GraphSink, Props};
 use crate::symbols::{Sym, SymbolTable};
-use crate::{NodeId, PropertyGraph};
+use crate::{PropertyGraph, Value};
 
 /// Magic prefix of every PGCS snapshot.
 pub const MAGIC: [u8; 4] = *b"PGCS";
@@ -299,92 +299,55 @@ impl<'a> SnapshotView<'a> {
         let symbols = self.decode_symbols()?;
         let values = binary::decode_values(self.section(15), self.header.values as usize)?;
         check_prefix(self.words(14), self.header.sections[15].len)?;
-        let sym_bound = symbols.len();
-        let val_bound = values.len() as u32;
-
-        let resolve = |s: Sym| -> Result<String, SnapshotError> {
+        let resolve = |s: Sym| {
             symbols
                 .try_resolve(s)
-                .map(str::to_owned)
                 .ok_or(SnapshotError::Layout("symbol out of range"))
         };
-        let props = |start: Words<'_>,
-                     keys: Words<'_>,
-                     vals: Words<'_>,
-                     ix: usize|
-         -> Result<PropMap, SnapshotError> {
-            let (a, b) = (start.get(ix) as usize, start.get(ix + 1) as usize);
-            if a > b || b > keys.len() || b > vals.len() {
-                return Err(SnapshotError::Layout("prop range"));
-            }
-            let mut map = PropMap::new();
-            for i in a..b {
-                if keys.sym(i).index() >= sym_bound || vals.get(i) >= val_bound {
-                    return Err(SnapshotError::Layout("prop entry out of range"));
-                }
-                map.insert(
-                    symbols.resolve(keys.sym(i)).to_owned(),
-                    values[vals.get(i) as usize].clone(),
-                );
-            }
-            Ok(map)
-        };
-
-        let node_alive = self.section(0);
+        let (node_alive, edge_alive) = (self.section(0), self.section(5));
         let node_label = self.words(1);
-        let node_prop_start = self.words(2);
-        let node_prop_keys = self.words(3);
-        let node_prop_vals = self.words(4);
-        if node_prop_start.get(0) != 0 {
+        let node_props = [self.words(2), self.words(3), self.words(4)];
+        if node_props[0].get(0) != 0 {
             return Err(SnapshotError::Layout("prop start origin"));
         }
-        let mut nodes = Vec::with_capacity(node_alive.len());
+        let mut g = PropertyGraph::with_capacity(node_alive.len(), edge_alive.len());
+        let mut props = Props::new();
         for (ix, &alive) in node_alive.iter().enumerate() {
-            nodes.push(NodeData::new(
-                resolve(node_label.sym(ix))?,
-                props(node_prop_start, node_prop_keys, node_prop_vals, ix)?,
-                alive != 0,
-            ));
+            let label = resolve(node_label.sym(ix))?;
+            element_props(&mut props, &symbols, &values, node_props, ix)?;
+            GraphSink::node(&mut g, alive != 0, label, &mut props);
         }
 
-        let edge_alive = self.section(5);
         let edge_label = self.words(6);
         let edge_src = self.words(7);
         let edge_dst = self.words(8);
-        let edge_prop_start = self.words(9);
-        let edge_prop_keys = self.words(10);
-        let edge_prop_vals = self.words(11);
-        let n = nodes.len() as u32;
-        let mut edges = Vec::with_capacity(edge_alive.len());
+        let edge_props = [self.words(9), self.words(10), self.words(11)];
+        let n = node_alive.len() as u32;
         for (ix, &alive) in edge_alive.iter().enumerate() {
             let (src, dst, alive) = (edge_src.get(ix), edge_dst.get(ix), alive != 0);
             if src >= n || dst >= n {
                 return Err(SnapshotError::Layout("edge endpoint out of range"));
             }
-            if alive && (!nodes[src as usize].alive || !nodes[dst as usize].alive) {
+            if alive && (node_alive[src as usize] == 0 || node_alive[dst as usize] == 0) {
                 return Err(SnapshotError::DanglingEdge { edge_index: ix });
             }
-            edges.push(EdgeData {
-                label: resolve(edge_label.sym(ix))?,
-                src: NodeId::from_index(src as usize),
-                dst: NodeId::from_index(dst as usize),
-                props: props(edge_prop_start, edge_prop_keys, edge_prop_vals, ix)?,
-                alive,
-            });
+            let label = resolve(edge_label.sym(ix))?;
+            element_props(&mut props, &symbols, &values, edge_props, ix)?;
+            GraphSink::edge(&mut g, alive, (src, dst), label, &mut props);
         }
         // Every prop entry has exactly one owner: the per-element ranges
         // are in order and in bounds, so it is enough that each start
         // column begins at 0 and ends at its key column's length.
-        if edge_prop_start.get(0) != 0 {
+        if edge_props[0].get(0) != 0 {
             return Err(SnapshotError::Layout("prop start origin"));
         }
-        if node_prop_start.get(nodes.len()) as usize != node_prop_keys.len() {
+        if node_props[0].get(node_alive.len()) as usize != node_props[1].len() {
             return Err(SnapshotError::Layout("node prop extent"));
         }
-        if edge_prop_start.get(edges.len()) as usize != edge_prop_keys.len() {
+        if edge_props[0].get(edge_alive.len()) as usize != edge_props[1].len() {
             return Err(SnapshotError::Layout("edge prop extent"));
         }
-        Ok(PropertyGraph::from_raw_parts(nodes, edges))
+        Ok(g)
     }
 
     fn decode_symbols(&self) -> Result<SymbolTable, SnapshotError> {
@@ -402,6 +365,32 @@ impl<'a> SnapshotView<'a> {
         }
         Ok(SymbolTable::from_strings(strings))
     }
+}
+
+/// One element's properties from its `[start, keys, vals]` columns, put
+/// in name order: the image holds them in symbol order.
+fn element_props<'s>(
+    props: &mut Props<'s>,
+    symbols: &'s SymbolTable,
+    values: &[Value],
+    [start, keys, vals]: [Words<'_>; 3],
+    ix: usize,
+) -> Result<(), SnapshotError> {
+    let (a, b) = (start.get(ix) as usize, start.get(ix + 1) as usize);
+    if a > b || b > keys.len() || b > vals.len() {
+        return Err(SnapshotError::Layout("prop range"));
+    }
+    for i in a..b {
+        let (Some(name), Some(value)) = (
+            symbols.try_resolve(keys.sym(i)),
+            values.get(vals.get(i) as usize),
+        ) else {
+            return Err(SnapshotError::Layout("prop entry out of range"));
+        };
+        props.push((Cow::Borrowed(name), value.clone()));
+    }
+    sort_props(props);
+    Ok(())
 }
 
 /// A column of `u32` LE words, read where it lies in the image. Header

@@ -1173,6 +1173,14 @@ where
 /// connections.
 pub const SERVED_ENGINES: &[&str] = &["indexed", "parallel", "incremental"];
 
+/// The most violations a `POST /validate` report holds, about 11 MB of
+/// DS7 JSON: past it the report says `"truncated": true` and the engines
+/// stop scanning. One keyed type whose n nodes share a key has n(n-1)/2
+/// violations, so without a cap a 60 KB graph asks for a report of tens
+/// of megabytes. Session reports are not capped: incremental repair
+/// needs the whole violation set as its state.
+pub const SERVED_MAX_VIOLATIONS: usize = 100_000;
+
 /// The `?engine=` of `POST /validate`, [`Engine::Indexed`] when absent.
 /// Anything outside [`SERVED_ENGINES`], `naive` included, is a `400`
 /// naming them, decided before the body is decoded.
@@ -1259,6 +1267,7 @@ fn handle_validate(ctx: &Ctx, request: &Request, engine: Engine) -> Result<Respo
     let options = ValidationOptions::builder()
         .engine(engine)
         .collect_metrics(true)
+        .max_violations(SERVED_MAX_VIOLATIONS)
         .build();
     let report = validate_columns(&columns.finish(), &compiled.schema, &options);
     ctx.metrics.record_validation(engine, report.metrics());

@@ -11,7 +11,9 @@ use std::collections::HashMap;
 use pg_datagen::{DeltaGen, DeltaGenParams, GraphGen, GraphGenParams, SchemaGen, SchemaGenParams};
 use pg_schema::PgSchema;
 use pgraph::binary::{self, BinError};
-use pgraph::{json, EdgeId, GraphDelta, NodeId, PropertyGraph, Value, ValueTable};
+use pgraph::{
+    json, snapshot, ColumnarGraph, EdgeId, GraphDelta, NodeId, PropertyGraph, Value, ValueTable,
+};
 use proptest::prelude::*;
 
 fn schema_for(seed: u64) -> PgSchema {
@@ -124,6 +126,70 @@ proptest! {
         for cut in 0..dbytes.len() {
             prop_assert!(binary::delta_from_bytes(&dbytes[..cut]).is_err());
         }
+    }
+}
+
+/// A graph image in `graph_to_bytes`' layout, written by hand so that
+/// any slot may hold any endpoints: `(alive, label)` nodes, then
+/// `(alive, source, target, label)` edges, none with properties.
+fn graph_image(nodes: &[(bool, &str)], edges: &[(bool, u32, u32, &str)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let str = |out: &mut Vec<u8>, s: &str| {
+        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        out.extend_from_slice(s.as_bytes());
+    };
+    out.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
+    for &(alive, label) in nodes {
+        out.push(alive as u8);
+        str(&mut out, label);
+        out.extend_from_slice(&0u32.to_le_bytes());
+    }
+    out.extend_from_slice(&(edges.len() as u32).to_le_bytes());
+    for &(alive, source, target, label) in edges {
+        out.push(alive as u8);
+        out.extend_from_slice(&source.to_le_bytes());
+        out.extend_from_slice(&target.to_le_bytes());
+        str(&mut out, label);
+        out.extend_from_slice(&0u32.to_le_bytes());
+    }
+    out
+}
+
+/// A tombstoned edge to a node slot the image does not hold is refused:
+/// decoded, it would panic the freeze of the graph (hydration and
+/// compaction both freeze what a WAL record decodes to).
+#[test]
+fn a_tombstoned_edge_to_a_missing_slot_is_refused() {
+    let bytes = graph_image(&[(true, "A")], &[(false, 0, 999, "e")]);
+    assert_eq!(
+        binary::graph_from_bytes(&bytes),
+        Err(BinError::DanglingEdge { edge_index: 0 })
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Whatever endpoints an image's live and tombstoned edges name, a
+    /// graph that decodes freezes and encodes to a `PGCS` image without
+    /// panicking, and that image thaws back to it.
+    #[test]
+    fn decoded_graphs_freeze_without_panicking(
+        nodes in prop::collection::vec(any::<bool>(), 0..6),
+        edges in prop::collection::vec(
+            (any::<bool>(), prop_oneof![0u32..8, any::<u32>()], prop_oneof![0u32..8, any::<u32>()]),
+            0..8,
+        ),
+    ) {
+        let nodes: Vec<_> = nodes.into_iter().map(|alive| (alive, "N")).collect();
+        let edges: Vec<_> = edges.into_iter().map(|(alive, s, t)| (alive, s, t, "e")).collect();
+        let Ok(graph) = binary::graph_from_bytes(&graph_image(&nodes, &edges)) else {
+            return Ok(());
+        };
+        ColumnarGraph::freeze(&graph);
+        let image = snapshot::graph_to_snapshot_bytes(&graph);
+        let view = snapshot::SnapshotView::parse(&image).unwrap();
+        prop_assert_eq!(view.thaw().unwrap(), graph);
     }
 }
 

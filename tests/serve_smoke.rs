@@ -1,7 +1,8 @@
 //! The one tier-1 suite that crosses every layer: parse → validate →
 //! serve over TCP → WAL → recover, on one small fixture, plus the bodies
 //! that used to hold or kill a reactor core: two hostile nestings, a
-//! pigeonhole `/check-sat` and a large `?engine=naive`. Everything
+//! pigeonhole `/check-sat`, a large `?engine=naive` and a report of
+//! millions of key violations. Everything
 //! deeper lives in the crates' own suites (`cargo test --workspace`);
 //! this is the tripwire `cargo test -q` at the root cannot miss.
 
@@ -13,7 +14,7 @@ use pg_server::workload::{
     VOLATILE,
 };
 use pg_server::{LogFormat, Server, ServerConfig, ServerHandle};
-use pgraph::json;
+use pgraph::{json, PropertyGraph, Value};
 
 fn serve(data_dir: &std::path::Path) -> (ServerHandle, Client) {
     let config = ServerConfig::builder()
@@ -182,4 +183,40 @@ fn naive_engine_is_refused_on_one_core() {
     let _ = std::fs::remove_dir_all(&dir);
     let schema = PgSchema::parse(SCHEMA_SDL).unwrap();
     assert_eq!(served, oracle(&graph, &schema).unwrap());
+}
+
+/// One keyed type whose 3 000 nodes all share a key has 4 498 500 DS7
+/// violations: a ≈ 500 MB report that took a one-core daemon past
+/// 1.3 GiB. `POST /validate` caps the report at 100 000 violations and
+/// says it is truncated, and the core answers `/healthz` right after.
+#[test]
+fn validate_report_is_capped_on_one_core() {
+    let dir = std::env::temp_dir().join(format!("pg-serve-smoke-cap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (handle, mut client) = serve(&dir);
+    let mut graph = PropertyGraph::new();
+    for _ in 0..3_000 {
+        let user = graph.add_node("User");
+        graph.set_node_property(user, "id", Value::Id("shared".into()));
+    }
+    let schema = r#"type User @key(fields: ["id"]) { id: ID! @required }"#;
+    let body = envelope(schema, &graph);
+
+    let report = client.expect("capped report", 200, "POST", "/validate", &body);
+    let report = report.unwrap();
+    assert!(report.len() < 16 << 20, "a {} byte report", report.len());
+    let report = json::Json::parse(std::str::from_utf8(&report).unwrap()).unwrap();
+    assert_eq!(
+        report.get("truncated").and_then(json::Json::as_bool),
+        Some(true)
+    );
+    let violations = report.get("violations").and_then(json::Json::as_array);
+    assert_eq!(violations.map(<[_]>::len), Some(100_000));
+    client
+        .expect("healthz", 200, "GET", "/healthz", b"")
+        .unwrap();
+    drop(client);
+    handle.shutdown();
+    handle.join().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
 }
