@@ -3,9 +3,10 @@
 //! Theorem 1 bounds *full* validation; a production store revalidates
 //! after small mutations, where almost all of the previous
 //! [`ValidationReport`] is still correct. [`IncrementalEngine`] keeps the
-//! graph (which owns its per-node incidence lists), the last report and
-//! per-`@key` tuple tables, enough to re-derive, after a [`GraphDelta`],
-//! exactly the violations that could have changed.
+//! graph (which owns its per-node incidence lists), the last report
+//! (each violation beside its encoded JSON, so writing the report is a
+//! copy) and per-`@key` tuple tables, enough to re-derive, after a
+//! [`GraphDelta`], exactly the violations that could have changed.
 //!
 //! # Rule dependency analysis
 //!
@@ -61,7 +62,9 @@ use crate::indexed;
 use crate::metrics::families_from_rules;
 use crate::migrate;
 use crate::pgschema::PgSchema;
-use crate::report::{ValidationMetrics, ValidationReport, Violation};
+use crate::report::{
+    self, write_violation_json, ReportEntry, ValidationMetrics, ValidationReport, Violation,
+};
 use crate::rules::region::RegionCols;
 use crate::rules::symschema::SymSchema;
 use crate::rules::{self, Ds7Plan, KeyTable, Scope, Sink, SinkOutput};
@@ -130,8 +133,9 @@ pub struct IncrementalEngine<S: Borrow<PgSchema>> {
     graph: PropertyGraph,
     schema: S,
     options: ValidationOptions,
-    /// Canonical (sorted, deduped) violations of the current graph.
-    violations: Vec<Violation>,
+    /// Canonical (sorted, deduped) violations of the current graph, each
+    /// beside its JSON object bytes, so a report is written by copying.
+    violations: Vec<Encoded>,
     /// One table per `schema.keys()` entry, in order; empty when
     /// directives are not checked.
     key_tables: Vec<KeyTable>,
@@ -152,8 +156,37 @@ pub struct IncrementalEngine<S: Borrow<PgSchema>> {
     window: Option<Box<WindowState>>,
 }
 
+/// A standing violation beside its JSON object bytes — exactly what
+/// [`write_violation_json`] renders for it, encoded once when the
+/// violation is found and copied into every report written after.
+struct Encoded {
+    violation: Violation,
+    json: Box<str>,
+}
+
+impl ReportEntry for Encoded {
+    fn violation(&self) -> &Violation {
+        &self.violation
+    }
+
+    fn from_violation(violation: Violation) -> Self {
+        let mut json = String::with_capacity(192);
+        write_violation_json(&mut json, &violation);
+        Encoded {
+            violation,
+            json: json.into_boxed_str(),
+        }
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&self.json);
+    }
+}
+
 /// The candidate side of an open migration window: everything the
-/// primary side keeps, re-derived under the candidate schema.
+/// primary side keeps, re-derived under the candidate schema. Its
+/// violations stay plain — no served route writes the candidate's
+/// report.
 struct WindowState {
     schema: PgSchema,
     /// The candidate compiled onto the engine's shared symbol table.
@@ -195,7 +228,7 @@ impl<S: Borrow<PgSchema>> IncrementalEngine<S> {
         let mut report = indexed::run_rows(&self.graph, schema, &self.options, "incremental");
         report.canonicalize();
         let seed_metrics = report.metrics().cloned();
-        self.violations = report.take_violations();
+        self.violations = encode_all(report.take_violations());
 
         self.key_tables = rules::directives::build_key_tables(schema, &self.graph, &self.options);
         self.metrics = None;
@@ -235,12 +268,41 @@ impl<S: Borrow<PgSchema>> IncrementalEngine<S> {
     /// The current report — equal to a full revalidation of
     /// [`graph`](Self::graph) under the session's options.
     pub fn report(&self) -> ValidationReport {
-        let mut r = ValidationReport::new(self.violations.clone());
+        let violations = self.violations.iter().map(|e| e.violation.clone());
+        let mut r = ValidationReport::new(violations.collect());
         r.set_engine("incremental");
         if let Some(m) = &self.metrics {
             r.set_metrics(m.clone());
         }
         r
+    }
+
+    /// Appends the JSON document of [`report`](Self::report) to `out`,
+    /// byte for byte, without building the report: the violations array
+    /// is the stored bytes of the standing violations, joined.
+    pub fn write_report_json(&self, out: &mut String) {
+        // The stored bytes with their separators, plus estimates for the
+        // header and `rule_counts` (256 B) and a metrics block (512 B
+        // and about 96 B per rule).
+        let joined: usize = self.violations.iter().map(|e| e.json.len() + 2).sum();
+        let metrics = self
+            .metrics
+            .as_ref()
+            .map_or(0, |m| 512 + 96 * m.rules.len());
+        out.reserve(joined + 256 + metrics);
+        report::write_report_json(
+            out,
+            Some("incremental"),
+            false,
+            &self.violations,
+            self.metrics.as_ref(),
+        );
+    }
+
+    /// Metrics of the last apply (or of the seeding run), when the
+    /// session collects them — what [`report`](Self::report) carries.
+    pub fn metrics(&self) -> Option<&ValidationMetrics> {
+        self.metrics.as_ref()
     }
 
     /// Applies `delta` to the graph and patches the report by re-checking
@@ -391,7 +453,7 @@ impl<S: Borrow<PgSchema>> IncrementalEngine<S> {
         // side (no old-schema region run needed).
         let mut kept = Vec::new();
         let mut in_region = Vec::new();
-        for v in &self.violations {
+        for v in self.violations.iter().map(|e| &e.violation) {
             let (node_anchor, edge_anchor, pair) = anchors(v);
             let hit = node_anchor.is_some_and(|n| region.nodes.contains(&n))
                 || edge_anchor.is_some_and(|e| region.edges.contains(&e))
@@ -487,7 +549,7 @@ impl<S: Borrow<PgSchema> + From<PgSchema>> IncrementalEngine<S> {
         let w = *w;
         self.schema = S::from(w.schema);
         self.sym_schema = w.sym_schema;
-        self.violations = w.violations;
+        self.violations = encode_all(w.violations);
         self.key_tables = w.key_tables;
         self.metrics = None;
         true
@@ -497,14 +559,17 @@ impl<S: Borrow<PgSchema> + From<PgSchema>> IncrementalEngine<S> {
 /// Drops every violation anchored in the dirty region, re-derives over
 /// it through the shared kernels under one schema, and merges — steps
 /// 2–4 of [`IncrementalEngine::absorb`], factored out so an open
-/// migration window patches its candidate side identically.
+/// migration window patches its candidate side identically (with plain
+/// violations, where the primary side keeps [`Encoded`] ones).
 ///
 /// `kept` and the re-derived set have disjoint anchor spaces by the
-/// symmetry invariant; the sort restores canonical order and dedup
-/// absorbs duplicate emissions within the fresh set (e.g. one loop
-/// edge matching two `@noLoops` sites).
+/// symmetry invariant; both are sorted, so one merge restores canonical
+/// order, encoding only the fresh violations. Dedup absorbs duplicate
+/// emissions within the fresh set (e.g. one loop edge matching two
+/// `@noLoops` sites), and the merge keeps one of any violation both
+/// runs hold.
 #[allow(clippy::too_many_arguments)]
-fn repatch(
+fn repatch<E: ReportEntry>(
     g: &PropertyGraph,
     s: &PgSchema,
     options: &ValidationOptions,
@@ -513,30 +578,25 @@ fn repatch(
     dirty: &BTreeSet<NodeId>,
     local_edges: &BTreeSet<EdgeId>,
     removed_edge_ids: &BTreeSet<EdgeId>,
-    violations: &mut Vec<Violation>,
+    violations: &mut Vec<E>,
     key_tables: &mut [KeyTable],
     collect_metrics: bool,
 ) -> (usize, usize, Option<SinkOutput>) {
     let old = std::mem::take(violations);
-    let (kept, dropped): (Vec<Violation>, Vec<Violation>) = old.into_iter().partition(|v| {
-        let (node_anchor, edge_anchor, pair) = anchors(v);
-        if let Some(n) = node_anchor {
-            if dirty.contains(&n) {
-                return false;
-            }
+    let mut kept = Vec::with_capacity(old.len());
+    let mut dropped = Vec::new();
+    for e in old {
+        let (node_anchor, edge_anchor, pair) = anchors(e.violation());
+        let hit = node_anchor.is_some_and(|n| dirty.contains(&n))
+            || edge_anchor
+                .is_some_and(|id| local_edges.contains(&id) || removed_edge_ids.contains(&id))
+            || pair.is_some_and(|(a, b)| dirty.contains(&a) || dirty.contains(&b));
+        if hit {
+            dropped.push(e);
+        } else {
+            kept.push(e);
         }
-        if let Some(e) = edge_anchor {
-            if local_edges.contains(&e) || removed_edge_ids.contains(&e) {
-                return false;
-            }
-        }
-        if let Some((a, b)) = pair {
-            if dirty.contains(&a) || dirty.contains(&b) {
-                return false;
-            }
-        }
-        true
-    });
+    }
 
     let mut fresh = ValidationReport::default();
     let scope = Scope::region(s, ss, region);
@@ -553,19 +613,40 @@ fn repatch(
     fresh_v.sort();
     fresh_v.dedup();
     let (added, removed) = diff_counts(&dropped, &fresh_v);
-    *violations = kept;
-    violations.extend(fresh_v);
-    violations.sort();
-    violations.dedup();
+    *violations = merge(kept, fresh_v);
     (added, removed, sink_out)
 }
 
+/// Merges two sorted, deduped runs into one, keeping `kept`'s entry of
+/// a violation both hold and making an entry of each fresh one.
+fn merge<E: ReportEntry>(kept: Vec<E>, fresh: Vec<Violation>) -> Vec<E> {
+    let mut merged = Vec::with_capacity(kept.len() + fresh.len());
+    let mut fresh = fresh.into_iter().peekable();
+    for e in kept {
+        while let Some(v) = fresh.next_if(|v| v < e.violation()) {
+            merged.push(E::from_violation(v));
+        }
+        fresh.next_if(|v| v == e.violation());
+        merged.push(e);
+    }
+    merged.extend(fresh.map(E::from_violation));
+    merged
+}
+
+/// Each violation of a canonical list beside its bytes.
+fn encode_all(violations: Vec<Violation>) -> Vec<Encoded> {
+    violations
+        .into_iter()
+        .map(Encoded::from_violation)
+        .collect()
+}
+
 /// Counts `(|new \ old|, |old \ new|)` over two sorted, deduped slices.
-fn diff_counts(old: &[Violation], new: &[Violation]) -> (usize, usize) {
+fn diff_counts<E: ReportEntry>(old: &[E], new: &[Violation]) -> (usize, usize) {
     let (mut i, mut j) = (0, 0);
     let (mut added, mut removed) = (0, 0);
     while i < old.len() && j < new.len() {
-        match old[i].cmp(&new[j]) {
+        match old[i].violation().cmp(&new[j]) {
             std::cmp::Ordering::Less => {
                 removed += 1;
                 i += 1;
@@ -642,6 +723,14 @@ mod tests {
             .unwrap()
     }
 
+    /// Assert that the engine's written report is, byte for byte, the
+    /// document its [`report`](IncrementalEngine::report) renders.
+    fn assert_written_matches<S: Borrow<PgSchema>>(engine: &IncrementalEngine<S>) {
+        let mut written = String::new();
+        engine.write_report_json(&mut written);
+        assert_eq!(written, engine.report().to_json());
+    }
+
     /// Assert that the engine agrees with a full indexed run after every
     /// delta in `deltas`.
     fn check_sequence(schema: &PgSchema, graph: PropertyGraph, deltas: &[GraphDelta]) {
@@ -649,8 +738,10 @@ mod tests {
         let mut engine = IncrementalEngine::new(graph, schema, &options);
         let full = validate(engine.graph(), schema, &options);
         assert_eq!(engine.report(), full, "seed disagrees");
+        assert_written_matches(&engine);
         for (i, delta) in deltas.iter().enumerate() {
             engine.apply(delta).unwrap();
+            assert_written_matches(&engine);
             let full = validate(engine.graph(), schema, &options);
             assert_eq!(
                 engine.report(),
@@ -759,6 +850,70 @@ mod tests {
         let full = validate(engine.graph(), &s, &options);
         assert_eq!(engine.report(), full);
         assert!(!engine.report().conforms());
+    }
+
+    /// The stored bytes follow the two paths that replace the whole
+    /// violation set: a conflicting delta's reseed, and a migration
+    /// commit adopting the candidate's plain violations.
+    #[test]
+    fn written_report_survives_reseed_and_commit() {
+        let g = conforming();
+        let ids: Vec<NodeId> = g.node_ids().collect();
+        let options = ValidationOptions::builder().collect_metrics(true).build();
+        let mut engine = IncrementalEngine::new(g, std::sync::Arc::new(schema()), &options);
+        engine
+            .apply(&GraphDelta::new().set_node_property(ids[0], "login", Value::Int(3)))
+            .unwrap();
+        assert_written_matches(&engine);
+        let conflicting = GraphDelta::new()
+            .set_node_property(ids[1], "we\"ird\n", Value::from("x"))
+            .remove_node(NodeId::from_index(99));
+        assert!(engine.apply(&conflicting).is_err());
+        assert_written_matches(&engine);
+        assert_eq!(engine.report().len(), 2, "WS1 at u1, SS2 at u2");
+
+        engine.begin_migration(candidate());
+        engine
+            .apply(&GraphDelta::new().add_edge(ids[2], ids[1], "follows"))
+            .unwrap();
+        assert_written_matches(&engine);
+        assert!(engine.commit_migration());
+        assert_written_matches(&engine);
+        assert_eq!(
+            engine.report(),
+            validate(engine.graph(), &candidate(), &options)
+        );
+        engine
+            .apply(&GraphDelta::new().set_node_property(ids[0], "login", Value::from("alice")))
+            .unwrap();
+        assert_written_matches(&engine);
+    }
+
+    /// The merge orders two sorted runs as `sort` + `dedup` of their
+    /// concatenation would, keeps the stored entry of a violation both
+    /// runs hold, and encodes each fresh one.
+    #[test]
+    fn merge_is_sort_and_dedup_of_both_runs() {
+        let v = |ix| Violation::UnjustifiedNode {
+            node: NodeId::from_index(ix),
+            label: "X".into(),
+        };
+        let stored = |ix| Encoded {
+            violation: v(ix),
+            json: "stored".into(),
+        };
+        let merged = merge(
+            vec![stored(1), stored(3), stored(5)],
+            vec![v(0), v(3), v(4), v(6)],
+        );
+        let order: Vec<&Violation> = merged.iter().map(|e| &e.violation).collect();
+        assert_eq!(order, [&v(0), &v(1), &v(3), &v(4), &v(5), &v(6)]);
+        for e in &merged {
+            let mut rendered = String::new();
+            write_violation_json(&mut rendered, &e.violation);
+            let from_kept = [v(1), v(3), v(5)].contains(&e.violation);
+            assert_eq!(&*e.json, if from_kept { "stored" } else { &rendered });
+        }
     }
 
     #[test]

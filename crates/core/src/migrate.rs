@@ -51,7 +51,7 @@ use pgraph::{EdgeId, NodeId, PropertyGraph};
 
 use crate::diff::{self, Compat, SchemaChange};
 use crate::pgschema::PgSchema;
-use crate::report::{self, ValidationReport, Violation};
+use crate::report::{self, ReportEntry, ValidationReport, Violation};
 use crate::rules::region::RegionCols;
 use crate::rules::{self, Ds7Plan, Scope, Sink};
 use crate::ValidationOptions;
@@ -396,16 +396,16 @@ pub(crate) fn region_run(
 
 /// Splits two sorted, deduped violation slices into `(new \ old,
 /// old \ new)` — the introduced and resolved violations.
-pub(crate) fn diff_violations(
-    old: &[Violation],
+pub(crate) fn diff_violations<E: ReportEntry>(
+    old: &[E],
     new: &[Violation],
 ) -> (Vec<Violation>, Vec<Violation>) {
     let (mut i, mut j) = (0, 0);
     let (mut added, mut removed) = (Vec::new(), Vec::new());
     while i < old.len() && j < new.len() {
-        match old[i].cmp(&new[j]) {
+        match old[i].violation().cmp(&new[j]) {
             std::cmp::Ordering::Less => {
-                removed.push(old[i].clone());
+                removed.push(old[i].violation().clone());
                 i += 1;
             }
             std::cmp::Ordering::Greater => {
@@ -418,7 +418,7 @@ pub(crate) fn diff_violations(
             }
         }
     }
-    removed.extend_from_slice(&old[i..]);
+    removed.extend(old[i..].iter().map(|e| e.violation().clone()));
     added.extend_from_slice(&new[j..]);
     (added, removed)
 }

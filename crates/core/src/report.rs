@@ -643,17 +643,7 @@ impl ValidationReport {
 
     /// Violation counts per rule (only rules that fired).
     pub fn counts(&self) -> BTreeMap<Rule, usize> {
-        self.fired().collect()
-    }
-
-    /// The rules that fired with their violation counts, in definition
-    /// order, tallied on the stack.
-    fn fired(&self) -> impl Iterator<Item = (Rule, usize)> {
-        let mut tally = [0usize; Rule::ALL.len()];
-        for v in &self.violations {
-            tally[v.rule() as usize] += 1;
-        }
-        Rule::ALL.into_iter().zip(tally).filter(|(_, n)| *n > 0)
+        fired(&self.violations).collect()
     }
 
     /// Sorts and deduplicates, so reports from different engines compare
@@ -691,75 +681,13 @@ impl ValidationReport {
     /// so a caller embedding the report in a larger body (the server's
     /// session responses) renders it once, in place.
     pub fn write_json(&self, out: &mut String) {
-        let _ = write!(out, "{{\"conforms\": {}", self.conforms());
-        if let Some(engine) = self.engine {
-            let _ = write!(out, ", \"engine\": \"{engine}\"");
-        }
-        let _ = write!(
+        write_report_json(
             out,
-            ", \"truncated\": {}, \"violations\": [",
-            self.truncated
+            self.engine,
+            self.truncated,
+            &self.violations,
+            self.metrics.as_ref(),
         );
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            write_violation_json(out, v);
-        }
-        out.push_str("], \"rule_counts\": {");
-        for (i, (rule, count)) in self.fired().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{rule}\": {count}");
-        }
-        out.push('}');
-        if let Some(m) = &self.metrics {
-            let _ = write!(
-                out,
-                ", \"metrics\": {{\"engine\": \"{}\", \"threads\": {}, \
-                 \"nodes_scanned\": {}, \"edges_scanned\": {}, \
-                 \"index_build_nanos\": {}, \"rules\": [",
-                m.engine, m.threads, m.nodes_scanned, m.edges_scanned, m.index_build_nanos
-            );
-            for (i, rm) in m.rules.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(
-                    out,
-                    "{{\"rule\": \"{}\", \"nanos\": {}, \"elements_scanned\": {}, \
-                     \"violations\": {}}}",
-                    rm.rule, rm.nanos, rm.elements_scanned, rm.violations
-                );
-            }
-            out.push_str("], \"families\": [");
-            for (i, fam) in m.families.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(
-                    out,
-                    "{{\"family\": \"{}\", \"nanos\": {}, \"violations\": {}}}",
-                    family_name(fam.family),
-                    fam.nanos,
-                    fam.violations
-                );
-            }
-            out.push_str("], \"shard_elements\": [");
-            for (i, n) in m.shard_elements.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{n}");
-            }
-            let _ = write!(
-                out,
-                "], \"elements_rechecked\": {}, \"elements_total\": {}}}",
-                m.elements_rechecked, m.elements_total
-            );
-        }
-        out.push('}');
     }
 
     /// Total number of violations.
@@ -805,6 +733,121 @@ pub(crate) fn write_violation_json(out: &mut String, v: &Violation) {
     );
     let _ = write!(Escaped(out), "{v}");
     out.push_str("\"}");
+}
+
+/// An entry of a canonical violation list: a plain [`Violation`], which
+/// renders itself, or one stored beside its already rendered bytes (the
+/// incremental engine's standing report), which copies them.
+pub(crate) trait ReportEntry {
+    /// The violation the entry stands for.
+    fn violation(&self) -> &Violation;
+    /// The entry for a violation just found.
+    fn from_violation(v: Violation) -> Self;
+    /// Appends what [`write_violation_json`] renders for
+    /// [`violation`](Self::violation).
+    fn write_json(&self, out: &mut String);
+}
+
+impl ReportEntry for Violation {
+    fn violation(&self) -> &Violation {
+        self
+    }
+
+    fn from_violation(v: Violation) -> Self {
+        v
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_violation_json(out, self);
+    }
+}
+
+/// The rules that fired in `entries` with their violation counts, in
+/// definition order, tallied on the stack.
+fn fired<E: ReportEntry>(entries: &[E]) -> impl Iterator<Item = (Rule, usize)> {
+    let mut tally = [0usize; Rule::ALL.len()];
+    for e in entries {
+        tally[e.violation().rule() as usize] += 1;
+    }
+    Rule::ALL.into_iter().zip(tally).filter(|(_, n)| *n > 0)
+}
+
+/// Appends the report document [`ValidationReport::to_json`] specifies
+/// for `entries` — the one writer of that format, for rendered reports
+/// and the incremental engine's stored bytes alike.
+pub(crate) fn write_report_json<E: ReportEntry>(
+    out: &mut String,
+    engine: Option<&str>,
+    truncated: bool,
+    entries: &[E],
+    metrics: Option<&ValidationMetrics>,
+) {
+    let conforms = entries.is_empty() && !truncated;
+    let _ = write!(out, "{{\"conforms\": {conforms}");
+    if let Some(engine) = engine {
+        let _ = write!(out, ", \"engine\": \"{engine}\"");
+    }
+    let _ = write!(out, ", \"truncated\": {truncated}, \"violations\": [");
+    for (i, e) in entries.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        e.write_json(out);
+    }
+    out.push_str("], \"rule_counts\": {");
+    for (i, (rule, count)) in fired(entries).enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "\"{rule}\": {count}");
+    }
+    out.push('}');
+    if let Some(m) = metrics {
+        let _ = write!(
+            out,
+            ", \"metrics\": {{\"engine\": \"{}\", \"threads\": {}, \
+             \"nodes_scanned\": {}, \"edges_scanned\": {}, \
+             \"index_build_nanos\": {}, \"rules\": [",
+            m.engine, m.threads, m.nodes_scanned, m.edges_scanned, m.index_build_nanos
+        );
+        for (i, rm) in m.rules.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            let _ = write!(
+                out,
+                "{{\"rule\": \"{}\", \"nanos\": {}, \"elements_scanned\": {}, \
+                 \"violations\": {}}}",
+                rm.rule, rm.nanos, rm.elements_scanned, rm.violations
+            );
+        }
+        out.push_str("], \"families\": [");
+        for (i, fam) in m.families.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            let _ = write!(
+                out,
+                "{{\"family\": \"{}\", \"nanos\": {}, \"violations\": {}}}",
+                family_name(fam.family),
+                fam.nanos,
+                fam.violations
+            );
+        }
+        out.push_str("], \"shard_elements\": [");
+        for (i, n) in m.shard_elements.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            let _ = write!(out, "{n}");
+        }
+        let _ = write!(
+            out,
+            "], \"elements_rechecked\": {}, \"elements_total\": {}}}",
+            m.elements_rechecked, m.elements_total
+        );
+    }
+    out.push('}');
 }
 
 impl fmt::Display for ValidationReport {

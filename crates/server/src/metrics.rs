@@ -24,6 +24,13 @@ pub const LATENCY_BUCKETS_MICROS: [u64; 10] = [
 /// append is single-digit µs) but still cover slow rotational syncs.
 pub const WAL_LATENCY_BUCKETS_MICROS: [u64; 8] = [5, 10, 25, 50, 100, 500, 2_500, 10_000];
 
+/// Upper bounds (µs) of the compaction-duration histogram: a compaction
+/// snapshots every live session, so it runs from about a millisecond on
+/// an empty store to seconds on a large one.
+pub const COMPACTION_BUCKETS_MICROS: [u64; 8] = [
+    1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000, 5_000_000,
+];
+
 /// Upper bounds of the events-per-`epoll_wait` histogram (how much work
 /// each reactor wakeup batches); the last implicit bucket is `+Inf`.
 /// Zero-event wakeups (timeout ticks) are not recorded.
@@ -225,6 +232,9 @@ pub struct Metrics {
     /// WAL append latency (includes the fsync when the policy syncs on
     /// the append path) over [`WAL_LATENCY_BUCKETS_MICROS`].
     wal_append: Histogram<{ WAL_LATENCY_BUCKETS_MICROS.len() }>,
+    /// Compaction cycles, automatic and requested, over
+    /// [`COMPACTION_BUCKETS_MICROS`].
+    compaction: Histogram<{ COMPACTION_BUCKETS_MICROS.len() }>,
     /// Follower-side replication counters (all zero on a leader).
     pub replication: ReplicationMetrics,
 }
@@ -244,6 +254,7 @@ impl Metrics {
             rule_violations: Default::default(),
             rule_nanos: Default::default(),
             wal_append: Histogram::new(),
+            compaction: Histogram::new(),
             replication: ReplicationMetrics::default(),
         }
     }
@@ -252,6 +263,11 @@ impl Metrics {
     /// whatever syncing the fsync policy performed inline).
     pub fn record_wal_append(&self, micros: u64) {
         self.wal_append.record(&WAL_LATENCY_BUCKETS_MICROS, micros);
+    }
+
+    /// Records the duration of one compaction cycle.
+    pub fn record_compaction(&self, micros: u64) {
+        self.compaction.record(&COMPACTION_BUCKETS_MICROS, micros);
     }
 
     /// Records one served request: its route template (e.g.
@@ -488,6 +504,12 @@ impl Metrics {
             "pgschemad_wal_append_duration_micros",
             "WAL append latency histogram (microseconds; includes inline fsync).",
         );
+        self.compaction.render(
+            out,
+            &COMPACTION_BUCKETS_MICROS,
+            "pgschemad_compaction_duration_micros",
+            "Compaction duration histogram (microseconds; automatic and requested).",
+        );
 
         if let Some(follower) = g.role_follower {
             family(
@@ -628,6 +650,7 @@ mod tests {
         m.record_migration_action(MigrationAction::Plan);
         m.record_validation(Engine::Indexed, None);
         m.record_wal_append(7);
+        m.record_compaction(45_000);
         m.replication
             .state
             .store(REPL_STATE_TAILING, Ordering::Relaxed);
@@ -680,6 +703,9 @@ mod tests {
         assert!(text.contains("pgschemad_shed_total 1"));
         assert!(text.contains("pgschemad_wal_append_duration_micros_bucket{le=\"10\"} 1"));
         assert!(text.contains("pgschemad_wal_append_duration_micros_count 1"));
+        assert!(text.contains("pgschemad_compaction_duration_micros_bucket{le=\"10000\"} 0"));
+        assert!(text.contains("pgschemad_compaction_duration_micros_bucket{le=\"50000\"} 1"));
+        assert!(text.contains("pgschemad_compaction_duration_micros_sum 45000"));
         assert!(text.contains("pgschemad_wal_appends_total 9"));
         assert!(text.contains("pgschemad_wal_appended_bytes_total 4096"));
         assert!(text.contains("pgschemad_wal_size_bytes 0"));

@@ -511,14 +511,17 @@ fn shed(ctx: &Ctx, mut stream: TcpStream) {
     log_request(ctx.log_format, "-", "(shed)", 503, 0, None);
 }
 
-/// Serves one parsed request end to end: routes it, records metrics and
-/// the request log, and triggers threshold compaction. Returns the
+/// Serves one parsed request end to end: routes it, triggers threshold
+/// compaction, and records metrics and the request log. Returns the
 /// response plus whether the connection must close after it.
 pub(crate) fn process(ctx: &Ctx, request: &Request) -> (Response, bool) {
     let started = Instant::now();
     let (route, engine, result) = route(ctx, request);
     let response = result.unwrap_or_else(Response::from);
     let close = request.wants_close() || ctx.shutdown.load(Ordering::Relaxed);
+    // The response leaves only after a compaction this request tipped
+    // off, so the request's clock runs until that compaction ends.
+    maybe_compact(ctx);
     let micros = started.elapsed().as_micros() as u64;
     ctx.metrics.record_request(route, response.status, micros);
     log_request(
@@ -531,7 +534,6 @@ pub(crate) fn process(ctx: &Ctx, request: &Request) -> (Response, bool) {
         // one a refused request was aimed at.
         engine.filter(|_| response.status < 400),
     );
-    maybe_compact(ctx);
     (response, close)
 }
 
@@ -872,7 +874,7 @@ fn handle_compact(ctx: &Ctx, id: u64) -> Result<Response, HttpError> {
     ctx.require_leader()?;
     ctx.registry.get(id)?;
     ctx.store()?;
-    match ctx.registry.compact() {
+    match compact(ctx) {
         Ok(Some(outcome)) => Ok(Response::json(
             200,
             format!(
@@ -1032,14 +1034,13 @@ fn migrate_commit(
     if !engine.commit_migration() {
         return Err(lost_window());
     }
-    let report = engine.report();
+    let mut body = "{\"committed\":true,\"report\":".to_owned();
+    engine.write_report_json(&mut body);
+    body.push('}');
     session
         .meta
         .schema_change(MigrationPhase::Commit, String::new());
     ctx.metrics.record_migration_action(MigrationAction::Commit);
-    let mut body = "{\"committed\":true,\"report\":".to_owned();
-    report.write_json(&mut body);
-    body.push('}');
     Ok(Response::json(200, body))
 }
 
@@ -1131,8 +1132,9 @@ fn handle_promote(ctx: &Ctx) -> Result<Response, HttpError> {
     ))
 }
 
-/// Compacts in the background of the request that tipped the WAL over
-/// the configured size threshold (after its response has been routed).
+/// Compacts on the request that tipped the WAL over the configured size
+/// threshold, after its response has been routed and before it is
+/// written.
 fn maybe_compact(ctx: &Ctx) {
     let Some(store) = ctx.registry.store() else {
         return;
@@ -1140,7 +1142,7 @@ fn maybe_compact(ctx: &Ctx) {
     if ctx.compact_after_bytes == 0 || store.wal_size_bytes() < ctx.compact_after_bytes {
         return;
     }
-    let line = match ctx.registry.compact() {
+    let line = match compact(ctx) {
         Ok(Some(outcome)) => format!(
             "store: auto-compacted to generation {} ({} session(s), {} segment(s) removed)",
             outcome.generation, outcome.sessions, outcome.segments_removed
@@ -1151,6 +1153,18 @@ fn maybe_compact(ctx: &Ctx) {
     if ctx.log_format != LogFormat::Off {
         eprintln!("{line}");
     }
+}
+
+/// Runs one compaction cycle ([`SessionRegistry::compact`]) and records
+/// its duration, unless another core's compaction was in flight.
+fn compact(ctx: &Ctx) -> io::Result<Option<pg_store::CompactionOutcome>> {
+    let started = Instant::now();
+    let outcome = ctx.registry.compact();
+    if !matches!(outcome, Ok(None)) {
+        ctx.metrics
+            .record_compaction(started.elapsed().as_micros() as u64);
+    }
+    outcome
 }
 
 /// A query parameter naming one spelling of an enum (`?engine=`,
@@ -1341,15 +1355,16 @@ fn handle_create_session(ctx: &Ctx, request: &Request) -> Result<Response, HttpE
         .create(graph, Arc::clone(&compiled.schema), &compiled.sdl, &options)
         .map_err(|e| HttpError::new(500, format!("failed to persist session: {e}")))?;
     ctx.record_wal(created.wal_micros);
-    let report = created.slot.session.lock().unwrap().engine()?.report();
-    ctx.metrics
-        .record_validation(Engine::Incremental, report.metrics());
     let mut body = format!(
         "{{\"session\":{},\"lang\":\"{}\",\"report\":",
         created.id,
         lang.name()
     );
-    report.write_json(&mut body);
+    let mut session = created.slot.session.lock().unwrap();
+    let engine = session.engine()?;
+    ctx.metrics
+        .record_validation(Engine::Incremental, engine.metrics());
+    engine.write_report_json(&mut body);
     body.push('}');
     Ok(Response::json(201, body))
 }
@@ -1357,7 +1372,7 @@ fn handle_create_session(ctx: &Ctx, request: &Request) -> Result<Response, HttpE
 fn handle_delta(ctx: &Ctx, request: &Request, id: u64) -> Result<Response, HttpError> {
     ctx.require_leader()?;
     let delta = json::delta_from_json(body_text(request)?)?;
-    let (outcome, deltas_applied, report) = with_session(ctx, id, |session| {
+    let body = with_session(ctx, id, |session| {
         let applied = session.engine()?.apply(&delta);
         // Log the delta whether or not it applied cleanly: a failed apply
         // still leaves its deterministic partial effects on the graph
@@ -1368,31 +1383,35 @@ fn handle_delta(ctx: &Ctx, request: &Request, id: u64) -> Result<Response, HttpE
         // The delta named elements the session's graph does not have:
         // report the conflict to the client.
         let outcome = applied.map_err(|e| HttpError::new(409, e.to_string()))?;
-        let report = session.engine()?.report();
-        Ok((outcome, session.meta.deltas_applied, report))
+        let mut body = format!(
+            "{{\"outcome\":{{\"elements_rechecked\":{},\"elements_total\":{},\
+             \"violations_added\":{},\"violations_removed\":{}}},\
+             \"deltas_applied\":{},\"report\":",
+            outcome.elements_rechecked,
+            outcome.elements_total,
+            outcome.violations_added,
+            outcome.violations_removed,
+            session.meta.deltas_applied
+        );
+        let engine = session.engine()?;
+        ctx.metrics
+            .record_validation(Engine::Incremental, engine.metrics());
+        engine.write_report_json(&mut body);
+        body.push('}');
+        Ok(body)
     })?;
-    ctx.metrics
-        .record_validation(Engine::Incremental, report.metrics());
-    let mut body = format!(
-        "{{\"outcome\":{{\"elements_rechecked\":{},\"elements_total\":{},\
-         \"violations_added\":{},\"violations_removed\":{}}},\
-         \"deltas_applied\":{},\"report\":",
-        outcome.elements_rechecked,
-        outcome.elements_total,
-        outcome.violations_added,
-        outcome.violations_removed,
-        deltas_applied
-    );
-    report.write_json(&mut body);
-    body.push('}');
     Ok(Response::json(200, body))
 }
 
 /// Recovered sessions hydrate here: their first report is a full
 /// revalidation through the incremental engine's seeding pass.
 fn handle_report(ctx: &Ctx, id: u64) -> Result<Response, HttpError> {
-    let report = with_session(ctx, id, |session| Ok(session.engine()?.report()))?;
-    Ok(Response::json(200, report.to_json()))
+    let body = with_session(ctx, id, |session| {
+        let mut body = String::new();
+        session.engine()?.write_report_json(&mut body);
+        Ok(body)
+    })?;
+    Ok(Response::json(200, body))
 }
 
 /// The graph is served without hydrating — dormant sessions keep their

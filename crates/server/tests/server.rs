@@ -1539,3 +1539,57 @@ fn flat_envelopes_read_like_the_tree() {
     assert!(differ.is_empty(), "{}", differ.join("\n"));
     daemon.stop();
 }
+
+/// A compaction tipped off by a request runs before that request's
+/// response is written, so the request clock must cover it: with
+/// `--compact-after-bytes 1` every logged request compacts, and the
+/// request-duration sum can never fall below the compaction-duration
+/// sum.
+#[test]
+fn compaction_time_counts_in_the_request_clock() {
+    let dir = workload::Scratch::new("compaction-clock").unwrap();
+    let config = ServerConfig::builder()
+        .addr("127.0.0.1:0")
+        .cores(1)
+        .log_format(LogFormat::Off)
+        .data_dir(dir.path())
+        .compact_after_bytes(1)
+        .build();
+    let handle = Server::bind(config).expect("bind").serve().expect("serve");
+    let daemon = Daemon {
+        addr: handle.local_addr(),
+        handle,
+    };
+    let mut client = Client::connect(daemon.addr).unwrap();
+    let id = client.create_session("/sessions", &envelope(4)).unwrap();
+    let user = user_ids(&sample_graph(4))[0];
+    const DELTAS: u64 = 6;
+    for i in 0..DELTAS {
+        let delta = json::delta_to_json(&toggle_delta(user, i));
+        client
+            .expect(
+                "delta",
+                200,
+                "POST",
+                &format!("/sessions/{id}/deltas"),
+                delta.as_bytes(),
+            )
+            .unwrap();
+    }
+
+    let text = daemon_metrics(&mut client);
+    // The create and every delta appended a record, so each compacted.
+    let compactions = metric(&text, "pgschemad_compaction_duration_micros_count");
+    assert_eq!(compactions, DELTAS + 1, "{text}");
+    assert_eq!(
+        metric(&text, "pgschemad_store_snapshots_total"),
+        compactions
+    );
+    let requests = metric(&text, "pgschemad_request_duration_micros_sum");
+    let compacting = metric(&text, "pgschemad_compaction_duration_micros_sum");
+    assert!(
+        requests >= compacting,
+        "requests took {requests} µs in all, but their compactions alone took {compacting} µs"
+    );
+    daemon.stop();
+}

@@ -11,7 +11,12 @@
 //! * (iii) decoding a graph document with [`json::read_graph`] into a
 //!   schema's [`ColumnsBuilder`](pgraph::ColumnsBuilder), `finish`
 //!   included, allocates a constant number of times per element, and no
-//!   more than its ceiling: each decoded value is moved into the pool.
+//!   more than its ceiling: each decoded value is moved into the pool;
+//! * (iv) a one-op delta on a session holding `k` standing violations,
+//!   plus writing the report its response carries, allocates the same
+//!   whatever `k`, and no more than its ceiling: the standing
+//!   violations keep their encoded bytes, so the report is a copy of
+//!   them, not a clone and a render.
 //!
 //! Every allocation of the process is counted by the global allocator
 //! below, so the file holds one `#[test]` that takes its cases serially:
@@ -83,6 +88,12 @@ const DELTA_CEILING: f64 = 40.0 * 1.25;
 /// 4.679 (4.516).
 const COLUMNS_CEILING: f64 = 1.176 * 1.25;
 
+/// Allocations of a one-op delta plus its written report on a session
+/// holding [`unidentified`]'s `k` standing violations: the measured 32
+/// at every `k` × 1.25. Cloning the standing report and rendering the
+/// clone allocates at least `k` times more.
+const REPORT_CEILING: f64 = 32.0 * 1.25;
+
 fn spread(xs: &[f64]) -> f64 {
     let (min, max) = xs
         .iter()
@@ -134,6 +145,25 @@ fn ring(n: usize) -> PropertyGraph {
     g
 }
 
+const UNIDENTIFIED_SDL: &str = r#"
+type User {
+    id: ID! @required
+    login: String
+}
+"#;
+
+/// `k` users without their `@required` `id`: under
+/// [`UNIDENTIFIED_SDL`], `k` standing DS5 violations, one per node, and
+/// nothing else.
+fn unidentified(k: usize) -> PropertyGraph {
+    let mut g = PropertyGraph::new();
+    for i in 0..k {
+        let u = g.add_node("User");
+        g.set_node_property(u, "login", Value::String(format!("user-{i}")));
+    }
+    g
+}
+
 #[test]
 fn allocations_stay_within_budget() {
     // (i) Delta decode, 2⁴ … 2¹⁰ ops.
@@ -178,6 +208,37 @@ fn allocations_stay_within_budget() {
     assert!(
         per_delta.iter().all(|&x| x <= DELTA_CEILING),
         "a 1-op delta allocates more than {DELTA_CEILING} times: {per_delta:.1?}"
+    );
+
+    // (iv) A one-op delta and its written report, 2⁶ … 2¹⁰ standing
+    // violations.
+    let unidentified_schema = PgSchema::parse(UNIDENTIFIED_SDL).unwrap();
+    let mut per_report = Vec::new();
+    for k in (6..=10).map(|e| 1usize << e) {
+        let mut engine = IncrementalEngine::new(unidentified(k), &unidentified_schema, &options);
+        assert_eq!(engine.report().violations().len(), k, "one DS5 per user");
+        let target = NodeId::from_index(k / 2);
+        let mut total = 0;
+        for login in ["toggle-a", "toggle-b", "toggle-a"] {
+            let delta = GraphDelta::new().set_node_property(target, "login", Value::from(login));
+            let (body, allocations) = counted(|| {
+                engine.apply(&delta).expect("1-op delta applies");
+                let mut body = String::new();
+                engine.write_report_json(&mut body);
+                body
+            });
+            assert_eq!(body, engine.report().to_json());
+            total += allocations;
+        }
+        per_report.push(total as f64 / 3.0);
+    }
+    assert!(
+        spread(&per_report) <= FLAT,
+        "a 1-op delta and its report allocate more as violations stand: {per_report:.1?} per delta over 2^6..2^10 violations"
+    );
+    assert!(
+        per_report.iter().all(|&x| x <= REPORT_CEILING),
+        "a 1-op delta and its report allocate more than {REPORT_CEILING} times: {per_report:.1?}"
     );
 
     // (iii) A graph document decoded into columns, 2¹⁰ … 2¹⁴ elements.

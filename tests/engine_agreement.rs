@@ -128,7 +128,9 @@ proptest! {
     /// static graphs. Sequences are drawn by [`DeltaGen`] against the
     /// engine's own evolving graph, so they mix structural ops
     /// (add/remove node/edge, cascading removals), property churn
-    /// (well-typed and deliberately ill-typed writes) and relabels.
+    /// (well-typed and deliberately ill-typed writes) and relabels. The
+    /// session collects metrics, as served sessions do, and its written
+    /// report is byte for byte the rendering of its report.
     #[test]
     fn incremental_agrees_after_mutation_sequences(
         schema_seed in 0u64..16,
@@ -141,7 +143,7 @@ proptest! {
             seed: graph_seed,
             ..Default::default()
         }).generate();
-        let options = ValidationOptions::default();
+        let options = ValidationOptions::builder().collect_metrics(true).build();
         let mut engine = IncrementalEngine::new(graph, &schema, &options);
         let gen = DeltaGen::new(&schema, DeltaGenParams {
             ops: 8,
@@ -153,6 +155,12 @@ proptest! {
             let delta = gen.generate_seeded(engine.graph(), seed);
             engine.apply(&delta).expect("conflict-free by construction");
             let patched = engine.report();
+            let mut written = String::new();
+            engine.write_report_json(&mut written);
+            prop_assert_eq!(
+                &written, &patched.to_json(),
+                "step {}: written report differs from the rendered one", step
+            );
             let full = validate(
                 engine.graph(),
                 &schema,
